@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 validation/usage error, 3 runtime failure,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -53,15 +54,25 @@ def _write(path: str | None, text: str) -> None:
 
 def _parse_scan(text: str) -> np.ndarray:
     """Scan values: either 'start:stop:n' (inclusive linspace) or a comma list."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValidationError(f"scan {text!r} must be start:stop:n or a comma list")
-        start, stop, n = float(parts[0]), float(parts[1]), int(parts[2])
-        if n < 1:
-            raise ValidationError("scan point count must be >= 1")
-        return np.linspace(start, stop, n)
-    return np.array([float(v) for v in text.split(",") if v.strip() != ""])
+    parts = text.split(":")
+    if len(parts) not in (1, 3):
+        raise ValidationError(f"scan {text!r} must be start:stop:n or a comma list")
+    try:
+        if len(parts) == 3:
+            values = [float(parts[0]), float(parts[1])]
+            n = int(parts[2])
+        else:
+            values = [float(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError as exc:
+        raise ValidationError(f"scan {text!r}: {exc}") from exc
+    bad = [v for v in values if not math.isfinite(v)]
+    if bad:
+        raise ValidationError(f"scan {text!r}: value {bad[0]} is not finite")
+    if len(parts) == 1:
+        return np.array(values)
+    if n < 1:
+        raise ValidationError("scan point count must be >= 1")
+    return np.linspace(values[0], values[1], n)
 
 
 # ---------------------------------------------------------------------------

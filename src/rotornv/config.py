@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -45,6 +46,8 @@ class ProtocolConfig:
             raise ValidationError("shots_per_point must be >= 1")
         if not self.readout_window_us > 0:
             raise ValidationError("readout_window_us must be positive")
+        if not self.bin_width_us > 0:
+            raise ValidationError("bin_width_us must be positive")
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,14 @@ class ExperimentConfig:
     strobe: StrobeConfig = field(default_factory=StrobeConfig)
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
     seed: int = 1
+
+    def __post_init__(self):
+        if self.protocol.readout_window_us > self.strobe.t_pulse_us:
+            raise ValidationError(
+                f"protocol.readout_window_us = {self.protocol.readout_window_us} exceeds "
+                f"strobe.t_pulse_us = {self.strobe.t_pulse_us}: the readout window must fit "
+                "inside the strobe pulse"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -98,6 +109,10 @@ def _build_section(cls, data: dict, path: str):
         raise ValidationError(
             f"{path}: unknown key(s) {sorted(unknown)}; known keys: {sorted(known)}"
         )
+    for key, val in data.items():
+        items = val if isinstance(val, (list, tuple)) else [val]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+            raise ValidationError(f"{path}.{key}: {val!r} is not a finite number")
     kwargs = dict(data)
     if cls is FieldConfig and "mw_dir" in kwargs:
         kwargs["mw_dir"] = unit(kwargs["mw_dir"])

@@ -1,12 +1,20 @@
 """End-to-end measurement pipelines: sequence -> spin -> readout -> contrast.
 
-Each scan point runs the coherent sequence simulation, converts the final
-spin state into expected early-window photon counts through the transit
-readout model, Poisson-samples signal and reference windows, and records
-the normalised ratio with its shot-noise standard error.  The reference
+A scan is evaluated in one batch: the calibration is built once, the
+timelines of all points are built as arrays (no program text), and one
+call of :func:`spindyn.simulate_batch` gives every P(m_S = -1).  The
+per-point chain (program text -> parse -> compile -> simulate_sequence,
+in :func:`rabi_population_pipeline` and :func:`echo_population`) is kept
+as the test oracle of the batched scans.
+
+Each scan point's final spin state is converted into expected
+early-window photon counts through the transit readout model,
+Poisson-sampled in signal and reference windows, and recorded as the
+normalised ratio with its shot-noise standard error.  The reference
 window is collected one revolution later with the NV repumped to the
 bright state, matching the experimental normalisation, so signal and
-reference are statistically independent.
+reference are statistically independent.  Every point draws from its own
+RNG stream, so a point's data do not depend on the rest of the scan.
 
 Expected window counts are linear in the initial populations (the rate
 equations are linear), so the bright/dark responses are integrated once
@@ -86,20 +94,32 @@ def sample_ratio(
 # echo scan
 
 
+def _check_tau_below_period(tau_us, g) -> None:
+    late = np.asarray(tau_us) >= g.t_rot_us
+    if np.any(late):
+        bad = float(np.atleast_1d(tau_us)[np.atleast_1d(late)][0])
+        raise ValidationError(
+            f"tau_us = {bad} not below the rotation period {g.t_rot_us:.4f} us: "
+            "readout would precede sequence end"
+        )
+
+
+def _calibration(cfg: ExperimentConfig) -> seqlang.CalibrationTable:
+    return seqlang.build_calibration(
+        cfg.geometry, cfg.field_cfg, cfg.protocol.base_rabi_mhz, cfg.protocol.n_cal_angles
+    )
+
+
 def echo_population(
     cfg: ExperimentConfig, tau_us: float, ideal_pulses: bool = True
 ) -> float:
-    """P(m_S = -1) at readout after a tau echo, bath envelope applied."""
+    """P(m_S = -1) at readout after a tau echo, bath envelope applied (per-point oracle)."""
     g, f, c = cfg.geometry, cfg.field_cfg, cfg.constants
-    if tau_us >= g.t_rot_us:
-        raise ValidationError(
-            f"tau_us = {tau_us} not below the rotation period {g.t_rot_us:.4f} us: "
-            "readout would precede sequence end"
-        )
+    _check_tau_below_period(tau_us, g)
     if ideal_pulses:
         timeline = seqlang.ideal_echo_timeline(tau_us, g.t_rot_us, cfg.strobe.t_pulse_us)
     else:
-        cal = seqlang.build_calibration(g, f, cfg.protocol.base_rabi_mhz, cfg.protocol.n_cal_angles)
+        cal = _calibration(cfg)
         prog = seqlang.parse_sequence(
             seqlang.echo_program(tau_us, g, cal, cfg.strobe.t_pulse_us)
         )
@@ -107,6 +127,20 @@ def echo_population(
     traj = spindyn.simulate_sequence(timeline, g, f, c)
     z = traj[-1][1].bloch[2]
     env = spindyn.c13_envelope(echo_params_from_config(cfg), c, tau_us)
+    return 0.5 * (1.0 - z * env)
+
+
+def echo_populations(cfg: ExperimentConfig, tau_us, ideal_pulses: bool = True) -> np.ndarray:
+    """:func:`echo_population` for every tau of a scan, in one batched pass."""
+    g, f, c = cfg.geometry, cfg.field_cfg, cfg.constants
+    tau = np.asarray(tau_us, dtype=float)
+    _check_tau_below_period(tau, g)
+    if ideal_pulses:
+        batch = seqlang.ideal_echo_batch(tau, g.t_rot_us, cfg.strobe.t_pulse_us)
+    else:
+        batch = seqlang.echo_batch(tau, g, _calibration(cfg), cfg.strobe.t_pulse_us)
+    z = spindyn.simulate_batch(batch, g, f, c)[:, 2]
+    env = spindyn.c13_envelope(echo_params_from_config(cfg), c, tau)
     return 0.5 * (1.0 - z * env)
 
 
@@ -119,6 +153,23 @@ def echo_params_from_config(cfg: ExperimentConfig) -> spindyn.EchoParams:
     )
 
 
+def _sample_scan(p_ms1: np.ndarray, resp: WindowResponse, shots: int, seed: int, stream: int):
+    """Sample every point of a scan from its own stream ``default_rng([seed, stream, i])``."""
+    signal = np.empty(p_ms1.size)
+    sigma = np.empty(p_ms1.size)
+    for i, p1 in enumerate(p_ms1):
+        rng = np.random.default_rng([seed, stream, i])
+        signal[i], sigma[i] = sample_ratio(p1, resp, shots, rng)
+    return signal, sigma
+
+
+def _scan_axis(values, name: str) -> np.ndarray:
+    axis = np.asarray(sorted(float(v) for v in values), dtype=float)
+    if axis.size == 0:
+        raise ValidationError(f"{name} is empty")
+    return axis
+
+
 def simulate_echo_scan(
     cfg: ExperimentConfig,
     tau_list,
@@ -127,18 +178,12 @@ def simulate_echo_scan(
     seed: int | None = None,
 ) -> tuple[EchoDataset, dict]:
     """Echo fringe dataset (tau_us, signal, sigma) with Poisson error bars."""
-    tau = np.asarray(sorted(float(t) for t in tau_list), dtype=float)
-    if tau.size == 0:
-        raise ValidationError("tau_list is empty")
+    tau = _scan_axis(tau_list, "tau_list")
     shots = shots_per_point if shots_per_point is not None else cfg.protocol.shots_per_point
     seed = cfg.seed if seed is None else seed
+    p1 = echo_populations(cfg, tau, ideal_pulses=ideal_pulses)
     resp = window_response(cfg)
-    signal = np.empty(tau.size)
-    sigma = np.empty(tau.size)
-    for i, t in enumerate(tau):
-        p1 = echo_population(cfg, t, ideal_pulses=ideal_pulses)
-        rng = np.random.default_rng([seed, 17, i])
-        signal[i], sigma[i] = sample_ratio(p1, resp, shots, rng)
+    signal, sigma = _sample_scan(p1, resp, shots, seed, 17)
     meta = {
         "kind": "echo-scan",
         "shots_per_point": shots,
@@ -153,30 +198,37 @@ def simulate_echo_scan(
 # Rabi scan
 
 
+def _rabi_pulse_at(cfg: ExperimentConfig, pulse_at: str) -> dict:
+    """Where the variable pulse sits: at the trigger, or half a turn later after a pi."""
+    if pulse_at == "start":
+        return {"pulse_at_us": 0.0}
+    if pulse_at == "half":
+        return {"pulse_at_us": cfg.geometry.t_rot_us / 2.0, "prepend_pi": True}
+    raise ValidationError("pulse_at must be 'start' or 'half'")
+
+
 def rabi_population_pipeline(
     cfg: ExperimentConfig,
     duration_us: float,
     pulse_at: str = "start",
 ) -> float:
-    """P(m_S = -1) after a single variable pulse at t = 0 or t = T_rot/2."""
+    """P(m_S = -1) after a single variable pulse at t = 0 or t = T_rot/2 (per-point oracle)."""
     g, f, c = cfg.geometry, cfg.field_cfg, cfg.constants
-    cal = seqlang.build_calibration(g, f, cfg.protocol.base_rabi_mhz, cfg.protocol.n_cal_angles)
-    if pulse_at == "start":
-        text = seqlang.rabi_program(duration_us, g, cfg.strobe.t_pulse_us, pulse_at_us=0.0)
-    elif pulse_at == "half":
-        text = seqlang.rabi_program(
-            duration_us,
-            g,
-            cfg.strobe.t_pulse_us,
-            pulse_at_us=g.t_rot_us / 2.0,
-            prepend_pi=True,
-        )
-    else:
-        raise ValidationError("pulse_at must be 'start' or 'half'")
-    prog = seqlang.parse_sequence(text)
-    timeline = seqlang.compile_timeline(prog, g, cal)
+    cal = _calibration(cfg)
+    text = seqlang.rabi_program(
+        duration_us, g, cfg.strobe.t_pulse_us, **_rabi_pulse_at(cfg, pulse_at)
+    )
+    timeline = seqlang.compile_timeline(seqlang.parse_sequence(text), g, cal)
     traj = spindyn.simulate_sequence(timeline, g, f, c)
     return traj[-1][1].population_ms1
+
+
+def rabi_populations(cfg: ExperimentConfig, durations_us, pulse_at: str = "start") -> np.ndarray:
+    """:func:`rabi_population_pipeline` for every duration of a scan, in one batched pass."""
+    g, f, c = cfg.geometry, cfg.field_cfg, cfg.constants
+    where = _rabi_pulse_at(cfg, pulse_at)
+    batch = seqlang.rabi_batch(durations_us, g, _calibration(cfg), cfg.strobe.t_pulse_us, **where)
+    return 0.5 * (1.0 - spindyn.simulate_batch(batch, g, f, c)[:, 2])
 
 
 def simulate_rabi_scan(
@@ -187,18 +239,12 @@ def simulate_rabi_scan(
     seed: int | None = None,
 ) -> tuple[EchoDataset, dict]:
     """Rabi dataset (duration_us, signal, sigma) through the full pipeline."""
-    durations = np.asarray(sorted(float(d) for d in durations_us), dtype=float)
-    if durations.size == 0:
-        raise ValidationError("durations_us is empty")
+    durations = _scan_axis(durations_us, "durations_us")
     shots = shots_per_point if shots_per_point is not None else cfg.protocol.shots_per_point
     seed = cfg.seed if seed is None else seed
+    p1 = rabi_populations(cfg, durations, pulse_at=pulse_at)
     resp = window_response(cfg)
-    signal = np.empty(durations.size)
-    sigma = np.empty(durations.size)
-    for i, d in enumerate(durations):
-        p1 = rabi_population_pipeline(cfg, d, pulse_at=pulse_at)
-        rng = np.random.default_rng([seed, 29, i])
-        signal[i], sigma[i] = sample_ratio(p1, resp, shots, rng)
+    signal, sigma = _sample_scan(p1, resp, shots, seed, 29)
     meta = {
         "kind": "rabi-scan",
         "pulse_at": pulse_at,

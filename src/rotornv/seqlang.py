@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -374,16 +375,26 @@ class CalibrationTable:
         if any(not r > 0 for r in self.rabi_mhz):
             raise ValidationError("calibrated Rabi frequencies must be positive")
 
-    def rabi_at(self, angle_deg: float) -> float:
-        a = float(angle_deg) % 360.0
+    @cached_property
+    def _periodic(self) -> tuple[np.ndarray, np.ndarray]:
+        """The table sorted by angle and closed by its first entry at +360 deg."""
         xs = np.asarray(self.angles_deg)
         ys = np.asarray(self.rabi_mhz)
         order = np.argsort(xs)
         xs, ys = xs[order], ys[order]
-        # periodic extension for wraparound interpolation
-        xs_ext = np.concatenate([xs, [xs[0] + 360.0]])
-        ys_ext = np.concatenate([ys, [ys[0]]])
-        return float(np.interp(a, xs_ext, ys_ext))
+        return np.concatenate([xs, [xs[0] + 360.0]]), np.concatenate([ys, [ys[0]]])
+
+    def rabi_at(self, angle_deg):
+        """Rabi frequency at ``angle_deg``, a scalar or an array of angles."""
+        a = np.mod(np.asarray(angle_deg, dtype=float), 360.0)
+        out = np.interp(a, *self._periodic)
+        return float(out) if np.ndim(out) == 0 else out
+
+
+def pulse_angle_deg(g: geometry.RotorGeometry, start_us):
+    """Rotation angle in [0, 360) deg at program time ``start_us``; broadcasts."""
+    out = np.mod(360.0 * g.f_rot_hz * np.asarray(start_us, dtype=float) * 1e-6, 360.0)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def build_calibration(
@@ -419,6 +430,10 @@ def build_calibration(
 # timeline
 
 
+# fraction of a full turn that each target pulse rotates the spin by
+TARGET_FRACTIONS = {"pi": 0.5, "pi/2": 0.25}
+
+
 @dataclass(frozen=True)
 class MwPayload:
     rabi_freq_mhz: float
@@ -428,7 +443,7 @@ class MwPayload:
 
     @property
     def rotation_fraction(self) -> Optional[float]:
-        return {"pi": 0.5, "pi/2": 0.25}.get(self.target)
+        return TARGET_FRACTIONS.get(self.target)
 
 
 @dataclass(frozen=True)
@@ -508,6 +523,52 @@ def validate_timeline(timeline: PulseTimeline) -> None:
                 )
 
 
+@dataclass(frozen=True, eq=False)
+class TimelineBatch:
+    """N timelines of one shape, one per scan point, held as (K, N) arrays.
+
+    Row k of ``start_us``, ``duration_us`` and ``rabi_mhz`` is event k of
+    every timeline; ``channels`` and ``targets`` label the K events, which
+    are listed in time order.  Microwave events are driven at phase 0, as in
+    every canned program.  Construction runs the checks of
+    :func:`validate_timeline` on every timeline and rejects non-finite times.
+    """
+
+    channels: tuple[str, ...]
+    targets: tuple[Optional[str], ...]
+    start_us: np.ndarray
+    duration_us: np.ndarray
+    rabi_mhz: np.ndarray
+
+    def __post_init__(self):
+        start, dur = self.start_us, self.duration_us
+        bad = ~(np.isfinite(start) & np.isfinite(dur) & (start >= 0) & (dur >= 0))
+        if bad.any():
+            k, i = np.argwhere(bad)[0]
+            raise ValidationError(
+                f"event {self.event(k, i).describe()} has a negative or non-finite time"
+            )
+        for channel in dict.fromkeys(self.channels):
+            rows = [k for k, ch in enumerate(self.channels) if ch == channel]
+            for a, b in zip(rows, rows[1:]):
+                hit = start[b] < start[a] + dur[a] - 1e-12
+                if hit.any():
+                    i = int(np.argmax(hit))
+                    raise ValidationError(
+                        f"overlapping {channel} events: {self.event(a, i).describe()} "
+                        f"and {self.event(b, i).describe()}"
+                    )
+
+    def event(self, k: int, i: int) -> TimelineEvent:
+        """Event ``k`` of timeline ``i``."""
+        payload = None
+        if self.channels[k] == "mw":
+            payload = MwPayload(float(self.rabi_mhz[k, i]), target=self.targets[k])
+        return TimelineEvent(
+            self.channels[k], float(self.start_us[k, i]), float(self.duration_us[k, i]), payload
+        )
+
+
 def _resolve_us(operand: Operand, params: dict[str, Quantity]) -> float:
     q = params[operand] if isinstance(operand, str) else operand
     return q.to_us()
@@ -550,7 +611,7 @@ def compile_timeline(
             dur = _resolve_us(stmt.duration, params)
             events.append(TimelineEvent("laser", start, dur))
         else:  # MwStmt
-            angle = (360.0 * g.f_rot_hz * start * 1e-6) % 360.0
+            angle = pulse_angle_deg(g, start)
             omega = cal.rabi_at(angle)
             if omega <= 0.0:
                 diags.append(
@@ -558,8 +619,7 @@ def compile_timeline(
                 )
                 continue
             if stmt.target is not None:
-                fraction = 0.5 if stmt.target == "pi" else 0.25
-                dur = fraction / omega
+                dur = TARGET_FRACTIONS[stmt.target] / omega
             else:
                 dur = _resolve_us(stmt.duration, params)
             payload = MwPayload(
@@ -624,6 +684,33 @@ def ideal_echo_timeline(tau_us: float, t_rot_us: float, t_pulse_us: float = 2.0)
     return PulseTimeline(events)
 
 
+def echo_pulse_starts(tau_us, g: geometry.RotorGeometry, cal: CalibrationTable):
+    """Starts of a finite-pulse echo's pi pulse and last pi/2 pulse; broadcasts over tau.
+
+    The pi pulse is centred at tau/2 and the last pi/2 pulse ends at tau;
+    each duration comes from the calibration at its start angle.
+    """
+    tau = np.asarray(tau_us, dtype=float)
+    if np.any(tau <= 0):
+        raise ValidationError("tau_us must be positive")
+
+    def dur_at(start_us, target):
+        return TARGET_FRACTIONS[target] / cal.rabi_at(pulse_angle_deg(g, start_us))
+
+    # durations depend weakly on the start angle; a few passes settle them
+    start_pi, start_last = tau / 2.0, tau
+    for _ in range(3):
+        d_pi = dur_at(start_pi, "pi")
+        d_last = dur_at(start_last, "pi/2")
+        start_pi = tau / 2.0 - d_pi / 2.0
+        start_last = tau - d_last
+    short = start_pi < dur_at(0.0, "pi/2")
+    if np.any(short):
+        bad = float(np.atleast_1d(tau)[np.atleast_1d(short)][0])
+        raise ValidationError(f"tau_us={bad} too short to fit the echo pulses")
+    return start_pi, start_last
+
+
 def echo_program(
     tau_us: float,
     g: geometry.RotorGeometry,
@@ -631,22 +718,7 @@ def echo_program(
     t_pulse_us: float = 2.0,
 ) -> str:
     """Program text for a finite-pulse echo: pi centred at tau/2, last pi/2 ending at tau."""
-    if tau_us <= 0:
-        raise ValidationError("tau_us must be positive")
-
-    def dur_at(start_us, fraction):
-        angle = (360.0 * g.f_rot_hz * start_us * 1e-6) % 360.0
-        return fraction / cal.rabi_at(angle)
-
-    # durations depend weakly on the start angle; a few passes settle them
-    start_pi, start_last = tau_us / 2.0, tau_us
-    for _ in range(3):
-        d_pi = dur_at(start_pi, 0.5)
-        d_last = dur_at(start_last, 0.25)
-        start_pi = tau_us / 2.0 - d_pi / 2.0
-        start_last = tau_us - d_last
-    if start_pi < dur_at(0.0, 0.25):
-        raise ValidationError(f"tau_us={tau_us} too short to fit the echo pulses")
+    start_pi, start_last = echo_pulse_starts(tau_us, g, cal)
     return "\n".join(
         [
             "mw pi/2 at 0us",
@@ -671,3 +743,91 @@ def rabi_program(
     lines.append(f"mw {float(duration_us)!r}us at {float(pulse_at_us)!r}us")
     lines.append(f"laser {float(t_pulse_us)!r}us at {float(g.t_rot_us)!r}us")
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# batched canned sequences: whole scans without program text
+
+
+def _compile_batch(g: geometry.RotorGeometry, cal: CalibrationTable, n: int, events) -> TimelineBatch:
+    """:func:`compile_timeline` for N programs of one shape, with t_phi = 0.
+
+    ``events`` lists (channel, target, start_us, duration_us) in time order;
+    each time is a scalar or an (N,) array.  Microwave events take their Rabi
+    frequency, and target pulses their duration, from the calibration at the
+    rotation angle of the pulse start.
+    """
+    cols = []
+    for channel, target, at, duration in events:
+        at = np.broadcast_to(np.asarray(at, dtype=float), (n,))
+        omega = np.zeros(n)
+        if channel == "mw":
+            angle = pulse_angle_deg(g, at)
+            omega = cal.rabi_at(angle)
+            if np.any(omega <= 0.0):
+                i = int(np.argmax(omega <= 0.0))
+                raise CompileError(
+                    [Diagnostic(f"zero Rabi frequency at rotation angle {angle[i]:.3f} deg")]
+                )
+            if target is not None:
+                duration = TARGET_FRACTIONS[target] / omega
+        cols.append((at, np.broadcast_to(np.asarray(duration, dtype=float), (n,)), omega))
+    start, dur, rabi = (np.array(c) for c in zip(*cols))
+    batch = TimelineBatch(
+        tuple(e[0] for e in events), tuple(e[1] for e in events), start, dur, rabi
+    )
+    late = start > g.t_rot_us + 1e-9
+    if late.any():
+        k, i = np.argwhere(late)[0]
+        raise CompileError(
+            [
+                Diagnostic(
+                    f"event {batch.event(k, i).describe()} starts after one rotation period "
+                    f"({g.t_rot_us:.3f} us)"
+                )
+            ]
+        )
+    return batch
+
+
+def rabi_batch(
+    durations_us,
+    g: geometry.RotorGeometry,
+    cal: CalibrationTable,
+    t_pulse_us: float = 2.0,
+    pulse_at_us: float = 0.0,
+    prepend_pi: bool = False,
+) -> TimelineBatch:
+    """The compiled timelines of :func:`rabi_program`, one per duration."""
+    d = np.atleast_1d(np.asarray(durations_us, dtype=float))
+    events = [("mw", "pi", 0.0, None)] if prepend_pi else []
+    events += [("mw", None, pulse_at_us, d), ("laser", None, g.t_rot_us, t_pulse_us)]
+    return _compile_batch(g, cal, d.size, events)
+
+
+def echo_batch(
+    tau_us, g: geometry.RotorGeometry, cal: CalibrationTable, t_pulse_us: float = 2.0
+) -> TimelineBatch:
+    """The compiled timelines of :func:`echo_program`, one per tau."""
+    tau = np.atleast_1d(np.asarray(tau_us, dtype=float))
+    start_pi, start_last = echo_pulse_starts(tau, g, cal)
+    events = [
+        ("mw", "pi/2", 0.0, None),
+        ("mw", "pi", start_pi, None),
+        ("mw", "pi/2", start_last, None),
+        ("laser", None, g.t_rot_us, t_pulse_us),
+    ]
+    return _compile_batch(g, cal, tau.size, events)
+
+
+def ideal_echo_batch(tau_us, t_rot_us: float, t_pulse_us: float = 2.0) -> TimelineBatch:
+    """The timelines of :func:`ideal_echo_timeline`, one per tau."""
+    tau = np.atleast_1d(np.asarray(tau_us, dtype=float))
+    zero = np.zeros_like(tau)
+    return TimelineBatch(
+        ("mw", "mw", "mw", "laser"),
+        ("pi/2", "pi", "pi/2", None),
+        np.array([zero, tau / 2.0, tau, zero + t_rot_us]),
+        np.array([zero, zero, zero, zero + t_pulse_us]),
+        np.array([zero + 1.0, zero + 1.0, zero + 1.0, zero]),
+    )

@@ -122,6 +122,33 @@ class TestPipeline:
         assert "line 3" in str(err.value)
 
 
+    @pytest.mark.parametrize(
+        "overrides", [[], ["field.theta_b_deg=1"], ["geometry.phi_nv0_deg=37"]]
+    )
+    @pytest.mark.parametrize("scan", ["rabi-start", "rabi-half", "echo-ideal", "echo-finite"])
+    def test_batched_scan_matches_per_point_oracle(self, overrides, scan):
+        cfg = apply_overrides(config_from_dict({}), overrides)
+        kind, variant = scan.split("-")
+        if kind == "rabi":
+            axis = np.linspace(0.0, 1.1, 23)  # includes duration 0
+            batched = pipeline.rabi_populations(cfg, axis, pulse_at=variant)
+            oracle = [pipeline.rabi_population_pipeline(cfg, d, pulse_at=variant) for d in axis]
+        else:
+            ideal = variant == "ideal"
+            axis = np.linspace(0.0 if ideal else 2.0, 290.0, 23)
+            batched = pipeline.echo_populations(cfg, axis, ideal_pulses=ideal)
+            oracle = [pipeline.echo_population(cfg, t, ideal_pulses=ideal) for t in axis]
+        assert np.max(np.abs(batched - np.array(oracle))) <= 1e-12
+
+    def test_batched_scan_rejects_overlap_like_oracle(self):
+        # a 500 us pi pulse at the trigger overruns the variable pulse at T_rot/2
+        cfg = apply_overrides(config_from_dict({}), ["protocol.base_rabi_mhz=0.001"])
+        with pytest.raises(ValidationError, match="overlapping mw"):
+            pipeline.rabi_population_pipeline(cfg, 0.1, pulse_at="half")
+        with pytest.raises(ValidationError, match="overlapping mw"):
+            pipeline.rabi_populations(cfg, [0.0, 0.1], pulse_at="half")
+
+
 class TestCliSubcommands:
     def test_dump_config_round_trip(self, tmp_path):
         res = run_cli(["dump-config"])
@@ -269,3 +296,54 @@ class TestCliSubcommands:
         code = main(["dump-config"])
         assert code == 0
         assert '"seed"' in capsys.readouterr().out
+
+
+def _main_exit(argv, capsys) -> tuple[int, str]:
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate-rabi", "--durations=-0.5,0.2"],
+        ["simulate-rabi", "--durations=-0.5,0.2", "--pulse-at", "half"],
+        ["simulate-rabi", "--durations", "0.1,400", "--pulse-at", "half"],
+        ["simulate-echo", "--tau", "2,400"],
+        ["simulate-echo", "--finite-pulses", "--tau", "0.1,5"],
+        ["simulate-echo", "--tau", "nan,5"],
+        ["simulate-rabi", "--durations", "inf,0.5"],
+        ["simulate-echo", "--tau", "2:inf:4"],
+        ["simulate-echo", "--tau", "2,five"],
+    ],
+)
+def test_bad_scan_values_exit_2(argv, capsys):
+    code, err = _main_exit([*argv, "--shots", "100"], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize(
+    "key", ["field.b0_gauss", "geometry.r_nv_um", "beam.peak_counts_stationary_cps"]
+)
+def test_non_finite_config_value_exit_2(key, value, capsys):
+    code, err = _main_exit(["simulate-echo", "--tau", "2,5", "--set", f"{key}={value}"], capsys)
+    assert code == 2
+    assert key in err
+
+
+def test_zero_bin_width_exit_2(capsys):
+    code, err = _main_exit(
+        ["simulate-readout", "--shots", "100", "--set", "protocol.bin_width_us=0"], capsys
+    )
+    assert code == 2
+    assert "bin_width_us" in err
+
+
+def test_readout_window_longer_than_strobe_exit_2(capsys):
+    code, err = _main_exit(
+        ["simulate-echo", "--tau", "2,5", "--set", "protocol.readout_window_us=2.5"], capsys
+    )
+    assert code == 2
+    assert "protocol.readout_window_us" in err and "strobe.t_pulse_us" in err

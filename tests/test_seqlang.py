@@ -17,10 +17,13 @@ from rotornv.seqlang import (
     WaitStmt,
     build_calibration,
     compile_timeline,
+    echo_batch,
     echo_program,
+    echo_pulse_starts,
     format_program,
     ideal_echo_timeline,
     parse_sequence,
+    rabi_batch,
     rabi_program,
     validate_timeline,
 )
@@ -339,3 +342,62 @@ class TestCannedSequences:
         )
         assert [e.channel for e in t2.events] == ["mw", "mw", "laser"]
         assert t2.events[1].start_us == 150.0
+
+
+class TestBatchedSequences:
+    def test_rabi_at_array_matches_scalar(self):
+        cal = default_calibration()
+        angles = np.linspace(-400.0, 720.0, 97)
+        assert cal.rabi_at(angles).tolist() == [cal.rabi_at(a) for a in angles]
+
+    def test_echo_pulse_starts_broadcast(self):
+        g = RotorGeometry(phi_nv0_deg=90.0)
+        cal = default_calibration()
+        tau = np.linspace(1.0, 250.0, 17)
+        start_pi, start_last = echo_pulse_starts(tau, g, cal)
+        for i, t in enumerate(tau):
+            one = echo_pulse_starts(t, g, cal)
+            assert (start_pi[i], start_last[i]) == (float(one[0]), float(one[1]))
+
+    def test_batch_events_equal_compiled_timelines(self):
+        g = RotorGeometry(phi_nv0_deg=90.0)
+        cal = default_calibration()
+        tau = np.array([3.0, 60.0, 200.0])
+        batches = [
+            (echo_batch(tau, g, cal), [echo_program(t, g, cal) for t in tau]),
+            (
+                rabi_batch(tau / 200.0, g, cal, pulse_at_us=150.0, prepend_pi=True),
+                [rabi_program(d, g, pulse_at_us=150.0, prepend_pi=True) for d in tau / 200.0],
+            ),
+        ]
+        for batch, texts in batches:
+            for i, text in enumerate(texts):
+                events = compile_timeline(parse_sequence(text), g, cal).events
+                assert len(events) == len(batch.channels)
+                for k, ev in enumerate(events):
+                    got = batch.event(k, i)
+                    assert (got.channel, got.start_us, got.duration_us) == (
+                        ev.channel, ev.start_us, ev.duration_us
+                    )
+                    if ev.payload is not None:
+                        assert got.payload.rabi_freq_mhz == ev.payload.rabi_freq_mhz
+                        assert got.payload.target == ev.payload.target
+
+    def test_batch_rejects_event_beyond_one_period_like_compiler(self):
+        g = RotorGeometry(phi_nv0_deg=90.0)
+        cal = default_calibration()
+        with pytest.raises(CompileError, match="one rotation period"):
+            compile_timeline(parse_sequence(rabi_program(0.3, g, pulse_at_us=400.0)), g, cal)
+        with pytest.raises(CompileError, match="one rotation period"):
+            rabi_batch([0.3], g, cal, pulse_at_us=400.0)
+
+    def test_batch_rejects_zero_rabi_like_compiler(self):
+        class DeadCalibration:
+            def rabi_at(self, angle_deg):
+                return np.zeros_like(np.asarray(angle_deg, dtype=float))
+
+        g = RotorGeometry(phi_nv0_deg=90.0)
+        with pytest.raises(CompileError, match="zero Rabi frequency"):
+            compile_timeline(parse_sequence(rabi_program(0.3, g)), g, DeadCalibration())
+        with pytest.raises(CompileError, match="zero Rabi frequency"):
+            rabi_batch([0.3], g, DeadCalibration())
