@@ -24,7 +24,7 @@ from . import photophysics, pipeline, seqlang
 from .config import ExperimentConfig, apply_overrides, config_from_dict, load_config
 from .errors import FitError, SequenceError, ValidationError
 from .estimation import EchoFitModel, fit_echo, fit_rabi
-from .imaging import ScanGrid
+from .imaging import Emitter, EmitterSet, ScanGrid
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -73,6 +73,21 @@ def _parse_scan(text: str) -> np.ndarray:
     if n < 1:
         raise ValidationError("scan point count must be >= 1")
     return np.linspace(values[0], values[1], n)
+
+
+def _parse_emitters(text: str, default_cps: float) -> EmitterSet:
+    """--emitters 'x,y[,cps];x,y[,cps]' with finite values; cps defaults to ``default_cps``."""
+    ems = []
+    for part in text.split(";"):
+        try:
+            vals = [float(v) for v in part.split(",")]
+        except ValueError as exc:
+            raise ValidationError(f"--emitters {part!r}: {exc}") from exc
+        if len(vals) not in (2, 3) or not all(math.isfinite(v) for v in vals):
+            raise ValidationError(f"--emitters {part!r} must be x,y or x,y,cps with finite values")
+        cps = vals[2] if len(vals) == 3 else default_cps
+        ems.append(Emitter((vals[0], vals[1], 0.0), cps))
+    return EmitterSet(tuple(ems))
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +145,7 @@ def cmd_simulate_image(args) -> int:
     )
     emitters = None
     if args.emitters:
-        from .imaging import Emitter, EmitterSet
-
-        ems = []
-        for part in args.emitters.split(";"):
-            vals = [float(v) for v in part.split(",")]
-            if len(vals) == 2:
-                vals.append(cfg.beam.peak_counts_stationary_cps)
-            ems.append(Emitter((vals[0], vals[1], 0.0), vals[2]))
-        emitters = EmitterSet(tuple(ems))
+        emitters = _parse_emitters(args.emitters, cfg.beam.peak_counts_stationary_cps)
     image, summaries = pipeline.simulate_image(
         cfg, grid, emitters=emitters, stationary=args.stationary
     )

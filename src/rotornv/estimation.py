@@ -12,12 +12,12 @@ Fringe model
 ------------
     signal(tau) = baseline + (contrast / 2) * env(tau) * cos(phi(tau))
 
-with phi(tau) the closed-form echo phase, linear in the AC-field amplitude
-``b_perp``.  The four parameters {b_perp, phi0, contrast, baseline} are
+with phi(tau) the closed-form echo phase of :func:`spindyn.echo_ac_phase`,
+linear in the AC-field amplitude ``b_perp``.  The four parameters {b_perp, phi0, contrast, baseline} are
 strongly covariant on short-tau data; :func:`profile_identifiability`
 exposes the resulting valleys.  ``b_perp`` is kept non-negative through an
 internal squared reparameterisation (its sign is degenerate with a pi
-shift of phi0).  Covariances are scaled by the reduced chi-square, so
+shift of phi0, and :func:`fit_echo` reports phi0 in [0, pi)).  Covariances are scaled by the reduced chi-square, so
 overdispersed data inflate the reported uncertainties.
 """
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import IdentifiabilityError, ValidationError
 from .geometry import TWO_PI, PhysicalConstants
-from .spindyn import EchoParams, c13_envelope
+from .spindyn import EchoParams, c13_envelope, echo_ac_phase
 
 ECHO_PARAM_NAMES = ("b_perp_gauss", "phi0_rad", "contrast", "baseline")
 
@@ -87,26 +87,13 @@ class EchoFitModel:
             return np.ones_like(np.asarray(tau_us, dtype=float))
         return np.asarray(c13_envelope(self.envelope, self.constants, tau_us))
 
-    def phase_factor(self, tau_us, phi0: float):
-        """phi(tau) / b_perp: rad per gauss, shared by model and Jacobian."""
-        tau = np.asarray(tau_us, dtype=float)
-        w = TWO_PI * self.f_rot_hz * 1e-6
-        pref = TWO_PI * self.constants.gamma_e_mhz_per_g / w
-        return pref * (
-            2.0 * np.sin(w * tau / 2.0 + phi0)
-            - math.sin(phi0)
-            - np.sin(w * tau + phi0)
-        )
+    def phase_factor(self, tau_us, phi0):
+        """phi(tau) / b_perp: rad per gauss, shared by model and Jacobian.
 
-    def phase_factor_dphi(self, tau_us, phi0: float):
+        Broadcasts over ``phi0``; d/d phi0 is the factor at phi0 + pi/2.
+        """
         tau = np.asarray(tau_us, dtype=float)
-        w = TWO_PI * self.f_rot_hz * 1e-6
-        pref = TWO_PI * self.constants.gamma_e_mhz_per_g / w
-        return pref * (
-            2.0 * np.cos(w * tau / 2.0 + phi0)
-            - math.cos(phi0)
-            - np.cos(w * tau + phi0)
-        )
+        return echo_ac_phase(self.constants, self.f_rot_hz, 1.0, phi0, tau)
 
     def predict(self, tau_us, b_perp, phi0, contrast, baseline):
         env = self.envelope_values(tau_us)
@@ -232,13 +219,37 @@ def levenberg_marquardt(
 # echo fringe fit
 
 
-def _echo_residual_and_jac(data: EchoDataset, model: EchoFitModel):
-    """Residual/Jacobian in internal coordinates x = (beta, phi0, contrast, baseline).
+def _to_internal(params: dict) -> np.ndarray:
+    """Reported parameters -> internal x = (sqrt(b_perp), phi0, contrast, baseline)."""
+    beta = math.sqrt(max(params["b_perp_gauss"], 0.0))
+    return np.array([beta, params["phi0_rad"], params["contrast"], params["baseline"]])
 
-    b_perp = beta^2 keeps the amplitude non-negative without constraints.
+
+def _to_reported(x) -> dict:
+    """Internal x -> reported parameters; b_perp = beta^2 keeps the amplitude non-negative."""
+    return dict(zip(ECHO_PARAM_NAMES, map(float, (x[0] ** 2, x[1], x[2], x[3]))))
+
+
+def echo_jacobian(data: EchoDataset, model: EchoFitModel, params: dict) -> np.ndarray:
+    """Weighted Jacobian of the fringe residual in the reported parameters."""
+    tau = data.tau_us
+    b, phi0, contrast = params["b_perp_gauss"], params["phi0_rad"], params["contrast"]
+    env = model.envelope_values(tau)
+    k, k_dphi = model.phase_factor(tau, np.array([[phi0], [phi0 + 0.5 * math.pi]]))
+    amp_sin = 0.5 * contrast * env * np.sin(b * k)
+    cols = np.stack(
+        [-amp_sin * k, -amp_sin * b * k_dphi, 0.5 * env * np.cos(b * k), np.ones_like(tau)],
+        axis=1,
+    )
+    return cols / data.sigma[:, None]
+
+
+def _echo_residual_and_jac(data: EchoDataset, model: EchoFitModel):
+    """Residual and Jacobian in the internal coordinates of :func:`_to_internal`.
+
+    The Jacobian is :func:`echo_jacobian` through the chain rule d b / d beta = 2 beta.
     """
     tau = data.tau_us
-    env = model.envelope_values(tau)
     inv_sigma = 1.0 / data.sigma
 
     def residual(x):
@@ -247,48 +258,9 @@ def _echo_residual_and_jac(data: EchoDataset, model: EchoFitModel):
         return (pred - data.signal) * inv_sigma
 
     def jacobian(x):
-        beta, phi0, contrast, baseline = x
-        b = beta**2
-        k = model.phase_factor(tau, phi0)
-        phi = b * k
-        sin_phi, cos_phi = np.sin(phi), np.cos(phi)
-        amp = 0.5 * contrast * env
-        d_b = -amp * sin_phi * k  # d model / d b_perp
-        cols = np.stack(
-            [
-                d_b * 2.0 * beta,  # chain rule through b = beta^2
-                -amp * sin_phi * b * model.phase_factor_dphi(tau, phi0),
-                0.5 * env * cos_phi,
-                np.ones_like(tau),
-            ],
-            axis=1,
-        )
-        return cols * inv_sigma[:, None]
+        return echo_jacobian(data, model, _to_reported(x)) * np.array([2.0 * x[0], 1.0, 1.0, 1.0])
 
     return residual, jacobian
-
-
-def external_jacobian_echo(data: EchoDataset, model: EchoFitModel, params: dict) -> np.ndarray:
-    """Weighted Jacobian with respect to the reported (external) parameters."""
-    tau = data.tau_us
-    env = model.envelope_values(tau)
-    b = params["b_perp_gauss"]
-    phi0 = params["phi0_rad"]
-    contrast = params["contrast"]
-    k = model.phase_factor(tau, phi0)
-    phi = b * k
-    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
-    amp = 0.5 * contrast * env
-    cols = np.stack(
-        [
-            -amp * sin_phi * k,
-            -amp * sin_phi * b * model.phase_factor_dphi(tau, phi0),
-            0.5 * env * cos_phi,
-            np.ones_like(tau),
-        ],
-        axis=1,
-    )
-    return cols / data.sigma[:, None]
 
 
 def _solve_linear_pair(u: np.ndarray, y: np.ndarray, w: np.ndarray):
@@ -314,7 +286,7 @@ def _linear_landscape(data: EchoDataset, model: EchoFitModel, b_grid, phi_grid):
     """
     env = model.envelope_values(data.tau_us)
     w = 1.0 / data.sigma**2
-    k = np.stack([model.phase_factor(data.tau_us, p) for p in phi_grid])
+    k = model.phase_factor(data.tau_us, np.asarray(phi_grid)[:, None])
     b_grid = np.asarray(b_grid)
     n_b, n_phi = b_grid.size, len(phi_grid)
     a = np.empty((n_b, n_phi))
@@ -338,26 +310,26 @@ def _initial_candidates(data: EchoDataset, model: EchoFitModel, b_max: float):
     signs = np.sign(y - base)
     signs = signs[signs != 0]
     crossings = int(np.sum(signs[1:] != signs[:-1]))
-    candidates = []
-    for phi0 in np.arange(8) * (TWO_PI / 8.0):
-        k = model.phase_factor(data.tau_us, phi0)
-        span = float(np.max(k) - np.min(k))
-        b_est = (crossings * math.pi / span) if span > 1e-9 else 0.1 * b_max
-        for scale in (0.5, 1.0, 2.0):
-            b = min(max(b_est * scale, 1e-4), b_max)
-            env = model.envelope_values(data.tau_us)
-            u = 0.5 * env * np.cos(b * k)
-            a, cc, _ = _solve_linear_pair(u, y, w)
-            if not np.isfinite(a) or not np.isfinite(cc):
-                a, cc = 2.0 * float(np.std(y)), base
-            candidates.append(np.array([math.sqrt(b), phi0, float(a), float(cc)]))
+    phi8 = np.arange(8) * (TWO_PI / 8.0)
+    k = model.phase_factor(data.tau_us, phi8[:, None])
+    span = np.max(k, axis=1) - np.min(k, axis=1)
+    b_est = np.full(8, 0.1 * b_max)
+    b_est[span > 1e-9] = crossings * math.pi / span[span > 1e-9]
+    b = np.clip(b_est[:, None] * np.array([0.5, 1.0, 2.0]), 1e-4, b_max)  # (phi0, scale)
+    env = model.envelope_values(data.tau_us)
+    a, cc, _ = _solve_linear_pair(0.5 * env * np.cos(b[:, :, None] * k[:, None, :]), y, w)
+    unsolved = ~(np.isfinite(a) & np.isfinite(cc))
+    a[unsolved], cc[unsolved] = 2.0 * float(np.std(y)), base
+    candidates = [
+        np.array([math.sqrt(b[i, j]), phi8[i], a[i, j], cc[i, j]])
+        for i in range(8)
+        for j in range(3)
+    ]
     # landscape probe: insurance against local minima when the data hold many
     # fringes.  The amplitude step resolves a quarter fringe at the largest
     # phase factor so every basin of the aliased landscape gets sampled.
     phi_grid = np.arange(64) * (math.pi / 64.0)  # phi0 and phi0 + pi are degenerate
-    k_absmax = max(
-        float(np.max(np.abs(model.phase_factor(data.tau_us, p)))) for p in phi_grid
-    )
+    k_absmax = float(np.max(np.abs(model.phase_factor(data.tau_us, phi_grid[:, None]))))
     b_step = (math.pi / 2.0) / max(k_absmax, 1e-9)
     n_b = int(min(400, max(60, round(b_max / b_step))))
     b_grid = np.linspace(b_max / (2.0 * n_b), b_max, n_b)
@@ -408,16 +380,7 @@ def fit_echo(
     residual, jacobian = _echo_residual_and_jac(data, model)
 
     if initial is not None and all(k in initial for k in ECHO_PARAM_NAMES):
-        starts = [
-            np.array(
-                [
-                    math.sqrt(initial["b_perp_gauss"]),
-                    initial["phi0_rad"],
-                    initial["contrast"],
-                    initial["baseline"],
-                ]
-            )
-        ]
+        starts = [_to_internal(initial)]
     else:
         starts = _initial_candidates(data, model, b_max)
         if initial is not None:
@@ -425,17 +388,7 @@ def fit_echo(
                 b_perp_gauss=0.05, phi0_rad=0.0, contrast=0.2, baseline=float(np.median(data.signal))
             )
             merged.update(initial)
-            starts.insert(
-                0,
-                np.array(
-                    [
-                        math.sqrt(max(merged["b_perp_gauss"], 0.0)),
-                        merged["phi0_rad"],
-                        merged["contrast"],
-                        merged["baseline"],
-                    ]
-                ),
-            )
+            starts.insert(0, _to_internal(merged))
 
     # prefer solutions inside the physical amplitude domain: beyond b_max the
     # fringe aliases between sample points and can overfit pure noise
@@ -453,20 +406,8 @@ def fit_echo(
     if best is None:
         best = best_any
 
-    beta, phi0, contrast, baseline = best.x
-    params = {
-        "b_perp_gauss": float(beta**2),
-        "phi0_rad": float(phi0 % TWO_PI),
-        "contrast": float(contrast),
-        "baseline": float(baseline),
-    }
-    return _finalize_fit(
-        data,
-        params,
-        external_jacobian_echo(data, model, params),
-        best,
-        ECHO_PARAM_NAMES,
-    )
+    params = canonical_fringe_params(_to_reported(best.x))
+    return _finalize_fit(data, params, echo_jacobian(data, model, params), best, ECHO_PARAM_NAMES)
 
 
 def _finalize_fit(data, params: dict, jac_ext: np.ndarray, lm: LMResult, names) -> FitResult:
@@ -600,20 +541,16 @@ def fit_rabi(data: EchoDataset, initial: dict | None = None, max_iter: int = 200
     residual, jacobian = _rabi_residual_and_jac(data)
 
     if initial is not None and "rabi_freq_mhz" in initial:
-        omega_candidates = [initial["rabi_freq_mhz"]]
+        omega_candidates = np.array([initial["rabi_freq_mhz"]], dtype=float)
     else:
         omega_candidates = np.linspace(0.25 / span, 0.5 * len(data) / span, 256)
-    w = 1.0 / data.sigma**2
-    best_start = None
-    best_sse = np.inf
-    for omega in omega_candidates:
-        u = np.sin(math.pi * omega * data.tau_us) ** 2
-        a, cc, sse = _solve_linear_pair(u, data.signal, w)
-        if np.isfinite(sse) and sse < best_sse:
-            best_sse = float(sse)
-            best_start = np.array([float(omega), float(a), float(cc)])
-    if best_start is None:
+    u = np.sin(math.pi * omega_candidates[:, None] * data.tau_us) ** 2
+    a, cc, sse = _solve_linear_pair(u, data.signal, 1.0 / data.sigma**2)
+    finite = np.flatnonzero(np.isfinite(sse))
+    if finite.size == 0:
         raise IdentifiabilityError("could not bracket a Rabi frequency")
+    i = finite[np.argmin(sse[finite])]  # the first minimum among finite SSE
+    best_start = np.array([float(omega_candidates[i]), float(a[i]), float(cc[i])])
     if initial is not None:
         best_start = np.array(
             [
@@ -672,19 +609,12 @@ def profile_identifiability(
     free_idx = [i for i in range(4) if i != idx]
 
     base_fit = fit_echo(data, model)
-    x_base = np.array(
-        [
-            math.sqrt(base_fit.params["b_perp_gauss"]),
-            base_fit.params["phi0_rad"],
-            base_fit.params["contrast"],
-            base_fit.params["baseline"],
-        ]
-    )
+    x_base = _to_internal(base_fit.params)
 
     sse = np.empty(values.size)
     fits = []
     for i, v in enumerate(values):
-        pinned = math.sqrt(max(v, 0.0)) if param_name == "b_perp_gauss" else v
+        pinned = _to_internal({**base_fit.params, param_name: v})[idx]
 
         def residual(xf):
             x = x_base.copy()
@@ -703,12 +633,5 @@ def profile_identifiability(
         full = x_base.copy()
         full[idx] = pinned
         full[free_idx] = lm.x
-        fits.append(
-            {
-                "b_perp_gauss": float(full[0] ** 2),
-                "phi0_rad": float(full[1]),
-                "contrast": float(full[2]),
-                "baseline": float(full[3]),
-            }
-        )
+        fits.append(_to_reported(full))
     return ProfileResult(param_name=param_name, values=values, sse=sse, fits=tuple(fits))

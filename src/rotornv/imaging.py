@@ -51,17 +51,18 @@ class ScanGrid:
         if self.plane not in ("xy", "xz"):
             raise ValidationError("plane must be 'xy' or 'xz'")
 
-    @property
-    def x_coords_um(self) -> np.ndarray:
-        lo, hi = self.x_range_um
+    def _axis_um(self, range_um: tuple[float, float]) -> np.ndarray:
+        lo, hi = range_um
         n = int(math.floor((hi - lo) / self.step_um + 1e-9)) + 1
         return lo + self.step_um * np.arange(n)
 
     @property
+    def x_coords_um(self) -> np.ndarray:
+        return self._axis_um(self.x_range_um)
+
+    @property
     def y_coords_um(self) -> np.ndarray:
-        lo, hi = self.y_range_um
-        n = int(math.floor((hi - lo) / self.step_um + 1e-9)) + 1
-        return lo + self.step_um * np.arange(n)
+        return self._axis_um(self.y_range_um)
 
     @property
     def n_pixels(self) -> int:
@@ -214,11 +215,12 @@ def render_image(
     radii = np.linalg.norm(pos0, axis=1)
     phases0 = np.arctan2(pos0[:, 1], pos0[:, 0])
 
-    def weight_stationary(x, y):
-        if depth_scan:
-            d2_lat = (pos0[:, 0] - x) ** 2 + pos0[:, 1] ** 2
+    def psf_weight(ex, ey, x, y):
+        """Gaussian response to an emitter at (ex, ey) of the focus at pixel (x, y)."""
+        if depth_scan:  # the pixel y is a depth; the slice lies in the plane y = 0
+            d2_lat = (ex - x) ** 2 + ey**2
             return np.exp(-2.0 * d2_lat / psf_width_um**2 - 2.0 * y**2 / psf_axial_um**2)
-        d2 = (pos0[:, 0] - x) ** 2 + (pos0[:, 1] - y) ** 2
+        d2 = (ex - x) ** 2 + (ey - y) ** 2
         return np.exp(-2.0 * d2 / psf_width_um**2)
 
     counts = np.empty((ys.size, xs.size), dtype=np.int64)
@@ -229,7 +231,8 @@ def render_image(
             rng = np.random.default_rng(seeds[pix])
             pix += 1
             if stationary:
-                lam_shot = float(np.sum(bright * window_s * weight_stationary(x, y)))
+                weights = psf_weight(pos0[:, 0], pos0[:, 1], x, y)
+                lam_shot = float(np.sum(bright * window_s * weights))
                 counts[iy, ix] = rng.poisson(lam_shot * n_cycles)
                 continue
             angles = _strobe_angles_rad(rng, g, strobe, n_cycles, substeps)
@@ -240,16 +243,7 @@ def render_image(
             for e in range(pos0.shape[0]):
                 ang = angles + phases0[e]
                 radius = radii[e] + wobble
-                ex = radius * np.cos(ang)
-                ey = radius * np.sin(ang)
-                if depth_scan:
-                    d2_lat = (ex - x) ** 2 + ey**2
-                    weights = np.exp(
-                        -2.0 * d2_lat / psf_width_um**2 - 2.0 * y**2 / psf_axial_um**2
-                    )
-                else:
-                    d2 = (ex - x) ** 2 + (ey - y) ** 2
-                    weights = np.exp(-2.0 * d2 / psf_width_um**2)
+                weights = psf_weight(radius * np.cos(ang), radius * np.sin(ang), x, y)
                 lam += bright[e] * window_s * float(weights.mean(axis=1).sum())
             counts[iy, ix] = rng.poisson(lam)
     return StrobedImage(

@@ -170,6 +170,15 @@ def _scan_axis(values, name: str) -> np.ndarray:
     return axis
 
 
+def _shots(cfg: ExperimentConfig, shots_per_point: int | None) -> int:
+    """Repetitions per point: the override (the CLI's --shots) or the configured count."""
+    if shots_per_point is None:
+        return cfg.protocol.shots_per_point
+    if shots_per_point < 1:
+        raise ValidationError(f"--shots (shots_per_point) must be >= 1, got {shots_per_point}")
+    return shots_per_point
+
+
 def simulate_echo_scan(
     cfg: ExperimentConfig,
     tau_list,
@@ -179,7 +188,7 @@ def simulate_echo_scan(
 ) -> tuple[EchoDataset, dict]:
     """Echo fringe dataset (tau_us, signal, sigma) with Poisson error bars."""
     tau = _scan_axis(tau_list, "tau_list")
-    shots = shots_per_point if shots_per_point is not None else cfg.protocol.shots_per_point
+    shots = _shots(cfg, shots_per_point)
     seed = cfg.seed if seed is None else seed
     p1 = echo_populations(cfg, tau, ideal_pulses=ideal_pulses)
     resp = window_response(cfg)
@@ -240,7 +249,7 @@ def simulate_rabi_scan(
 ) -> tuple[EchoDataset, dict]:
     """Rabi dataset (duration_us, signal, sigma) through the full pipeline."""
     durations = _scan_axis(durations_us, "durations_us")
-    shots = shots_per_point if shots_per_point is not None else cfg.protocol.shots_per_point
+    shots = _shots(cfg, shots_per_point)
     seed = cfg.seed if seed is None else seed
     p1 = rabi_populations(cfg, durations, pulse_at=pulse_at)
     resp = window_response(cfg)

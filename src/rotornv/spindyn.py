@@ -192,27 +192,30 @@ def apply_ideal_rotation(state: SpinState, angle_rad: float, phase_rad: float = 
 # echo closed forms
 
 
-def echo_phase(p: EchoParams, c: PhysicalConstants, tau_us):
-    """Phase difference between the two free halves of a tau spin echo, in rad.
+def ac_phase(c: PhysicalConstants, f_rot_hz: float, b_gauss, phi0_rad, t0_us, t1_us):
+    """2 pi gamma_e b integral_{t0}^{t1} cos(w t + phi0) dt in rad, w = 2 pi f_rot in rad/us.
 
-    Closed form of the echo-weighted integral of the AC field, first half
-    counting positive:
-
-        phi(tau) = (2 pi gamma_e b_perp / w) [2 sin(w tau/2 + phi0)
-                                              - sin(phi0) - sin(w tau + phi0)]
-
-    with w = 2 pi f_rot in rad/us.
+    The one AC-phase closed form: simulator, echo phase and fringe fit share it.  Broadcasts.
     """
+    w = TWO_PI * f_rot_hz * 1e-6
+    integral_g_us = b_gauss * (np.sin(w * t1_us + phi0_rad) - np.sin(w * t0_us + phi0_rad)) / w
+    return TWO_PI * (c.gamma_e_mhz_per_g * integral_g_us)
+
+
+def echo_ac_phase(c: PhysicalConstants, f_rot_hz: float, b_gauss, phi0_rad, tau_us):
+    """:func:`ac_phase` over the first free half of a tau echo minus that over the second."""
+    half = tau_us / 2.0
+    first = ac_phase(c, f_rot_hz, b_gauss, phi0_rad, 0.0, half)
+    return first - ac_phase(c, f_rot_hz, b_gauss, phi0_rad, half, tau_us)
+
+
+def echo_phase(p: EchoParams, c: PhysicalConstants, tau_us):
+    """Phase difference between the two free halves of a tau spin echo, in rad:
+    (2 pi gamma_e b_perp / w) [2 sin(w tau/2 + phi0) - sin(phi0) - sin(w tau + phi0)]."""
     tau = np.asarray(tau_us, dtype=float)
     if np.any(tau < 0):
         raise ValidationError("tau_us must be non-negative")
-    w = TWO_PI * p.f_rot_hz * 1e-6  # rad/us
-    pref = TWO_PI * c.gamma_e_mhz_per_g * p.b_perp_gauss / w
-    out = pref * (
-        2.0 * np.sin(w * tau / 2.0 + p.phi0_rad)
-        - math.sin(p.phi0_rad)
-        - np.sin(w * tau + p.phi0_rad)
-    )
+    out = echo_ac_phase(c, p.f_rot_hz, p.b_perp_gauss, p.phi0_rad, tau)
     return float(out) if np.isscalar(tau_us) else out
 
 
@@ -272,17 +275,15 @@ def free_phase(
 ):
     """Precession angle 2 pi * integral of the detuning over [t0, t1] us.
 
-    The AC part integrates in closed form; ``extra_detuning_mhz`` is the
-    constant hook (deliberate offsets, rotation-induced shifts injected by
-    the caller).  Broadcasts over array ``t0_us`` and ``t1_us``.
+    The AC part is :func:`ac_phase`; ``extra_detuning_mhz`` is the constant
+    hook (deliberate offsets, rotation-induced shifts injected by the
+    caller).  Broadcasts over array ``t0_us`` and ``t1_us``.
     """
-    w = TWO_PI * g.f_rot_hz * 1e-6
-    phi0 = geometry.fringe_phase_offset(g, f)
-    b_perp = geometry.eac_amplitude(g, f)
-    integral_g_us = b_perp * (np.sin(w * t1_us + phi0) - np.sin(w * t0_us + phi0)) / w
-    return TWO_PI * (
-        c.gamma_e_mhz_per_g * integral_g_us + extra_detuning_mhz * (t1_us - t0_us)
-    )
+    b_perp, phi0 = geometry.eac_amplitude(g, f), geometry.fringe_phase_offset(g, f)
+    phase = ac_phase(c, g.f_rot_hz, b_perp, phi0, t0_us, t1_us)
+    if not extra_detuning_mhz:
+        return phase
+    return phase + TWO_PI * extra_detuning_mhz * (t1_us - t0_us)
 
 
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
@@ -297,7 +298,7 @@ def _free_evolve(state, g, f, c, t0_us, t1_us, extra):
 
 def _free_evolve_batch(bloch, g, f, c, t0_us, t1_us):
     """Batched :func:`_free_evolve`: rows with t1 == t0 stay untouched."""
-    moved = rotate_bloch(bloch, _Z_AXIS, free_phase(g, f, c, t0_us, t1_us, 0.0))
+    moved = rotate_bloch(bloch, _Z_AXIS, free_phase(g, f, c, t0_us, t1_us))
     return np.where((t1_us == t0_us)[:, None], bloch, moved)
 
 

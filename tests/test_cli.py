@@ -347,3 +347,22 @@ def test_readout_window_longer_than_strobe_exit_2(capsys):
     )
     assert code == 2
     assert "protocol.readout_window_us" in err and "strobe.t_pulse_us" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["simulate-echo", "--tau", "2,5", "--shots", "0"], "--shots"),
+        (["simulate-echo", "--tau", "2,5", "--shots", "-5"], "--shots"),
+        (["simulate-rabi", "--durations", "0.1,0.2", "--shots", "0"], "--shots"),
+        (["simulate-rabi", "--durations", "0.1,0.2", "--shots", "-5"], "--shots"),
+        (["simulate-image", "--emitters", "10,a"], "--emitters"),
+        (["simulate-image", "--emitters", "10"], "--emitters"),
+        (["simulate-image", "--emitters", "1,2,3,4"], "--emitters"),
+        (["simulate-image", "--emitters", "nan,0"], "--emitters"),
+    ],
+)
+def test_bad_cli_flag_exit_2(argv, flag, capsys):
+    code, err = _main_exit(argv, capsys)
+    assert code == 2
+    assert err.startswith("error:") and flag in err

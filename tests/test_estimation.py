@@ -9,7 +9,7 @@ from rotornv.estimation import (
     EchoDataset,
     EchoFitModel,
     canonical_fringe_params,
-    external_jacobian_echo,
+    echo_jacobian,
     fit_echo,
     fit_rabi,
     grid_oracle,
@@ -137,6 +137,15 @@ class TestFitEcho:
         )
         assert fit.params["b_perp_gauss"] == pytest.approx(0.088, abs=1e-6)
 
+    def test_phi0_reported_in_half_turn(self):
+        # (b, phi0) and (b, phi0 + pi) give the same fringe; the fit reports phi0 in [0, pi)
+        rng = np.random.default_rng(2718)
+        for k in range(20):
+            phi0 = rng.uniform(0.0, TWO_PI)
+            data = synth_dataset(phi0=phi0, noise_seed=3000 + k)
+            fit = fit_echo(data, MODEL)
+            assert 0.0 <= fit.params["phi0_rad"] < math.pi, (k, phi0, fit.params)
+
 
 class TestGridOracle:
     def test_refinement_never_increases_sse(self):
@@ -260,7 +269,7 @@ class TestExternalJacobian:
     def test_matches_finite_differences(self):
         data = synth_dataset(noise_seed=71)
         params = dict(b_perp_gauss=0.09, phi0_rad=1.3, contrast=0.24, baseline=0.88)
-        jac = external_jacobian_echo(data, MODEL, params)
+        jac = echo_jacobian(data, MODEL, params)
 
         def residual_ext(x):
             pred = MODEL.predict(data.tau_us, x[0], x[1], x[2], x[3])
