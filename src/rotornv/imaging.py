@@ -10,8 +10,11 @@ length additionally smears the spot along an arc.
 
 The per-cycle Monte Carlo is driven by per-pixel child random streams
 spawned from the image seed, so images are reproducible regardless of
-evaluation order.  Widths are quoted in the 1/e^2 convention: a profile
-exp(-2 d^2 / sigma^2) has width sigma.
+evaluation order.  Each strobe sample's rotor angle gets one sin/cos pair,
+shared by all emitters: since |R(p) a - b| = |a - R(-p) b|, the pixel is
+rotated into each emitter's frame (by minus its orbit phase p) instead of
+rotating every orbit sample.  Widths are quoted in the 1/e^2 convention: a
+profile exp(-2 d^2 / sigma^2) has width sigma.
 """
 
 from __future__ import annotations
@@ -42,19 +45,35 @@ class ScanGrid:
     plane: str = "xy"
 
     def __post_init__(self):
+        for name, value in (
+            ("x_range_um", self.x_range_um),
+            ("y_range_um", self.y_range_um),
+            ("step_um", self.step_um),
+            ("dwell_ms", self.dwell_ms),
+        ):
+            if not np.all(np.isfinite(value)):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if not self.step_um > 0:
             raise ValidationError("step_um must be positive")
         if not self.dwell_ms > 0:
             raise ValidationError("dwell_ms must be positive")
         if self.x_range_um[1] <= self.x_range_um[0] or self.y_range_um[1] <= self.y_range_um[0]:
             raise ValidationError("scan ranges must be increasing (min, max) pairs")
+        for lo, hi in (self.x_range_um, self.y_range_um):
+            if not math.isfinite((hi - lo) / self.step_um):
+                raise ValidationError(
+                    f"scan range ({lo}, {hi}) over step_um {self.step_um} "
+                    "gives no finite pixel count"
+                )
         if self.plane not in ("xy", "xz"):
             raise ValidationError("plane must be 'xy' or 'xz'")
 
-    def _axis_um(self, range_um: tuple[float, float]) -> np.ndarray:
+    def _axis_size(self, range_um: tuple[float, float]) -> int:
         lo, hi = range_um
-        n = int(math.floor((hi - lo) / self.step_um + 1e-9)) + 1
-        return lo + self.step_um * np.arange(n)
+        return int(math.floor((hi - lo) / self.step_um + 1e-9)) + 1
+
+    def _axis_um(self, range_um: tuple[float, float]) -> np.ndarray:
+        return range_um[0] + self.step_um * np.arange(self._axis_size(range_um))
 
     @property
     def x_coords_um(self) -> np.ndarray:
@@ -66,7 +85,8 @@ class ScanGrid:
 
     @property
     def n_pixels(self) -> int:
-        return self.x_coords_um.size * self.y_coords_um.size
+        """Pixel count from the axis sizes alone, so a budget check allocates nothing."""
+        return self._axis_size(self.x_range_um) * self._axis_size(self.y_range_um)
 
 
 @dataclass(frozen=True)
@@ -146,7 +166,7 @@ def _strobe_angles_rad(
     n_cycles: int,
     substeps: int,
 ) -> np.ndarray:
-    """Rotor angle at each strobe sub-sample for every cycle, shape (n_cycles, substeps).
+    """Rotor angle at each strobe sub-sample for every cycle, shape (substeps, n_cycles).
 
     The pulse generator re-arms on every trigger edge, so the strobe delay
     is referenced to the most recent edge: t_phi enters modulo the rotation
@@ -158,12 +178,13 @@ def _strobe_angles_rad(
     full_turns = math.floor(strobe.t_phi_us / t_rot)
     resid = strobe.t_phi_us - full_turns * t_rot
     u = (np.arange(substeps) + 0.5) * (strobe.t_pulse_us / substeps)
-    t_in = resid + u  # (substeps,), time since the arming edge
+    t_in = (resid + u)[:, None]  # (substeps, 1), time since the arming edge
     periods = t_rot * (1.0 + strobe.jitter_frac * rng.standard_normal((n_cycles, 2)))
     periods = np.clip(periods, 0.1 * t_rot, None)
-    p1 = periods[:, 0:1]
-    p2 = periods[:, 1:2]
-    frac = np.where(t_in < p1, t_in / p1, 1.0 + (t_in - p1) / p2)
+    p1 = periods[:, 0]
+    frac = t_in / p1
+    if t_in.max() >= p1.min():  # rare: some window spills past the next edge
+        frac = np.where(t_in < p1, frac, 1.0 + (t_in - p1) / periods[:, 1])
     return TWO_PI * (full_turns + frac)
 
 
@@ -214,37 +235,45 @@ def render_image(
     bright = np.array([e.brightness_cps for e in emitters.emitters])
     radii = np.linalg.norm(pos0, axis=1)
     phases0 = np.arctan2(pos0[:, 1], pos0[:, 0])
+    cos_p, sin_p = np.cos(phases0), np.sin(phases0)
 
-    def psf_weight(ex, ey, x, y):
-        """Gaussian response to an emitter at (ex, ey) of the focus at pixel (x, y)."""
-        if depth_scan:  # the pixel y is a depth; the slice lies in the plane y = 0
-            d2_lat = (ex - x) ** 2 + ey**2
-            return np.exp(-2.0 * d2_lat / psf_width_um**2 - 2.0 * y**2 / psf_axial_um**2)
-        d2 = (ex - x) ** 2 + (ey - y) ** 2
-        return np.exp(-2.0 * d2 / psf_width_um**2)
+    def psf_weight(d2_lat, y):
+        """Gaussian response at squared lateral distance d2_lat; for an "xz"
+        slice (in the plane y = 0) the pixel y is the focus depth."""
+        arg = -2.0 * d2_lat / psf_width_um**2
+        if depth_scan:
+            arg = arg - 2.0 * y**2 / psf_axial_um**2
+        return np.exp(arg)
 
     counts = np.empty((ys.size, xs.size), dtype=np.int64)
     seeds = np.random.SeedSequence(seed).spawn(ys.size * xs.size)
-    pix = 0
     for iy, y in enumerate(ys):
-        for ix, x in enumerate(xs):
-            rng = np.random.default_rng(seeds[pix])
-            pix += 1
-            if stationary:
-                weights = psf_weight(pos0[:, 0], pos0[:, 1], x, y)
-                lam_shot = float(np.sum(bright * window_s * weights))
-                counts[iy, ix] = rng.poisson(lam_shot * n_cycles)
-                continue
+        row_seeds = seeds[iy * xs.size : (iy + 1) * xs.size]
+        lat_y = 0.0 if depth_scan else y
+        if stationary:
+            # emitters stay at their trigger positions: lambda for the whole
+            # row at once, then one Poisson draw from each pixel's own stream
+            d2 = (pos0[:, 0] - xs[:, None]) ** 2 + (pos0[:, 1] - lat_y) ** 2  # (nx, n_e)
+            lam_row = np.sum(bright * window_s * psf_weight(d2, y), axis=1) * n_cycles
+            for ix in range(xs.size):
+                counts[iy, ix] = np.random.default_rng(row_seeds[ix]).poisson(lam_row[ix])
+            continue
+        # |R(p) a - b| = |a - R(-p) b|: rather than rotate every orbit sample
+        # by the emitter's phase p, rotate the pixel by -p
+        px = xs[:, None] * cos_p + lat_y * sin_p  # (nx, n_e)
+        py = lat_y * cos_p - xs[:, None] * sin_p
+        for ix in range(xs.size):
+            rng = np.random.default_rng(row_seeds[ix])
             angles = _strobe_angles_rad(rng, g, strobe, n_cycles, substeps)
             # wobble displaces the axis along the line of sight to the orbit:
             # a per-cycle radius modulation, shared by all emitters
-            wobble = strobe.wobble_amp_um * rng.standard_normal((n_cycles, 1))
+            wobble = strobe.wobble_amp_um * rng.standard_normal(n_cycles)
+            cos_a, sin_a = np.cos(angles), np.sin(angles)  # one pair for all emitters
             lam = 0.0
             for e in range(pos0.shape[0]):
-                ang = angles + phases0[e]
                 radius = radii[e] + wobble
-                weights = psf_weight(radius * np.cos(ang), radius * np.sin(ang), x, y)
-                lam += bright[e] * window_s * float(weights.mean(axis=1).sum())
+                d2 = (radius * cos_a - px[ix, e]) ** 2 + (radius * sin_a - py[ix, e]) ** 2
+                lam += bright[e] * window_s * float(psf_weight(d2, y).sum() / substeps)
             counts[iy, ix] = rng.poisson(lam)
     return StrobedImage(
         counts=counts,

@@ -366,3 +366,29 @@ def test_bad_cli_flag_exit_2(argv, flag, capsys):
     code, err = _main_exit(argv, capsys)
     assert code == 2
     assert err.startswith("error:") and flag in err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["--x-min", "nan"], "x_range_um"),
+        (["--x-max", "inf"], "x_range_um"),
+        (["--dwell-ms", "inf"], "dwell_ms"),
+        (["--step", "inf"], "step_um"),
+        (["--y-max", "inf"], "y_range_um"),
+        (["--step", "1e-9"], "step_um"),  # refused by the pixel budget before any array exists
+        (["--step", "5e-324"], "step_um"),  # the pixel count itself overflows
+    ],
+)
+def test_bad_scan_grid_exit_2(argv, field, capsys):
+    code, err = _main_exit(["simulate-image", *argv], capsys)
+    assert code == 2
+    assert err.startswith("error:") and field in err
+
+
+def test_python_m_rotornv_help():
+    res = subprocess.run(
+        [sys.executable, "-m", "rotornv", "--help"], capture_output=True, text=True
+    )
+    assert res.returncode == 0
+    assert "simulate-image" in res.stdout

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rotornv.errors import ValidationError
-from rotornv.geometry import RotorGeometry
+from rotornv.geometry import TWO_PI, RotorGeometry
 from rotornv.imaging import (
     Emitter,
     EmitterSet,
@@ -189,6 +189,99 @@ class TestRenderImage:
 
         ratio = moment_width(img.y_um, z_profile) / moment_width(img.x_um, x_profile)
         assert 2.0 < ratio < 4.5
+
+
+def _reference_render(grid, emitters, g, strobe, seed, stationary, psf_width_um=0.3, substeps=7):
+    """Per-emitter render loop that evaluates cos/sin of every rotated orbit
+    sample: the straightforward form of the strobed Monte Carlo, with the same
+    per-pixel streams and draw order as ``render_image``."""
+    xs, ys = grid.x_coords_um, grid.y_coords_um
+    depth_scan = grid.plane == "xz"
+    psf_axial_um = 3.0 * psf_width_um
+    n_cycles = max(1, int(round(grid.dwell_ms * 1e-3 * g.f_rot_hz)))
+    window_s = strobe.t_pulse_us * 1e-6
+    pos0 = np.array([e.position_um[:2] for e in emitters.emitters])
+    bright = np.array([e.brightness_cps for e in emitters.emitters])
+    radii = np.linalg.norm(pos0, axis=1)
+    phases0 = np.arctan2(pos0[:, 1], pos0[:, 0])
+
+    def strobe_angles(rng):
+        t_rot = g.t_rot_us
+        full_turns = math.floor(strobe.t_phi_us / t_rot)
+        resid = strobe.t_phi_us - full_turns * t_rot
+        t_in = resid + (np.arange(substeps) + 0.5) * (strobe.t_pulse_us / substeps)
+        periods = t_rot * (1.0 + strobe.jitter_frac * rng.standard_normal((n_cycles, 2)))
+        periods = np.clip(periods, 0.1 * t_rot, None)
+        p1, p2 = periods[:, 0:1], periods[:, 1:2]
+        frac = np.where(t_in < p1, t_in / p1, 1.0 + (t_in - p1) / p2)
+        return TWO_PI * (full_turns + frac)
+
+    def psf_weight(ex, ey, x, y):
+        if depth_scan:
+            d2_lat = (ex - x) ** 2 + ey**2
+            return np.exp(-2.0 * d2_lat / psf_width_um**2 - 2.0 * y**2 / psf_axial_um**2)
+        return np.exp(-2.0 * ((ex - x) ** 2 + (ey - y) ** 2) / psf_width_um**2)
+
+    counts = np.empty((ys.size, xs.size), dtype=np.int64)
+    seeds = np.random.SeedSequence(seed).spawn(ys.size * xs.size)
+    pix = 0
+    for iy, y in enumerate(ys):
+        for ix, x in enumerate(xs):
+            rng = np.random.default_rng(seeds[pix])
+            pix += 1
+            if stationary:
+                weights = psf_weight(pos0[:, 0], pos0[:, 1], x, y)
+                counts[iy, ix] = rng.poisson(float(np.sum(bright * window_s * weights)) * n_cycles)
+                continue
+            angles = strobe_angles(rng)
+            wobble = strobe.wobble_amp_um * rng.standard_normal((n_cycles, 1))
+            lam = 0.0
+            for e in range(pos0.shape[0]):
+                ang = angles + phases0[e]
+                radius = radii[e] + wobble
+                weights = psf_weight(radius * np.cos(ang), radius * np.sin(ang), x, y)
+                lam += bright[e] * window_s * float(weights.mean(axis=1).sum())
+            counts[iy, ix] = rng.poisson(lam)
+    return counts
+
+
+_PAIR = EmitterSet((Emitter((10.0, 0.0, 0.0), 1e5), Emitter((9.35, 3.55, 0.0), 1e5)))
+# distinct brightnesses and orbit phases, one negative, all inside one small grid
+_TRIO = EmitterSet(
+    (
+        Emitter((10.0, 0.0, 0.0), 1e5),
+        Emitter((9.9, -1.2, 0.0), 3e4),
+        Emitter((9.6, 1.5, 0.0), 2e5),
+    )
+)
+
+
+@pytest.mark.parametrize("plane", ["xy", "xz"])
+@pytest.mark.parametrize("stationary", [False, True])
+@pytest.mark.parametrize(
+    "strobe, emitters, x_range, y_range",
+    [
+        (StrobeConfig(t_phi_us=0.0), _PAIR, (8.5, 11.0), (-1.0, 4.5)),
+        # windows spill past the next trigger edge
+        (StrobeConfig(t_phi_us=299.0, jitter_frac=0.02), _PAIR, (8.5, 11.0), (-1.0, 4.5)),
+        # t_phi >= T_rot: the spots sit 24 degrees before the trigger positions
+        (StrobeConfig(t_phi_us=1180.0), _PAIR, (8.5, 11.0), (-1.0, 4.5)),
+        (StrobeConfig(t_phi_us=0.0, t_pulse_us=8.0), _TRIO, (8.5, 11.0), (-2.5, 2.5)),
+    ],
+)
+def test_render_matches_per_emitter_oracle(plane, stationary, strobe, emitters, x_range, y_range):
+    grid = ScanGrid(x_range_um=x_range, y_range_um=y_range, step_um=0.25, plane=plane)
+    img = render_image(grid, emitters, G_DEFAULT, strobe, seed=23, stationary=stationary)
+    expected = _reference_render(grid, emitters, G_DEFAULT, strobe, 23, stationary)
+    assert np.array_equal(img.counts, expected)
+    assert img.counts.max() > 3  # the grid holds spots, not only background
+
+
+def test_pixel_count_needs_no_coordinates():
+    grid = ScanGrid(x_range_um=(0.0, 8.0), y_range_um=(0.0, 7.0), step_um=1e-9)
+    assert grid.n_pixels > 10**19
+    small = ScanGrid(x_range_um=(0.0, 1.0), y_range_um=(0.0, 0.5), step_um=0.1)
+    assert small.n_pixels == small.x_coords_um.size * small.y_coords_um.size == 66
 
 
 class TestFitSpotWidth:
