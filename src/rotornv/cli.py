@@ -8,7 +8,8 @@ hash and seed in its header, and identical config + seed reproduce files
 byte for byte.
 
 Exit codes: 0 success, 2 validation/usage error, 3 runtime failure,
-4 fit did not converge.
+4 fit did not converge.  With ROTORNV_DEBUG=1 in the environment a runtime
+failure (exit 3) also prints its traceback.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import math
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -32,6 +34,7 @@ EXIT_RUNTIME = 3
 EXIT_NOT_CONVERGED = 4
 
 CONFIG_ENV_VAR = "ROTORNV_CONFIG"
+DEBUG_ENV_VAR = "ROTORNV_DEBUG"
 
 
 def _load_effective_config(args) -> ExperimentConfig:
@@ -314,11 +317,11 @@ def main(argv=None) -> int:
     except (ValidationError, SequenceError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except FitError as exc:
-        print(f"fit error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        if os.environ.get(DEBUG_ENV_VAR) == "1":
+            traceback.print_exc()
+        kind = "fit error" if isinstance(exc, FitError) else "runtime error"
+        print(f"{kind}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -23,6 +23,10 @@ from .imaging import StrobeConfig
 from .photophysics import BeamProfile, RateModel
 
 
+# The Rabi calibration table holds a few arrays of this length.
+MAX_CAL_ANGLES = 1_000_000
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Measurement-protocol knobs shared by the simulation subcommands."""
@@ -40,8 +44,8 @@ class ProtocolConfig:
     def __post_init__(self):
         if not self.base_rabi_mhz > 0:
             raise ValidationError("base_rabi_mhz must be positive")
-        if self.n_cal_angles < 1:
-            raise ValidationError("n_cal_angles must be >= 1")
+        if not 1 <= self.n_cal_angles <= MAX_CAL_ANGLES:
+            raise ValidationError(f"n_cal_angles must lie in [1, {MAX_CAL_ANGLES}]")
         if self.shots_per_point < 1:
             raise ValidationError("shots_per_point must be >= 1")
         if not self.readout_window_us > 0:

@@ -28,6 +28,11 @@ from .errors import FitError, ValidationError
 from .estimation import levenberg_marquardt
 from .geometry import TWO_PI, RotorGeometry
 
+# Strobe samples (cycles x substeps) one pixel may integrate: ~200x the
+# default 200 ms dwell at 3.33 kHz; a pixel at the limit makes tens of MB
+# of temporaries.
+MAX_STROBE_SAMPLES = 1_000_000
+
 
 @dataclass(frozen=True)
 class ScanGrid:
@@ -222,12 +227,17 @@ def render_image(
         )
     if strobe.t_pulse_us > g.t_rot_us:
         raise ValidationError("strobe t_pulse_us exceeds the rotation period")
+    n_cycles = max(1, int(round(grid.dwell_ms * 1e-3 * g.f_rot_hz)))
+    if n_cycles * substeps > MAX_STROBE_SAMPLES:
+        raise ValidationError(
+            f"dwell_ms = {grid.dwell_ms:g} gives {n_cycles} strobe cycles x {substeps} samples "
+            f"per pixel, more than {MAX_STROBE_SAMPLES}; shorten the dwell (--dwell-ms)"
+        )
 
     xs = grid.x_coords_um
     ys = grid.y_coords_um
     depth_scan = grid.plane == "xz"
     psf_axial_um = axial_psf_factor * psf_width_um
-    n_cycles = max(1, int(round(grid.dwell_ms * 1e-3 * g.f_rot_hz)))
     duty = strobe.t_pulse_us / g.t_rot_us
     window_s = strobe.t_pulse_us * 1e-6
 

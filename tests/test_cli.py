@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,8 +8,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rotornv import pipeline
+from rotornv import cli, pipeline
 from rotornv.cli import main
 from rotornv.config import apply_overrides, config_from_dict
 from rotornv.errors import ValidationError
@@ -341,6 +345,22 @@ def test_zero_bin_width_exit_2(capsys):
     assert "bin_width_us" in err
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        # a 64e6-angle calibration table ran out of memory (exit 3)
+        (["simulate-rabi", "--durations", "0:0.2:3", "--set", "protocol.n_cal_angles=64000000"],
+         "n_cal_angles"),
+        # 4e7 readout bins
+        (["simulate-readout", "--set", "protocol.bin_width_us=5e-08"], "bin_width_us"),
+    ],
+)
+def test_oversized_config_value_exit_2(argv, key, capsys):
+    code, err = _main_exit(argv, capsys)
+    assert code == 2
+    assert err.startswith("error:") and key in err
+
+
 def test_readout_window_longer_than_strobe_exit_2(capsys):
     code, err = _main_exit(
         ["simulate-echo", "--tau", "2,5", "--set", "protocol.readout_window_us=2.5"], capsys
@@ -392,3 +412,97 @@ def test_python_m_rotornv_help():
     )
     assert res.returncode == 0
     assert "simulate-image" in res.stdout
+
+
+@pytest.mark.parametrize("extra", [[], ["--stationary"]])
+def test_dwell_beyond_strobe_sample_limit_exit_2(extra, capsys):
+    # 1e12 ms at 3.33 kHz is 3.3e12 strobe cycles per pixel: refused before any array exists
+    code, err = _main_exit(["simulate-image", "--dwell-ms", "1e12", *extra], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "dwell_ms" in err and "--dwell-ms" in err
+
+
+def _raise_runtime_error(args):
+    raise RuntimeError("boom")
+
+
+def test_runtime_error_message_without_debug(monkeypatch, capsys):
+    monkeypatch.delenv("ROTORNV_DEBUG", raising=False)
+    monkeypatch.setattr(cli, "cmd_dump_config", _raise_runtime_error)
+    code, err = _main_exit(["dump-config"], capsys)
+    assert code == 3
+    assert err == "runtime error: boom\n"
+
+
+def test_debug_env_prints_traceback(monkeypatch, capsys):
+    monkeypatch.setenv("ROTORNV_DEBUG", "1")
+    monkeypatch.setattr(cli, "cmd_dump_config", _raise_runtime_error)
+    code, err = _main_exit(["dump-config"], capsys)
+    assert code == 3
+    assert err.startswith("Traceback (most recent call last):")
+    assert "_raise_runtime_error" in err and err.endswith("runtime error: boom\n")
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # every subcommand, in one interpreter, on small inputs
+    seq = tmp_path / "echo.seq"
+    seq.write_text("mw pi at 0us\nlaser 2us at 300us\n")
+    data = tmp_path / "echo.dat"
+    script = f"""
+import sys
+import rotornv
+from rotornv.cli import main
+runs = [
+    ["dump-config", "-o", {str(tmp_path / "cfg.json")!r}],
+    ["simulate-readout", "--shots", "100", "-o", {str(tmp_path / "trace.dat")!r}],
+    ["simulate-echo", "--tau", "2:21:16", "--set", "field.theta_b_deg=1", "-o", {str(data)!r}],
+    ["fit", {str(data)!r}, "-o", {str(tmp_path / "fit.txt")!r}],
+    ["simulate-rabi", "--durations", "0:0.2:3", "--shots", "10", "-o", {str(tmp_path / "rabi.dat")!r}],
+    ["simulate-image", "--x-min", "9", "--x-max", "10", "--y-min", "-0.5", "--y-max", "0.5",
+     "--step", "0.25", "--dwell-ms", "5", "-o", {str(tmp_path / "image.dat")!r}],
+    ["compile-seq", {str(seq)!r}, "-o", {str(tmp_path / "timeline.txt")!r}],
+]
+codes = [main(argv) for argv in runs]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0] []"
+
+
+def _fuzz_values(default):
+    """0, -1 and the default times 10^k for k in -6..6 (element-wise for a vector)."""
+    if isinstance(default, str):
+        return [0, -1]
+    factors = [10**k if k >= 0 else 10.0**k for k in range(-6, 7)]
+    if isinstance(default, (list, tuple)):
+        return [0, -1] + [[v * f for v in default] for f in factors]
+    return [0, -1] + [default * f for f in factors]
+
+
+SET_OVERRIDES = [
+    f"{section}.{key}={json.dumps(value)}"
+    for section, fields in config_from_dict({}).to_dict().items()
+    if section != "seed"
+    for key, default in fields.items()
+    for value in _fuzz_values(default)
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate-readout"],
+        ["simulate-echo", "--tau", "2,5", "--shots", "10"],
+        ["simulate-rabi", "--durations", "0:0.2:3"],
+    ],
+    ids=["readout", "echo", "rabi"],
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(overrides=st.lists(st.sampled_from(SET_OVERRIDES), min_size=1, max_size=3))
+def test_set_overrides_exit_0_or_2(argv, overrides):
+    # a bad value must be refused at the config boundary (exit 2), never crash (exit 3)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([*argv, *(a for o in overrides for a in ("--set", o))])
+    assert code in (0, 2), f"{overrides}: {err.getvalue()}"

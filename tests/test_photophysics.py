@@ -1,12 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy import integrate
+from scipy.linalg import expm, null_space
 
+from rotornv import photophysics
+from rotornv.config import config_from_dict
 from rotornv.errors import ValidationError
 from rotornv.geometry import RotorGeometry
 from rotornv.photophysics import (
+    MAX_READOUT_STEPS,
     BeamProfile,
     LevelPopulations,
     RateModel,
@@ -70,6 +75,35 @@ class TestExpectedCountRate:
         with pytest.raises(ValidationError):
             expected_count_rate(BeamProfile(), RotorGeometry(), 400.0)
 
+    @pytest.mark.parametrize(
+        "beam, geometry, t_pulse",
+        [
+            (BeamProfile(), RotorGeometry(), 2.0),
+            (BeamProfile(collection_mode="illumination-only"), RotorGeometry(), 2.0),
+            (BeamProfile(waist_diameter_1e2_um=0.3), RotorGeometry(r_nv_um=2.0), 7.5),
+            (BeamProfile(), RotorGeometry(r_nv_um=0.2), 2.0),
+            # a narrow transit peak in an interval as long as the rotation period
+            (BeamProfile(), RotorGeometry(), RotorGeometry().t_rot_us),
+            (BeamProfile(waist_diameter_1e2_um=0.3), RotorGeometry(r_nv_um=100.0), 300.0),
+        ],
+    )
+    def test_matches_quad_oracle(self, beam, geometry, t_pulse):
+        # break points every transit time (waist / speed) around the peak
+        transit = beam.waist_radius_um * geometry.t_rot_us / (2.0 * math.pi * geometry.r_nv_um)
+        val, _ = integrate.quad(
+            lambda t: beam_intensity(beam, transit_offset_um(geometry, t)),
+            -t_pulse / 2.0,
+            t_pulse / 2.0,
+            epsabs=1e-14,
+            epsrel=1e-12,
+            points=[k * transit for k in range(-8, 9) if abs(k * transit) < t_pulse / 2.0],
+            limit=200,
+        )
+        bound = beam.peak_counts_stationary_cps * t_pulse / geometry.t_rot_us
+        assert expected_count_rate(beam, geometry, t_pulse) == pytest.approx(
+            bound * val / t_pulse, rel=1e-9
+        )
+
 
 class TestRateEquations:
     def test_dark_with_empty_shelf_is_static(self):
@@ -98,6 +132,37 @@ class TestRateEquations:
     def test_generator_columns_sum_to_zero(self):
         a = rate_matrix(RateModel(), 0.83)
         assert np.allclose(a.sum(axis=0), 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-3, 0.1, 0.9, 2.0, 5.0, 40.0])
+    def test_expm_matches_scipy(self, scale):
+        # with and without squaring, on a stack of matrices
+        rng = np.random.default_rng(int(scale * 1000))
+        a = rng.normal(size=(6, 7, 7))
+        a *= scale / np.abs(a).sum(axis=-2).max(axis=-1)[:, None, None]
+        want = np.array([expm(x) for x in a])
+        got = photophysics.expm(a)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("dt", [1e-4, 0.05, 3.0, 30.0])
+    def test_expm_of_generator_matches_scipy(self, dt):
+        a = np.stack([rate_matrix(RateModel(), i) * dt for i in (0.0, 0.5, 1.0)])
+        want = np.array([expm(x) for x in a])
+        got = photophysics.expm(a)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("intensity", [1.0, 0.3, 1e-4])
+    @pytest.mark.parametrize("rates", [{}, {"pump_rate_peak_per_us": 7.0, "singlet_branching_to_g0": 0.3}])
+    def test_steady_state_matches_null_space(self, intensity, rates):
+        m = RateModel(**rates)
+        ns = null_space(rate_matrix(m, intensity))
+        assert ns.shape[1] == 1
+        want = ns[:, 0] / ns[:, 0].sum()
+        assert np.allclose(steady_state(m, intensity).as_array(), want, rtol=0, atol=1e-12)
+
+    def test_degenerate_steady_state_rejected(self):
+        # no pumping: both ground spin states are stationary
+        with pytest.raises(ValidationError, match="degenerate"):
+            steady_state(RateModel(pump_rate_peak_per_us=0.0))
 
     def test_step_matches_expm_oracle(self):
         m = RateModel()
@@ -246,6 +311,94 @@ class TestReadout:
             state_contrast(t, t, window_us=0.001)
 
 
+def _scaled_rates(scale: float) -> dict:
+    """Every rate of the default model times ``scale``, as a config section."""
+    rates = dataclasses.asdict(RateModel())
+    return {k: v * scale for k, v in rates.items() if k != "singlet_branching_to_g0"}
+
+
+ORACLE_CONFIGS = {
+    "default": {},
+    "waist-0.3um": {"beam": {"waist_diameter_1e2_um": 0.3}},
+    "r-2um": {"geometry": {"r_nv_um": 2.0}},
+    "turn-on-1us-early": {"protocol": {"turn_on_offset_us": -1.0}},
+    "illumination-only": {"beam": {"collection_mode": "illumination-only"}},
+    "background-500cps": {"beam": {"background_cps": 500.0}},
+    "rates-x10": {"rates": _scaled_rates(10.0)},
+}
+# ms0, ms1 and a mixed state, as columns
+ORACLE_STATES = np.array(
+    [[1.0, 0.0, 0.4], [0.0, 1.0, 0.5], [0.0, 0.0, 0.05], [0.0, 0.0, 0.03], [0.0, 0.0, 0.02]]
+)
+
+
+def _dop853_counts(cfg, edges):
+    """Cumulative counts (k, n_edges) and final populations (5, k), rtol 1e-12."""
+    g, b, m = cfg.geometry, cfg.beam, cfg.rates
+    offset = cfg.protocol.turn_on_offset_us
+    cal = photophysics.detection_calibration(m, b)
+    k = ORACLE_STATES.shape[1]
+
+    def rhs(t, y):
+        y = y.reshape(6, k)
+        off = transit_offset_um(g, t + offset)
+        inten = math.exp(-2.0 * off**2 / b.waist_radius_um**2)
+        weight = inten if b.collection_mode == "confocal-squared" else 1.0
+        dn = rate_matrix(m, inten) @ y[:5]
+        rate = cal * m.radiative_rate_per_us * (y[2] + y[3]) * weight + b.background_cps
+        return np.vstack([dn, rate * 1e-6]).ravel()
+
+    y0 = np.vstack([ORACLE_STATES, np.zeros(k)]).ravel()
+    sol = integrate.solve_ivp(
+        rhs, (0.0, edges[-1]), y0, method="DOP853", t_eval=edges, rtol=1e-12, atol=1e-15
+    )
+    assert sol.success
+    y = sol.y.reshape(6, k, -1)
+    return y[5], y[:5, :, -1]
+
+
+class TestReadoutOracle:
+    @pytest.mark.parametrize("name", list(ORACLE_CONFIGS))
+    def test_kernel_matches_dop853(self, name):
+        cfg = config_from_dict(ORACLE_CONFIGS[name])
+        g, b, m, pro = cfg.geometry, cfg.beam, cfg.rates, cfg.protocol
+        t_pulse = cfg.strobe.t_pulse_us
+        edges = np.linspace(0.0, t_pulse, 41)
+        cumulative, final = _dop853_counts(cfg, edges)
+        window_edge = int(round(pro.readout_window_us / 0.05))
+        for j in range(ORACLE_STATES.shape[1]):
+            initial = LevelPopulations.from_array(ORACLE_STATES[:, j])
+            got, pops = readout_response(initial, g, b, m, t_pulse, pro.turn_on_offset_us, 0.05)
+            want = np.diff(cumulative[j])
+            assert np.abs(got - want).max() <= 1e-6 * want.max()
+            assert np.allclose(pops.as_array(), final[:, j] / final[:, j].sum(), atol=1e-6)
+            window = expected_window_counts(
+                g, b, m, t_pulse, pro.turn_on_offset_us, pro.readout_window_us, initial
+            )
+            assert window == pytest.approx(cumulative[j, window_edge], rel=1e-6)
+
+    @pytest.mark.parametrize("scale", [1e3, 1e6])
+    def test_stiff_rates_stay_finite_and_bounded(self, scale, monkeypatch):
+        cfg = config_from_dict({"rates": _scaled_rates(scale)})
+        g, b, m = cfg.geometry, cfg.beam, cfg.rates
+        calls = []
+        real = photophysics.expm
+        monkeypatch.setattr(photophysics, "expm", lambda a: calls.append(a.shape) or real(a))
+        bright, final = readout_response(LevelPopulations.ms0(), g, b, m, 2.0, -0.25)
+        assert calls and all(np.prod(s[:-2]) <= 2 * MAX_READOUT_STEPS for s in calls)
+        assert np.all(np.isfinite(bright)) and np.all(bright >= 0.0)
+        assert np.isfinite(final.as_array()).all()
+        dark, _ = readout_response(LevelPopulations.ms1(), g, b, m, 2.0, -0.25)
+        assert 0.0 < dark.sum() < bright.sum()
+
+    def test_too_many_bins_rejected(self):
+        with pytest.raises(ValidationError, match="bin_width_us"):
+            readout_response(
+                LevelPopulations.ms0(), RotorGeometry(), BeamProfile(), RateModel(),
+                2.0, 0.0, bin_width_us=2.0 / (MAX_READOUT_STEPS + 1),
+            )
+
+
 class TestOptimalTurnOn:
     def test_stationary_returns_zero(self):
         g = RotorGeometry(r_nv_um=0.0)
@@ -272,3 +425,16 @@ class TestOptimalTurnOn:
 
         assert snr(opt) >= snr(opt - step) - 1e-12
         assert snr(opt) >= snr(opt + step) - 1e-12
+
+    def test_default_grid_matches_per_state_search(self, cfg_default):
+        # one pass carrying both states picks the offset that separate
+        # per-state window counts pick on the default 37-point grid
+        g, b, m = cfg_default.geometry, cfg_default.beam, cfg_default.rates
+        window = cfg_default.protocol.readout_window_us
+        offsets = np.linspace(-3.0, 1.5, 37)
+        snrs = []
+        for off in offsets:
+            bright = expected_window_counts(g, b, m, 2.0, off, window, LevelPopulations.ms0())
+            dark = expected_window_counts(g, b, m, 2.0, off, window, LevelPopulations.ms1())
+            snrs.append((1.0 - dark / bright) * math.sqrt(bright))
+        assert optimal_turn_on(g, b, m, 2.0, window_us=window) == offsets[int(np.argmax(snrs))]
