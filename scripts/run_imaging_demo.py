@@ -3,6 +3,7 @@
 
 Renders the emitter pair (3.6 um apart, 10 um off axis) stationary and
 rotating, fits the spot widths, and writes both images plus a summary.
+Exits with status 1 if any spot fit fails.
 """
 
 import os
@@ -23,6 +24,7 @@ def main():
     grid = ScanGrid(
         x_range_um=(7.0, 12.5), y_range_um=(-2.0, 5.2), step_um=0.15, dwell_ms=200.0
     )
+    failed = 0
     for stationary in (True, False):
         label = "stationary" if stationary else "rotating"
         image, summaries = pipeline.simulate_image(cfg, grid, stationary=stationary)
@@ -32,6 +34,7 @@ def main():
         print(f"{label}: wrote {path} (duty cycle {image.duty_cycle:.4f})")
         for i, s in enumerate(summaries):
             if "error" in s:
+                failed += 1
                 print(f"  spot {i}: fit failed ({s['error']})")
             else:
                 print(
@@ -39,7 +42,8 @@ def main():
                     f"sigma_radial {s['sigma_radial_um']:.3f} um, "
                     f"sigma_azimuthal {s['sigma_azimuthal_um']:.3f} um"
                 )
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

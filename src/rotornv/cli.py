@@ -33,6 +33,9 @@ EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 EXIT_NOT_CONVERGED = 4
 
+# Half the side of the default simulate-image window, um.
+IMAGE_HALF_WIDTH_UM = 4.0
+
 CONFIG_ENV_VAR = "ROTORNV_CONFIG"
 DEBUG_ENV_VAR = "ROTORNV_DEBUG"
 
@@ -139,16 +142,24 @@ def cmd_simulate_echo(args) -> int:
 
 def cmd_simulate_image(args) -> int:
     cfg = _load_effective_config(args)
+    if args.emitters:
+        emitters = _parse_emitters(args.emitters, cfg.beam.peak_counts_stationary_cps)
+    else:
+        emitters = pipeline.default_emitters(cfg)
+    # an omitted bound comes from a window centred on the spots
+    cx, cy = np.mean(pipeline.spot_centers_um(cfg, emitters, args.stationary), axis=0).tolist()
+    half = IMAGE_HALF_WIDTH_UM
+
+    def bound(value, default):
+        return default if value is None else value
+
     grid = ScanGrid(
-        x_range_um=(args.x_min, args.x_max),
-        y_range_um=(args.y_min, args.y_max),
+        x_range_um=(bound(args.x_min, cx - half), bound(args.x_max, cx + half)),
+        y_range_um=(bound(args.y_min, cy - half), bound(args.y_max, cy + half)),
         step_um=args.step,
         dwell_ms=args.dwell_ms,
         plane=args.plane,
     )
-    emitters = None
-    if args.emitters:
-        emitters = _parse_emitters(args.emitters, cfg.beam.peak_counts_stationary_cps)
     image, summaries = pipeline.simulate_image(
         cfg, grid, emitters=emitters, stationary=args.stationary
     )
@@ -273,10 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate_echo)
 
     p = sub.add_parser("simulate-image", parents=[common], help="strobed confocal raster")
-    p.add_argument("--x-min", type=float, default=6.0)
-    p.add_argument("--x-max", type=float, default=14.0)
-    p.add_argument("--y-min", type=float, default=-4.0)
-    p.add_argument("--y-max", type=float, default=4.0)
+    window = f"um (default: a {2 * IMAGE_HALF_WIDTH_UM:g} um window centred on the spots)"
+    p.add_argument("--x-min", type=float, default=None, help=window)
+    p.add_argument("--x-max", type=float, default=None, help=window)
+    p.add_argument("--y-min", type=float, default=None, help=window)
+    p.add_argument("--y-max", type=float, default=None, help=window)
     p.add_argument("--step", type=float, default=0.15)
     p.add_argument("--dwell-ms", type=float, default=200.0)
     p.add_argument("--stationary", action="store_true")

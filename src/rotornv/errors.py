@@ -1,8 +1,28 @@
-"""Shared exception types."""
+"""Shared exception types, and the bound on the mean of every Poisson draw."""
+
+import numpy as np
+
+# Largest expected count one Poisson draw is given; numpy refuses means
+# above ~9.2e18 ("lam value too large").
+MAX_EXPECTED_COUNTS = 1e18
 
 
 class ValidationError(ValueError):
     """A configuration value or argument violates a documented invariant."""
+
+
+def check_expected_counts(lam, keys: str) -> None:
+    """Refuse expected counts that are NaN, infinite or above MAX_EXPECTED_COUNTS.
+
+    ``keys`` names the configuration values that scale the counts, so the
+    refusal (exit 2) says what to lower.
+    """
+    peak = float(np.max(lam))
+    if not peak <= MAX_EXPECTED_COUNTS:
+        raise ValidationError(
+            f"expected counts per draw reach {peak:.3g}, more than {MAX_EXPECTED_COUNTS:.0e}; "
+            f"lower {keys}"
+        )
 
 
 class Diagnostic:

@@ -69,8 +69,8 @@ class RotorGeometry:
     phi_pos0_deg: float = 0.0
 
     def __post_init__(self):
-        if not (self.f_rot_hz > 0 and math.isfinite(self.f_rot_hz)):
-            raise ValidationError("f_rot_hz must be positive and finite")
+        if not (self.f_rot_hz > 0 and math.isfinite(TWO_PI * self.f_rot_hz)):
+            raise ValidationError("f_rot_hz must be positive, with a finite angular frequency 2 pi f_rot_hz")
         if self.r_nv_um < 0:
             raise ValidationError("r_nv_um must be non-negative")
         if not 0.0 <= self.theta_nv_deg <= 180.0:

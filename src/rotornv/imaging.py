@@ -8,30 +8,54 @@ phase along the trajectory (azimuthal blur), and wobble of the rotation
 axis displaces the whole orbit (mostly radial blur).  The finite strobe
 length additionally smears the spot along an arc.
 
-The per-cycle Monte Carlo is driven by per-pixel child random streams
-spawned from the image seed, so images are reproducible regardless of
-evaluation order.  Each strobe sample's rotor angle gets one sin/cos pair,
-shared by all emitters: since |R(p) a - b| = |a - R(-p) b|, the pixel is
-rotated into each emitter's frame (by minus its orbit phase p) instead of
-rotating every orbit sample.  Widths are quoted in the 1/e^2 convention: a
-profile exp(-2 d^2 / sigma^2) has width sigma.
+A pixel's expected count lambda is a sum of i.i.d. per-cycle terms, so
+the render needs only their mean and variance, which every pixel shares
+the form of: the wobble integral is closed-form (Gaussian radius, Gaussian
+PSF), and the period draws are integrated by quadrature whose node count
+follows from the jitter arc over the PSF width.  Counts are Poisson in a
+Gamma-distributed lambda with those moments, drawn over the whole image
+from one generator seeded by the image seed.  Each quadrature node's
+rotor angle gets one sin/cos pair, shared by all emitters: since
+|R(p) a - b| = |a - R(-p) b|, the pixel is rotated into each emitter's
+frame (by minus its orbit phase p) instead of rotating every orbit sample.
+Widths are quoted in the 1/e^2 convention: a profile exp(-2 d^2 / sigma^2)
+has width sigma.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermegauss
+from numpy.polynomial.legendre import leggauss
 
-from .errors import FitError, ValidationError
+from .errors import FitError, ValidationError, check_expected_counts
 from .estimation import levenberg_marquardt
 from .geometry import TWO_PI, RotorGeometry
 
 # Strobe samples (cycles x substeps) one pixel may integrate: ~200x the
-# default 200 ms dwell at 3.33 kHz; a pixel at the limit makes tens of MB
-# of temporaries.
+# default 200 ms dwell at 3.33 kHz.
 MAX_STROBE_SAMPLES = 1_000_000
+# Quadrature nodes over one cycle's period draws.  The jitter arc over the
+# PSF width sets the count: 4 for a strobe at the trigger edge, 20 at the
+# default 150 us, ~800 at 250 us with jitter_frac 0.02.
+MAX_PERIOD_NODES = 20_000
+
+# P(|Z| > 8.5) ~ 2e-17 for a standard normal Z: the quadrature's range.
+_Z_TAIL = 8.5
+# Gauss-Hermite is used up to this many nodes; beyond, composite
+# Gauss-Legendre over panels at most _GL_PANEL / ratio wide (and never
+# wider than _GL_PANEL_MAX) is cheaper.  Both rules put the error of a
+# Gaussian arc profile below 1e-7 of its peak at any arc ratio.
+_GH_MAX_NODES = 64
+_GL_PANEL = 4.0
+_GL_PANEL_MAX = 4.25
+_GL_X, _GL_W = leggauss(12)
+# Floats in one block's largest temporary (256 kB): bounds the peak memory.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -164,33 +188,251 @@ def angular_smear(g: RotorGeometry, t_pulse_us: float) -> float:
     return 360.0 * t_pulse_us * 1e-6 * g.f_rot_hz
 
 
-def _strobe_angles_rad(
-    rng: np.random.Generator,
+def _cycles(grid: ScanGrid, g: RotorGeometry) -> int:
+    """Strobe cycles (one per revolution) a pixel integrates over its dwell."""
+    return max(1, int(round(grid.dwell_ms * 1e-3 * g.f_rot_hz)))
+
+
+@functools.lru_cache(maxsize=64)
+def _gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
+    z, w = hermegauss(n)
+    return z, w / math.sqrt(TWO_PI)
+
+
+def _normal_rule(
+    ratio: float, breaks, limit: int, refine: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights for E[f(Z)], Z ~ N(0, 1), with weights summing to ~1.
+
+    ``f`` varies on the scale 1/``ratio`` in Z (the PSF width over the arc
+    swept per unit Z) and may have kinks at ``breaks``.  Without a kink in
+    [-_Z_TAIL, _Z_TAIL] and with a short arc, probabilists' Gauss-Hermite
+    integrates the normal weight exactly and needs the fewest nodes.
+    Otherwise composite Gauss-Legendre panels, split at every kink and no
+    wider than _GL_PANEL / ratio, take a node count linear in ``ratio``
+    (Gauss-Hermite's grows as ratio^2, and ``hermegauss`` returns NaN
+    weights at a few hundred nodes).  ``refine`` multiplies the node count;
+    a rule of more than ``limit`` nodes is refused before it is built.
+    """
+    inside = sorted(b for b in breaks if -_Z_TAIL < b < _Z_TAIL)
+    n_gh = 1.0 if ratio == 0.0 else 3.0 + 7.0 * ratio + 8.0 * ratio * ratio
+    if not inside and n_gh <= _GH_MAX_NODES:
+        return _gauss_hermite(refine * math.ceil(n_gh))
+    width = _GL_PANEL / max(ratio, _GL_PANEL / _GL_PANEL_MAX) / refine
+    if not _GL_X.size * 2.0 * _Z_TAIL <= limit * width:
+        _refuse_nodes()
+    edges = [-_Z_TAIL, *inside, _Z_TAIL]
+    panels = [max(1, math.ceil((b - a) / width)) for a, b in zip(edges, edges[1:])]
+    if _GL_X.size * sum(panels) > limit:
+        _refuse_nodes()
+    cuts = np.concatenate(
+        [np.linspace(a, b, n + 1)[:-1] for a, b, n in zip(edges, edges[1:], panels)]
+        + [np.array([_Z_TAIL])]
+    )
+    half = 0.5 * np.diff(cuts)[:, None]
+    z = ((cuts[:-1, None] + half) + half * _GL_X).ravel()
+    w = (half * _GL_W).ravel() * np.exp(-0.5 * z**2) / math.sqrt(TWO_PI)
+    return z, w
+
+
+def _refuse_nodes():
+    raise ValidationError(
+        f"strobe.jitter_frac spreads the strobed arc over too many PSF widths: the period "
+        f"draws need more than {MAX_PERIOD_NODES} quadrature nodes per cycle; lower strobe.jitter_frac"
+    )
+
+
+def _period_nodes(
+    t_in: np.ndarray, t_rot: float, jitter: float, arc_ratio: float, refine: int = 1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quadrature over one cycle's two period draws: (z1, z2, weight) per node.
+
+    A period is T (1 + jitter z), clipped at 0.1 T.  At a delay ``t`` into
+    the window the strobe sits at angle 2 pi t / p1, or, once the window
+    spills past the next edge (p1 <= t), at 2 pi (1 + (t - p1) / p2).  Both
+    the spill edge of each sample and the clip are kinks in z1, so they
+    split the panels.  Only z1 nodes where some sample spills carry a
+    second node set over z2; elsewhere p2 does not enter.  ``arc_ratio``
+    is the orbit radius over the PSF's standard deviation.  More than
+    MAX_PERIOD_NODES nodes in all are refused, naming strobe.jitter_frac.
+    """
+    if jitter == 0.0:
+        return np.zeros(1), np.zeros(1), np.ones(1)
+    z_clip = -0.9 / jitter
+    z_lo = max(-_Z_TAIL, z_clip)
+    # T/p changes fastest at the shortest unclipped period
+    stretch = 1.0 / (1.0 + jitter * z_lo) ** 2
+    t_max = float(t_in.max())
+    spill_breaks = (t_in / t_rot - 1.0) / jitter
+    spill_breaks = spill_breaks[spill_breaks >= z_clip]  # below, p1 = 0.1 T exceeds t
+    spills = spill_breaks.size > 0 and spill_breaks.max() > -_Z_TAIL
+    turns = max(t_max, t_rot) / t_rot if spills else t_max / t_rot
+    ratio1 = arc_ratio * TWO_PI * turns * jitter * stretch
+    z1, w1 = _normal_rule(ratio1, [*spill_breaks, z_clip], MAX_PERIOD_NODES, refine)
+    if not spills:
+        return z1, np.zeros_like(z1), w1
+    # The spill arc 2 pi (t - p1) / p2 is short, since t - p1 is a few
+    # jitter periods, so each z1 node gets its own second node set.  The
+    # earliest nodes, 1e-9 of the weight together, keep p2 = T.
+    p1 = t_rot * np.maximum(1.0 + jitter * z1, 0.1)
+    rare = np.cumsum(w1) < 1e-9  # z1 ascends
+    zs, z2s, ws = [], [], []
+    used = 0
+    for z, w, p, r in zip(z1, w1, p1, rare):
+        if p > t_max or r:
+            z2, w2 = np.zeros(1), np.ones(1)
+        else:
+            ratio2 = arc_ratio * TWO_PI * (t_max - p) / t_rot * jitter * stretch
+            z2, w2 = _normal_rule(ratio2, [z_clip], MAX_PERIOD_NODES - used, refine)
+        used += z2.size
+        if used > MAX_PERIOD_NODES:
+            _refuse_nodes()
+        zs.append(np.full(z2.size, z))
+        z2s.append(z2)
+        ws.append(w * w2)
+    return np.concatenate(zs), np.concatenate(z2s), np.concatenate(ws)
+
+
+def _pixel_moments(
+    grid: ScanGrid,
+    emitters: EmitterSet,
     g: RotorGeometry,
     strobe: StrobeConfig,
-    n_cycles: int,
-    substeps: int,
-) -> np.ndarray:
-    """Rotor angle at each strobe sub-sample for every cycle, shape (substeps, n_cycles).
+    psf_width_um: float = 0.3,
+    stationary: bool = False,
+    substeps: int = 7,
+    axial_psf_factor: float = 3.0,
+    refine: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of every pixel's expected count, shape (ny, nx) each.
 
-    The pulse generator re-arms on every trigger edge, so the strobe delay
-    is referenced to the most recent edge: t_phi enters modulo the rotation
-    period and images are invariant under t_phi -> t_phi + T_rot.  Each
-    cycle's period is drawn i.i.d.; a strobe window spilling past the next
-    edge continues into a second drawn period.
+    A pixel's rate is a sum of i.i.d. cycle terms X = sum_e c_e mean_k
+    psf(d_ek), so E[lambda] = n E[X] and Var[lambda] = n Var[X].  Wobble
+    moves the orbit radius by w ~ N(0, s^2); with the PSF exp(-d^2 / 2v),
+    v = psf^2 / 4, and the pixel at radial offset a and distance h from
+    the line of sight at the strobe angle, d^2 = (a + w)^2 + h^2, so
+
+        E_w exp(-d^2/2v) = sqrt(v/(v+s^2)) exp(-h^2/2v - a^2/2(v+s^2)),
+        E_w [pair] = sqrt(v/(v+2s^2)) exp(-(h1^2+h2^2)/2v
+                     - (a1+a2)^2/4(v+2s^2) - (a1-a2)^2/4v),
+
+    the pair term kept as one exponent, which cannot overflow.  The period
+    draws enter through :func:`_period_nodes`.  Pixels are taken in blocks
+    to bound the temporaries, and a node whose every strobe sample lies
+    e^-40 below the peak at a pixel is skipped there.
     """
+    xs, ys = grid.x_coords_um, grid.y_coords_um
+    n_cycles = _cycles(grid, g)
+    depth_scan = grid.plane == "xz"
+    pos0 = np.array([e.position_um[:2] for e in emitters.emitters])  # (n_e, 2)
+    c = np.array([e.brightness_cps for e in emitters.emitters]) * (strobe.t_pulse_us * 1e-6)
+    check_expected_counts(
+        c.sum() * n_cycles, "the emitter brightness (beam.peak_counts_stationary_cps) or dwell_ms"
+    )
+    # an "xz" slice lies in the plane y = 0, and the pixel y is the focus depth
+    lat_y = np.zeros_like(ys) if depth_scan else ys
+    depth_arg = -2.0 * ys**2 / (axial_psf_factor * psf_width_um) ** 2 if depth_scan else np.zeros_like(ys)
+    if stationary:
+        d2 = (pos0[:, 0] - xs[:, None]) ** 2 + (pos0[:, 1] - lat_y[:, None, None]) ** 2  # (ny, nx, n_e)
+        psf = np.exp(-2.0 * d2 / psf_width_um**2 + depth_arg[:, None, None])
+        mean = np.sum(c * psf, axis=2) * n_cycles
+        return mean, np.zeros_like(mean)
+
+    v = psf_width_um**2 / 4.0
+    s2 = strobe.wobble_amp_um**2
+    radii = np.linalg.norm(pos0, axis=1)
+    phases0 = np.arctan2(pos0[:, 1], pos0[:, 0])
     t_rot = g.t_rot_us
     full_turns = math.floor(strobe.t_phi_us / t_rot)
-    resid = strobe.t_phi_us - full_turns * t_rot
     u = (np.arange(substeps) + 0.5) * (strobe.t_pulse_us / substeps)
-    t_in = (resid + u)[:, None]  # (substeps, 1), time since the arming edge
-    periods = t_rot * (1.0 + strobe.jitter_frac * rng.standard_normal((n_cycles, 2)))
-    periods = np.clip(periods, 0.1 * t_rot, None)
-    p1 = periods[:, 0]
-    frac = t_in / p1
-    if t_in.max() >= p1.min():  # rare: some window spills past the next edge
-        frac = np.where(t_in < p1, frac, 1.0 + (t_in - p1) / periods[:, 1])
-    return TWO_PI * (full_turns + frac)
+    t_in = strobe.t_phi_us - full_turns * t_rot + u  # time since the arming edge
+    arc_ratio = (float(radii.max()) + 3.0 * math.sqrt(v + s2)) / math.sqrt(v)
+    z1, z2, w = _period_nodes(t_in, t_rot, strobe.jitter_frac, arc_ratio, refine)
+    p1 = t_rot * np.maximum(1.0 + strobe.jitter_frac * z1, 0.1)[:, None]
+    p2 = t_rot * np.maximum(1.0 + strobe.jitter_frac * z2, 0.1)[:, None]
+    theta = TWO_PI * np.where(t_in < p1, t_in / p1, 1.0 + (t_in - p1) / p2)  # (nodes, substeps)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+
+    # |R(p) a - b| = |a - R(-p) b|: the pixel is rotated into each emitter's frame
+    gx = np.broadcast_to(xs, (ys.size, xs.size)).ravel()
+    gy = np.broadcast_to(lat_y[:, None], (ys.size, xs.size)).ravel()
+    px = gx[:, None] * np.cos(phases0) + gy[:, None] * np.sin(phases0)  # (pixels, n_e)
+    py = gy[:, None] * np.cos(phases0) - gx[:, None] * np.sin(phases0)
+    q2 = px**2 + py**2
+    n_e = radii.size
+    ci = np.repeat(c / substeps, substeps)  # one coefficient per strobe sample (e, k)
+    # sample pairs i <= j, grouped by their emitters e <= f: a pair counts
+    # only where both emitters' samples reach the pixel
+    ii, jj = np.triu_indices(ci.size)
+    pairs = []
+    for e, f in zip(*np.triu_indices(n_e)):
+        sel = (ii // substeps == e) & (jj // substeps == f)
+        i, j = ii[sel], jj[sel]
+        pairs.append((e, f, i, j, ci[i] * ci[j] * np.where(i == j, 1.0, 2.0)))
+    r_ek = np.repeat(radii, substeps)
+
+    # A sample at polar angle alpha lies e^-40 below its peak at a pixel
+    # (rho, psi) unless rho |sin(alpha - psi)| < sqrt(80 v), and, when every
+    # orbit is wider than the radial reach sqrt(80 (v + 2 s^2)), unless
+    # alpha is on the pixel's side.  So a block of pixels sorted by polar
+    # angle needs only the nodes with a sample in its angular range widened
+    # by asin(sqrt(80 v) / rho_min).  A node's samples lie within `span` of
+    # its arc centre, since the angle grows with the delay.  Only
+    # pixel-node pairs above e^-40 enter either moment, so the sums do not
+    # depend on the blocks.
+    centre = 0.5 * (theta[:, :1] + theta[:, -1:]) + phases0  # (nodes, n_e)
+    span = 0.5 * float(np.max(theta[:, -1] - theta[:, 0]))
+    psi, rho = np.arctan2(gy, gx), np.hypot(gx, gy)
+    reach = math.sqrt(80.0 * v)
+    one_sided = radii.min() > math.sqrt(80.0 * (v + 2.0 * s2))
+    order = np.argsort(psi, kind="stable")
+    block = max(1, _BLOCK_ELEMENTS // (w.size * ci.size))
+    m1 = np.zeros(gx.size)
+    m2 = np.zeros(gx.size)
+    for lo in range(0, gx.size, block):
+        idx = order[lo : lo + block]
+        nodes = np.arange(w.size)
+        if one_sided and rho[idx].min() > reach:
+            mid = 0.5 * (psi[idx[0]] + psi[idx[-1]])
+            half = 0.5 * (psi[idx[-1]] - psi[idx[0]]) + math.asin(reach / rho[idx].min()) + span
+            off = np.abs((centre - mid + math.pi) % TWO_PI - math.pi)
+            nodes = np.flatnonzero((off <= half).any(axis=1))
+            if not nodes.size:
+                continue
+        qu = px[idx, None, :, None] * cos_t[nodes, None, :] + py[idx, None, :, None] * sin_t[nodes, None, :]
+        qu = qu.reshape(idx.size, nodes.size, n_e * substeps)  # (pixels, nodes, samples)
+        a = r_ek - qu
+        h2 = np.repeat(q2[idx], substeps, axis=1)[:, None, :] - qu**2
+        # the pair exponent is at most the sum of the samples' g
+        g = -h2 / (2.0 * v) - a**2 / (2.0 * (v + 2.0 * s2))
+        pix, node = np.nonzero(np.max(g, axis=2) > -40.0)
+        a, h2, wn = a[pix, node], h2[pix, node], w[nodes[node]]  # (kept, samples)
+        near = np.max(g[pix, node].reshape(pix.size, n_e, substeps), axis=2) > -40.0
+        one = (np.exp(-h2 / (2.0 * v) - a**2 / (2.0 * (v + s2))) * ci).sum(axis=1)
+        pair = np.zeros(pix.size)
+        for e, f, i, j, coef in pairs:
+            rows = np.flatnonzero(near[:, e] & near[:, f])
+            step = max(1, _BLOCK_ELEMENTS // coef.size)
+            for k in range(0, rows.size, step):
+                r = rows[k : k + step]
+                ar, hr = a[r], h2[r]
+                ai, aj = ar[:, i], ar[:, j]
+                pair[r] += (
+                    np.exp(
+                        -(hr[:, i] + hr[:, j]) / (2.0 * v)
+                        - (ai + aj) ** 2 / (4.0 * (v + 2.0 * s2))
+                        - (ai - aj) ** 2 / (4.0 * v)
+                    )
+                    * coef
+                ).sum(axis=1)
+        m1[idx] = np.bincount(pix, weights=one * wn, minlength=idx.size)
+        m2[idx] = np.bincount(pix, weights=pair * wn, minlength=idx.size)
+    m1 *= math.sqrt(v / (v + s2))
+    m2 *= math.sqrt(v / (v + 2.0 * s2))
+    dz = np.repeat(np.exp(depth_arg), xs.size)
+    mean = n_cycles * m1 * dz
+    var = n_cycles * np.maximum(m2 - m1**2, 0.0) * dz**2
+    return mean.reshape(ys.size, xs.size), var.reshape(ys.size, xs.size)
 
 
 def render_image(
@@ -205,15 +447,20 @@ def render_image(
     max_pixels: int = 250_000,
     axial_psf_factor: float = 3.0,
 ) -> StrobedImage:
-    """Monte-Carlo render of a strobed confocal raster scan.
+    """Render a strobed confocal raster scan from each pixel's count moments.
 
-    Every pixel integrates ``dwell_ms`` of strobes (one per revolution);
-    each cycle draws its own period jitter and wobble displacement and the
-    emitter is propagated along its strobed arc, sampled at ``substeps``
-    points.  Counts are Poisson with the accumulated expectation.  With
+    Every pixel integrates ``dwell_ms`` of strobes (one per revolution).
+    Each cycle draws its own period jitter and wobble displacement, and
+    the emitter is followed along its strobed arc at ``substeps`` points;
+    the pixel's expected count lambda is the sum over the cycles.  Its
+    mean and variance are computed exactly (:func:`_pixel_moments`), lambda
+    is drawn from the Gamma distribution with those moments and the
+    counts are Poisson in lambda (negative-binomial overall).  With
     ``stationary=True`` the diamond does not rotate (strobing continues at
-    the same duty cycle): emitters stay at their trigger positions and
-    jitter/wobble/smear do not apply.
+    the same duty cycle): emitters stay at their trigger positions,
+    jitter, wobble and smear do not apply, and the counts are Poisson in
+    the fixed lambda.  One generator seeded by ``seed`` draws the whole
+    image.
 
     For an "xz" grid the scan slices the depth at y = 0 with an axial
     response ``axial_psf_factor`` times wider than the lateral one.
@@ -227,69 +474,28 @@ def render_image(
         )
     if strobe.t_pulse_us > g.t_rot_us:
         raise ValidationError("strobe t_pulse_us exceeds the rotation period")
-    n_cycles = max(1, int(round(grid.dwell_ms * 1e-3 * g.f_rot_hz)))
+    n_cycles = _cycles(grid, g)
     if n_cycles * substeps > MAX_STROBE_SAMPLES:
         raise ValidationError(
             f"dwell_ms = {grid.dwell_ms:g} gives {n_cycles} strobe cycles x {substeps} samples "
             f"per pixel, more than {MAX_STROBE_SAMPLES}; shorten the dwell (--dwell-ms)"
         )
-
-    xs = grid.x_coords_um
-    ys = grid.y_coords_um
-    depth_scan = grid.plane == "xz"
-    psf_axial_um = axial_psf_factor * psf_width_um
-    duty = strobe.t_pulse_us / g.t_rot_us
-    window_s = strobe.t_pulse_us * 1e-6
-
-    pos0 = np.array([e.position_um[:2] for e in emitters.emitters])  # (n_e, 2)
-    bright = np.array([e.brightness_cps for e in emitters.emitters])
-    radii = np.linalg.norm(pos0, axis=1)
-    phases0 = np.arctan2(pos0[:, 1], pos0[:, 0])
-    cos_p, sin_p = np.cos(phases0), np.sin(phases0)
-
-    def psf_weight(d2_lat, y):
-        """Gaussian response at squared lateral distance d2_lat; for an "xz"
-        slice (in the plane y = 0) the pixel y is the focus depth."""
-        arg = -2.0 * d2_lat / psf_width_um**2
-        if depth_scan:
-            arg = arg - 2.0 * y**2 / psf_axial_um**2
-        return np.exp(arg)
-
-    counts = np.empty((ys.size, xs.size), dtype=np.int64)
-    seeds = np.random.SeedSequence(seed).spawn(ys.size * xs.size)
-    for iy, y in enumerate(ys):
-        row_seeds = seeds[iy * xs.size : (iy + 1) * xs.size]
-        lat_y = 0.0 if depth_scan else y
-        if stationary:
-            # emitters stay at their trigger positions: lambda for the whole
-            # row at once, then one Poisson draw from each pixel's own stream
-            d2 = (pos0[:, 0] - xs[:, None]) ** 2 + (pos0[:, 1] - lat_y) ** 2  # (nx, n_e)
-            lam_row = np.sum(bright * window_s * psf_weight(d2, y), axis=1) * n_cycles
-            for ix in range(xs.size):
-                counts[iy, ix] = np.random.default_rng(row_seeds[ix]).poisson(lam_row[ix])
-            continue
-        # |R(p) a - b| = |a - R(-p) b|: rather than rotate every orbit sample
-        # by the emitter's phase p, rotate the pixel by -p
-        px = xs[:, None] * cos_p + lat_y * sin_p  # (nx, n_e)
-        py = lat_y * cos_p - xs[:, None] * sin_p
-        for ix in range(xs.size):
-            rng = np.random.default_rng(row_seeds[ix])
-            angles = _strobe_angles_rad(rng, g, strobe, n_cycles, substeps)
-            # wobble displaces the axis along the line of sight to the orbit:
-            # a per-cycle radius modulation, shared by all emitters
-            wobble = strobe.wobble_amp_um * rng.standard_normal(n_cycles)
-            cos_a, sin_a = np.cos(angles), np.sin(angles)  # one pair for all emitters
-            lam = 0.0
-            for e in range(pos0.shape[0]):
-                radius = radii[e] + wobble
-                d2 = (radius * cos_a - px[ix, e]) ** 2 + (radius * sin_a - py[ix, e]) ** 2
-                lam += bright[e] * window_s * float(psf_weight(d2, y).sum() / substeps)
-            counts[iy, ix] = rng.poisson(lam)
+    with np.errstate(under="ignore"):
+        mean, var = _pixel_moments(
+            grid, emitters, g, strobe, psf_width_um, stationary, substeps, axial_psf_factor
+        )
+        rng = np.random.default_rng(seed)
+        lam = mean
+        spread = (var > 0.0) & (mean > 0.0)
+        if spread.any():
+            lam = mean.copy()
+            lam[spread] = rng.gamma(mean[spread] ** 2 / var[spread], var[spread] / mean[spread])
+        counts = rng.poisson(lam)
     return StrobedImage(
         counts=counts,
-        x_um=xs,
-        y_um=ys,
-        duty_cycle=duty,
+        x_um=grid.x_coords_um,
+        y_um=grid.y_coords_um,
+        duty_cycle=strobe.t_pulse_us / g.t_rot_us,
         meta={
             "n_cycles": n_cycles,
             "seed": seed,

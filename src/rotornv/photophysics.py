@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_expected_counts
 from .geometry import TWO_PI, RotorGeometry
 
 COLLECTION_MODES = ("illumination-only", "confocal-squared")
@@ -468,6 +468,10 @@ def simulate_readout(
         raise ValidationError("shots must be >= 1")
     expected, _ = readout_response(
         initial, g, b, m, t_pulse_us, turn_on_offset_us, bin_width_us
+    )
+    check_expected_counts(
+        float(np.max(expected)) * shots,
+        "beam.peak_counts_stationary_cps, beam.background_cps or the shot count (--shots)",
     )
     rng = np.random.default_rng(seed)
     counts = rng.poisson(np.clip(expected, 0.0, None) * shots)

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import photophysics, seqlang, spindyn
 from .config import ExperimentConfig
-from .errors import ValidationError
+from .errors import ValidationError, check_expected_counts
 from .estimation import EchoDataset
 from .imaging import EmitterSet, ScanGrid, StrobedImage, fit_spot_width, render_image
 
@@ -155,6 +155,10 @@ def echo_params_from_config(cfg: ExperimentConfig) -> spindyn.EchoParams:
 
 def _sample_scan(p_ms1: np.ndarray, resp: WindowResponse, shots: int, seed: int, stream: int):
     """Sample every point of a scan from its own stream ``default_rng([seed, stream, i])``."""
+    check_expected_counts(
+        max(resp.n_bright, resp.n_dark) * shots,
+        "beam.peak_counts_stationary_cps or the shots per point (protocol.shots_per_point, --shots)",
+    )
     signal = np.empty(p_ms1.size)
     sigma = np.empty(p_ms1.size)
     for i, p1 in enumerate(p_ms1):
@@ -297,6 +301,16 @@ def strobed_center_um(
     )
 
 
+def spot_centers_um(
+    cfg: ExperimentConfig, emitters: EmitterSet, stationary: bool = False
+) -> list[tuple[float, float]]:
+    """Where each emitter's spot appears: its trigger position, or strobed by t_phi."""
+    return [
+        (e.position_um[0], e.position_um[1]) if stationary else strobed_center_um(cfg, e.position_um)
+        for e in emitters.emitters
+    ]
+
+
 def simulate_image(
     cfg: ExperimentConfig,
     grid: ScanGrid,
@@ -317,12 +331,7 @@ def simulate_image(
         max_pixels=cfg.protocol.max_image_pixels,
     )
     summaries = []
-    for e in emitters.emitters:
-        center = (
-            (e.position_um[0], e.position_um[1])
-            if stationary
-            else strobed_center_um(cfg, e.position_um)
-        )
+    for center in spot_centers_um(cfg, emitters, stationary):
         entry = {"center_x_um": center[0], "center_y_um": center[1]}
         try:
             sr, sa = fit_spot_width(image, center)

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -420,6 +421,59 @@ def test_dwell_beyond_strobe_sample_limit_exit_2(extra, capsys):
     code, err = _main_exit(["simulate-image", "--dwell-ms", "1e12", *extra], capsys)
     assert code == 2
     assert err.startswith("error:") and "dwell_ms" in err and "--dwell-ms" in err
+
+
+_IMAGE_1E300 = ["simulate-image", "--set", "strobe.t_phi_us=0", "--set",
+                "beam.peak_counts_stationary_cps=1e300", "--x-min", "9", "--x-max", "11",
+                "--y-min", "-1", "--y-max", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["simulate-readout", "--set", "beam.peak_counts_stationary_cps=1e300"],
+         "beam.peak_counts_stationary_cps"),
+        (["simulate-readout", "--set", "geometry.f_rot_hz=1.7e308"], "f_rot_hz"),
+        (["simulate-echo", "--tau", "2,5", "--shots", "10", "--set",
+          "beam.peak_counts_stationary_cps=1e300"], "beam.peak_counts_stationary_cps"),
+        (_IMAGE_1E300, "beam.peak_counts_stationary_cps"),
+        (_IMAGE_1E300 + ["--stationary"], "beam.peak_counts_stationary_cps"),
+    ],
+    ids=["readout-cps", "readout-f-rot", "echo-cps", "image-cps", "image-stationary-cps"],
+)
+def test_expected_counts_beyond_poisson_range_exit_2(argv, key, capsys):
+    # numpy's Poisson draw refuses such means ("lam value too large", exit 3)
+    code, err = _main_exit([*argv, "-o", os.devnull], capsys)
+    assert code == 2
+    assert err.startswith("error:") and key in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--stationary"]])
+def test_default_image_window_holds_both_spots(extra, tmp_path, capsys):
+    code, err = _main_exit(["simulate-image", *extra, "-o", str(tmp_path / "image.dat")], capsys)
+    assert code == 0
+    spots = [line for line in err.splitlines() if line.startswith("# spot")]
+    assert len(spots) == 2 and all("sigma_radial" in line for line in spots), err
+
+
+def test_imaging_demo_exits_1_when_a_fit_fails(monkeypatch, tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "run_imaging_demo", os.path.join(os.path.dirname(__file__), "..", "scripts", "run_imaging_demo.py")
+    )
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    monkeypatch.setattr(demo, "OUT_DIR", str(tmp_path))
+    real = pipeline.simulate_image
+
+    def one_failed_fit(*args, **kwargs):
+        image, summaries = real(*args, **kwargs)
+        summaries[0] = {"center_x_um": 0.0, "center_y_um": 0.0, "error": "fit window contains too few pixels"}
+        return image, summaries
+
+    monkeypatch.setattr(demo.pipeline, "simulate_image", one_failed_fit)
+    assert demo.main() == 1
+    monkeypatch.setattr(demo.pipeline, "simulate_image", real)
+    assert demo.main() == 0
 
 
 def _raise_runtime_error(args):

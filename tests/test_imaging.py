@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rotornv import imaging
 from rotornv.errors import ValidationError
 from rotornv.geometry import TWO_PI, RotorGeometry
 from rotornv.imaging import (
@@ -12,6 +13,7 @@ from rotornv.imaging import (
     StrobeConfig,
     angular_smear,
     fit_spot_width,
+    _pixel_moments,
     render_image,
     resolve_two_spots,
 )
@@ -77,23 +79,23 @@ class TestRenderImage:
     def test_counts_scale_with_dwell_and_duty(self):
         strobe1 = StrobeConfig(t_phi_us=0.0, t_pulse_us=1.0, jitter_frac=0.0, wobble_amp_um=0.0)
         strobe2 = StrobeConfig(t_phi_us=0.0, t_pulse_us=2.0, jitter_frac=0.0, wobble_amp_um=0.0)
-        tot = {}
+        lam, cycles = {}, {}
         for key, strobe, dwell in (
             ("base", strobe1, 100.0),
             ("double_dwell", strobe1, 200.0),
             ("double_duty", strobe2, 100.0),
         ):
-            img = render_image(
-                small_grid(10.0, 0.0, half=1.5, step=0.15, dwell_ms=dwell),
-                SINGLE,
-                G_DEFAULT,
-                strobe,
-                seed=31,
-                stationary=True,
-            )
-            tot[key] = img.counts.sum()
-        assert tot["double_dwell"] / tot["base"] == pytest.approx(2.0, rel=0.05)
-        assert tot["double_duty"] / tot["base"] == pytest.approx(2.0, rel=0.05)
+            grid = small_grid(10.0, 0.0, half=1.5, step=0.15, dwell_ms=dwell)
+            img = render_image(grid, SINGLE, G_DEFAULT, strobe, seed=31, stationary=True)
+            lam[key], _ = _pixel_moments(grid, SINGLE, G_DEFAULT, strobe, stationary=True)
+            cycles[key] = img.meta["n_cycles"]
+            # ~200 counts: a Poisson total within 4 sigma of its expectation
+            assert abs(img.counts.sum() - lam[key].sum()) <= 4.0 * math.sqrt(lam[key].sum())
+        # the dwell doubles the cycle count up to rounding (333 -> 667 cycles)
+        np.testing.assert_allclose(
+            lam["double_dwell"], lam["base"] * cycles["double_dwell"] / cycles["base"], rtol=1e-12
+        )
+        np.testing.assert_allclose(lam["double_duty"], 2.0 * lam["base"], rtol=1e-12)
 
     def test_invariant_under_full_period_delay_shift(self):
         base = StrobeConfig(t_phi_us=40.0)
@@ -192,9 +194,10 @@ class TestRenderImage:
 
 
 def _reference_render(grid, emitters, g, strobe, seed, stationary, psf_width_um=0.3, substeps=7):
-    """Per-emitter render loop that evaluates cos/sin of every rotated orbit
-    sample: the straightforward form of the strobed Monte Carlo, with the same
-    per-pixel streams and draw order as ``render_image``."""
+    """Per-emitter Monte Carlo of every pixel's expected count lambda: each of
+    the pixel's cycles draws its two periods and its wobble, and cos/sin are
+    evaluated for every rotated orbit sample.  Returns lambda, before any
+    count is drawn, as one realisation per ``seed``."""
     xs, ys = grid.x_coords_um, grid.y_coords_um
     depth_scan = grid.plane == "xz"
     psf_axial_um = 3.0 * psf_width_um
@@ -222,27 +225,24 @@ def _reference_render(grid, emitters, g, strobe, seed, stationary, psf_width_um=
             return np.exp(-2.0 * d2_lat / psf_width_um**2 - 2.0 * y**2 / psf_axial_um**2)
         return np.exp(-2.0 * ((ex - x) ** 2 + (ey - y) ** 2) / psf_width_um**2)
 
-    counts = np.empty((ys.size, xs.size), dtype=np.int64)
-    seeds = np.random.SeedSequence(seed).spawn(ys.size * xs.size)
-    pix = 0
+    lam = np.empty((ys.size, xs.size))
+    rng = np.random.default_rng(seed)
     for iy, y in enumerate(ys):
         for ix, x in enumerate(xs):
-            rng = np.random.default_rng(seeds[pix])
-            pix += 1
             if stationary:
                 weights = psf_weight(pos0[:, 0], pos0[:, 1], x, y)
-                counts[iy, ix] = rng.poisson(float(np.sum(bright * window_s * weights)) * n_cycles)
+                lam[iy, ix] = float(np.sum(bright * window_s * weights)) * n_cycles
                 continue
             angles = strobe_angles(rng)
             wobble = strobe.wobble_amp_um * rng.standard_normal((n_cycles, 1))
-            lam = 0.0
+            total = 0.0
             for e in range(pos0.shape[0]):
                 ang = angles + phases0[e]
                 radius = radii[e] + wobble
                 weights = psf_weight(radius * np.cos(ang), radius * np.sin(ang), x, y)
-                lam += bright[e] * window_s * float(weights.mean(axis=1).sum())
-            counts[iy, ix] = rng.poisson(lam)
-    return counts
+                total += bright[e] * window_s * float(weights.mean(axis=1).sum())
+            lam[iy, ix] = total
+    return lam
 
 
 _PAIR = EmitterSet((Emitter((10.0, 0.0, 0.0), 1e5), Emitter((9.35, 3.55, 0.0), 1e5)))
@@ -254,6 +254,7 @@ _TRIO = EmitterSet(
         Emitter((9.6, 1.5, 0.0), 2e5),
     )
 )
+_ORACLE_SEEDS = range(12)
 
 
 @pytest.mark.parametrize("plane", ["xy", "xz"])
@@ -269,12 +270,109 @@ _TRIO = EmitterSet(
         (StrobeConfig(t_phi_us=0.0, t_pulse_us=8.0), _TRIO, (8.5, 11.0), (-2.5, 2.5)),
     ],
 )
-def test_render_matches_per_emitter_oracle(plane, stationary, strobe, emitters, x_range, y_range):
+def test_moments_match_per_emitter_oracle(plane, stationary, strobe, emitters, x_range, y_range):
     grid = ScanGrid(x_range_um=x_range, y_range_um=y_range, step_um=0.25, plane=plane)
-    img = render_image(grid, emitters, G_DEFAULT, strobe, seed=23, stationary=stationary)
-    expected = _reference_render(grid, emitters, G_DEFAULT, strobe, 23, stationary)
-    assert np.array_equal(img.counts, expected)
-    assert img.counts.max() > 3  # the grid holds spots, not only background
+    mean, var = _pixel_moments(grid, emitters, G_DEFAULT, strobe, stationary=stationary)
+    assert mean.max() > 3  # the grid holds spots, not only background
+    if stationary:
+        expected = _reference_render(grid, emitters, G_DEFAULT, strobe, 0, True)
+        np.testing.assert_allclose(mean, expected, rtol=1e-12, atol=0.0)
+        assert not var.any()
+        return
+    lam = np.array([_reference_render(grid, emitters, G_DEFAULT, strobe, s, False) for s in _ORACLE_SEEDS])
+    n = len(_ORACLE_SEEDS)
+    bright = mean > 0.01 * mean.max()
+    # lambda sums 667 i.i.d. cycle terms, so its mean over the seeds is near
+    # normal: a per-pixel z-score, and their average over the bright pixels
+    z = (lam.mean(axis=0) - mean)[bright] / np.sqrt(var[bright] / n)
+    assert np.abs(z).max() < 5.0
+    assert abs(z.mean()) < 4.0 / math.sqrt(z.size)
+    # pooled sample variance over the exact one: chi^2 with n - 1 = 11
+    # degrees of freedom per pixel, ~0.1 spread over the bright pixels
+    ratio = lam.var(axis=0, ddof=1)[bright].sum() / var[bright].sum()
+    assert 0.6 < ratio < 1.5
+
+
+def test_clipped_periods_match_oracle():
+    # jitter_frac 0.5: periods below 0.1 T (3.6 % of draws) are clipped,
+    # a kink the quadrature puts on a panel edge
+    strobe = StrobeConfig(t_phi_us=0.0, jitter_frac=0.5, wobble_amp_um=0.1)
+    grid = ScanGrid(x_range_um=(9.4, 10.6), y_range_um=(-0.4, 1.2), step_um=0.2)
+    mean, var = _pixel_moments(grid, SINGLE, G_DEFAULT, strobe)
+    lam = np.array([_reference_render(grid, SINGLE, G_DEFAULT, strobe, s, False) for s in _ORACLE_SEEDS])
+    bright = mean > 0.01 * mean.max()
+    z = (lam.mean(axis=0) - mean)[bright] / np.sqrt(var[bright] / len(_ORACLE_SEEDS))
+    assert np.abs(z).max() < 5.0
+    assert abs(z.mean()) < 4.0 / math.sqrt(z.size)
+    assert 0.6 < lam.var(axis=0, ddof=1)[bright].sum() / var[bright].sum() < 1.5
+
+
+@pytest.mark.parametrize(
+    "t_phi_us, jitter_frac, wobble_amp_um",
+    [
+        (150.0, 0.004, 0.4243),  # the default strobe: Gauss-Hermite
+        (270.0, 0.004, 0.0),  # no wobble: the sharpest azimuthal profile
+        (250.0, 0.02, 0.4243),  # a long jitter arc: composite Gauss-Legendre
+        (1180.0, 0.004, 0.4243),
+        (299.0, 0.004, 0.4243),  # the window spills: a second period node set
+    ],
+)
+def test_period_node_rule_matches_four_times_the_nodes(t_phi_us, jitter_frac, wobble_amp_um):
+    strobe = StrobeConfig(t_phi_us=t_phi_us, jitter_frac=jitter_frac, wobble_amp_um=wobble_amp_um)
+    ang = TWO_PI * G_DEFAULT.f_rot_hz * t_phi_us * 1e-6
+    grid = small_grid(10.0 * math.cos(ang), 10.0 * math.sin(ang), half=1.5, step=0.15)
+    mean, var = _pixel_moments(grid, SINGLE, G_DEFAULT, strobe)
+    mean4, var4 = _pixel_moments(grid, SINGLE, G_DEFAULT, strobe, refine=4)
+    assert np.abs(mean - mean4).max() <= 1e-6 * mean4.max()
+    assert np.abs(var - var4).max() <= 1e-6 * var4.max()
+
+
+@pytest.mark.parametrize("plane", ["xy", "xz"])
+@pytest.mark.parametrize("stationary", [False, True])
+@pytest.mark.parametrize(
+    "strobe",
+    [StrobeConfig(t_phi_us=0.0), StrobeConfig(t_phi_us=299.0, jitter_frac=0.02)],
+)
+def test_pixels_far_off_the_orbit_raise_nothing(plane, stationary, strobe):
+    # 5 um outside and inside the orbit: every PSF term underflows to zero
+    with np.errstate(all="raise"):
+        for cx in (15.0, 5.0):
+            grid = small_grid(cx, 0.0, half=0.5, step=0.25)
+            grid = ScanGrid(grid.x_range_um, grid.y_range_um, grid.step_um, grid.dwell_ms, plane)
+            img = render_image(grid, SINGLE, G_DEFAULT, strobe, seed=7, stationary=stationary)
+            assert not img.counts.any()
+
+
+def test_counts_do_not_depend_on_block_size(monkeypatch):
+    strobe = StrobeConfig(t_phi_us=150.0)
+    grid = small_grid(-10.0, 0.0, half=1.0)
+    a = render_image(grid, SINGLE, G_DEFAULT, strobe, seed=8)
+    monkeypatch.setattr(imaging, "_BLOCK_ELEMENTS", 1000)
+    b = render_image(grid, SINGLE, G_DEFAULT, strobe, seed=8)
+    assert np.array_equal(a.counts, b.counts)
+
+
+def test_rotating_counts_are_over_dispersed():
+    # lambda varies with each pixel's cycles, so counts are negative
+    # binomial: Var[N] = E[lambda] + Var[lambda].  A bright emitter makes
+    # the excess over Poisson large (Fano ~1.4 at the peak).
+    emitters = EmitterSet.single(10.0, 0.0, brightness_cps=1e6)
+    strobe = StrobeConfig(t_phi_us=0.0)
+    grid = small_grid(10.0, 0.0, half=0.6, step=0.2)
+    mean, var = _pixel_moments(grid, emitters, G_DEFAULT, strobe)
+    counts = np.array([render_image(grid, emitters, G_DEFAULT, strobe, seed=s).counts for s in range(200)])
+    bright = mean > 0.1 * mean.max()
+    np.testing.assert_allclose(counts.mean(axis=0)[bright], mean[bright], rtol=0.05)
+    pooled = counts.var(axis=0, ddof=1)[bright].sum()
+    assert pooled / (mean + var)[bright].sum() == pytest.approx(1.0, abs=0.1)
+    assert pooled / mean[bright].sum() > 1.2
+
+
+def test_period_quadrature_refuses_an_unbounded_arc():
+    strobe = StrobeConfig(t_phi_us=150.0, jitter_frac=0.5)
+    with pytest.raises(ValidationError) as err:
+        render_image(small_grid(-10.0, 0.0, half=0.5), SINGLE, G_DEFAULT, strobe)
+    assert "strobe.jitter_frac" in str(err.value)
 
 
 def test_pixel_count_needs_no_coordinates():
