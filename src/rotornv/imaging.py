@@ -39,22 +39,30 @@ from .geometry import TWO_PI, RotorGeometry
 # Strobe samples (cycles x substeps) one pixel may integrate: ~200x the
 # default 200 ms dwell at 3.33 kHz.
 MAX_STROBE_SAMPLES = 1_000_000
-# Quadrature nodes over one cycle's period draws.  The jitter arc over the
+# Quadrature nodes over one cycle's period draws.  The strobed arc over the
 # PSF width sets the count: 4 for a strobe at the trigger edge, 20 at the
-# default 150 us, ~800 at 250 us with jitter_frac 0.02.
+# default 150 us, ~1200 at 150 us with jitter_frac 0.1 and ~2300 for an
+# emitter 1 mm off the axis.
 MAX_PERIOD_NODES = 20_000
 
-# P(|Z| > 8.5) ~ 2e-17 for a standard normal Z: the quadrature's range.
-_Z_TAIL = 8.5
+# P(|Z| > 6.5) ~ 8e-11 for a standard normal Z: the quadrature's range.
+_Z_TAIL = 6.5
 # Gauss-Hermite is used up to this many nodes; beyond, composite
-# Gauss-Legendre over panels at most _GL_PANEL / ratio wide (and never
-# wider than _GL_PANEL_MAX) is cheaper.  Both rules put the error of a
-# Gaussian arc profile below 1e-7 of its peak at any arc ratio.
+# Gauss-Legendre is cheaper: 12 nodes over a panel that sweeps at most
+# _GL_PANEL PSF standard deviations of arc (and is never wider than
+# _GL_PANEL_MAX in z), fewer, down to 4, over a panel cut short by a kink.
+# Both rules put the error of a Gaussian arc profile below 1e-8 of its peak.
 _GH_MAX_NODES = 64
-_GL_PANEL = 4.0
+_GL_PANEL = 6.0
 _GL_PANEL_MAX = 4.25
-_GL_X, _GL_W = leggauss(12)
-# Floats in one block's largest temporary (256 kB): bounds the peak memory.
+_GL_NODES = 12
+_GL_MIN_NODES = 4
+# The lowest z1 nodes of a spilling window, this much of the weight
+# together, keep p2 = T: each cycle term lies in [0, c], so no pixel's
+# moments move by more than this fraction of c (seen: < 1e-8 of the peak
+# at jitter_frac 0.1, where the spill carries 4e-7 of the weight).
+_RARE = 1e-6
+# Floats in one chunk's largest temporary (256 kB): bounds the peak memory.
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -193,100 +201,114 @@ def _cycles(grid: ScanGrid, g: RotorGeometry) -> int:
     return max(1, int(round(grid.dwell_ms * 1e-3 * g.f_rot_hz)))
 
 
+class _TooManyNodes(Exception):
+    """The period quadrature would exceed MAX_PERIOD_NODES."""
+
+
 @functools.lru_cache(maxsize=64)
 def _gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
     z, w = hermegauss(n)
     return z, w / math.sqrt(TWO_PI)
 
 
+_gauss_legendre = functools.lru_cache(maxsize=64)(leggauss)
+
+
 def _normal_rule(
-    ratio: float, breaks, limit: int, refine: int = 1
+    scale: float, floor: float, z_floor: float, jitter: float, breaks, limit: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for E[f(Z)], Z ~ N(0, 1), with weights summing to ~1.
 
-    ``f`` varies on the scale 1/``ratio`` in Z (the PSF width over the arc
-    swept per unit Z) and may have kinks at ``breaks``.  Without a kink in
-    [-_Z_TAIL, _Z_TAIL] and with a short arc, probabilists' Gauss-Hermite
-    integrates the normal weight exactly and needs the fewest nodes.
-    Otherwise composite Gauss-Legendre panels, split at every kink and no
-    wider than _GL_PANEL / ratio, take a node count linear in ``ratio``
-    (Gauss-Hermite's grows as ratio^2, and ``hermegauss`` returns NaN
-    weights at a few hundred nodes).  ``refine`` multiplies the node count;
-    a rule of more than ``limit`` nodes is refused before it is built.
+    ``f`` depends on a period T (1 + jitter Z) clipped at 0.1 T, so below
+    z_clip = -0.9 / jitter it is constant: that mass is one node.  Above,
+    f sweeps scale / (1 + jitter z)^2 PSF standard deviations of arc per
+    unit z (the strobe angle goes as T / period), at least ``floor`` below
+    ``z_floor``, and it may have kinks at ``breaks``.  Without a kink and
+    with a short arc, probabilists' Gauss-Hermite integrates the normal
+    weight exactly and needs the fewest nodes.  Otherwise composite
+    Gauss-Legendre panels, split at every kink, each sweep at most
+    _GL_PANEL standard deviations at their steep left end, so their count
+    follows the arc the strobe actually sweeps (Gauss-Hermite's grows as
+    its square, and ``hermegauss`` returns NaN weights at a few hundred
+    nodes).  A rule of more than ``limit`` nodes raises _TooManyNodes
+    before it is built.
     """
-    inside = sorted(b for b in breaks if -_Z_TAIL < b < _Z_TAIL)
-    n_gh = 1.0 if ratio == 0.0 else 3.0 + 7.0 * ratio + 8.0 * ratio * ratio
-    if not inside and n_gh <= _GH_MAX_NODES:
-        return _gauss_hermite(refine * math.ceil(n_gh))
-    width = _GL_PANEL / max(ratio, _GL_PANEL / _GL_PANEL_MAX) / refine
-    if not _GL_X.size * 2.0 * _Z_TAIL <= limit * width:
-        _refuse_nodes()
-    edges = [-_Z_TAIL, *inside, _Z_TAIL]
-    panels = [max(1, math.ceil((b - a) / width)) for a, b in zip(edges, edges[1:])]
-    if _GL_X.size * sum(panels) > limit:
-        _refuse_nodes()
-    cuts = np.concatenate(
-        [np.linspace(a, b, n + 1)[:-1] for a, b, n in zip(edges, edges[1:], panels)]
-        + [np.array([_Z_TAIL])]
-    )
-    half = 0.5 * np.diff(cuts)[:, None]
-    z = ((cuts[:-1, None] + half) + half * _GL_X).ravel()
-    w = (half * _GL_W).ravel() * np.exp(-0.5 * z**2) / math.sqrt(TWO_PI)
+    z_clip = -0.9 / jitter
+    lo = max(-_Z_TAIL, z_clip)
+    inside = sorted(b for b in breaks if lo < b < _Z_TAIL)
+    ratio = max(scale / (1.0 + jitter * lo) ** 2, floor if lo < z_floor else 0.0)
+    n_gh = 3.0 + 7.0 * ratio + 8.0 * ratio * ratio
+    if lo == -_Z_TAIL and not inside and n_gh <= _GH_MAX_NODES:
+        return _gauss_hermite(math.ceil(n_gh))
+    zs, ws = [], []
+    used = 0
+    x = lo
+    for b in [*inside, _Z_TAIL]:
+        while x < b:
+            ratio = max(
+                scale / (1.0 + jitter * x) ** 2, floor if x < z_floor else 0.0, _GL_PANEL / _GL_PANEL_MAX
+            )
+            end = min(b, x + _GL_PANEL / ratio)
+            # a panel cut short by a kink sweeps less arc and takes fewer nodes
+            n = max(_GL_MIN_NODES, math.ceil(_GL_NODES * (end - x) * ratio / _GL_PANEL))
+            used += n
+            if used > limit:
+                raise _TooManyNodes
+            gz, gw = _gauss_legendre(n)
+            zs.append(x + 0.5 * (end - x) * (gz + 1.0))
+            ws.append(0.5 * (end - x) * gw)
+            x = end
+    z = np.concatenate(zs)
+    w = np.concatenate(ws) * np.exp(-0.5 * z**2) / math.sqrt(TWO_PI)
+    if lo > -_Z_TAIL:  # the clipped periods
+        z = np.concatenate([[z_clip], z])
+        w = np.concatenate([[0.5 * math.erfc(-z_clip / math.sqrt(2.0))], w])
     return z, w
 
 
-def _refuse_nodes():
-    raise ValidationError(
-        f"strobe.jitter_frac spreads the strobed arc over too many PSF widths: the period "
-        f"draws need more than {MAX_PERIOD_NODES} quadrature nodes per cycle; lower strobe.jitter_frac"
-    )
-
-
 def _period_nodes(
-    t_in: np.ndarray, t_rot: float, jitter: float, arc_ratio: float, refine: int = 1
+    t_in: np.ndarray, t_rot: float, jitter: float, arc_ratio: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quadrature over one cycle's two period draws: (z1, z2, weight) per node.
 
     A period is T (1 + jitter z), clipped at 0.1 T.  At a delay ``t`` into
     the window the strobe sits at angle 2 pi t / p1, or, once the window
-    spills past the next edge (p1 <= t), at 2 pi (1 + (t - p1) / p2).  Both
-    the spill edge of each sample and the clip are kinks in z1, so they
-    split the panels.  Only z1 nodes where some sample spills carry a
-    second node set over z2; elsewhere p2 does not enter.  ``arc_ratio``
-    is the orbit radius over the PSF's standard deviation.  More than
-    MAX_PERIOD_NODES nodes in all are refused, naming strobe.jitter_frac.
+    spills past the next edge (p1 <= t), at 2 pi (1 + (t - p1) / p2).  The
+    spill edge of each sample is a kink in z1, so it splits the panels.
+    Only z1 nodes where some sample spills carry a second node set over
+    z2; elsewhere p2 does not enter.  ``arc_ratio`` is the orbit radius
+    over the PSF's standard deviation.  More than MAX_PERIOD_NODES nodes
+    in all raise _TooManyNodes before they are built.
     """
     if jitter == 0.0:
         return np.zeros(1), np.zeros(1), np.ones(1)
-    z_clip = -0.9 / jitter
-    z_lo = max(-_Z_TAIL, z_clip)
-    # T/p changes fastest at the shortest unclipped period
-    stretch = 1.0 / (1.0 + jitter * z_lo) ** 2
+    arc = arc_ratio * TWO_PI * jitter  # arc per unit z of a whole turn, at the mean period
+    p_min = t_rot * max(1.0 - jitter * _Z_TAIL, 0.1)
     t_max = float(t_in.max())
-    spill_breaks = (t_in / t_rot - 1.0) / jitter
-    spill_breaks = spill_breaks[spill_breaks >= z_clip]  # below, p1 = 0.1 T exceeds t
-    spills = spill_breaks.size > 0 and spill_breaks.max() > -_Z_TAIL
-    turns = max(t_max, t_rot) / t_rot if spills else t_max / t_rot
-    ratio1 = arc_ratio * TWO_PI * turns * jitter * stretch
-    z1, w1 = _normal_rule(ratio1, [*spill_breaks, z_clip], MAX_PERIOD_NODES, refine)
+    spills = t_max >= p_min
+    # below the last spill edge a spilled sample sweeps 2 pi T / p2 per unit
+    # z1, fastest at the shortest p2
+    spill_edges = (t_in / t_rot - 1.0) / jitter
+    z1, w1 = _normal_rule(
+        arc * t_max / t_rot, arc * t_rot / p_min, spill_edges.max(), jitter, spill_edges, MAX_PERIOD_NODES
+    )
     if not spills:
         return z1, np.zeros_like(z1), w1
     # The spill arc 2 pi (t - p1) / p2 is short, since t - p1 is a few
     # jitter periods, so each z1 node gets its own second node set.  The
-    # earliest nodes, 1e-9 of the weight together, keep p2 = T.
+    # earliest nodes, _RARE of the weight together, keep p2 = T.
     p1 = t_rot * np.maximum(1.0 + jitter * z1, 0.1)
-    rare = np.cumsum(w1) < 1e-9  # z1 ascends
+    rare = np.cumsum(w1) < _RARE  # z1 ascends
     zs, z2s, ws = [], [], []
     used = 0
     for z, w, p, r in zip(z1, w1, p1, rare):
         if p > t_max or r:
             z2, w2 = np.zeros(1), np.ones(1)
         else:
-            ratio2 = arc_ratio * TWO_PI * (t_max - p) / t_rot * jitter * stretch
-            z2, w2 = _normal_rule(ratio2, [z_clip], MAX_PERIOD_NODES - used, refine)
+            z2, w2 = _normal_rule(arc * (t_max - p) / t_rot, 0.0, 0.0, jitter, (), MAX_PERIOD_NODES - used)
         used += z2.size
         if used > MAX_PERIOD_NODES:
-            _refuse_nodes()
+            raise _TooManyNodes
         zs.append(np.full(z2.size, z))
         z2s.append(z2)
         ws.append(w * w2)
@@ -302,7 +324,6 @@ def _pixel_moments(
     stationary: bool = False,
     substeps: int = 7,
     axial_psf_factor: float = 3.0,
-    refine: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and variance of every pixel's expected count, shape (ny, nx) each.
 
@@ -317,9 +338,11 @@ def _pixel_moments(
                      - (a1+a2)^2/4(v+2s^2) - (a1-a2)^2/4v),
 
     the pair term kept as one exponent, which cannot overflow.  The period
-    draws enter through :func:`_period_nodes`.  Pixels are taken in blocks
-    to bound the temporaries, and a node whose every strobe sample lies
-    e^-40 below the peak at a pixel is skipped there.
+    draws enter through :func:`_period_nodes`.  Only pixel-node pairs with
+    a strobe sample above e^-40 of its peak at the pixel enter either
+    moment, and only sample pairs whose samples both are; they are taken
+    in chunks that bound the temporaries, and summed in one order, so the
+    sums do not depend on the chunk size.
     """
     xs, ys = grid.x_coords_um, grid.y_coords_um
     n_cycles = _cycles(grid, g)
@@ -347,7 +370,15 @@ def _pixel_moments(
     u = (np.arange(substeps) + 0.5) * (strobe.t_pulse_us / substeps)
     t_in = strobe.t_phi_us - full_turns * t_rot + u  # time since the arming edge
     arc_ratio = (float(radii.max()) + 3.0 * math.sqrt(v + s2)) / math.sqrt(v)
-    z1, z2, w = _period_nodes(t_in, t_rot, strobe.jitter_frac, arc_ratio, refine)
+    try:
+        z1, z2, w = _period_nodes(t_in, t_rot, strobe.jitter_frac, arc_ratio)
+    except _TooManyNodes:
+        raise ValidationError(
+            f"strobe.jitter_frac = {strobe.jitter_frac:g} with an emitter at radius "
+            f"{radii.max():g} um spreads the strobed arc over too many PSF widths: the period "
+            f"draws need more than {MAX_PERIOD_NODES} quadrature nodes per cycle; lower "
+            "strobe.jitter_frac or the emitter radius"
+        ) from None
     p1 = t_rot * np.maximum(1.0 + strobe.jitter_frac * z1, 0.1)[:, None]
     p2 = t_rot * np.maximum(1.0 + strobe.jitter_frac * z2, 0.1)[:, None]
     theta = TWO_PI * np.where(t_in < p1, t_in / p1, 1.0 + (t_in - p1) / p2)  # (nodes, substeps)
@@ -358,75 +389,65 @@ def _pixel_moments(
     gy = np.broadcast_to(lat_y[:, None], (ys.size, xs.size)).ravel()
     px = gx[:, None] * np.cos(phases0) + gy[:, None] * np.sin(phases0)  # (pixels, n_e)
     py = gy[:, None] * np.cos(phases0) - gx[:, None] * np.sin(phases0)
-    q2 = px**2 + py**2
-    n_e = radii.size
-    ci = np.repeat(c / substeps, substeps)  # one coefficient per strobe sample (e, k)
-    # sample pairs i <= j, grouped by their emitters e <= f: a pair counts
-    # only where both emitters' samples reach the pixel
-    ii, jj = np.triu_indices(ci.size)
-    pairs = []
-    for e, f in zip(*np.triu_indices(n_e)):
-        sel = (ii // substeps == e) & (jj // substeps == f)
-        i, j = ii[sel], jj[sel]
-        pairs.append((e, f, i, j, ci[i] * ci[j] * np.where(i == j, 1.0, 2.0)))
+    q2 = np.repeat(px**2 + py**2, substeps, axis=1)
+    n_s = radii.size * substeps  # strobe samples (e, k)
+    ci = np.repeat(c / substeps, substeps)
     r_ek = np.repeat(radii, substeps)
+    ii, jj = np.triu_indices(n_s)  # sample pairs i <= j
+    coef = ci[ii] * ci[jj] * np.where(ii == jj, 1.0, 2.0)
 
-    # A sample at polar angle alpha lies e^-40 below its peak at a pixel
+    # A sample at lab angle alpha is e^-40 below its peak at the pixel
     # (rho, psi) unless rho |sin(alpha - psi)| < sqrt(80 v), and, when every
     # orbit is wider than the radial reach sqrt(80 (v + 2 s^2)), unless
-    # alpha is on the pixel's side.  So a block of pixels sorted by polar
-    # angle needs only the nodes with a sample in its angular range widened
-    # by asin(sqrt(80 v) / rho_min).  A node's samples lie within `span` of
-    # its arc centre, since the angle grows with the delay.  Only
-    # pixel-node pairs above e^-40 enter either moment, so the sums do not
-    # depend on the blocks.
-    centre = 0.5 * (theta[:, :1] + theta[:, -1:]) + phases0  # (nodes, n_e)
-    span = 0.5 * float(np.max(theta[:, -1] - theta[:, 0]))
-    psi, rho = np.arctan2(gy, gx), np.hypot(gx, gy)
+    # rho cos(alpha - psi) > 0.  A node's samples lie on the arc from its
+    # first to its last (the angle grows with the delay); along an arc
+    # shorter than pi both tests pass somewhere only if they pass at an
+    # end or the arc crosses the pixel's line of sight.  Pixel-node pairs
+    # that fail are dropped before any sample is evaluated.
     reach = math.sqrt(80.0 * v)
     one_sided = radii.min() > math.sqrt(80.0 * (v + 2.0 * s2))
-    order = np.argsort(psi, kind="stable")
-    block = max(1, _BLOCK_ELEMENTS // (w.size * ci.size))
+    long_arc = float(np.max(theta[:, -1] - theta[:, 0])) >= math.pi
+    first, last = theta[:, :1] + phases0, theta[:, -1:] + phases0  # (nodes, n_e)
+    cos_f, sin_f, cos_l, sin_l = np.cos(first), np.sin(first), np.cos(last), np.sin(last)
+
+    # Each candidate's samples then enter: a candidate whose samples all
+    # fall e^-40 below the peak is skipped, and so is each sample pair
+    # with a sample that does, since the pair exponent is at most the sum
+    # of the samples' g.  A pixel block's terms are summed by one bincount
+    # in (pixel, node) order, so the sums do not depend on the block size.
+    cross = 1.0 / (2.0 * v) - 1.0 / (2.0 * (v + 2.0 * s2))
+    step = max(1, _BLOCK_ELEMENTS // cos_f.size)
+    pair_step = max(1, _BLOCK_ELEMENTS // ii.size)
     m1 = np.zeros(gx.size)
     m2 = np.zeros(gx.size)
-    for lo in range(0, gx.size, block):
-        idx = order[lo : lo + block]
-        nodes = np.arange(w.size)
-        if one_sided and rho[idx].min() > reach:
-            mid = 0.5 * (psi[idx[0]] + psi[idx[-1]])
-            half = 0.5 * (psi[idx[-1]] - psi[idx[0]]) + math.asin(reach / rho[idx].min()) + span
-            off = np.abs((centre - mid + math.pi) % TWO_PI - math.pi)
-            nodes = np.flatnonzero((off <= half).any(axis=1))
-            if not nodes.size:
-                continue
-        qu = px[idx, None, :, None] * cos_t[nodes, None, :] + py[idx, None, :, None] * sin_t[nodes, None, :]
-        qu = qu.reshape(idx.size, nodes.size, n_e * substeps)  # (pixels, nodes, samples)
-        a = r_ek - qu
-        h2 = np.repeat(q2[idx], substeps, axis=1)[:, None, :] - qu**2
-        # the pair exponent is at most the sum of the samples' g
-        g = -h2 / (2.0 * v) - a**2 / (2.0 * (v + 2.0 * s2))
-        pix, node = np.nonzero(np.max(g, axis=2) > -40.0)
-        a, h2, wn = a[pix, node], h2[pix, node], w[nodes[node]]  # (kept, samples)
-        near = np.max(g[pix, node].reshape(pix.size, n_e, substeps), axis=2) > -40.0
-        one = (np.exp(-h2 / (2.0 * v) - a**2 / (2.0 * (v + s2))) * ci).sum(axis=1)
-        pair = np.zeros(pix.size)
-        for e, f, i, j, coef in pairs:
-            rows = np.flatnonzero(near[:, e] & near[:, f])
-            step = max(1, _BLOCK_ELEMENTS // coef.size)
-            for k in range(0, rows.size, step):
-                r = rows[k : k + step]
-                ar, hr = a[r], h2[r]
-                ai, aj = ar[:, i], ar[:, j]
-                pair[r] += (
-                    np.exp(
-                        -(hr[:, i] + hr[:, j]) / (2.0 * v)
-                        - (ai + aj) ** 2 / (4.0 * (v + 2.0 * s2))
-                        - (ai - aj) ** 2 / (4.0 * v)
-                    )
-                    * coef
-                ).sum(axis=1)
-        m1[idx] = np.bincount(pix, weights=one * wn, minlength=idx.size)
-        m2[idx] = np.bincount(pix, weights=pair * wn, minlength=idx.size)
+    for lo in range(0, gx.size, step):
+        x, y = gx[lo : lo + step, None, None], gy[lo : lo + step, None, None]
+        lat_f, lat_l = x * sin_f - y * cos_f, x * sin_l - y * cos_l  # (pixels, nodes, n_e)
+        near = (lat_f * lat_l <= 0.0) | (np.minimum(np.abs(lat_f), np.abs(lat_l)) < reach) | long_arc
+        if one_sided:
+            near &= (x * cos_f + y * sin_f > 0.0) | (x * cos_l + y * sin_l > 0.0) | long_arc
+        pix, node = np.nonzero(near.any(axis=2))
+        pix += lo
+        kept, one, pair = [np.zeros(0, dtype=int)], [np.zeros(0)], [np.zeros(0)]  # no candidate: zeros
+        for k0 in range(0, pix.size, pair_step):
+            p, n = pix[k0 : k0 + pair_step], node[k0 : k0 + pair_step]
+            qu = (px[p, :, None] * cos_t[n, None, :] + py[p, :, None] * sin_t[n, None, :]).reshape(p.size, n_s)
+            a = r_ek - qu
+            h2 = q2[p] - qu**2
+            near = -h2 / (2.0 * v) - a**2 / (2.0 * (v + 2.0 * s2)) > -40.0  # (candidates, samples)
+            k = near.any(axis=1)
+            a, h2, near, wn = a[k], h2[k], near[k], w[n[k]]
+            kept.append(p[k] - lo)
+            one.append((np.exp(-h2 / (2.0 * v) - a**2 / (2.0 * (v + s2))) * ci).sum(axis=1) * wn)
+            # the pair exponent, expanded: half[i] + half[j] + cross a_i a_j
+            half = -h2 / (2.0 * v) - a**2 * (1.0 / (4.0 * (v + 2.0 * s2)) + 1.0 / (4.0 * v))
+            r, q = np.nonzero(near[:, ii] & near[:, jj])
+            i, j = ii[q], jj[q]
+            exponent = half[r, i] + half[r, j] + cross * a[r, i] * a[r, j]
+            pair.append(np.bincount(r, weights=np.exp(exponent) * coef[q], minlength=wn.size) * wn)
+        kept = np.concatenate(kept)
+        m1[lo : lo + step] = np.bincount(kept, weights=np.concatenate(one), minlength=x.shape[0])
+        m2[lo : lo + step] = np.bincount(kept, weights=np.concatenate(pair), minlength=x.shape[0])
     m1 *= math.sqrt(v / (v + s2))
     m2 *= math.sqrt(v / (v + 2.0 * s2))
     dz = np.repeat(np.exp(depth_arg), xs.size)

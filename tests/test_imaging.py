@@ -315,14 +315,20 @@ def test_clipped_periods_match_oracle():
         (250.0, 0.02, 0.4243),  # a long jitter arc: composite Gauss-Legendre
         (1180.0, 0.004, 0.4243),
         (299.0, 0.004, 0.4243),  # the window spills: a second period node set
+        (150.0, 0.1, 0.4243),  # panels follow the local slope of T / period
     ],
 )
-def test_period_node_rule_matches_four_times_the_nodes(t_phi_us, jitter_frac, wobble_amp_um):
+def test_period_node_rule_matches_four_times_the_nodes(monkeypatch, t_phi_us, jitter_frac, wobble_amp_um):
     strobe = StrobeConfig(t_phi_us=t_phi_us, jitter_frac=jitter_frac, wobble_amp_um=wobble_amp_um)
     ang = TWO_PI * G_DEFAULT.f_rot_hz * t_phi_us * 1e-6
     grid = small_grid(10.0 * math.cos(ang), 10.0 * math.sin(ang), half=1.5, step=0.15)
     mean, var = _pixel_moments(grid, SINGLE, G_DEFAULT, strobe)
-    mean4, var4 = _pixel_moments(grid, SINGLE, G_DEFAULT, strobe, refine=4)
+    # the reference: composite Gauss-Legendre everywhere, panels 4x narrower
+    monkeypatch.setattr(imaging, "_GH_MAX_NODES", 0)
+    monkeypatch.setattr(imaging, "_GL_PANEL", imaging._GL_PANEL / 4.0)
+    monkeypatch.setattr(imaging, "_GL_PANEL_MAX", imaging._GL_PANEL_MAX / 4.0)
+    monkeypatch.setattr(imaging, "MAX_PERIOD_NODES", 100_000)
+    mean4, var4 = _pixel_moments(grid, SINGLE, G_DEFAULT, strobe)
     assert np.abs(mean - mean4).max() <= 1e-6 * mean4.max()
     assert np.abs(var - var4).max() <= 1e-6 * var4.max()
 
@@ -334,9 +340,10 @@ def test_period_node_rule_matches_four_times_the_nodes(t_phi_us, jitter_frac, wo
     [StrobeConfig(t_phi_us=0.0), StrobeConfig(t_phi_us=299.0, jitter_frac=0.02)],
 )
 def test_pixels_far_off_the_orbit_raise_nothing(plane, stationary, strobe):
-    # 5 um outside and inside the orbit: every PSF term underflows to zero
+    # 5 um outside and inside the orbit, and across the axis: every PSF
+    # term underflows to zero
     with np.errstate(all="raise"):
-        for cx in (15.0, 5.0):
+        for cx in (15.0, 5.0, -10.0):
             grid = small_grid(cx, 0.0, half=0.5, step=0.25)
             grid = ScanGrid(grid.x_range_um, grid.y_range_um, grid.step_um, grid.dwell_ms, plane)
             img = render_image(grid, SINGLE, G_DEFAULT, strobe, seed=7, stationary=stationary)
@@ -368,11 +375,29 @@ def test_rotating_counts_are_over_dispersed():
     assert pooled / mean[bright].sum() > 1.2
 
 
-def test_period_quadrature_refuses_an_unbounded_arc():
-    strobe = StrobeConfig(t_phi_us=150.0, jitter_frac=0.5)
+@pytest.mark.parametrize("jitter_frac", [0.1, 0.11])
+def test_wide_jitter_renders(jitter_frac):
+    # at the default delay the shortest periods sweep the strobe ~8x (0.1)
+    # and ~12x (0.11) faster per unit z than the mean one; panels sized by
+    # that steepest slope alone would need more than MAX_PERIOD_NODES at 0.11
+    strobe = StrobeConfig(t_phi_us=150.0, jitter_frac=jitter_frac)
+    img = render_image(small_grid(-10.0, 0.0, half=1.0), SINGLE, G_DEFAULT, strobe, seed=9)
+    assert img.counts.sum() > 0
+
+
+@pytest.mark.parametrize(
+    "strobe, emitters",
+    [
+        (StrobeConfig(t_phi_us=150.0, jitter_frac=0.5), SINGLE),
+        (StrobeConfig(t_phi_us=150.0), EmitterSet.single(20_000.0, 0.0)),
+    ],
+)
+def test_period_quadrature_refuses_an_unbounded_arc(strobe, emitters):
+    x, y = emitters.emitters[0].position_um[:2]
     with pytest.raises(ValidationError) as err:
-        render_image(small_grid(-10.0, 0.0, half=0.5), SINGLE, G_DEFAULT, strobe)
+        render_image(small_grid(x, y, half=0.5), emitters, G_DEFAULT, strobe)
     assert "strobe.jitter_frac" in str(err.value)
+    assert f"radius {math.hypot(x, y):g} um" in str(err.value)
 
 
 def test_pixel_count_needs_no_coordinates():
