@@ -58,8 +58,8 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _parse_scan(text: str) -> np.ndarray:
-    """Scan values: either 'start:stop:n' (inclusive linspace) or a comma list."""
+def _parse_scan(text: str, flag: str) -> np.ndarray:
+    """Scan values of ``flag``: either 'start:stop:n' (inclusive linspace) or a comma list."""
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise ValidationError(f"scan {text!r} must be start:stop:n or a comma list")
@@ -78,6 +78,8 @@ def _parse_scan(text: str) -> np.ndarray:
         return np.array(values)
     if n < 1:
         raise ValidationError("scan point count must be >= 1")
+    if n > pipeline.MAX_SCAN_POINTS:
+        raise ValidationError(f"{flag} {text!r}: {n} points, more than {pipeline.MAX_SCAN_POINTS}")
     return np.linspace(values[0], values[1], n)
 
 
@@ -102,7 +104,7 @@ def _parse_emitters(text: str, default_cps: float) -> EmitterSet:
 
 def cmd_simulate_rabi(args) -> int:
     cfg = _load_effective_config(args)
-    durations = _parse_scan(args.durations)
+    durations = _parse_scan(args.durations, "--durations")
     data, meta = pipeline.simulate_rabi_scan(
         cfg,
         durations,
@@ -122,7 +124,7 @@ def cmd_simulate_rabi(args) -> int:
 
 def cmd_simulate_echo(args) -> int:
     cfg = _load_effective_config(args)
-    taus = _parse_scan(args.tau)
+    taus = _parse_scan(args.tau, "--tau")
     data, meta = pipeline.simulate_echo_scan(
         cfg,
         taus,

@@ -343,6 +343,11 @@ def _initial_candidates(data: EchoDataset, model: EchoFitModel, b_max: float):
     return candidates
 
 
+def _check_max_iter(max_iter: int) -> None:
+    if max_iter < 1:
+        raise ValidationError(f"--max-iter (max_iter) must be >= 1, got {max_iter}")
+
+
 def fit_echo(
     data: EchoDataset,
     model: EchoFitModel | None = None,
@@ -370,6 +375,9 @@ def fit_echo(
     IdentifiabilityError
         If the Jacobian at the optimum is numerically rank-deficient.
     """
+    if not (math.isfinite(b_max) and b_max > 0):
+        raise ValidationError(f"--b-max (b_max) must be finite and positive, got {b_max}")
+    _check_max_iter(max_iter)
     if model is None:
         model = EchoFitModel()
     if len(data) < 8:
@@ -533,6 +541,7 @@ def fit_rabi(data: EchoDataset, initial: dict | None = None, max_iter: int = 200
     (contrast, baseline) pair solved exactly per candidate.  Data that do
     not constrain the frequency (zero contrast) raise IdentifiabilityError.
     """
+    _check_max_iter(max_iter)
     if len(data) < 6:
         raise ValidationError("fit_rabi needs at least 6 data points")
     span = float(data.tau_us[-1] - data.tau_us[0])

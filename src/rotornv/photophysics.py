@@ -520,6 +520,20 @@ def _window_counts(
     return cumulative[-1]
 
 
+def spin_window_counts(
+    g: RotorGeometry,
+    b: BeamProfile,
+    m: RateModel,
+    t_pulse_us: float,
+    turn_on_offset_us: float,
+    window_us: float,
+) -> tuple[float, float]:
+    """Expected per-shot early-window counts (bright m_S = 0, dark m_S = -1), one transit pass."""
+    spins = np.column_stack([LevelPopulations.ms0().as_array(), LevelPopulations.ms1().as_array()])
+    bright, dark = _window_counts(g, b, m, t_pulse_us, turn_on_offset_us, window_us, spins)
+    return float(bright), float(dark)
+
+
 def expected_window_counts(
     g: RotorGeometry,
     b: BeamProfile,
@@ -555,10 +569,9 @@ def optimal_turn_on(
         return 0.0
     if offsets_us is None:
         offsets_us = np.linspace(-1.5 * t_pulse_us, 0.75 * t_pulse_us, 37)
-    spins = np.column_stack([LevelPopulations.ms0().as_array(), LevelPopulations.ms1().as_array()])
     best_offset, best_snr = 0.0, -np.inf
     for off in np.asarray(offsets_us, dtype=float):
-        bright, dark = _window_counts(g, b, m, t_pulse_us, off, window_us, spins)
+        bright, dark = spin_window_counts(g, b, m, t_pulse_us, off, window_us)
         if bright <= 0:
             continue
         contrast = 1.0 - dark / bright

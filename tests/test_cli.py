@@ -17,6 +17,7 @@ from rotornv.cli import main
 from rotornv.config import apply_overrides, config_from_dict
 from rotornv.errors import ValidationError
 from rotornv.estimation import EchoDataset, fit_rabi
+from rotornv.photophysics import LevelPopulations, expected_window_counts
 
 
 def run_cli(args, **kw):
@@ -144,6 +145,54 @@ class TestPipeline:
             batched = pipeline.echo_populations(cfg, axis, ideal_pulses=ideal)
             oracle = [pipeline.echo_population(cfg, t, ideal_pulses=ideal) for t in axis]
         assert np.max(np.abs(batched - np.array(oracle))) <= 1e-12
+
+    @pytest.mark.parametrize("draw", range(4))
+    def test_window_response_matches_separate_passes(self, draw):
+        # draw 0 is the default config; the others draw waist, orbit radius and turn-on
+        overrides = []
+        if draw:
+            rng = np.random.default_rng(draw)
+            overrides = [
+                f"beam.waist_diameter_1e2_um={rng.uniform(0.4, 1.2)}",
+                f"geometry.r_nv_um={rng.uniform(1.0, 20.0)}",
+                f"protocol.turn_on_offset_us={rng.uniform(-1.5, 0.5)}",
+            ]
+        cfg = apply_overrides(config_from_dict({}), overrides)
+        resp = pipeline.window_response(cfg)
+        for got, initial in ((resp.n_bright, LevelPopulations.ms0()),
+                             (resp.n_dark, LevelPopulations.ms1())):
+            want = expected_window_counts(
+                cfg.geometry, cfg.beam, cfg.rates, cfg.strobe.t_pulse_us,
+                cfg.protocol.turn_on_offset_us, cfg.protocol.readout_window_us, initial,
+            )
+            assert abs(got - want) <= 1e-15 * abs(want)
+
+    def test_sample_scan_repeats_per_stream(self, cfg_default):
+        resp = pipeline.window_response(cfg_default)
+        p1 = np.linspace(0.0, 1.0, 50)
+        a = pipeline._sample_scan(p1, resp, 1000, 7, 17)
+        b = pipeline._sample_scan(p1, resp, 1000, 7, 17)
+        c = pipeline._sample_scan(p1, resp, 1000, 7, 29)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        assert not np.array_equal(a[0], c[0])
+
+    def test_sample_scan_statistics(self):
+        # ~1e6 counts per window, so E[s/r] and E[s]/E[r] differ by ~1e-6,
+        # far below the standard error of the mean over 20 000 points
+        resp = pipeline.WindowResponse(n_bright=10.0, n_dark=7.0)
+        p, shots, n = 0.3, 100_000, 20_000
+        signal, sigma = pipeline._sample_scan(np.full(n, p), resp, shots, 3, 17)
+        expected = float(resp.expected(p)) / resp.n_bright
+        assert abs(signal.mean() - expected) <= 4.0 * signal.std(ddof=1) / math.sqrt(n)
+        # the std of the sample std is ~0.5 % at n = 20 000; allow 5 %
+        assert signal.std(ddof=1) == pytest.approx(sigma.mean(), rel=0.05)
+
+    @pytest.mark.parametrize("scan, name", [("rabi", "durations_us"), ("echo", "tau_list")])
+    def test_oversized_scan_refused_before_any_array(self, cfg_default, scan, name):
+        axis = range(pipeline.MAX_SCAN_POINTS + 1)
+        run = pipeline.simulate_rabi_scan if scan == "rabi" else pipeline.simulate_echo_scan
+        with pytest.raises(ValidationError, match=name):
+            run(cfg_default, axis)
 
     def test_batched_scan_rejects_overlap_like_oracle(self):
         # a 500 us pi pulse at the trigger overruns the variable pulse at T_rot/2
@@ -381,9 +430,24 @@ def test_readout_window_longer_than_strobe_exit_2(capsys):
         (["simulate-image", "--emitters", "10"], "--emitters"),
         (["simulate-image", "--emitters", "1,2,3,4"], "--emitters"),
         (["simulate-image", "--emitters", "nan,0"], "--emitters"),
+        # a 1e8-point scan was killed for memory (exit 137)
+        (["simulate-rabi", "--durations", "0:1:100000000"], "--durations"),
+        (["simulate-echo", "--tau", "2:5:1000001"], "--tau"),
+        (["fit", "DATASET", "--b-max", "nan"], "--b-max"),
+        (["fit", "DATASET", "--b-max", "-1"], "--b-max"),
+        (["fit", "DATASET", "--b-max", "0"], "--b-max"),
+        (["fit", "DATASET", "--max-iter", "0"], "--max-iter"),
+        (["fit", "DATASET", "--max-iter", "-3"], "--max-iter"),
+        (["fit", "DATASET", "--model", "rabi", "--max-iter", "0"], "--max-iter"),
+        (["fit", "DATASET", "--model", "rabi", "--max-iter", "-3"], "--max-iter"),
     ],
 )
-def test_bad_cli_flag_exit_2(argv, flag, capsys):
+def test_bad_cli_flag_exit_2(argv, flag, tmp_path, capsys):
+    # DATASET stands for a well-formed 16-point dataset
+    dataset = tmp_path / "scan.dat"
+    tau = np.linspace(0.0, 1.1, 16)
+    dataset.write_text("".join(f"{t} {0.8 + 0.1 * math.cos(9.0 * t)} 0.01\n" for t in tau))
+    argv = [str(dataset) if a == "DATASET" else a for a in argv]
     code, err = _main_exit(argv, capsys)
     assert code == 2
     assert err.startswith("error:") and flag in err
