@@ -40,6 +40,7 @@ from .seqlang import (
     CalibrationTable,
     PulseTimeline,
     SequenceProgram,
+    TimelineBatch,
     TimelineEvent,
     build_calibration,
     compile_timeline,

@@ -59,10 +59,14 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _parse_scan(text: str, flag: str) -> np.ndarray:
-    """Scan values of ``flag``: either 'start:stop:n' (inclusive linspace) or a comma list."""
+    """Scan values of ``flag``: either 'start:stop:n' (inclusive linspace) or a comma list.
+
+    Every refusal names ``flag``.
+    """
+    where = f"{flag} {text!r}"
     parts = text.split(":")
     if len(parts) not in (1, 3):
-        raise ValidationError(f"scan {text!r} must be start:stop:n or a comma list")
+        raise ValidationError(f"{where} must be start:stop:n or a comma list")
     try:
         if len(parts) == 3:
             values = [float(parts[0]), float(parts[1])]
@@ -70,16 +74,16 @@ def _parse_scan(text: str, flag: str) -> np.ndarray:
         else:
             values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
-        raise ValidationError(f"scan {text!r}: {exc}") from exc
+        raise ValidationError(f"{where}: {exc}") from exc
     bad = [v for v in values if not math.isfinite(v)]
     if bad:
-        raise ValidationError(f"scan {text!r}: value {bad[0]} is not finite")
+        raise ValidationError(f"{where}: value {bad[0]} is not finite")
     if len(parts) == 1:
         return np.array(values)
     if n < 1:
-        raise ValidationError("scan point count must be >= 1")
+        raise ValidationError(f"{where}: point count must be >= 1")
     if n > pipeline.MAX_SCAN_POINTS:
-        raise ValidationError(f"{flag} {text!r}: {n} points, more than {pipeline.MAX_SCAN_POINTS}")
+        raise ValidationError(f"{where}: {n} points, more than {pipeline.MAX_SCAN_POINTS}")
     return np.linspace(values[0], values[1], n)
 
 

@@ -2,10 +2,9 @@
 
 A scan is evaluated in one batch: the calibration is built once, the
 timelines of all points are built as arrays (no program text), and one
-call of :func:`spindyn.simulate_batch` gives every P(m_S = -1).  The
-per-point chain (program text -> parse -> compile -> simulate_sequence,
-in :func:`rabi_population_pipeline` and :func:`echo_population`) is kept
-as the test oracle of the batched scans.
+call of :func:`spindyn.simulate_sequence`, the one simulator, gives every
+P(m_S = -1).  The tests check the scans against an independent oracle
+that integrates the Bloch equation through each compiled point.
 
 Each scan point's final spin state is converted into expected
 early-window photon counts through the transit readout model,
@@ -99,36 +98,16 @@ def _calibration(cfg: ExperimentConfig) -> seqlang.CalibrationTable:
     )
 
 
-def echo_population(
-    cfg: ExperimentConfig, tau_us: float, ideal_pulses: bool = True
-) -> float:
-    """P(m_S = -1) at readout after a tau echo, bath envelope applied (per-point oracle)."""
-    g, f, c = cfg.geometry, cfg.field_cfg, cfg.constants
-    _check_tau_below_period(tau_us, g)
-    if ideal_pulses:
-        timeline = seqlang.ideal_echo_timeline(tau_us, g.t_rot_us, cfg.strobe.t_pulse_us)
-    else:
-        cal = _calibration(cfg)
-        prog = seqlang.parse_sequence(
-            seqlang.echo_program(tau_us, g, cal, cfg.strobe.t_pulse_us)
-        )
-        timeline = seqlang.compile_timeline(prog, g, cal)
-    traj = spindyn.simulate_sequence(timeline, g, f, c)
-    z = traj[-1][1].bloch[2]
-    env = spindyn.c13_envelope(echo_params_from_config(cfg), c, tau_us)
-    return 0.5 * (1.0 - z * env)
-
-
 def echo_populations(cfg: ExperimentConfig, tau_us, ideal_pulses: bool = True) -> np.ndarray:
-    """:func:`echo_population` for every tau of a scan, in one batched pass."""
+    """P(m_S = -1) at readout after a tau echo, bath envelope applied, for every tau of a scan."""
     g, f, c = cfg.geometry, cfg.field_cfg, cfg.constants
     tau = np.asarray(tau_us, dtype=float)
     _check_tau_below_period(tau, g)
     if ideal_pulses:
-        batch = seqlang.ideal_echo_batch(tau, g.t_rot_us, cfg.strobe.t_pulse_us)
+        batch = seqlang.ideal_echo_timeline(tau, g.t_rot_us, cfg.strobe.t_pulse_us)
     else:
         batch = seqlang.echo_batch(tau, g, _calibration(cfg), cfg.strobe.t_pulse_us)
-    z = spindyn.simulate_batch(batch, g, f, c)[:, 2]
+    z = spindyn.simulate_sequence(batch, g, f, c)[:, 2]
     env = spindyn.c13_envelope(echo_params_from_config(cfg), c, tau)
     return 0.5 * (1.0 - z * env)
 
@@ -215,28 +194,12 @@ def _rabi_pulse_at(cfg: ExperimentConfig, pulse_at: str) -> dict:
     raise ValidationError("pulse_at must be 'start' or 'half'")
 
 
-def rabi_population_pipeline(
-    cfg: ExperimentConfig,
-    duration_us: float,
-    pulse_at: str = "start",
-) -> float:
-    """P(m_S = -1) after a single variable pulse at t = 0 or t = T_rot/2 (per-point oracle)."""
-    g, f, c = cfg.geometry, cfg.field_cfg, cfg.constants
-    cal = _calibration(cfg)
-    text = seqlang.rabi_program(
-        duration_us, g, cfg.strobe.t_pulse_us, **_rabi_pulse_at(cfg, pulse_at)
-    )
-    timeline = seqlang.compile_timeline(seqlang.parse_sequence(text), g, cal)
-    traj = spindyn.simulate_sequence(timeline, g, f, c)
-    return traj[-1][1].population_ms1
-
-
 def rabi_populations(cfg: ExperimentConfig, durations_us, pulse_at: str = "start") -> np.ndarray:
-    """:func:`rabi_population_pipeline` for every duration of a scan, in one batched pass."""
+    """P(m_S = -1) after a single variable pulse at t = 0 or t = T_rot/2, for every duration."""
     g, f, c = cfg.geometry, cfg.field_cfg, cfg.constants
     where = _rabi_pulse_at(cfg, pulse_at)
     batch = seqlang.rabi_batch(durations_us, g, _calibration(cfg), cfg.strobe.t_pulse_us, **where)
-    return 0.5 * (1.0 - spindyn.simulate_batch(batch, g, f, c)[:, 2])
+    return 0.5 * (1.0 - spindyn.simulate_sequence(batch, g, f, c)[:, 2])
 
 
 def simulate_rabi_scan(

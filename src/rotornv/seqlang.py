@@ -505,33 +505,33 @@ class PulseTimeline:
             )
         return "\n".join(lines)
 
+    def batch(self) -> "TimelineBatch":
+        """This timeline as a batch of one, its events in time order.
 
-def validate_timeline(timeline: PulseTimeline) -> None:
-    """Check channel-wise strict ordering and non-overlap; raises naming both events."""
-    by_channel: dict[str, list[TimelineEvent]] = {}
-    for e in timeline.events:
-        if e.start_us < 0 or e.duration_us < 0:
-            raise ValidationError(f"event {e.describe()} has negative time")
-        by_channel.setdefault(e.channel, []).append(e)
-    for channel, evs in by_channel.items():
-        evs = sorted(evs, key=lambda e: e.start_us)
-        for a, b in zip(evs, evs[1:]):
-            # zero-duration events are points; a point can still land inside a span
-            if b.start_us < a.end_us - 1e-12:
-                raise ValidationError(
-                    f"overlapping {channel} events: {a.describe()} and {b.describe()}"
-                )
+        Building the batch is the check of the timeline (see :class:`TimelineBatch`).
+        """
+        events = sorted(self.events, key=lambda e: (e.start_us, e.channel))
+        payloads = [e.payload or MwPayload(0.0) for e in events]
+        rows = [
+            (e.start_us, e.duration_us, p.rabi_freq_mhz, p.phase_rad)
+            for e, p in zip(events, payloads)
+        ]
+        start, dur, rabi, phase = np.array(rows, dtype=float).reshape(-1, 4).T[:, :, None]
+        channels, targets = tuple(e.channel for e in events), tuple(p.target for p in payloads)
+        return TimelineBatch(channels, targets, start, dur, rabi, phase)
 
 
 @dataclass(frozen=True, eq=False)
 class TimelineBatch:
     """N timelines of one shape, one per scan point, held as (K, N) arrays.
 
-    Row k of ``start_us``, ``duration_us`` and ``rabi_mhz`` is event k of
-    every timeline; ``channels`` and ``targets`` label the K events, which
-    are listed in time order.  Microwave events are driven at phase 0, as in
-    every canned program.  Construction runs the checks of
-    :func:`validate_timeline` on every timeline and rejects non-finite times.
+    Row k of ``start_us``, ``duration_us``, ``rabi_mhz`` and ``phase_rad`` is
+    event k of every timeline; ``channels`` and ``targets`` label the K
+    events, which are listed in time order.  A compiled program is a batch of
+    one (:meth:`PulseTimeline.batch`).  Construction is the one check of a
+    timeline: it refuses a negative or non-finite time, a microwave event
+    without a finite positive Rabi frequency and finite phase, and an overlap
+    on a channel, naming the events.
     """
 
     channels: tuple[str, ...]
@@ -539,15 +539,17 @@ class TimelineBatch:
     start_us: np.ndarray
     duration_us: np.ndarray
     rabi_mhz: np.ndarray
+    phase_rad: np.ndarray
 
     def __post_init__(self):
         start, dur = self.start_us, self.duration_us
-        bad = ~(np.isfinite(start) & np.isfinite(dur) & (start >= 0) & (dur >= 0))
-        if bad.any():
-            k, i = np.argwhere(bad)[0]
-            raise ValidationError(
-                f"event {self.event(k, i).describe()} has a negative or non-finite time"
-            )
+        self._refuse(
+            ~(np.isfinite(start) & np.isfinite(dur) & (start >= 0) & (dur >= 0)),
+            "has a negative or non-finite time",
+        )
+        mw = np.array([ch == "mw" for ch in self.channels], dtype=bool).reshape(-1, 1)
+        driven = (self.rabi_mhz > 0) & np.isfinite(self.rabi_mhz) & np.isfinite(self.phase_rad)
+        self._refuse(mw & ~driven, "needs a finite positive Rabi frequency and a finite phase")
         for channel in dict.fromkeys(self.channels):
             rows = [k for k, ch in enumerate(self.channels) if ch == channel]
             for a, b in zip(rows, rows[1:]):
@@ -559,11 +561,18 @@ class TimelineBatch:
                         f"and {self.event(b, i).describe()}"
                     )
 
+    def _refuse(self, bad: np.ndarray, why: str) -> None:
+        if bad.any():
+            k, i = np.argwhere(bad)[0]
+            raise ValidationError(f"event {self.event(k, i).describe()} {why}")
+
     def event(self, k: int, i: int) -> TimelineEvent:
         """Event ``k`` of timeline ``i``."""
         payload = None
         if self.channels[k] == "mw":
-            payload = MwPayload(float(self.rabi_mhz[k, i]), target=self.targets[k])
+            payload = MwPayload(
+                float(self.rabi_mhz[k, i]), float(self.phase_rad[k, i]), self.targets[k]
+            )
         return TimelineEvent(
             self.channels[k], float(self.start_us[k, i]), float(self.duration_us[k, i]), payload
         )
@@ -579,6 +588,39 @@ def _resolve_rad(operand: Optional[Operand], params: dict[str, Quantity]) -> flo
         return 0.0
     q = params[operand] if isinstance(operand, str) else operand
     return q.to_rad()
+
+
+def _calibrate(g: geometry.RotorGeometry, cal: CalibrationTable, start_us, target, duration_us):
+    """Rotation angle and Rabi frequency at a pulse start, and the pulse duration.
+
+    A target pulse lasts its turn fraction over Omega; an explicit pulse keeps
+    ``duration_us``.  Broadcasts over ``start_us``; a zero Omega is a compile
+    error.
+    """
+    angle = pulse_angle_deg(g, start_us)
+    omega = cal.rabi_at(angle)
+    dead = np.atleast_1d(omega <= 0.0)
+    if dead.any():
+        bad = np.atleast_1d(angle)[np.argmax(dead)]
+        raise CompileError([Diagnostic(f"zero Rabi frequency at rotation angle {bad:.3f} deg")])
+    if target is not None:
+        duration_us = TARGET_FRACTIONS[target] / omega
+    return angle, omega, duration_us
+
+
+def _check_one_period(batch: TimelineBatch, g: geometry.RotorGeometry, t_phi_us=0.0, hint=""):
+    """Refuse an event that starts more than one rotation period after t_phi."""
+    late = batch.start_us > g.t_rot_us + t_phi_us + 1e-9
+    if late.any():
+        k, i = np.argwhere(late)[0]
+        raise CompileError(
+            [
+                Diagnostic(
+                    f"event {batch.event(k, i).describe()} starts after one rotation period "
+                    f"({g.t_rot_us:.3f} us){hint}"
+                )
+            ]
+        )
 
 
 def compile_timeline(
@@ -598,8 +640,6 @@ def compile_timeline(
     params = prog.param_map
     cursor = 0.0
     events: list[TimelineEvent] = []
-    diags: list[Diagnostic] = []
-
     for stmt in prog.statements:
         if isinstance(stmt, TriggerStmt):
             continue
@@ -608,54 +648,26 @@ def compile_timeline(
             continue
         start = cursor if stmt.at is None else _resolve_us(stmt.at, params)
         if isinstance(stmt, LaserStmt):
-            dur = _resolve_us(stmt.duration, params)
-            events.append(TimelineEvent("laser", start, dur))
+            events.append(TimelineEvent("laser", start, _resolve_us(stmt.duration, params)))
         else:  # MwStmt
-            angle = pulse_angle_deg(g, start)
-            omega = cal.rabi_at(angle)
-            if omega <= 0.0:
-                diags.append(
-                    Diagnostic(f"zero Rabi frequency at rotation angle {angle:.3f} deg")
-                )
-                continue
-            if stmt.target is not None:
-                dur = TARGET_FRACTIONS[stmt.target] / omega
-            else:
-                dur = _resolve_us(stmt.duration, params)
-            payload = MwPayload(
-                rabi_freq_mhz=omega,
-                phase_rad=_resolve_rad(stmt.phase, params),
-                target=stmt.target,
-                angle_deg=angle,
-            )
+            explicit = None if stmt.target else _resolve_us(stmt.duration, params)
+            angle, omega, dur = _calibrate(g, cal, start, stmt.target, explicit)
+            payload = MwPayload(omega, _resolve_rad(stmt.phase, params), stmt.target, angle)
             events.append(TimelineEvent("mw", start, dur, payload))
         cursor = events[-1].end_us
 
-    if diags:
-        raise CompileError(diags)
-
-    shifted = tuple(
-        TimelineEvent(e.channel, e.start_us + t_phi_us, e.duration_us, e.payload)
-        for e in sorted(events, key=lambda e: (e.start_us, e.channel))
+    timeline = PulseTimeline(
+        tuple(
+            TimelineEvent(e.channel, e.start_us + t_phi_us, e.duration_us, e.payload)
+            for e in sorted(events, key=lambda e: (e.start_us, e.channel))
+        )
     )
-    timeline = PulseTimeline(shifted)
     try:
-        validate_timeline(timeline)
+        batch = timeline.batch()
     except ValidationError as exc:
         raise CompileError([Diagnostic(str(exc))]) from exc
-
     if not allow_multi_period:
-        limit = g.t_rot_us + t_phi_us + 1e-9
-        for e in shifted:
-            if e.start_us > limit:
-                raise CompileError(
-                    [
-                        Diagnostic(
-                            f"event {e.describe()} starts after one rotation period "
-                            f"({g.t_rot_us:.3f} us); pass allow_multi_period to permit this"
-                        )
-                    ]
-                )
+        _check_one_period(batch, g, t_phi_us, "; pass allow_multi_period to permit this")
     return timeline
 
 
@@ -663,25 +675,23 @@ def compile_timeline(
 # canned sequences
 
 
-def ideal_echo_timeline(tau_us: float, t_rot_us: float, t_pulse_us: float = 2.0) -> PulseTimeline:
-    """pi/2 - tau/2 - pi - tau/2 - pi/2 with instantaneous calibrated rotations.
+def ideal_echo_timeline(tau_us, t_rot_us: float, t_pulse_us: float = 2.0) -> TimelineBatch:
+    """pi/2 - tau/2 - pi - tau/2 - pi/2 with instantaneous calibrated rotations, one per tau.
 
     Zero-duration target events: the simulator applies the exact target
     rotation, which is the calibrated-pulse model with pulse-length effects
     switched off.  The readout laser fires when the NV completes the turn.
     """
-    if tau_us < 0:
-        raise ValidationError("tau_us must be non-negative")
-    mk = lambda t, target: TimelineEvent(
-        "mw", t, 0.0, MwPayload(rabi_freq_mhz=1.0, target=target)
+    tau = np.atleast_1d(np.asarray(tau_us, dtype=float))
+    zero = np.zeros_like(tau)
+    return TimelineBatch(
+        ("mw", "mw", "mw", "laser"),
+        ("pi/2", "pi", "pi/2", None),
+        np.array([zero, tau / 2.0, tau, zero + t_rot_us]),
+        np.array([zero, zero, zero, zero + t_pulse_us]),
+        np.array([zero + 1.0, zero + 1.0, zero + 1.0, zero]),
+        np.zeros((4, tau.size)),
     )
-    events = (
-        mk(0.0, "pi/2"),
-        mk(tau_us / 2.0, "pi"),
-        mk(tau_us, "pi/2"),
-        TimelineEvent("laser", t_rot_us, t_pulse_us),
-    )
-    return PulseTimeline(events)
 
 
 def echo_pulse_starts(tau_us, g: geometry.RotorGeometry, cal: CalibrationTable):
@@ -695,7 +705,7 @@ def echo_pulse_starts(tau_us, g: geometry.RotorGeometry, cal: CalibrationTable):
         raise ValidationError("tau_us must be positive")
 
     def dur_at(start_us, target):
-        return TARGET_FRACTIONS[target] / cal.rabi_at(pulse_angle_deg(g, start_us))
+        return _calibrate(g, cal, start_us, target, None)[2]
 
     # durations depend weakly on the start angle; a few passes settle them
     start_pi, start_last = tau / 2.0, tau
@@ -750,43 +760,22 @@ def rabi_program(
 
 
 def _compile_batch(g: geometry.RotorGeometry, cal: CalibrationTable, n: int, events) -> TimelineBatch:
-    """:func:`compile_timeline` for N programs of one shape, with t_phi = 0.
+    """:func:`compile_timeline` for N programs of one shape, with t_phi = 0 and phase 0.
 
     ``events`` lists (channel, target, start_us, duration_us) in time order;
-    each time is a scalar or an (N,) array.  Microwave events take their Rabi
-    frequency, and target pulses their duration, from the calibration at the
-    rotation angle of the pulse start.
+    each time is a scalar or an (N,) array.
     """
     cols = []
     for channel, target, at, duration in events:
         at = np.broadcast_to(np.asarray(at, dtype=float), (n,))
         omega = np.zeros(n)
         if channel == "mw":
-            angle = pulse_angle_deg(g, at)
-            omega = cal.rabi_at(angle)
-            if np.any(omega <= 0.0):
-                i = int(np.argmax(omega <= 0.0))
-                raise CompileError(
-                    [Diagnostic(f"zero Rabi frequency at rotation angle {angle[i]:.3f} deg")]
-                )
-            if target is not None:
-                duration = TARGET_FRACTIONS[target] / omega
+            _, omega, duration = _calibrate(g, cal, at, target, duration)
         cols.append((at, np.broadcast_to(np.asarray(duration, dtype=float), (n,)), omega))
     start, dur, rabi = (np.array(c) for c in zip(*cols))
-    batch = TimelineBatch(
-        tuple(e[0] for e in events), tuple(e[1] for e in events), start, dur, rabi
-    )
-    late = start > g.t_rot_us + 1e-9
-    if late.any():
-        k, i = np.argwhere(late)[0]
-        raise CompileError(
-            [
-                Diagnostic(
-                    f"event {batch.event(k, i).describe()} starts after one rotation period "
-                    f"({g.t_rot_us:.3f} us)"
-                )
-            ]
-        )
+    channels, targets = tuple(e[0] for e in events), tuple(e[1] for e in events)
+    batch = TimelineBatch(channels, targets, start, dur, rabi, np.zeros_like(start))
+    _check_one_period(batch, g)
     return batch
 
 
@@ -818,16 +807,3 @@ def echo_batch(
         ("laser", None, g.t_rot_us, t_pulse_us),
     ]
     return _compile_batch(g, cal, tau.size, events)
-
-
-def ideal_echo_batch(tau_us, t_rot_us: float, t_pulse_us: float = 2.0) -> TimelineBatch:
-    """The timelines of :func:`ideal_echo_timeline`, one per tau."""
-    tau = np.atleast_1d(np.asarray(tau_us, dtype=float))
-    zero = np.zeros_like(tau)
-    return TimelineBatch(
-        ("mw", "mw", "mw", "laser"),
-        ("pi/2", "pi", "pi/2", None),
-        np.array([zero, tau / 2.0, tau, zero + t_rot_us]),
-        np.array([zero, zero, zero, zero + t_pulse_us]),
-        np.array([zero + 1.0, zero + 1.0, zero + 1.0, zero]),
-    )

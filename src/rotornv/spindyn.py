@@ -5,8 +5,12 @@ with +z = m_S = 0 (bright) and -z = m_S = -1 (dark).  Microwave pulses are
 rotations about a tilted axis set by the drive amplitude, phase and
 detuning; free evolution is precession about z at the instantaneous
 detuning.  With the microwave tuned to the rotation-averaged transition,
-the free detuning is gamma_e times the AC field of :func:`geometry.effective_field`
-plus an optional constant hook for externally injected shifts.
+the free detuning is gamma_e times the AC field of :func:`geometry.effective_field`.
+:func:`simulate_sequence` is the one simulator: it runs every timeline of a
+:class:`seqlang.TimelineBatch`, whether a scan or one compiled program.  Its
+test oracle integrates the Bloch equation numerically (``quad`` for free
+precession, DOP853 ``solve_ivp`` through each pulse under the moving
+detuning), sharing none of the closed forms used here.
 
 Frequencies are linear (MHz), times are microseconds, so a resonant pulse
 of duration 1/(2 Omega) is a pi rotation.  All functions are pure.
@@ -22,7 +26,7 @@ import numpy as np
 from . import geometry
 from .errors import ValidationError
 from .geometry import TWO_PI, PhysicalConstants
-from .seqlang import TARGET_FRACTIONS, PulseTimeline, TimelineBatch, validate_timeline
+from .seqlang import TARGET_FRACTIONS, TimelineBatch
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,12 +186,6 @@ def apply_pulse(state: SpinState, pulse: PulseSpec) -> SpinState:
     )
 
 
-def apply_ideal_rotation(state: SpinState, angle_rad: float, phase_rad: float = 0.0) -> SpinState:
-    """Instantaneous rotation by ``angle_rad`` about the in-plane axis at ``phase_rad``."""
-    axis = np.array([math.cos(phase_rad), math.sin(phase_rad), 0.0])
-    return SpinState(rotate_bloch(state.bloch, axis, angle_rad))
-
-
 # ---------------------------------------------------------------------------
 # echo closed forms
 
@@ -266,127 +264,32 @@ def echo_signal(p: EchoParams, c: PhysicalConstants, tau_us):
 
 
 def free_phase(
-    g: geometry.RotorGeometry,
-    f: geometry.FieldConfig,
-    c: PhysicalConstants,
-    t0_us,
-    t1_us,
-    extra_detuning_mhz: float = 0.0,
+    g: geometry.RotorGeometry, f: geometry.FieldConfig, c: PhysicalConstants, t0_us, t1_us
 ):
-    """Precession angle 2 pi * integral of the detuning over [t0, t1] us.
+    """Precession angle 2 pi * integral of the detuning over [t0, t1] us, by :func:`ac_phase`.
 
-    The AC part is :func:`ac_phase`; ``extra_detuning_mhz`` is the constant
-    hook (deliberate offsets, rotation-induced shifts injected by the
-    caller).  Broadcasts over array ``t0_us`` and ``t1_us``.
+    Broadcasts over array ``t0_us`` and ``t1_us``.
     """
     b_perp, phi0 = geometry.eac_amplitude(g, f), geometry.fringe_phase_offset(g, f)
-    phase = ac_phase(c, g.f_rot_hz, b_perp, phi0, t0_us, t1_us)
-    if not extra_detuning_mhz:
-        return phase
-    return phase + TWO_PI * extra_detuning_mhz * (t1_us - t0_us)
+    return ac_phase(c, g.f_rot_hz, b_perp, phi0, t0_us, t1_us)
 
 
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
-def _free_evolve(state, g, f, c, t0_us, t1_us, extra):
-    if t1_us == t0_us:
-        return state
-    ang = free_phase(g, f, c, t0_us, t1_us, extra)
-    return SpinState(rotate_bloch(state.bloch, _Z_AXIS, ang))
-
-
-def _free_evolve_batch(bloch, g, f, c, t0_us, t1_us):
-    """Batched :func:`_free_evolve`: rows with t1 == t0 stay untouched."""
+def _free_evolve(bloch, g, f, c, t0_us, t1_us):
+    """Free precession of (N, 3) Bloch vectors from t0 to t1; rows with t1 == t0 stay untouched."""
     moved = rotate_bloch(bloch, _Z_AXIS, free_phase(g, f, c, t0_us, t1_us))
     return np.where((t1_us == t0_us)[:, None], bloch, moved)
 
 
-def _pulse_detuning(g, f, c, start_us, duration_us, extra_detuning_mhz=0.0):
+def _pulse_detuning(g, f, c, start_us, duration_us):
     """Free detuning at the pulse centre, held constant over the pulse, in MHz."""
     t_mid = start_us + duration_us / 2.0
-    return c.gamma_e_mhz_per_g * geometry.effective_field(g, f, t_mid * 1e-6) + extra_detuning_mhz
+    return c.gamma_e_mhz_per_g * geometry.effective_field(g, f, t_mid * 1e-6)
 
 
 def simulate_sequence(
-    timeline: PulseTimeline,
-    g: geometry.RotorGeometry,
-    f: geometry.FieldConfig,
-    c: PhysicalConstants,
-    initial: SpinState | None = None,
-    extra_detuning_mhz: float = 0.0,
-) -> list[tuple[float, SpinState]]:
-    """Evolve a spin through a compiled timeline; returns (time, state) at boundaries.
-
-    Free precession between events uses the exact closed-form integral of
-    the time-dependent Zeeman projection (relative to the rotation-averaged
-    microwave frequency).  Microwave events apply the constant-Omega
-    rotation with Omega from the event payload and the detuning evaluated
-    at the pulse centre; zero-duration target events apply the exact target
-    rotation (the perfectly calibrated limit).  Laser events are recorded
-    as boundaries but do not alter the coherent state; optical dynamics are
-    handled by the photophysics layer.
-
-    :func:`simulate_batch` runs whole scans; this per-timeline form is its
-    test oracle.
-    """
-    validate_timeline(timeline)
-    events = sorted(timeline.events, key=lambda e: (e.start_us, e.channel))
-
-    # laser boundaries may not fall strictly inside a microwave pulse
-    for lz in (e for e in events if e.channel == "laser"):
-        for mw in (e for e in events if e.channel == "mw" and e.duration_us > 0):
-            for t in (lz.start_us, lz.end_us):
-                if mw.start_us < t < mw.end_us:
-                    raise ValidationError(
-                        f"laser boundary of {lz.describe()} falls inside {mw.describe()}"
-                    )
-
-    state = initial if initial is not None else SpinState.ms0()
-    t = 0.0
-    traj: list[tuple[float, SpinState]] = [(0.0, state)]
-    for ev in events:
-        if ev.start_us < t - 1e-12:
-            raise ValidationError(
-                f"event {ev.describe()} starts before the running time {t:.6f} us"
-            )
-        state = _free_evolve(state, g, f, c, t, ev.start_us, extra_detuning_mhz)
-        t = ev.start_us
-        traj.append((t, state))
-        if ev.channel == "mw":
-            payload = ev.payload
-            if payload is None:
-                raise ValidationError(f"mw event {ev.describe()} has no payload")
-            if ev.duration_us == 0.0:
-                fraction = payload.rotation_fraction
-                if fraction is not None:
-                    # zero-duration target events are perfectly calibrated rotations;
-                    # a zero-length explicit pulse is just the identity
-                    state = apply_ideal_rotation(state, TWO_PI * fraction, payload.phase_rad)
-            else:
-                state = apply_pulse(
-                    state,
-                    PulseSpec(
-                        start_us=ev.start_us,
-                        duration_us=ev.duration_us,
-                        rabi_freq_mhz=payload.rabi_freq_mhz,
-                        detuning_mhz=_pulse_detuning(
-                            g, f, c, ev.start_us, ev.duration_us, extra_detuning_mhz
-                        ),
-                        phase_rad=payload.phase_rad,
-                    ),
-                )
-            t = ev.end_us
-            traj.append((t, state))
-        else:
-            # laser: advance through the window with free evolution only
-            state = _free_evolve(state, g, f, c, t, ev.end_us, extra_detuning_mhz)
-            t = ev.end_us
-            traj.append((t, state))
-    return traj
-
-
-def simulate_batch(
     batch: TimelineBatch,
     g: geometry.RotorGeometry,
     f: geometry.FieldConfig,
@@ -394,12 +297,16 @@ def simulate_batch(
 ) -> np.ndarray:
     """Final Bloch vectors, shape (N, 3), of the N timelines of a batch, from m_S = 0.
 
-    Every timeline gets the operations of :func:`simulate_sequence`, in the
-    same order and with the same checks: free precession to each event
-    start, then for a microwave event the constant-(Omega, Delta) rotation
-    with Delta at the pulse centre (the exact target rotation when the event
-    has zero duration), and for a laser event free precession through its
-    window.
+    A scan is one batch; a compiled program runs as ``timeline.batch()``.
+    Each timeline takes its events in order: free precession to the event
+    start by the closed-form AC phase, then for a microwave event the
+    constant-(Omega, Delta) rotation about the axis at its phase, with Delta
+    held at its value at the pulse centre (the exact target rotation when the
+    event has zero duration; a zero-length explicit pulse is the identity),
+    and for a laser event free precession through its window.  Optical
+    dynamics belong to the photophysics layer.  A laser boundary inside a
+    pulse, or an event that starts before the previous one ended, is refused
+    naming the events.
     """
     start, dur = batch.start_us, batch.duration_us
     end = start + dur
@@ -425,18 +332,17 @@ def simulate_batch(
                 f"event {batch.event(k, i).describe()} starts before the running time "
                 f"{t[i]:.6f} us"
             )
-        bloch = _free_evolve_batch(bloch, g, f, c, t, start[k])
+        bloch = _free_evolve(bloch, g, f, c, t, start[k])
         if channel == "mw":
+            phase = batch.phase_rad[k]
             fraction = TARGET_FRACTIONS.get(batch.targets[k])
-            # a zero-length explicit pulse is the identity
             instant = bloch
             if fraction is not None:
-                instant = rotate_bloch(bloch, np.array([1.0, 0.0, 0.0]), TWO_PI * fraction)
-            driven = pulse_rotation(
-                bloch, batch.rabi_mhz[k], _pulse_detuning(g, f, c, start[k], dur[k]), dur[k]
-            )
+                instant = pulse_rotation(bloch, 1.0, 0.0, fraction, phase)
+            detuning = _pulse_detuning(g, f, c, start[k], dur[k])
+            driven = pulse_rotation(bloch, batch.rabi_mhz[k], detuning, dur[k], phase)
             bloch = np.where((dur[k] == 0.0)[:, None], instant, driven)
         else:
-            bloch = _free_evolve_batch(bloch, g, f, c, start[k], end[k])
+            bloch = _free_evolve(bloch, g, f, c, start[k], end[k])
         t = end[k]
     return bloch

@@ -12,12 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotornv import cli, pipeline
+from rotornv import cli, pipeline, seqlang
 from rotornv.cli import main
 from rotornv.config import apply_overrides, config_from_dict
 from rotornv.errors import ValidationError
 from rotornv.estimation import EchoDataset, fit_rabi
 from rotornv.photophysics import LevelPopulations, expected_window_counts
+from rotornv.seqlang import MwPayload, TimelineEvent
+from rotornv.spindyn import c13_envelope
+from spin_oracle import BlochOracle
 
 
 def run_cli(args, **kw):
@@ -27,6 +30,13 @@ def run_cli(args, **kw):
         text=True,
         **kw,
     )
+
+
+def _ideal_echo_events(tau_us, t_rot_us, t_pulse_us):
+    """The ideal echo as events, built apart from ``seqlang.ideal_echo_timeline``."""
+    mw = lambda t, target: TimelineEvent("mw", t, 0.0, MwPayload(1.0, target=target))
+    laser = TimelineEvent("laser", t_rot_us, t_pulse_us)
+    return [mw(0.0, "pi/2"), mw(tau_us / 2.0, "pi"), mw(tau_us, "pi/2"), laser]
 
 
 class TestConfig:
@@ -62,29 +72,29 @@ class TestConfig:
 
 class TestPipeline:
     def test_echo_population_matches_model(self, cfg_tilted):
-        from rotornv.spindyn import echo_phase, c13_envelope
+        from rotornv.spindyn import echo_phase
 
         p = pipeline.echo_params_from_config(cfg_tilted)
-        for tau in (5.0, 13.0, 21.0):
-            got = pipeline.echo_population(cfg_tilted, tau)
-            z = math.cos(echo_phase(p, cfg_tilted.constants, tau))
-            z *= c13_envelope(p, cfg_tilted.constants, tau)
-            assert got == pytest.approx(0.5 * (1.0 - z), abs=1e-6)
+        tau = np.array([5.0, 13.0, 21.0])
+        got = pipeline.echo_populations(cfg_tilted, tau)
+        z = np.cos(echo_phase(p, cfg_tilted.constants, tau))
+        z *= c13_envelope(p, cfg_tilted.constants, tau)
+        assert np.max(np.abs(got - 0.5 * (1.0 - z))) <= 1e-6
 
     def test_echo_tau_exceeding_period_rejected(self, cfg_tilted):
         with pytest.raises(ValidationError) as err:
-            pipeline.echo_population(cfg_tilted, 305.0)
+            pipeline.echo_populations(cfg_tilted, [305.0])
         assert "readout" in str(err.value)
 
     def test_rabi_pipeline_oscillates_at_base_rabi(self, cfg_default):
         durations = np.linspace(0.0, 1.1, 32)
-        pops = [pipeline.rabi_population_pipeline(cfg_default, d) for d in durations]
-        data = EchoDataset(durations + 0.0, np.array(pops), np.full(durations.size, 1e-3))
+        pops = pipeline.rabi_populations(cfg_default, durations)
+        data = EchoDataset(durations + 0.0, pops, np.full(durations.size, 1e-3))
         fit = fit_rabi(data)
         assert fit.params["rabi_freq_mhz"] == pytest.approx(3.6, abs=0.01)
 
     def test_rabi_half_turn_starts_dark(self, cfg_default):
-        p0 = pipeline.rabi_population_pipeline(cfg_default, 0.0, pulse_at="half")
+        p0 = pipeline.rabi_populations(cfg_default, [0.0], pulse_at="half")[0]
         assert p0 == pytest.approx(1.0, abs=1e-3)  # prepended pi pulse
 
     def test_echo_scan_flat_when_aligned(self, cfg_default):
@@ -132,19 +142,46 @@ class TestPipeline:
         "overrides", [[], ["field.theta_b_deg=1"], ["geometry.phi_nv0_deg=37"]]
     )
     @pytest.mark.parametrize("scan", ["rabi-start", "rabi-half", "echo-ideal", "echo-finite"])
-    def test_batched_scan_matches_per_point_oracle(self, overrides, scan):
+    def test_batched_scan_matches_ode_oracle(self, overrides, scan):
         cfg = apply_overrides(config_from_dict({}), overrides)
+        g, c, t_pulse = cfg.geometry, cfg.constants, cfg.strobe.t_pulse_us
+        cal = pipeline._calibration(cfg)
         kind, variant = scan.split("-")
+
+        def compiled(text):
+            return seqlang.compile_timeline(seqlang.parse_sequence(text), g, cal).events
+
         if kind == "rabi":
             axis = np.linspace(0.0, 1.1, 23)  # includes duration 0
             batched = pipeline.rabi_populations(cfg, axis, pulse_at=variant)
-            oracle = [pipeline.rabi_population_pipeline(cfg, d, pulse_at=variant) for d in axis]
+            where = pipeline._rabi_pulse_at(cfg, variant)
+            timelines = [compiled(seqlang.rabi_program(d, g, t_pulse, **where)) for d in axis]
+            envelope = 1.0
         else:
             ideal = variant == "ideal"
             axis = np.linspace(0.0 if ideal else 2.0, 290.0, 23)
             batched = pipeline.echo_populations(cfg, axis, ideal_pulses=ideal)
-            oracle = [pipeline.echo_population(cfg, t, ideal_pulses=ideal) for t in axis]
-        assert np.max(np.abs(batched - np.array(oracle))) <= 1e-12
+            timelines = [
+                _ideal_echo_events(t, g.t_rot_us, t_pulse)
+                if ideal
+                else compiled(seqlang.echo_program(t, g, cal, t_pulse))
+                for t in axis
+            ]
+            envelope = c13_envelope(pipeline.echo_params_from_config(cfg), c, axis)
+        oracle = BlochOracle(g, cfg.field_cfg, c)
+        z = np.array([oracle.run(events)[2] for events in timelines])
+        # Without an AC field (theta_b = 0) the detuning is zero, and with
+        # zero-duration pulses only free precession moves the spin, whose
+        # closed form is exact: the bound is the oracle's roundoff (<= 1.2e-12 seen).
+        bound = 1e-10
+        if cfg.field_cfg.theta_b_deg != 0.0 and scan != "echo-ideal":
+            # The simulator holds the detuning at the pulse centre, so it
+            # misses the second-order Magnus term of a detuning that moves
+            # during a pulse: <= 9.5e-7 seen over pulses of up to 1.1 us, and
+            # <= 5.8e-5 in the echo, whose 0.07-0.14 us pulses sit where the
+            # AC field sweeps fastest.
+            bound = 2e-6 if kind == "rabi" else 1e-4
+        assert np.max(np.abs(batched - 0.5 * (1.0 - z * envelope))) <= bound
 
     @pytest.mark.parametrize("draw", range(4))
     def test_window_response_matches_separate_passes(self, draw):
@@ -194,11 +231,9 @@ class TestPipeline:
         with pytest.raises(ValidationError, match=name):
             run(cfg_default, axis)
 
-    def test_batched_scan_rejects_overlap_like_oracle(self):
+    def test_rabi_scan_rejects_overlapping_pulses(self):
         # a 500 us pi pulse at the trigger overruns the variable pulse at T_rot/2
         cfg = apply_overrides(config_from_dict({}), ["protocol.base_rabi_mhz=0.001"])
-        with pytest.raises(ValidationError, match="overlapping mw"):
-            pipeline.rabi_population_pipeline(cfg, 0.1, pulse_at="half")
         with pytest.raises(ValidationError, match="overlapping mw"):
             pipeline.rabi_populations(cfg, [0.0, 0.1], pulse_at="half")
 
@@ -433,6 +468,15 @@ def test_readout_window_longer_than_strobe_exit_2(capsys):
         # a 1e8-point scan was killed for memory (exit 137)
         (["simulate-rabi", "--durations", "0:1:100000000"], "--durations"),
         (["simulate-echo", "--tau", "2:5:1000001"], "--tau"),
+        # every other scan refusal names its flag too
+        (["simulate-rabi", "--durations", "0:1:0"], "--durations"),
+        (["simulate-echo", "--tau", "2:5:-3"], "--tau"),
+        (["simulate-echo", "--tau", "0:1:x"], "--tau"),
+        (["simulate-rabi", "--durations", "0.1,y"], "--durations"),
+        (["simulate-rabi", "--durations", "0:1"], "--durations"),
+        (["simulate-echo", "--tau", "1:2:3:4"], "--tau"),
+        (["simulate-echo", "--tau", "2:nan:5"], "--tau"),
+        (["simulate-rabi", "--durations", "0.1,inf"], "--durations"),
         (["fit", "DATASET", "--b-max", "nan"], "--b-max"),
         (["fit", "DATASET", "--b-max", "-1"], "--b-max"),
         (["fit", "DATASET", "--b-max", "0"], "--b-max"),

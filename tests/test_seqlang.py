@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +11,12 @@ from rotornv.geometry import FieldConfig, RotorGeometry
 from rotornv.seqlang import (
     CalibrationTable,
     LaserStmt,
+    MwPayload,
     MwStmt,
+    PulseTimeline,
     Quantity,
     SequenceProgram,
+    TimelineEvent,
     TriggerStmt,
     WaitStmt,
     build_calibration,
@@ -25,7 +29,6 @@ from rotornv.seqlang import (
     parse_sequence,
     rabi_batch,
     rabi_program,
-    validate_timeline,
 )
 
 
@@ -283,12 +286,32 @@ class TestCompile:
         msg = str(err.value)
         assert msg.count("mw") >= 2
 
-    def test_validator_accepts_compiler_output(self):
+    def test_batch_of_one_carries_the_compiled_program(self):
         g = RotorGeometry(phi_nv0_deg=90.0)
         cal = default_calibration()
-        text = "mw pi at 0us\nmw pi at 150us\nlaser 2us at 300us"
+        text = "laser 2us at 300us\nmw pi at 150us phase 90deg\nmw pi at 0us"
         timeline = compile_timeline(parse_sequence(text), g, cal)
-        validate_timeline(timeline)  # must not raise
+        batch = timeline.batch()  # the check of the timeline: must not raise
+        assert batch.start_us.shape == (3, 1)
+        # the batch keeps no calibration angle
+        for k, ev in enumerate(timeline.events):
+            payload = ev.payload and replace(ev.payload, angle_deg=0.0)
+            assert batch.event(k, 0) == replace(ev, payload=payload)
+        assert batch.phase_rad[:, 0].tolist() == [0.0, math.pi / 2.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "event, match",
+        [
+            (TimelineEvent("mw", 1.0, 0.1), "finite positive Rabi"),
+            (TimelineEvent("mw", 1.0, 0.1, MwPayload(0.0)), "finite positive Rabi"),
+            (TimelineEvent("mw", 1.0, 0.1, MwPayload(3.6, math.nan)), "finite phase"),
+            (TimelineEvent("laser", -1.0, 2.0), "negative or non-finite time"),
+            (TimelineEvent("laser", 1.0, math.inf), "negative or non-finite time"),
+        ],
+    )
+    def test_batch_of_one_refuses_bad_events(self, event, match):
+        with pytest.raises(ValidationError, match=match):
+            PulseTimeline((event,)).batch()
 
     def test_multi_period_guard(self):
         g = RotorGeometry()
@@ -327,10 +350,14 @@ class TestCannedSequences:
         laser = timeline.channel_events("laser")
         assert laser[0].start_us == pytest.approx(g.t_rot_us)
 
-    def test_ideal_echo_timeline_validates(self):
-        timeline = ideal_echo_timeline(40.0, 300.0, 2.0)
-        validate_timeline(timeline)
-        assert [e.channel for e in timeline.events] == ["mw", "mw", "mw", "laser"]
+    def test_ideal_echo_timeline_broadcasts_over_tau(self):
+        batch = ideal_echo_timeline([40.0, 60.0], 300.0, 2.0)
+        assert batch.channels == ("mw", "mw", "mw", "laser")
+        assert batch.targets == ("pi/2", "pi", "pi/2", None)
+        assert batch.start_us.tolist() == [[0.0, 0.0], [20.0, 30.0], [40.0, 60.0], [300.0, 300.0]]
+        assert not batch.duration_us[:3].any() and not batch.phase_rad.any()
+        with pytest.raises(ValidationError, match="negative"):
+            ideal_echo_timeline(-1.0, 300.0, 2.0)
 
     def test_rabi_program_variants(self):
         g = RotorGeometry(phi_nv0_deg=90.0)
