@@ -13,11 +13,13 @@ Fringe model
     signal(tau) = baseline + (contrast / 2) * env(tau) * cos(phi(tau))
 
 with phi(tau) the closed-form echo phase of :func:`spindyn.echo_ac_phase`,
-linear in the AC-field amplitude ``b_perp``.  The four parameters {b_perp, phi0, contrast, baseline} are
-strongly covariant on short-tau data; :func:`profile_identifiability`
-exposes the resulting valleys.  ``b_perp`` is kept non-negative through an
-internal squared reparameterisation (its sign is degenerate with a pi
-shift of phi0, and :func:`fit_echo` reports phi0 in [0, pi)).  Covariances are scaled by the reduced chi-square, so
+linear in the AC-field amplitude ``b_perp``.  Contrast and baseline enter
+linearly, so :func:`fit_echo` searches (b_perp, phi0) alone by variable
+projection (Golub & Pereyra, Inverse Problems 19 (2003) R1) with Kaufman's
+Jacobian (BIT 15 (1975) 49), solving the linear pair exactly at every point
+with the contrast bounded to [0, 1].  The four parameters are strongly
+covariant on short-tau data; :func:`profile_identifiability` exposes the
+valleys.  Covariances of all four are scaled by the reduced chi-square, so
 overdispersed data inflate the reported uncertainties.
 """
 
@@ -57,6 +59,9 @@ class EchoDataset:
         err = np.asarray(self.sigma, dtype=float)
         if not (tau.shape == sig.shape == err.shape) or tau.ndim != 1:
             raise ValidationError("tau, signal and sigma must be equal-length 1-D arrays")
+        for name, column in (("tau_us", tau), ("signal", sig), ("sigma", err)):
+            if not np.all(np.isfinite(column)):
+                raise ValidationError(f"{name} values must be finite")
         if np.any(np.diff(tau) <= 0):
             raise ValidationError("tau values must be strictly increasing")
         if np.any(err <= 0):
@@ -219,17 +224,6 @@ def levenberg_marquardt(
 # echo fringe fit
 
 
-def _to_internal(params: dict) -> np.ndarray:
-    """Reported parameters -> internal x = (sqrt(b_perp), phi0, contrast, baseline)."""
-    beta = math.sqrt(max(params["b_perp_gauss"], 0.0))
-    return np.array([beta, params["phi0_rad"], params["contrast"], params["baseline"]])
-
-
-def _to_reported(x) -> dict:
-    """Internal x -> reported parameters; b_perp = beta^2 keeps the amplitude non-negative."""
-    return dict(zip(ECHO_PARAM_NAMES, map(float, (x[0] ** 2, x[1], x[2], x[3]))))
-
-
 def echo_jacobian(data: EchoDataset, model: EchoFitModel, params: dict) -> np.ndarray:
     """Weighted Jacobian of the fringe residual in the reported parameters."""
     tau = data.tau_us
@@ -242,25 +236,6 @@ def echo_jacobian(data: EchoDataset, model: EchoFitModel, params: dict) -> np.nd
         axis=1,
     )
     return cols / data.sigma[:, None]
-
-
-def _echo_residual_and_jac(data: EchoDataset, model: EchoFitModel):
-    """Residual and Jacobian in the internal coordinates of :func:`_to_internal`.
-
-    The Jacobian is :func:`echo_jacobian` through the chain rule d b / d beta = 2 beta.
-    """
-    tau = data.tau_us
-    inv_sigma = 1.0 / data.sigma
-
-    def residual(x):
-        beta, phi0, contrast, baseline = x
-        pred = model.predict(tau, beta**2, phi0, contrast, baseline)
-        return (pred - data.signal) * inv_sigma
-
-    def jacobian(x):
-        return echo_jacobian(data, model, _to_reported(x)) * np.array([2.0 * x[0], 1.0, 1.0, 1.0])
-
-    return residual, jacobian
 
 
 def _solve_linear_pair(u: np.ndarray, y: np.ndarray, w: np.ndarray):
@@ -301,46 +276,53 @@ def _linear_landscape(data: EchoDataset, model: EchoFitModel, b_grid, phi_grid):
     return a, cc, np.where(np.isfinite(sse), sse, np.inf)
 
 
-def _initial_candidates(data: EchoDataset, model: EchoFitModel, b_max: float):
-    """Starting points: 8-way phi0 grid with a fringe-count amplitude heuristic,
-    plus the best cells of a coarse linear-solve landscape probe."""
-    y = data.signal
-    w = 1.0 / data.sigma**2
-    base = float(np.median(y))
-    signs = np.sign(y - base)
-    signs = signs[signs != 0]
-    crossings = int(np.sum(signs[1:] != signs[:-1]))
-    phi8 = np.arange(8) * (TWO_PI / 8.0)
-    k = model.phase_factor(data.tau_us, phi8[:, None])
-    span = np.max(k, axis=1) - np.min(k, axis=1)
-    b_est = np.full(8, 0.1 * b_max)
-    b_est[span > 1e-9] = crossings * math.pi / span[span > 1e-9]
-    b = np.clip(b_est[:, None] * np.array([0.5, 1.0, 2.0]), 1e-4, b_max)  # (phi0, scale)
-    env = model.envelope_values(data.tau_us)
-    a, cc, _ = _solve_linear_pair(0.5 * env * np.cos(b[:, :, None] * k[:, None, :]), y, w)
-    unsolved = ~(np.isfinite(a) & np.isfinite(cc))
-    a[unsolved], cc[unsolved] = 2.0 * float(np.std(y)), base
-    candidates = [
-        np.array([math.sqrt(b[i, j]), phi8[i], a[i, j], cc[i, j]])
-        for i in range(8)
-        for j in range(3)
-    ]
-    # landscape probe: insurance against local minima when the data hold many
-    # fringes.  The amplitude step resolves a quarter fringe at the largest
-    # phase factor so every basin of the aliased landscape gets sampled.
+def _landscape_starts(data: EchoDataset, model: EchoFitModel, b_max: float):
+    """(b_perp, phi0) starts: the 10 best cells of a coarse landscape probe.
+
+    The amplitude step resolves a quarter fringe at the largest phase factor,
+    so every basin of the aliased landscape gets sampled.
+    """
     phi_grid = np.arange(64) * (math.pi / 64.0)  # phi0 and phi0 + pi are degenerate
     k_absmax = float(np.max(np.abs(model.phase_factor(data.tau_us, phi_grid[:, None]))))
     b_step = (math.pi / 2.0) / max(k_absmax, 1e-9)
     n_b = int(min(400, max(60, round(b_max / b_step))))
     b_grid = np.linspace(b_max / (2.0 * n_b), b_max, n_b)
-    a, cc, sse = _linear_landscape(data, model, b_grid, phi_grid)
-    flat = np.argsort(sse, axis=None)[:10]
-    for idx in flat:
-        i, j = np.unravel_index(int(idx), sse.shape)
-        candidates.append(
-            np.array([math.sqrt(b_grid[i]), phi_grid[j], float(a[i, j]), float(cc[i, j])])
-        )
-    return candidates
+    _, _, sse = _linear_landscape(data, model, b_grid, phi_grid)
+    i, j = np.unravel_index(np.argsort(sse, axis=None)[:10], sse.shape)
+    return [np.array([b_grid[m], phi_grid[n]]) for m, n in zip(i, j)]
+
+
+def _projected_problem(data: EchoDataset, model: EchoFitModel):
+    """Linear solve, residual and Jacobian of the fringe fit over x = (b_perp, phi0).
+
+    The contrast is clamped to [0, 1], and the baseline re-solved at the
+    bound.  The Jacobian is the b and phi0 columns of :func:`echo_jacobian`
+    projected off the columns of the linear parameters left free; the
+    residual is orthogonal to those, so J^T r is the exact gradient.
+    """
+    tau, y = data.tau_us, data.signal
+    w = 1.0 / data.sigma**2
+    env = model.envelope_values(tau)
+
+    def linear(x):
+        u = 0.5 * env * np.cos(x[0] * model.phase_factor(tau, x[1]))
+        a, c, _ = _solve_linear_pair(u, y, w)
+        if not 0.0 <= a <= 1.0:  # also NaN, when u carries no contrast
+            a = 0.0 if math.isnan(a) else min(max(a, 0.0), 1.0)
+            c = np.sum(w * (y - a * u)) / np.sum(w)
+        return float(a), float(c), u
+
+    def residual(x):
+        a, c, u = linear(x)
+        return (a * u + c - y) / data.sigma
+
+    def jacobian(x):
+        a, c, _ = linear(x)
+        jac = echo_jacobian(data, model, dict(zip(ECHO_PARAM_NAMES, (x[0], x[1], a, c))))
+        q, _ = np.linalg.qr(jac[:, 2:] if 0.0 < a < 1.0 else jac[:, 3:])
+        return jac[:, :2] - q @ (q.T @ jac[:, :2])
+
+    return linear, residual, jacobian
 
 
 def _check_max_iter(max_iter: int) -> None:
@@ -355,7 +337,10 @@ def fit_echo(
     b_max: float = 0.5,
     max_iter: int = 200,
 ) -> FitResult:
-    """Weighted fit of the fringe model; multi-start over the covariant landscape.
+    """Weighted fringe fit over (b_perp, phi0), contrast bounded to [0, 1].
+
+    The fringe is even in b_perp and odd under phi0 -> phi0 + pi, so
+    |b_perp| is reported and phi0 is folded into [0, pi).
 
     Parameters
     ----------
@@ -364,11 +349,11 @@ def fit_echo(
     model : EchoFitModel
         Fixed constants, rotation frequency and (optional) envelope.
     initial : dict, optional
-        Starting values for any of b_perp_gauss / phi0_rad / contrast /
-        baseline; missing ones come from the built-in heuristics.
+        Start from its b_perp_gauss and phi0_rad (any other key is ignored)
+        instead of the 10 best cells of a landscape probe.
     b_max : float
-        Amplitude search domain: heuristic starts are clipped to it and
-        multistart solutions outside it are rejected (aliasing guard).
+        Amplitude search domain: the probe spans (0, b_max], and solutions
+        beyond it are taken only if no start ends inside (aliasing guard).
 
     Raises
     ------
@@ -382,22 +367,14 @@ def fit_echo(
         model = EchoFitModel()
     if len(data) < 8:
         raise ValidationError("fit_echo needs at least 8 data points")
-    if initial is not None and initial.get("b_perp_gauss", 0.0) < 0:
-        raise ValidationError("initial b_perp_gauss must be non-negative")
-
-    residual, jacobian = _echo_residual_and_jac(data, model)
-
-    if initial is not None and all(k in initial for k in ECHO_PARAM_NAMES):
-        starts = [_to_internal(initial)]
+    if initial is None:
+        starts = _landscape_starts(data, model, b_max)
+    elif {"b_perp_gauss", "phi0_rad"} <= initial.keys():
+        starts = [np.array([initial["b_perp_gauss"], initial["phi0_rad"]], dtype=float)]
     else:
-        starts = _initial_candidates(data, model, b_max)
-        if initial is not None:
-            merged = dict(
-                b_perp_gauss=0.05, phi0_rad=0.0, contrast=0.2, baseline=float(np.median(data.signal))
-            )
-            merged.update(initial)
-            starts.insert(0, _to_internal(merged))
+        raise ValidationError("initial needs both b_perp_gauss and phi0_rad")
 
+    linear, residual, jacobian = _projected_problem(data, model)
     # prefer solutions inside the physical amplitude domain: beyond b_max the
     # fringe aliases between sample points and can overfit pure noise
     best: LMResult | None = None
@@ -406,7 +383,7 @@ def fit_echo(
         res = levenberg_marquardt(residual, jacobian, x0, max_iter=max_iter)
         if best_any is None or res.cost < best_any.cost:
             best_any = res
-        if res.x[0] ** 2 <= b_max * (1.0 + 1e-9):
+        if abs(res.x[0]) <= b_max * (1.0 + 1e-9):
             if best is None or res.cost < best.cost - 1e-15 or (
                 abs(res.cost - best.cost) <= 1e-15 and res.converged and not best.converged
             ):
@@ -414,7 +391,10 @@ def fit_echo(
     if best is None:
         best = best_any
 
-    params = canonical_fringe_params(_to_reported(best.x))
+    a, c, _ = linear(best.x)
+    params = canonical_fringe_params(
+        dict(zip(ECHO_PARAM_NAMES, (abs(float(best.x[0])), float(best.x[1]), a, c)))
+    )
     return _finalize_fit(data, params, echo_jacobian(data, model, params), best, ECHO_PARAM_NAMES)
 
 
@@ -599,48 +579,42 @@ def profile_identifiability(
     values=None,
     max_iter: int = 120,
 ) -> ProfileResult:
-    """SSE profile vs one fixed parameter, re-fitting the remaining three.
+    """SSE profile vs b_perp or phi0, re-fitting the other on the projected cost.
 
-    Exposes the covariance valleys of the fringe model: on short-tau data
-    the profile around the optimum is nearly flat.
+    Contrast and baseline are solved exactly (contrast bounded, as in
+    :func:`fit_echo`) at every point.  Exposes the covariance valleys of the
+    fringe model: on short-tau data the profile around the optimum is nearly
+    flat.
     """
     if model is None:
         model = EchoFitModel()
-    if param_name not in ECHO_PARAM_NAMES:
+    if param_name not in ECHO_PARAM_NAMES[:2]:
         raise ValidationError(
-            f"param_name must be one of {ECHO_PARAM_NAMES}, got {param_name!r}"
+            f"param_name must be one of {ECHO_PARAM_NAMES[:2]}, got {param_name!r}"
         )
     if values is None:
         raise ValidationError("values to profile over are required")
     values = np.asarray(values, dtype=float)
     idx = ECHO_PARAM_NAMES.index(param_name)
-    residual_full, jacobian_full = _echo_residual_and_jac(data, model)
-    free_idx = [i for i in range(4) if i != idx]
-
+    linear, residual_full, jacobian_full = _projected_problem(data, model)
     base_fit = fit_echo(data, model)
-    x_base = _to_internal(base_fit.params)
+    x_base = np.array([base_fit.params[name] for name in ECHO_PARAM_NAMES[:2]])
 
+    free = [1 - idx]
     sse = np.empty(values.size)
     fits = []
     for i, v in enumerate(values):
-        pinned = _to_internal({**base_fit.params, param_name: v})[idx]
 
-        def residual(xf):
-            x = x_base.copy()
-            x[idx] = pinned
-            x[free_idx] = xf
-            return residual_full(x)
+        def full(xf):
+            return np.insert(xf, idx, v)
 
-        def jacobian(xf):
-            x = x_base.copy()
-            x[idx] = pinned
-            x[free_idx] = xf
-            return jacobian_full(x)[:, free_idx]
-
-        lm = levenberg_marquardt(residual, jacobian, x_base[free_idx], max_iter=max_iter)
+        lm = levenberg_marquardt(
+            lambda xf: residual_full(full(xf)),
+            lambda xf: jacobian_full(full(xf))[:, free],
+            x_base[free],
+            max_iter=max_iter,
+        )
         sse[i] = 2.0 * lm.cost
-        full = x_base.copy()
-        full[idx] = pinned
-        full[free_idx] = lm.x
-        fits.append(_to_reported(full))
+        x = full(lm.x)
+        fits.append(dict(zip(ECHO_PARAM_NAMES, (*map(float, x), *linear(x)[:2]))))
     return ProfileResult(param_name=param_name, values=values, sse=sse, fits=tuple(fits))

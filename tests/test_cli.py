@@ -392,6 +392,20 @@ def _main_exit(argv, capsys) -> tuple[int, str]:
     return code, capsys.readouterr().err
 
 
+@pytest.mark.parametrize("column, value", [(0, "nan"), (1, "inf"), (2, "inf")])
+def test_fit_non_finite_dataset_exit_2(column, value, tmp_path, capsys):
+    rows = np.column_stack([np.linspace(0.1, 1.1, 12), np.full(12, 0.85), np.full(12, 0.01)])
+    lines = [" ".join(f"{v:.9g}" for v in row) for row in rows]
+    lines[5] = " ".join(value if i == column else f"{v:.9g}" for i, v in enumerate(rows[5]))
+    path = tmp_path / "bad.dat"
+    path.write_text("# columns: tau_us signal sigma\n" + "\n".join(lines) + "\n")
+    name = ("tau_us", "signal", "sigma")[column]
+    for model in ("echo", "rabi"):
+        code, err = _main_exit(["fit", str(path), "--model", model], capsys)
+        assert code == 2, (model, err)
+        assert name in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -16,7 +16,7 @@ from rotornv.estimation import (
     levenberg_marquardt,
     numeric_jacobian,
     profile_identifiability,
-    _echo_residual_and_jac,
+    _projected_problem,
 )
 from rotornv.geometry import TWO_PI
 
@@ -47,7 +47,7 @@ class TestDataset:
 class TestLevenbergMarquardt:
     def test_monotone_cost_decrease(self):
         data = synth_dataset(noise_seed=5)
-        residual, jacobian = _echo_residual_and_jac(data, MODEL)
+        _, residual, jacobian = _projected_problem(data, MODEL)
         costs = []
         orig = residual
 
@@ -56,22 +56,13 @@ class TestLevenbergMarquardt:
             costs.append(0.5 * float(r @ r))
             return r
 
-        levenberg_marquardt(tracking_residual, jacobian, np.array([0.2, 0.5, 0.2, 0.9]))
+        levenberg_marquardt(tracking_residual, jacobian, np.array([0.2, 0.5]))
         # accepted costs never increase; probes may be worse but are rejected
         accepted = [costs[0]]
         for c in costs[1:]:
             if c <= accepted[-1]:
                 accepted.append(c)
         assert accepted[-1] <= accepted[0]
-
-    def test_numeric_jacobian_matches_analytic(self):
-        data = synth_dataset(noise_seed=8)
-        residual, jacobian = _echo_residual_and_jac(data, MODEL)
-        x = np.array([math.sqrt(0.07), 0.9, 0.22, 0.88])
-        analytic = jacobian(x)
-        numeric = numeric_jacobian(residual, x, rel_step=1e-6)
-        scale = np.max(np.abs(analytic))
-        assert np.allclose(analytic, numeric, atol=1e-6 * scale, rtol=1e-6)
 
 
 class TestFitEcho:
@@ -127,6 +118,31 @@ class TestFitEcho:
         scatter = np.std(b_hats)
         median_reported = np.median(b_sigmas)
         assert 0.5 < median_reported / scatter < 2.0
+
+    def test_weak_fringe_converges_with_bounded_contrast(self):
+        # unbounded, this dataset ends in a valley at contrast ~20, baseline ~-9
+        fit = fit_echo(synth_dataset(sigma=0.011, noise_seed=49), MODEL)
+        assert fit.converged
+        assert 0.0 <= fit.params["contrast"] <= 1.0
+
+    def test_flat_data_raise_identifiability(self):
+        tau = np.linspace(2.0, 21.0, 16)
+        with pytest.raises(IdentifiabilityError):
+            fit_echo(EchoDataset(tau, np.full(tau.size, 0.85), np.full(tau.size, 0.01)), MODEL)
+
+    def test_projected_gradient_exact_at_contrast_bound(self):
+        data = synth_dataset(noise_seed=8)
+        linear, residual, jacobian = _projected_problem(data, MODEL)
+        x = np.array([0.01, 0.9])
+        assert linear(x)[0] == 1.0  # the unbounded contrast lies above 1 here
+        grad = jacobian(x).T @ residual(x)
+        cost = lambda z: np.array([0.5 * float(residual(z) @ residual(z))])
+        numeric = numeric_jacobian(cost, x, rel_step=1e-6)[0]
+        assert np.allclose(grad, numeric, rtol=1e-6, atol=1e-6 * np.max(np.abs(grad)))
+
+    def test_initial_needs_b_and_phi0(self):
+        with pytest.raises(ValidationError):
+            fit_echo(synth_dataset(), MODEL, initial=dict(b_perp_gauss=0.09))
 
     def test_explicit_initial_guess_honoured(self):
         data = synth_dataset()
@@ -263,6 +279,12 @@ class TestProfiles:
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValidationError):
             profile_identifiability(synth_dataset(), MODEL, "bogus", np.array([1.0]))
+
+    @pytest.mark.parametrize("name", ["contrast", "baseline"])
+    def test_linear_parameter_rejected(self, name):
+        # contrast and baseline are solved at every point, never profiled
+        with pytest.raises(ValidationError):
+            profile_identifiability(synth_dataset(), MODEL, name, np.array([1.0]))
 
 
 class TestExternalJacobian:
