@@ -299,6 +299,25 @@ class TestCliSubcommands:
         assert "target=pi" in res.stdout
         assert res.stdout.splitlines()[1].startswith("mw 0 138.8")
 
+    @pytest.mark.parametrize(
+        "t_phi, starts",
+        [("0", ("0", "150000", "300000")), ("3.5", ("3500", "153500", "303500"))],
+    )
+    def test_compile_seq_readme_example_golden(self, t_phi, starts):
+        # the README example, pinned as literal text at two trigger-to-strobe delays
+        res = run_cli(
+            ["compile-seq", "--t-phi", t_phi, "-"],
+            input="mw pi at 0us\nwait 150us\nmw pi at 150us\nlaser 2us at 300us\n",
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == (
+            "# channel start_ns duration_ns payload\n"
+            f"mw {starts[0]} 138.888889 rabi_mhz=3.6 phase_rad=0 target=pi angle_deg=0\n"
+            f"mw {starts[1]} 138.888903 rabi_mhz=3.59999963 phase_rad=0 target=pi"
+            " angle_deg=179.99982\n"
+            f"laser {starts[2]} 2000\n"
+        )
+
     def test_compile_seq_parse_error_exit_code(self):
         res = run_cli(["compile-seq", "-"], input="bogus 2us\n")
         assert res.returncode == 2
