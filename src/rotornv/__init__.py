@@ -38,10 +38,8 @@ from .photophysics import (
 )
 from .seqlang import (
     CalibrationTable,
-    PulseTimeline,
     SequenceProgram,
     TimelineBatch,
-    TimelineEvent,
     build_calibration,
     compile_timeline,
     format_program,

@@ -1,10 +1,11 @@
 """End-to-end measurement pipelines: sequence -> spin -> readout -> contrast.
 
 A scan is evaluated in one batch: the calibration is built once, the
-timelines of all points are built as arrays (no program text), and one
-call of :func:`spindyn.simulate_sequence`, the one simulator, gives every
-P(m_S = -1).  The tests check the scans against an independent oracle
-that integrates the Bloch equation through each compiled point.
+timelines of all points are compiled as one :class:`seqlang.TimelineBatch`
+(arrays, no program text, the compiler that programs use), and one call of
+:func:`spindyn.simulate_sequence`, the one simulator, gives every
+P(m_S = -1).  The tests check the scans against an independent oracle that
+integrates the Bloch equation through each point's compiled program.
 
 Each scan point's final spin state is converted into expected
 early-window photon counts through the transit readout model,

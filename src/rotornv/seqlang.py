@@ -22,9 +22,11 @@ durations may reference a previously defined ``param``.  Parsing either
 returns a complete program or raises with the full diagnostic list (line and
 column positions); partial programs are never produced.
 
-Compilation resolves ``pi``/``pi/2`` targets to durations 1/(2 Omega) and
-1/(4 Omega) using a per-angle Rabi calibration table, shifts every event by
-the trigger-to-strobe delay ``t_phi`` and validates channel-wise
+One compiler builds every :class:`TimelineBatch`, the one compiled form: a
+program compiles to a batch of one, a Rabi or echo scan to N timelines of
+one shape.  It resolves ``pi``/``pi/2`` targets to durations 1/(2 Omega)
+and 1/(4 Omega) using a per-angle Rabi calibration table, shifts every
+event by the trigger-to-strobe delay ``t_phi`` and validates channel-wise
 non-overlap.  Event times are plain floats in microseconds; compilation is a
 fixed arithmetic path, so identical inputs produce identical timelines.
 """
@@ -204,6 +206,9 @@ class _Parser:
             self.error(f"unknown unit {rest!r} in {ctx}", tok)
             return None, i + 1
         q = Quantity(float(num_text), rest)
+        if not math.isfinite(q.value):
+            self.error(f"number {num_text!r} in {ctx} is out of range", tok)
+            return None, i + 1
         if q.is_time and q.value < 0:
             self.error(f"negative duration {q} in {ctx}", tok)
             return None, i + 1
@@ -434,104 +439,17 @@ def build_calibration(
 TARGET_FRACTIONS = {"pi": 0.5, "pi/2": 0.25}
 
 
-@dataclass(frozen=True)
-class MwPayload:
-    rabi_freq_mhz: float
-    phase_rad: float = 0.0
-    target: Optional[str] = None  # "pi" | "pi/2" | None
-    angle_deg: float = 0.0
-
-    @property
-    def rotation_fraction(self) -> Optional[float]:
-        return TARGET_FRACTIONS.get(self.target)
-
-
-@dataclass(frozen=True)
-class TimelineEvent:
-    channel: str  # "laser" | "mw"
-    start_us: float
-    duration_us: float
-    payload: Optional[MwPayload] = None
-
-    @property
-    def end_us(self) -> float:
-        return self.start_us + self.duration_us
-
-    def describe(self) -> str:
-        extra = ""
-        if self.payload is not None and self.payload.target:
-            extra = f" ({self.payload.target})"
-        return f"{self.channel}{extra} [{self.start_us:.6f}, {self.end_us:.6f}] us"
-
-
-@dataclass(frozen=True)
-class PulseTimeline:
-    events: tuple[TimelineEvent, ...]
-
-    def channel_events(self, channel: str) -> list[TimelineEvent]:
-        return [e for e in self.events if e.channel == channel]
-
-    def to_records(self) -> list[dict]:
-        rows = []
-        for e in self.events:
-            row = {
-                "channel": e.channel,
-                "start_ns": e.start_us * 1e3,
-                "duration_ns": e.duration_us * 1e3,
-            }
-            if e.payload is not None:
-                row.update(
-                    rabi_freq_mhz=e.payload.rabi_freq_mhz,
-                    phase_rad=e.payload.phase_rad,
-                    target=e.payload.target or "",
-                    angle_deg=e.payload.angle_deg,
-                )
-            rows.append(row)
-        return rows
-
-    def format_records(self) -> str:
-        lines = ["# channel start_ns duration_ns payload"]
-        for row in self.to_records():
-            payload = ""
-            if "rabi_freq_mhz" in row:
-                payload = (
-                    f" rabi_mhz={row['rabi_freq_mhz']:.9g}"
-                    f" phase_rad={row['phase_rad']:.9g}"
-                    f" target={row['target'] or '-'}"
-                    f" angle_deg={row['angle_deg']:.9g}"
-                )
-            lines.append(
-                f"{row['channel']} {row['start_ns']:.9g} {row['duration_ns']:.9g}{payload}"
-            )
-        return "\n".join(lines)
-
-    def batch(self) -> "TimelineBatch":
-        """This timeline as a batch of one, its events in time order.
-
-        Building the batch is the check of the timeline (see :class:`TimelineBatch`).
-        """
-        events = sorted(self.events, key=lambda e: (e.start_us, e.channel))
-        payloads = [e.payload or MwPayload(0.0) for e in events]
-        rows = [
-            (e.start_us, e.duration_us, p.rabi_freq_mhz, p.phase_rad)
-            for e, p in zip(events, payloads)
-        ]
-        start, dur, rabi, phase = np.array(rows, dtype=float).reshape(-1, 4).T[:, :, None]
-        channels, targets = tuple(e.channel for e in events), tuple(p.target for p in payloads)
-        return TimelineBatch(channels, targets, start, dur, rabi, phase)
-
-
 @dataclass(frozen=True, eq=False)
 class TimelineBatch:
-    """N timelines of one shape, one per scan point, held as (K, N) arrays.
+    """N compiled timelines of one shape, one per scan point, held as (K, N) arrays.
 
-    Row k of ``start_us``, ``duration_us``, ``rabi_mhz`` and ``phase_rad`` is
-    event k of every timeline; ``channels`` and ``targets`` label the K
-    events, which are listed in time order.  A compiled program is a batch of
-    one (:meth:`PulseTimeline.batch`).  Construction is the one check of a
-    timeline: it refuses a negative or non-finite time, a microwave event
-    without a finite positive Rabi frequency and finite phase, and an overlap
-    on a channel, naming the events.
+    Row k of ``start_us``, ``duration_us``, ``rabi_mhz``, ``phase_rad`` and
+    ``angle_deg`` (the rotation angle a pulse was calibrated at) is event k
+    of every timeline; ``channels`` and ``targets`` label the K events, which
+    are listed in time order.  Construction is the one check of a timeline:
+    it refuses a negative or non-finite time, a microwave event without a
+    finite positive Rabi frequency and finite phase, and an overlap on a
+    channel, naming the events.
     """
 
     channels: tuple[str, ...]
@@ -540,6 +458,7 @@ class TimelineBatch:
     duration_us: np.ndarray
     rabi_mhz: np.ndarray
     phase_rad: np.ndarray
+    angle_deg: np.ndarray
 
     def __post_init__(self):
         start, dur = self.start_us, self.duration_us
@@ -557,25 +476,37 @@ class TimelineBatch:
                 if hit.any():
                     i = int(np.argmax(hit))
                     raise ValidationError(
-                        f"overlapping {channel} events: {self.event(a, i).describe()} "
-                        f"and {self.event(b, i).describe()}"
+                        f"overlapping {channel} events: {self.describe(a, i)} "
+                        f"and {self.describe(b, i)}"
                     )
 
     def _refuse(self, bad: np.ndarray, why: str) -> None:
+        """Raise naming the first event (k, i) where the (K, N) mask ``bad`` is set."""
         if bad.any():
             k, i = np.argwhere(bad)[0]
-            raise ValidationError(f"event {self.event(k, i).describe()} {why}")
+            raise ValidationError(f"event {self.describe(k, i)} {why}")
 
-    def event(self, k: int, i: int) -> TimelineEvent:
-        """Event ``k`` of timeline ``i``."""
-        payload = None
-        if self.channels[k] == "mw":
-            payload = MwPayload(
-                float(self.rabi_mhz[k, i]), float(self.phase_rad[k, i]), self.targets[k]
-            )
-        return TimelineEvent(
-            self.channels[k], float(self.start_us[k, i]), float(self.duration_us[k, i]), payload
-        )
+    def describe(self, k: int, i: int) -> str:
+        """Event ``k`` of timeline ``i`` as ``channel (target) [start, end] us``."""
+        target = f" ({self.targets[k]})" if self.targets[k] else ""
+        start = float(self.start_us[k, i])
+        end = start + float(self.duration_us[k, i])
+        return f"{self.channels[k]}{target} [{start:.6f}, {end:.6f}] us"
+
+    def format_records(self) -> str:
+        """The first timeline, a compiled program's only one, as text: one line per event."""
+        lines = ["# channel start_ns duration_ns payload"]
+        for k, channel in enumerate(self.channels):
+            line = f"{channel} {self.start_us[k, 0] * 1e3:.9g} {self.duration_us[k, 0] * 1e3:.9g}"
+            if channel == "mw":
+                line += (
+                    f" rabi_mhz={self.rabi_mhz[k, 0]:.9g}"
+                    f" phase_rad={self.phase_rad[k, 0]:.9g}"
+                    f" target={self.targets[k] or '-'}"
+                    f" angle_deg={self.angle_deg[k, 0]:.9g}"
+                )
+            lines.append(line)
+        return "\n".join(lines)
 
 
 def _resolve_us(operand: Operand, params: dict[str, Quantity]) -> float:
@@ -608,19 +539,43 @@ def _calibrate(g: geometry.RotorGeometry, cal: CalibrationTable, start_us, targe
     return angle, omega, duration_us
 
 
-def _check_one_period(batch: TimelineBatch, g: geometry.RotorGeometry, t_phi_us=0.0, hint=""):
-    """Refuse an event that starts more than one rotation period after t_phi."""
-    late = batch.start_us > g.t_rot_us + t_phi_us + 1e-9
-    if late.any():
-        k, i = np.argwhere(late)[0]
-        raise CompileError(
-            [
-                Diagnostic(
-                    f"event {batch.event(k, i).describe()} starts after one rotation period "
-                    f"({g.t_rot_us:.3f} us){hint}"
-                )
-            ]
+def _compile_batch(
+    g: geometry.RotorGeometry, cal: CalibrationTable, n: int, rows, t_phi_us=0.0, period_hint=""
+) -> TimelineBatch:
+    """Compile N programs of one shape into a batch: the one timeline compiler.
+
+    ``rows`` lists the events as (channel, target, start_us, duration_us,
+    phase_rad) in time order, each value a scalar or an (N,) array and a
+    target pulse's duration None.  Pulses are calibrated at program time,
+    then ``t_phi_us`` translates every event.  An event that starts more
+    than one rotation period after t_phi is refused, the message ending in
+    ``period_hint``; None permits it.
+    """
+    start, dur, rabi, phase, angle = np.zeros((5, len(rows), n))
+    for k, (channel, target, at, duration, phi) in enumerate(rows):
+        start[k], phase[k] = at, phi
+        if channel == "mw":
+            angle[k], rabi[k], duration = _calibrate(g, cal, at, target, duration)
+        dur[k] = duration
+    moved = start + t_phi_us
+    # at a large enough delay, start + duration - start loses the duration to rounding
+    if not 0.0 <= t_phi_us < math.inf or (
+        t_phi_us > 0.0 and np.any(np.abs(moved + dur - moved - dur) > 1e-9)
+    ):
+        why = "must be finite, non-negative and small enough that every event keeps its duration"
+        raise CompileError([Diagnostic(f"--t-phi (t_phi_us) = {t_phi_us:g} us {why} to 1e-9 us")])
+    try:
+        batch = TimelineBatch(
+            tuple(r[0] for r in rows), tuple(r[1] for r in rows), moved, dur, rabi, phase, angle
         )
+        if period_hint is not None:
+            batch._refuse(
+                moved > g.t_rot_us + t_phi_us + 1e-9,
+                f"starts after one rotation period ({g.t_rot_us:.3f} us){period_hint}",
+            )
+    except ValidationError as exc:
+        raise CompileError([Diagnostic(str(exc))]) from exc
+    return batch
 
 
 def compile_timeline(
@@ -629,17 +584,17 @@ def compile_timeline(
     cal: CalibrationTable,
     t_phi_us: float = 0.0,
     allow_multi_period: bool = False,
-) -> PulseTimeline:
-    """Compile a program against a Rabi calibration into an event timeline.
+) -> TimelineBatch:
+    """Compile a program against a Rabi calibration into a batch of one timeline.
 
-    Target-angle pulses take their duration from the calibration at the
-    rotation angle of the pulse start (program time); ``t_phi_us`` then
-    translates the whole timeline.  Overlap on a channel is a compile error
+    The statements resolve to events at program time (cursor, params and
+    phases); :func:`_compile_batch` then calibrates them, translates them by
+    ``t_phi_us`` and checks them.  Overlap on a channel is a compile error
     that names both events.
     """
     params = prog.param_map
     cursor = 0.0
-    events: list[TimelineEvent] = []
+    rows = []
     for stmt in prog.statements:
         if isinstance(stmt, TriggerStmt):
             continue
@@ -648,27 +603,16 @@ def compile_timeline(
             continue
         start = cursor if stmt.at is None else _resolve_us(stmt.at, params)
         if isinstance(stmt, LaserStmt):
-            events.append(TimelineEvent("laser", start, _resolve_us(stmt.duration, params)))
-        else:  # MwStmt
+            duration = _resolve_us(stmt.duration, params)
+            rows.append(("laser", None, start, duration, 0.0))
+        else:  # MwStmt; the cursor needs a target pulse's calibrated duration
             explicit = None if stmt.target else _resolve_us(stmt.duration, params)
-            angle, omega, dur = _calibrate(g, cal, start, stmt.target, explicit)
-            payload = MwPayload(omega, _resolve_rad(stmt.phase, params), stmt.target, angle)
-            events.append(TimelineEvent("mw", start, dur, payload))
-        cursor = events[-1].end_us
-
-    timeline = PulseTimeline(
-        tuple(
-            TimelineEvent(e.channel, e.start_us + t_phi_us, e.duration_us, e.payload)
-            for e in sorted(events, key=lambda e: (e.start_us, e.channel))
-        )
-    )
-    try:
-        batch = timeline.batch()
-    except ValidationError as exc:
-        raise CompileError([Diagnostic(str(exc))]) from exc
-    if not allow_multi_period:
-        _check_one_period(batch, g, t_phi_us, "; pass allow_multi_period to permit this")
-    return timeline
+            duration = _calibrate(g, cal, start, stmt.target, explicit)[2]
+            rows.append(("mw", stmt.target, start, explicit, _resolve_rad(stmt.phase, params)))
+        cursor = start + duration
+    rows.sort(key=lambda row: (row[2], row[0]))
+    hint = None if allow_multi_period else "; pass allow_multi_period to permit this"
+    return _compile_batch(g, cal, 1, rows, t_phi_us, hint)
 
 
 # ---------------------------------------------------------------------------
@@ -690,6 +634,7 @@ def ideal_echo_timeline(tau_us, t_rot_us: float, t_pulse_us: float = 2.0) -> Tim
         np.array([zero, tau / 2.0, tau, zero + t_rot_us]),
         np.array([zero, zero, zero, zero + t_pulse_us]),
         np.array([zero + 1.0, zero + 1.0, zero + 1.0, zero]),
+        np.zeros((4, tau.size)),
         np.zeros((4, tau.size)),
     )
 
@@ -759,26 +704,6 @@ def rabi_program(
 # batched canned sequences: whole scans without program text
 
 
-def _compile_batch(g: geometry.RotorGeometry, cal: CalibrationTable, n: int, events) -> TimelineBatch:
-    """:func:`compile_timeline` for N programs of one shape, with t_phi = 0 and phase 0.
-
-    ``events`` lists (channel, target, start_us, duration_us) in time order;
-    each time is a scalar or an (N,) array.
-    """
-    cols = []
-    for channel, target, at, duration in events:
-        at = np.broadcast_to(np.asarray(at, dtype=float), (n,))
-        omega = np.zeros(n)
-        if channel == "mw":
-            _, omega, duration = _calibrate(g, cal, at, target, duration)
-        cols.append((at, np.broadcast_to(np.asarray(duration, dtype=float), (n,)), omega))
-    start, dur, rabi = (np.array(c) for c in zip(*cols))
-    channels, targets = tuple(e[0] for e in events), tuple(e[1] for e in events)
-    batch = TimelineBatch(channels, targets, start, dur, rabi, np.zeros_like(start))
-    _check_one_period(batch, g)
-    return batch
-
-
 def rabi_batch(
     durations_us,
     g: geometry.RotorGeometry,
@@ -789,9 +714,9 @@ def rabi_batch(
 ) -> TimelineBatch:
     """The compiled timelines of :func:`rabi_program`, one per duration."""
     d = np.atleast_1d(np.asarray(durations_us, dtype=float))
-    events = [("mw", "pi", 0.0, None)] if prepend_pi else []
-    events += [("mw", None, pulse_at_us, d), ("laser", None, g.t_rot_us, t_pulse_us)]
-    return _compile_batch(g, cal, d.size, events)
+    rows = [("mw", "pi", 0.0, None, 0.0)] if prepend_pi else []
+    rows += [("mw", None, pulse_at_us, d, 0.0), ("laser", None, g.t_rot_us, t_pulse_us, 0.0)]
+    return _compile_batch(g, cal, d.size, rows)
 
 
 def echo_batch(
@@ -800,10 +725,10 @@ def echo_batch(
     """The compiled timelines of :func:`echo_program`, one per tau."""
     tau = np.atleast_1d(np.asarray(tau_us, dtype=float))
     start_pi, start_last = echo_pulse_starts(tau, g, cal)
-    events = [
-        ("mw", "pi/2", 0.0, None),
-        ("mw", "pi", start_pi, None),
-        ("mw", "pi/2", start_last, None),
-        ("laser", None, g.t_rot_us, t_pulse_us),
+    rows = [
+        ("mw", "pi/2", 0.0, None, 0.0),
+        ("mw", "pi", start_pi, None, 0.0),
+        ("mw", "pi/2", start_last, None, 0.0),
+        ("laser", None, g.t_rot_us, t_pulse_us, 0.0),
     ]
-    return _compile_batch(g, cal, tau.size, events)
+    return _compile_batch(g, cal, tau.size, rows)

@@ -7,10 +7,10 @@ detuning; free evolution is precession about z at the instantaneous
 detuning.  With the microwave tuned to the rotation-averaged transition,
 the free detuning is gamma_e times the AC field of :func:`geometry.effective_field`.
 :func:`simulate_sequence` is the one simulator: it runs every timeline of a
-:class:`seqlang.TimelineBatch`, whether a scan or one compiled program.  Its
-test oracle integrates the Bloch equation numerically (``quad`` for free
-precession, DOP853 ``solve_ivp`` through each pulse under the moving
-detuning), sharing none of the closed forms used here.
+:class:`seqlang.TimelineBatch`, whether a scan or one compiled program (a
+batch of one).  Its test oracle integrates the Bloch equation numerically
+(``quad`` for free precession, DOP853 ``solve_ivp`` through each pulse
+under the moving detuning), sharing none of the closed forms used here.
 
 Frequencies are linear (MHz), times are microseconds, so a resonant pulse
 of duration 1/(2 Omega) is a pi rotation.  All functions are pure.
@@ -297,7 +297,7 @@ def simulate_sequence(
 ) -> np.ndarray:
     """Final Bloch vectors, shape (N, 3), of the N timelines of a batch, from m_S = 0.
 
-    A scan is one batch; a compiled program runs as ``timeline.batch()``.
+    A scan is one batch, and a compiled program is a batch of one.
     Each timeline takes its events in order: free precession to the event
     start by the closed-form AC phase, then for a microwave event the
     constant-(Omega, Delta) rotation about the axis at its phase, with Delta
@@ -318,8 +318,8 @@ def simulate_sequence(
             if inside.any():
                 k, i = np.argwhere(inside)[0]
                 raise ValidationError(
-                    f"laser boundary of {batch.event(lz, i).describe()} "
-                    f"falls inside {batch.event(k, i).describe()}"
+                    f"laser boundary of {batch.describe(lz, i)} "
+                    f"falls inside {batch.describe(k, i)}"
                 )
 
     bloch = np.tile(SpinState.ms0().bloch, (start.shape[1], 1))
@@ -329,7 +329,7 @@ def simulate_sequence(
         if late.any():
             i = int(np.argmax(late))
             raise ValidationError(
-                f"event {batch.event(k, i).describe()} starts before the running time "
+                f"event {batch.describe(k, i)} starts before the running time "
                 f"{t[i]:.6f} us"
             )
         bloch = _free_evolve(bloch, g, f, c, t, start[k])

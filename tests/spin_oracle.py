@@ -20,6 +20,7 @@ import numpy as np
 from scipy import integrate, linalg
 
 from rotornv import geometry
+from rotornv.seqlang import TimelineBatch
 
 TWO_PI = 2.0 * math.pi
 TARGET_ANGLES_RAD = {"pi": math.pi, "pi/2": math.pi / 2.0}
@@ -57,31 +58,41 @@ class BlochOracle:
             return bloch
         return _rotation((0.0, 0.0, TWO_PI * self._quad(self.detuning_mhz, t0, t1))) @ bloch
 
-    def pulse(self, bloch: np.ndarray, event) -> np.ndarray:
-        p = event.payload
-        axis = np.array([math.cos(p.phase_rad), math.sin(p.phase_rad), 0.0])
-        if event.duration_us == 0.0:
+    def pulse(self, bloch, start_us, duration_us, target, rabi_mhz, phase_rad) -> np.ndarray:
+        axis = np.array([math.cos(phase_rad), math.sin(phase_rad), 0.0])
+        if duration_us == 0.0:
             # a zero-duration target pulse is its exact rotation; an explicit one does nothing
-            angle = TARGET_ANGLES_RAD.get(p.target)
+            angle = TARGET_ANGLES_RAD.get(target)
             return bloch if angle is None else _rotation(angle * axis) @ bloch
-        drive = TWO_PI * p.rabi_freq_mhz * axis
+        drive = TWO_PI * rabi_mhz * axis
 
         def rhs(t_us, m):
             return np.cross(drive + (0.0, 0.0, TWO_PI * self.detuning_mhz(t_us)), m)
 
         sol = integrate.solve_ivp(
-            rhs, (event.start_us, event.end_us), bloch, method="DOP853", rtol=1e-12, atol=1e-13
+            rhs, (start_us, start_us + duration_us), bloch, method="DOP853", rtol=1e-12, atol=1e-13
         )
         return sol.y[:, -1]
 
-    def run(self, events) -> np.ndarray:
-        """Final Bloch vector after ``events`` (TimelineEvent), taken in time order."""
+    def run(self, batch, i: int = 0) -> np.ndarray:
+        """Final Bloch vector of timeline ``i`` of a ``TimelineBatch``, read row by row."""
         bloch, t = np.array([0.0, 0.0, 1.0]), 0.0
-        for ev in sorted(events, key=lambda e: (e.start_us, e.channel)):
-            bloch = self.precess(bloch, t, ev.start_us)
-            if ev.channel == "mw":
-                bloch = self.pulse(bloch, ev)
+        for k, channel in enumerate(batch.channels):
+            start, dur = float(batch.start_us[k, i]), float(batch.duration_us[k, i])
+            end = start + dur
+            bloch = self.precess(bloch, t, start)
+            if channel == "mw":
+                rabi, phase = float(batch.rabi_mhz[k, i]), float(batch.phase_rad[k, i])
+                bloch = self.pulse(bloch, start, dur, batch.targets[k], rabi, phase)
             else:  # the laser window is free precession for the coherent state
-                bloch = self.precess(bloch, ev.start_us, ev.end_us)
-            t = ev.end_us
+                bloch = self.precess(bloch, start, end)
+            t = end
         return bloch
+
+
+def batch_of_one(*events):
+    """A ``TimelineBatch`` of one timeline, from (channel, target, start_us, duration_us,
+    rabi_mhz, phase_rad) events listed in time order; no calibration angle is kept."""
+    channels, targets, *cols = zip(*events)
+    start, dur, rabi, phase = (np.array(col, dtype=float)[:, None] for col in cols)
+    return TimelineBatch(channels, targets, start, dur, rabi, phase, np.zeros_like(start))

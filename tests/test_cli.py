@@ -18,9 +18,8 @@ from rotornv.config import apply_overrides, config_from_dict
 from rotornv.errors import ValidationError
 from rotornv.estimation import EchoDataset, fit_rabi
 from rotornv.photophysics import LevelPopulations, expected_window_counts
-from rotornv.seqlang import MwPayload, TimelineEvent
 from rotornv.spindyn import c13_envelope
-from spin_oracle import BlochOracle
+from spin_oracle import BlochOracle, batch_of_one
 
 
 def run_cli(args, **kw):
@@ -32,11 +31,11 @@ def run_cli(args, **kw):
     )
 
 
-def _ideal_echo_events(tau_us, t_rot_us, t_pulse_us):
-    """The ideal echo as events, built apart from ``seqlang.ideal_echo_timeline``."""
-    mw = lambda t, target: TimelineEvent("mw", t, 0.0, MwPayload(1.0, target=target))
-    laser = TimelineEvent("laser", t_rot_us, t_pulse_us)
-    return [mw(0.0, "pi/2"), mw(tau_us / 2.0, "pi"), mw(tau_us, "pi/2"), laser]
+def _ideal_echo_batch(tau_us, t_rot_us, t_pulse_us):
+    """The ideal echo as a batch of one, built apart from ``seqlang.ideal_echo_timeline``."""
+    mw = lambda t, target: ("mw", target, t, 0.0, 1.0, 0.0)
+    laser = ("laser", None, t_rot_us, t_pulse_us, 0.0, 0.0)
+    return batch_of_one(mw(0.0, "pi/2"), mw(tau_us / 2.0, "pi"), mw(tau_us, "pi/2"), laser)
 
 
 class TestConfig:
@@ -149,7 +148,7 @@ class TestPipeline:
         kind, variant = scan.split("-")
 
         def compiled(text):
-            return seqlang.compile_timeline(seqlang.parse_sequence(text), g, cal).events
+            return seqlang.compile_timeline(seqlang.parse_sequence(text), g, cal)
 
         if kind == "rabi":
             axis = np.linspace(0.0, 1.1, 23)  # includes duration 0
@@ -162,14 +161,14 @@ class TestPipeline:
             axis = np.linspace(0.0 if ideal else 2.0, 290.0, 23)
             batched = pipeline.echo_populations(cfg, axis, ideal_pulses=ideal)
             timelines = [
-                _ideal_echo_events(t, g.t_rot_us, t_pulse)
+                _ideal_echo_batch(t, g.t_rot_us, t_pulse)
                 if ideal
                 else compiled(seqlang.echo_program(t, g, cal, t_pulse))
                 for t in axis
             ]
             envelope = c13_envelope(pipeline.echo_params_from_config(cfg), c, axis)
         oracle = BlochOracle(g, cfg.field_cfg, c)
-        z = np.array([oracle.run(events)[2] for events in timelines])
+        z = np.array([oracle.run(timeline)[2] for timeline in timelines])
         # Without an AC field (theta_b = 0) the detuning is zero, and with
         # zero-duration pulses only free precession moves the spin, whose
         # closed form is exact: the bound is the oracle's roundoff (<= 1.2e-12 seen).
@@ -317,6 +316,22 @@ class TestCliSubcommands:
             " angle_deg=179.99982\n"
             f"laser {starts[2]} 2000\n"
         )
+
+    @pytest.mark.parametrize(
+        "t_phi, code",
+        [("1e20", 2), ("1e308", 2), ("nan", 2), ("-5", 2), ("3.5", 0), ("150", 0), ("1e6", 0)],
+    )
+    def test_compile_seq_t_phi_checked(self, t_phi, code):
+        # 1e20 + 0.139 == 1e20: at such a delay the pulses would collapse onto one start
+        res = run_cli(
+            ["compile-seq", "--t-phi", t_phi, "-"],
+            input="mw pi at 0us\nwait 150us\nmw pi/2 at 150us\nlaser 2us at 300us\n",
+        )
+        assert res.returncode == code, res.stderr
+        if code:
+            assert "--t-phi (t_phi_us)" in res.stderr
+        else:
+            assert len(res.stdout.splitlines()) == 4 and "inf" not in res.stdout
 
     def test_compile_seq_parse_error_exit_code(self):
         res = run_cli(["compile-seq", "-"], input="bogus 2us\n")

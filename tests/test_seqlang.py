@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,13 +9,11 @@ from rotornv.errors import CompileError, ParseError, ValidationError
 from rotornv.geometry import FieldConfig, RotorGeometry
 from rotornv.seqlang import (
     CalibrationTable,
+    TARGET_FRACTIONS,
     LaserStmt,
-    MwPayload,
     MwStmt,
-    PulseTimeline,
     Quantity,
     SequenceProgram,
-    TimelineEvent,
     TriggerStmt,
     WaitStmt,
     build_calibration,
@@ -30,6 +27,7 @@ from rotornv.seqlang import (
     rabi_batch,
     rabi_program,
 )
+from spin_oracle import batch_of_one
 
 
 def default_calibration(base_rabi=3.6, n=64):
@@ -74,6 +72,18 @@ class TestParser:
         with pytest.raises(ParseError) as err:
             parse_sequence("wait -3us")
         assert "negative duration" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text, col",
+        [("mw 1e400us at 0us", 4), ("param d = 1e999 ns", 11), ("mw pi phase 1e400deg at 0us", 13)],
+    )
+    def test_overflowing_number_rejected_with_position(self, text, col):
+        # float() turns these into inf; the parser, not the compiler, must refuse them
+        with pytest.raises(ParseError) as err:
+            parse_sequence(text)
+        diag = err.value.diagnostics[0]
+        assert "out of range" in diag.message
+        assert (diag.line, diag.col) == (1, col)
 
     def test_duplicate_parameter(self):
         with pytest.raises(ParseError) as err:
@@ -242,20 +252,19 @@ class TestCompile:
     def test_pi_duration_from_rabi_frequency(self):
         g = RotorGeometry(phi_nv0_deg=90.0)
         cal = default_calibration()
-        timeline = compile_timeline(parse_sequence("mw pi at 0us"), g, cal)
-        ev = timeline.events[0]
-        assert ev.duration_us == pytest.approx(1.0 / (2.0 * 3.6), rel=1e-9)
-        assert ev.payload.rabi_freq_mhz == pytest.approx(3.6)
+        batch = compile_timeline(parse_sequence("mw pi at 0us"), g, cal)
+        assert batch.duration_us[0, 0] == pytest.approx(1.0 / (2.0 * 3.6), rel=1e-9)
+        assert batch.rabi_mhz[0, 0] == pytest.approx(3.6)
 
     def test_duration_times_rabi_equals_target_fraction(self):
         g = RotorGeometry(phi_nv0_deg=35.0)
         cal = default_calibration(n=256)
         text = "mw pi at 0us\nmw pi/2 at 40us\nmw pi at 80us\nmw pi/2 at 120us"
-        timeline = compile_timeline(parse_sequence(text), g, cal)
-        for ev in timeline.channel_events("mw"):
-            frac = ev.payload.rotation_fraction
-            assert ev.duration_us * ev.payload.rabi_freq_mhz == pytest.approx(
-                frac, abs=1e-9
+        batch = compile_timeline(parse_sequence(text), g, cal)
+        assert batch.channels == ("mw",) * 4
+        for k, target in enumerate(batch.targets):
+            assert batch.duration_us[k, 0] * batch.rabi_mhz[k, 0] == pytest.approx(
+                TARGET_FRACTIONS[target], abs=1e-9
             )
 
     def test_t_phi_is_pure_translation(self):
@@ -264,10 +273,10 @@ class TestCompile:
         text = "mw pi at 0us\nwait 10us\nmw pi/2 at 50us\nlaser 2us at 290us"
         t0 = compile_timeline(parse_sequence(text), g, cal, t_phi_us=0.0)
         t10 = compile_timeline(parse_sequence(text), g, cal, t_phi_us=10.0)
-        for a, b in zip(t0.events, t10.events):
-            assert b.start_us == pytest.approx(a.start_us + 10.0, abs=1e-12)
-            assert b.duration_us == a.duration_us
-            assert b.payload == a.payload
+        assert (t10.channels, t10.targets) == (t0.channels, t0.targets)
+        assert np.max(np.abs(t10.start_us - (t0.start_us + 10.0))) <= 1e-12
+        for row in ("duration_us", "rabi_mhz", "phase_rad", "angle_deg"):
+            assert np.array_equal(getattr(t10, row), getattr(t0, row))
 
     def test_compilation_deterministic_byte_identical(self):
         g = RotorGeometry(phi_nv0_deg=77.0)
@@ -276,7 +285,9 @@ class TestCompile:
         a = compile_timeline(parse_sequence(text), g, cal, t_phi_us=3.5)
         b = compile_timeline(parse_sequence(text), g, cal, t_phi_us=3.5)
         assert a.format_records() == b.format_records()
-        assert a == b
+        assert (a.channels, a.targets) == (b.channels, b.targets)
+        for row in ("start_us", "duration_us", "rabi_mhz", "phase_rad", "angle_deg"):
+            assert getattr(a, row).tobytes() == getattr(b, row).tobytes()
 
     def test_overlap_rejected_with_both_events(self):
         g = RotorGeometry(phi_nv0_deg=90.0)
@@ -290,47 +301,47 @@ class TestCompile:
         g = RotorGeometry(phi_nv0_deg=90.0)
         cal = default_calibration()
         text = "laser 2us at 300us\nmw pi at 150us phase 90deg\nmw pi at 0us"
-        timeline = compile_timeline(parse_sequence(text), g, cal)
-        batch = timeline.batch()  # the check of the timeline: must not raise
+        batch = compile_timeline(parse_sequence(text), g, cal)
         assert batch.start_us.shape == (3, 1)
-        # the batch keeps no calibration angle
-        for k, ev in enumerate(timeline.events):
-            payload = ev.payload and replace(ev.payload, angle_deg=0.0)
-            assert batch.event(k, 0) == replace(ev, payload=payload)
+        # events listed out of order compile in time order
+        assert batch.channels == ("mw", "mw", "laser")
+        assert batch.targets == ("pi", "pi", None)
+        assert batch.start_us[:, 0].tolist() == [0.0, 150.0, 300.0]
         assert batch.phase_rad[:, 0].tolist() == [0.0, math.pi / 2.0, 0.0]
+        # each pulse keeps the rotation angle it was calibrated at
+        assert batch.angle_deg[:, 0] == pytest.approx([0.0, 180.0, 0.0], abs=1e-3)
 
     @pytest.mark.parametrize(
         "event, match",
         [
-            (TimelineEvent("mw", 1.0, 0.1), "finite positive Rabi"),
-            (TimelineEvent("mw", 1.0, 0.1, MwPayload(0.0)), "finite positive Rabi"),
-            (TimelineEvent("mw", 1.0, 0.1, MwPayload(3.6, math.nan)), "finite phase"),
-            (TimelineEvent("laser", -1.0, 2.0), "negative or non-finite time"),
-            (TimelineEvent("laser", 1.0, math.inf), "negative or non-finite time"),
+            (("mw", None, 1.0, 0.1, math.inf, 0.0), "finite positive Rabi"),
+            (("mw", None, 1.0, 0.1, 0.0, 0.0), "finite positive Rabi"),
+            (("mw", None, 1.0, 0.1, 3.6, math.nan), "finite phase"),
+            (("laser", None, -1.0, 2.0, 0.0, 0.0), "negative or non-finite time"),
+            (("laser", None, 1.0, math.inf, 0.0, 0.0), "negative or non-finite time"),
         ],
     )
     def test_batch_of_one_refuses_bad_events(self, event, match):
         with pytest.raises(ValidationError, match=match):
-            PulseTimeline((event,)).batch()
+            batch_of_one(event)
 
     def test_multi_period_guard(self):
         g = RotorGeometry()
         cal = default_calibration()
         with pytest.raises(CompileError):
             compile_timeline(parse_sequence("laser 2us at 800us"), g, cal)
-        timeline = compile_timeline(
+        batch = compile_timeline(
             parse_sequence("laser 2us at 800us"), g, cal, allow_multi_period=True
         )
-        assert timeline.events[0].start_us == 800.0
+        assert batch.start_us[0, 0] == 800.0
 
     def test_cursor_flow_without_at(self):
         g = RotorGeometry(phi_nv0_deg=90.0)
         cal = default_calibration()
-        timeline = compile_timeline(
+        batch = compile_timeline(
             parse_sequence("mw 1us\nwait 5us\nmw 1us\nlaser 2us"), g, cal
         )
-        starts = [e.start_us for e in timeline.events]
-        assert starts == pytest.approx([0.0, 6.0, 7.0])
+        assert batch.start_us[:, 0] == pytest.approx([0.0, 6.0, 7.0])
 
 
 class TestCannedSequences:
@@ -338,17 +349,16 @@ class TestCannedSequences:
         g = RotorGeometry(phi_nv0_deg=90.0)
         cal = default_calibration()
         tau = 60.0
-        timeline = compile_timeline(parse_sequence(echo_program(tau, g, cal)), g, cal)
-        mw = timeline.channel_events("mw")
-        assert len(mw) == 3
-        assert mw[0].start_us == 0.0
+        batch = compile_timeline(parse_sequence(echo_program(tau, g, cal)), g, cal)
+        assert batch.channels == ("mw", "mw", "mw", "laser")
+        start, end = batch.start_us[:, 0], (batch.start_us + batch.duration_us)[:, 0]
+        assert start[0] == 0.0
         # refocusing pulse centred at tau/2
-        assert mw[1].start_us + mw[1].duration_us / 2.0 == pytest.approx(tau / 2.0, abs=1e-6)
+        assert (start[1] + end[1]) / 2.0 == pytest.approx(tau / 2.0, abs=1e-6)
         # final projection ends by tau
-        assert mw[2].end_us == pytest.approx(tau, abs=1e-6)
-        assert mw[2].end_us <= tau + 1e-9
-        laser = timeline.channel_events("laser")
-        assert laser[0].start_us == pytest.approx(g.t_rot_us)
+        assert end[2] == pytest.approx(tau, abs=1e-6)
+        assert end[2] <= tau + 1e-9
+        assert start[3] == pytest.approx(g.t_rot_us)
 
     def test_ideal_echo_timeline_broadcasts_over_tau(self):
         batch = ideal_echo_timeline([40.0, 60.0], 300.0, 2.0)
@@ -363,12 +373,12 @@ class TestCannedSequences:
         g = RotorGeometry(phi_nv0_deg=90.0)
         cal = default_calibration()
         t = compile_timeline(parse_sequence(rabi_program(0.3, g)), g, cal)
-        assert [e.channel for e in t.events] == ["mw", "laser"]
+        assert t.channels == ("mw", "laser")
         t2 = compile_timeline(
             parse_sequence(rabi_program(0.3, g, pulse_at_us=150.0, prepend_pi=True)), g, cal
         )
-        assert [e.channel for e in t2.events] == ["mw", "mw", "laser"]
-        assert t2.events[1].start_us == 150.0
+        assert t2.channels == ("mw", "mw", "laser")
+        assert t2.start_us[1, 0] == 150.0
 
 
 class TestBatchedSequences:
@@ -399,16 +409,10 @@ class TestBatchedSequences:
         ]
         for batch, texts in batches:
             for i, text in enumerate(texts):
-                events = compile_timeline(parse_sequence(text), g, cal).events
-                assert len(events) == len(batch.channels)
-                for k, ev in enumerate(events):
-                    got = batch.event(k, i)
-                    assert (got.channel, got.start_us, got.duration_us) == (
-                        ev.channel, ev.start_us, ev.duration_us
-                    )
-                    if ev.payload is not None:
-                        assert got.payload.rabi_freq_mhz == ev.payload.rabi_freq_mhz
-                        assert got.payload.target == ev.payload.target
+                one = compile_timeline(parse_sequence(text), g, cal)
+                assert (one.channels, one.targets) == (batch.channels, batch.targets)
+                for row in ("start_us", "duration_us", "rabi_mhz", "phase_rad", "angle_deg"):
+                    assert getattr(batch, row)[:, i].tolist() == getattr(one, row)[:, 0].tolist()
 
     def test_batch_rejects_event_beyond_one_period_like_compiler(self):
         g = RotorGeometry(phi_nv0_deg=90.0)

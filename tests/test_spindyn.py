@@ -10,9 +10,6 @@ from rotornv.errors import ValidationError
 from rotornv.geometry import TWO_PI, FieldConfig, PhysicalConstants, RotorGeometry
 from rotornv import TimelineBatch
 from rotornv.seqlang import (
-    MwPayload,
-    PulseTimeline,
-    TimelineEvent,
     build_calibration,
     compile_timeline,
     echo_batch,
@@ -31,7 +28,7 @@ from rotornv.spindyn import (
     rabi_population,
     simulate_sequence,
 )
-from spin_oracle import BlochOracle
+from spin_oracle import BlochOracle, batch_of_one
 
 
 def quadrature_echo_phase(p: EchoParams, c: PhysicalConstants, tau_us: float) -> float:
@@ -211,10 +208,6 @@ class TestC13Envelope:
         assert np.max(vals) - np.min(vals) > 0.5  # oscillatory fringes
 
 
-def _ideal_pulse_event(t_us, target, phase_rad=0.0):
-    return TimelineEvent("mw", t_us, 0.0, MwPayload(rabi_freq_mhz=1.0, phase_rad=phase_rad, target=target))
-
-
 class TestSimulateSequence:
     def test_echo_matches_closed_form(self, geometry_default, field_tilted, constants):
         p = EchoParams.from_experiment(geometry_default, field_tilted)
@@ -224,12 +217,11 @@ class TestSimulateSequence:
         assert np.max(np.abs(z - np.cos(echo_phase(p, constants, tau)))) <= 1e-6
 
     def test_pi_pulses_flip_and_restore(self, geometry_default, field_tilted, constants):
-        t_half = geometry_default.t_rot_us / 2.0
-        # listed out of order: the batch of one takes its events in time order
-        one = PulseTimeline((_ideal_pulse_event(0.0, "pi"),))
-        two = PulseTimeline((_ideal_pulse_event(t_half, "pi"), _ideal_pulse_event(0.0, "pi")))
-        for timeline, z in ((one, -1.0), (two, 1.0)):
-            final = simulate_sequence(timeline.batch(), geometry_default, field_tilted, constants)
+        pi_at = lambda t_us: ("mw", "pi", t_us, 0.0, 1.0, 0.0)
+        one = batch_of_one(pi_at(0.0))
+        two = batch_of_one(pi_at(0.0), pi_at(geometry_default.t_rot_us / 2.0))
+        for batch, z in ((one, -1.0), (two, 1.0)):
+            final = simulate_sequence(batch, geometry_default, field_tilted, constants)
             assert final[0, 2] == pytest.approx(z, abs=1e-9)
 
     def test_constant_drive_reproduces_rabi_formula(self, constants):
@@ -237,7 +229,7 @@ class TestSimulateSequence:
         f = FieldConfig(theta_b_deg=0.0)
         dur = np.linspace(0.01, 1.2, 17)[None, :]
         zero = np.zeros_like(dur)
-        batch = TimelineBatch(("mw",), (None,), zero, dur, zero + 3.6, zero)
+        batch = TimelineBatch(("mw",), (None,), zero, dur, zero + 3.6, zero, zero)
         p1 = 0.5 * (1.0 - simulate_sequence(batch, g, f, constants)[:, 2])
         assert np.max(np.abs(p1 - rabi_population(dur[0], 3.6, 0.0))) <= 1e-9
 
@@ -258,12 +250,10 @@ class TestSimulateSequence:
         assert np.all(np.abs(z - z[0]) < 1e-6)
 
     def test_overlapping_events_rejected_naming_both(self, geometry_default, field_tilted, constants):
-        ev_a = TimelineEvent("mw", 1.0, 2.0, MwPayload(rabi_freq_mhz=3.6))
-        ev_b = TimelineEvent("mw", 2.0, 2.0, MwPayload(rabi_freq_mhz=3.6))
+        ev_a = ("mw", None, 1.0, 2.0, 3.6, 0.0)
+        ev_b = ("mw", None, 2.0, 2.0, 3.6, 0.0)
         with pytest.raises(ValidationError) as err:
-            simulate_sequence(
-                PulseTimeline((ev_a, ev_b)).batch(), geometry_default, field_tilted, constants
-            )
+            simulate_sequence(batch_of_one(ev_a, ev_b), geometry_default, field_tilted, constants)
         msg = str(err.value)
         assert "1.0" in msg and "2.0" in msg and "mw" in msg
 
@@ -274,10 +264,10 @@ class TestSimulateSequence:
     def test_laser_across_a_pulse_rejected(
         self, geometry_default, field_tilted, constants, laser, match
     ):
-        pulse = TimelineEvent("mw", 1.0, 2.0, MwPayload(rabi_freq_mhz=3.6))
-        timeline = PulseTimeline((pulse, TimelineEvent("laser", *laser)))
+        pulse = ("mw", None, 1.0, 2.0, 3.6, 0.0)
+        events = sorted([pulse, ("laser", None, *laser, 0.0, 0.0)], key=lambda ev: ev[2])
         with pytest.raises(ValidationError, match=match):
-            simulate_sequence(timeline.batch(), geometry_default, field_tilted, constants)
+            simulate_sequence(batch_of_one(*events), geometry_default, field_tilted, constants)
 
     @pytest.mark.parametrize("theta_b_deg", [0.0, 1.0])
     def test_compiled_program_with_phase(self, theta_b_deg, constants):
@@ -285,13 +275,12 @@ class TestSimulateSequence:
         cal = build_calibration(g, f, 3.6, 64)
 
         def final(text):
-            timeline = compile_timeline(parse_sequence(text), g, cal)
-            bloch = simulate_sequence(timeline.batch(), g, f, constants)[0]
-            return timeline, bloch
+            batch = compile_timeline(parse_sequence(text), g, cal)
+            return batch, simulate_sequence(batch, g, f, constants)[0]
 
-        timeline, bloch = final("mw pi/2 at 0us; mw pi/2 at 10us phase 90deg")
+        batch, bloch = final("mw pi/2 at 0us; mw pi/2 at 10us phase 90deg")
         # the Bloch-equation oracle integrates through both finite pulses
-        want = BlochOracle(g, f, constants).run(timeline.events)
+        want = BlochOracle(g, f, constants).run(batch)
         if theta_b_deg == 0.0:
             # no AC field: the first pulse lays the spin along -y, the second
             # turns about y and leaves it there; at phase 0 it would go dark
