@@ -1,26 +1,28 @@
-"""Weighted nonlinear least squares for echo fringes and Rabi scans.
+"""Weighted nonlinear least squares for echo fringes, Rabi scans and spots.
 
 The optimizer is a damped Gauss-Newton (Levenberg-Marquardt) loop with a
 monotone acceptance rule: a step is taken only if it lowers the weighted
-sum of squares.  The echo model is smooth and cheap, so analytic Jacobians
-are used throughout and cross-checked against finite differences in the
-test suite.  A brute-force grid minimiser over the two nonlinear
-parameters (with the two linear ones solved exactly per grid point) serves
-as the independent oracle.
+sum of squares.  Every fit is separable, a nonlinear basis u(x) times a
+linear pair: y ~ a u(x) + c.  :func:`_separable` solves the pair in closed
+form at each x and returns the projected residual with Kaufman's Jacobian
+(BIT 15 (1975) 49), so LM searches the nonlinear parameters alone (variable
+projection, Golub & Pereyra, Inverse Problems 19 (2003) R1).  Analytic
+derivatives of each basis are cross-checked against finite differences in
+the test suite.  A brute-force grid minimiser over the two nonlinear echo
+parameters serves as the independent oracle.
 
 Fringe model
 ------------
     signal(tau) = baseline + (contrast / 2) * env(tau) * cos(phi(tau))
 
 with phi(tau) the closed-form echo phase of :func:`spindyn.echo_ac_phase`,
-linear in the AC-field amplitude ``b_perp``.  Contrast and baseline enter
-linearly, so :func:`fit_echo` searches (b_perp, phi0) alone by variable
-projection (Golub & Pereyra, Inverse Problems 19 (2003) R1) with Kaufman's
-Jacobian (BIT 15 (1975) 49), solving the linear pair exactly at every point
-with the contrast bounded to [0, 1].  The four parameters are strongly
-covariant on short-tau data; :func:`profile_identifiability` exposes the
-valleys.  Covariances of all four are scaled by the reduced chi-square, so
-overdispersed data inflate the reported uncertainties.
+linear in the AC-field amplitude ``b_perp``.  :func:`fit_echo` searches
+(b_perp, phi0) with the contrast bounded to [0, 1]; :func:`fit_rabi`
+searches the Rabi frequency with its contrast unbounded (a Rabi scan dips).
+The four echo parameters are strongly covariant on short-tau data;
+:func:`profile_identifiability` exposes the valleys.  Covariances of all
+parameters are scaled by the reduced chi-square, so overdispersed data
+inflate the reported uncertainties.
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ from .geometry import TWO_PI, PhysicalConstants
 from .spindyn import EchoParams, c13_envelope, echo_ac_phase
 
 ECHO_PARAM_NAMES = ("b_perp_gauss", "phi0_rad", "contrast", "baseline")
+# LM gradient tolerance of the Rabi and spot fits, relative to the cost.
+# Over hundreds of points rounding leaves a gradient floor of ~1e-10 to
+# 1e-9 of the cost, so the default 1e-10 would end such a fit only once
+# damping stalls, after ~10 rejected steps, at the same optimum.
+SEPARABLE_GTOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -147,20 +154,6 @@ class LMResult:
     converged: bool
 
 
-def numeric_jacobian(residual_fn, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian, for fits without analytic derivatives."""
-    x = np.asarray(x, dtype=float)
-    r0 = np.asarray(residual_fn(x))
-    jac = np.empty((r0.size, x.size))
-    for j in range(x.size):
-        h = rel_step * max(abs(x[j]), 1.0)
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        jac[:, j] = (np.asarray(residual_fn(xp)) - np.asarray(residual_fn(xm))) / (2 * h)
-    return jac
-
-
 def levenberg_marquardt(
     residual_fn,
     jacobian_fn,
@@ -171,11 +164,8 @@ def levenberg_marquardt(
 ) -> LMResult:
     """Damped Gauss-Newton with monotone acceptance.
 
-    ``jacobian_fn`` may be None, in which case central differences are
-    used.  The weighted SSE never increases across accepted iterations.
+    The weighted SSE never increases across accepted iterations.
     """
-    if jacobian_fn is None:
-        jacobian_fn = lambda x: numeric_jacobian(residual_fn, x)
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(residual_fn(x), dtype=float)
     cost = 0.5 * float(r @ r)
@@ -221,36 +211,76 @@ def levenberg_marquardt(
 
 
 # ---------------------------------------------------------------------------
-# echo fringe fit
-
-
-def echo_jacobian(data: EchoDataset, model: EchoFitModel, params: dict) -> np.ndarray:
-    """Weighted Jacobian of the fringe residual in the reported parameters."""
-    tau = data.tau_us
-    b, phi0, contrast = params["b_perp_gauss"], params["phi0_rad"], params["contrast"]
-    env = model.envelope_values(tau)
-    k, k_dphi = model.phase_factor(tau, np.array([[phi0], [phi0 + 0.5 * math.pi]]))
-    amp_sin = 0.5 * contrast * env * np.sin(b * k)
-    cols = np.stack(
-        [-amp_sin * k, -amp_sin * b * k_dphi, 0.5 * env * np.cos(b * k), np.ones_like(tau)],
-        axis=1,
-    )
-    return cols / data.sigma[:, None]
+# separable least squares: y ~ a u(x) + c
 
 
 def _solve_linear_pair(u: np.ndarray, y: np.ndarray, w: np.ndarray):
-    """Weighted LS for y ~ a*u + c: returns (a, c) and the weighted SSE."""
-    s_uu = np.sum(w * u * u, axis=-1)
-    s_u = np.sum(w * u, axis=-1)
-    s_1 = np.sum(w, axis=-1)
-    s_uy = np.sum(w * u * y, axis=-1)
-    s_y = np.sum(w * y, axis=-1)
+    """Weighted LS for y ~ a*u + c along the last axis: returns (a, c) and the weighted SSE.
+
+    ``w`` is one weight vector; ``u`` and ``y`` broadcast against each other.
+    """
+    s_uu, s_u, s_1 = (u * u) @ w, u @ w, w.sum()
+    s_uy, s_y = (u * y) @ w, y @ w
     det = s_uu * s_1 - s_u**2
     det = np.where(np.abs(det) < 1e-300, np.nan, det)
     a = (s_uy * s_1 - s_u * s_y) / det
     cc = (s_uu * s_y - s_u * s_uy) / det
-    sse = np.sum(w * y * y, axis=-1) - a * s_uy - cc * s_y
+    sse = (y * y) @ w - a * s_uy - cc * s_y
     return a, cc, sse
+
+
+def _separable(u, du, y, sigma, lo=-math.inf, hi=math.inf):
+    """Variable projection of y ~ a u + c at one point x of the nonlinear parameters.
+
+    ``u`` is the basis at x and ``du`` its derivatives in x, shape (p, n),
+    or None when only the residual is wanted.  The pair is solved in closed
+    form; an ``a`` outside [lo, hi] (or NaN, when u is flat) is clamped and
+    c re-solved alone.  Returns a, c, the residual (a u + c - y) / sigma and
+    Kaufman's Jacobian (n, p): the columns a du / sigma projected off the
+    free linear columns.  The Golub-Pereyra term it drops lies in their
+    span, orthogonal to the residual, so J^T r is the exact gradient.
+    """
+    w = 1.0 / sigma**2
+    a, c, _ = _solve_linear_pair(u, y if du is None else np.vstack([y, du]), w)
+    a, c = np.atleast_1d(a), np.atleast_1d(c)
+    coef, base = float(a[0]), float(c[0])
+    free = lo < coef < hi  # False for NaN
+    if not free:
+        coef = min(max(0.0 if math.isnan(coef) else coef, lo), hi)
+        base = float((y - coef * u) @ w / w.sum())
+    r = (coef * u + base - y) / sigma
+    if du is None:
+        return coef, base, r, None
+    # each du row less its weighted fit by the free linear columns
+    fitted = a[1:, None] * u + c[1:, None] if free else (du @ w / w.sum())[:, None]
+    return coef, base, r, (coef * (du - fitted) / sigma).T
+
+
+def _full_jacobian(u: np.ndarray, du: np.ndarray, a: float, sigma: np.ndarray) -> np.ndarray:
+    """Jacobian of (a u + c - y) / sigma in (nonlinear parameters, a, c)."""
+    return np.column_stack([*(a * du), u, np.ones_like(u)]) / sigma[:, None]
+
+
+# ---------------------------------------------------------------------------
+# echo fringe fit
+
+
+def _echo_basis(model: EchoFitModel, tau: np.ndarray, b: float, phi0: float, derivatives=True):
+    """Fringe basis u = env cos(b k) / 2 and, if asked, its (b, phi0) derivatives (2, n)."""
+    env = model.envelope_values(tau)
+    phis = [phi0, phi0 + 0.5 * math.pi] if derivatives else [phi0]  # d k / d phi0: k at phi0 + pi/2
+    k = model.phase_factor(tau, np.array(phis)[:, None])
+    u = 0.5 * env * np.cos(b * k[0])
+    if not derivatives:
+        return u, None
+    half_sin = -0.5 * env * np.sin(b * k[0])
+    return u, np.stack([half_sin * k[0], half_sin * b * k[1]])
+
+
+def echo_jacobian(data: EchoDataset, model: EchoFitModel, params: dict) -> np.ndarray:
+    """Weighted Jacobian of the fringe residual in the reported parameters."""
+    u, du = _echo_basis(model, data.tau_us, params["b_perp_gauss"], params["phi0_rad"])
+    return _full_jacobian(u, du, params["contrast"], data.sigma)
 
 
 def _linear_landscape(data: EchoDataset, model: EchoFitModel, b_grid, phi_grid):
@@ -293,36 +323,16 @@ def _landscape_starts(data: EchoDataset, model: EchoFitModel, b_max: float):
 
 
 def _projected_problem(data: EchoDataset, model: EchoFitModel):
-    """Linear solve, residual and Jacobian of the fringe fit over x = (b_perp, phi0).
+    """Linear pair, residual and Jacobian of the fringe fit over x = (b_perp, phi0).
 
-    The contrast is clamped to [0, 1], and the baseline re-solved at the
-    bound.  The Jacobian is the b and phi0 columns of :func:`echo_jacobian`
-    projected off the columns of the linear parameters left free; the
-    residual is orthogonal to those, so J^T r is the exact gradient.
+    The contrast is bounded to [0, 1] and the pair solved by :func:`_separable`.
     """
-    tau, y = data.tau_us, data.signal
-    w = 1.0 / data.sigma**2
-    env = model.envelope_values(tau)
 
-    def linear(x):
-        u = 0.5 * env * np.cos(x[0] * model.phase_factor(tau, x[1]))
-        a, c, _ = _solve_linear_pair(u, y, w)
-        if not 0.0 <= a <= 1.0:  # also NaN, when u carries no contrast
-            a = 0.0 if math.isnan(a) else min(max(a, 0.0), 1.0)
-            c = np.sum(w * (y - a * u)) / np.sum(w)
-        return float(a), float(c), u
+    def solve(x, jac=False):
+        u, du = _echo_basis(model, data.tau_us, x[0], x[1], jac)
+        return _separable(u, du, data.signal, data.sigma, 0.0, 1.0)
 
-    def residual(x):
-        a, c, u = linear(x)
-        return (a * u + c - y) / data.sigma
-
-    def jacobian(x):
-        a, c, _ = linear(x)
-        jac = echo_jacobian(data, model, dict(zip(ECHO_PARAM_NAMES, (x[0], x[1], a, c))))
-        q, _ = np.linalg.qr(jac[:, 2:] if 0.0 < a < 1.0 else jac[:, 3:])
-        return jac[:, :2] - q @ (q.T @ jac[:, :2])
-
-    return linear, residual, jacobian
+    return (lambda x: solve(x)[:2]), (lambda x: solve(x)[2]), (lambda x: solve(x, True)[3])
 
 
 def _check_max_iter(max_iter: int) -> None:
@@ -391,7 +401,7 @@ def fit_echo(
     if best is None:
         best = best_any
 
-    a, c, _ = linear(best.x)
+    a, c = linear(best.x)
     params = canonical_fringe_params(
         dict(zip(ECHO_PARAM_NAMES, (abs(float(best.x[0])), float(best.x[1]), a, c)))
     )
@@ -488,75 +498,49 @@ def canonical_fringe_params(params: dict) -> dict:
 RABI_PARAM_NAMES = ("rabi_freq_mhz", "contrast", "baseline")
 
 
-def _rabi_residual_and_jac(data: EchoDataset):
-    t = data.tau_us
-    inv_sigma = 1.0 / data.sigma
-    y = data.signal
-
-    def residual(x):
-        omega, contrast, baseline = x
-        pred = baseline + contrast * np.sin(math.pi * omega * t) ** 2
-        return (pred - y) * inv_sigma
-
-    def jacobian(x):
-        omega, contrast, baseline = x
-        s = np.sin(math.pi * omega * t)
-        cols = np.stack(
-            [
-                contrast * math.pi * t * np.sin(2.0 * math.pi * omega * t),
-                s**2,
-                np.ones_like(t),
-            ],
-            axis=1,
-        )
-        return cols * inv_sigma[:, None]
-
-    return residual, jacobian
-
-
 def fit_rabi(data: EchoDataset, initial: dict | None = None, max_iter: int = 200) -> FitResult:
     """Fit signal = baseline + contrast * sin^2(pi * Omega * t) to a duration scan.
 
-    The frequency start comes from a coarse scan with the linear
-    (contrast, baseline) pair solved exactly per candidate.  Data that do
-    not constrain the frequency (zero contrast) raise IdentifiabilityError.
+    LM searches Omega alone; the (contrast, baseline) pair is solved exactly
+    at each Omega and left unbounded, since a scan from ms = 0 dips.  The
+    start is ``initial["rabi_freq_mhz"]`` (any other key is ignored) or the
+    best of a coarse frequency scan.  Data that do not constrain the
+    frequency (zero contrast) raise IdentifiabilityError.
     """
     _check_max_iter(max_iter)
     if len(data) < 6:
         raise ValidationError("fit_rabi needs at least 6 data points")
-    span = float(data.tau_us[-1] - data.tau_us[0])
+    t = data.tau_us
+    span = float(t[-1] - t[0])
     if span <= 0:
         raise ValidationError("duration scan has zero span")
-    residual, jacobian = _rabi_residual_and_jac(data)
+
+    def basis(omega, derivatives=True):
+        s = np.sin(math.pi * omega * t)
+        return s * s, (math.pi * t * np.sin(2.0 * math.pi * omega * t))[None] if derivatives else None
+
+    def solve(x, jac=False):
+        return _separable(*basis(x[0], jac), data.signal, data.sigma)
 
     if initial is not None and "rabi_freq_mhz" in initial:
         omega_candidates = np.array([initial["rabi_freq_mhz"]], dtype=float)
     else:
         omega_candidates = np.linspace(0.25 / span, 0.5 * len(data) / span, 256)
-    u = np.sin(math.pi * omega_candidates[:, None] * data.tau_us) ** 2
-    a, cc, sse = _solve_linear_pair(u, data.signal, 1.0 / data.sigma**2)
+    u = np.sin(math.pi * omega_candidates[:, None] * t) ** 2
+    _, _, sse = _solve_linear_pair(u, data.signal, 1.0 / data.sigma**2)
     finite = np.flatnonzero(np.isfinite(sse))
     if finite.size == 0:
         raise IdentifiabilityError("could not bracket a Rabi frequency")
     i = finite[np.argmin(sse[finite])]  # the first minimum among finite SSE
-    best_start = np.array([float(omega_candidates[i]), float(a[i]), float(cc[i])])
-    if initial is not None:
-        best_start = np.array(
-            [
-                initial.get("rabi_freq_mhz", best_start[0]),
-                initial.get("contrast", best_start[1]),
-                initial.get("baseline", best_start[2]),
-            ]
-        )
 
-    lm = levenberg_marquardt(residual, jacobian, best_start, max_iter=max_iter)
-    omega, contrast, baseline = lm.x
-    params = {
-        "rabi_freq_mhz": float(abs(omega)),
-        "contrast": float(contrast),
-        "baseline": float(baseline),
-    }
-    jac = jacobian(np.array([params["rabi_freq_mhz"], contrast, baseline]))
+    start = omega_candidates[i : i + 1]
+    lm = levenberg_marquardt(
+        lambda x: solve(x)[2], lambda x: solve(x, True)[3], start, max_iter=max_iter, gtol=SEPARABLE_GTOL
+    )
+    omega = abs(float(lm.x[0]))
+    contrast, baseline = solve(lm.x)[:2]
+    params = {"rabi_freq_mhz": omega, "contrast": contrast, "baseline": baseline}
+    jac = _full_jacobian(*basis(omega), contrast, data.sigma)
     return _finalize_fit(data, params, jac, lm, RABI_PARAM_NAMES)
 
 
@@ -616,5 +600,5 @@ def profile_identifiability(
         )
         sse[i] = 2.0 * lm.cost
         x = full(lm.x)
-        fits.append(dict(zip(ECHO_PARAM_NAMES, (*map(float, x), *linear(x)[:2]))))
+        fits.append(dict(zip(ECHO_PARAM_NAMES, (*map(float, x), *linear(x)))))
     return ProfileResult(param_name=param_name, values=values, sse=sse, fits=tuple(fits))

@@ -19,7 +19,10 @@ rotor angle gets one sin/cos pair, shared by all emitters: since
 |R(p) a - b| = |a - R(-p) b|, the pixel is rotated into each emitter's
 frame (by minus its orbit phase p) instead of rotating every orbit sample.
 Widths are quoted in the 1/e^2 convention: a profile exp(-2 d^2 / sigma^2)
-has width sigma.
+has width sigma.  The spot fit is separable, amplitude x Gaussian basis +
+background, and runs through the variable-projection helper of
+:mod:`estimation`: LM over (x, y, sigma_r, sigma_a) with analytic
+derivatives of the basis.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 
 from .errors import FitError, ValidationError, check_expected_counts
-from .estimation import levenberg_marquardt
+from .estimation import SEPARABLE_GTOL, _separable, levenberg_marquardt
 from .geometry import TWO_PI, RotorGeometry
 
 # Strobe samples (cycles x substeps) one pixel may integrate: ~200x the
@@ -538,8 +541,11 @@ def fit_spot_width(
 
     The principal axes are taken from the trajectory geometry: radial is
     the direction from the rotation axis (origin) to the spot, azimuthal is
-    perpendicular to it.  Raises FitError with residual diagnostics if the
-    fit does not converge.
+    perpendicular to it.  LM searches the centre and the two widths; the
+    amplitude (bounded at 0) and the background are solved exactly at each
+    step by variable projection.  Raises FitError with residual diagnostics
+    if the fit does not converge, or if the amplitude is not 10 standard
+    errors above 0: the window then holds no spot.
     """
     cx, cy = initial_center_um
     xs, ys = image.x_um, image.y_um
@@ -561,37 +567,47 @@ def fit_spot_width(
         u_r = np.array([1.0, 0.0])
     u_a = np.array([-u_r[1], u_r[0]])
 
-    amp0 = float(sub[peak_idx] - np.median(sub))
-    x0 = np.array(
-        [
-            max(amp0, 1.0),
-            gx[peak_idx],
-            gy[peak_idx],
-            0.5,
-            0.5,
-            float(np.median(sub)),
-        ]
-    )
     flat = sub.ravel()
-    px, py = gx.ravel(), gy.ravel()
+    # pixel coordinates along the radial and azimuthal axes
+    pr = gx.ravel() * u_r[0] + gy.ravel() * u_r[1]
+    pa = gx.ravel() * u_a[0] + gy.ravel() * u_a[1]
+    # unweighted (sigma 1 on every pixel): sqrt-count weights bias the widths
+    # low at the count levels strobed images reach, because empty wing
+    # pixels dominate; weights from the render's model variance would move
+    # the widths, which needs a bias study against the known widths first
+    ones = np.ones_like(flat)
 
-    # unweighted: sqrt-count weights bias the widths low at the count levels
-    # strobed images reach, because empty wing pixels dominate
-    def residual(p):
-        amp, mx, my, sr, sa, bg = p
-        dr = (px - mx) * u_r[0] + (py - my) * u_r[1]
-        da = (px - mx) * u_a[0] + (py - my) * u_a[1]
-        model = amp * np.exp(-2.0 * (dr**2 / sr**2 + da**2 / sa**2)) + bg
-        return model - flat
+    def basis(p, derivatives=True):
+        """exp(-2 (dr^2/sr^2 + da^2/sa^2)) and its derivatives in p = (mx, my, sr, sa)."""
+        mx, my, sr, sa = p
+        dr = pr - (mx * u_r[0] + my * u_r[1])
+        da = pa - (mx * u_a[0] + my * u_a[1])
+        u = np.exp(dr * dr * (-2.0 / sr**2) + da * da * (-2.0 / sa**2))
+        if not derivatives:
+            return u, None
+        gr, ga = u * dr * (4.0 / sr**2), u * da * (4.0 / sa**2)
+        return u, np.stack([gr * u_r[0] + ga * u_a[0], gr * u_r[1] + ga * u_a[1], gr * dr / sr, ga * da / sa])
 
-    lm = levenberg_marquardt(residual, None, x0, max_iter=300)
-    amp, mx, my, sr, sa, bg = lm.x
-    if not lm.converged or amp <= 0:
+    def solve(p, jac=False):
+        return _separable(*basis(p, jac), flat, ones, 0.0)
+
+    x0 = np.array([gx[peak_idx], gy[peak_idx], 0.5, 0.5])
+    lm = levenberg_marquardt(
+        lambda p: solve(p)[2], lambda p: solve(p, True)[3], x0, max_iter=300, gtol=SEPARABLE_GTOL
+    )
+    u, _ = basis(lm.x, False)
+    amp, bg, _, _ = _separable(u, None, flat, ones, 0.0)
+    # the amplitude's standard error at the fitted shape; Poisson counts
+    # vary at least as much as the background
+    with np.errstate(divide="ignore", invalid="ignore"):
+        amp_se = math.sqrt(max(2.0 * lm.cost / (flat.size - 6), bg) / np.sum((u - u.mean()) ** 2))
+    if not (lm.converged and amp > 10.0 * amp_se):
         raise FitError(
-            f"spot fit did not converge: cost={lm.cost:.4g}, grad={lm.grad_norm:.4g}, "
+            f"spot fit {'found no spot' if lm.converged else 'did not converge'}: amplitude "
+            f"{amp:.4g} +- {amp_se:.3g} counts, cost={lm.cost:.4g}, grad={lm.grad_norm:.4g}, "
             f"params={np.round(lm.x, 4).tolist()}"
         )
-    return abs(float(sr)), abs(float(sa))
+    return abs(float(lm.x[2])), abs(float(lm.x[3]))
 
 
 def resolve_two_spots(

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import photophysics, seqlang, spindyn
 from .config import ExperimentConfig
-from .errors import ValidationError, check_expected_counts
+from .errors import FitError, ValidationError, check_expected_counts
 from .estimation import EchoDataset
 from .imaging import EmitterSet, ScanGrid, StrobedImage, fit_spot_width, render_image
 
@@ -295,7 +295,7 @@ def simulate_image(
         try:
             sr, sa = fit_spot_width(image, center)
             entry.update(sigma_radial_um=sr, sigma_azimuthal_um=sa)
-        except Exception as exc:  # keep the image even if one spot fit fails
+        except (FitError, ValidationError) as exc:  # keep the image even if one spot fit fails
             entry.update(error=str(exc))
         summaries.append(entry)
     return image, summaries

@@ -539,6 +539,19 @@ def _calibrate(g: geometry.RotorGeometry, cal: CalibrationTable, start_us, targe
     return angle, omega, duration_us
 
 
+def _loses_duration(start, duration) -> bool:
+    """At a large enough time, start + duration - start loses the duration to rounding."""
+    return bool(np.any(np.abs(start + duration - start - duration) > 1e-9))
+
+
+def _check_time(stmt, start: float, duration: float) -> None:
+    """Refuse a statement at a program time too large to keep its duration to 1e-9 us."""
+    if _loses_duration(start, duration):
+        raise CompileError(
+            [Diagnostic(f"'{stmt}' at {start:g} us: the time is too large to keep its duration to 1e-9 us")]
+        )
+
+
 def _compile_batch(
     g: geometry.RotorGeometry, cal: CalibrationTable, n: int, rows, t_phi_us=0.0, period_hint=""
 ) -> TimelineBatch:
@@ -558,10 +571,7 @@ def _compile_batch(
             angle[k], rabi[k], duration = _calibrate(g, cal, at, target, duration)
         dur[k] = duration
     moved = start + t_phi_us
-    # at a large enough delay, start + duration - start loses the duration to rounding
-    if not 0.0 <= t_phi_us < math.inf or (
-        t_phi_us > 0.0 and np.any(np.abs(moved + dur - moved - dur) > 1e-9)
-    ):
+    if not 0.0 <= t_phi_us < math.inf or (t_phi_us > 0.0 and _loses_duration(moved, dur)):
         why = "must be finite, non-negative and small enough that every event keeps its duration"
         raise CompileError([Diagnostic(f"--t-phi (t_phi_us) = {t_phi_us:g} us {why} to 1e-9 us")])
     try:
@@ -599,7 +609,9 @@ def compile_timeline(
         if isinstance(stmt, TriggerStmt):
             continue
         if isinstance(stmt, WaitStmt):
-            cursor += _resolve_us(stmt.duration, params)
+            wait = _resolve_us(stmt.duration, params)
+            _check_time(stmt, cursor, wait)
+            cursor += wait
             continue
         start = cursor if stmt.at is None else _resolve_us(stmt.at, params)
         if isinstance(stmt, LaserStmt):
@@ -609,6 +621,7 @@ def compile_timeline(
             explicit = None if stmt.target else _resolve_us(stmt.duration, params)
             duration = _calibrate(g, cal, start, stmt.target, explicit)[2]
             rows.append(("mw", stmt.target, start, explicit, _resolve_rad(stmt.phase, params)))
+        _check_time(stmt, start, duration)
         cursor = start + duration
     rows.sort(key=lambda row: (row[2], row[0]))
     hint = None if allow_multi_period else "; pass allow_multi_period to permit this"

@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 import numpy as np
+from lsq_oracle import numeric_jacobian
 from scipy import integrate
 
 from rotornv import pipeline
@@ -22,7 +23,6 @@ from rotornv.estimation import (
     fit_echo,
     fit_rabi,
     grid_oracle,
-    numeric_jacobian,
     _projected_problem,
 )
 from rotornv.geometry import (

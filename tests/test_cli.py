@@ -338,6 +338,17 @@ class TestCliSubcommands:
         assert res.returncode == 2
         assert "bogus" in res.stderr
 
+    @pytest.mark.parametrize(
+        "program, line",
+        [("mw 1us at 1e20us\nmw 1us at 1e20us\n", "'mw 1.0us at 1e+20us'"),
+         ("wait 1e20us\nwait 1us\nlaser 1us\n", "'wait 1.0us'")],
+    )
+    def test_compile_seq_refuses_unresolvable_program_time(self, program, line):
+        # 1e20 + 1 == 1e20: the two pulses would share one start, the wait would vanish
+        res = run_cli(["compile-seq", "--allow-multi-period", "-"], input=program)
+        assert res.returncode == 2, res.stdout
+        assert line in res.stderr and "too large to keep its duration" in res.stderr
+
     def test_simulate_readout_trace(self, tmp_path):
         out = tmp_path / "trace.dat"
         res = run_cli(["simulate-readout", "--initial", "ms1", "--shots", "20000", "-o", str(out)])
@@ -716,3 +727,19 @@ def test_set_overrides_exit_0_or_2(argv, overrides):
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main([*argv, *(a for o in overrides for a in ("--set", o))])
     assert code in (0, 2), f"{overrides}: {err.getvalue()}"
+
+
+def test_spot_fit_programming_error_exits_3(tmp_path, monkeypatch, capsys):
+    # only FitError and ValidationError become an error= spot line; anything
+    # else is a defect and must fail the command
+    def broken(image, center):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(pipeline, "fit_spot_width", broken)
+    code, err = _main_exit(
+        ["simulate-image", "--stationary", "--x-min", "8.5", "--x-max", "11.5", "--y-min", "-1.5",
+         "--y-max", "1.5", "--emitters", "10,0", "-o", str(tmp_path / "img.dat")],
+        capsys,
+    )
+    assert code == 3
+    assert "runtime error: unsupported operand" in err

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rotornv import estimation, imaging
 from rotornv.errors import IdentifiabilityError, ValidationError
 from rotornv.estimation import (
     ECHO_PARAM_NAMES,
@@ -14,11 +15,12 @@ from rotornv.estimation import (
     fit_rabi,
     grid_oracle,
     levenberg_marquardt,
-    numeric_jacobian,
     profile_identifiability,
     _projected_problem,
 )
 from rotornv.geometry import TWO_PI
+from rotornv.imaging import StrobedImage, fit_spot_width
+from lsq_oracle import numeric_jacobian
 
 
 MODEL = EchoFitModel()
@@ -301,3 +303,67 @@ class TestExternalJacobian:
         numeric = numeric_jacobian(residual_ext, x0, rel_step=1e-7)
         scale = np.max(np.abs(jac))
         assert np.allclose(jac, numeric, atol=1e-6 * scale, rtol=1e-6)
+
+
+def _lm_problem(module, fit, *args):
+    """The residual and Jacobian that ``fit`` hands to LM, and the point LM ends at."""
+    seen = []
+    real = module.levenberg_marquardt
+
+    def spy(residual, jacobian, x0, **kwargs):
+        lm = real(residual, jacobian, x0, **kwargs)
+        seen.append((residual, jacobian, lm.x))
+        return lm
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "levenberg_marquardt", spy)
+        fit(*args)
+    return seen[0]
+
+
+def _echo_problem(noise_seed):
+    _, residual, jacobian = _projected_problem(synth_dataset(noise_seed=noise_seed), MODEL)
+    return residual, jacobian, np.array([0.088, 1.2])
+
+
+def _rabi_problem(noise_seed):
+    t = np.linspace(0.0, 1.1, 40)
+    y = 0.877 - 0.25 * np.sin(math.pi * 3.6 * t) ** 2  # the contrast is negative
+    if noise_seed is not None:
+        y = y + 0.02 * np.random.default_rng(noise_seed).standard_normal(t.size)
+    return _lm_problem(estimation, fit_rabi, EchoDataset(t, y, np.full(t.size, 0.02)))
+
+
+def _spot_problem(noise_seed):
+    xs, ys = np.arange(37) * 0.15 + 7.0, np.arange(49) * 0.15 - 2.0
+    gx, gy = np.meshgrid(xs, ys)
+    lam = 4.0 + 300.0 * np.exp(-2.0 * ((gx - 10.05) ** 2 / 0.9**2 + (gy - 0.1) ** 2 / 0.45**2))
+    counts = lam if noise_seed is None else np.random.default_rng(noise_seed).poisson(lam)
+    return _lm_problem(imaging, fit_spot_width, StrobedImage(counts, xs, ys, 0.0067), (10.0, 0.0))
+
+
+class TestSeparable:
+    """Kaufman's Jacobian of each fit against finite differences of its projected residual.
+
+    At a zero residual the Golub-Pereyra term that Kaufman drops vanishes,
+    so the Jacobian is the exact one.  Elsewhere that term lies in the span
+    of the linear columns, orthogonal to the residual, so J^T r is still
+    the exact gradient of the projected cost.
+    """
+
+    @pytest.mark.parametrize("problem", [_echo_problem, _rabi_problem, _spot_problem])
+    def test_exact_at_zero_residual(self, problem):
+        residual, jacobian, x = problem(None)
+        assert np.max(np.abs(residual(x))) < 1e-8
+        jac = jacobian(x)
+        numeric = numeric_jacobian(residual, x, rel_step=1e-7)
+        assert np.allclose(jac, numeric, rtol=1e-6, atol=1e-6 * np.max(np.abs(jac)))
+
+    @pytest.mark.parametrize("problem", [_echo_problem, _rabi_problem, _spot_problem])
+    def test_gradient_exact_away_from_the_optimum(self, problem):
+        residual, jacobian, x = problem(3)
+        x = x * 1.02
+        r = residual(x)
+        grad = jacobian(x).T @ r
+        numeric = numeric_jacobian(residual, x, rel_step=1e-7).T @ r
+        assert np.allclose(grad, numeric, rtol=1e-6, atol=1e-6 * np.max(np.abs(grad)))

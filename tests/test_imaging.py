@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from rotornv import imaging
-from rotornv.errors import ValidationError
+from lsq_oracle import spot_width_oracle
+
+from rotornv import imaging, pipeline
+from rotornv.config import apply_overrides, config_from_dict
+from rotornv.errors import FitError, ValidationError
 from rotornv.geometry import TWO_PI, RotorGeometry
 from rotornv.imaging import (
     Emitter,
     EmitterSet,
     ScanGrid,
     StrobeConfig,
+    StrobedImage,
     angular_smear,
     fit_spot_width,
     _pixel_moments,
@@ -434,3 +438,37 @@ class TestFitSpotWidth:
         )
         with pytest.raises(ValidationError):
             fit_spot_width(img, (10.0, 0.0))
+
+    # the demo window of the image pair: 37 x 49 pixels at a 0.15 um step
+    DEMO_X = np.arange(37) * 0.15 + 7.0
+    DEMO_Y = np.arange(49) * 0.15 - 2.0
+
+    def test_flat_window_is_refused(self):
+        # a separable fit with no spot to fit used to return its start widths
+        flat = np.full((self.DEMO_Y.size, self.DEMO_X.size), 5)
+        with pytest.raises(FitError, match="no spot"):
+            fit_spot_width(StrobedImage(flat, self.DEMO_X, self.DEMO_Y, 0.0067), (10.0, 0.0))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_poisson_background_is_refused(self, seed):
+        # pure background converges to a made-up spot 2-5 standard errors high
+        counts = np.random.default_rng(seed).poisson(5.0, (self.DEMO_Y.size, self.DEMO_X.size))
+        with pytest.raises(FitError, match="no spot"):
+            fit_spot_width(StrobedImage(counts, self.DEMO_X, self.DEMO_Y, 0.0067), (10.0, 0.0))
+
+    def test_widths_match_the_six_parameter_oracle(self):
+        # the demo pair (rotating and stationary, strobed at the trigger
+        # edge) over 20 seeds: 80 spots, none refused by either fit
+        cfg = apply_overrides(config_from_dict({}), ["strobe.t_phi_us=0"])
+        grid = ScanGrid(x_range_um=(7.0, 12.5), y_range_um=(-2.0, 5.2), step_um=0.15)
+        emitters = pipeline.default_emitters(cfg)
+        worst = 0.0
+        for seed in range(20):
+            for stationary in (False, True):
+                img = render_image(
+                    grid, emitters, cfg.geometry, cfg.strobe, seed=seed, stationary=stationary
+                )
+                for center in pipeline.spot_centers_um(cfg, emitters, stationary):
+                    fast, slow = fit_spot_width(img, center), spot_width_oracle(img, center)
+                    worst = max(worst, *np.abs(np.subtract(fast, slow)))
+        assert worst <= 1e-6
