@@ -104,6 +104,20 @@ _SECTIONS = {
 }
 
 
+def _check_number_type(name: str, val, default) -> None:
+    """Refuse a bool, or a non-integer where the default is an int.
+
+    A bool is an int to Python, and a float in an int field would reach
+    range() or a shot count as a fraction.
+    """
+    kind = type(default)
+    if kind not in (int, float):
+        return
+    if isinstance(val, bool) or not isinstance(val, int if kind is int else (int, float)):
+        expected = "an integer" if kind is int else "a number"
+        raise ValidationError(f"{name}: {val!r} is not {expected}")
+
+
 def _build_section(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected an object")
@@ -113,7 +127,9 @@ def _build_section(cls, data: dict, path: str):
         raise ValidationError(
             f"{path}: unknown key(s) {sorted(unknown)}; known keys: {sorted(known)}"
         )
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     for key, val in data.items():
+        _check_number_type(f"{path}.{key}", val, defaults[key])
         items = val if isinstance(val, (list, tuple)) else [val]
         if any(isinstance(v, float) and not math.isfinite(v) for v in items):
             raise ValidationError(f"{path}.{key}: {val!r} is not a finite number")
@@ -142,8 +158,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if name in data:
             sections[name] = _build_section(cls, data[name], name)
     seed = data.get("seed", defaults.seed)
-    if not isinstance(seed, int):
-        raise ValidationError("seed must be an integer")
+    _check_number_type("seed", seed, defaults.seed)
     return ExperimentConfig(
         geometry=sections.get("geometry", defaults.geometry),
         field_cfg=sections.get("field", defaults.field_cfg),

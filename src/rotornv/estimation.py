@@ -3,13 +3,16 @@
 The optimizer is a damped Gauss-Newton (Levenberg-Marquardt) loop with a
 monotone acceptance rule: a step is taken only if it lowers the weighted
 sum of squares.  Every fit is separable, a nonlinear basis u(x) times a
-linear pair: y ~ a u(x) + c.  :func:`_separable` solves the pair in closed
-form at each x and returns the projected residual with Kaufman's Jacobian
-(BIT 15 (1975) 49), so LM searches the nonlinear parameters alone (variable
-projection, Golub & Pereyra, Inverse Problems 19 (2003) R1).  Analytic
-derivatives of each basis are cross-checked against finite differences in
-the test suite.  A brute-force grid minimiser over the two nonlinear echo
-parameters serves as the independent oracle.
+linear pair: y ~ a u(x) + c, and runs through one driver,
+:func:`_fit_separable`: :func:`_separable` solves the pair in closed form
+at each x and returns the projected residual with Kaufman's Jacobian (BIT
+15 (1975) 49), so LM searches the nonlinear parameters alone (variable
+projection, Golub & Pereyra, Inverse Problems 19 (2003) R1).  Every fit
+stops when the gradient falls below 1e-8 of the cost, and a full Jacobian
+with condition above 1e12 at the optimum raises IdentifiabilityError.
+Analytic derivatives of each basis are cross-checked against finite
+differences in the test suite.  A brute-force grid minimiser over the two
+nonlinear echo parameters serves as the independent oracle.
 
 Fringe model
 ------------
@@ -37,11 +40,13 @@ from .geometry import TWO_PI, PhysicalConstants
 from .spindyn import EchoParams, c13_envelope, echo_ac_phase
 
 ECHO_PARAM_NAMES = ("b_perp_gauss", "phi0_rad", "contrast", "baseline")
-# LM gradient tolerance of the Rabi and spot fits, relative to the cost.
-# Over hundreds of points rounding leaves a gradient floor of ~1e-10 to
-# 1e-9 of the cost, so the default 1e-10 would end such a fit only once
-# damping stalls, after ~10 rejected steps, at the same optimum.
-SEPARABLE_GTOL = 1e-8
+# LM stops at a gradient below _GRAD_TOL of the cost, above the rounding
+# floor (~1e-10 to 1e-9 of the cost) that a smaller tolerance would wait
+# out in ~10 rejected steps, or at an accepted step below _STEP_TOL of |x|.
+_GRAD_TOL = 1e-8
+_STEP_TOL = 1e-13
+# An optimum whose full Jacobian has a larger condition is not identified.
+_MAX_CONDITION = 1e12
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +159,7 @@ class LMResult:
     converged: bool
 
 
-def levenberg_marquardt(
-    residual_fn,
-    jacobian_fn,
-    x0,
-    max_iter: int = 200,
-    gtol: float = 1e-10,
-    xtol: float = 1e-13,
-) -> LMResult:
+def levenberg_marquardt(residual_fn, jacobian_fn, x0, max_iter: int = 200) -> LMResult:
     """Damped Gauss-Newton with monotone acceptance.
 
     The weighted SSE never increases across accepted iterations.
@@ -177,7 +175,7 @@ def levenberg_marquardt(
         jac = np.asarray(jacobian_fn(x), dtype=float)
         grad = jac.T @ r
         grad_norm = float(np.linalg.norm(grad, np.inf))
-        if grad_norm < gtol * max(1.0, cost):
+        if grad_norm < _GRAD_TOL * max(1.0, cost):
             converged = True
             break
         jtj = jac.T @ jac
@@ -197,7 +195,7 @@ def levenberg_marquardt(
                 x, r, cost = x_new, r_new, cost_new
                 lam = max(lam * 0.3, 1e-14)
                 accepted = True
-                if rel_step < xtol:
+                if rel_step < _STEP_TOL:
                     converged = True
                 break
             lam *= 4.0
@@ -256,9 +254,41 @@ def _separable(u, du, y, sigma, lo=-math.inf, hi=math.inf):
     return coef, base, r, (coef * (du - fitted) / sigma).T
 
 
+def _fit_separable(basis, y, sigma, x0, lo=-math.inf, hi=math.inf, max_iter: int = 200):
+    """LM over the nonlinear parameters x of y ~ a u(x) + c: (LMResult, a, c).
+
+    ``basis(x, derivatives)`` returns u at x and, if asked, its derivatives
+    du (p, n), else None.  LM runs on :func:`_separable`'s projected
+    residual and Jacobian, with a bounded to [lo, hi]; (a, c) is the pair
+    solved with the residual at the x where LM stops.
+    """
+    pairs = {}
+
+    def residual(x):
+        a, c, r, _ = _separable(*basis(x, False), y, sigma, lo, hi)
+        pairs[x.tobytes()] = (a, c)
+        return r
+
+    def jacobian(x):
+        return _separable(*basis(x, True), y, sigma, lo, hi)[3]
+
+    lm = levenberg_marquardt(residual, jacobian, x0, max_iter=max_iter)
+    return (lm, *pairs[lm.x.tobytes()])
+
+
 def _full_jacobian(u: np.ndarray, du: np.ndarray, a: float, sigma: np.ndarray) -> np.ndarray:
     """Jacobian of (a u + c - y) / sigma in (nonlinear parameters, a, c)."""
     return np.column_stack([*(a * du), u, np.ones_like(u)]) / sigma[:, None]
+
+
+def _check_identified(jac: np.ndarray) -> None:
+    """Raise IdentifiabilityError if ``jac`` has condition above _MAX_CONDITION."""
+    sv = np.linalg.svd(jac, compute_uv=False)
+    if sv[0] <= 0 or sv[-1] / sv[0] < 1.0 / _MAX_CONDITION:
+        raise IdentifiabilityError(
+            f"singular Jacobian at the optimum (condition {sv[0] / max(sv[-1], 1e-300):.3g}); "
+            "one or more parameters are unconstrained by the data"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -322,19 +352,6 @@ def _landscape_starts(data: EchoDataset, model: EchoFitModel, b_max: float):
     return [np.array([b_grid[m], phi_grid[n]]) for m, n in zip(i, j)]
 
 
-def _projected_problem(data: EchoDataset, model: EchoFitModel):
-    """Linear pair, residual and Jacobian of the fringe fit over x = (b_perp, phi0).
-
-    The contrast is bounded to [0, 1] and the pair solved by :func:`_separable`.
-    """
-
-    def solve(x, jac=False):
-        u, du = _echo_basis(model, data.tau_us, x[0], x[1], jac)
-        return _separable(u, du, data.signal, data.sigma, 0.0, 1.0)
-
-    return (lambda x: solve(x)[:2]), (lambda x: solve(x)[2]), (lambda x: solve(x, True)[3])
-
-
 def _check_max_iter(max_iter: int) -> None:
     if max_iter < 1:
         raise ValidationError(f"--max-iter (max_iter) must be >= 1, got {max_iter}")
@@ -384,42 +401,37 @@ def fit_echo(
     else:
         raise ValidationError("initial needs both b_perp_gauss and phi0_rad")
 
-    linear, residual, jacobian = _projected_problem(data, model)
+    def basis(x, derivatives):
+        return _echo_basis(model, data.tau_us, x[0], x[1], derivatives)
+
     # prefer solutions inside the physical amplitude domain: beyond b_max the
     # fringe aliases between sample points and can overfit pure noise
-    best: LMResult | None = None
-    best_any: LMResult | None = None
+    best = best_any = None
     for x0 in starts:
-        res = levenberg_marquardt(residual, jacobian, x0, max_iter=max_iter)
-        if best_any is None or res.cost < best_any.cost:
-            best_any = res
-        if abs(res.x[0]) <= b_max * (1.0 + 1e-9):
-            if best is None or res.cost < best.cost - 1e-15 or (
-                abs(res.cost - best.cost) <= 1e-15 and res.converged and not best.converged
+        fit = _fit_separable(basis, data.signal, data.sigma, x0, 0.0, 1.0, max_iter)
+        lm = fit[0]
+        if best_any is None or lm.cost < best_any[0].cost:
+            best_any = fit
+        if abs(lm.x[0]) <= b_max * (1.0 + 1e-9):
+            if best is None or lm.cost < best[0].cost - 1e-15 or (
+                abs(lm.cost - best[0].cost) <= 1e-15 and lm.converged and not best[0].converged
             ):
-                best = res
-    if best is None:
-        best = best_any
+                best = fit
+    lm, a, c = best or best_any
 
-    a, c = linear(best.x)
     params = canonical_fringe_params(
-        dict(zip(ECHO_PARAM_NAMES, (abs(float(best.x[0])), float(best.x[1]), a, c)))
+        dict(zip(ECHO_PARAM_NAMES, (abs(float(lm.x[0])), float(lm.x[1]), a, c)))
     )
-    return _finalize_fit(data, params, echo_jacobian(data, model, params), best, ECHO_PARAM_NAMES)
+    return _finalize_fit(params, echo_jacobian(data, model, params), lm, ECHO_PARAM_NAMES)
 
 
-def _finalize_fit(data, params: dict, jac_ext: np.ndarray, lm: LMResult, names) -> FitResult:
+def _finalize_fit(params: dict, jac_ext: np.ndarray, lm: LMResult, names) -> FitResult:
     n, p = jac_ext.shape
     if n <= p:
         raise ValidationError("more parameters than data points")
     sse = 2.0 * lm.cost
     chi2_red = sse / (n - p)
-    sv = np.linalg.svd(jac_ext, compute_uv=False)
-    if sv[0] <= 0 or sv[-1] / sv[0] < 1e-12:
-        raise IdentifiabilityError(
-            f"singular Jacobian at the optimum (condition {sv[0] / max(sv[-1], 1e-300):.3g}); "
-            "one or more parameters are unconstrained by the data"
-        )
+    _check_identified(jac_ext)
     cov = np.linalg.pinv(jac_ext.T @ jac_ext) * max(chi2_red, 1e-300)
     cov = 0.5 * (cov + cov.T)
     sigmas = {name: float(np.sqrt(max(cov[i, i], 0.0))) for i, name in enumerate(names)}
@@ -515,12 +527,10 @@ def fit_rabi(data: EchoDataset, initial: dict | None = None, max_iter: int = 200
     if span <= 0:
         raise ValidationError("duration scan has zero span")
 
-    def basis(omega, derivatives=True):
-        s = np.sin(math.pi * omega * t)
-        return s * s, (math.pi * t * np.sin(2.0 * math.pi * omega * t))[None] if derivatives else None
-
-    def solve(x, jac=False):
-        return _separable(*basis(x[0], jac), data.signal, data.sigma)
+    def basis(x, derivatives):
+        s = np.sin(math.pi * x[0] * t)
+        du = (math.pi * t * np.sin(2.0 * math.pi * x[0] * t))[None] if derivatives else None
+        return s * s, du
 
     if initial is not None and "rabi_freq_mhz" in initial:
         omega_candidates = np.array([initial["rabi_freq_mhz"]], dtype=float)
@@ -534,14 +544,11 @@ def fit_rabi(data: EchoDataset, initial: dict | None = None, max_iter: int = 200
     i = finite[np.argmin(sse[finite])]  # the first minimum among finite SSE
 
     start = omega_candidates[i : i + 1]
-    lm = levenberg_marquardt(
-        lambda x: solve(x)[2], lambda x: solve(x, True)[3], start, max_iter=max_iter, gtol=SEPARABLE_GTOL
-    )
+    lm, contrast, baseline = _fit_separable(basis, data.signal, data.sigma, start, max_iter=max_iter)
     omega = abs(float(lm.x[0]))
-    contrast, baseline = solve(lm.x)[:2]
     params = {"rabi_freq_mhz": omega, "contrast": contrast, "baseline": baseline}
-    jac = _full_jacobian(*basis(omega), contrast, data.sigma)
-    return _finalize_fit(data, params, jac, lm, RABI_PARAM_NAMES)
+    jac = _full_jacobian(*basis([omega], True), contrast, data.sigma)
+    return _finalize_fit(params, jac, lm, RABI_PARAM_NAMES)
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +587,6 @@ def profile_identifiability(
         raise ValidationError("values to profile over are required")
     values = np.asarray(values, dtype=float)
     idx = ECHO_PARAM_NAMES.index(param_name)
-    linear, residual_full, jacobian_full = _projected_problem(data, model)
     base_fit = fit_echo(data, model)
     x_base = np.array([base_fit.params[name] for name in ECHO_PARAM_NAMES[:2]])
 
@@ -589,16 +595,12 @@ def profile_identifiability(
     fits = []
     for i, v in enumerate(values):
 
-        def full(xf):
-            return np.insert(xf, idx, v)
+        def basis(xf, derivatives):
+            u, du = _echo_basis(model, data.tau_us, *np.insert(xf, idx, v), derivatives)
+            return u, None if du is None else du[free]
 
-        lm = levenberg_marquardt(
-            lambda xf: residual_full(full(xf)),
-            lambda xf: jacobian_full(full(xf))[:, free],
-            x_base[free],
-            max_iter=max_iter,
-        )
+        lm, a, c = _fit_separable(basis, data.signal, data.sigma, x_base[free], 0.0, 1.0, max_iter)
         sse[i] = 2.0 * lm.cost
-        x = full(lm.x)
-        fits.append(dict(zip(ECHO_PARAM_NAMES, (*map(float, x), *linear(x)))))
+        x = np.insert(lm.x, idx, v)
+        fits.append(dict(zip(ECHO_PARAM_NAMES, (*map(float, x), a, c))))
     return ProfileResult(param_name=param_name, values=values, sse=sse, fits=tuple(fits))

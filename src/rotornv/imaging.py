@@ -20,9 +20,9 @@ rotor angle gets one sin/cos pair, shared by all emitters: since
 frame (by minus its orbit phase p) instead of rotating every orbit sample.
 Widths are quoted in the 1/e^2 convention: a profile exp(-2 d^2 / sigma^2)
 has width sigma.  The spot fit is separable, amplitude x Gaussian basis +
-background, and runs through the variable-projection helper of
+background, and runs through the variable-projection driver of
 :mod:`estimation`: LM over (x, y, sigma_r, sigma_a) with analytic
-derivatives of the basis.
+derivatives of the basis, refused at a singular Jacobian like every fit.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 
 from .errors import FitError, ValidationError, check_expected_counts
-from .estimation import SEPARABLE_GTOL, _separable, levenberg_marquardt
+from .estimation import _check_identified, _fit_separable, _full_jacobian
 from .geometry import TWO_PI, RotorGeometry
 
 # Strobe samples (cycles x substeps) one pixel may integrate: ~200x the
@@ -545,7 +545,9 @@ def fit_spot_width(
     amplitude (bounded at 0) and the background are solved exactly at each
     step by variable projection.  Raises FitError with residual diagnostics
     if the fit does not converge, or if the amplitude is not 10 standard
-    errors above 0: the window then holds no spot.
+    errors above 0: the window then holds no spot.  Raises
+    IdentifiabilityError (a FitError) if the Jacobian at the optimum is
+    singular, as when a few counts fit a spot narrower than a pixel.
     """
     cx, cy = initial_center_um
     xs, ys = image.x_um, image.y_um
@@ -577,7 +579,7 @@ def fit_spot_width(
     # the widths, which needs a bias study against the known widths first
     ones = np.ones_like(flat)
 
-    def basis(p, derivatives=True):
+    def basis(p, derivatives):
         """exp(-2 (dr^2/sr^2 + da^2/sa^2)) and its derivatives in p = (mx, my, sr, sa)."""
         mx, my, sr, sa = p
         dr = pr - (mx * u_r[0] + my * u_r[1])
@@ -588,15 +590,9 @@ def fit_spot_width(
         gr, ga = u * dr * (4.0 / sr**2), u * da * (4.0 / sa**2)
         return u, np.stack([gr * u_r[0] + ga * u_a[0], gr * u_r[1] + ga * u_a[1], gr * dr / sr, ga * da / sa])
 
-    def solve(p, jac=False):
-        return _separable(*basis(p, jac), flat, ones, 0.0)
-
     x0 = np.array([gx[peak_idx], gy[peak_idx], 0.5, 0.5])
-    lm = levenberg_marquardt(
-        lambda p: solve(p)[2], lambda p: solve(p, True)[3], x0, max_iter=300, gtol=SEPARABLE_GTOL
-    )
+    lm, amp, bg = _fit_separable(basis, flat, ones, x0, 0.0, max_iter=300)
     u, _ = basis(lm.x, False)
-    amp, bg, _, _ = _separable(u, None, flat, ones, 0.0)
     # the amplitude's standard error at the fitted shape; Poisson counts
     # vary at least as much as the background
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -607,6 +603,7 @@ def fit_spot_width(
             f"{amp:.4g} +- {amp_se:.3g} counts, cost={lm.cost:.4g}, grad={lm.grad_norm:.4g}, "
             f"params={np.round(lm.x, 4).tolist()}"
         )
+    _check_identified(_full_jacobian(*basis(lm.x, True), amp, ones))
     return abs(float(lm.x[2])), abs(float(lm.x[3]))
 
 

@@ -73,12 +73,6 @@ class LevelPopulations:
     def ms1(cls) -> "LevelPopulations":
         return cls(g0=0.0, g1=1.0)
 
-    @classmethod
-    def from_spin(cls, p_ms1: float) -> "LevelPopulations":
-        if not 0.0 <= p_ms1 <= 1.0:
-            raise ValidationError("p_ms1 must lie in [0, 1]")
-        return cls(g0=1.0 - p_ms1, g1=p_ms1)
-
 
 @dataclass(frozen=True)
 class RateModel:

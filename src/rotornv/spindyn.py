@@ -52,10 +52,6 @@ class SpinState:
         return cls(np.array([0.0, 0.0, -1.0]))
 
     @property
-    def population_ms0(self) -> float:
-        return 0.5 * (1.0 + self.bloch[2])
-
-    @property
     def population_ms1(self) -> float:
         return 0.5 * (1.0 - self.bloch[2])
 

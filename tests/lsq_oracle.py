@@ -1,16 +1,19 @@
 """Finite-difference references for the least-squares fits.
 
-``numeric_jacobian`` checks analytic Jacobians.  ``spot_width_oracle`` is
-the spot fit without variable projection or analytic derivatives: LM over
-all six parameters (amplitude, centre, widths, background) with a
-central-difference Jacobian, the way the widths were fitted before the
-separable fit replaced it.
+``numeric_jacobian`` checks analytic Jacobians, and ``lm_problem`` hands
+a test the residual and Jacobian that a fit gives LM.
+``spot_width_oracle`` is the spot fit without variable projection or
+analytic derivatives: LM over all six parameters (amplitude, centre,
+widths, background) with a central-difference Jacobian, the way the widths
+were fitted before the separable fit replaced it.
 """
 
 import math
 
 import numpy as np
+import pytest
 
+from rotornv import estimation
 from rotornv.errors import FitError
 from rotornv.estimation import levenberg_marquardt
 
@@ -27,6 +30,26 @@ def numeric_jacobian(residual_fn, x, rel_step: float = 1e-6) -> np.ndarray:
         xm[j] -= h
         jac[:, j] = (np.asarray(residual_fn(xp)) - np.asarray(residual_fn(xm))) / (2 * h)
     return jac
+
+
+def lm_problem(fit, *args):
+    """The residual and Jacobian that ``fit(*args)`` hands to LM, and the point LM ends at.
+
+    Every fit reaches LM through ``estimation.levenberg_marquardt``; this
+    spies on it there and keeps the first call.
+    """
+    seen = []
+    real = estimation.levenberg_marquardt
+
+    def spy(residual, jacobian, x0, **kwargs):
+        lm = real(residual, jacobian, x0, **kwargs)
+        seen.append((residual, jacobian, lm.x))
+        return lm
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimation, "levenberg_marquardt", spy)
+        fit(*args)
+    return seen[0]
 
 
 def spot_width_oracle(image, initial_center_um, fit_radius_um: float = 2.5):

@@ -9,7 +9,7 @@ import subprocess
 import sys
 
 import numpy as np
-from lsq_oracle import numeric_jacobian
+from lsq_oracle import lm_problem, numeric_jacobian
 from scipy import integrate
 
 from rotornv import pipeline
@@ -23,7 +23,6 @@ from rotornv.estimation import (
     fit_echo,
     fit_rabi,
     grid_oracle,
-    _projected_problem,
 )
 from rotornv.geometry import (
     TWO_PI,
@@ -297,7 +296,8 @@ def test_criterion_11c_jacobian_agreement():
     numeric = numeric_jacobian(residual, x, rel_step=1e-6)
     dev_jac = float(np.max(np.abs(analytic - numeric))) / float(np.max(np.abs(analytic)))
     # the fit's gradient J^T r on the projected cost, (b, phi0) only
-    _, projected, jacobian = _projected_problem(data, model)
+    start = dict(b_perp_gauss=0.088, phi0_rad=1.2)
+    projected, jacobian, _ = lm_problem(fit_echo, data, model, start)
     grad = jacobian(x[:2]).T @ projected(x[:2])
     cost = lambda z: np.array([0.5 * float(projected(z) @ projected(z))])
     numeric_grad = numeric_jacobian(cost, x[:2], rel_step=1e-6)[0]

@@ -481,6 +481,22 @@ def test_non_finite_config_value_exit_2(key, value, capsys):
     assert key in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("protocol.shots_per_point", "1.5"),  # wrote every signal as 1 +- 1.414
+        ("protocol.n_cal_angles", "2.5"),  # built a 2-angle table
+        ("protocol.n_cal_angles", "true"),
+        ("geometry.f_rot_hz", "true"),  # ran a 1 Hz rotor
+        ("seed", "true"),  # wrote "# seed: True"
+    ],
+)
+def test_wrong_type_config_value_exit_2(key, value, capsys):
+    code, err = _main_exit(["simulate-echo", "--tau", "2,5", "--set", f"{key}={value}"], capsys)
+    assert code == 2
+    assert key in err
+
+
 def test_zero_bin_width_exit_2(capsys):
     code, err = _main_exit(
         ["simulate-readout", "--shots", "100", "--set", "protocol.bin_width_us=0"], capsys
@@ -621,6 +637,22 @@ def test_default_image_window_holds_both_spots(extra, tmp_path, capsys):
     assert code == 0
     spots = [line for line in err.splitlines() if line.startswith("# spot")]
     assert len(spots) == 2 and all("sigma_radial" in line for line in spots), err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        # ~300 counts fitted a 0.0008 x 0.0072 um spot, far below the 0.15 um pixel
+        ["--emitters", "10,0,300", "--seed", "2"],
+        # three counts in the whole image fitted a 0.005 um spot
+        ["--dwell-ms", "1e-9"],
+    ],
+)
+def test_sub_pixel_spot_fit_is_refused(extra, tmp_path, capsys):
+    code, err = _main_exit(["simulate-image", *extra, "-o", str(tmp_path / "image.dat")], capsys)
+    assert code == 0
+    spots = [line for line in err.splitlines() if line.startswith("# spot")]
+    assert spots and all("fit failed" in line for line in spots), err
 
 
 def test_imaging_demo_exits_1_when_a_fit_fails(monkeypatch, tmp_path):

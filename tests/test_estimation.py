@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from rotornv import estimation, imaging
 from rotornv.errors import IdentifiabilityError, ValidationError
 from rotornv.estimation import (
     ECHO_PARAM_NAMES,
@@ -16,14 +15,21 @@ from rotornv.estimation import (
     grid_oracle,
     levenberg_marquardt,
     profile_identifiability,
-    _projected_problem,
+    _echo_basis,
+    _solve_linear_pair,
 )
 from rotornv.geometry import TWO_PI
 from rotornv.imaging import StrobedImage, fit_spot_width
-from lsq_oracle import numeric_jacobian
+from lsq_oracle import lm_problem, numeric_jacobian
 
 
 MODEL = EchoFitModel()
+
+
+def echo_problem(data, x):
+    """The projected residual and Jacobian that fit_echo hands to LM, from a start at x."""
+    residual, jacobian, _ = lm_problem(fit_echo, data, MODEL, dict(b_perp_gauss=x[0], phi0_rad=x[1]))
+    return residual, jacobian
 
 
 def synth_dataset(b=0.088, phi0=1.2, contrast=0.25, baseline=0.877,
@@ -49,7 +55,7 @@ class TestDataset:
 class TestLevenbergMarquardt:
     def test_monotone_cost_decrease(self):
         data = synth_dataset(noise_seed=5)
-        _, residual, jacobian = _projected_problem(data, MODEL)
+        residual, jacobian = echo_problem(data, [0.2, 0.5])
         costs = []
         orig = residual
 
@@ -134,9 +140,10 @@ class TestFitEcho:
 
     def test_projected_gradient_exact_at_contrast_bound(self):
         data = synth_dataset(noise_seed=8)
-        linear, residual, jacobian = _projected_problem(data, MODEL)
         x = np.array([0.01, 0.9])
-        assert linear(x)[0] == 1.0  # the unbounded contrast lies above 1 here
+        residual, jacobian = echo_problem(data, x)
+        u, _ = _echo_basis(MODEL, data.tau_us, *x, False)
+        assert _solve_linear_pair(u, data.signal, data.sigma**-2)[0] > 1.0  # the bound is active here
         grad = jacobian(x).T @ residual(x)
         cost = lambda z: np.array([0.5 * float(residual(z) @ residual(z))])
         numeric = numeric_jacobian(cost, x, rel_step=1e-6)[0]
@@ -305,25 +312,9 @@ class TestExternalJacobian:
         assert np.allclose(jac, numeric, atol=1e-6 * scale, rtol=1e-6)
 
 
-def _lm_problem(module, fit, *args):
-    """The residual and Jacobian that ``fit`` hands to LM, and the point LM ends at."""
-    seen = []
-    real = module.levenberg_marquardt
-
-    def spy(residual, jacobian, x0, **kwargs):
-        lm = real(residual, jacobian, x0, **kwargs)
-        seen.append((residual, jacobian, lm.x))
-        return lm
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(module, "levenberg_marquardt", spy)
-        fit(*args)
-    return seen[0]
-
-
 def _echo_problem(noise_seed):
-    _, residual, jacobian = _projected_problem(synth_dataset(noise_seed=noise_seed), MODEL)
-    return residual, jacobian, np.array([0.088, 1.2])
+    x = np.array([0.088, 1.2])
+    return (*echo_problem(synth_dataset(noise_seed=noise_seed), x), x)
 
 
 def _rabi_problem(noise_seed):
@@ -331,7 +322,7 @@ def _rabi_problem(noise_seed):
     y = 0.877 - 0.25 * np.sin(math.pi * 3.6 * t) ** 2  # the contrast is negative
     if noise_seed is not None:
         y = y + 0.02 * np.random.default_rng(noise_seed).standard_normal(t.size)
-    return _lm_problem(estimation, fit_rabi, EchoDataset(t, y, np.full(t.size, 0.02)))
+    return lm_problem(fit_rabi, EchoDataset(t, y, np.full(t.size, 0.02)))
 
 
 def _spot_problem(noise_seed):
@@ -339,7 +330,7 @@ def _spot_problem(noise_seed):
     gx, gy = np.meshgrid(xs, ys)
     lam = 4.0 + 300.0 * np.exp(-2.0 * ((gx - 10.05) ** 2 / 0.9**2 + (gy - 0.1) ** 2 / 0.45**2))
     counts = lam if noise_seed is None else np.random.default_rng(noise_seed).poisson(lam)
-    return _lm_problem(imaging, fit_spot_width, StrobedImage(counts, xs, ys, 0.0067), (10.0, 0.0))
+    return lm_problem(fit_spot_width, StrobedImage(counts, xs, ys, 0.0067), (10.0, 0.0))
 
 
 class TestSeparable:

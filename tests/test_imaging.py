@@ -7,7 +7,7 @@ from lsq_oracle import spot_width_oracle
 
 from rotornv import imaging, pipeline
 from rotornv.config import apply_overrides, config_from_dict
-from rotornv.errors import FitError, ValidationError
+from rotornv.errors import FitError, IdentifiabilityError, ValidationError
 from rotornv.geometry import TWO_PI, RotorGeometry
 from rotornv.imaging import (
     Emitter,
@@ -454,6 +454,15 @@ class TestFitSpotWidth:
         # pure background converges to a made-up spot 2-5 standard errors high
         counts = np.random.default_rng(seed).poisson(5.0, (self.DEMO_Y.size, self.DEMO_X.size))
         with pytest.raises(FitError, match="no spot"):
+            fit_spot_width(StrobedImage(counts, self.DEMO_X, self.DEMO_Y, 0.0067), (10.0, 0.0))
+
+    def test_few_counts_are_refused(self):
+        # three counts in the window fitted a spot far narrower than a pixel
+        # (singular Jacobian); the amplitude guard passed, residual and
+        # background both ~0
+        counts = np.zeros((self.DEMO_Y.size, self.DEMO_X.size), dtype=int)
+        counts[13, 20], counts[14, 20] = 2, 1
+        with pytest.raises(IdentifiabilityError, match="singular Jacobian"):
             fit_spot_width(StrobedImage(counts, self.DEMO_X, self.DEMO_Y, 0.0067), (10.0, 0.0))
 
     def test_widths_match_the_six_parameter_oracle(self):
