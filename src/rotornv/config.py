@@ -108,8 +108,15 @@ def _check_number_type(name: str, val, default) -> None:
     """Refuse a bool, or a non-integer where the default is an int.
 
     A bool is an int to Python, and a float in an int field would reach
-    range() or a shot count as a fraction.
+    range() or a shot count as a fraction.  A vector field (a tuple
+    default) must be a list whose elements pass the same check.
     """
+    if isinstance(default, tuple):
+        if not isinstance(val, (list, tuple)):
+            raise ValidationError(f"{name}: {val!r} is not a list of numbers")
+        for v in val:
+            _check_number_type(name, v, default[0])
+        return
     kind = type(default)
     if kind not in (int, float):
         return
@@ -135,7 +142,10 @@ def _build_section(cls, data: dict, path: str):
             raise ValidationError(f"{path}.{key}: {val!r} is not a finite number")
     kwargs = dict(data)
     if cls is FieldConfig and "mw_dir" in kwargs:
-        kwargs["mw_dir"] = unit(kwargs["mw_dir"])
+        try:
+            kwargs["mw_dir"] = unit(kwargs["mw_dir"])
+        except ValidationError as exc:
+            raise ValidationError(f"{path}.mw_dir: {exc}") from exc
     # tuples arrive as lists from JSON
     for key, val in list(kwargs.items()):
         if isinstance(val, list):

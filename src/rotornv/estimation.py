@@ -8,8 +8,9 @@ linear pair: y ~ a u(x) + c, and runs through one driver,
 at each x and returns the projected residual with Kaufman's Jacobian (BIT
 15 (1975) 49), so LM searches the nonlinear parameters alone (variable
 projection, Golub & Pereyra, Inverse Problems 19 (2003) R1).  Every fit
-stops when the gradient falls below 1e-8 of the cost, and a full Jacobian
-with condition above 1e12 at the optimum raises IdentifiabilityError.
+stops when the gradient falls below 1e-8 of the cost or when no trial step
+could lower the cost by more than its rounding, and a full Jacobian with
+condition above 1e12 at the optimum raises IdentifiabilityError.
 Analytic derivatives of each basis are cross-checked against finite
 differences in the test suite.  A brute-force grid minimiser over the two
 nonlinear echo parameters serves as the independent oracle.
@@ -45,6 +46,12 @@ ECHO_PARAM_NAMES = ("b_perp_gauss", "phi0_rad", "contrast", "baseline")
 # out in ~10 rejected steps, or at an accepted step below _STEP_TOL of |x|.
 _GRAD_TOL = 1e-8
 _STEP_TOL = 1e-13
+# A trial step whose Gauss-Newton predicted reduction of the cost is below
+# this fraction of the cost lies under the cost's rounding floor, where no
+# damping can lower the cost by a resolvable amount: LM stops there instead
+# of rejecting 10-20 ever shorter trials (MINPACK's "no further reduction
+# in the sum of squares is possible", More, Garbow & Hillstrom, ANL-80-74).
+_COST_RESOLUTION = 4.0 * np.finfo(float).eps
 # An optimum whose full Jacobian has a larger condition is not identified.
 _MAX_CONDITION = 1e12
 
@@ -162,7 +169,12 @@ class LMResult:
 def levenberg_marquardt(residual_fn, jacobian_fn, x0, max_iter: int = 200) -> LMResult:
     """Damped Gauss-Newton with monotone acceptance.
 
-    The weighted SSE never increases across accepted iterations.
+    The weighted SSE never increases across accepted iterations.  A run
+    converges at a gradient below _GRAD_TOL of the cost, at an accepted
+    step below _STEP_TOL of |x|, or at the cost's rounding floor: a trial
+    step whose Gauss-Newton predicted reduction -(g.s + s^T J^T J s / 2)
+    is below _COST_RESOLUTION of the cost ends the run at x before its
+    residual is evaluated.
     """
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(residual_fn(x), dtype=float)
@@ -187,6 +199,9 @@ def levenberg_marquardt(residual_fn, jacobian_fn, x0, max_iter: int = 200) -> LM
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
+            if -(grad @ step + 0.5 * step @ jtj @ step) < _COST_RESOLUTION * cost:
+                converged = True
+                break
             x_new = x + step
             r_new = np.asarray(residual_fn(x_new), dtype=float)
             cost_new = 0.5 * float(r_new @ r_new)
@@ -199,11 +214,11 @@ def levenberg_marquardt(residual_fn, jacobian_fn, x0, max_iter: int = 200) -> LM
                     converged = True
                 break
             lam *= 4.0
+        if converged:
+            break
         if not accepted:
             # no descent direction left at any damping: numerical optimum
             converged = grad_norm < 1e-6 * max(1.0, cost)
-            break
-        if converged:
             break
     return LMResult(x=x, cost=cost, grad_norm=grad_norm, iterations=iterations, converged=converged)
 

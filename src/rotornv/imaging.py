@@ -318,6 +318,33 @@ def _period_nodes(
     return np.concatenate(zs), np.concatenate(z2s), np.concatenate(ws)
 
 
+def _pair_sums(half, a, near, coef, cross) -> np.ndarray:
+    """Per candidate, the sum over sample pairs i <= j of coef_ij exp(half_i + half_j + cross a_i a_j).
+
+    ``half``, ``a`` and ``near`` are (samples, candidates); a pair with a
+    sample not ``near`` adds an exact zero.  The pair terms are built row
+    by row of the triangle i <= j and added one after another in that
+    order, as bincount adds them: numpy sums a C-ordered array over its
+    first axis row by row, but sums a lone column pairwise, so that one is
+    accumulated.
+    """
+    n = half.shape[0]
+    exponent = np.empty((n * (n + 1) // 2, half.shape[1]))
+    both = np.empty(exponent.shape, dtype=bool)
+    ca = cross * a
+    k = 0
+    for i in range(n):
+        rows = slice(k, k + n - i)
+        np.add(half[i], half[i:], out=exponent[rows])
+        exponent[rows] += ca[i] * a[i:]
+        np.logical_and(near[i], near[i:], out=both[rows])
+        k += n - i
+    terms = np.zeros(exponent.shape)
+    np.exp(exponent, out=terms, where=both)
+    terms *= coef[:, None]
+    return terms.sum(axis=0) if terms.shape[1] > 1 else np.add.accumulate(terms[:, 0])[-1:]
+
+
 def _pixel_moments(
     grid: ScanGrid,
     emitters: EmitterSet,
@@ -343,9 +370,15 @@ def _pixel_moments(
     the pair term kept as one exponent, which cannot overflow.  The period
     draws enter through :func:`_period_nodes`.  Only pixel-node pairs with
     a strobe sample above e^-40 of its peak at the pixel enter either
-    moment, and only sample pairs whose samples both are; they are taken
-    in chunks that bound the temporaries, and summed in one order, so the
-    sums do not depend on the chunk size.
+    moment, and only sample pairs whose samples both are.  Such a
+    candidate reached by one emitter alone evaluates only the pairs of
+    that emitter's block of ``substeps`` samples; one that several
+    emitters reach evaluates the whole triangle of sample pairs.  Either
+    way the pairs are added in triangle order, a skipped pair as an exact
+    zero, which is the order in which a bincount over the surviving pairs
+    adds them, so the grouping moves no bit of either moment.  Candidates
+    are taken in chunks that bound the temporaries and summed in (pixel,
+    node) order, so the sums do not depend on the chunk size either.
     """
     xs, ys = grid.x_coords_um, grid.y_coords_um
     n_cycles = _cycles(grid, g)
@@ -396,8 +429,13 @@ def _pixel_moments(
     n_s = radii.size * substeps  # strobe samples (e, k)
     ci = np.repeat(c / substeps, substeps)
     r_ek = np.repeat(radii, substeps)
-    ii, jj = np.triu_indices(n_s)  # sample pairs i <= j
-    coef = ci[ii] * ci[jj] * np.where(ii == jj, 1.0, 2.0)
+    # the samples of each emitter, and last all samples, with the weights
+    # c_i c_j (2 off the diagonal) of their pairs i <= j in triangle order
+    blocks = [slice(e * substeps, (e + 1) * substeps) for e in range(radii.size)] + [slice(0, n_s)]
+    coefs = []
+    for b in blocks:
+        i, j = np.triu_indices(ci[b].size)
+        coefs.append(ci[b][i] * ci[b][j] * np.where(i == j, 1.0, 2.0))
 
     # A sample at lab angle alpha is e^-40 below its peak at the pixel
     # (rho, psi) unless rho |sin(alpha - psi)| < sqrt(80 v), and, when every
@@ -420,7 +458,7 @@ def _pixel_moments(
     # in (pixel, node) order, so the sums do not depend on the block size.
     cross = 1.0 / (2.0 * v) - 1.0 / (2.0 * (v + 2.0 * s2))
     step = max(1, _BLOCK_ELEMENTS // cos_f.size)
-    pair_step = max(1, _BLOCK_ELEMENTS // ii.size)
+    pair_step = max(1, _BLOCK_ELEMENTS // max(n_s, substeps**2))
     m1 = np.zeros(gx.size)
     m2 = np.zeros(gx.size)
     for lo in range(0, gx.size, step):
@@ -444,10 +482,20 @@ def _pixel_moments(
             one.append((np.exp(-h2 / (2.0 * v) - a**2 / (2.0 * (v + s2))) * ci).sum(axis=1) * wn)
             # the pair exponent, expanded: half[i] + half[j] + cross a_i a_j
             half = -h2 / (2.0 * v) - a**2 * (1.0 / (4.0 * (v + 2.0 * s2)) + 1.0 / (4.0 * v))
-            r, q = np.nonzero(near[:, ii] & near[:, jj])
-            i, j = ii[q], jj[q]
-            exponent = half[r, i] + half[r, j] + cross * a[r, i] * a[r, j]
-            pair.append(np.bincount(r, weights=np.exp(exponent) * coef[q], minlength=wn.size) * wn)
+            # the one emitter that reaches each candidate, or n_e where
+            # several do: its pairs are summed over that block of samples
+            reached = near.reshape(wn.size, radii.size, substeps).any(axis=2)  # (candidates, n_e)
+            owner = np.where(reached.sum(axis=1) == 1, reached.argmax(axis=1), radii.size)
+            half, a, near = half.T.copy(), a.T.copy(), near.T.copy()  # (samples, candidates)
+            sums = np.empty(wn.size)
+            for e in range(len(blocks)):
+                rows = np.flatnonzero(owner == e)
+                chunk = max(1, _BLOCK_ELEMENTS // coefs[e].size)
+                for r0 in range(0, rows.size, chunk):
+                    r = rows[r0 : r0 + chunk]
+                    block = [np.take(z[blocks[e]], r, axis=1) for z in (half, a, near)]
+                    sums[r] = _pair_sums(*block, coefs[e], cross)
+            pair.append(sums * wn)
         kept = np.concatenate(kept)
         m1[lo : lo + step] = np.bincount(kept, weights=np.concatenate(one), minlength=x.shape[0])
         m2[lo : lo + step] = np.bincount(kept, weights=np.concatenate(pair), minlength=x.shape[0])

@@ -314,7 +314,8 @@ def format_dataset(
     lines.append(f"# config_sha256: {cfg.sha256()}")
     lines.append(f"# seed: {seed}")
     lines.append("# columns: " + " ".join(names))
-    cols = [np.asarray(c) for c in columns]
+    # Python floats format faster than numpy scalars, to the same text
+    cols = [np.asarray(c).tolist() for c in columns]
     for row in zip(*cols):
         lines.append(" ".join(f"{v:.9g}" for v in row))
     return "\n".join(lines) + "\n"
@@ -379,6 +380,5 @@ def format_image(
     lines.append(f"# config_sha256: {cfg.sha256()}")
     lines.append(f"# seed: {seed}")
     lines.append("# rows: y ascending; columns: x ascending; integer counts")
-    for row in image.counts:
-        lines.append(sep.join(str(int(v)) for v in row))
+    lines.extend(sep.join(map(str, row)) for row in image.counts.tolist())
     return "\n".join(lines) + "\n"

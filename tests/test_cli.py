@@ -489,6 +489,8 @@ def test_non_finite_config_value_exit_2(key, value, capsys):
         ("protocol.n_cal_angles", "true"),
         ("geometry.f_rot_hz", "true"),  # ran a 1 Hz rotor
         ("seed", "true"),  # wrote "# seed: True"
+        ("field.mw_dir", '["a",0,0]'),  # exit 3: could not convert string to float
+        ("field.mw_dir", "[true,0,0]"),  # ran with the bool as 1.0
     ],
 )
 def test_wrong_type_config_value_exit_2(key, value, capsys):

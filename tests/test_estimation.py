@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rotornv import estimation
 from rotornv.errors import IdentifiabilityError, ValidationError
 from rotornv.estimation import (
     ECHO_PARAM_NAMES,
@@ -71,6 +72,28 @@ class TestLevenbergMarquardt:
             if c <= accepted[-1]:
                 accepted.append(c)
         assert accepted[-1] <= accepted[0]
+
+    def test_stops_at_the_cost_rounding_floor(self):
+        # the gradient stalls at 1e-7, ten times _GRAD_TOL of the unit cost,
+        # but the Gauss-Newton step would lower the cost by ~2.5e-17, which
+        # the residual loses against its 1e8 offset: every trial would come
+        # back at the same cost.  LM stops at once, without a trial step.
+        jac = np.array([[10.0], [-(10.0 - 1e-7)]])
+        calls = {"residual": 0, "jacobian": 0}
+
+        def residual(x):
+            calls["residual"] += 1
+            return (1e8 + jac @ x) - 1e8 + 1.0
+
+        def jacobian(x):
+            calls["jacobian"] += 1
+            return jac
+
+        lm = levenberg_marquardt(residual, jacobian, np.zeros(1))
+        assert lm.converged
+        assert lm.grad_norm > 5.0 * estimation._GRAD_TOL * lm.cost
+        assert lm.x.tolist() == [0.0] and lm.cost == 1.0 and lm.iterations == 1
+        assert calls == {"residual": 1, "jacobian": 1}
 
 
 class TestFitEcho:

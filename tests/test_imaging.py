@@ -1,11 +1,13 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import render_oracle
 from lsq_oracle import spot_width_oracle
 
-from rotornv import imaging, pipeline
+from rotornv import estimation, imaging, pipeline
 from rotornv.config import apply_overrides, config_from_dict
 from rotornv.errors import FitError, IdentifiabilityError, ValidationError
 from rotornv.geometry import TWO_PI, RotorGeometry
@@ -33,6 +35,15 @@ def small_grid(cx, cy, half=2.0, step=0.125, dwell_ms=200.0):
         step_um=step,
         dwell_ms=dwell_ms,
     )
+
+
+def demo_image(seed, stationary):
+    """The demo pair's image, strobed at the trigger edge, and its spot centres."""
+    cfg = config_from_dict({"strobe": {"t_phi_us": 0.0}})
+    grid = ScanGrid(x_range_um=(7.0, 12.5), y_range_um=(-2.0, 5.2), step_um=0.15)
+    emitters = pipeline.default_emitters(cfg)
+    img = render_image(grid, emitters, cfg.geometry, cfg.strobe, seed=seed, stationary=stationary)
+    return img, pipeline.spot_centers_um(cfg, emitters, stationary)
 
 
 class TestAngularSmear:
@@ -297,6 +308,56 @@ def test_moments_match_per_emitter_oracle(plane, stationary, strobe, emitters, x
     assert 0.6 < ratio < 1.5
 
 
+@pytest.mark.parametrize("plane", ["xy", "xz"])
+@pytest.mark.parametrize(
+    "strobe, emitters, x_range, y_range",
+    [
+        (StrobeConfig(t_phi_us=0.0), _PAIR, (8.5, 11.0), (-1.0, 4.5)),
+        (StrobeConfig(t_phi_us=299.0, jitter_frac=0.02), _PAIR, (8.5, 11.0), (-1.0, 4.5)),
+        (StrobeConfig(t_phi_us=1180.0), _PAIR, (8.5, 11.0), (-1.0, 4.5)),
+        (StrobeConfig(t_phi_us=0.0, t_pulse_us=8.0), _TRIO, (8.5, 11.0), (-2.5, 2.5)),
+        # half a turn on, the trio 1.2 and 1.5 um apart: pixels between
+        # them reach several emitters and take the whole sample triangle
+        (StrobeConfig(t_phi_us=150.0), _TRIO, (-11.0, -8.5), (-2.5, 2.5)),
+    ],
+)
+def test_moments_match_the_whole_triangle_bit_for_bit(plane, strobe, emitters, x_range, y_range):
+    grid = ScanGrid(x_range_um=x_range, y_range_um=y_range, step_um=0.25, plane=plane)
+    mean, var = _pixel_moments(grid, emitters, G_DEFAULT, strobe)
+    ref_mean, ref_var = render_oracle.pixel_moments(grid, emitters, G_DEFAULT, strobe)
+    assert mean.max() > 3
+    assert np.array_equal(mean, ref_mean)
+    assert np.array_equal(var, ref_var)
+
+
+def test_one_candidate_chunks_keep_the_triangle_order(monkeypatch):
+    # one candidate per chunk: every pair sum runs over a lone column,
+    # which numpy would otherwise add pairwise instead of in order
+    monkeypatch.setattr(imaging, "_BLOCK_ELEMENTS", 50)
+    strobe = StrobeConfig(t_phi_us=150.0)
+    grid = ScanGrid(x_range_um=(-11.0, -8.5), y_range_um=(-2.5, 2.5), step_um=0.25)
+    mean, var = _pixel_moments(grid, _TRIO, G_DEFAULT, strobe)
+    ref_mean, ref_var = render_oracle.pixel_moments(grid, _TRIO, G_DEFAULT, strobe)
+    assert np.array_equal(mean, ref_mean)
+    assert np.array_equal(var, ref_var)
+
+
+@pytest.mark.parametrize(
+    "seed, stationary, digest",
+    [
+        (1, False, "ae7790efa5b76dc24e6dd7e0770f3651016796b58127686987b95dfe80bee2e3"),
+        (1, True, "dc8e1f8336faa3520d21269d12dff0c377a91a6172797af54c290121253dd3d5"),
+        (401, False, "0854f466afd9076f2701696b4e88488ca56080541af4c6c3d065a60deeec691d"),
+        (401, True, "119f4c7178772ccf70c687b7d8aeb88c3f57c5c7ef978bbb9f3f57832c229810"),
+    ],
+)
+def test_demo_image_pair_counts_are_pinned(seed, stationary, digest):
+    # the digests were taken from the whole-triangle renderer, so no Gamma
+    # or Poisson draw moves
+    img, _ = demo_image(seed, stationary)
+    assert hashlib.sha256(img.counts.astype("<i8").tobytes()).hexdigest() == digest
+
+
 def test_clipped_periods_match_oracle():
     # jitter_frac 0.5: periods below 0.1 T (3.6 % of draws) are clipped,
     # a kink the quadrature puts on a panel edge
@@ -464,6 +525,30 @@ class TestFitSpotWidth:
         counts[13, 20], counts[14, 20] = 2, 1
         with pytest.raises(IdentifiabilityError, match="singular Jacobian"):
             fit_spot_width(StrobedImage(counts, self.DEMO_X, self.DEMO_Y, 0.0067), (10.0, 0.0))
+
+    def test_demo_spot_stops_at_the_cost_rounding_floor(self, monkeypatch):
+        # stationary spot 1 of the demo pair at seed 3 used to end in a run
+        # of rejected trial steps: 37 residual evaluations for 11 Jacobians
+        calls = {"residual": 0, "jacobian": 0}
+        real = estimation.levenberg_marquardt
+
+        def counting(residual, jacobian, x0, **kwargs):
+            def counted_residual(x):
+                calls["residual"] += 1
+                return residual(x)
+
+            def counted_jacobian(x):
+                calls["jacobian"] += 1
+                return jacobian(x)
+
+            return real(counted_residual, counted_jacobian, x0, **kwargs)
+
+        img, centers = demo_image(3, True)
+        monkeypatch.setattr(estimation, "levenberg_marquardt", counting)
+        widths = fit_spot_width(img, centers[1])
+        assert calls["residual"] <= calls["jacobian"] + 3
+        # the widths of the fit that waited out the rejected steps
+        np.testing.assert_allclose(widths, (0.2691223361812633, 0.2880290088969206), rtol=0, atol=1e-8)
 
     def test_widths_match_the_six_parameter_oracle(self):
         # the demo pair (rotating and stationary, strobed at the trigger
