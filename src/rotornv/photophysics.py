@@ -21,10 +21,14 @@ band and the transit-reduced count rate are treated as quantitative.
 The rate equations are linear and their generator is affine in the beam
 intensity, so the transit readout is one batched array computation
 (`_transit_counts`): a fourth-order commutator-free exponential step,
-with the step count set by the generator's norm and the transit time,
-and a scaling-and-squaring Pade matrix exponential (`expm`, Higham 2005,
-SIAM J. Matrix Anal. Appl. 26:1179) that also serves `step_rates`.  The
-module needs numpy only.
+with the step count set by the generator's norm and the transit time.
+Each step factor is the exponential of the generator at one intensity
+blend, so the factors are interpolated in that blend from a few
+Chebyshev nodes; the node exponentials, and the factors themselves where
+the rates are too stiff for interpolation to pay, come from a
+scaling-and-squaring Pade matrix exponential (`expm`, Higham 2005, SIAM
+J. Matrix Anal. Appl. 26:1179) that also serves `step_rates`.  The module
+needs numpy only.
 """
 
 from __future__ import annotations
@@ -351,6 +355,48 @@ _CF4_BLEND = 2.0 * np.array([[0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0)
 _STEP_SCALE = 0.05
 # Most exponential steps (and bins) in one transit; bounds time and memory.
 MAX_READOUT_STEPS = 8192
+# Bernstein ellipse parameters rho searched for the interpolation node count,
+# rho - 1 spaced geometrically from 1e-8 to 1e20
+_ELLIPSE_RHO = 1.0 + np.exp(np.linspace(math.log(1e-8), math.log(1e20), 500))
+# One direct 6x6 Pade exponential costs about as much as this many
+# interpolation weights (~5 us against ~25 ns on a 2-core x86 host), so
+# interpolating F factors from K nodes pays while K (F + this) < F * this.
+_EXPM_COST_IN_WEIGHTS = 200.0
+
+
+def _node_count(c: float, log_norm: float) -> float:
+    """Fewest Chebyshev points interpolating x -> exp(M + x C) on [-1, 1] to rounding.
+
+    With |C|_1 <= c and the 1-norm log-norm of M + x C at most ``log_norm``
+    on [-1, 1], the exponential is bounded by exp(log_norm + c (rho - 1/rho)
+    / 2) on the Bernstein ellipse E_rho (its points lie within (rho - 1/rho)
+    / 2 of the interval), so the degree-n interpolant in the Chebyshev
+    points is within 4 M rho^-n / (rho - 1) of it (Trefethen, Approximation
+    Theory and Approximation Practice, Thm 8.2).  Returns n + 1 for the
+    smallest n that some rho of the grid brings below the unit roundoff,
+    the factors' 1-norms being at least one; inf when none does.
+    """
+    rho = _ELLIPSE_RHO
+    log_bound = math.log(4.0 / np.finfo(float).eps) + log_norm + 0.5 * c * (rho - 1.0 / rho)
+    degree = float(np.min((log_bound - np.log(rho - 1.0)) / np.log(rho)))
+    return 1.0 + math.ceil(max(degree, 0.0)) if degree < math.inf else math.inf
+
+
+def _barycentric(x: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Lagrange basis of ``nodes`` at every x, (x.size, nodes.size), by the barycentric formula.
+
+    An x that equals a node gets that node's row of the identity.  One
+    (x.size, nodes.size) array is filled in place, so that a pass leaves
+    no further temporaries of that size behind.
+    """
+    terms = x[:, None] - nodes
+    hit = terms == 0.0
+    terms[hit] = 1.0
+    np.divide(weights, terms, out=terms)
+    on_node = hit.any(axis=1)
+    terms[on_node] = hit[on_node]
+    terms /= terms.sum(axis=1, keepdims=True)
+    return terms
 
 
 def _transit_counts(
@@ -359,18 +405,30 @@ def _transit_counts(
     b: BeamProfile,
     m: RateModel,
     turn_on_offset_us: float,
-    edges_us: np.ndarray,
+    n_bins: int,
+    bin_width_us: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate the rate equations along the transit for several initial states.
 
-    ``initial`` holds populations as columns (5, k).  The augmented state is
+    ``initial`` holds populations as columns (5, k).  The pass covers
+    ``n_bins`` uniform bins of ``bin_width_us`` from laser turn-on, so every
+    exponential step has the same length h.  The augmented state is
     (g0, g1, e0, e1, s, x), where x integrates the excited population times
     the collection weighting; the detected counts per shot are x times the
     calibrated emission rate plus the background, which integrates in closed
-    form.  Returns the cumulative counts at every edge (n_edges, k) and the
-    populations at the last edge (5, k).
+    form.  Returns the cumulative counts at every bin edge (n_bins + 1, k)
+    and the populations at the last edge (5, k).
+
+    Every step factor exp((h/2) (gen0 + s slope)) is the same analytic
+    function of one scalar, the clipped intensity blend s in [0, s_max].
+    The factors are therefore interpolated from the exponentials at K
+    Chebyshev points of [0, s_max], by the barycentric formula (Berrut &
+    Trefethen 2004, SIAM Rev. 46:501), with K the fewest points whose a
+    priori bound (`_node_count`, from |(h/2) slope|_1 s_max) is at rounding
+    level.  Where K is too large for that to pay (stiff rates, whose step
+    count `MAX_READOUT_STEPS` caps), the nodes are the factors' own blends
+    and every factor is exponentiated directly.
     """
-    n_bins = edges_us.size - 1
     gen0 = np.zeros((6, 6))
     gen1 = np.zeros((6, 6))
     gen0[:5, :5] = rate_matrix(m, 0.0)
@@ -380,20 +438,39 @@ def _transit_counts(
         gen0[5, 2:4] = 1.0
     slope = gen1 - gen0  # the generator is gen0 + intensity * slope
 
+    # in Python floats, and by the diameter (the radius of the smallest
+    # positive diameter rounds to 0): a vanishing waist gives an infinite
+    # rate, not a warning
+    d = b.waist_diameter_1e2_um
     speed_um_per_us = TWO_PI * g.r_nv_um * g.f_rot_hz * 1e-6
-    rate = math.sqrt(np.abs(gen1[:5, :5]).sum(axis=0).max() * speed_um_per_us / b.waist_radius_um)
-    wanted = float(np.diff(edges_us).max()) * rate / _STEP_SCALE
+    rate = math.sqrt(float(np.abs(gen1[:5, :5]).sum(axis=0).max()) * speed_um_per_us * 2.0 / d)
+    wanted = bin_width_us * rate / _STEP_SCALE
     steps = MAX_READOUT_STEPS // n_bins
     if wanted < steps:
         steps = max(1, math.ceil(wanted))
 
-    h = np.diff(edges_us)[:, None, None] / steps
-    starts = edges_us[:-1, None, None] + h * np.arange(steps)[:, None]
+    h = bin_width_us / steps
+    starts = (bin_width_us * np.arange(n_bins))[:, None, None] + h * np.arange(steps)[:, None]
     off = transit_offset_um(g, starts + h * _GAUSS_NODES + turn_on_offset_us)
-    gauss_intensity = np.exp(-2.0 * off**2 / b.waist_radius_um**2)  # (bins, steps, 2)
-    blend = np.clip(gauss_intensity @ _CF4_BLEND, 0.0, None)  # earlier factor first
-    exponents = (0.5 * h[..., None, None]) * (gen0 + blend[..., None, None] * slope)
-    factors = expm(exponents.reshape(n_bins, 2 * steps, 6, 6))
+    # exp(-2 off^2 / w^2) with w = d / 2; offsets past ten diameters (e^-800,
+    # i.e. 0) are clipped, so neither the quotient nor its square overflows
+    gauss_intensity = np.exp(-8.0 * (np.minimum(off, 10.0 * d) / d) ** 2)  # (bins, steps, 2)
+    blend = np.clip(gauss_intensity @ _CF4_BLEND, 0.0, None).ravel()  # earlier factor first
+    half = 0.5 * h
+    s_max = max(float(blend.max()), np.finfo(float).tiny)  # tiny: no light at all
+    k = _node_count(0.5 * half * np.abs(slope).sum(axis=0).max() * s_max, half * max(1.0, s_max))
+    if k * (blend.size + _EXPM_COST_IN_WEIGHTS) < blend.size * _EXPM_COST_IN_WEIGHTS:
+        theta = (np.arange(k) + 0.5) * (math.pi / k)
+        nodes = 0.5 * s_max * (1.0 + np.cos(theta))
+        weights = np.sin(theta)  # barycentric weights (-1)^j sin(theta_j)
+        weights[1::2] *= -1.0
+        lagrange = _barycentric(2.0 * (blend / s_max) - 1.0, np.cos(theta), weights)
+    else:
+        nodes, lagrange = blend, None
+    factors = expm(half * (gen0 + nodes[:, None, None] * slope))
+    if lagrange is not None:
+        factors = lagrange @ factors.reshape(nodes.size, 36)
+    factors = factors.reshape(n_bins, 2 * steps, 6, 6)
     # time-ordered product within each bin, by halving; identities pad the
     # factor count to a power of two
     padding = (1 << (2 * steps - 1).bit_length()) - 2 * steps
@@ -407,8 +484,19 @@ def _transit_counts(
         state = factors[i, 0] @ state
         excited_us[i + 1] = state[5]
     counts_per_excited_us = detection_calibration(m, b) * m.radiative_rate_per_us * 1e-6
-    background = b.background_cps * 1e-6 * (edges_us - edges_us[0])[:, None]
+    background = b.background_cps * 1e-6 * bin_width_us * np.arange(n_bins + 1)[:, None]
     return counts_per_excited_us * excited_us + background, state[:5]
+
+
+def _bin_count(bins: float, ratio: str) -> int:
+    """round(bins), at least one; refused above ``MAX_READOUT_STEPS`` (``ratio`` says how it arose).
+
+    The comparison comes first, on the float: an overflowing ratio is inf,
+    which no integer conversion takes.
+    """
+    if not bins <= MAX_READOUT_STEPS + 0.5:  # round(bins) > MAX_READOUT_STEPS
+        raise ValidationError(f"{ratio} gives {bins:.3g} bins, more than {MAX_READOUT_STEPS}")
+    return max(1, round(bins))
 
 
 def readout_response(
@@ -429,18 +517,20 @@ def readout_response(
     the transit time (per-bin error ~1e-8 of the trace peak at the
     defaults); the detected rate is the emission rate times the collection
     weighting at the instantaneous offset.
+
+    The pulse is cut into round(t_pulse_us / bin_width_us) uniform bins
+    (at most ``MAX_READOUT_STEPS``), so all steps share one length and
+    the step exponentials are interpolated in the beam intensity from the
+    fewest Chebyshev nodes that keep them at rounding level, or taken
+    directly where that many nodes would not pay (see `_transit_counts`).
     """
     if t_pulse_us <= 0:
         raise ValidationError("t_pulse_us must be positive")
-    n_bins = max(1, int(round(t_pulse_us / bin_width_us)))
-    if n_bins > MAX_READOUT_STEPS:
-        raise ValidationError(
-            f"t_pulse_us / bin_width_us = {t_pulse_us} / {bin_width_us} gives {n_bins} "
-            f"bins, more than {MAX_READOUT_STEPS}"
-        )
-    edges = np.linspace(0.0, t_pulse_us, n_bins + 1)
+    n_bins = _bin_count(
+        t_pulse_us / bin_width_us, f"t_pulse_us / bin_width_us = {t_pulse_us} / {bin_width_us}"
+    )
     cumulative, pops = _transit_counts(
-        initial.as_array()[:, None], g, b, m, turn_on_offset_us, edges
+        initial.as_array()[:, None], g, b, m, turn_on_offset_us, n_bins, t_pulse_us / n_bins
     )
     pops = np.clip(pops[:, 0], 0.0, None)
     return np.diff(cumulative[:, 0]), LevelPopulations.from_array(pops / pops.sum())
@@ -505,12 +595,20 @@ def _window_counts(
     window_us: float,
     initial: np.ndarray,
 ) -> np.ndarray:
-    """Per-shot counts in the first eight bins of width ~window/8, one per column of ``initial``."""
+    """Per-shot counts in the first eight bins of width ~window/8, one per column of ``initial``.
+
+    The bins are the first of round(8 t_pulse_us / window_us) uniform bins
+    of the pulse, a count that may not exceed ``MAX_READOUT_STEPS``.
+    """
     if t_pulse_us <= 0:
         raise ValidationError("t_pulse_us must be positive")
-    n_bins = max(1, int(round(t_pulse_us / (window_us / 8.0))))
-    edges = np.arange(min(n_bins, 8) + 1) * (t_pulse_us / n_bins)
-    cumulative, _ = _transit_counts(initial, g, b, m, turn_on_offset_us, edges)
+    n_bins = _bin_count(
+        8.0 * t_pulse_us / window_us,
+        f"t_pulse_us / (readout_window_us / 8) = {t_pulse_us} / ({window_us} / 8)",
+    )
+    cumulative, _ = _transit_counts(
+        initial, g, b, m, turn_on_offset_us, min(n_bins, 8), t_pulse_us / n_bins
+    )
     return cumulative[-1]
 
 

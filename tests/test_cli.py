@@ -515,12 +515,45 @@ def test_zero_bin_width_exit_2(capsys):
          "n_cal_angles"),
         # 4e7 readout bins
         (["simulate-readout", "--set", "protocol.bin_width_us=5e-08"], "bin_width_us"),
+        # the bin count printed as a 300-digit integer
+        (["simulate-readout", "--set", "protocol.bin_width_us=1e-300"], "bin_width_us"),
+        # an infinite bin count: exit 3, "cannot convert float infinity to integer"
+        (["simulate-readout", "--shots", "10", "--set", "protocol.bin_width_us=1e-320"],
+         "bin_width_us"),
+        (["simulate-rabi", "--set", "protocol.readout_window_us=1e-320"], "readout_window_us"),
+        (["simulate-echo", "--set", "protocol.readout_window_us=1e-320"], "readout_window_us"),
     ],
 )
 def test_oversized_config_value_exit_2(argv, key, capsys):
     code, err = _main_exit(argv, capsys)
     assert code == 2
     assert err.startswith("error:") and key in err
+    assert len(err) < 160
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        # w^2 underflows: "divide by zero encountered in divide"
+        ("beam.waist_diameter_1e2_um", "1e-300"),
+        # "overflow encountered in square"
+        ("geometry.r_nv_um", "1e300"),
+    ],
+)
+def test_dark_readout_window(key, value, tmp_path, capsys):
+    # scans refuse a window that collects no light, naming the beam and the
+    # orbit; a readout trace of such a window is all zeros
+    for argv in (["simulate-rabi", "--durations", "0.1,0.2"], ["simulate-echo", "--tau", "2,5"]):
+        code, err = _main_exit([*argv, "--set", f"{key}={value}"], capsys)
+        assert code == 2
+        assert "no light" in err and key in err
+    out = tmp_path / "trace.dat"
+    code, err = _main_exit(
+        ["simulate-readout", "--shots", "10", "--set", f"{key}={value}", "-o", str(out)], capsys
+    )
+    assert code == 0, err
+    rows = [ln.split() for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert rows and all(float(r[1]) == 0.0 for r in rows)
 
 
 def test_readout_window_longer_than_strobe_exit_2(capsys):

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+import readout_oracle
 from scipy import integrate
 from scipy.linalg import expm, null_space
 
-from rotornv import photophysics
+from rotornv import photophysics, pipeline
 from rotornv.config import config_from_dict
 from rotornv.errors import ValidationError
 from rotornv.geometry import RotorGeometry
@@ -326,6 +327,12 @@ ORACLE_CONFIGS = {
     "background-500cps": {"beam": {"background_cps": 500.0}},
     "rates-x10": {"rates": _scaled_rates(10.0)},
 }
+# Largest trace difference to the direct oracle, per rate scale, as a
+# fraction of the trace peak.  At 1e3x rates the pass itself is only good to
+# ~1e-11 of the peak: the oracle moves by up to 1.5e-11 with scipy's expm in
+# place of the Pade one.  At 1e6x rates the factors are exponentiated
+# directly, as in the oracle.
+ORACLE_TOL = {1.0: 1e-12, 10.0: 1e-12, 1e3: 2e-11, 1e6: 1e-12}
 # ms0, ms1 and a mixed state, as columns
 ORACLE_STATES = np.array(
     [[1.0, 0.0, 0.4], [0.0, 1.0, 0.5], [0.0, 0.0, 0.05], [0.0, 0.0, 0.03], [0.0, 0.0, 0.02]]
@@ -390,6 +397,37 @@ class TestReadoutOracle:
         assert np.isfinite(final.as_array()).all()
         dark, _ = readout_response(LevelPopulations.ms1(), g, b, m, 2.0, -0.25)
         assert 0.0 < dark.sum() < bright.sum()
+
+    @pytest.mark.parametrize("t_pulse", [0.5, 2.0, 6.0])
+    @pytest.mark.parametrize("offset", [-2.0, -0.25, 0.5])
+    @pytest.mark.parametrize("scale", [1.0, 10.0, 1e3, 1e6])
+    def test_interpolated_factors_match_direct_oracle(self, scale, offset, t_pulse):
+        m = config_from_dict({"rates": _scaled_rates(scale)}).rates
+        g, b = RotorGeometry(), BeamProfile()
+        spins = ORACLE_STATES[:, :2]
+        # per-bin traces at readout_response's 0.05 us bins, and the window
+        # counts of a 0.5 us early window (its pass's last edge, 8 bins)
+        for n_bins, width in ((round(t_pulse / 0.05), 0.05), (8, 0.5 / 8)):
+            width = t_pulse / round(t_pulse / width)
+            got, got_pops = photophysics._transit_counts(spins, g, b, m, offset, n_bins, width)
+            want, want_pops = readout_oracle.transit_counts(spins, g, b, m, offset, n_bins, width)
+            peak = np.diff(want, axis=0).max(axis=0)
+            assert np.all(np.abs(np.diff(got, axis=0) - np.diff(want, axis=0)) <= ORACLE_TOL[scale] * peak)
+            # the interpolation error is smooth in the blend, so it adds up over
+            # the factors: 6e-11 over the 16k factors of a stiff 6 us pass
+            assert np.allclose(got_pops, want_pops, rtol=0.0, atol=1e-9)
+        assert np.all(np.abs(got[-1] - want[-1]) <= ORACLE_TOL[scale] * peak)
+
+    def test_default_pass_exponentiates_a_few_nodes(self, cfg_default, monkeypatch):
+        # a silent fallback to direct exponentials would take 608 matrices in
+        # the window pass and 1280 in the 40-bin trace
+        g, b, m = cfg_default.geometry, cfg_default.beam, cfg_default.rates
+        calls = []
+        real = photophysics.expm
+        monkeypatch.setattr(photophysics, "expm", lambda a: calls.append(a.shape) or real(a))
+        pipeline.window_response(cfg_default)
+        readout_response(LevelPopulations.ms0(), g, b, m, 2.0, -0.25)
+        assert len(calls) == 2 and all(np.prod(s[:-2]) <= 32 for s in calls)
 
     def test_too_many_bins_rejected(self):
         with pytest.raises(ValidationError, match="bin_width_us"):
