@@ -43,11 +43,9 @@ DEBUG_ENV_VAR = "ROTORNV_DEBUG"
 def _load_effective_config(args) -> ExperimentConfig:
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     cfg = load_config(path) if path else config_from_dict({})
-    if args.set:
-        cfg = apply_overrides(cfg, args.set)
-    if args.seed is not None:
-        cfg = apply_overrides(cfg, [f"seed={args.seed}"])
-    return cfg
+    # one pass; --seed comes last, so it wins over --set seed=...
+    overrides = args.set if args.seed is None else [*args.set, f"seed={args.seed}"]
+    return apply_overrides(cfg, overrides) if overrides else cfg
 
 
 def _write(path: str | None, text: str) -> None:
@@ -258,38 +256,34 @@ def cmd_dump_config(args) -> int:
 # parser wiring
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rotornv",
-        description="Simulate and fit quantum measurements of an NV qubit in a rotating diamond.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help=f"config JSON path (or ${CONFIG_ENV_VAR})")
-    common.add_argument(
+def _common_arguments(p) -> None:
+    p.add_argument("--config", help=f"config JSON path (or ${CONFIG_ENV_VAR})")
+    p.add_argument(
         "--set",
         action="append",
         default=[],
         metavar="SECTION.KEY=VALUE",
         help="override a config value (repeatable)",
     )
-    common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common.add_argument("-o", "--output", default="-", help="output path ('-' = stdout)")
+    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("-o", "--output", default="-", help="output path ('-' = stdout)")
 
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate-rabi", parents=[common], help="Rabi duration scan")
+def _simulate_rabi_arguments(p) -> None:
     p.add_argument("--durations", default="0.0:1.1:40", help="us scan: start:stop:n or list")
     p.add_argument("--pulse-at", choices=("start", "half"), default="start")
     p.add_argument("--shots", type=int, default=None, help="repetitions per point")
     p.set_defaults(func=cmd_simulate_rabi)
 
-    p = sub.add_parser("simulate-echo", parents=[common], help="spin-echo fringe scan")
+
+def _simulate_echo_arguments(p) -> None:
     p.add_argument("--tau", default="2.0:21.0:16", help="us scan: start:stop:n or list")
     p.add_argument("--finite-pulses", action="store_true", help="use finite calibrated pulses")
     p.add_argument("--shots", type=int, default=None)
     p.set_defaults(func=cmd_simulate_echo)
 
-    p = sub.add_parser("simulate-image", parents=[common], help="strobed confocal raster")
+
+def _simulate_image_arguments(p) -> None:
     window = f"um (default: a {2 * IMAGE_HALF_WIDTH_UM:g} um window centred on the spots)"
     p.add_argument("--x-min", type=float, default=None, help=window)
     p.add_argument("--x-max", type=float, default=None, help=window)
@@ -304,32 +298,72 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emitters", help="x,y[,cps];x,y[,cps] (default: configured pair)")
     p.set_defaults(func=cmd_simulate_image)
 
-    p = sub.add_parser("simulate-readout", parents=[common], help="single transit trace")
+
+def _simulate_readout_arguments(p) -> None:
     p.add_argument("--initial", choices=("ms0", "ms1"), default="ms0")
     p.add_argument("--shots", type=int, default=200_000)
     p.set_defaults(func=cmd_simulate_readout)
 
-    p = sub.add_parser("compile-seq", parents=[common], help="compile a sequence file")
+
+def _compile_seq_arguments(p) -> None:
     p.add_argument("seq", help="sequence file path ('-' = stdin)")
     p.add_argument("--t-phi", type=float, default=0.0, help="trigger-to-strobe delay, us")
     p.add_argument("--allow-multi-period", action="store_true")
     p.set_defaults(func=cmd_compile_seq)
 
-    p = sub.add_parser("fit", parents=[common], help="fit a dataset file")
+
+def _fit_arguments(p) -> None:
     p.add_argument("dataset", help="columnar dataset path")
     p.add_argument("--model", choices=("echo", "rabi"), default="echo")
     p.add_argument("--b-max", type=float, default=0.5, help="fringe amplitude search bound, G")
     p.add_argument("--max-iter", type=int, default=200)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("dump-config", parents=[common], help="print the effective config")
+
+def _dump_config_arguments(p) -> None:
     p.set_defaults(func=cmd_dump_config)
+
+
+# name -> (help, adds the subcommand's own arguments and its handler), in usage order
+SUBCOMMANDS = {
+    "simulate-rabi": ("Rabi duration scan", _simulate_rabi_arguments),
+    "simulate-echo": ("spin-echo fringe scan", _simulate_echo_arguments),
+    "simulate-image": ("strobed confocal raster", _simulate_image_arguments),
+    "simulate-readout": ("single transit trace", _simulate_readout_arguments),
+    "compile-seq": ("compile a sequence file", _compile_seq_arguments),
+    "fit": ("fit a dataset file", _fit_arguments),
+    "dump-config": ("print the effective config", _dump_config_arguments),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The command-line parser, with only the subcommand that ``argv[0]`` names.
+
+    Building a subcommand's arguments is most of the parser's cost, and a
+    call runs one subcommand.  With no ``argv``, an empty one, or a first
+    word that is no subcommand (an option, ``--help``, a typo), all of them
+    are built, so the help and the errors list every choice.
+    """
+    parser = argparse.ArgumentParser(
+        prog="rotornv",
+        description="Simulate and fit quantum measurements of an NV qubit in a rotating diamond.",
+    )
+    names, metavar = list(SUBCOMMANDS), None
+    if argv and argv[0] in SUBCOMMANDS:
+        # the usage line of a top-level error still lists every subcommand
+        names, metavar = [argv[0]], "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        _common_arguments(p)
+        add_arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, SequenceError, FileNotFoundError) as exc:

@@ -160,10 +160,14 @@ def beam_intensity(b: BeamProfile, offset_um):
     """Relative detected-intensity profile at a lateral offset from focus.
 
     Illumination is exp(-2 off^2 / w^2) with w the 1/e^2 radius; confocal
-    collection through the same objective weights it once more.
+    collection through the same objective weights it once more.  It is
+    evaluated from the diameter d = 2 w, as exp(-8 (off / d)^2), with
+    offsets past ten diameters (e^-800, i.e. 0) clipped, so neither a
+    vanishing waist nor a huge offset overflows.
     """
-    off = np.asarray(offset_um, dtype=float)
-    profile = np.exp(-2.0 * off**2 / b.waist_radius_um**2)
+    d = b.waist_diameter_1e2_um
+    off = np.minimum(np.abs(np.asarray(offset_um, dtype=float)), 10.0 * d)
+    profile = np.exp(-8.0 * (off / d) ** 2)
     if b.collection_mode == "confocal-squared":
         profile = profile**2
     return float(profile) if np.isscalar(offset_um) else profile
@@ -203,12 +207,14 @@ def expected_count_rate(
     if not include_transit or g.r_nv_um == 0.0 or t_pulse_us == 0.0:
         return bound
     # The integrand is even in t, and the offset grows monotonically over
-    # half a turn; past 6 waist radii the intensity is below e^-72, so only
-    # [0, span] contributes.  Panels are at most one transit time wide.
-    w = b.waist_radius_um
-    reach_us = math.asin(min(1.0, 3.0 * w / g.r_nv_um)) * g.t_rot_us / math.pi
+    # half a turn; past 3 waist diameters the intensity is below e^-72, so
+    # only [0, span] contributes.  Panels are at most one transit time (of a
+    # waist radius) wide.  Both come from the diameter, not the radius: half
+    # the smallest positive diameter rounds to 0.
+    d = b.waist_diameter_1e2_um
+    reach_us = math.asin(min(1.0, 1.5 * d / g.r_nv_um)) * g.t_rot_us / math.pi
     span_us = min(t_pulse_us / 2.0, reach_us)
-    transit_us = w * g.t_rot_us / (TWO_PI * g.r_nv_um)
+    transit_us = d * g.t_rot_us / (2.0 * TWO_PI * g.r_nv_um)
     n_panels = max(1, math.ceil(span_us / transit_us))
     half_width = span_us / (2 * n_panels)
     centres = (2 * np.arange(n_panels) + 1) * half_width

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib.util
 import io
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 
+import dataset_oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -810,3 +812,208 @@ def test_spot_fit_programming_error_exits_3(tmp_path, monkeypatch, capsys):
     )
     assert code == 3
     assert "runtime error: unsupported operand" in err
+
+
+# ---------------------------------------------------------------------------
+# one-command parser, one override pass
+
+
+# one argv per subcommand, with every argument it takes
+SUBCOMMAND_ARGVS = [
+    ["simulate-rabi", "--durations", "0:1:5", "--pulse-at", "half", "--shots", "7",
+     "--set", "seed=2", "--set", "field.theta_b_deg=1", "--seed", "4", "-o", "r.dat"],
+    ["simulate-echo", "--tau", "2,5", "--finite-pulses", "--shots", "9", "--config", "c.json"],
+    ["simulate-image", "--x-min", "-1", "--x-max", "1", "--y-min", "0", "--y-max", "2",
+     "--step", "0.2", "--dwell-ms", "5", "--stationary", "--plane", "xz", "--format", "csv",
+     "--emitters", "1,2;3,4,5"],
+    ["simulate-readout", "--initial", "ms1", "--shots", "10", "--output", "t.dat"],
+    ["compile-seq", "-", "--t-phi", "1.5", "--allow-multi-period"],
+    ["fit", "d.dat", "--model", "rabi", "--b-max", "0.3", "--max-iter", "50"],
+    ["dump-config"],
+]
+
+
+def _parse_outcome(parser, argv) -> tuple[object, str, str]:
+    """(exit code or None, stdout, stderr) of ``parser.parse_args(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", SUBCOMMAND_ARGVS, ids=lambda argv: argv[0])
+def test_one_command_parser_parses_as_the_full_one(argv):
+    one = cli.build_parser(argv)
+    sub = next(a for a in one._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == [argv[0]]
+    assert one.parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "d.dat", "--bogus"],  # an unknown option: the top-level usage line
+        ["simulate-rabi", "--pulse-at", "mid"],  # a bad choices value
+        ["simulate-image", "--plane", "yz"],
+        ["fit"],  # a missing positional
+        ["compile-seq", "--t-phi", "1"],
+        ["simulate-echo", "--shots", "x"],  # a bad type
+        *([name, "--help"] for name in cli.SUBCOMMANDS),
+    ],
+    ids=" ".join,
+)
+def test_one_command_parser_prints_as_the_full_one(argv):
+    one = _parse_outcome(cli.build_parser(argv), argv)
+    assert one[0] is not None
+    assert one == _parse_outcome(cli.build_parser(), argv)
+
+
+def test_top_level_usage_lists_every_subcommand():
+    code, _, err = _parse_outcome(cli.build_parser(["fit"]), ["fit", "d.dat", "--bogus"])
+    usage, _, message = err.partition("rotornv: error: ")
+    assert code == 2 and message == "unrecognized arguments: --bogus\n"
+    assert usage.startswith("usage: rotornv [-h]")
+    assert "{" + ",".join(cli.SUBCOMMANDS) + "}" in usage
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["rotornv", "dump-config", "--seed", "5"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 5
+
+
+@pytest.mark.parametrize(
+    "overrides, seed",
+    [
+        (["--set", "seed=3", "--seed", "5"], 5),  # --seed comes last and wins
+        (["--seed", "5", "--set", "seed=3"], 5),
+        (["--set", "seed=3"], 3),
+        (["--seed", "5"], 5),
+        ([], 1),
+    ],
+)
+def test_seed_flag_wins_over_set(overrides, seed, capsys):
+    assert main(["dump-config", *overrides]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == seed
+
+
+def test_set_and_seed_apply_together(capsys):
+    argv = ["simulate-echo", "--tau", "2,5", "--shots", "100"]
+    texts = []
+    for overrides in (
+        ["--set", "field.theta_b_deg=1.0", "--set", "seed=3", "--seed", "5"],
+        ["--set", "field.theta_b_deg=1.0", "--seed", "5"],
+        ["--set", "field.theta_b_deg=1.0", "--set", "seed=5"],
+    ):
+        assert main([*argv, *overrides]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] == texts[2]
+    assert "# seed: 5\n" in texts[0]
+    expected = config_from_dict({"field": {"theta_b_deg": 1.0}, "seed": 5}).sha256()
+    assert f"# config_sha256: {expected}\n" in texts[0]
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        (["--set", "field.nope=1", "--seed", "5"], "nope"),
+        (["--set", "protocol.shots_per_point=0", "--seed", "5"], "shots_per_point"),
+        (["--set", "seed=1.5"], "seed"),
+    ],
+)
+def test_set_still_refused_beside_seed(overrides, key, capsys):
+    code, err = _main_exit(["dump-config", *overrides], capsys)
+    assert code == 2
+    assert err.startswith("error:") and key in err
+
+
+# ---------------------------------------------------------------------------
+# dataset text
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                1.7976931348623157e308, 0.1, 1e-7, 123456789.0, 1234567890123.0]
+_FINITE = st.one_of(
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.integers(-(10**17), 10**17).map(float),  # integer-valued floats
+)
+
+
+@st.composite
+def _tables(draw):
+    n_rows = draw(st.integers(0, 12))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            columns.append(np.array(draw(st.lists(_FINITE, min_size=n_rows, max_size=n_rows))))
+        else:  # an integer column, as a readout trace's counts would be
+            ints = st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max)
+            columns.append(np.array(draw(st.lists(ints, min_size=n_rows, max_size=n_rows)),
+                                    dtype=np.int64))
+    return columns
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(columns=_tables())
+def test_dataset_text_matches_the_per_value_oracle(columns):
+    names = tuple(f"c{i}" for i in range(len(columns)))
+    text = pipeline.format_dataset(names, columns, {"kind": "x"}, config_from_dict({}), 1)
+    header, _, rows = text.partition("# columns: " + " ".join(names) + "\n")
+    assert header.startswith("# rotornv-dataset v1\n")
+    assert rows == dataset_oracle.format_rows(columns)
+    if len(columns[0]) == 0:
+        with pytest.raises(ValidationError, match="no data rows"):
+            pipeline.parse_dataset(text)
+        return
+    parsed, want = pipeline.parse_dataset(text)[1], dataset_oracle.parse_rows(text)
+    assert parsed.dtype == want.dtype and parsed.shape == want.shape
+    assert parsed.tobytes() == want.tobytes()  # bit for bit, -0.0 and subnormals too
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "# columns: a b\n1 2\n\n  3\t4  \n# a comment: between rows\n5 6\n",
+        "1 2 3\n4 5 6\n",  # no columns header
+        "# columns: a\n7\n8\n",
+        # tokens float() takes that no bulk parser does
+        "# columns: a b\n1_000 2\n٣ 4\n",
+        "# columns: a b\ninf -nan\n+1E5 -0\n",
+    ],
+)
+def test_parse_dataset_matches_the_row_oracle(text):
+    parsed, want = pipeline.parse_dataset(text)[1], dataset_oracle.parse_rows(text)
+    assert parsed.shape == want.shape and parsed.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# columns: a b c\n1 2 3\n2 oops 3\n", "line 3: malformed data row '2 oops 3'"),
+        ("# columns: a b c\n1 2 3\n\n4 5\n6 x 7\n", "line 4: expected 3 columns, got 2"),
+        ("# columns: a b c\n1 2 3 4\n5 6 7 8\n", "line 2: expected 3 columns, got 4"),
+        ("# columns: a b\n1 2\n3 # 4\n", "line 3: malformed data row '3 # 4'"),
+        ("# rotornv-dataset v1\n# columns: a b\n\n", "dataset contains no data rows"),
+        ("", "dataset contains no data rows"),
+    ],
+)
+def test_parse_dataset_refusals_keep_their_text(text, message):
+    with pytest.raises(ValidationError) as got:
+        pipeline.parse_dataset(text)
+    with pytest.raises(ValidationError) as want:
+        dataset_oracle.parse_rows(text)
+    assert str(got.value) == str(want.value) == message
+
+
+def test_ragged_rows_without_header_fail_as_before():
+    with pytest.raises(ValueError) as got:
+        pipeline.parse_dataset("1 2\n3\n")
+    with pytest.raises(ValueError) as want:
+        dataset_oracle.parse_rows("1 2\n3\n")
+    assert not isinstance(got.value, ValidationError)
+    assert type(got.value) is type(want.value)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,29 @@ class TestBeamIntensity:
         b = BeamProfile(collection_mode="confocal-squared")
         off = 0.21
         assert beam_intensity(b, off) == pytest.approx(beam_intensity(ILLUM, off) ** 2)
+
+    def test_vanishing_waist_and_huge_offset_warn_nothing(self):
+        # from the diameter, with offsets past ten diameters clipped: neither
+        # the quotient by a squared radius nor the squared offset overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rate = expected_count_rate(BeamProfile(waist_diameter_1e2_um=1e-300), RotorGeometry(), 2.0)
+            tiny = expected_count_rate(BeamProfile(waist_diameter_1e2_um=5e-324), RotorGeometry(), 2.0)
+            far = beam_intensity(BeamProfile(), 1e300)
+            profile = beam_intensity(ILLUM, np.array([-1e300, -0.3, 0.0, 0.3, 1e300]))
+        assert math.isfinite(rate) and math.isfinite(tiny) and far == 0.0
+        assert profile.tolist() == [0.0, math.exp(-2.0), 1.0, math.exp(-2.0), 0.0]
+
+    @pytest.mark.parametrize(
+        "mode, value",
+        # the rates of exp(-2 off^2 / w^2), from the radius, before the change
+        [("confocal-squared", 402.70188540804065), ("illumination-only", 501.0925106271171)],
+    )
+    def test_default_rate_unchanged(self, mode, value):
+        cfg = config_from_dict({})
+        beam = dataclasses.replace(cfg.beam, collection_mode=mode)
+        rate = expected_count_rate(beam, cfg.geometry, cfg.strobe.t_pulse_us)
+        assert rate == pytest.approx(value, rel=1e-15, abs=0.0)
 
 
 class TestExpectedCountRate:
