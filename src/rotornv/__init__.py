@@ -47,14 +47,9 @@ from .seqlang import (
 )
 from .spindyn import (
     EchoParams,
-    PulseSpec,
-    SpinState,
-    apply_pulse,
     c13_envelope,
     c13_revival_time_us,
     echo_phase,
-    echo_signal,
-    rabi_population,
     simulate_sequence,
 )
 from .estimation import (
@@ -63,7 +58,6 @@ from .estimation import (
     FitResult,
     fit_echo,
     fit_rabi,
-    grid_oracle,
     profile_identifiability,
 )
 from .imaging import (

@@ -12,8 +12,9 @@ stops when the gradient falls below 1e-8 of the cost or when no trial step
 could lower the cost by more than its rounding, and a full Jacobian with
 condition above 1e12 at the optimum raises IdentifiabilityError.
 Analytic derivatives of each basis are cross-checked against finite
-differences in the test suite.  A brute-force grid minimiser over the two
-nonlinear echo parameters serves as the independent oracle.
+differences in the test suite, and the echo fit against the suite's
+independent oracle, a brute-force grid minimiser over the two nonlinear
+echo parameters.
 
 Fringe model
 ------------
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IdentifiabilityError, ValidationError
-from .geometry import TWO_PI, PhysicalConstants
+from .geometry import PhysicalConstants
 from .spindyn import EchoParams, c13_envelope, echo_ac_phase
 
 ECHO_PARAM_NAMES = ("b_perp_gauss", "phi0_rad", "contrast", "baseline")
@@ -460,53 +461,6 @@ def _finalize_fit(params: dict, jac_ext: np.ndarray, lm: LMResult, names) -> Fit
         iterations=lm.iterations,
         n_points=n,
         param_names=tuple(names),
-    )
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-
-
-@dataclass(frozen=True)
-class GridFitResult:
-    params: dict
-    sse: float
-    b_step: float
-    phi_step: float
-
-
-def grid_oracle(
-    data: EchoDataset,
-    model: EchoFitModel | None = None,
-    b_bounds: tuple[float, float] = (0.0, 0.3),
-    phi_bounds: tuple[float, float] = (0.0, TWO_PI),
-    n_b: int = 121,
-    n_phi: int = 96,
-) -> GridFitResult:
-    """Exhaustive weighted-SSE minimisation over (b_perp, phi0).
-
-    Contrast and baseline are solved exactly (linear in the model) at every
-    grid node, so the oracle is limited only by the grid resolution.
-    """
-    if model is None:
-        model = EchoFitModel()
-    if not (np.isfinite(b_bounds).all() and np.isfinite(phi_bounds).all()):
-        raise ValidationError("grid bounds must be finite")
-    b_grid = np.linspace(b_bounds[0], b_bounds[1], n_b)
-    phi_grid = np.linspace(phi_bounds[0], phi_bounds[1], n_phi, endpoint=False)
-    a, cc, sse = _linear_landscape(data, model, b_grid, phi_grid)
-    i, j = np.unravel_index(int(np.argmin(sse)), sse.shape)
-    params = {
-        "b_perp_gauss": float(b_grid[i]),
-        "phi0_rad": float(phi_grid[j] % TWO_PI),
-        "contrast": float(a[i, j]),
-        "baseline": float(cc[i, j]),
-    }
-    return GridFitResult(
-        params=params,
-        sse=float(sse[i, j]),
-        b_step=float(b_grid[1] - b_grid[0]) if n_b > 1 else 0.0,
-        phi_step=float(phi_grid[1] - phi_grid[0]) if n_phi > 1 else 0.0,
     )
 
 

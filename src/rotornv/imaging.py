@@ -47,6 +47,9 @@ MAX_STROBE_SAMPLES = 1_000_000
 # default 150 us, ~1200 at 150 us with jitter_frac 0.1 and ~2300 for an
 # emitter 1 mm off the axis.
 MAX_PERIOD_NODES = 20_000
+# Emitter radii and wobble amplitudes the render takes: their squares and
+# sums stay finite.
+MAX_LENGTH_UM = 1e150
 
 # P(|Z| > 6.5) ~ 8e-11 for a standard normal Z: the quadrature's range.
 _Z_TAIL = 6.5
@@ -388,6 +391,13 @@ def _pixel_moments(
     check_expected_counts(
         c.sum() * n_cycles, "the emitter brightness (beam.peak_counts_stationary_cps) or dwell_ms"
     )
+    # the orbit or the wobble, whichever is wider, sets the strobed arc and so the node count
+    r_max, wobble = max(map(math.hypot, *pos0.T)), 0.0 if stationary else strobe.wobble_amp_um
+    orbit_wider = r_max >= 3.0 * wobble
+    arc_input = f"an emitter at radius {r_max:g} um" if orbit_wider else f"strobe.wobble_amp_um = {wobble:g}"
+    knob = "the emitter radius (--emitters, geometry.r_nv_um)" if orbit_wider else "strobe.wobble_amp_um"
+    if not max(r_max, wobble) < MAX_LENGTH_UM:
+        raise ValidationError(f"{arc_input} is beyond the render's {MAX_LENGTH_UM:g} um limit; lower {knob}")
     # an "xz" slice lies in the plane y = 0, and the pixel y is the focus depth
     lat_y = np.zeros_like(ys) if depth_scan else ys
     depth_arg = -2.0 * ys**2 / (axial_psf_factor * psf_width_um) ** 2 if depth_scan else np.zeros_like(ys)
@@ -398,7 +408,7 @@ def _pixel_moments(
         return mean, np.zeros_like(mean)
 
     v = psf_width_um**2 / 4.0
-    s2 = strobe.wobble_amp_um**2
+    s2 = wobble**2
     radii = np.linalg.norm(pos0, axis=1)
     phases0 = np.arctan2(pos0[:, 1], pos0[:, 0])
     t_rot = g.t_rot_us
@@ -410,10 +420,9 @@ def _pixel_moments(
         z1, z2, w = _period_nodes(t_in, t_rot, strobe.jitter_frac, arc_ratio)
     except _TooManyNodes:
         raise ValidationError(
-            f"strobe.jitter_frac = {strobe.jitter_frac:g} with an emitter at radius "
-            f"{radii.max():g} um spreads the strobed arc over too many PSF widths: the period "
-            f"draws need more than {MAX_PERIOD_NODES} quadrature nodes per cycle; lower "
-            "strobe.jitter_frac or the emitter radius"
+            f"strobe.jitter_frac = {strobe.jitter_frac:g} with {arc_input} spreads the strobed "
+            f"arc over too many PSF widths: the period draws need more than {MAX_PERIOD_NODES} "
+            f"quadrature nodes per cycle; lower strobe.jitter_frac or {knob}"
         ) from None
     p1 = t_rot * np.maximum(1.0 + strobe.jitter_frac * z1, 0.1)[:, None]
     p2 = t_rot * np.maximum(1.0 + strobe.jitter_frac * z2, 0.1)[:, None]
@@ -653,44 +662,3 @@ def fit_spot_width(
         )
     _check_identified(_full_jacobian(*basis(lm.x, True), amp, ones))
     return abs(float(lm.x[2])), abs(float(lm.x[3]))
-
-
-def resolve_two_spots(
-    image: StrobedImage,
-    center_a_um: tuple[float, float],
-    center_b_um: tuple[float, float],
-    probe_radius_um: float = 0.8,
-) -> tuple[float, float, float]:
-    """Peak heights near two expected centres and the valley between them.
-
-    Returns (peak_a, peak_b, valley_min) where valley_min is the minimum of
-    the profile sampled along the straight line between the two peaks.
-    Two emitters count as resolved when the valley drops below half the
-    smaller peak.
-    """
-
-    def local_peak(cx, cy):
-        sel_x = np.abs(image.x_um - cx) <= probe_radius_um
-        sel_y = np.abs(image.y_um - cy) <= probe_radius_um
-        sub = image.counts[np.ix_(sel_y, sel_x)]
-        if sub.size == 0:
-            raise ValidationError("probe window is empty")
-        idx = np.unravel_index(np.argmax(sub), sub.shape)
-        return (
-            float(sub[idx]),
-            float(image.x_um[sel_x][idx[1]]),
-            float(image.y_um[sel_y][idx[0]]),
-        )
-
-    pa, ax, ay = local_peak(*center_a_um)
-    pb, bx, by = local_peak(*center_b_um)
-    ts = np.linspace(0.0, 1.0, 41)
-    line_x = ax + (bx - ax) * ts
-    line_y = ay + (by - ay) * ts
-    profile = []
-    for lx, ly in zip(line_x, line_y):
-        ixn = int(np.argmin(np.abs(image.x_um - lx)))
-        iyn = int(np.argmin(np.abs(image.y_um - ly)))
-        profile.append(float(image.counts[iyn, ixn]))
-    interior = profile[5:-5]
-    return pa, pb, min(interior) if interior else min(profile)

@@ -10,7 +10,10 @@ the free detuning is gamma_e times the AC field of :func:`geometry.effective_fie
 :class:`seqlang.TimelineBatch`, whether a scan or one compiled program (a
 batch of one).  Its test oracle integrates the Bloch equation numerically
 (``quad`` for free precession, DOP853 ``solve_ivp`` through each pulse
-under the moving detuning), sharing none of the closed forms used here.
+under the moving detuning), sharing none of the closed forms used here;
+the generalised Rabi formula a constant drive must reproduce is a test
+reference too.  The echo fringe built on :func:`echo_phase` and
+:func:`c13_envelope` is :class:`estimation.EchoFitModel`.
 
 Frequencies are linear (MHz), times are microseconds, so a resonant pulse
 of duration 1/(2 Omega) is a pi rotation.  All functions are pure.
@@ -29,50 +32,6 @@ from .geometry import TWO_PI, PhysicalConstants
 from .seqlang import TARGET_FRACTIONS, TimelineBatch
 
 
-@dataclass(frozen=True, eq=False)
-class SpinState:
-    """Bloch vector of the m_S = 0 / -1 pseudo-spin; pure states have |bloch| = 1."""
-
-    bloch: np.ndarray
-
-    def __post_init__(self):
-        vec = np.asarray(self.bloch, dtype=float)
-        if vec.shape != (3,):
-            raise ValidationError("bloch must be a 3-vector")
-        if np.linalg.norm(vec) > 1.0 + 1e-9:
-            raise ValidationError("bloch vector norm exceeds 1")
-        object.__setattr__(self, "bloch", vec)
-
-    @classmethod
-    def ms0(cls) -> "SpinState":
-        return cls(np.array([0.0, 0.0, 1.0]))
-
-    @classmethod
-    def ms1(cls) -> "SpinState":
-        return cls(np.array([0.0, 0.0, -1.0]))
-
-    @property
-    def population_ms1(self) -> float:
-        return 0.5 * (1.0 - self.bloch[2])
-
-
-@dataclass(frozen=True)
-class PulseSpec:
-    """Constant-amplitude rectangular microwave pulse in the rotating frame."""
-
-    start_us: float = 0.0
-    duration_us: float = 0.0
-    rabi_freq_mhz: float = 0.0
-    detuning_mhz: float = 0.0
-    phase_rad: float = 0.0
-
-    def __post_init__(self):
-        if self.duration_us < 0:
-            raise ValidationError("duration_us must be non-negative")
-        if self.rabi_freq_mhz < 0:
-            raise ValidationError("rabi_freq_mhz must be non-negative")
-
-
 @dataclass(frozen=True)
 class EchoParams:
     """Everything the closed-form echo fringe model needs.
@@ -87,7 +46,6 @@ class EchoParams:
     phi0_rad: float = 0.0
     f_rot_hz: float = 3333.33
     t2_us: float = 350.0
-    contrast: float = 1.0
     envelope_exponent: float = 4.0
     b0_gauss: float = 6.2
     collapse_width_frac: float = 0.1
@@ -98,17 +56,14 @@ class EchoParams:
             raise ValidationError("b_perp_gauss must be non-negative")
         if not self.t2_us > 0:
             raise ValidationError("t2_us must be positive")
-        if not 0.0 <= self.contrast <= 1.0:
-            raise ValidationError("contrast must lie in [0, 1]")
 
     @classmethod
-    def from_experiment(cls, g, f, t2_us=350.0, contrast=1.0, **kw) -> "EchoParams":
+    def from_experiment(cls, g, f, t2_us=350.0, **kw) -> "EchoParams":
         return cls(
             b_perp_gauss=geometry.eac_amplitude(g, f),
             phi0_rad=geometry.fringe_phase_offset(g, f),
             f_rot_hz=g.f_rot_hz,
             t2_us=t2_us,
-            contrast=contrast,
             b0_gauss=f.b0_gauss,
             **kw,
         )
@@ -116,23 +71,6 @@ class EchoParams:
 
 # ---------------------------------------------------------------------------
 # elementary rotations
-
-
-def rabi_population(t_us, omega_mhz: float, delta_mhz: float = 0.0):
-    """P(m_S = -1) after driving the bright state for ``t_us``.
-
-    Generalised Rabi formula with linear frequencies:
-    (O^2/(O^2+D^2)) sin^2(pi sqrt(O^2+D^2) t).
-    """
-    if omega_mhz < 0:
-        raise ValidationError("omega_mhz must be non-negative")
-    t = np.asarray(t_us, dtype=float)
-    gen_sq = omega_mhz**2 + delta_mhz**2
-    if gen_sq == 0.0:
-        out = np.zeros_like(t)
-    else:
-        out = (omega_mhz**2 / gen_sq) * np.sin(math.pi * math.sqrt(gen_sq) * t) ** 2
-    return float(out) if np.isscalar(t_us) else out
 
 
 def rotate_bloch(vec: np.ndarray, axis: np.ndarray, angle_rad) -> np.ndarray:
@@ -167,21 +105,6 @@ def pulse_rotation(vec, rabi_freq_mhz, detuning_mhz, duration_us, phase_rad=0.0)
     return rotate_bloch(vec, axis, TWO_PI * gen * duration_us)
 
 
-def apply_pulse(state: SpinState, pulse: PulseSpec) -> SpinState:
-    """Exact constant-(Omega, Delta) two-level rotation of the Bloch vector."""
-    if pulse.duration_us == 0.0 or (pulse.rabi_freq_mhz == 0.0 and pulse.detuning_mhz == 0.0):
-        return SpinState(state.bloch.copy())
-    return SpinState(
-        pulse_rotation(
-            state.bloch,
-            pulse.rabi_freq_mhz,
-            pulse.detuning_mhz,
-            pulse.duration_us,
-            pulse.phase_rad,
-        )
-    )
-
-
 # ---------------------------------------------------------------------------
 # echo closed forms
 
@@ -213,11 +136,22 @@ def echo_phase(p: EchoParams, c: PhysicalConstants, tau_us):
     return float(out) if np.isscalar(tau_us) else out
 
 
+_BATH_KEYS = "field.b0_gauss or constants.gamma_c13_khz_per_g"
+
+
 def c13_revival_time_us(b0_gauss: float, c: PhysicalConstants) -> float:
-    """First nuclear-bath contrast revival, 2 / (gamma_13C * B0), in us."""
+    """First nuclear-bath contrast revival, 2 / (gamma_13C * B0), in us; refused unless finite."""
     if b0_gauss <= 0:
         raise ValidationError("b0_gauss must be positive")
-    return 2e3 / (c.gamma_c13_khz_per_g * b0_gauss)
+    rate = c.gamma_c13_khz_per_g * b0_gauss
+    tau_r = 2e3 / rate if rate > 0.0 else math.inf
+    if not math.isfinite(tau_r):
+        raise ValidationError(f"the 13C revival time 2 / (gamma_13C B0) is not finite; raise {_BATH_KEYS}")
+    return tau_r
+
+
+# A dip 39 widths away is exp(-760.5): exactly 0 in floats, whose exp underflows below -745.2.
+_DIP_REACH_WIDTHS = 39.0
 
 
 def c13_envelope(p: EchoParams, c: PhysicalConstants, tau_us):
@@ -227,31 +161,34 @@ def c13_envelope(p: EchoParams, c: PhysicalConstants, tau_us):
     (odd multiples of tau_R / 2), full revivals at integer multiples of
     tau_R = 2/(gamma_13C B0), all damped by exp[-(tau/T2)^p].  Only the
     revival position and the T2 damping are treated as quantitative; the
-    dip shape is a modelling choice.
+    dip shape is a modelling choice.  The dips summed are those at odd m
+    in [-m_max, m_max], m_max = ceil(max tau / (tau_R / 2)) + 3; each tau
+    takes only the ones within reach, in ascending m, since the others add
+    an exact zero, so the cost does not grow with B0.  A dip width whose
+    variance is no positive finite float is refused.
     """
     tau = np.asarray(tau_us, dtype=float)
     if np.any(tau < 0):
         raise ValidationError("tau_us must be non-negative")
     tau_r = c13_revival_time_us(p.b0_gauss, c)
     width = p.collapse_width_frac * tau_r
+    two_var = 2.0 * width**2 if width < 1e150 else math.inf  # the square overflows near 1e154
+    if not 0.0 < two_var < math.inf:
+        raise ValidationError(
+            f"the collapse dip width {width:g} us squares to no positive finite float; change {_BATH_KEYS}"
+        )
     half = tau_r / 2.0
     m_max = int(np.ceil(float(np.max(tau, initial=0.0)) / half)) + 3
+    reach = _DIP_REACH_WIDTHS * width / half  # in half-periods
+    # the lowest odd m within reach of each tau, and never below -m_max
+    m = np.maximum(2.0 * np.ceil((tau / half - reach - 1.0) / 2.0) + 1.0, 1 - 2 * ((m_max + 1) // 2))
     dips = np.zeros_like(tau)
-    for m in range(-m_max, m_max + 1):
-        if m % 2 == 0:
-            continue  # dips sit at odd multiples of tau_r/2 only
-        dips += np.exp(-((tau - m * half) ** 2) / (2.0 * width**2))
+    for _ in range(min(int(reach) + 1, m_max + 1)):  # the most odd m in reach of one tau
+        dips += np.where(m <= m_max, np.exp(-((tau - m * half) ** 2) / two_var), 0.0)
+        m += 2.0
     comb = 1.0 - (1.0 - p.collapse_floor) * np.clip(dips, 0.0, 1.0)
     damp = np.exp(-((tau / p.t2_us) ** p.envelope_exponent))
     out = comb * damp
-    return float(out) if np.isscalar(tau_us) else out
-
-
-def echo_signal(p: EchoParams, c: PhysicalConstants, tau_us):
-    """Echo readout probability 1/2 + (contrast/2) envelope(tau) cos(phi(tau))."""
-    out = 0.5 + 0.5 * p.contrast * c13_envelope(p, c, tau_us) * np.cos(
-        echo_phase(p, c, tau_us)
-    )
     return float(out) if np.isscalar(tau_us) else out
 
 
@@ -318,7 +255,7 @@ def simulate_sequence(
                     f"falls inside {batch.describe(k, i)}"
                 )
 
-    bloch = np.tile(SpinState.ms0().bloch, (start.shape[1], 1))
+    bloch = np.tile(_Z_AXIS, (start.shape[1], 1))
     t = np.zeros(start.shape[1])
     for k, channel in enumerate(batch.channels):
         late = start[k] < t - 1e-12

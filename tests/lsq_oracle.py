@@ -6,16 +6,21 @@ a test the residual and Jacobian that a fit gives LM.
 analytic derivatives: LM over all six parameters (amplitude, centre,
 widths, background) with a central-difference Jacobian, the way the widths
 were fitted before the separable fit replaced it.
+``grid_oracle`` is the echo fit without a search: the weighted SSE
+minimised over a (b_perp, phi0) grid, contrast and baseline solved exactly
+at every node.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from rotornv import estimation
 from rotornv.errors import FitError
-from rotornv.estimation import levenberg_marquardt
+from rotornv.estimation import EchoFitModel, levenberg_marquardt
+from rotornv.geometry import TWO_PI
 
 
 def numeric_jacobian(residual_fn, x, rel_step: float = 1e-6) -> np.ndarray:
@@ -77,3 +82,34 @@ def spot_width_oracle(image, initial_center_um, fit_radius_um: float = 2.5):
     if not lm.converged or lm.x[0] <= 0:
         raise FitError(f"oracle spot fit did not converge: params={np.round(lm.x, 4).tolist()}")
     return abs(float(lm.x[3])), abs(float(lm.x[4]))
+
+
+@dataclass(frozen=True)
+class GridFitResult:
+    params: dict
+    sse: float
+
+
+def grid_oracle(
+    data,
+    model: EchoFitModel,
+    b_bounds: tuple[float, float] = (0.0, 0.3),
+    n_b: int = 121,
+    n_phi: int = 96,
+) -> GridFitResult:
+    """Exhaustive weighted-SSE minimisation over (b_perp, phi0) in [0, 2 pi).
+
+    Contrast and baseline are solved exactly (linear in the model) at every
+    grid node, so the oracle is limited only by the grid resolution.
+    """
+    b_grid = np.linspace(b_bounds[0], b_bounds[1], n_b)
+    phi_grid = np.linspace(0.0, TWO_PI, n_phi, endpoint=False)
+    a, cc, sse = estimation._linear_landscape(data, model, b_grid, phi_grid)
+    i, j = np.unravel_index(int(np.argmin(sse)), sse.shape)
+    params = {
+        "b_perp_gauss": float(b_grid[i]),
+        "phi0_rad": float(phi_grid[j] % TWO_PI),
+        "contrast": float(a[i, j]),
+        "baseline": float(cc[i, j]),
+    }
+    return GridFitResult(params=params, sse=float(sse[i, j]))

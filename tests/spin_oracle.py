@@ -1,6 +1,12 @@
-"""Independent oracle of ``spindyn.simulate_sequence``: the Bloch equation integrated numerically.
+"""Independent references for ``spindyn``.
 
-It shares no closed form with the simulator.  The free detuning is the full
+``BlochOracle`` checks ``spindyn.simulate_sequence`` by integrating the
+Bloch equation numerically.  ``rabi_population`` is the generalised Rabi
+formula a constant drive must reproduce.  ``c13_envelope_full_loop`` is the
+bath envelope summing every dip of its window in turn, which
+``spindyn.c13_envelope`` must reproduce bit for bit.
+
+The Bloch oracle shares no closed form with the simulator.  The free detuning is the full
 Zeeman projection (``geometry.zeeman_projection``, the lab-frame NV axis
 dotted into the bias field) minus its average over one rotation, not the
 AC amplitude and phase of ``effective_field``.  Free precession is a
@@ -21,6 +27,7 @@ from scipy import integrate, linalg
 
 from rotornv import geometry
 from rotornv.seqlang import TimelineBatch
+from rotornv.spindyn import c13_revival_time_us
 
 TWO_PI = 2.0 * math.pi
 TARGET_ANGLES_RAD = {"pi": math.pi, "pi/2": math.pi / 2.0}
@@ -96,3 +103,36 @@ def batch_of_one(*events):
     channels, targets, *cols = zip(*events)
     start, dur, rabi, phase = (np.array(col, dtype=float)[:, None] for col in cols)
     return TimelineBatch(channels, targets, start, dur, rabi, phase, np.zeros_like(start))
+
+
+def rabi_population(t_us, omega_mhz: float, delta_mhz: float = 0.0):
+    """P(m_S = -1) after driving the bright state for ``t_us``.
+
+    Generalised Rabi formula with linear frequencies:
+    (O^2/(O^2+D^2)) sin^2(pi sqrt(O^2+D^2) t).
+    """
+    t = np.asarray(t_us, dtype=float)
+    gen_sq = omega_mhz**2 + delta_mhz**2
+    if gen_sq == 0.0:
+        out = np.zeros_like(t)
+    else:
+        out = (omega_mhz**2 / gen_sq) * np.sin(math.pi * math.sqrt(gen_sq) * t) ** 2
+    return float(out) if np.isscalar(t_us) else out
+
+
+def c13_envelope_full_loop(p, c, tau_us):
+    """The bath envelope with every odd dip m in [-m_max, m_max] added to every tau, in ascending m."""
+    tau = np.asarray(tau_us, dtype=float)
+    tau_r = c13_revival_time_us(p.b0_gauss, c)
+    width = p.collapse_width_frac * tau_r
+    half = tau_r / 2.0
+    m_max = int(np.ceil(float(np.max(tau, initial=0.0)) / half)) + 3
+    dips = np.zeros_like(tau)
+    for m in range(-m_max, m_max + 1):
+        if m % 2 == 0:
+            continue  # dips sit at odd multiples of tau_r/2 only
+        dips += np.exp(-((tau - m * half) ** 2) / (2.0 * width**2))
+    comb = 1.0 - (1.0 - p.collapse_floor) * np.clip(dips, 0.0, 1.0)
+    damp = np.exp(-((tau / p.t2_us) ** p.envelope_exponent))
+    out = comb * damp
+    return float(out) if np.isscalar(tau_us) else out

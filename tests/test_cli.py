@@ -668,6 +668,37 @@ def test_expected_counts_beyond_poisson_range_exit_2(argv, key, capsys):
     assert err.startswith("error:") and key in err
 
 
+_ECHO_2_5 = ["simulate-echo", "--tau", "2,5", "--shots", "10"]
+_IMAGE_1MS = ["simulate-image", "--dwell-ms", "1"]
+_BATH_KEYS = ("field.b0_gauss", "constants.gamma_c13_khz_per_g")
+_FAR_EMITTER = ["--emitters", "1e155,0", "--x-min", "-1", "--x-max", "1", "--y-min", "-1", "--y-max", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        # squaring the dip width overflowed: "(34, 'Numerical result out of range')"
+        (_ECHO_2_5 + ["--set", "constants.gamma_c13_khz_per_g=1e-300"], _BATH_KEYS),
+        # an infinite revival time sent NaN populations into the Poisson draw
+        (_ECHO_2_5 + ["--set", "field.b0_gauss=1e-320"], _BATH_KEYS),
+        # the orbit radius overflowed to a NaN node count: "cannot convert float NaN to integer"
+        (_IMAGE_1MS + _FAR_EMITTER, ("--emitters",)),
+        # "overflow encountered in square" in the distance to each pixel
+        (_IMAGE_1MS + _FAR_EMITTER + ["--stationary"], ("--emitters",)),
+        # squaring the wobble overflowed
+        (_IMAGE_1MS + ["--set", "strobe.wobble_amp_um=1e160"], ("strobe.wobble_amp_um",)),
+        # the wobble, not the 10 um orbit, widens the arc past the node budget
+        (_IMAGE_1MS + ["--set", "strobe.wobble_amp_um=1e10"], ("strobe.wobble_amp_um",)),
+    ],
+    ids=["gamma-c13", "b0", "far-emitter", "far-emitter-stationary", "huge-wobble", "wide-wobble"],
+)
+def test_out_of_range_bath_or_blur_exit_2(argv, names, capsys):
+    code, err = _main_exit([*argv, "-o", os.devnull], capsys)
+    assert code == 2
+    assert err.startswith("error:") and all(name in err for name in names), err
+    assert "radius" not in err or "--emitters" in names
+
+
 @pytest.mark.parametrize("extra", [[], ["--stationary"]])
 def test_default_image_window_holds_both_spots(extra, tmp_path, capsys):
     code, err = _main_exit(["simulate-image", *extra, "-o", str(tmp_path / "image.dat")], capsys)

@@ -13,7 +13,6 @@ from rotornv.estimation import (
     echo_jacobian,
     fit_echo,
     fit_rabi,
-    grid_oracle,
     levenberg_marquardt,
     profile_identifiability,
     _echo_basis,
@@ -21,7 +20,7 @@ from rotornv.estimation import (
 )
 from rotornv.geometry import TWO_PI
 from rotornv.imaging import StrobedImage, fit_spot_width
-from lsq_oracle import lm_problem, numeric_jacobian
+from lsq_oracle import grid_oracle, lm_problem, numeric_jacobian
 
 
 MODEL = EchoFitModel()

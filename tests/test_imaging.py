@@ -21,7 +21,6 @@ from rotornv.imaging import (
     fit_spot_width,
     _pixel_moments,
     render_image,
-    resolve_two_spots,
 )
 
 G_DEFAULT = RotorGeometry()
@@ -162,7 +161,7 @@ class TestRenderImage:
         strobe = StrobeConfig(t_phi_us=0.0)
         grid = ScanGrid(x_range_um=(7.0, 12.5), y_range_um=(-1.8, 5.0), step_um=0.15, dwell_ms=200.0)
         img = render_image(grid, pair, G_DEFAULT, strobe, seed=71)
-        pa, pb, valley = resolve_two_spots(
+        pa, pb, valley = render_oracle.resolve_two_spots(
             img, (r, 0.0), (r * math.cos(dphi), r * math.sin(dphi))
         )
         assert valley < 0.5 * min(pa, pb)

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
 from rotornv.errors import ValidationError
+from rotornv.estimation import EchoFitModel
 from rotornv.geometry import TWO_PI, FieldConfig, PhysicalConstants, RotorGeometry
 from rotornv import TimelineBatch
 from rotornv.seqlang import (
@@ -18,17 +19,13 @@ from rotornv.seqlang import (
 )
 from rotornv.spindyn import (
     EchoParams,
-    PulseSpec,
-    SpinState,
-    apply_pulse,
     c13_envelope,
     c13_revival_time_us,
     echo_phase,
-    echo_signal,
-    rabi_population,
+    pulse_rotation,
     simulate_sequence,
 )
-from spin_oracle import BlochOracle, batch_of_one
+from spin_oracle import BlochOracle, batch_of_one, c13_envelope_full_loop, rabi_population
 
 
 def quadrature_echo_phase(p: EchoParams, c: PhysicalConstants, tau_us: float) -> float:
@@ -70,25 +67,25 @@ class TestRabiPopulation:
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
 
 
-class TestApplyPulse:
+# m_S = 0, the bright state every timeline starts from
+MS0 = np.array([0.0, 0.0, 1.0])
+
+
+class TestPulseRotation:
     def test_pi_pulse_inverts(self):
-        state = SpinState.ms0()
-        pulse = PulseSpec(duration_us=1.0 / (2.0 * 3.6), rabi_freq_mhz=3.6)
-        out = apply_pulse(state, pulse)
-        assert np.allclose(out.bloch, [0.0, 0.0, -1.0], atol=1e-12)
+        out = pulse_rotation(MS0, 3.6, 0.0, 1.0 / (2.0 * 3.6))
+        assert np.allclose(out, [0.0, 0.0, -1.0], atol=1e-12)
 
     def test_zero_duration_is_identity(self):
-        state = SpinState(np.array([0.3, -0.4, 0.5]))
-        out = apply_pulse(state, PulseSpec(duration_us=0.0, rabi_freq_mhz=5.0))
-        assert np.allclose(out.bloch, state.bloch, atol=0.0)
+        bloch = np.array([0.3, -0.4, 0.5])
+        out = pulse_rotation(bloch, 5.0, 0.0, 0.0)
+        assert np.allclose(out, bloch, atol=0.0)
 
     def test_two_half_pulses_compose_to_pi(self):
-        state = SpinState(np.array([0.1, 0.2, math.sqrt(1 - 0.05)]))
-        half = PulseSpec(duration_us=1.0 / (4.0 * 2.0), rabi_freq_mhz=2.0, phase_rad=0.7)
-        full = PulseSpec(duration_us=1.0 / (2.0 * 2.0), rabi_freq_mhz=2.0, phase_rad=0.7)
-        via_two = apply_pulse(apply_pulse(state, half), half)
-        via_one = apply_pulse(state, full)
-        assert np.allclose(via_two.bloch, via_one.bloch, atol=1e-12)
+        bloch = np.array([0.1, 0.2, math.sqrt(1 - 0.05)])
+        half = lambda vec: pulse_rotation(vec, 2.0, 0.0, 1.0 / (4.0 * 2.0), 0.7)
+        via_one = pulse_rotation(bloch, 2.0, 0.0, 1.0 / (2.0 * 2.0), 0.7)
+        assert np.allclose(half(half(bloch)), via_one, atol=1e-12)
 
     @given(
         st.floats(min_value=0.0, max_value=5.0),
@@ -98,22 +95,14 @@ class TestApplyPulse:
     )
     @settings(max_examples=200)
     def test_norm_preserved(self, duration, omega, delta, phase):
-        state = SpinState(np.array([0.6, 0.0, 0.8]))
-        out = apply_pulse(
-            state,
-            PulseSpec(duration_us=duration, rabi_freq_mhz=omega, detuning_mhz=delta, phase_rad=phase),
-        )
-        assert abs(np.linalg.norm(out.bloch) - 1.0) < 1e-12
+        assume(omega != 0.0 or delta != 0.0)  # the rotation needs a non-zero generalised Rabi frequency
+        out = pulse_rotation(np.array([0.6, 0.0, 0.8]), omega, delta, duration, phase)
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
     def test_matches_rabi_population(self):
         for t in np.linspace(0.0, 1.0, 23):
-            out = apply_pulse(
-                SpinState.ms0(),
-                PulseSpec(duration_us=t, rabi_freq_mhz=3.6, detuning_mhz=1.1),
-            )
-            assert out.population_ms1 == pytest.approx(
-                rabi_population(t, 3.6, 1.1), abs=1e-9
-            )
+            out = pulse_rotation(MS0, 3.6, 1.1, t)
+            assert 0.5 * (1.0 - out[2]) == pytest.approx(rabi_population(t, 3.6, 1.1), abs=1e-9)
 
 
 class TestEchoPhase:
@@ -156,14 +145,14 @@ class TestEchoPhase:
             assert abs(cf - oracle) <= 1e-9 * max(1.0, abs(oracle))
 
     def test_signal_invariances(self, constants):
-        p = EchoParams(b_perp_gauss=0.07, phi0_rad=1.3, contrast=0.8)
+        p = EchoParams(b_perp_gauss=0.07, phi0_rad=1.3)
+        model = EchoFitModel(constants=constants, envelope=EchoParams())
         taus = np.linspace(0.0, 80.0, 41)
-        base = echo_signal(p, constants, taus)
-        shifted = EchoParams(b_perp_gauss=0.07, phi0_rad=1.3 + TWO_PI, contrast=0.8)
-        assert np.allclose(echo_signal(shifted, constants, taus), base, atol=1e-12)
+        base = model.predict(taus, 0.07, 1.3, 0.8, 0.5)
+        assert np.allclose(model.predict(taus, 0.07, 1.3 + TWO_PI, 0.8, 0.5), base, atol=1e-12)
         # b -> -b with phi0 -> phi0 + pi: realised via the closed form symmetry,
         # cos(-x(tau; phi0+pi)) = cos(x(tau; phi0))
-        mirrored = EchoParams(b_perp_gauss=0.07, phi0_rad=1.3 + math.pi, contrast=0.8)
+        mirrored = EchoParams(b_perp_gauss=0.07, phi0_rad=1.3 + math.pi)
         phase_base = echo_phase(p, constants, taus)
         phase_mirrored = echo_phase(mirrored, constants, taus)
         assert np.allclose(phase_mirrored, -phase_base, atol=1e-9)
@@ -193,19 +182,50 @@ class TestC13Envelope:
         taus = np.linspace(0.0, 22.0, 23)
         assert np.all(c13_envelope(p, constants, taus) > 0.995)
 
-    def test_echo_signal_range_and_flat_cases(self, constants):
-        p0 = EchoParams(b_perp_gauss=0.0, contrast=0.6)
+    def test_fringe_range_and_flat_cases(self, constants):
+        # the fringe 1/2 + (contrast/2) envelope(tau) cos(phi(tau)) under the bath envelope
+        model = EchoFitModel(constants=constants, envelope=EchoParams())
         taus = np.linspace(0.0, 30.0, 31)
-        flat = echo_signal(p0, constants, taus)
+        flat = model.predict(taus, 0.0, 0.0, 0.6, 0.5)
         # flat up to the slow envelope droop (envelope ~ 1 over this window)
         assert np.allclose(flat, flat[0], atol=1e-3)
         assert flat[0] == pytest.approx(0.5 + 0.3, abs=1e-3)
-        dead = EchoParams(b_perp_gauss=0.1, contrast=0.0)
-        assert np.allclose(echo_signal(dead, constants, taus), 0.5, atol=1e-15)
-        fringed = EchoParams(b_perp_gauss=0.088, contrast=1.0)
-        vals = echo_signal(fringed, constants, np.linspace(0, 60, 200))
+        assert np.allclose(model.predict(taus, 0.1, 0.0, 0.0, 0.5), 0.5, atol=1e-15)
+        vals = model.predict(np.linspace(0, 60, 200), 0.088, 0.0, 1.0, 0.5)
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
         assert np.max(vals) - np.min(vals) > 0.5  # oscillatory fringes
+
+    @pytest.mark.parametrize("b0_gauss", [6.2, 1.0, 100.0])
+    def test_matches_the_full_dip_loop_bit_for_bit(self, constants, b0_gauss):
+        # the dips out of reach of a tau add exact zeros in the full loop
+        taus = [np.linspace(0.0, 300.0, 601), np.random.default_rng(16).uniform(0.0, 2000.0, 300)]
+        for p in (EchoParams(b0_gauss=b0_gauss), EchoParams(b0_gauss=b0_gauss, t2_us=1e6)):
+            for tau in (*taus, np.zeros(0), 0.0, 17.0):
+                want = c13_envelope_full_loop(p, constants, tau)
+                got = c13_envelope(p, constants, tau)
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_revivals_at_a_strong_field(self, constants):
+        # a million revivals in, at 1e9 G: the full loop would visit ~2e6 dips per call
+        p = EchoParams(b0_gauss=1e9)
+        tau_r = c13_revival_time_us(p.b0_gauss, constants)
+        revival, collapse = c13_envelope(p, constants, np.array([1e6, 1e6 + 0.5]) * tau_r)
+        assert revival > 0.9999 and collapse == pytest.approx(p.collapse_floor, rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "field, constants_kw",
+        [
+            ({"b0_gauss": 1e-320}, {}),  # an infinite revival time
+            ({"b0_gauss": 1e-200}, {"gamma_c13_khz_per_g": 1e-200}),  # gamma_13C B0 underflows to 0
+            ({}, {"gamma_c13_khz_per_g": 1e-300}),  # a dip width whose square overflows
+            ({"b0_gauss": 1e300}, {}),  # a dip width whose square underflows to 0
+        ],
+    )
+    def test_out_of_range_bath_refused(self, field, constants_kw):
+        p = EchoParams(**field)
+        with pytest.raises(ValidationError, match="field.b0_gauss or constants.gamma_c13_khz_per_g"):
+            c13_envelope(p, PhysicalConstants(**constants_kw), np.array([2.0, 5.0]))
 
 
 class TestSimulateSequence:
@@ -290,16 +310,3 @@ class TestSimulateSequence:
         # simulator's centre-held detuning misses the second-order Magnus term
         # of the moving detuning (7.6e-6 seen)
         assert np.max(np.abs(bloch - want)) <= (1e-10 if theta_b_deg == 0.0 else 2e-5)
-
-
-class TestSpinState:
-    def test_norm_invariant_enforced(self):
-        with pytest.raises(ValidationError):
-            SpinState(np.array([1.0, 1.0, 1.0]))
-
-    def test_populations(self):
-        assert SpinState.ms0().population_ms1 == 0.0
-        assert SpinState.ms1().population_ms1 == 1.0
-        half_pi = PulseSpec(duration_us=1.0 / (4.0 * 2.0), rabi_freq_mhz=2.0)
-        s = apply_pulse(SpinState.ms0(), half_pi)
-        assert s.population_ms1 == pytest.approx(0.5, abs=1e-12)
