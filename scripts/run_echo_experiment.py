@@ -46,7 +46,6 @@ def main():
                 (data.tau_us, data.signal, data.sigma),
                 meta,
                 cfg,
-                cfg.seed,
             )
         )
 

@@ -30,7 +30,7 @@ def main():
         image, summaries = pipeline.simulate_image(cfg, grid, stationary=stationary)
         path = os.path.join(OUT_DIR, f"image_{label}.dat")
         with open(path, "w") as fh:
-            fh.write(pipeline.format_image(image, cfg, cfg.seed))
+            fh.write(pipeline.format_image(image, cfg))
         print(f"{label}: wrote {path} (duty cycle {image.duty_cycle:.4f})")
         for i, s in enumerate(summaries):
             if "error" in s:

@@ -36,7 +36,6 @@ def main():
                     (data.tau_us, data.signal, data.sigma),
                     meta,
                     cfg,
-                    cfg.seed,
                 )
             )
         fit = fit_rabi(data)

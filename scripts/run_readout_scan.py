@@ -6,6 +6,7 @@ dark (m_S = -1), prints the early-window contrast, and scans the laser turn-on
 offset for the contrast signal-to-noise optimum.
 """
 
+import dataclasses
 import os
 import sys
 
@@ -27,12 +28,13 @@ OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "out")
 
 def main():
     os.makedirs(OUT_DIR, exist_ok=True)
-    cfg = config_from_dict({"seed": 13})
+    cfg = config_from_dict({})
     g, b, m, pro = cfg.geometry, cfg.beam, cfg.rates, cfg.protocol
     traces = {}
-    for name, initial, seed in (
-        ("ms0", LevelPopulations.ms0(), 1),
-        ("ms1", LevelPopulations.ms1(), 2),
+    # each trace draws from its own seed, which its file's header records
+    for name, initial, trace_cfg in (
+        ("ms0", LevelPopulations.ms0(), dataclasses.replace(cfg, seed=1)),
+        ("ms1", LevelPopulations.ms1(), dataclasses.replace(cfg, seed=2)),
     ):
         trace = simulate_readout(
             initial,
@@ -42,7 +44,7 @@ def main():
             t_pulse_us=cfg.strobe.t_pulse_us,
             turn_on_offset_us=pro.turn_on_offset_us,
             shots=300_000,
-            seed=seed,
+            seed=trace_cfg.seed,
             bin_width_us=pro.bin_width_us,
         )
         traces[name] = trace
@@ -53,8 +55,7 @@ def main():
                     ("bin_start_us", "counts"),
                     (trace.bin_starts_us, trace.counts.astype(float)),
                     {"kind": "readout-trace", "initial": name, "shots": trace.shots},
-                    cfg,
-                    cfg.seed,
+                    trace_cfg,
                 )
             )
         print(f"wrote {path} ({trace.counts.sum()} counts over {trace.shots} shots)")

@@ -104,44 +104,29 @@ def _parse_emitters(text: str, default_cps: float) -> EmitterSet:
 # subcommands
 
 
+def _write_scan(args, cfg: ExperimentConfig, axis: str, data, meta: dict) -> int:
+    """Write a Rabi or echo scan as the dataset (axis, signal, sigma)."""
+    columns = (data.tau_us, data.signal, data.sigma)
+    _write(args.output, pipeline.format_dataset((axis, "signal", "sigma"), columns, meta, cfg))
+    return EXIT_OK
+
+
 def cmd_simulate_rabi(args) -> int:
     cfg = _load_effective_config(args)
     durations = _parse_scan(args.durations, "--durations")
     data, meta = pipeline.simulate_rabi_scan(
-        cfg,
-        durations,
-        pulse_at=args.pulse_at,
-        shots_per_point=args.shots,
+        cfg, durations, pulse_at=args.pulse_at, shots_per_point=args.shots
     )
-    text = pipeline.format_dataset(
-        ("duration_us", "signal", "sigma"),
-        (data.tau_us, data.signal, data.sigma),
-        meta,
-        cfg,
-        cfg.seed,
-    )
-    _write(args.output, text)
-    return EXIT_OK
+    return _write_scan(args, cfg, "duration_us", data, meta)
 
 
 def cmd_simulate_echo(args) -> int:
     cfg = _load_effective_config(args)
     taus = _parse_scan(args.tau, "--tau")
     data, meta = pipeline.simulate_echo_scan(
-        cfg,
-        taus,
-        ideal_pulses=not args.finite_pulses,
-        shots_per_point=args.shots,
+        cfg, taus, ideal_pulses=not args.finite_pulses, shots_per_point=args.shots
     )
-    text = pipeline.format_dataset(
-        ("tau_us", "signal", "sigma"),
-        (data.tau_us, data.signal, data.sigma),
-        meta,
-        cfg,
-        cfg.seed,
-    )
-    _write(args.output, text)
-    return EXIT_OK
+    return _write_scan(args, cfg, "tau_us", data, meta)
 
 
 def cmd_simulate_image(args) -> int:
@@ -167,7 +152,7 @@ def cmd_simulate_image(args) -> int:
     image, summaries = pipeline.simulate_image(
         cfg, grid, emitters=emitters, stationary=args.stationary
     )
-    _write(args.output, pipeline.format_image(image, cfg, cfg.seed, csv=args.format == "csv"))
+    _write(args.output, pipeline.format_image(image, cfg, csv=args.format == "csv"))
     for i, s in enumerate(summaries):
         if "error" in s:
             print(f"# spot {i}: centre ({s['center_x_um']:.3f}, {s['center_y_um']:.3f}) um, "
@@ -206,7 +191,6 @@ def cmd_simulate_readout(args) -> int:
         (trace.bin_starts_us, trace.counts.astype(float)),
         meta,
         cfg,
-        cfg.seed,
     )
     _write(args.output, text)
     return EXIT_OK
@@ -220,13 +204,10 @@ def cmd_compile_seq(args) -> int:
         with open(args.seq, "r", encoding="utf-8") as fh:
             text = fh.read()
     prog = seqlang.parse_sequence(text)
-    cal = seqlang.build_calibration(
-        cfg.geometry, cfg.field_cfg, cfg.protocol.base_rabi_mhz, cfg.protocol.n_cal_angles
-    )
     timeline = seqlang.compile_timeline(
         prog,
         cfg.geometry,
-        cal,
+        pipeline.calibration(cfg),
         t_phi_us=args.t_phi,
         allow_multi_period=args.allow_multi_period,
     )

@@ -74,16 +74,13 @@ class ExperimentConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "geometry": dataclasses.asdict(self.geometry),
-            "field": dataclasses.asdict(self.field_cfg),
-            "constants": dataclasses.asdict(self.constants),
-            "beam": dataclasses.asdict(self.beam),
-            "rates": dataclasses.asdict(self.rates),
-            "strobe": dataclasses.asdict(self.strobe),
-            "protocol": dataclasses.asdict(self.protocol),
-            "seed": self.seed,
-        }
+        """A fresh dict per call, each section's fields copied (their values are immutable)."""
+        out: dict[str, Any] = {}
+        for name, (attr, cls) in _SECTIONS.items():
+            section = getattr(self, attr)
+            out[name] = {f.name: getattr(section, f.name) for f in dataclasses.fields(cls)}
+        out["seed"] = self.seed
+        return out
 
     def dump_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -93,14 +90,15 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
+# JSON section name -> (ExperimentConfig attribute, section class)
 _SECTIONS = {
-    "geometry": RotorGeometry,
-    "field": FieldConfig,
-    "constants": PhysicalConstants,
-    "beam": BeamProfile,
-    "rates": RateModel,
-    "strobe": StrobeConfig,
-    "protocol": ProtocolConfig,
+    "geometry": ("geometry", RotorGeometry),
+    "field": ("field_cfg", FieldConfig),
+    "constants": ("constants", PhysicalConstants),
+    "beam": ("beam", BeamProfile),
+    "rates": ("rates", RateModel),
+    "strobe": ("strobe", StrobeConfig),
+    "protocol": ("protocol", ProtocolConfig),
 }
 
 
@@ -162,23 +160,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     unknown = set(data) - set(_SECTIONS) - {"seed"}
     if unknown:
         raise ValidationError(f"unknown configuration section(s): {sorted(unknown)}")
-    defaults = ExperimentConfig()
-    sections: dict[str, Any] = {}
-    for name, cls in _SECTIONS.items():
-        if name in data:
-            sections[name] = _build_section(cls, data[name], name)
-    seed = data.get("seed", defaults.seed)
-    _check_number_type("seed", seed, defaults.seed)
-    return ExperimentConfig(
-        geometry=sections.get("geometry", defaults.geometry),
-        field_cfg=sections.get("field", defaults.field_cfg),
-        constants=sections.get("constants", defaults.constants),
-        beam=sections.get("beam", defaults.beam),
-        rates=sections.get("rates", defaults.rates),
-        strobe=sections.get("strobe", defaults.strobe),
-        protocol=sections.get("protocol", defaults.protocol),
-        seed=seed,
-    )
+    sections = {
+        attr: _build_section(cls, data[name], name)
+        for name, (attr, cls) in _SECTIONS.items()
+        if name in data
+    }
+    seed = data.get("seed", ExperimentConfig.seed)
+    _check_number_type("seed", seed, ExperimentConfig.seed)
+    return ExperimentConfig(**sections, seed=seed)
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -24,17 +24,22 @@ import numpy as np
 from .errors import ValidationError
 
 TWO_PI = 2.0 * math.pi
+# How far the norm of a unit vector (FieldConfig.mw_dir) may be from 1.
+UNIT_TOLERANCE = 1e-12
 
 
 def unit(v) -> tuple[float, float, float]:
-    """Normalise a 3-vector to unit length, returned as a tuple."""
+    """Normalise a 3-vector to unit length, returned as a tuple.
+
+    One already within UNIT_TOLERANCE of it is kept: dividing again could move its last bits.
+    """
     arr = np.asarray(v, dtype=float)
     if arr.shape != (3,):
         raise ValidationError(f"expected a 3-vector, got shape {arr.shape}")
     n = float(np.linalg.norm(arr))
     if not math.isfinite(n) or n == 0.0:
         raise ValidationError("cannot normalise a zero or non-finite vector")
-    x, y, z = (arr / n).tolist()
+    x, y, z = (arr if abs(n - 1.0) <= UNIT_TOLERANCE else arr / n).tolist()
     return (x, y, z)
 
 
@@ -101,7 +106,7 @@ class RotorGeometry:
 class FieldConfig:
     """Static bias field (magnitude and orientation) and microwave drive.
 
-    ``mw_dir`` must be a unit vector (checked to 1e-12); ``mw_amp_gauss``
+    ``mw_dir`` must be a unit vector (checked to UNIT_TOLERANCE); ``mw_amp_gauss``
     scales the transverse coupling returned by :func:`mw_coupling`.
     """
 
@@ -114,8 +119,8 @@ class FieldConfig:
     def __post_init__(self):
         if self.b0_gauss < 0:
             raise ValidationError("b0_gauss must be non-negative")
-        norm = math.sqrt(sum(c * c for c in self.mw_dir))
-        if abs(norm - 1.0) > 1e-12:
+        norm = float(np.linalg.norm(self.mw_dir))
+        if abs(norm - 1.0) > UNIT_TOLERANCE:
             raise ValidationError(
                 f"mw_dir must be a unit vector (|mw_dir| = {norm!r}); use geometry.unit()"
             )

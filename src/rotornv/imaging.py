@@ -39,7 +39,7 @@ from .errors import FitError, ValidationError, check_expected_counts
 from .estimation import _check_identified, _fit_separable, _full_jacobian
 from .geometry import TWO_PI, RotorGeometry
 
-# Strobe samples (cycles x substeps) one pixel may integrate: ~200x the
+# Strobe samples (cycles x SUBSTEPS) one pixel may integrate: ~200x the
 # default 200 ms dwell at 3.33 kHz.
 MAX_STROBE_SAMPLES = 1_000_000
 # Quadrature nodes over one cycle's period draws.  The strobed arc over the
@@ -50,6 +50,14 @@ MAX_PERIOD_NODES = 20_000
 # Emitter radii and wobble amplitudes the render takes: their squares and
 # sums stay finite.
 MAX_LENGTH_UM = 1e150
+# 1/e^2 width of the lateral point response, um; a depth ("xz") scan's axial
+# response is AXIAL_PSF_FACTOR times wider.
+PSF_WIDTH_UM = 0.3
+AXIAL_PSF_FACTOR = 3.0
+# Points each strobe is followed at along its arc.
+SUBSTEPS = 7
+# Half the side of the window a spot-width fit takes around its centre, um.
+SPOT_FIT_RADIUS_UM = 2.5
 
 # P(|Z| > 6.5) ~ 8e-11 for a standard normal Z: the quadrature's range.
 _Z_TAIL = 6.5
@@ -348,15 +356,25 @@ def _pair_sums(half, a, near, coef, cross) -> np.ndarray:
     return terms.sum(axis=0) if terms.shape[1] > 1 else np.add.accumulate(terms[:, 0])[-1:]
 
 
+def check_arc_lengths(emitters: EmitterSet, strobe: StrobeConfig, stationary: bool) -> tuple[str, str]:
+    """Refuse an emitter radius or a wobble beyond MAX_LENGTH_UM.
+
+    The orbit or the wobble, whichever is wider, sets the strobed arc and so
+    the render's node count.  Returns what sets it and the knob that lowers
+    it, for the refusals to name.
+    """
+    r_max = max(math.hypot(*e.position_um[:2]) for e in emitters.emitters)
+    wobble = 0.0 if stationary else strobe.wobble_amp_um
+    orbit_wider = r_max >= 3.0 * wobble
+    arc_input = f"an emitter at radius {r_max:g} um" if orbit_wider else f"strobe.wobble_amp_um = {wobble:g}"
+    knob = "the emitter radius (--emitters, geometry.r_nv_um)" if orbit_wider else "strobe.wobble_amp_um"
+    if not max(r_max, wobble) < MAX_LENGTH_UM:
+        raise ValidationError(f"{arc_input} is beyond the render's {MAX_LENGTH_UM:g} um limit; lower {knob}")
+    return arc_input, knob
+
+
 def _pixel_moments(
-    grid: ScanGrid,
-    emitters: EmitterSet,
-    g: RotorGeometry,
-    strobe: StrobeConfig,
-    psf_width_um: float = 0.3,
-    stationary: bool = False,
-    substeps: int = 7,
-    axial_psf_factor: float = 3.0,
+    grid: ScanGrid, emitters: EmitterSet, g: RotorGeometry, strobe: StrobeConfig, stationary: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and variance of every pixel's expected count, shape (ny, nx) each.
 
@@ -375,7 +393,7 @@ def _pixel_moments(
     a strobe sample above e^-40 of its peak at the pixel enter either
     moment, and only sample pairs whose samples both are.  Such a
     candidate reached by one emitter alone evaluates only the pairs of
-    that emitter's block of ``substeps`` samples; one that several
+    that emitter's block of SUBSTEPS samples; one that several
     emitters reach evaluates the whole triangle of sample pairs.  Either
     way the pairs are added in triangle order, a skipped pair as an exact
     zero, which is the order in which a bincount over the surviving pairs
@@ -391,29 +409,23 @@ def _pixel_moments(
     check_expected_counts(
         c.sum() * n_cycles, "the emitter brightness (beam.peak_counts_stationary_cps) or dwell_ms"
     )
-    # the orbit or the wobble, whichever is wider, sets the strobed arc and so the node count
-    r_max, wobble = max(map(math.hypot, *pos0.T)), 0.0 if stationary else strobe.wobble_amp_um
-    orbit_wider = r_max >= 3.0 * wobble
-    arc_input = f"an emitter at radius {r_max:g} um" if orbit_wider else f"strobe.wobble_amp_um = {wobble:g}"
-    knob = "the emitter radius (--emitters, geometry.r_nv_um)" if orbit_wider else "strobe.wobble_amp_um"
-    if not max(r_max, wobble) < MAX_LENGTH_UM:
-        raise ValidationError(f"{arc_input} is beyond the render's {MAX_LENGTH_UM:g} um limit; lower {knob}")
+    arc_input, knob = check_arc_lengths(emitters, strobe, stationary)
     # an "xz" slice lies in the plane y = 0, and the pixel y is the focus depth
     lat_y = np.zeros_like(ys) if depth_scan else ys
-    depth_arg = -2.0 * ys**2 / (axial_psf_factor * psf_width_um) ** 2 if depth_scan else np.zeros_like(ys)
+    depth_arg = -2.0 * ys**2 / (AXIAL_PSF_FACTOR * PSF_WIDTH_UM) ** 2 if depth_scan else np.zeros_like(ys)
     if stationary:
         d2 = (pos0[:, 0] - xs[:, None]) ** 2 + (pos0[:, 1] - lat_y[:, None, None]) ** 2  # (ny, nx, n_e)
-        psf = np.exp(-2.0 * d2 / psf_width_um**2 + depth_arg[:, None, None])
+        psf = np.exp(-2.0 * d2 / PSF_WIDTH_UM**2 + depth_arg[:, None, None])
         mean = np.sum(c * psf, axis=2) * n_cycles
         return mean, np.zeros_like(mean)
 
-    v = psf_width_um**2 / 4.0
-    s2 = wobble**2
+    v = PSF_WIDTH_UM**2 / 4.0
+    s2 = strobe.wobble_amp_um**2
     radii = np.linalg.norm(pos0, axis=1)
     phases0 = np.arctan2(pos0[:, 1], pos0[:, 0])
     t_rot = g.t_rot_us
     full_turns = math.floor(strobe.t_phi_us / t_rot)
-    u = (np.arange(substeps) + 0.5) * (strobe.t_pulse_us / substeps)
+    u = (np.arange(SUBSTEPS) + 0.5) * (strobe.t_pulse_us / SUBSTEPS)
     t_in = strobe.t_phi_us - full_turns * t_rot + u  # time since the arming edge
     arc_ratio = (float(radii.max()) + 3.0 * math.sqrt(v + s2)) / math.sqrt(v)
     try:
@@ -426,7 +438,7 @@ def _pixel_moments(
         ) from None
     p1 = t_rot * np.maximum(1.0 + strobe.jitter_frac * z1, 0.1)[:, None]
     p2 = t_rot * np.maximum(1.0 + strobe.jitter_frac * z2, 0.1)[:, None]
-    theta = TWO_PI * np.where(t_in < p1, t_in / p1, 1.0 + (t_in - p1) / p2)  # (nodes, substeps)
+    theta = TWO_PI * np.where(t_in < p1, t_in / p1, 1.0 + (t_in - p1) / p2)  # (nodes, SUBSTEPS)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
 
     # |R(p) a - b| = |a - R(-p) b|: the pixel is rotated into each emitter's frame
@@ -434,13 +446,13 @@ def _pixel_moments(
     gy = np.broadcast_to(lat_y[:, None], (ys.size, xs.size)).ravel()
     px = gx[:, None] * np.cos(phases0) + gy[:, None] * np.sin(phases0)  # (pixels, n_e)
     py = gy[:, None] * np.cos(phases0) - gx[:, None] * np.sin(phases0)
-    q2 = np.repeat(px**2 + py**2, substeps, axis=1)
-    n_s = radii.size * substeps  # strobe samples (e, k)
-    ci = np.repeat(c / substeps, substeps)
-    r_ek = np.repeat(radii, substeps)
+    q2 = np.repeat(px**2 + py**2, SUBSTEPS, axis=1)
+    n_s = radii.size * SUBSTEPS  # strobe samples (e, k)
+    ci = np.repeat(c / SUBSTEPS, SUBSTEPS)
+    r_ek = np.repeat(radii, SUBSTEPS)
     # the samples of each emitter, and last all samples, with the weights
     # c_i c_j (2 off the diagonal) of their pairs i <= j in triangle order
-    blocks = [slice(e * substeps, (e + 1) * substeps) for e in range(radii.size)] + [slice(0, n_s)]
+    blocks = [slice(e * SUBSTEPS, (e + 1) * SUBSTEPS) for e in range(radii.size)] + [slice(0, n_s)]
     coefs = []
     for b in blocks:
         i, j = np.triu_indices(ci[b].size)
@@ -467,7 +479,7 @@ def _pixel_moments(
     # in (pixel, node) order, so the sums do not depend on the block size.
     cross = 1.0 / (2.0 * v) - 1.0 / (2.0 * (v + 2.0 * s2))
     step = max(1, _BLOCK_ELEMENTS // cos_f.size)
-    pair_step = max(1, _BLOCK_ELEMENTS // max(n_s, substeps**2))
+    pair_step = max(1, _BLOCK_ELEMENTS // max(n_s, SUBSTEPS**2))
     m1 = np.zeros(gx.size)
     m2 = np.zeros(gx.size)
     for lo in range(0, gx.size, step):
@@ -493,7 +505,7 @@ def _pixel_moments(
             half = -h2 / (2.0 * v) - a**2 * (1.0 / (4.0 * (v + 2.0 * s2)) + 1.0 / (4.0 * v))
             # the one emitter that reaches each candidate, or n_e where
             # several do: its pairs are summed over that block of samples
-            reached = near.reshape(wn.size, radii.size, substeps).any(axis=2)  # (candidates, n_e)
+            reached = near.reshape(wn.size, radii.size, SUBSTEPS).any(axis=2)  # (candidates, n_e)
             owner = np.where(reached.sum(axis=1) == 1, reached.argmax(axis=1), radii.size)
             half, a, near = half.T.copy(), a.T.copy(), near.T.copy()  # (samples, candidates)
             sums = np.empty(wn.size)
@@ -521,18 +533,15 @@ def render_image(
     emitters: EmitterSet,
     g: RotorGeometry,
     strobe: StrobeConfig,
-    psf_width_um: float = 0.3,
     seed: int = 0,
     stationary: bool = False,
-    substeps: int = 7,
     max_pixels: int = 250_000,
-    axial_psf_factor: float = 3.0,
 ) -> StrobedImage:
     """Render a strobed confocal raster scan from each pixel's count moments.
 
     Every pixel integrates ``dwell_ms`` of strobes (one per revolution).
     Each cycle draws its own period jitter and wobble displacement, and
-    the emitter is followed along its strobed arc at ``substeps`` points;
+    the emitter is followed along its strobed arc at SUBSTEPS points;
     the pixel's expected count lambda is the sum over the cycles.  Its
     mean and variance are computed exactly (:func:`_pixel_moments`), lambda
     is drawn from the Gamma distribution with those moments and the
@@ -544,10 +553,8 @@ def render_image(
     image.
 
     For an "xz" grid the scan slices the depth at y = 0 with an axial
-    response ``axial_psf_factor`` times wider than the lateral one.
+    response AXIAL_PSF_FACTOR times wider than the lateral one.
     """
-    if not psf_width_um > 0:
-        raise ValidationError("psf_width_um must be positive")
     if grid.n_pixels > max_pixels:
         raise ValidationError(
             f"scan grid has {grid.n_pixels} pixels, exceeding the configured budget of "
@@ -556,15 +563,13 @@ def render_image(
     if strobe.t_pulse_us > g.t_rot_us:
         raise ValidationError("strobe t_pulse_us exceeds the rotation period")
     n_cycles = _cycles(grid, g)
-    if n_cycles * substeps > MAX_STROBE_SAMPLES:
+    if n_cycles * SUBSTEPS > MAX_STROBE_SAMPLES:
         raise ValidationError(
-            f"dwell_ms = {grid.dwell_ms:g} gives {n_cycles} strobe cycles x {substeps} samples "
+            f"dwell_ms = {grid.dwell_ms:g} gives {n_cycles} strobe cycles x {SUBSTEPS} samples "
             f"per pixel, more than {MAX_STROBE_SAMPLES}; shorten the dwell (--dwell-ms)"
         )
     with np.errstate(under="ignore"):
-        mean, var = _pixel_moments(
-            grid, emitters, g, strobe, psf_width_um, stationary, substeps, axial_psf_factor
-        )
+        mean, var = _pixel_moments(grid, emitters, g, strobe, stationary)
         rng = np.random.default_rng(seed)
         lam = mean
         spread = (var > 0.0) & (mean > 0.0)
@@ -581,7 +586,7 @@ def render_image(
             "n_cycles": n_cycles,
             "seed": seed,
             "stationary": stationary,
-            "psf_width_um": psf_width_um,
+            "psf_width_um": PSF_WIDTH_UM,
             "t_phi_us": strobe.t_phi_us,
             "t_pulse_us": strobe.t_pulse_us,
             "plane": grid.plane,
@@ -589,11 +594,7 @@ def render_image(
     )
 
 
-def fit_spot_width(
-    image: StrobedImage,
-    initial_center_um: tuple[float, float],
-    fit_radius_um: float = 2.5,
-) -> tuple[float, float]:
+def fit_spot_width(image: StrobedImage, initial_center_um: tuple[float, float]) -> tuple[float, float]:
     """1/e^2 widths (radial, azimuthal) of a spot from a 2-D Gaussian fit.
 
     The principal axes are taken from the trajectory geometry: radial is
@@ -608,8 +609,8 @@ def fit_spot_width(
     """
     cx, cy = initial_center_um
     xs, ys = image.x_um, image.y_um
-    sel_x = np.abs(xs - cx) <= fit_radius_um
-    sel_y = np.abs(ys - cy) <= fit_radius_um
+    sel_x = np.abs(xs - cx) <= SPOT_FIT_RADIUS_UM
+    sel_y = np.abs(ys - cy) <= SPOT_FIT_RADIUS_UM
     if sel_x.sum() < 4 or sel_y.sum() < 4:
         raise ValidationError("fit window contains too few pixels")
     sub = image.counts[np.ix_(sel_y, sel_x)].astype(float)

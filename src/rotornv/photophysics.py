@@ -156,18 +156,24 @@ class PhotonTrace:
 # beam transit
 
 
+def _illumination(off, d: float):
+    """exp(-2 off^2 / w^2) at non-negative offsets ``off`` from the diameter d = 2 w.
+
+    It is evaluated as exp(-8 (off / d)^2), with offsets past ten diameters
+    (e^-800, i.e. 0) clipped, so neither a vanishing waist nor a huge offset
+    overflows.
+    """
+    return np.exp(-8.0 * (np.minimum(off, 10.0 * d) / d) ** 2)
+
+
 def beam_intensity(b: BeamProfile, offset_um):
     """Relative detected-intensity profile at a lateral offset from focus.
 
-    Illumination is exp(-2 off^2 / w^2) with w the 1/e^2 radius; confocal
-    collection through the same objective weights it once more.  It is
-    evaluated from the diameter d = 2 w, as exp(-8 (off / d)^2), with
-    offsets past ten diameters (e^-800, i.e. 0) clipped, so neither a
-    vanishing waist nor a huge offset overflows.
+    Illumination is exp(-2 off^2 / w^2) with w the 1/e^2 radius
+    (:func:`_illumination`); confocal collection through the same objective
+    weights it once more.
     """
-    d = b.waist_diameter_1e2_um
-    off = np.minimum(np.abs(np.asarray(offset_um, dtype=float)), 10.0 * d)
-    profile = np.exp(-8.0 * (off / d) ** 2)
+    profile = _illumination(np.abs(np.asarray(offset_um, dtype=float)), b.waist_diameter_1e2_um)
     if b.collection_mode == "confocal-squared":
         profile = profile**2
     return float(profile) if np.isscalar(offset_um) else profile
@@ -184,18 +190,13 @@ def transit_offset_um(g: RotorGeometry, dt_us):
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def expected_count_rate(
-    b: BeamProfile,
-    g: RotorGeometry,
-    t_pulse_us: float,
-    include_transit: bool = True,
-) -> float:
+def expected_count_rate(b: BeamProfile, g: RotorGeometry, t_pulse_us: float) -> float:
     """Mean detected rate under strobed illumination, counts/s.
 
-    The duty-cycle bound is N_s * t_pulse / T_rot; with transit modulation
-    the bound is multiplied by the time-averaged beam intensity along the
-    arc centred on the focus (composite Gauss-Legendre quadrature, no Monte
-    Carlo).
+    The duty-cycle bound N_s * t_pulse / T_rot is multiplied by the
+    time-averaged beam intensity along the arc centred on the focus
+    (composite Gauss-Legendre quadrature, no Monte Carlo); a stationary NV
+    or an empty pulse gets the bound.
     """
     if t_pulse_us < 0:
         raise ValidationError("t_pulse_us must be non-negative")
@@ -204,7 +205,7 @@ def expected_count_rate(
             f"t_pulse_us = {t_pulse_us} exceeds the rotation period {g.t_rot_us:.6g} us"
         )
     bound = b.peak_counts_stationary_cps * t_pulse_us / g.t_rot_us
-    if not include_transit or g.r_nv_um == 0.0 or t_pulse_us == 0.0:
+    if g.r_nv_um == 0.0 or t_pulse_us == 0.0:
         return bound
     # The integrand is even in t, and the offset grows monotonically over
     # half a turn; past 3 waist diameters the intensity is below e^-72, so
@@ -457,10 +458,7 @@ def _transit_counts(
 
     h = bin_width_us / steps
     starts = (bin_width_us * np.arange(n_bins))[:, None, None] + h * np.arange(steps)[:, None]
-    off = transit_offset_um(g, starts + h * _GAUSS_NODES + turn_on_offset_us)
-    # exp(-2 off^2 / w^2) with w = d / 2; offsets past ten diameters (e^-800,
-    # i.e. 0) are clipped, so neither the quotient nor its square overflows
-    gauss_intensity = np.exp(-8.0 * (np.minimum(off, 10.0 * d) / d) ** 2)  # (bins, steps, 2)
+    gauss_intensity = _illumination(transit_offset_um(g, starts + h * _GAUSS_NODES + turn_on_offset_us), d)
     blend = np.clip(gauss_intensity @ _CF4_BLEND, 0.0, None).ravel()  # earlier factor first
     half = 0.5 * h
     s_max = max(float(blend.max()), np.finfo(float).tiny)  # tiny: no light at all
@@ -655,20 +653,18 @@ def optimal_turn_on(
     m: RateModel,
     t_pulse_us: float = 2.0,
     window_us: float = 0.5,
-    offsets_us=None,
 ) -> float:
     """Laser turn-on offset (relative to beam-centre crossing) maximising contrast SNR.
 
     The figure of merit is contrast * sqrt(early-window counts), evaluated
-    on deterministic traces; each offset integrates both spin states in one
-    pass.  For a stationary NV every offset is equivalent and 0 is returned.
+    on deterministic traces at 37 offsets from -1.5 to 0.75 pulse lengths;
+    each offset integrates both spin states in one pass.  For a stationary
+    NV every offset is equivalent and 0 is returned.
     """
     if g.r_nv_um == 0.0:
         return 0.0
-    if offsets_us is None:
-        offsets_us = np.linspace(-1.5 * t_pulse_us, 0.75 * t_pulse_us, 37)
     best_offset, best_snr = 0.0, -np.inf
-    for off in np.asarray(offsets_us, dtype=float):
+    for off in np.linspace(-1.5 * t_pulse_us, 0.75 * t_pulse_us, 37):
         bright, dark = spin_window_counts(g, b, m, t_pulse_us, off, window_us)
         if bright <= 0:
             continue

@@ -14,7 +14,7 @@ normalised ratio with its shot-noise standard error.  The reference
 window is collected one revolution later with the NV repumped to the
 bright state, matching the experimental normalisation, so signal and
 reference are statistically independent.  A scan draws from one RNG
-stream, ``default_rng([seed, stream])``: all signal counts in one Poisson
+stream, ``default_rng([cfg.seed, stream])``: all signal counts in one Poisson
 call, then all reference counts in another.  So a point's draw depends on
 the scan's length and on the point's position in it.
 
@@ -40,11 +40,14 @@ from . import photophysics, seqlang, spindyn
 from .config import ExperimentConfig
 from .errors import FitError, ValidationError, check_expected_counts
 from .estimation import EchoDataset
-from .imaging import EmitterSet, ScanGrid, StrobedImage, fit_spot_width, render_image
+from .imaging import Emitter, EmitterSet, ScanGrid, StrobedImage, check_arc_lengths
+from .imaging import fit_spot_width, render_image
 
 # Most points in one Rabi or echo scan; bounds the batched arrays (a scan
 # of this size peaks at about 0.3 GB for Rabi, 0.45 GB for a finite-pulse echo).
 MAX_SCAN_POINTS = 1_000_000
+# Chord between the two default emitters, um: a pair the strobed image resolves.
+EMITTER_SEPARATION_UM = 3.6
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,8 @@ def _check_tau_below_period(tau_us, g) -> None:
         )
 
 
-def _calibration(cfg: ExperimentConfig) -> seqlang.CalibrationTable:
+def calibration(cfg: ExperimentConfig) -> seqlang.CalibrationTable:
+    """The configured per-angle Rabi calibration, as scans and ``compile-seq`` use it."""
     return seqlang.build_calibration(
         cfg.geometry, cfg.field_cfg, cfg.protocol.base_rabi_mhz, cfg.protocol.n_cal_angles
     )
@@ -111,7 +115,7 @@ def echo_populations(cfg: ExperimentConfig, tau_us, ideal_pulses: bool = True) -
     if ideal_pulses:
         batch = seqlang.ideal_echo_timeline(tau, g.t_rot_us, cfg.strobe.t_pulse_us)
     else:
-        batch = seqlang.echo_batch(tau, g, _calibration(cfg), cfg.strobe.t_pulse_us)
+        batch = seqlang.echo_batch(tau, g, calibration(cfg), cfg.strobe.t_pulse_us)
     z = spindyn.simulate_sequence(batch, g, f, c)[:, 2]
     env = spindyn.c13_envelope(echo_params_from_config(cfg), c, tau)
     return 0.5 * (1.0 - z * env)
@@ -126,33 +130,6 @@ def echo_params_from_config(cfg: ExperimentConfig) -> spindyn.EchoParams:
     )
 
 
-def _sample_scan(p_ms1: np.ndarray, resp: WindowResponse, shots: int, seed: int, stream: int):
-    """Poisson-sample a scan's signal and reference windows, one array each.
-
-    Both draws come from one stream, ``default_rng([seed, stream])``.
-    Returns the per-point ratio signal/reference, each count clamped at 1,
-    and its shot-noise standard error.
-    """
-    check_expected_counts(
-        max(resp.n_bright, resp.n_dark) * shots,
-        "beam.peak_counts_stationary_cps or the shots per point (protocol.shots_per_point, --shots)",
-    )
-    rng = np.random.default_rng([seed, stream])
-    s = np.maximum(rng.poisson(resp.expected(p_ms1) * shots), 1)
-    r = np.maximum(rng.poisson(resp.n_bright * shots, size=p_ms1.size), 1)
-    ratio = s / r
-    return ratio, ratio * np.sqrt(1.0 / s + 1.0 / r)
-
-
-def _scan_axis(values, name: str) -> np.ndarray:
-    if len(values) > MAX_SCAN_POINTS:
-        raise ValidationError(f"{name} has {len(values)} points, more than {MAX_SCAN_POINTS}")
-    axis = np.asarray(sorted(float(v) for v in values), dtype=float)
-    if axis.size == 0:
-        raise ValidationError(f"{name} is empty")
-    return axis
-
-
 def _shots(cfg: ExperimentConfig, shots_per_point: int | None) -> int:
     """Repetitions per point: the override (the CLI's --shots) or the configured count."""
     if shots_per_point is None:
@@ -162,28 +139,50 @@ def _shots(cfg: ExperimentConfig, shots_per_point: int | None) -> int:
     return shots_per_point
 
 
+def _sample_scan(
+    cfg: ExperimentConfig, values, name: str, populations, shots_per_point: int | None, stream: int
+) -> tuple[EchoDataset, WindowResponse]:
+    """Sort and check the scan axis ``values`` (``name``), then Poisson-sample its windows.
+
+    ``populations`` maps the sorted axis to P(m_S = -1) at readout.  Both
+    draws come from one stream, ``default_rng([cfg.seed, stream])``.  The
+    dataset holds the per-point ratio signal/reference, each count clamped
+    at 1, and its shot-noise standard error.
+    """
+    if len(values) > MAX_SCAN_POINTS:
+        raise ValidationError(f"{name} has {len(values)} points, more than {MAX_SCAN_POINTS}")
+    axis = np.asarray(sorted(float(v) for v in values), dtype=float)
+    if axis.size == 0:
+        raise ValidationError(f"{name} is empty")
+    shots = _shots(cfg, shots_per_point)
+    p_ms1 = populations(axis)
+    resp = window_response(cfg)
+    check_expected_counts(
+        max(resp.n_bright, resp.n_dark) * shots,
+        "beam.peak_counts_stationary_cps or the shots per point (protocol.shots_per_point, --shots)",
+    )
+    rng = np.random.default_rng([cfg.seed, stream])
+    s = np.maximum(rng.poisson(resp.expected(p_ms1) * shots), 1)
+    r = np.maximum(rng.poisson(resp.n_bright * shots, size=p_ms1.size), 1)
+    ratio = s / r
+    return EchoDataset(axis, ratio, ratio * np.sqrt(1.0 / s + 1.0 / r)), resp
+
+
 def simulate_echo_scan(
-    cfg: ExperimentConfig,
-    tau_list,
-    ideal_pulses: bool = True,
-    shots_per_point: int | None = None,
-    seed: int | None = None,
+    cfg: ExperimentConfig, tau_list, ideal_pulses: bool = True, shots_per_point: int | None = None
 ) -> tuple[EchoDataset, dict]:
     """Echo fringe dataset (tau_us, signal, sigma) with Poisson error bars."""
-    tau = _scan_axis(tau_list, "tau_list")
-    shots = _shots(cfg, shots_per_point)
-    seed = cfg.seed if seed is None else seed
-    p1 = echo_populations(cfg, tau, ideal_pulses=ideal_pulses)
-    resp = window_response(cfg)
-    signal, sigma = _sample_scan(p1, resp, shots, seed, 17)
+    data, resp = _sample_scan(
+        cfg, tau_list, "tau_list", lambda tau: echo_populations(cfg, tau, ideal_pulses), shots_per_point, 17
+    )
     meta = {
         "kind": "echo-scan",
-        "shots_per_point": shots,
+        "shots_per_point": _shots(cfg, shots_per_point),
         "ideal_pulses": ideal_pulses,
         "window_contrast": resp.contrast,
         "n_bright_per_shot": resp.n_bright,
     }
-    return EchoDataset(tau, signal, sigma), meta
+    return data, meta
 
 
 # ---------------------------------------------------------------------------
@@ -203,46 +202,37 @@ def rabi_populations(cfg: ExperimentConfig, durations_us, pulse_at: str = "start
     """P(m_S = -1) after a single variable pulse at t = 0 or t = T_rot/2, for every duration."""
     g, f, c = cfg.geometry, cfg.field_cfg, cfg.constants
     where = _rabi_pulse_at(cfg, pulse_at)
-    batch = seqlang.rabi_batch(durations_us, g, _calibration(cfg), cfg.strobe.t_pulse_us, **where)
+    batch = seqlang.rabi_batch(durations_us, g, calibration(cfg), cfg.strobe.t_pulse_us, **where)
     return 0.5 * (1.0 - spindyn.simulate_sequence(batch, g, f, c)[:, 2])
 
 
 def simulate_rabi_scan(
-    cfg: ExperimentConfig,
-    durations_us,
-    pulse_at: str = "start",
-    shots_per_point: int | None = None,
-    seed: int | None = None,
+    cfg: ExperimentConfig, durations_us, pulse_at: str = "start", shots_per_point: int | None = None
 ) -> tuple[EchoDataset, dict]:
     """Rabi dataset (duration_us, signal, sigma) through the full pipeline."""
-    durations = _scan_axis(durations_us, "durations_us")
-    shots = _shots(cfg, shots_per_point)
-    seed = cfg.seed if seed is None else seed
-    p1 = rabi_populations(cfg, durations, pulse_at=pulse_at)
-    resp = window_response(cfg)
-    signal, sigma = _sample_scan(p1, resp, shots, seed, 29)
+    data, resp = _sample_scan(
+        cfg, durations_us, "durations_us", lambda d: rabi_populations(cfg, d, pulse_at), shots_per_point, 29
+    )
     meta = {
         "kind": "rabi-scan",
         "pulse_at": pulse_at,
-        "shots_per_point": shots,
+        "shots_per_point": _shots(cfg, shots_per_point),
         "window_contrast": resp.contrast,
     }
-    return EchoDataset(durations, signal, sigma), meta
+    return data, meta
 
 
 # ---------------------------------------------------------------------------
 # imaging
 
 
-def default_emitters(cfg: ExperimentConfig, separation_um: float = 3.6) -> EmitterSet:
-    """Two emitters on the configured orbit, a chord ``separation_um`` apart."""
+def default_emitters(cfg: ExperimentConfig) -> EmitterSet:
+    """Two emitters on the configured orbit, a chord ``EMITTER_SEPARATION_UM`` apart."""
     r = cfg.geometry.r_nv_um
     if r <= 0:
         return EmitterSet.single(0.0, 0.0, cfg.beam.peak_counts_stationary_cps)
-    dphi = 2.0 * math.asin(min(separation_um / (2.0 * r), 1.0))
+    dphi = 2.0 * math.asin(min(EMITTER_SEPARATION_UM / (2.0 * r), 1.0))
     b = cfg.beam.peak_counts_stationary_cps
-    from .imaging import Emitter
-
     return EmitterSet(
         (
             Emitter((r, 0.0, 0.0), b),
@@ -251,12 +241,9 @@ def default_emitters(cfg: ExperimentConfig, separation_um: float = 3.6) -> Emitt
     )
 
 
-def strobed_center_um(
-    cfg: ExperimentConfig, emitter_position_um, t_phi_us: float | None = None
-) -> tuple[float, float]:
+def strobed_center_um(cfg: ExperimentConfig, emitter_position_um) -> tuple[float, float]:
     """Where an emitter appears in a strobed image (trigger position rotated by t_phi)."""
-    t_phi = cfg.strobe.t_phi_us if t_phi_us is None else t_phi_us
-    ang = 2.0 * math.pi * cfg.geometry.f_rot_hz * t_phi * 1e-6
+    ang = 2.0 * math.pi * cfg.geometry.f_rot_hz * cfg.strobe.t_phi_us * 1e-6
     x, y = emitter_position_um[0], emitter_position_um[1]
     return (
         x * math.cos(ang) - y * math.sin(ang),
@@ -267,7 +254,12 @@ def strobed_center_um(
 def spot_centers_um(
     cfg: ExperimentConfig, emitters: EmitterSet, stationary: bool = False
 ) -> list[tuple[float, float]]:
-    """Where each emitter's spot appears: its trigger position, or strobed by t_phi."""
+    """Where each emitter's spot appears: its trigger position, or strobed by t_phi.
+
+    An emitter radius or wobble the render refuses is refused here already,
+    before a window is built around the spots.
+    """
+    check_arc_lengths(emitters, cfg.strobe, stationary)
     return [
         (e.position_um[0], e.position_um[1]) if stationary else strobed_center_um(cfg, e.position_um)
         for e in emitters.emitters
@@ -275,21 +267,16 @@ def spot_centers_um(
 
 
 def simulate_image(
-    cfg: ExperimentConfig,
-    grid: ScanGrid,
-    emitters: EmitterSet | None = None,
-    stationary: bool = False,
-    seed: int | None = None,
+    cfg: ExperimentConfig, grid: ScanGrid, emitters: EmitterSet | None = None, stationary: bool = False
 ) -> tuple[StrobedImage, list[dict]]:
     """Render a strobed image and fit the width of every emitter's spot."""
     emitters = emitters if emitters is not None else default_emitters(cfg)
-    seed = cfg.seed if seed is None else seed
     image = render_image(
         grid,
         emitters,
         cfg.geometry,
         cfg.strobe,
-        seed=seed,
+        seed=cfg.seed,
         stationary=stationary,
         max_pixels=cfg.protocol.max_image_pixels,
     )
@@ -309,14 +296,12 @@ def simulate_image(
 # dataset / image file formats
 
 
-def format_dataset(
-    names: tuple[str, ...], columns, meta: dict, cfg: ExperimentConfig, seed: int
-) -> str:
+def format_dataset(names: tuple[str, ...], columns, meta: dict, cfg: ExperimentConfig) -> str:
     lines = ["# rotornv-dataset v1"]
     for key in sorted(meta):
         lines.append(f"# {key}: {meta[key]}")
     lines.append(f"# config_sha256: {cfg.sha256()}")
-    lines.append(f"# seed: {seed}")
+    lines.append(f"# seed: {cfg.seed}")
     lines.append("# columns: " + " ".join(names))
     # one %-format of the whole table: the same text as f"{v:.9g}" per value
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
@@ -383,9 +368,7 @@ def read_echo_dataset(path: str) -> tuple[EchoDataset, dict]:
     return EchoDataset(rows[:, 0], rows[:, 1], rows[:, 2]), meta
 
 
-def format_image(
-    image: StrobedImage, cfg: ExperimentConfig, seed: int, csv: bool = False
-) -> str:
+def format_image(image: StrobedImage, cfg: ExperimentConfig, csv: bool = False) -> str:
     sep = "," if csv else " "
     lines = ["# rotornv-image v1"]
     lines.append(f"# x_min_um: {image.x_um[0]:.9g}")
@@ -399,7 +382,7 @@ def format_image(
     lines.append(f"# duty_cycle: {image.duty_cycle:.9g}")
     lines.append(f"# stationary: {image.meta.get('stationary', False)}")
     lines.append(f"# config_sha256: {cfg.sha256()}")
-    lines.append(f"# seed: {seed}")
+    lines.append(f"# seed: {cfg.seed}")
     lines.append("# rows: y ascending; columns: x ascending; integer counts")
     lines.extend(sep.join(map(str, row)) for row in image.counts.tolist())
     return "\n".join(lines) + "\n"

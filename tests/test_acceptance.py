@@ -4,6 +4,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see every line.  All
 tolerances are fixed here; nothing is calibrated at test time.
 """
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -165,7 +166,8 @@ def test_criterion_7_closed_loop_sensing():
     hits = 0
     sigmas = []
     for trial in range(100):
-        data, _ = pipeline.simulate_echo_scan(cfg, taus, shots_per_point=shots, seed=9000 + trial)
+        trial_cfg = dataclasses.replace(cfg, seed=9000 + trial)
+        data, _ = pipeline.simulate_echo_scan(trial_cfg, taus, shots_per_point=shots)
         fit = fit_echo(data, model)
         b_hat = fit.params["b_perp_gauss"]
         s_hat = fit.sigmas["b_perp_gauss"]
@@ -245,9 +247,9 @@ def test_criterion_9_imaging_widths():
 
 
 def test_criterion_10_rabi_recovery():
-    cfg = config_from_dict({})
+    cfg = config_from_dict({"seed": 10})
     durations = np.linspace(0.0, 1.1, 40)
-    data, _ = pipeline.simulate_rabi_scan(cfg, durations, shots_per_point=100_000, seed=10)
+    data, _ = pipeline.simulate_rabi_scan(cfg, durations, shots_per_point=100_000)
     fit = fit_rabi(data)
     omega = fit.params["rabi_freq_mhz"]
     sigma = fit.sigmas["rabi_freq_mhz"]

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import json
@@ -70,6 +71,25 @@ class TestConfig:
         cfg = config_from_dict({"field": {"mw_dir": [2.0, 0.0, 0.0]}})
         assert cfg.field_cfg.mw_dir == pytest.approx((1.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("mw_dir", ["[1,1,0]", "[1,2,2.5]", "[0.6,0.8,0]"])
+    def test_dumped_mw_dir_reparses_to_the_same_dump(self, tmp_path, mw_dir):
+        # [1,1,0] normalised to 0.7071067811865475, which normalised again
+        # to 0.7071067811865476: the reparsed config had another hash
+        first, again = tmp_path / "first.json", tmp_path / "again.json"
+        assert main(["dump-config", "--set", f"field.mw_dir={mw_dir}", "--seed", "7", "-o", str(first)]) == 0
+        assert main(["dump-config", "--config", str(first), "-o", str(again)]) == 0
+        assert again.read_text() == first.read_text()
+
+    def test_to_dict_returns_a_fresh_copy(self):
+        cfg = config_from_dict({"field": {"theta_b_deg": 1.0}})
+        before = cfg.to_dict()
+        mutated = cfg.to_dict()
+        mutated["field"]["theta_b_deg"] = 5.0
+        mutated["geometry"].clear()
+        mutated["seed"] = 99
+        assert cfg.field_cfg.theta_b_deg == 1.0 and cfg.geometry.r_nv_um == 10.0 and cfg.seed == 1
+        assert cfg.to_dict() == before
+
 
 class TestPipeline:
     def test_echo_population_matches_model(self, cfg_tilted):
@@ -122,7 +142,7 @@ class TestPipeline:
         data, meta = pipeline.simulate_echo_scan(cfg_tilted, taus, shots_per_point=50_000)
         text = pipeline.format_dataset(
             ("tau_us", "signal", "sigma"), (data.tau_us, data.signal, data.sigma),
-            meta, cfg_tilted, cfg_tilted.seed,
+            meta, cfg_tilted,
         )
         path = tmp_path / "echo.dat"
         path.write_text(text)
@@ -146,7 +166,7 @@ class TestPipeline:
     def test_batched_scan_matches_ode_oracle(self, overrides, scan):
         cfg = apply_overrides(config_from_dict({}), overrides)
         g, c, t_pulse = cfg.geometry, cfg.constants, cfg.strobe.t_pulse_us
-        cal = pipeline._calibration(cfg)
+        cal = pipeline.calibration(cfg)
         kind, variant = scan.split("-")
 
         def compiled(text):
@@ -206,20 +226,25 @@ class TestPipeline:
             assert abs(got - want) <= 1e-15 * abs(want)
 
     def test_sample_scan_repeats_per_stream(self, cfg_default):
-        resp = pipeline.window_response(cfg_default)
+        cfg = dataclasses.replace(cfg_default, seed=7)
         p1 = np.linspace(0.0, 1.0, 50)
-        a = pipeline._sample_scan(p1, resp, 1000, 7, 17)
-        b = pipeline._sample_scan(p1, resp, 1000, 7, 17)
-        c = pipeline._sample_scan(p1, resp, 1000, 7, 29)
+
+        def sample(stream):
+            data, _ = pipeline._sample_scan(cfg, range(50), "axis", lambda axis: p1, 1000, stream)
+            return data.signal, data.sigma
+
+        a, b, c = sample(17), sample(17), sample(29)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         assert not np.array_equal(a[0], c[0])
 
-    def test_sample_scan_statistics(self):
+    def test_sample_scan_statistics(self, cfg_default):
         # ~1e6 counts per window, so E[s/r] and E[s]/E[r] differ by ~1e-6,
         # far below the standard error of the mean over 20 000 points
-        resp = pipeline.WindowResponse(n_bright=10.0, n_dark=7.0)
-        p, shots, n = 0.3, 100_000, 20_000
-        signal, sigma = pipeline._sample_scan(np.full(n, p), resp, shots, 3, 17)
+        cfg = dataclasses.replace(cfg_default, seed=3)
+        resp = pipeline.window_response(cfg)
+        p, shots, n = 0.3, round(1e6 / resp.n_bright), 20_000
+        data, resp = pipeline._sample_scan(cfg, range(n), "axis", lambda axis: np.full(n, p), shots, 17)
+        signal, sigma = data.signal, data.sigma
         expected = float(resp.expected(p)) / resp.n_bright
         assert abs(signal.mean() - expected) <= 4.0 * signal.std(ddof=1) / math.sqrt(n)
         # the std of the sample std is ~0.5 % at n = 20 000; allow 5 %
@@ -391,7 +416,7 @@ class TestCliSubcommands:
             pipeline.format_dataset(
                 ("tau_us", "signal", "sigma"),
                 (data.tau_us, data.signal, data.sigma),
-                meta, cfg, cfg.seed,
+                meta, cfg,
             )
         )
         res = run_cli(["fit", str(path), "--model", "echo", "--max-iter", "1"])
@@ -685,12 +710,18 @@ _FAR_EMITTER = ["--emitters", "1e155,0", "--x-min", "-1", "--x-max", "1", "--y-m
         (_IMAGE_1MS + _FAR_EMITTER, ("--emitters",)),
         # "overflow encountered in square" in the distance to each pixel
         (_IMAGE_1MS + _FAR_EMITTER + ["--stationary"], ("--emitters",)),
+        # the default window around a spot that far out rounded to one float:
+        # "scan ranges must be increasing (min, max) pairs"
+        (_IMAGE_1MS + ["--set", "geometry.r_nv_um=1e155"], ("geometry.r_nv_um", "--emitters")),
+        (_IMAGE_1MS + ["--set", "geometry.r_nv_um=1e155", "--stationary"], ("geometry.r_nv_um", "--emitters")),
+        (_IMAGE_1MS + ["--emitters", "1e155,0"], ("--emitters",)),
         # squaring the wobble overflowed
         (_IMAGE_1MS + ["--set", "strobe.wobble_amp_um=1e160"], ("strobe.wobble_amp_um",)),
         # the wobble, not the 10 um orbit, widens the arc past the node budget
         (_IMAGE_1MS + ["--set", "strobe.wobble_amp_um=1e10"], ("strobe.wobble_amp_um",)),
     ],
-    ids=["gamma-c13", "b0", "far-emitter", "far-emitter-stationary", "huge-wobble", "wide-wobble"],
+    ids=["gamma-c13", "b0", "far-emitter", "far-emitter-stationary", "far-orbit-default-window",
+         "far-orbit-default-window-stationary", "far-emitter-default-window", "huge-wobble", "wide-wobble"],
 )
 def test_out_of_range_bath_or_blur_exit_2(argv, names, capsys):
     code, err = _main_exit([*argv, "-o", os.devnull], capsys)
@@ -993,7 +1024,7 @@ def _tables(draw):
 @given(columns=_tables())
 def test_dataset_text_matches_the_per_value_oracle(columns):
     names = tuple(f"c{i}" for i in range(len(columns)))
-    text = pipeline.format_dataset(names, columns, {"kind": "x"}, config_from_dict({}), 1)
+    text = pipeline.format_dataset(names, columns, {"kind": "x"}, config_from_dict({}))
     header, _, rows = text.partition("# columns: " + " ".join(names) + "\n")
     assert header.startswith("# rotornv-dataset v1\n")
     assert rows == dataset_oracle.format_rows(columns)

@@ -153,6 +153,13 @@ class TestValidation:
         assert v == pytest.approx((0.6, 0.8, 0.0))
         FieldConfig(mw_dir=v)  # passes the 1e-12 invariant
 
+    def test_unit_keeps_a_vector_already_of_unit_length(self):
+        v = unit((1.0, 1.0, 0.0))
+        assert unit(v) == v  # dividing by its norm again moved its last bits
+        near = (0.6, 0.8, 1e-13)
+        assert unit(near) == near
+        assert unit((0.6, 0.8, 1e-5)) != (0.6, 0.8, 1e-5)
+
     def test_constants_positive(self):
         with pytest.raises(ValidationError):
             PhysicalConstants(gamma_e_mhz_per_g=-1.0)
