@@ -119,8 +119,11 @@ class FieldConfig:
     def __post_init__(self):
         if self.b0_gauss < 0:
             raise ValidationError("b0_gauss must be non-negative")
-        norm = float(np.linalg.norm(self.mw_dir))
-        if abs(norm - 1.0) > UNIT_TOLERANCE:
+        vec = np.asarray(self.mw_dir, dtype=float)
+        if vec.shape != (3,):
+            raise ValidationError(f"mw_dir must be a 3-vector, got shape {vec.shape}")
+        norm = float(np.linalg.norm(vec))
+        if not abs(norm - 1.0) <= UNIT_TOLERANCE:  # a NaN norm fails too
             raise ValidationError(
                 f"mw_dir must be a unit vector (|mw_dir| = {norm!r}); use geometry.unit()"
             )

@@ -18,8 +18,10 @@ from rotornv.estimation import (
     _echo_basis,
     _solve_linear_pair,
 )
+from rotornv.cli import main
 from rotornv.geometry import TWO_PI
 from rotornv.imaging import StrobedImage, fit_spot_width
+from rotornv.pipeline import read_echo_dataset
 from lsq_oracle import grid_oracle, lm_problem, numeric_jacobian
 
 
@@ -274,6 +276,107 @@ class TestFitRabi:
         t = np.linspace(0.0, 1.0, 5)
         with pytest.raises(ValidationError):
             fit_rabi(EchoDataset(t, np.zeros(5), np.ones(5)))
+
+
+# The chirp-z start scan against the sine grid it stands in for.  Both take
+# the SSE as a difference of sums up to ~1e6 times larger on the quietest
+# data here, so rounding alone reaches ~1e-9 of it; a relative error above
+# this bound is no rounding.
+SCAN_RTOL = 1e-7
+
+
+def _rabi_scan(rng, t, omega, contrast, sigma):
+    y = 0.9 + contrast * np.sin(math.pi * omega * t) ** 2 + sigma * rng.standard_normal(t.size)
+    return EchoDataset(t, y, np.full(t.size, sigma))
+
+
+def _assert_same_start(data):
+    """The chirp-z SSE matches the sine grid and picks its start, or LM ends as from the grid's."""
+    t, n = data.tau_us, len(data)
+    span = t[-1] - t[0]
+    grid = np.linspace(0.25 / span, 0.5 * n / span, 256)
+    w = 1.0 / data.sigma**2
+    fast = estimation._chirp_z_sse(t[0], span / (n - 1), data.signal, w, grid)
+    oracle = estimation._sine_grid_sse(t, data.signal, w, grid)
+    assert np.max(np.abs(fast - oracle) / oracle) <= SCAN_RTOL
+    i, j = int(np.argmin(fast)), int(np.argmin(oracle))
+    if i != j:  # a near-tie flipped the cell: both starts must reach one optimum
+        a, b = (fit_rabi(data, {"rabi_freq_mhz": grid[k]}) for k in (i, j))
+        assert a.params["rabi_freq_mhz"] == pytest.approx(b.params["rabi_freq_mhz"], abs=1e-6)
+
+
+def _spy_start_scans(monkeypatch):
+    """Record (scan, number of candidates) for each start scan fit_rabi runs."""
+    calls = []
+    for name in ("_chirp_z_sse", "_sine_grid_sse"):
+        real = getattr(estimation, name)
+
+        def spy(*args, real=real, name=name):
+            calls.append((name, args[-1].size))
+            return real(*args)
+
+        monkeypatch.setattr(estimation, name, spy)
+    return calls
+
+
+class TestRabiStartScan:
+    def test_chirp_z_scan_matches_the_sine_grid(self):
+        rng = np.random.default_rng(18)
+        for case in range(60):
+            n = (6, 800)[case] if case < 2 else int(rng.integers(6, 801))
+            span = rng.uniform(0.2, 5.0)
+            t0 = rng.uniform(0.05, 3.0) if case % 3 else 0.0
+            top = 0.5 * n / span  # the top of the scan grid
+            # every other case near the top, where the grid's cells alias
+            omega = rng.uniform(0.97, 1.0) * top if case % 2 else rng.uniform(0.5, 0.9 * top)
+            contrast = rng.choice([-1.0, 1.0]) * rng.choice([0.02, 0.1, 0.3])
+            sigma = rng.choice([1e-3, 1e-2, 5e-2])
+            t = np.linspace(t0, t0 + span, n)
+            _assert_same_start(_rabi_scan(rng, t, omega, contrast, sigma))
+
+    @pytest.mark.parametrize("durations", ["0:1.1:400", "0.3:1.4:400", "0:2.2:800"])
+    @pytest.mark.parametrize("pulse_at", ["start", "half"])
+    def test_written_scan_read_back_takes_the_same_start(self, tmp_path, durations, pulse_at):
+        # the %.9g dataset text moves each duration off the uniform grid
+        path = str(tmp_path / "rabi.dat")
+        argv = ["simulate-rabi", "--durations", durations, "--pulse-at", pulse_at, "--seed", "18"]
+        assert main([*argv, "-o", path]) == 0
+        data, _ = read_echo_dataset(path)
+        t = data.tau_us
+        steps = (t - t[0]) / ((t[-1] - t[0]) / (t.size - 1))
+        assert np.max(np.abs(steps - np.arange(t.size))) <= estimation._UNIFORM_STEP_TOLERANCE
+        _assert_same_start(data)
+
+    def test_uniform_durations_take_the_chirp_z_scan_and_fit_as_the_sine_grid(self, monkeypatch):
+        data = _rabi_scan(np.random.default_rng(3), np.linspace(0.2, 1.3, 400), 3.6, -0.25, 0.01)
+        calls = _spy_start_scans(monkeypatch)
+        fit = fit_rabi(data)
+        assert calls == [("_chirp_z_sse", 256)]
+        monkeypatch.setattr(estimation, "_UNIFORM_STEP_TOLERANCE", -1.0)  # no grid is uniform
+        assert fit_rabi(data).as_text() == fit.as_text()
+        assert calls[1:] == [("_sine_grid_sse", 256)]
+
+    def test_comma_list_durations_take_the_sine_grid(self, tmp_path, monkeypatch):
+        durations = "0,0.03,0.07,0.12,0.18,0.25,0.33,0.42,0.52,0.63,0.75,0.88,1.02"
+        path = str(tmp_path / "rabi.dat")
+        assert main(["simulate-rabi", "--durations", durations, "--seed", "5", "-o", path]) == 0
+        data, _ = read_echo_dataset(path)
+        calls = _spy_start_scans(monkeypatch)
+        fit = fit_rabi(data)
+        assert calls == [("_sine_grid_sse", 256)]
+        t = data.tau_us
+        grid = np.linspace(0.25 / (t[-1] - t[0]), 0.5 * t.size / (t[-1] - t[0]), 256)
+        u = np.sin(math.pi * grid[:, None] * t) ** 2
+        sse = _solve_linear_pair(u, data.signal, 1.0 / data.sigma**2)[2]
+        start = {"rabi_freq_mhz": float(grid[np.argmin(sse)])}
+        assert fit.as_text() == fit_rabi(data, start).as_text()
+
+    def test_initial_start_takes_the_sine_grid(self, monkeypatch):
+        data = _rabi_scan(np.random.default_rng(4), np.linspace(0.0, 1.1, 40), 3.6, -0.25, 0.02)
+        calls = _spy_start_scans(monkeypatch)
+        fit = fit_rabi(data, {"rabi_freq_mhz": 3.5})
+        assert calls == [("_sine_grid_sse", 1)]
+        assert abs(fit.params["rabi_freq_mhz"] - 3.6) < 3.0 * fit.sigmas["rabi_freq_mhz"]
 
 
 class TestProfiles:

@@ -148,6 +148,16 @@ class TestValidation:
         with pytest.raises(ValidationError):
             FieldConfig(mw_dir=(1.0, 1.0, 0.0))
 
+    def test_mw_dir_with_a_nan_is_refused(self):
+        # abs(nan - 1) > tolerance is False, so a bare comparison let it through
+        with pytest.raises(ValidationError, match="mw_dir"):
+            FieldConfig(mw_dir=(math.nan, 0.0, 0.0))
+
+    def test_mw_dir_must_have_three_components(self):
+        # (1, 0) has norm 1
+        with pytest.raises(ValidationError, match="mw_dir"):
+            FieldConfig(mw_dir=(1.0, 0.0))
+
     def test_unit_helper_normalises(self):
         v = unit((3.0, 4.0, 0.0))
         assert v == pytest.approx((0.6, 0.8, 0.0))

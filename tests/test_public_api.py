@@ -1,6 +1,8 @@
 """The names ``rotornv`` exports: each resolves, no other is listed, and retired ones stay gone."""
 
 import inspect
+import subprocess
+import sys
 
 import pytest
 
@@ -101,3 +103,18 @@ def test_export_resolves(name):
 @pytest.mark.parametrize("name", RETIRED)
 def test_retired_name_is_gone(name):
     assert not hasattr(rotornv, name)
+
+
+def test_import_leaves_numpy_fft_unloaded():
+    # numpy 2 loads numpy.fft on first use, and only the Rabi fit's start scan
+    # uses it: importing the package adds no numpy.fft module to a bare numpy's
+    script = (
+        "import sys, numpy\n"
+        "fft = lambda: {m for m in sys.modules if m.startswith('numpy.fft')}\n"
+        "before = fft()\n"
+        "import rotornv\n"
+        "print(sorted(fft() - before))"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
