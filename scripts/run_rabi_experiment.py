@@ -22,12 +22,10 @@ OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "out")
 
 def main():
     os.makedirs(OUT_DIR, exist_ok=True)
-    cfg = config_from_dict({"seed": 77})
+    cfg = config_from_dict({"seed": 77, "protocol": {"shots_per_point": 100_000}})
     durations = np.linspace(0.0, 1.1, 40)
     for variant in ("start", "half"):
-        data, meta = pipeline.simulate_rabi_scan(
-            cfg, durations, pulse_at=variant, shots_per_point=100_000
-        )
+        data, meta = pipeline.simulate_rabi_scan(cfg, durations, pulse_at=variant)
         path = os.path.join(OUT_DIR, f"rabi_{variant}.dat")
         with open(path, "w") as fh:
             fh.write(

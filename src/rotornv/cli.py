@@ -3,7 +3,8 @@
 Subcommands: simulate-rabi, simulate-echo, simulate-image, simulate-readout,
 compile-seq, fit, dump-config.  The experiment configuration comes from
 ``--config`` (or the ROTORNV_CONFIG environment variable) with
-``--set section.key=value`` overrides; every output file carries the config
+``--set section.key=value`` overrides (a scan's ``--shots`` sets
+``protocol.shots_per_point``); every output file carries the config
 hash and seed in its header, and identical config + seed reproduce files
 byte for byte.
 
@@ -43,8 +44,15 @@ DEBUG_ENV_VAR = "ROTORNV_DEBUG"
 def _load_effective_config(args) -> ExperimentConfig:
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     cfg = load_config(path) if path else config_from_dict({})
-    # one pass; --seed comes last, so it wins over --set seed=...
-    overrides = args.set if args.seed is None else [*args.set, f"seed={args.seed}"]
+    # one pass; --seed and then a scan's --shots come last, so they win over --set
+    overrides = list(args.set)
+    if args.seed is not None:
+        overrides.append(f"seed={args.seed}")
+    shots = getattr(args, "shots_per_point", None)
+    if shots is not None:
+        if shots < 1:
+            raise ValidationError(f"--shots (shots_per_point) must be >= 1, got {shots}")
+        overrides.append(f"protocol.shots_per_point={shots}")
     return apply_overrides(cfg, overrides) if overrides else cfg
 
 
@@ -96,7 +104,7 @@ def _parse_emitters(text: str, default_cps: float) -> EmitterSet:
         if len(vals) not in (2, 3) or not all(math.isfinite(v) for v in vals):
             raise ValidationError(f"--emitters {part!r} must be x,y or x,y,cps with finite values")
         cps = vals[2] if len(vals) == 3 else default_cps
-        ems.append(Emitter((vals[0], vals[1], 0.0), cps))
+        ems.append(Emitter((vals[0], vals[1]), cps))
     return EmitterSet(tuple(ems))
 
 
@@ -114,18 +122,14 @@ def _write_scan(args, cfg: ExperimentConfig, axis: str, data, meta: dict) -> int
 def cmd_simulate_rabi(args) -> int:
     cfg = _load_effective_config(args)
     durations = _parse_scan(args.durations, "--durations")
-    data, meta = pipeline.simulate_rabi_scan(
-        cfg, durations, pulse_at=args.pulse_at, shots_per_point=args.shots
-    )
+    data, meta = pipeline.simulate_rabi_scan(cfg, durations, pulse_at=args.pulse_at)
     return _write_scan(args, cfg, "duration_us", data, meta)
 
 
 def cmd_simulate_echo(args) -> int:
     cfg = _load_effective_config(args)
     taus = _parse_scan(args.tau, "--tau")
-    data, meta = pipeline.simulate_echo_scan(
-        cfg, taus, ideal_pulses=not args.finite_pulses, shots_per_point=args.shots
-    )
+    data, meta = pipeline.simulate_echo_scan(cfg, taus, ideal_pulses=not args.finite_pulses)
     return _write_scan(args, cfg, "tau_us", data, meta)
 
 
@@ -250,17 +254,22 @@ def _common_arguments(p) -> None:
     p.add_argument("-o", "--output", default="-", help="output path ('-' = stdout)")
 
 
+def _scan_shots_argument(p) -> None:
+    p.add_argument("--shots", type=int, default=None, dest="shots_per_point",
+                   help="repetitions per point (sets protocol.shots_per_point)")
+
+
 def _simulate_rabi_arguments(p) -> None:
     p.add_argument("--durations", default="0.0:1.1:40", help="us scan: start:stop:n or list")
     p.add_argument("--pulse-at", choices=("start", "half"), default="start")
-    p.add_argument("--shots", type=int, default=None, help="repetitions per point")
+    _scan_shots_argument(p)
     p.set_defaults(func=cmd_simulate_rabi)
 
 
 def _simulate_echo_arguments(p) -> None:
     p.add_argument("--tau", default="2.0:21.0:16", help="us scan: start:stop:n or list")
     p.add_argument("--finite-pulses", action="store_true", help="use finite calibrated pulses")
-    p.add_argument("--shots", type=int, default=None)
+    _scan_shots_argument(p)
     p.set_defaults(func=cmd_simulate_echo)
 
 

@@ -45,14 +45,13 @@ def unit(v) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Spin constants: electron and carbon-13 gyromagnetic ratios, zero-field splitting."""
+    """Spin constants: the electron and carbon-13 gyromagnetic ratios."""
 
     gamma_e_mhz_per_g: float = 2.802
     gamma_c13_khz_per_g: float = 1.075
-    d_zfs_ghz: float = 2.87
 
     def __post_init__(self):
-        for name in ("gamma_e_mhz_per_g", "gamma_c13_khz_per_g", "d_zfs_ghz"):
+        for name in ("gamma_e_mhz_per_g", "gamma_c13_khz_per_g"):
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be strictly positive")
 
@@ -104,17 +103,17 @@ class RotorGeometry:
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """Static bias field (magnitude and orientation) and microwave drive.
+    """Static bias field (magnitude and orientation) and microwave drive direction.
 
-    ``mw_dir`` must be a unit vector (checked to UNIT_TOLERANCE); ``mw_amp_gauss``
-    scales the transverse coupling returned by :func:`mw_coupling`.
+    ``mw_dir`` must be a unit vector (checked to UNIT_TOLERANCE).  The drive
+    strength is ``protocol.base_rabi_mhz``: the calibration scales the
+    coupling of :func:`mw_coupling` to it.
     """
 
     b0_gauss: float = 6.2
     theta_b_deg: float = 0.0
     phi_b_deg: float = 0.0
     mw_dir: tuple[float, float, float] = (1.0, 0.0, 0.0)
-    mw_amp_gauss: float = 1.0
 
     def __post_init__(self):
         if self.b0_gauss < 0:
@@ -204,12 +203,12 @@ def zeeman_projection(g: RotorGeometry, f: FieldConfig, c: PhysicalConstants, t_
 
 
 def mw_coupling(g: RotorGeometry, f: FieldConfig, t_s):
-    """Transverse microwave amplitude |nv_axis(t) x mw_dir| * mw_amp.
+    """Relative transverse microwave amplitude |nv_axis(t) x mw_dir|, at most 1.
 
     The cross-product magnitude modulates the achievable Rabi frequency as
     the diamond rotates; pulse calibration tables are built from it.
     """
     n = nv_axis(g, t_s)
     cross = np.cross(n, f.mw_dir_vec)
-    out = f.mw_amp_gauss * np.linalg.norm(cross, axis=-1)
+    out = np.linalg.norm(cross, axis=-1)
     return float(out) if np.isscalar(t_s) else out

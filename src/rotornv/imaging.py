@@ -89,8 +89,8 @@ class ScanGrid:
     Depth scans use an axially elongated response and are qualitative only.
     """
 
-    x_range_um: tuple[float, float] = (6.0, 14.0)
-    y_range_um: tuple[float, float] = (-4.0, 4.0)
+    x_range_um: tuple[float, float]
+    y_range_um: tuple[float, float]
     step_um: float = 0.2
     dwell_ms: float = 200.0
     plane: str = "xy"
@@ -169,12 +169,14 @@ class StrobeConfig:
 
 @dataclass(frozen=True)
 class Emitter:
-    """Point emitter: position at the trigger edge and stationary peak brightness."""
+    """Point emitter: (x, y) position at the trigger edge and stationary peak brightness."""
 
-    position_um: tuple[float, float, float]
+    position_um: tuple[float, float]
     brightness_cps: float = 1e5
 
     def __post_init__(self):
+        if len(self.position_um) != 2:
+            raise ValidationError(f"position_um must be an (x, y) pair, got {self.position_um!r}")
         if self.brightness_cps < 0:
             raise ValidationError("brightness_cps must be non-negative")
 
@@ -189,7 +191,7 @@ class EmitterSet:
 
     @classmethod
     def single(cls, x_um: float, y_um: float, brightness_cps: float = 1e5) -> "EmitterSet":
-        return cls((Emitter((x_um, y_um, 0.0), brightness_cps),))
+        return cls((Emitter((x_um, y_um), brightness_cps),))
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,7 +365,7 @@ def check_arc_lengths(emitters: EmitterSet, strobe: StrobeConfig, stationary: bo
     the render's node count.  Returns what sets it and the knob that lowers
     it, for the refusals to name.
     """
-    r_max = max(math.hypot(*e.position_um[:2]) for e in emitters.emitters)
+    r_max = max(math.hypot(*e.position_um) for e in emitters.emitters)
     wobble = 0.0 if stationary else strobe.wobble_amp_um
     orbit_wider = r_max >= 3.0 * wobble
     arc_input = f"an emitter at radius {r_max:g} um" if orbit_wider else f"strobe.wobble_amp_um = {wobble:g}"
@@ -404,7 +406,7 @@ def _pixel_moments(
     xs, ys = grid.x_coords_um, grid.y_coords_um
     n_cycles = _cycles(grid, g)
     depth_scan = grid.plane == "xz"
-    pos0 = np.array([e.position_um[:2] for e in emitters.emitters])  # (n_e, 2)
+    pos0 = np.array([e.position_um for e in emitters.emitters])  # (n_e, 2)
     c = np.array([e.brightness_cps for e in emitters.emitters]) * (strobe.t_pulse_us * 1e-6)
     check_expected_counts(
         c.sum() * n_cycles, "the emitter brightness (beam.peak_counts_stationary_cps) or dwell_ms"

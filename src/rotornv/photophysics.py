@@ -651,8 +651,8 @@ def optimal_turn_on(
     g: RotorGeometry,
     b: BeamProfile,
     m: RateModel,
-    t_pulse_us: float = 2.0,
-    window_us: float = 0.5,
+    t_pulse_us: float,
+    window_us: float,
 ) -> float:
     """Laser turn-on offset (relative to beam-centre crossing) maximising contrast SNR.
 

@@ -130,22 +130,14 @@ def echo_params_from_config(cfg: ExperimentConfig) -> spindyn.EchoParams:
     )
 
 
-def _shots(cfg: ExperimentConfig, shots_per_point: int | None) -> int:
-    """Repetitions per point: the override (the CLI's --shots) or the configured count."""
-    if shots_per_point is None:
-        return cfg.protocol.shots_per_point
-    if shots_per_point < 1:
-        raise ValidationError(f"--shots (shots_per_point) must be >= 1, got {shots_per_point}")
-    return shots_per_point
-
-
 def _sample_scan(
-    cfg: ExperimentConfig, values, name: str, populations, shots_per_point: int | None, stream: int
+    cfg: ExperimentConfig, values, name: str, populations, stream: int
 ) -> tuple[EchoDataset, WindowResponse]:
     """Sort and check the scan axis ``values`` (``name``), then Poisson-sample its windows.
 
-    ``populations`` maps the sorted axis to P(m_S = -1) at readout.  Both
-    draws come from one stream, ``default_rng([cfg.seed, stream])``.  The
+    ``populations`` maps the sorted axis to P(m_S = -1) at readout.  Each
+    point takes ``protocol.shots_per_point`` repetitions.  Both draws come
+    from one stream, ``default_rng([cfg.seed, stream])``.  The
     dataset holds the per-point ratio signal/reference, each count clamped
     at 1, and its shot-noise standard error.
     """
@@ -154,7 +146,7 @@ def _sample_scan(
     axis = np.asarray(sorted(float(v) for v in values), dtype=float)
     if axis.size == 0:
         raise ValidationError(f"{name} is empty")
-    shots = _shots(cfg, shots_per_point)
+    shots = cfg.protocol.shots_per_point
     p_ms1 = populations(axis)
     resp = window_response(cfg)
     check_expected_counts(
@@ -169,15 +161,15 @@ def _sample_scan(
 
 
 def simulate_echo_scan(
-    cfg: ExperimentConfig, tau_list, ideal_pulses: bool = True, shots_per_point: int | None = None
+    cfg: ExperimentConfig, tau_list, ideal_pulses: bool = True
 ) -> tuple[EchoDataset, dict]:
     """Echo fringe dataset (tau_us, signal, sigma) with Poisson error bars."""
     data, resp = _sample_scan(
-        cfg, tau_list, "tau_list", lambda tau: echo_populations(cfg, tau, ideal_pulses), shots_per_point, 17
+        cfg, tau_list, "tau_list", lambda tau: echo_populations(cfg, tau, ideal_pulses), 17
     )
     meta = {
         "kind": "echo-scan",
-        "shots_per_point": _shots(cfg, shots_per_point),
+        "shots_per_point": cfg.protocol.shots_per_point,
         "ideal_pulses": ideal_pulses,
         "window_contrast": resp.contrast,
         "n_bright_per_shot": resp.n_bright,
@@ -207,16 +199,16 @@ def rabi_populations(cfg: ExperimentConfig, durations_us, pulse_at: str = "start
 
 
 def simulate_rabi_scan(
-    cfg: ExperimentConfig, durations_us, pulse_at: str = "start", shots_per_point: int | None = None
+    cfg: ExperimentConfig, durations_us, pulse_at: str = "start"
 ) -> tuple[EchoDataset, dict]:
     """Rabi dataset (duration_us, signal, sigma) through the full pipeline."""
     data, resp = _sample_scan(
-        cfg, durations_us, "durations_us", lambda d: rabi_populations(cfg, d, pulse_at), shots_per_point, 29
+        cfg, durations_us, "durations_us", lambda d: rabi_populations(cfg, d, pulse_at), 29
     )
     meta = {
         "kind": "rabi-scan",
         "pulse_at": pulse_at,
-        "shots_per_point": _shots(cfg, shots_per_point),
+        "shots_per_point": cfg.protocol.shots_per_point,
         "window_contrast": resp.contrast,
     }
     return data, meta
@@ -227,24 +219,23 @@ def simulate_rabi_scan(
 
 
 def default_emitters(cfg: ExperimentConfig) -> EmitterSet:
-    """Two emitters on the configured orbit, a chord ``EMITTER_SEPARATION_UM`` apart."""
-    r = cfg.geometry.r_nv_um
+    """Two emitters on the configured orbit, a chord ``EMITTER_SEPARATION_UM`` apart.
+
+    They sit at azimuths phi_pos0 and phi_pos0 + dphi at the trigger edge.
+    """
+    g, b = cfg.geometry, cfg.beam.peak_counts_stationary_cps
+    r = g.r_nv_um
     if r <= 0:
-        return EmitterSet.single(0.0, 0.0, cfg.beam.peak_counts_stationary_cps)
+        return EmitterSet.single(0.0, 0.0, b)
     dphi = 2.0 * math.asin(min(EMITTER_SEPARATION_UM / (2.0 * r), 1.0))
-    b = cfg.beam.peak_counts_stationary_cps
-    return EmitterSet(
-        (
-            Emitter((r, 0.0, 0.0), b),
-            Emitter((r * math.cos(dphi), r * math.sin(dphi), 0.0), b),
-        )
-    )
+    phis = (g.phi_pos0_rad, g.phi_pos0_rad + dphi)
+    return EmitterSet(tuple(Emitter((r * math.cos(phi), r * math.sin(phi)), b) for phi in phis))
 
 
 def strobed_center_um(cfg: ExperimentConfig, emitter_position_um) -> tuple[float, float]:
     """Where an emitter appears in a strobed image (trigger position rotated by t_phi)."""
     ang = 2.0 * math.pi * cfg.geometry.f_rot_hz * cfg.strobe.t_phi_us * 1e-6
-    x, y = emitter_position_um[0], emitter_position_um[1]
+    x, y = emitter_position_um
     return (
         x * math.cos(ang) - y * math.sin(ang),
         x * math.sin(ang) + y * math.cos(ang),
@@ -261,7 +252,7 @@ def spot_centers_um(
     """
     check_arc_lengths(emitters, cfg.strobe, stationary)
     return [
-        (e.position_um[0], e.position_um[1]) if stationary else strobed_center_um(cfg, e.position_um)
+        e.position_um if stationary else strobed_center_um(cfg, e.position_um)
         for e in emitters.emitters
     ]
 

@@ -38,8 +38,7 @@ class EchoParams:
 
     ``b_perp_gauss`` is the AC-field amplitude B0 sin(theta_nv) sin(theta_b);
     ``b0_gauss`` is the full bias magnitude, which only enters through the
-    nuclear-bath revival time.  ``collapse_width_frac`` and
-    ``collapse_floor`` shape the phenomenological collapse between revivals.
+    nuclear-bath revival time.
     """
 
     b_perp_gauss: float = 0.088
@@ -48,8 +47,6 @@ class EchoParams:
     t2_us: float = 350.0
     envelope_exponent: float = 4.0
     b0_gauss: float = 6.2
-    collapse_width_frac: float = 0.1
-    collapse_floor: float = 0.02
 
     def __post_init__(self):
         if self.b_perp_gauss < 0:
@@ -150,6 +147,10 @@ def c13_revival_time_us(b0_gauss: float, c: PhysicalConstants) -> float:
     return tau_r
 
 
+# The phenomenological collapse between revivals: the dip width as a fraction
+# of the revival time, and the contrast left at a dip's centre.
+COLLAPSE_WIDTH_FRAC = 0.1
+COLLAPSE_FLOOR = 0.02
 # A dip 39 widths away is exp(-760.5): exactly 0 in floats, whose exp underflows below -745.2.
 _DIP_REACH_WIDTHS = 39.0
 
@@ -171,7 +172,7 @@ def c13_envelope(p: EchoParams, c: PhysicalConstants, tau_us):
     if np.any(tau < 0):
         raise ValidationError("tau_us must be non-negative")
     tau_r = c13_revival_time_us(p.b0_gauss, c)
-    width = p.collapse_width_frac * tau_r
+    width = COLLAPSE_WIDTH_FRAC * tau_r
     two_var = 2.0 * width**2 if width < 1e150 else math.inf  # the square overflows near 1e154
     if not 0.0 < two_var < math.inf:
         raise ValidationError(
@@ -186,7 +187,7 @@ def c13_envelope(p: EchoParams, c: PhysicalConstants, tau_us):
     for _ in range(min(int(reach) + 1, m_max + 1)):  # the most odd m in reach of one tau
         dips += np.where(m <= m_max, np.exp(-((tau - m * half) ** 2) / two_var), 0.0)
         m += 2.0
-    comb = 1.0 - (1.0 - p.collapse_floor) * np.clip(dips, 0.0, 1.0)
+    comb = 1.0 - (1.0 - COLLAPSE_FLOOR) * np.clip(dips, 0.0, 1.0)
     damp = np.exp(-((tau / p.t2_us) ** p.envelope_exponent))
     out = comb * damp
     return float(out) if np.isscalar(tau_us) else out

@@ -33,7 +33,7 @@ def pixel_moments(grid, emitters, g, strobe, psf_width_um=0.3, substeps=7, axial
     xs, ys = grid.x_coords_um, grid.y_coords_um
     n_cycles = _cycles(grid, g)
     depth_scan = grid.plane == "xz"
-    pos0 = np.array([e.position_um[:2] for e in emitters.emitters])
+    pos0 = np.array([e.position_um for e in emitters.emitters])
     c = np.array([e.brightness_cps for e in emitters.emitters]) * (strobe.t_pulse_us * 1e-6)
     lat_y = np.zeros_like(ys) if depth_scan else ys
     depth_arg = -2.0 * ys**2 / (axial_psf_factor * psf_width_um) ** 2 if depth_scan else np.zeros_like(ys)

@@ -27,7 +27,7 @@ from scipy import integrate, linalg
 
 from rotornv import geometry
 from rotornv.seqlang import TimelineBatch
-from rotornv.spindyn import c13_revival_time_us
+from rotornv.spindyn import COLLAPSE_FLOOR, COLLAPSE_WIDTH_FRAC, c13_revival_time_us
 
 TWO_PI = 2.0 * math.pi
 TARGET_ANGLES_RAD = {"pi": math.pi, "pi/2": math.pi / 2.0}
@@ -124,7 +124,7 @@ def c13_envelope_full_loop(p, c, tau_us):
     """The bath envelope with every odd dip m in [-m_max, m_max] added to every tau, in ascending m."""
     tau = np.asarray(tau_us, dtype=float)
     tau_r = c13_revival_time_us(p.b0_gauss, c)
-    width = p.collapse_width_frac * tau_r
+    width = COLLAPSE_WIDTH_FRAC * tau_r
     half = tau_r / 2.0
     m_max = int(np.ceil(float(np.max(tau, initial=0.0)) / half)) + 3
     dips = np.zeros_like(tau)
@@ -132,7 +132,7 @@ def c13_envelope_full_loop(p, c, tau_us):
         if m % 2 == 0:
             continue  # dips sit at odd multiples of tau_r/2 only
         dips += np.exp(-((tau - m * half) ** 2) / (2.0 * width**2))
-    comb = 1.0 - (1.0 - p.collapse_floor) * np.clip(dips, 0.0, 1.0)
+    comb = 1.0 - (1.0 - COLLAPSE_FLOOR) * np.clip(dips, 0.0, 1.0)
     damp = np.exp(-((tau / p.t2_us) ** p.envelope_exponent))
     out = comb * damp
     return float(out) if np.isscalar(tau_us) else out

@@ -162,12 +162,13 @@ def test_criterion_7_closed_loop_sensing():
     assert abs(b_true - 0.088) < 1e-12
     taus = np.linspace(2.0, 21.0, 16)
     shots = int(3e6 / taus.size)
+    cfg = dataclasses.replace(cfg, protocol=dataclasses.replace(cfg.protocol, shots_per_point=shots))
     model = EchoFitModel(constants=cfg.constants, f_rot_hz=cfg.geometry.f_rot_hz)
     hits = 0
     sigmas = []
     for trial in range(100):
         trial_cfg = dataclasses.replace(cfg, seed=9000 + trial)
-        data, _ = pipeline.simulate_echo_scan(trial_cfg, taus, shots_per_point=shots)
+        data, _ = pipeline.simulate_echo_scan(trial_cfg, taus)
         fit = fit_echo(data, model)
         b_hat = fit.params["b_perp_gauss"]
         s_hat = fit.sigmas["b_perp_gauss"]
@@ -223,8 +224,8 @@ def test_criterion_9_imaging_widths():
     dphi = 2.0 * math.asin(3.6 / 20.0)
     pair = EmitterSet(
         (
-            Emitter((10.0, 0.0, 0.0), 1e5),
-            Emitter((10.0 * math.cos(dphi), 10.0 * math.sin(dphi), 0.0), 1e5),
+            Emitter((10.0, 0.0), 1e5),
+            Emitter((10.0 * math.cos(dphi), 10.0 * math.sin(dphi)), 1e5),
         )
     )
     grid_2 = ScanGrid(x_range_um=(7.0, 12.5), y_range_um=(-1.8, 5.2), step_um=0.15, dwell_ms=200.0)
@@ -247,9 +248,9 @@ def test_criterion_9_imaging_widths():
 
 
 def test_criterion_10_rabi_recovery():
-    cfg = config_from_dict({"seed": 10})
+    cfg = config_from_dict({"seed": 10, "protocol": {"shots_per_point": 100_000}})
     durations = np.linspace(0.0, 1.1, 40)
-    data, _ = pipeline.simulate_rabi_scan(cfg, durations, shots_per_point=100_000)
+    data, _ = pipeline.simulate_rabi_scan(cfg, durations)
     fit = fit_rabi(data)
     omega = fit.params["rabi_freq_mhz"]
     sigma = fit.sigmas["rabi_freq_mhz"]

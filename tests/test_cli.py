@@ -34,6 +34,11 @@ def run_cli(args, **kw):
     )
 
 
+def _with_shots(cfg, shots):
+    """``cfg`` with ``protocol.shots_per_point`` set to ``shots``."""
+    return dataclasses.replace(cfg, protocol=dataclasses.replace(cfg.protocol, shots_per_point=shots))
+
+
 def _ideal_echo_batch(tau_us, t_rot_us, t_pulse_us):
     """The ideal echo as a batch of one, built apart from ``seqlang.ideal_echo_timeline``."""
     mw = lambda t, target: ("mw", target, t, 0.0, 1.0, 0.0)
@@ -120,29 +125,29 @@ class TestPipeline:
 
     def test_echo_scan_flat_when_aligned(self, cfg_default):
         taus = np.linspace(2.0, 21.0, 8)
-        data, meta = pipeline.simulate_echo_scan(cfg_default, taus, shots_per_point=200_000)
+        data, meta = pipeline.simulate_echo_scan(_with_shots(cfg_default, 200_000), taus)
         spread = np.max(data.signal) - np.min(data.signal)
         assert spread < 6.0 * np.median(data.sigma)
 
     def test_echo_scan_fringes_when_tilted(self, cfg_tilted):
         taus = np.linspace(2.0, 21.0, 16)
-        data, _ = pipeline.simulate_echo_scan(cfg_tilted, taus, shots_per_point=200_000)
+        data, _ = pipeline.simulate_echo_scan(_with_shots(cfg_tilted, 200_000), taus)
         spread = np.max(data.signal) - np.min(data.signal)
         assert spread > 10.0 * np.median(data.sigma)
 
     def test_shot_scaling_halves_error_bars(self, cfg_tilted):
         taus = np.linspace(2.0, 21.0, 8)
-        d1, _ = pipeline.simulate_echo_scan(cfg_tilted, taus, shots_per_point=100_000)
-        d4, _ = pipeline.simulate_echo_scan(cfg_tilted, taus, shots_per_point=400_000)
+        d1, _ = pipeline.simulate_echo_scan(_with_shots(cfg_tilted, 100_000), taus)
+        d4, _ = pipeline.simulate_echo_scan(_with_shots(cfg_tilted, 400_000), taus)
         ratio = np.median(d1.sigma) / np.median(d4.sigma)
         assert ratio == pytest.approx(2.0, rel=0.10)
 
     def test_dataset_round_trip(self, tmp_path, cfg_tilted):
         taus = np.linspace(2.0, 21.0, 8)
-        data, meta = pipeline.simulate_echo_scan(cfg_tilted, taus, shots_per_point=50_000)
+        cfg = _with_shots(cfg_tilted, 50_000)
+        data, meta = pipeline.simulate_echo_scan(cfg, taus)
         text = pipeline.format_dataset(
-            ("tau_us", "signal", "sigma"), (data.tau_us, data.signal, data.sigma),
-            meta, cfg_tilted,
+            ("tau_us", "signal", "sigma"), (data.tau_us, data.signal, data.sigma), meta, cfg
         )
         path = tmp_path / "echo.dat"
         path.write_text(text)
@@ -226,11 +231,11 @@ class TestPipeline:
             assert abs(got - want) <= 1e-15 * abs(want)
 
     def test_sample_scan_repeats_per_stream(self, cfg_default):
-        cfg = dataclasses.replace(cfg_default, seed=7)
+        cfg = dataclasses.replace(_with_shots(cfg_default, 1000), seed=7)
         p1 = np.linspace(0.0, 1.0, 50)
 
         def sample(stream):
-            data, _ = pipeline._sample_scan(cfg, range(50), "axis", lambda axis: p1, 1000, stream)
+            data, _ = pipeline._sample_scan(cfg, range(50), "axis", lambda axis: p1, stream)
             return data.signal, data.sigma
 
         a, b, c = sample(17), sample(17), sample(29)
@@ -243,7 +248,9 @@ class TestPipeline:
         cfg = dataclasses.replace(cfg_default, seed=3)
         resp = pipeline.window_response(cfg)
         p, shots, n = 0.3, round(1e6 / resp.n_bright), 20_000
-        data, resp = pipeline._sample_scan(cfg, range(n), "axis", lambda axis: np.full(n, p), shots, 17)
+        data, resp = pipeline._sample_scan(
+            _with_shots(cfg, shots), range(n), "axis", lambda axis: np.full(n, p), 17
+        )
         signal, sigma = data.signal, data.sigma
         expected = float(resp.expected(p)) / resp.n_bright
         assert abs(signal.mean() - expected) <= 4.0 * signal.std(ddof=1) / math.sqrt(n)
@@ -408,9 +415,9 @@ class TestCliSubcommands:
 
     def test_fit_nonconvergence_exit_code(self, tmp_path):
         # starve the optimizer of iterations on fringed data: exit code 4
-        cfg = config_from_dict({"field": {"theta_b_deg": 1.0}})
+        cfg = config_from_dict({"field": {"theta_b_deg": 1.0}, "protocol": {"shots_per_point": 50_000}})
         taus = np.linspace(2.0, 21.0, 12)
-        data, meta = pipeline.simulate_echo_scan(cfg, taus, shots_per_point=50_000)
+        data, meta = pipeline.simulate_echo_scan(cfg, taus)
         path = tmp_path / "echo.dat"
         path.write_text(
             pipeline.format_dataset(
@@ -975,7 +982,10 @@ def test_set_and_seed_apply_together(capsys):
         texts.append(capsys.readouterr().out)
     assert texts[0] == texts[1] == texts[2]
     assert "# seed: 5\n" in texts[0]
-    expected = config_from_dict({"field": {"theta_b_deg": 1.0}, "seed": 5}).sha256()
+    # --shots is part of the config, so of its hash
+    expected = config_from_dict(
+        {"field": {"theta_b_deg": 1.0}, "protocol": {"shots_per_point": 100}, "seed": 5}
+    ).sha256()
     assert f"# config_sha256: {expected}\n" in texts[0]
 
 
@@ -991,6 +1001,138 @@ def test_set_still_refused_beside_seed(overrides, key, capsys):
     code, err = _main_exit(["dump-config", *overrides], capsys)
     assert code == 2
     assert err.startswith("error:") and key in err
+
+
+# ---------------------------------------------------------------------------
+# every config key acts, and a scan's --shots is protocol.shots_per_point
+
+
+def _run_outcome(argv) -> tuple[int, str, str]:
+    """(exit code, stdout without its config hash line, stderr) of an in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    text = "".join(ln for ln in out.getvalue().splitlines(True) if not ln.startswith("# config_sha256:"))
+    return code, text, err.getvalue()
+
+
+# tau 100 us lies on the flank of the bath envelope's first dip (at 150 us)
+_ECHO = ("simulate-echo", "--tau", "2,100")
+_TILTED_ECHO = (*_ECHO, "--set", "field.theta_b_deg=1")  # an AC field, so a fringe phase
+_RABI = ("simulate-rabi", "--durations", "0:0.2:3")
+_READOUT = ("simulate-readout", "--shots", "10")
+_IMAGE = ("simulate-image", "--step", "0.5", "--dwell-ms", "5")
+
+# one row per dump-config key: a perturbed value and a cheap run whose output
+# (config hash aside) or refusal it must change
+KEY_EFFECTS = {
+    "geometry.f_rot_hz": (1666.665, _ECHO),
+    "geometry.r_nv_um": (5.0, _READOUT),
+    "geometry.theta_nv_deg": (27.35, _TILTED_ECHO),
+    "geometry.phi_nv0_deg": (45.0, _RABI),
+    "geometry.phi_pos0_deg": (40.0, _IMAGE),
+    "field.b0_gauss": (3.1, _ECHO),
+    "field.theta_b_deg": (1.0, _ECHO),
+    "field.phi_b_deg": (40.0, _TILTED_ECHO),
+    "field.mw_dir": ([0.0, 1.0, 0.0], _RABI),
+    "constants.gamma_e_mhz_per_g": (1.401, _TILTED_ECHO),
+    "constants.gamma_c13_khz_per_g": (0.5375, _ECHO),
+    "beam.waist_diameter_1e2_um": (0.3, _READOUT),
+    "beam.peak_counts_stationary_cps": (5e4, _READOUT),
+    "beam.collection_mode": ("illumination-only", _READOUT),
+    "beam.background_cps": (1e4, _ECHO),
+    "rates.pump_rate_peak_per_us": (60.0, _READOUT),
+    "rates.radiative_rate_per_us": (41.7, _ECHO),
+    "rates.isc_rate_e1_per_us": (40.0, _ECHO),
+    "rates.isc_rate_e0_per_us": (4.0, _ECHO),
+    "rates.singlet_decay_per_us": (2.27, _ECHO),
+    "rates.singlet_branching_to_g0": (0.4, _ECHO),
+    "strobe.t_phi_us": (75.0, _IMAGE),
+    "strobe.t_pulse_us": (1.0, _READOUT),
+    "strobe.jitter_frac": (0.002, _IMAGE),
+    "strobe.wobble_amp_um": (0.2, _IMAGE),
+    "protocol.base_rabi_mhz": (1.8, _RABI),
+    "protocol.n_cal_angles": (5, (*_RABI, "--pulse-at", "half")),  # 180 deg no longer sampled
+    "protocol.turn_on_offset_us": (-0.125, _READOUT),
+    "protocol.readout_window_us": (0.5, _ECHO),
+    "protocol.bin_width_us": (0.025, _READOUT),
+    "protocol.shots_per_point": (1000, _ECHO),
+    "protocol.t2_us": (175.0, _ECHO),
+    "protocol.envelope_exponent": (2.0, _ECHO),
+    "protocol.max_image_pixels": (10, _IMAGE),
+    "seed": (2, _ECHO),
+}
+
+
+def test_key_effects_cover_every_dumped_key():
+    dumped = config_from_dict({}).to_dict()
+    keys = {f"{section}.{key}" for section, fields in dumped.items() if section != "seed" for key in fields}
+    assert set(KEY_EFFECTS) == keys | {"seed"}
+
+
+@pytest.mark.parametrize("key", list(KEY_EFFECTS))
+def test_every_config_key_changes_an_output(key):
+    value, argv = KEY_EFFECTS[key]
+    default = _run_outcome(list(argv))
+    assert default[0] == 0
+    assert _run_outcome([*argv, "--set", f"{key}={json.dumps(value)}"]) != default
+
+
+@pytest.mark.parametrize(
+    "argv", [["simulate-echo", "--tau", "2,5"], ["simulate-rabi", "--durations", "0:0.2:3", "--pulse-at", "half"]]
+)
+def test_shots_flag_is_the_config_key(argv, tmp_path):
+    flag, key = tmp_path / "flag.dat", tmp_path / "key.dat"
+    assert main([*argv, "--shots", "10", "-o", str(flag)]) == 0
+    assert main([*argv, "--set", "protocol.shots_per_point=10", "-o", str(key)]) == 0
+    assert flag.read_bytes() == key.read_bytes()
+    expected = config_from_dict({"protocol": {"shots_per_point": 10}}).sha256()
+    assert f"# config_sha256: {expected}\n" in flag.read_text()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ["--set", "protocol.shots_per_point=7", "--shots", "10"],
+        ["--shots", "10", "--set", "protocol.shots_per_point=7"],
+    ],
+)
+def test_shots_flag_wins_over_set(overrides, capsys):
+    argv = ["simulate-echo", "--tau", "2,5"]
+    assert main([*argv, *overrides]) == 0
+    got = capsys.readouterr().out
+    assert "# shots_per_point: 10\n" in got
+    assert main([*argv, "--set", "protocol.shots_per_point=10"]) == 0
+    assert got == capsys.readouterr().out
+
+
+def test_readout_shots_leave_the_config_alone(capsys):
+    assert main(["simulate-readout", "--shots", "10"]) == 0
+    out = capsys.readouterr().out
+    assert "# shots: 10\n" in out
+    assert f"# config_sha256: {config_from_dict({}).sha256()}\n" in out
+
+
+def test_phi_pos0_rotates_the_default_spots():
+    cfg = config_from_dict({})
+    turned = apply_overrides(cfg, ["geometry.phi_pos0_deg=40"])
+    a = math.radians(40.0)
+    for stationary in (False, True):
+        base = pipeline.spot_centers_um(cfg, pipeline.default_emitters(cfg), stationary)
+        got = pipeline.spot_centers_um(turned, pipeline.default_emitters(turned), stationary)
+        want = [(x * math.cos(a) - y * math.sin(a), x * math.sin(a) + y * math.cos(a)) for x, y in base]
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("key", ["constants.d_zfs_ghz", "field.mw_amp_gauss"])
+def test_removed_keys_exit_2(key, tmp_path, capsys):
+    section, name = key.split(".")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({section: {name: 3.0}}))
+    for argv in (["dump-config", "--set", f"{key}=3"], ["simulate-echo", "--config", str(path)]):
+        code, err = _main_exit(argv, capsys)
+        assert code == 2
+        assert err.startswith("error:") and name in err
 
 
 # ---------------------------------------------------------------------------

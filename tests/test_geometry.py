@@ -122,18 +122,18 @@ class TestZeemanProjection:
 class TestMwCoupling:
     def test_parallel_drive_vanishes(self):
         g = RotorGeometry(theta_nv_deg=0.0)
-        f = FieldConfig(mw_dir=(0.0, 0.0, 1.0), mw_amp_gauss=2.0)
+        f = FieldConfig(mw_dir=(0.0, 0.0, 1.0))
         assert mw_coupling(g, f, 0.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_perpendicular_drive_full(self):
         g = RotorGeometry(theta_nv_deg=0.0)
-        f = FieldConfig(mw_dir=(1.0, 0.0, 0.0), mw_amp_gauss=1.7)
+        f = FieldConfig(mw_dir=(1.0, 0.0, 0.0))
         ts = np.linspace(0, 1e-3, 11)
-        assert np.allclose(mw_coupling(g, f, ts), 1.7, atol=1e-12)
+        assert np.allclose(mw_coupling(g, f, ts), 1.0, atol=1e-12)
 
     def test_axial_drive_constant_sin_theta(self):
         g = RotorGeometry(theta_nv_deg=54.7)
-        f = FieldConfig(mw_dir=(0.0, 0.0, 1.0), mw_amp_gauss=1.0)
+        f = FieldConfig(mw_dir=(0.0, 0.0, 1.0))
         expected = math.sin(math.radians(54.7))
         ts = np.linspace(0, 5e-4, 17)
         assert np.allclose(mw_coupling(g, f, ts), expected, rtol=1e-12)

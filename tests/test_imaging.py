@@ -154,8 +154,8 @@ class TestRenderImage:
         dphi = 2.0 * math.asin(3.6 / (2.0 * r))
         pair = EmitterSet(
             (
-                Emitter((r, 0.0, 0.0), 1e5),
-                Emitter((r * math.cos(dphi), r * math.sin(dphi), 0.0), 1e5),
+                Emitter((r, 0.0), 1e5),
+                Emitter((r * math.cos(dphi), r * math.sin(dphi)), 1e5),
             )
         )
         strobe = StrobeConfig(t_phi_us=0.0)
@@ -217,7 +217,7 @@ def _reference_render(grid, emitters, g, strobe, seed, stationary, psf_width_um=
     psf_axial_um = 3.0 * psf_width_um
     n_cycles = max(1, int(round(grid.dwell_ms * 1e-3 * g.f_rot_hz)))
     window_s = strobe.t_pulse_us * 1e-6
-    pos0 = np.array([e.position_um[:2] for e in emitters.emitters])
+    pos0 = np.array([e.position_um for e in emitters.emitters])
     bright = np.array([e.brightness_cps for e in emitters.emitters])
     radii = np.linalg.norm(pos0, axis=1)
     phases0 = np.arctan2(pos0[:, 1], pos0[:, 0])
@@ -259,13 +259,13 @@ def _reference_render(grid, emitters, g, strobe, seed, stationary, psf_width_um=
     return lam
 
 
-_PAIR = EmitterSet((Emitter((10.0, 0.0, 0.0), 1e5), Emitter((9.35, 3.55, 0.0), 1e5)))
+_PAIR = EmitterSet((Emitter((10.0, 0.0), 1e5), Emitter((9.35, 3.55), 1e5)))
 # distinct brightnesses and orbit phases, one negative, all inside one small grid
 _TRIO = EmitterSet(
     (
-        Emitter((10.0, 0.0, 0.0), 1e5),
-        Emitter((9.9, -1.2, 0.0), 3e4),
-        Emitter((9.6, 1.5, 0.0), 2e5),
+        Emitter((10.0, 0.0), 1e5),
+        Emitter((9.9, -1.2), 3e4),
+        Emitter((9.6, 1.5), 2e5),
     )
 )
 _ORACLE_SEEDS = range(12)
@@ -457,11 +457,17 @@ def test_wide_jitter_renders(jitter_frac):
     ],
 )
 def test_period_quadrature_refuses_an_unbounded_arc(strobe, emitters):
-    x, y = emitters.emitters[0].position_um[:2]
+    x, y = emitters.emitters[0].position_um
     with pytest.raises(ValidationError) as err:
         render_image(small_grid(x, y, half=0.5), emitters, G_DEFAULT, strobe)
     assert "strobe.jitter_frac" in str(err.value)
     assert f"radius {math.hypot(x, y):g} um" in str(err.value)
+
+
+@pytest.mark.parametrize("position", [(10.0, 0.0, 0.0), (10.0,)])
+def test_emitter_position_is_an_xy_pair(position):
+    with pytest.raises(ValidationError, match="position_um"):
+        Emitter(position)
 
 
 def test_pixel_count_needs_no_coordinates():

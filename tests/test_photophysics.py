@@ -464,7 +464,7 @@ class TestReadoutOracle:
 class TestOptimalTurnOn:
     def test_stationary_returns_zero(self):
         g = RotorGeometry(r_nv_um=0.0)
-        assert optimal_turn_on(g, BeamProfile(), RateModel(), 2.0) == 0.0
+        assert optimal_turn_on(g, BeamProfile(), RateModel(), 2.0, window_us=1.0) == 0.0
 
     def test_rotating_optimum_near_beam_center(self, cfg_default):
         g, b, m = cfg_default.geometry, cfg_default.beam, cfg_default.rates

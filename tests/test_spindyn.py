@@ -18,6 +18,7 @@ from rotornv.seqlang import (
     parse_sequence,
 )
 from rotornv.spindyn import (
+    COLLAPSE_FLOOR,
     EchoParams,
     c13_envelope,
     c13_revival_time_us,
@@ -211,7 +212,7 @@ class TestC13Envelope:
         p = EchoParams(b0_gauss=1e9)
         tau_r = c13_revival_time_us(p.b0_gauss, constants)
         revival, collapse = c13_envelope(p, constants, np.array([1e6, 1e6 + 0.5]) * tau_r)
-        assert revival > 0.9999 and collapse == pytest.approx(p.collapse_floor, rel=1e-3)
+        assert revival > 0.9999 and collapse == pytest.approx(COLLAPSE_FLOOR, rel=1e-3)
 
     @pytest.mark.parametrize(
         "field, constants_kw",
