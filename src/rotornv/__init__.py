@@ -10,9 +10,6 @@ from .errors import (
     ValidationError,
 )
 from .geometry import (
-    FieldConfig,
-    PhysicalConstants,
-    RotorGeometry,
     eac_amplitude,
     effective_field,
     fringe_phase_offset,
@@ -22,10 +19,8 @@ from .geometry import (
     zeeman_projection,
 )
 from .photophysics import (
-    BeamProfile,
     LevelPopulations,
     PhotonTrace,
-    RateModel,
     beam_intensity,
     expected_count_rate,
     fluorescence_rate,
@@ -64,12 +59,21 @@ from .imaging import (
     Emitter,
     EmitterSet,
     ScanGrid,
-    StrobeConfig,
     StrobedImage,
     angular_smear,
     fit_spot_width,
     render_image,
 )
-from .config import ExperimentConfig, config_from_dict, load_config
+from .config import (
+    BeamProfile,
+    ExperimentConfig,
+    FieldConfig,
+    PhysicalConstants,
+    RateModel,
+    RotorGeometry,
+    StrobeConfig,
+    config_from_dict,
+    load_config,
+)
 
 __version__ = "0.1.0"

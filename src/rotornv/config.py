@@ -6,6 +6,9 @@ sections or keys take the documented defaults; unknown keys are rejected so
 typos cannot silently disable themselves.  The default parameter set mirrors
 the experimental operating point: 3.33 kHz rotation, 6.2 G bias along z,
 NV axis at 54.7 deg and 10 um off-axis, 2 us strobes, 1e5 counts/s peak.
+
+The seven sections are defined here, each a frozen dataclass whose ranges
+are checked by one helper; the physics modules take them as arguments.
 """
 
 from __future__ import annotations
@@ -15,16 +18,186 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
+import numpy as np
+
 from .errors import ValidationError
-from .geometry import FieldConfig, PhysicalConstants, RotorGeometry, unit
-from .imaging import StrobeConfig
-from .photophysics import BeamProfile, RateModel
+from .geometry import TWO_PI, UNIT_TOLERANCE, unit
 
 
 # The Rabi calibration table holds a few arrays of this length.
 MAX_CAL_ANGLES = 1_000_000
+# How the detected rate weights the beam profile (BeamProfile.collection_mode).
+COLLECTION_MODES = ("illumination-only", "confocal-squared")
+
+
+def _check_ranges(section, positive=(), non_negative=(), within=None) -> None:
+    """Refuse the first field outside its range, naming it; ``within`` maps a field to (lo, hi).
+
+    Every test reads ``not (in range)``, so NaN lies outside every range.
+    """
+    for name in positive:
+        if not getattr(section, name) > 0:
+            raise ValidationError(f"{name} must be positive")
+    for name in non_negative:
+        if not getattr(section, name) >= 0:
+            raise ValidationError(f"{name} must be non-negative")
+    for name, (lo, hi) in (within or {}).items():
+        if not lo <= getattr(section, name) <= hi:
+            raise ValidationError(f"{name} must lie in [{lo}, {hi}]")
+
+
+@dataclass(frozen=True)
+class RotorGeometry:
+    """Rotation frequency plus NV orbit radius, axis tilt and trigger-time azimuths.
+
+    ``phi_nv0_deg`` is the azimuth of the NV symmetry axis at the trigger
+    edge; ``phi_pos0_deg`` is the azimuth of the NV *position* on its orbit
+    at the same instant.  The two are independent so that imaging and
+    spin-projection phases can be set separately.
+    """
+
+    f_rot_hz: float = 3333.33
+    r_nv_um: float = 10.0
+    theta_nv_deg: float = 54.7
+    phi_nv0_deg: float = 0.0
+    phi_pos0_deg: float = 0.0
+
+    def __post_init__(self):
+        if not (self.f_rot_hz > 0 and math.isfinite(TWO_PI * self.f_rot_hz)):
+            raise ValidationError("f_rot_hz must be positive, with a finite angular frequency 2 pi f_rot_hz")
+        _check_ranges(self, non_negative=("r_nv_um",), within={"theta_nv_deg": (0, 180)})
+
+    @property
+    def t_rot_s(self) -> float:
+        return 1.0 / self.f_rot_hz
+
+    @property
+    def t_rot_us(self) -> float:
+        return 1e6 / self.f_rot_hz
+
+    @cached_property
+    def theta_nv_rad(self) -> float:
+        return math.radians(self.theta_nv_deg)
+
+    @cached_property
+    def phi_nv0_rad(self) -> float:
+        return math.radians(self.phi_nv0_deg)
+
+    @cached_property
+    def phi_pos0_rad(self) -> float:
+        return math.radians(self.phi_pos0_deg)
+
+
+@dataclass(frozen=True)
+class FieldConfig:
+    """Static bias field (magnitude and orientation) and microwave drive direction.
+
+    ``mw_dir`` must be a unit vector (checked to UNIT_TOLERANCE).  The drive
+    strength is ``protocol.base_rabi_mhz``: the calibration scales the
+    coupling of :func:`geometry.mw_coupling` to it.
+    """
+
+    b0_gauss: float = 6.2
+    theta_b_deg: float = 0.0
+    phi_b_deg: float = 0.0
+    mw_dir: tuple[float, float, float] = (1.0, 0.0, 0.0)
+
+    def __post_init__(self):
+        _check_ranges(self, non_negative=("b0_gauss",))
+        vec = np.asarray(self.mw_dir, dtype=float)
+        if vec.shape != (3,):
+            raise ValidationError(f"mw_dir must be a 3-vector, got shape {vec.shape}")
+        norm = float(np.linalg.norm(vec))
+        if not abs(norm - 1.0) <= UNIT_TOLERANCE:  # a NaN norm fails too
+            raise ValidationError(
+                f"mw_dir must be a unit vector (|mw_dir| = {norm!r}); use geometry.unit()"
+            )
+
+    @cached_property
+    def theta_b_rad(self) -> float:
+        return math.radians(self.theta_b_deg)
+
+    @cached_property
+    def phi_b_rad(self) -> float:
+        return math.radians(self.phi_b_deg)
+
+    @cached_property
+    def mw_dir_vec(self) -> np.ndarray:
+        return np.array(self.mw_dir, dtype=float)
+
+
+@dataclass(frozen=True)
+class PhysicalConstants:
+    """Spin constants: the electron and carbon-13 gyromagnetic ratios."""
+
+    gamma_e_mhz_per_g: float = 2.802
+    gamma_c13_khz_per_g: float = 1.075
+
+    def __post_init__(self):
+        _check_ranges(self, positive=("gamma_e_mhz_per_g", "gamma_c13_khz_per_g"))
+
+
+@dataclass(frozen=True)
+class BeamProfile:
+    """Gaussian focus: 1/e^2 diameter, stationary peak count rate, collection weighting."""
+
+    waist_diameter_1e2_um: float = 0.6
+    peak_counts_stationary_cps: float = 1e5
+    collection_mode: str = "confocal-squared"
+    background_cps: float = 0.0
+
+    def __post_init__(self):
+        _check_ranges(self, positive=("waist_diameter_1e2_um",),
+                      non_negative=("peak_counts_stationary_cps", "background_cps"))
+        if self.collection_mode not in COLLECTION_MODES:
+            raise ValidationError(
+                f"collection_mode must be one of {COLLECTION_MODES}, got {self.collection_mode!r}"
+            )
+
+    @property
+    def waist_radius_um(self) -> float:
+        return self.waist_diameter_1e2_um / 2.0
+
+
+@dataclass(frozen=True)
+class RateModel:
+    """Optical rates (1/us) of the five-level scheme and the peak pump rate."""
+
+    pump_rate_peak_per_us: float = 120.0
+    radiative_rate_per_us: float = 1000.0 / 12.0
+    isc_rate_e1_per_us: float = 80.0
+    isc_rate_e0_per_us: float = 8.0
+    singlet_decay_per_us: float = 1000.0 / 220.0
+    singlet_branching_to_g0: float = 0.8
+
+    def __post_init__(self):
+        _check_ranges(self, non_negative=(
+            "pump_rate_peak_per_us", "radiative_rate_per_us", "isc_rate_e1_per_us",
+            "isc_rate_e0_per_us", "singlet_decay_per_us",
+        ), within={"singlet_branching_to_g0": (0, 1)})
+
+
+@dataclass(frozen=True)
+class StrobeConfig:
+    """Trigger-to-laser delay, strobe length and the two blur magnitudes.
+
+    ``jitter_frac`` is the relative standard deviation of the rotation
+    period (i.i.d. per cycle); ``wobble_amp_um`` is the per-cycle standard
+    deviation of the rotation-centre displacement, the default calibrated
+    to reproduce a 0.9 um rotating spot width on top of a 0.3 um point
+    response.
+    """
+
+    t_phi_us: float = 150.0
+    t_pulse_us: float = 2.0
+    jitter_frac: float = 0.004
+    wobble_amp_um: float = 0.4243
+
+    def __post_init__(self):
+        _check_ranges(self, non_negative=("t_pulse_us", "jitter_frac", "wobble_amp_um", "t_phi_us"))
 
 
 @dataclass(frozen=True)
@@ -42,16 +215,10 @@ class ProtocolConfig:
     max_image_pixels: int = 250_000
 
     def __post_init__(self):
-        if not self.base_rabi_mhz > 0:
-            raise ValidationError("base_rabi_mhz must be positive")
-        if not 1 <= self.n_cal_angles <= MAX_CAL_ANGLES:
-            raise ValidationError(f"n_cal_angles must lie in [1, {MAX_CAL_ANGLES}]")
-        if self.shots_per_point < 1:
-            raise ValidationError("shots_per_point must be >= 1")
-        if not self.readout_window_us > 0:
-            raise ValidationError("readout_window_us must be positive")
-        if not self.bin_width_us > 0:
-            raise ValidationError("bin_width_us must be positive")
+        _check_ranges(self, positive=(
+            "base_rabi_mhz", "shots_per_point", "readout_window_us", "bin_width_us",
+            "t2_us", "envelope_exponent", "max_image_pixels",
+        ), within={"n_cal_angles": (1, MAX_CAL_ANGLES)})
 
 
 @dataclass(frozen=True)

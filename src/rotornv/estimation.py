@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import PhysicalConstants
 from .errors import IdentifiabilityError, ValidationError
-from .geometry import PhysicalConstants
 from .spindyn import EchoParams, c13_envelope, echo_ac_phase
 
 ECHO_PARAM_NAMES = ("b_perp_gauss", "phi0_rad", "contrast", "baseline")

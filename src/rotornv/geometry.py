@@ -9,19 +9,21 @@ measurement in the rotating frame picks up.
 
 Conventions: angles enter in degrees and are converted to radians once at
 construction, times are seconds, fields gauss, distances micrometres.  All
-operations are pure functions of frozen dataclasses and are safe to call
-concurrently.
+operations are pure functions of the frozen sections of :mod:`config` and
+are safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ValidationError
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import FieldConfig, PhysicalConstants, RotorGeometry
 
 TWO_PI = 2.0 * math.pi
 # How far the norm of a unit vector (FieldConfig.mw_dir) may be from 1.
@@ -41,103 +43,6 @@ def unit(v) -> tuple[float, float, float]:
         raise ValidationError("cannot normalise a zero or non-finite vector")
     x, y, z = (arr if abs(n - 1.0) <= UNIT_TOLERANCE else arr / n).tolist()
     return (x, y, z)
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Spin constants: the electron and carbon-13 gyromagnetic ratios."""
-
-    gamma_e_mhz_per_g: float = 2.802
-    gamma_c13_khz_per_g: float = 1.075
-
-    def __post_init__(self):
-        for name in ("gamma_e_mhz_per_g", "gamma_c13_khz_per_g"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be strictly positive")
-
-
-@dataclass(frozen=True)
-class RotorGeometry:
-    """Rotation frequency plus NV orbit radius, axis tilt and trigger-time azimuths.
-
-    ``phi_nv0_deg`` is the azimuth of the NV symmetry axis at the trigger
-    edge; ``phi_pos0_deg`` is the azimuth of the NV *position* on its orbit
-    at the same instant.  The two are independent so that imaging and
-    spin-projection phases can be set separately.
-    """
-
-    f_rot_hz: float = 3333.33
-    r_nv_um: float = 10.0
-    theta_nv_deg: float = 54.7
-    phi_nv0_deg: float = 0.0
-    phi_pos0_deg: float = 0.0
-
-    def __post_init__(self):
-        if not (self.f_rot_hz > 0 and math.isfinite(TWO_PI * self.f_rot_hz)):
-            raise ValidationError("f_rot_hz must be positive, with a finite angular frequency 2 pi f_rot_hz")
-        if self.r_nv_um < 0:
-            raise ValidationError("r_nv_um must be non-negative")
-        if not 0.0 <= self.theta_nv_deg <= 180.0:
-            raise ValidationError("theta_nv_deg must lie in [0, 180]")
-
-    @property
-    def t_rot_s(self) -> float:
-        return 1.0 / self.f_rot_hz
-
-    @property
-    def t_rot_us(self) -> float:
-        return 1e6 / self.f_rot_hz
-
-    @cached_property
-    def theta_nv_rad(self) -> float:
-        return math.radians(self.theta_nv_deg)
-
-    @cached_property
-    def phi_nv0_rad(self) -> float:
-        return math.radians(self.phi_nv0_deg)
-
-    @cached_property
-    def phi_pos0_rad(self) -> float:
-        return math.radians(self.phi_pos0_deg)
-
-
-@dataclass(frozen=True)
-class FieldConfig:
-    """Static bias field (magnitude and orientation) and microwave drive direction.
-
-    ``mw_dir`` must be a unit vector (checked to UNIT_TOLERANCE).  The drive
-    strength is ``protocol.base_rabi_mhz``: the calibration scales the
-    coupling of :func:`mw_coupling` to it.
-    """
-
-    b0_gauss: float = 6.2
-    theta_b_deg: float = 0.0
-    phi_b_deg: float = 0.0
-    mw_dir: tuple[float, float, float] = (1.0, 0.0, 0.0)
-
-    def __post_init__(self):
-        if self.b0_gauss < 0:
-            raise ValidationError("b0_gauss must be non-negative")
-        vec = np.asarray(self.mw_dir, dtype=float)
-        if vec.shape != (3,):
-            raise ValidationError(f"mw_dir must be a 3-vector, got shape {vec.shape}")
-        norm = float(np.linalg.norm(vec))
-        if not abs(norm - 1.0) <= UNIT_TOLERANCE:  # a NaN norm fails too
-            raise ValidationError(
-                f"mw_dir must be a unit vector (|mw_dir| = {norm!r}); use geometry.unit()"
-            )
-
-    @cached_property
-    def theta_b_rad(self) -> float:
-        return math.radians(self.theta_b_deg)
-
-    @cached_property
-    def phi_b_rad(self) -> float:
-        return math.radians(self.phi_b_deg)
-
-    @cached_property
-    def mw_dir_vec(self) -> np.ndarray:
-        return np.array(self.mw_dir, dtype=float)
 
 
 def nv_position(g: RotorGeometry, t_s) -> np.ndarray:

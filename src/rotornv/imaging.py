@@ -35,9 +35,10 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 
+from .config import RotorGeometry, StrobeConfig
 from .errors import FitError, ValidationError, check_expected_counts
 from .estimation import _check_identified, _fit_separable, _full_jacobian
-from .geometry import TWO_PI, RotorGeometry
+from .geometry import TWO_PI
 
 # Strobe samples (cycles x SUBSTEPS) one pixel may integrate: ~200x the
 # default 200 ms dwell at 3.33 kHz.
@@ -141,33 +142,6 @@ class ScanGrid:
 
 
 @dataclass(frozen=True)
-class StrobeConfig:
-    """Trigger-to-laser delay, strobe length and the two blur magnitudes.
-
-    ``jitter_frac`` is the relative standard deviation of the rotation
-    period (i.i.d. per cycle); ``wobble_amp_um`` is the per-cycle standard
-    deviation of the rotation-centre displacement, the default calibrated
-    to reproduce a 0.9 um rotating spot width on top of a 0.3 um point
-    response.
-    """
-
-    t_phi_us: float = 150.0
-    t_pulse_us: float = 2.0
-    jitter_frac: float = 0.004
-    wobble_amp_um: float = 0.4243
-
-    def __post_init__(self):
-        if self.t_pulse_us < 0:
-            raise ValidationError("t_pulse_us must be non-negative")
-        if self.jitter_frac < 0:
-            raise ValidationError("jitter_frac must be non-negative")
-        if self.wobble_amp_um < 0:
-            raise ValidationError("wobble_amp_um must be non-negative")
-        if self.t_phi_us < 0:
-            raise ValidationError("t_phi_us must be non-negative")
-
-
-@dataclass(frozen=True)
 class Emitter:
     """Point emitter: (x, y) position at the trigger edge and stationary peak brightness."""
 
@@ -177,7 +151,7 @@ class Emitter:
     def __post_init__(self):
         if len(self.position_um) != 2:
             raise ValidationError(f"position_um must be an (x, y) pair, got {self.position_um!r}")
-        if self.brightness_cps < 0:
+        if not self.brightness_cps >= 0:
             raise ValidationError("brightness_cps must be non-negative")
 
 
@@ -207,7 +181,7 @@ class StrobedImage:
 
 def angular_smear(g: RotorGeometry, t_pulse_us: float) -> float:
     """Angle in degrees swept by the rotor during one strobe window."""
-    if t_pulse_us < 0:
+    if not t_pulse_us >= 0:
         raise ValidationError("t_pulse_us must be non-negative")
     return 360.0 * t_pulse_us * 1e-6 * g.f_rot_hz
 

@@ -38,10 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import BeamProfile, RateModel, RotorGeometry
 from .errors import ValidationError, check_expected_counts
-from .geometry import TWO_PI, RotorGeometry
-
-COLLECTION_MODES = ("illumination-only", "confocal-squared")
+from .geometry import TWO_PI
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,9 +55,9 @@ class LevelPopulations:
 
     def __post_init__(self):
         vals = self.as_array()
-        if np.any(vals < -1e-9) or np.any(vals > 1.0 + 1e-9):
+        if not np.all((vals >= -1e-9) & (vals <= 1.0 + 1e-9)):  # NaN fails too
             raise ValidationError("populations must lie in [0, 1]")
-        if abs(float(vals.sum()) - 1.0) > 1e-9:
+        if not abs(float(vals.sum()) - 1.0) <= 1e-9:
             raise ValidationError("populations must sum to 1")
 
     def as_array(self) -> np.ndarray:
@@ -76,57 +75,6 @@ class LevelPopulations:
     @classmethod
     def ms1(cls) -> "LevelPopulations":
         return cls(g0=0.0, g1=1.0)
-
-
-@dataclass(frozen=True)
-class RateModel:
-    """Optical rates (1/us) of the five-level scheme and the peak pump rate."""
-
-    pump_rate_peak_per_us: float = 120.0
-    radiative_rate_per_us: float = 1000.0 / 12.0
-    isc_rate_e1_per_us: float = 80.0
-    isc_rate_e0_per_us: float = 8.0
-    singlet_decay_per_us: float = 1000.0 / 220.0
-    singlet_branching_to_g0: float = 0.8
-
-    def __post_init__(self):
-        for name in (
-            "pump_rate_peak_per_us",
-            "radiative_rate_per_us",
-            "isc_rate_e1_per_us",
-            "isc_rate_e0_per_us",
-            "singlet_decay_per_us",
-        ):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be non-negative")
-        if not 0.0 <= self.singlet_branching_to_g0 <= 1.0:
-            raise ValidationError("singlet_branching_to_g0 must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class BeamProfile:
-    """Gaussian focus: 1/e^2 diameter, stationary peak count rate, collection weighting."""
-
-    waist_diameter_1e2_um: float = 0.6
-    peak_counts_stationary_cps: float = 1e5
-    collection_mode: str = "confocal-squared"
-    background_cps: float = 0.0
-
-    def __post_init__(self):
-        if not self.waist_diameter_1e2_um > 0:
-            raise ValidationError("waist_diameter_1e2_um must be positive")
-        if self.peak_counts_stationary_cps < 0:
-            raise ValidationError("peak_counts_stationary_cps must be non-negative")
-        if self.collection_mode not in COLLECTION_MODES:
-            raise ValidationError(
-                f"collection_mode must be one of {COLLECTION_MODES}, got {self.collection_mode!r}"
-            )
-        if self.background_cps < 0:
-            raise ValidationError("background_cps must be non-negative")
-
-    @property
-    def waist_radius_um(self) -> float:
-        return self.waist_diameter_1e2_um / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,7 +146,7 @@ def expected_count_rate(b: BeamProfile, g: RotorGeometry, t_pulse_us: float) -> 
     (composite Gauss-Legendre quadrature, no Monte Carlo); a stationary NV
     or an empty pulse gets the bound.
     """
-    if t_pulse_us < 0:
+    if not t_pulse_us >= 0:
         raise ValidationError("t_pulse_us must be non-negative")
     if t_pulse_us > g.t_rot_us:
         raise ValidationError(
@@ -230,7 +178,7 @@ def expected_count_rate(b: BeamProfile, g: RotorGeometry, t_pulse_us: float) -> 
 
 def rate_matrix(m: RateModel, intensity: float) -> np.ndarray:
     """Generator A of dn/dt = A n for populations (g0, g1, e0, e1, s)."""
-    if intensity < 0:
+    if not intensity >= 0:
         raise ValidationError("intensity must be non-negative")
     pump = m.pump_rate_peak_per_us * intensity
     rad = m.radiative_rate_per_us
@@ -290,7 +238,7 @@ def step_rates(
     Uses the exact matrix exponential of the (linear, constant) generator,
     so the step is unconditionally stable and conserves the population sum.
     """
-    if dt_us < 0:
+    if not dt_us >= 0:
         raise ValidationError("dt_us must be non-negative")
     if dt_us == 0.0:
         return p
@@ -305,7 +253,7 @@ def steady_state(m: RateModel, intensity: float = 1.0) -> LevelPopulations:
     The generator must have rank 4 (relative singular-value threshold
     5 * machine epsilon); the null vector is the last right singular vector.
     """
-    if intensity <= 0:
+    if not intensity > 0:
         raise ValidationError("steady state requires a positive intensity")
     a = rate_matrix(m, intensity)
     _, sv, vt = np.linalg.svd(a)

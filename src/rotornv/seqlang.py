@@ -42,6 +42,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import geometry
+from .config import FieldConfig, RotorGeometry
 from .errors import CompileError, Diagnostic, ParseError, ValidationError
 
 TIME_UNITS = {"ns": 1e-3, "us": 1.0}  # to microseconds
@@ -396,15 +397,15 @@ class CalibrationTable:
         return float(out) if np.ndim(out) == 0 else out
 
 
-def pulse_angle_deg(g: geometry.RotorGeometry, start_us):
+def pulse_angle_deg(g: RotorGeometry, start_us):
     """Rotation angle in [0, 360) deg at program time ``start_us``; broadcasts."""
     out = np.mod(360.0 * g.f_rot_hz * np.asarray(start_us, dtype=float) * 1e-6, 360.0)
     return float(out) if np.ndim(out) == 0 else out
 
 
 def build_calibration(
-    g: geometry.RotorGeometry,
-    f: geometry.FieldConfig,
+    g: RotorGeometry,
+    f: FieldConfig,
     base_rabi_mhz: float,
     n_angles: int,
 ) -> CalibrationTable:
@@ -521,7 +522,7 @@ def _resolve_rad(operand: Optional[Operand], params: dict[str, Quantity]) -> flo
     return q.to_rad()
 
 
-def _calibrate(g: geometry.RotorGeometry, cal: CalibrationTable, start_us, target, duration_us):
+def _calibrate(g: RotorGeometry, cal: CalibrationTable, start_us, target, duration_us):
     """Rotation angle and Rabi frequency at a pulse start, and the pulse duration.
 
     A target pulse lasts its turn fraction over Omega; an explicit pulse keeps
@@ -553,7 +554,7 @@ def _check_time(stmt, start: float, duration: float) -> None:
 
 
 def _compile_batch(
-    g: geometry.RotorGeometry, cal: CalibrationTable, n: int, rows, t_phi_us=0.0, period_hint=""
+    g: RotorGeometry, cal: CalibrationTable, n: int, rows, t_phi_us=0.0, period_hint=""
 ) -> TimelineBatch:
     """Compile N programs of one shape into a batch: the one timeline compiler.
 
@@ -590,7 +591,7 @@ def _compile_batch(
 
 def compile_timeline(
     prog: SequenceProgram,
-    g: geometry.RotorGeometry,
+    g: RotorGeometry,
     cal: CalibrationTable,
     t_phi_us: float = 0.0,
     allow_multi_period: bool = False,
@@ -652,7 +653,7 @@ def ideal_echo_timeline(tau_us, t_rot_us: float, t_pulse_us: float = 2.0) -> Tim
     )
 
 
-def echo_pulse_starts(tau_us, g: geometry.RotorGeometry, cal: CalibrationTable):
+def echo_pulse_starts(tau_us, g: RotorGeometry, cal: CalibrationTable):
     """Starts of a finite-pulse echo's pi pulse and last pi/2 pulse; broadcasts over tau.
 
     The pi pulse is centred at tau/2 and the last pi/2 pulse ends at tau;
@@ -681,7 +682,7 @@ def echo_pulse_starts(tau_us, g: geometry.RotorGeometry, cal: CalibrationTable):
 
 def echo_program(
     tau_us: float,
-    g: geometry.RotorGeometry,
+    g: RotorGeometry,
     cal: CalibrationTable,
     t_pulse_us: float = 2.0,
 ) -> str:
@@ -699,7 +700,7 @@ def echo_program(
 
 def rabi_program(
     duration_us: float,
-    g: geometry.RotorGeometry,
+    g: RotorGeometry,
     t_pulse_us: float = 2.0,
     pulse_at_us: float = 0.0,
     prepend_pi: bool = False,
@@ -719,7 +720,7 @@ def rabi_program(
 
 def rabi_batch(
     durations_us,
-    g: geometry.RotorGeometry,
+    g: RotorGeometry,
     cal: CalibrationTable,
     t_pulse_us: float = 2.0,
     pulse_at_us: float = 0.0,
@@ -733,7 +734,7 @@ def rabi_batch(
 
 
 def echo_batch(
-    tau_us, g: geometry.RotorGeometry, cal: CalibrationTable, t_pulse_us: float = 2.0
+    tau_us, g: RotorGeometry, cal: CalibrationTable, t_pulse_us: float = 2.0
 ) -> TimelineBatch:
     """The compiled timelines of :func:`echo_program`, one per tau."""
     tau = np.atleast_1d(np.asarray(tau_us, dtype=float))

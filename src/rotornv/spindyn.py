@@ -27,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
+from .config import FieldConfig, PhysicalConstants, RotorGeometry
 from .errors import ValidationError
-from .geometry import TWO_PI, PhysicalConstants
+from .geometry import TWO_PI
 from .seqlang import TARGET_FRACTIONS, TimelineBatch
 
 
@@ -49,7 +50,7 @@ class EchoParams:
     b0_gauss: float = 6.2
 
     def __post_init__(self):
-        if self.b_perp_gauss < 0:
+        if not self.b_perp_gauss >= 0:
             raise ValidationError("b_perp_gauss must be non-negative")
         if not self.t2_us > 0:
             raise ValidationError("t2_us must be positive")
@@ -127,7 +128,7 @@ def echo_phase(p: EchoParams, c: PhysicalConstants, tau_us):
     """Phase difference between the two free halves of a tau spin echo, in rad:
     (2 pi gamma_e b_perp / w) [2 sin(w tau/2 + phi0) - sin(phi0) - sin(w tau + phi0)]."""
     tau = np.asarray(tau_us, dtype=float)
-    if np.any(tau < 0):
+    if not np.all(tau >= 0):
         raise ValidationError("tau_us must be non-negative")
     out = echo_ac_phase(c, p.f_rot_hz, p.b_perp_gauss, p.phi0_rad, tau)
     return float(out) if np.isscalar(tau_us) else out
@@ -138,7 +139,7 @@ _BATH_KEYS = "field.b0_gauss or constants.gamma_c13_khz_per_g"
 
 def c13_revival_time_us(b0_gauss: float, c: PhysicalConstants) -> float:
     """First nuclear-bath contrast revival, 2 / (gamma_13C * B0), in us; refused unless finite."""
-    if b0_gauss <= 0:
+    if not b0_gauss > 0:
         raise ValidationError("b0_gauss must be positive")
     rate = c.gamma_c13_khz_per_g * b0_gauss
     tau_r = 2e3 / rate if rate > 0.0 else math.inf
@@ -169,7 +170,7 @@ def c13_envelope(p: EchoParams, c: PhysicalConstants, tau_us):
     variance is no positive finite float is refused.
     """
     tau = np.asarray(tau_us, dtype=float)
-    if np.any(tau < 0):
+    if not np.all(tau >= 0):
         raise ValidationError("tau_us must be non-negative")
     tau_r = c13_revival_time_us(p.b0_gauss, c)
     width = COLLAPSE_WIDTH_FRAC * tau_r
@@ -198,7 +199,7 @@ def c13_envelope(p: EchoParams, c: PhysicalConstants, tau_us):
 
 
 def free_phase(
-    g: geometry.RotorGeometry, f: geometry.FieldConfig, c: PhysicalConstants, t0_us, t1_us
+    g: RotorGeometry, f: FieldConfig, c: PhysicalConstants, t0_us, t1_us
 ):
     """Precession angle 2 pi * integral of the detuning over [t0, t1] us, by :func:`ac_phase`.
 
@@ -225,8 +226,8 @@ def _pulse_detuning(g, f, c, start_us, duration_us):
 
 def simulate_sequence(
     batch: TimelineBatch,
-    g: geometry.RotorGeometry,
-    f: geometry.FieldConfig,
+    g: RotorGeometry,
+    f: FieldConfig,
     c: PhysicalConstants,
 ) -> np.ndarray:
     """Final Bloch vectors, shape (N, 3), of the N timelines of a batch, from m_S = 0.

@@ -1,7 +1,6 @@
 import pytest
 
-from rotornv.config import config_from_dict
-from rotornv.geometry import FieldConfig, PhysicalConstants, RotorGeometry
+from rotornv.config import FieldConfig, PhysicalConstants, RotorGeometry, config_from_dict
 
 
 @pytest.fixture

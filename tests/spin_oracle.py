@@ -26,6 +26,7 @@ import numpy as np
 from scipy import integrate, linalg
 
 from rotornv import geometry
+from rotornv.config import FieldConfig, PhysicalConstants, RotorGeometry
 from rotornv.seqlang import TimelineBatch
 from rotornv.spindyn import COLLAPSE_FLOOR, COLLAPSE_WIDTH_FRAC, c13_revival_time_us
 
@@ -42,7 +43,7 @@ def _rotation(omega_vec) -> np.ndarray:
 class BlochOracle:
     """dM/dt = 2 pi (Omega cos phi, Omega sin phi, Delta(t)) x M, from M = +z (m_S = 0)."""
 
-    def __init__(self, g: geometry.RotorGeometry, f: geometry.FieldConfig, c: geometry.PhysicalConstants):
+    def __init__(self, g: RotorGeometry, f: FieldConfig, c: PhysicalConstants):
         self.g, self.f, self.c = g, f, c
         # the microwave is tuned to the rotation-averaged transition
         self.dc_mhz = self._quad(self._projection_mhz, 0.0, g.t_rot_us) / g.t_rot_us

@@ -15,7 +15,15 @@ from render_oracle import resolve_two_spots
 from scipy import integrate
 
 from rotornv import pipeline
-from rotornv.config import config_from_dict
+from rotornv.config import (
+    BeamProfile,
+    FieldConfig,
+    PhysicalConstants,
+    RateModel,
+    RotorGeometry,
+    StrobeConfig,
+    config_from_dict,
+)
 from rotornv.estimation import (
     ECHO_PARAM_NAMES,
     EchoDataset,
@@ -25,26 +33,17 @@ from rotornv.estimation import (
     fit_echo,
     fit_rabi,
 )
-from rotornv.geometry import (
-    TWO_PI,
-    FieldConfig,
-    PhysicalConstants,
-    RotorGeometry,
-    eac_amplitude,
-)
+from rotornv.geometry import TWO_PI, eac_amplitude
 from rotornv.imaging import (
     Emitter,
     EmitterSet,
     ScanGrid,
-    StrobeConfig,
     angular_smear,
     fit_spot_width,
     render_image,
 )
 from rotornv.photophysics import (
-    BeamProfile,
     LevelPopulations,
-    RateModel,
     expected_count_rate,
     readout_response,
     simulate_readout,

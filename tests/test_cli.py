@@ -726,9 +726,16 @@ _FAR_EMITTER = ["--emitters", "1e155,0", "--x-min", "-1", "--x-max", "1", "--y-m
         (_IMAGE_1MS + ["--set", "strobe.wobble_amp_um=1e160"], ("strobe.wobble_amp_um",)),
         # the wobble, not the 10 um orbit, widens the arc past the node budget
         (_IMAGE_1MS + ["--set", "strobe.wobble_amp_um=1e10"], ("strobe.wobble_amp_um",)),
+        # a negative exponent zeroed the fringe with exp(-(T2 / tau)^4), and
+        # divided by zero at tau = 0
+        (_ECHO_2_5 + ["--set", "protocol.envelope_exponent=-4"], ("protocol", "envelope_exponent")),
+        # dump-config accepted these; every echo command then refused t2_us without naming the section
+        (["dump-config", "--set", "protocol.t2_us=-1"], ("protocol", "t2_us")),
+        (["dump-config", "--set", "protocol.max_image_pixels=0"], ("protocol", "max_image_pixels")),
     ],
     ids=["gamma-c13", "b0", "far-emitter", "far-emitter-stationary", "far-orbit-default-window",
-         "far-orbit-default-window-stationary", "far-emitter-default-window", "huge-wobble", "wide-wobble"],
+         "far-orbit-default-window-stationary", "far-emitter-default-window", "huge-wobble", "wide-wobble",
+         "envelope-exponent", "t2", "max-image-pixels"],
 )
 def test_out_of_range_bath_or_blur_exit_2(argv, names, capsys):
     code, err = _main_exit([*argv, "-o", os.devnull], capsys)

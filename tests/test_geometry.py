@@ -6,10 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rotornv.errors import ValidationError
+from rotornv.config import FieldConfig, PhysicalConstants, RotorGeometry
 from rotornv.geometry import (
-    FieldConfig,
-    PhysicalConstants,
-    RotorGeometry,
     bias_field_vector,
     eac_amplitude,
     effective_field,

@@ -8,14 +8,13 @@ import render_oracle
 from lsq_oracle import spot_width_oracle
 
 from rotornv import estimation, imaging, pipeline
-from rotornv.config import apply_overrides, config_from_dict
+from rotornv.config import RotorGeometry, StrobeConfig, apply_overrides, config_from_dict
 from rotornv.errors import FitError, IdentifiabilityError, ValidationError
-from rotornv.geometry import TWO_PI, RotorGeometry
+from rotornv.geometry import TWO_PI
 from rotornv.imaging import (
     Emitter,
     EmitterSet,
     ScanGrid,
-    StrobeConfig,
     StrobedImage,
     angular_smear,
     fit_spot_width,

@@ -9,14 +9,12 @@ from scipy import integrate
 from scipy.linalg import expm, null_space
 
 from rotornv import photophysics, pipeline
-from rotornv.config import config_from_dict
+from rotornv.config import BeamProfile, PhysicalConstants, RateModel, RotorGeometry, config_from_dict
 from rotornv.errors import ValidationError
-from rotornv.geometry import RotorGeometry
+from rotornv.imaging import Emitter, angular_smear
 from rotornv.photophysics import (
     MAX_READOUT_STEPS,
-    BeamProfile,
     LevelPopulations,
-    RateModel,
     beam_intensity,
     emission_rate_per_us,
     expected_count_rate,
@@ -31,6 +29,7 @@ from rotornv.photophysics import (
     step_rates,
     transit_offset_um,
 )
+from rotornv.spindyn import EchoParams, c13_envelope, c13_revival_time_us, echo_phase
 
 ILLUM = BeamProfile(collection_mode="illumination-only")
 
@@ -500,3 +499,28 @@ class TestOptimalTurnOn:
             dark = expected_window_counts(g, b, m, 2.0, off, window, LevelPopulations.ms1())
             snrs.append((1.0 - dark / bright) * math.sqrt(bright))
         assert optimal_turn_on(g, b, m, 2.0, window_us=window) == offsets[int(np.argmax(snrs))]
+
+
+# each check once compared with "<", which NaN passes; the last two then ended
+# in "cannot convert float NaN to integer"
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: LevelPopulations(g0=math.nan), "populations"),
+        (lambda: EchoParams(b_perp_gauss=math.nan), "b_perp_gauss"),
+        (lambda: Emitter((1.0, 0.0), brightness_cps=math.nan), "brightness_cps"),
+        (lambda: step_rates(LevelPopulations.ms0(), RateModel(), 1.0, math.nan), "dt_us"),
+        (lambda: rate_matrix(RateModel(), math.nan), "intensity"),
+        (lambda: steady_state(RateModel(), math.nan), "intensity"),
+        (lambda: angular_smear(RotorGeometry(), math.nan), "t_pulse_us"),
+        (lambda: c13_revival_time_us(math.nan, PhysicalConstants()), "b0_gauss"),
+        (lambda: echo_phase(EchoParams(), PhysicalConstants(), [math.nan]), "tau_us"),
+        (lambda: expected_count_rate(BeamProfile(), RotorGeometry(), math.nan), "t_pulse_us"),
+        (lambda: c13_envelope(EchoParams(), PhysicalConstants(), [math.nan]), "tau_us"),
+    ],
+    ids=["LevelPopulations", "EchoParams", "Emitter", "step_rates", "rate_matrix", "steady_state",
+         "angular_smear", "c13_revival_time_us", "echo_phase", "expected_count_rate", "c13_envelope"],
+)
+def test_library_check_refuses_nan(call, name):
+    with pytest.raises(ValidationError, match=name):
+        call()

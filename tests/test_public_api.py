@@ -1,12 +1,15 @@
 """The names ``rotornv`` exports: each resolves, no other is listed, and retired ones stay gone."""
 
+import ast
 import inspect
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import rotornv
+from rotornv import config
 
 EXPORTS = (
     # errors
@@ -18,9 +21,6 @@ EXPORTS = (
     "SequenceError",
     "ValidationError",
     # geometry
-    "FieldConfig",
-    "PhysicalConstants",
-    "RotorGeometry",
     "eac_amplitude",
     "effective_field",
     "fringe_phase_offset",
@@ -29,10 +29,8 @@ EXPORTS = (
     "nv_position",
     "zeeman_projection",
     # photophysics
-    "BeamProfile",
     "LevelPopulations",
     "PhotonTrace",
-    "RateModel",
     "beam_intensity",
     "expected_count_rate",
     "fluorescence_rate",
@@ -67,13 +65,18 @@ EXPORTS = (
     "Emitter",
     "EmitterSet",
     "ScanGrid",
-    "StrobeConfig",
     "StrobedImage",
     "angular_smear",
     "fit_spot_width",
     "render_image",
     # config
+    "BeamProfile",
     "ExperimentConfig",
+    "FieldConfig",
+    "PhysicalConstants",
+    "RateModel",
+    "RotorGeometry",
+    "StrobeConfig",
     "config_from_dict",
     "load_config",
 )
@@ -118,3 +121,28 @@ def test_import_leaves_numpy_fft_unloaded():
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module's import statements name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:  # from . import x / from .x import y
+            found.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("rotornv"):
+            found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found.update(a.name for a in node.names if a.name.startswith("rotornv"))
+    return found
+
+
+def test_config_owns_its_sections_and_imports_no_physics_module():
+    package = Path(rotornv.__file__).parent
+    assert _package_imports(ast.parse((package / "config.py").read_text())) == {"errors", "geometry"}
+    sections = {cls.__name__ for _, cls in config._SECTIONS.values()} | {"ExperimentConfig"}
+    assert len(sections) == 8
+    for path in package.glob("*.py"):
+        if path.name != "config.py":
+            tree = ast.parse(path.read_text())
+            defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+            assert not defined & sections, path.name

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotornv.errors import CompileError, ParseError, ValidationError
-from rotornv.geometry import FieldConfig, RotorGeometry
+from rotornv.config import FieldConfig, RotorGeometry
 from rotornv.seqlang import (
     CalibrationTable,
     TARGET_FRACTIONS,

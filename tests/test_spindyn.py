@@ -8,7 +8,8 @@ from scipy import integrate
 
 from rotornv.errors import ValidationError
 from rotornv.estimation import EchoFitModel
-from rotornv.geometry import TWO_PI, FieldConfig, PhysicalConstants, RotorGeometry
+from rotornv.config import FieldConfig, PhysicalConstants, RotorGeometry
+from rotornv.geometry import TWO_PI
 from rotornv import TimelineBatch
 from rotornv.seqlang import (
     build_calibration,
