@@ -33,10 +33,13 @@ MAX_CAL_ANGLES = 1_000_000
 COLLECTION_MODES = ("illumination-only", "confocal-squared")
 
 
-def _check_ranges(section, positive=(), non_negative=(), within=None) -> None:
+def _check_ranges(section, positive=(), non_negative=(), within=None, finite=()) -> None:
     """Refuse the first field outside its range, naming it; ``within`` maps a field to (lo, hi).
 
     Every test reads ``not (in range)``, so NaN lies outside every range.
+    No field may be infinite: no setting gives infinity a meaning, and the
+    config loader refuses it too.  A one-sided range refuses +inf after its
+    range test; ``finite`` names the fields with no range.
     """
     for name in positive:
         if not getattr(section, name) > 0:
@@ -47,6 +50,9 @@ def _check_ranges(section, positive=(), non_negative=(), within=None) -> None:
     for name, (lo, hi) in (within or {}).items():
         if not lo <= getattr(section, name) <= hi:
             raise ValidationError(f"{name} must lie in [{lo}, {hi}]")
+    for name in (*positive, *non_negative, *finite):
+        if not abs(getattr(section, name)) < math.inf:  # exact for ints of any size
+            raise ValidationError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -68,7 +74,8 @@ class RotorGeometry:
     def __post_init__(self):
         if not (self.f_rot_hz > 0 and math.isfinite(TWO_PI * self.f_rot_hz)):
             raise ValidationError("f_rot_hz must be positive, with a finite angular frequency 2 pi f_rot_hz")
-        _check_ranges(self, non_negative=("r_nv_um",), within={"theta_nv_deg": (0, 180)})
+        _check_ranges(self, non_negative=("r_nv_um",), within={"theta_nv_deg": (0, 180)},
+                      finite=("phi_nv0_deg", "phi_pos0_deg"))
 
     @property
     def t_rot_s(self) -> float:
@@ -106,7 +113,7 @@ class FieldConfig:
     mw_dir: tuple[float, float, float] = (1.0, 0.0, 0.0)
 
     def __post_init__(self):
-        _check_ranges(self, non_negative=("b0_gauss",))
+        _check_ranges(self, non_negative=("b0_gauss",), finite=("theta_b_deg", "phi_b_deg"))
         vec = np.asarray(self.mw_dir, dtype=float)
         if vec.shape != (3,):
             raise ValidationError(f"mw_dir must be a 3-vector, got shape {vec.shape}")
@@ -218,7 +225,7 @@ class ProtocolConfig:
         _check_ranges(self, positive=(
             "base_rabi_mhz", "shots_per_point", "readout_window_us", "bin_width_us",
             "t2_us", "envelope_exponent", "max_image_pixels",
-        ), within={"n_cal_angles": (1, MAX_CAL_ANGLES)})
+        ), within={"n_cal_angles": (1, MAX_CAL_ANGLES)}, finite=("turn_on_offset_us",))
 
 
 @dataclass(frozen=True)

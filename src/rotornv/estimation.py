@@ -4,9 +4,9 @@ The optimizer is a damped Gauss-Newton (Levenberg-Marquardt) loop with a
 monotone acceptance rule: a step is taken only if it lowers the weighted
 sum of squares.  Every fit is separable, a nonlinear basis u(x) times a
 linear pair: y ~ a u(x) + c, and runs through one driver,
-:func:`_fit_separable`: :func:`_separable` solves the pair in closed form
-at each x and returns the projected residual with Kaufman's Jacobian (BIT
-15 (1975) 49), so LM searches the nonlinear parameters alone (variable
+:func:`_fit_separable`, which solves the pair in closed form at each x and
+hands LM the projected residual with Kaufman's Jacobian (BIT 15 (1975)
+49), so LM searches the nonlinear parameters alone (variable
 projection, Golub & Pereyra, Inverse Problems 19 (2003) R1).  Every fit
 stops when the gradient falls below 1e-8 of the cost or when no trial step
 could lower the cost by more than its rounding, and a full Jacobian with
@@ -187,16 +187,18 @@ def levenberg_marquardt(residual_fn, jacobian_fn, x0, max_iter: int = 200) -> LM
     for iterations in range(1, max_iter + 1):
         jac = np.asarray(jacobian_fn(x), dtype=float)
         grad = jac.T @ r
-        grad_norm = float(np.linalg.norm(grad, np.inf))
+        grad_norm = float(np.abs(grad).max())
         if grad_norm < _GRAD_TOL * max(1.0, cost):
             converged = True
             break
         jtj = jac.T @ jac
-        diag = np.clip(np.diag(jtj), 1e-30, None)
+        diag = np.maximum(jtj.diagonal(), 1e-30)
         accepted = False
         for _ in range(50):
+            damped = jtj.copy()
+            damped.reshape(-1)[:: diag.size + 1] += lam * diag
             try:
-                step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
+                step = np.linalg.solve(damped, -grad)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -207,7 +209,7 @@ def levenberg_marquardt(residual_fn, jacobian_fn, x0, max_iter: int = 200) -> LM
             r_new = np.asarray(residual_fn(x_new), dtype=float)
             cost_new = 0.5 * float(r_new @ r_new)
             if np.isfinite(cost_new) and cost_new <= cost:
-                rel_step = np.linalg.norm(step) / max(np.linalg.norm(x), 1e-12)
+                rel_step = math.sqrt(step @ step) / max(math.sqrt(x @ x), 1e-12)
                 x, r, cost = x_new, r_new, cost_new
                 lam = max(lam * 0.3, 1e-14)
                 accepted = True
@@ -250,53 +252,56 @@ def _pair_from_sums(s_uu, s_u, s_1, s_uy, s_y, s_yy):
     return a, cc, s_yy - a * s_uy - cc * s_y
 
 
-def _separable(u, du, y, sigma, lo=-math.inf, hi=math.inf):
-    """Variable projection of y ~ a u + c at one point x of the nonlinear parameters.
+def _fit_separable(basis, y, sigma, x0, lo=-math.inf, hi=math.inf, max_iter: int = 200):
+    """LM over the nonlinear parameters x of y ~ a u(x) + c: (LMResult, a, c, u, du).
 
-    ``u`` is the basis at x and ``du`` its derivatives in x, shape (p, n),
-    or None when only the residual is wanted.  The pair is solved in closed
-    form; an ``a`` outside [lo, hi] (or NaN, when u is flat) is clamped and
-    c re-solved alone.  Returns a, c, the residual (a u + c - y) / sigma and
-    Kaufman's Jacobian (n, p): the columns a du / sigma projected off the
-    free linear columns.  The Golub-Pereyra term it drops lies in their
-    span, orthogonal to the residual, so J^T r is the exact gradient.
+    ``basis(x)`` returns u at x and its derivatives du (p, n).  At each x
+    the pair is solved in closed form; an ``a`` outside [lo, hi] (or NaN,
+    when u is flat) is clamped and c re-solved alone.  LM runs on the
+    projected residual (a u + c - y) / sigma and Kaufman's Jacobian (n, p):
+    the columns a du / sigma projected off the free linear columns.  The
+    Golub-Pereyra term it drops lies in their span, orthogonal to the
+    residual, so J^T r is the exact gradient.  Each residual evaluates the
+    basis once; the Jacobian at that x reuses it.  Returned are the pair
+    and the basis at the x where LM stops.
     """
     w = 1.0 / sigma**2
-    a, c, _ = _solve_linear_pair(u, y if du is None else np.vstack([y, du]), w)
-    a, c = np.atleast_1d(a), np.atleast_1d(c)
-    coef, base = float(a[0]), float(c[0])
-    free = lo < coef < hi  # False for NaN
-    if not free:
-        coef = min(max(0.0 if math.isnan(coef) else coef, lo), hi)
-        base = float((y - coef * u) @ w / w.sum())
-    r = (coef * u + base - y) / sigma
-    if du is None:
-        return coef, base, r, None
-    # each du row less its weighted fit by the free linear columns
-    fitted = a[1:, None] * u + c[1:, None] if free else (du @ w / w.sum())[:, None]
-    return coef, base, r, (coef * (du - fitted) / sigma).T
-
-
-def _fit_separable(basis, y, sigma, x0, lo=-math.inf, hi=math.inf, max_iter: int = 200):
-    """LM over the nonlinear parameters x of y ~ a u(x) + c: (LMResult, a, c).
-
-    ``basis(x, derivatives)`` returns u at x and, if asked, its derivatives
-    du (p, n), else None.  LM runs on :func:`_separable`'s projected
-    residual and Jacobian, with a bounded to [lo, hi]; (a, c) is the pair
-    solved with the residual at the x where LM stops.
-    """
-    pairs = {}
+    s_1, s_y = w.sum(), y @ w
+    latest = [b""]  # x, u, du, sum w u^2, sum w u, det, a, c at the last x only
 
     def residual(x):
-        a, c, r, _ = _separable(*basis(x, False), y, sigma, lo, hi)
-        pairs[x.tobytes()] = (a, c)
-        return r
+        u, du = basis(x)
+        s_uu, s_u, s_uy = (u * u) @ w, u @ w, (u * y) @ w
+        det = float(s_uu * s_1 - s_u**2)
+        det = math.nan if abs(det) < 1e-300 else det
+        a = float((s_uy * s_1 - s_u * s_y) / det)
+        if lo < a < hi:  # False for NaN
+            c = float((s_uu * s_y - s_u * s_uy) / det)
+        else:
+            a = min(max(0.0 if math.isnan(a) else a, lo), hi)
+            c = float((y - a * u) @ w / s_1)
+        latest[:] = x.tobytes(), u, du, s_uu, s_u, det, a, c
+        return (a * u + c - y) / sigma
 
     def jacobian(x):
-        return _separable(*basis(x, True), y, sigma, lo, hi)[3]
+        if latest[0] != x.tobytes():
+            residual(x)
+        _, u, du, s_uu, s_u, det, _, _ = latest
+        rows = np.vstack([y, du])  # a is taken from the y row of the same matrix-vector sums
+        s_urows, s_rows = (u * rows) @ w, rows @ w
+        a = (s_urows * s_1 - s_u * s_rows) / det
+        coef = float(a[0])
+        if lo < coef < hi:
+            fitted = a[1:, None] * u + ((s_uu * s_rows[1:] - s_u * s_urows[1:]) / det)[:, None]
+        else:
+            coef = min(max(0.0 if math.isnan(coef) else coef, lo), hi)
+            fitted = (du @ w / s_1)[:, None]
+        return (coef * (du - fitted) / sigma).T
 
     lm = levenberg_marquardt(residual, jacobian, x0, max_iter=max_iter)
-    return (lm, *pairs[lm.x.tobytes()])
+    if latest[0] != lm.x.tobytes():
+        residual(lm.x)
+    return lm, *latest[6:], *latest[1:3]
 
 
 def _full_jacobian(u: np.ndarray, du: np.ndarray, a: float, sigma: np.ndarray) -> np.ndarray:
@@ -318,16 +323,12 @@ def _check_identified(jac: np.ndarray) -> None:
 # echo fringe fit
 
 
-def _echo_basis(model: EchoFitModel, tau: np.ndarray, b: float, phi0: float, derivatives=True):
-    """Fringe basis u = env cos(b k) / 2 and, if asked, its (b, phi0) derivatives (2, n)."""
+def _echo_basis(model: EchoFitModel, tau: np.ndarray, b: float, phi0: float):
+    """Fringe basis u = env cos(b k) / 2 and its (b, phi0) derivatives (2, n)."""
     env = model.envelope_values(tau)
-    phis = [phi0, phi0 + 0.5 * math.pi] if derivatives else [phi0]  # d k / d phi0: k at phi0 + pi/2
-    k = model.phase_factor(tau, np.array(phis)[:, None])
-    u = 0.5 * env * np.cos(b * k[0])
-    if not derivatives:
-        return u, None
+    k = model.phase_factor(tau, np.array([[phi0], [phi0 + 0.5 * math.pi]]))  # d k / d phi0: k at phi0 + pi/2
     half_sin = -0.5 * env * np.sin(b * k[0])
-    return u, np.stack([half_sin * k[0], half_sin * b * k[1]])
+    return 0.5 * env * np.cos(b * k[0]), np.stack([half_sin * k[0], half_sin * b * k[1]])
 
 
 def echo_jacobian(data: EchoDataset, model: EchoFitModel, params: dict) -> np.ndarray:
@@ -424,8 +425,8 @@ def fit_echo(
     else:
         raise ValidationError("initial needs both b_perp_gauss and phi0_rad")
 
-    def basis(x, derivatives):
-        return _echo_basis(model, data.tau_us, x[0], x[1], derivatives)
+    def basis(x):
+        return _echo_basis(model, data.tau_us, x[0], x[1])
 
     # prefer solutions inside the physical amplitude domain: beyond b_max the
     # fringe aliases between sample points and can overfit pure noise
@@ -440,7 +441,7 @@ def fit_echo(
                 abs(lm.cost - best[0].cost) <= 1e-15 and lm.converged and not best[0].converged
             ):
                 best = fit
-    lm, a, c = best or best_any
+    lm, a, c = (best or best_any)[:3]
 
     params = canonical_fringe_params(
         dict(zip(ECHO_PARAM_NAMES, (abs(float(lm.x[0])), float(lm.x[1]), a, c)))
@@ -557,10 +558,9 @@ def fit_rabi(data: EchoDataset, initial: dict | None = None, max_iter: int = 200
     if span <= 0:
         raise ValidationError("duration scan has zero span")
 
-    def basis(x, derivatives):
+    def basis(x):
         s = np.sin(math.pi * x[0] * t)
-        du = (math.pi * t * np.sin(2.0 * math.pi * x[0] * t))[None] if derivatives else None
-        return s * s, du
+        return s * s, (math.pi * t * np.sin(2.0 * math.pi * x[0] * t))[None]
 
     w = 1.0 / data.sigma**2
     if initial is not None and "rabi_freq_mhz" in initial:
@@ -579,10 +579,10 @@ def fit_rabi(data: EchoDataset, initial: dict | None = None, max_iter: int = 200
     i = finite[np.argmin(sse[finite])]  # the first minimum among finite SSE
 
     start = omega_candidates[i : i + 1]
-    lm, contrast, baseline = _fit_separable(basis, data.signal, data.sigma, start, max_iter=max_iter)
+    lm, contrast, baseline, _, _ = _fit_separable(basis, data.signal, data.sigma, start, max_iter=max_iter)
     omega = abs(float(lm.x[0]))
     params = {"rabi_freq_mhz": omega, "contrast": contrast, "baseline": baseline}
-    jac = _full_jacobian(*basis([omega], True), contrast, data.sigma)
+    jac = _full_jacobian(*basis([omega]), contrast, data.sigma)
     return _finalize_fit(params, jac, lm, RABI_PARAM_NAMES)
 
 
@@ -630,11 +630,11 @@ def profile_identifiability(
     fits = []
     for i, v in enumerate(values):
 
-        def basis(xf, derivatives):
-            u, du = _echo_basis(model, data.tau_us, *np.insert(xf, idx, v), derivatives)
-            return u, None if du is None else du[free]
+        def basis(xf):
+            u, du = _echo_basis(model, data.tau_us, *np.insert(xf, idx, v))
+            return u, du[free]
 
-        lm, a, c = _fit_separable(basis, data.signal, data.sigma, x_base[free], 0.0, 1.0, max_iter)
+        lm, a, c, _, _ = _fit_separable(basis, data.signal, data.sigma, x_base[free], 0.0, 1.0, max_iter)
         sse[i] = 2.0 * lm.cost
         x = np.insert(lm.x, idx, v)
         fits.append(dict(zip(ECHO_PARAM_NAMES, (*map(float, x), a, c))))

@@ -326,8 +326,8 @@ def _pair_sums(half, a, near, coef, cross) -> np.ndarray:
         exponent[rows] += ca[i] * a[i:]
         np.logical_and(near[i], near[i:], out=both[rows])
         k += n - i
-    terms = np.zeros(exponent.shape)
-    np.exp(exponent, out=terms, where=both)
+    terms = np.exp(exponent, out=exponent)
+    terms *= both  # an exact 0 off ``both``: the exponent, a sum of negative squares, has a finite exp
     terms *= coef[:, None]
     return terms.sum(axis=0) if terms.shape[1] > 1 else np.add.accumulate(terms[:, 0])[-1:]
 
@@ -597,10 +597,7 @@ def fit_spot_width(image: StrobedImage, initial_center_um: tuple[float, float]) 
         raise ValidationError("no counts near the requested centre")
 
     r_norm = math.hypot(cx, cy)
-    if r_norm > 1e-9:
-        u_r = np.array([cx, cy]) / r_norm
-    else:
-        u_r = np.array([1.0, 0.0])
+    u_r = np.array([cx, cy]) / r_norm if r_norm > 1e-9 else np.array([1.0, 0.0])
     u_a = np.array([-u_r[1], u_r[0]])
 
     flat = sub.ravel()
@@ -613,20 +610,19 @@ def fit_spot_width(image: StrobedImage, initial_center_um: tuple[float, float]) 
     # the widths, which needs a bias study against the known widths first
     ones = np.ones_like(flat)
 
-    def basis(p, derivatives):
+    def basis(p):
         """exp(-2 (dr^2/sr^2 + da^2/sa^2)) and its derivatives in p = (mx, my, sr, sa)."""
         mx, my, sr, sa = p
         dr = pr - (mx * u_r[0] + my * u_r[1])
         da = pa - (mx * u_a[0] + my * u_a[1])
         u = np.exp(dr * dr * (-2.0 / sr**2) + da * da * (-2.0 / sa**2))
-        if not derivatives:
-            return u, None
         gr, ga = u * dr * (4.0 / sr**2), u * da * (4.0 / sa**2)
-        return u, np.stack([gr * u_r[0] + ga * u_a[0], gr * u_r[1] + ga * u_a[1], gr * dr / sr, ga * da / sa])
+        du = np.empty((4, u.size))
+        du[:2], du[2], du[3] = u_r[:, None] * gr + u_a[:, None] * ga, gr * dr / sr, ga * da / sa
+        return u, du
 
     x0 = np.array([gx[peak_idx], gy[peak_idx], 0.5, 0.5])
-    lm, amp, bg = _fit_separable(basis, flat, ones, x0, 0.0, max_iter=300)
-    u, _ = basis(lm.x, False)
+    lm, amp, bg, u, du = _fit_separable(basis, flat, ones, x0, 0.0, max_iter=300)
     # the amplitude's standard error at the fitted shape; Poisson counts
     # vary at least as much as the background
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -637,5 +633,5 @@ def fit_spot_width(image: StrobedImage, initial_center_um: tuple[float, float]) 
             f"{amp:.4g} +- {amp_se:.3g} counts, cost={lm.cost:.4g}, grad={lm.grad_norm:.4g}, "
             f"params={np.round(lm.x, 4).tolist()}"
         )
-    _check_identified(_full_jacobian(*basis(lm.x, True), amp, ones))
+    _check_identified(_full_jacobian(u, du, amp, ones))
     return abs(float(lm.x[2])), abs(float(lm.x[3]))

@@ -124,12 +124,17 @@ def echo_ac_phase(c: PhysicalConstants, f_rot_hz: float, b_gauss, phi0_rad, tau_
     return first - ac_phase(c, f_rot_hz, b_gauss, phi0_rad, half, tau_us)
 
 
+def _checked_tau(tau_us) -> np.ndarray:
+    tau = np.asarray(tau_us, dtype=float)
+    if not np.all((tau >= 0) & (tau < math.inf)):
+        raise ValidationError("tau_us must be finite and non-negative")
+    return tau
+
+
 def echo_phase(p: EchoParams, c: PhysicalConstants, tau_us):
     """Phase difference between the two free halves of a tau spin echo, in rad:
     (2 pi gamma_e b_perp / w) [2 sin(w tau/2 + phi0) - sin(phi0) - sin(w tau + phi0)]."""
-    tau = np.asarray(tau_us, dtype=float)
-    if not np.all(tau >= 0):
-        raise ValidationError("tau_us must be non-negative")
+    tau = _checked_tau(tau_us)
     out = echo_ac_phase(c, p.f_rot_hz, p.b_perp_gauss, p.phi0_rad, tau)
     return float(out) if np.isscalar(tau_us) else out
 
@@ -169,9 +174,7 @@ def c13_envelope(p: EchoParams, c: PhysicalConstants, tau_us):
     an exact zero, so the cost does not grow with B0.  A dip width whose
     variance is no positive finite float is refused.
     """
-    tau = np.asarray(tau_us, dtype=float)
-    if not np.all(tau >= 0):
-        raise ValidationError("tau_us must be non-negative")
+    tau = _checked_tau(tau_us)
     tau_r = c13_revival_time_us(p.b0_gauss, c)
     width = COLLAPSE_WIDTH_FRAC * tau_r
     two_var = 2.0 * width**2 if width < 1e150 else math.inf  # the square overflows near 1e154

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+import hashlib
 import importlib.util
 import io
 import json
@@ -1228,3 +1229,54 @@ def test_ragged_rows_without_header_fail_as_before():
         dataset_oracle.parse_rows("1 2\n3\n")
     assert not isinstance(got.value, ValidationError)
     assert type(got.value) is type(want.value)
+
+
+# ---------------------------------------------------------------------------
+# the separable fits' printed results, pinned byte for byte: a faster fit
+# loop must move none of their bits
+
+_DEMO_WINDOW = (
+    "--set", "strobe.t_phi_us=0", "--x-min", "7", "--x-max", "12.5", "--y-min", "-2", "--y-max", "5.2"
+)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (1, "5ac6737e81fe66c435e223f170ec61e4f6e16b5cb52498a03955a6b93f4e9da6"),
+        (401, "1c25004593b5cc584a6fe9afa2f0a5072418c337e79cb81fd5e352050c998920"),
+    ],
+)
+def test_demo_pair_spot_lines_are_pinned(tmp_path, seed, digest):
+    lines = ""
+    for stationary in ((), ("--stationary",)):
+        argv = ["simulate-image", *_DEMO_WINDOW, *stationary, "--seed", str(seed)]
+        code, _, err = _run_outcome([*argv, "-o", str(tmp_path / "img.dat")])
+        assert code == 0
+        lines += "".join(ln for ln in err.splitlines(True) if ln.startswith("# spot"))
+    assert lines.count("\n") == 4 and _sha256(lines) == digest
+
+
+@pytest.mark.parametrize(
+    "scan, model, seed, digest",
+    [
+        ("rabi", ("--model", "rabi"), 1, "d48440ab7278ec9f48f36d1fd2aefbb1d7300443236e4c511b0c4a5e2c68ab92"),
+        ("rabi", ("--model", "rabi"), 7, "65faecc104ad19c2719b1dfb151e2c2bf94c478f21057f07472c937d60afec5f"),
+        ("echo", (), 1, "2fc760403ae4ef41ed5168c84b640d9fff784fd918467f89633be5b7f1e098ce"),
+        ("echo", (), 7, "4cb3a4412bc9d2b69d8c7a14f97c03aa84dff79a3c2b0e1613588c31add02fe1"),
+    ],
+)
+def test_fit_text_is_pinned(tmp_path, scan, model, seed, digest):
+    simulate = {
+        "rabi": ("simulate-rabi", "--durations", "0:1.1:400"),
+        "echo": ("simulate-echo", "--set", "field.theta_b_deg=3"),
+    }[scan]
+    data = tmp_path / "scan.dat"
+    assert _run_outcome([*simulate, "--seed", str(seed), "-o", str(data)])[0] == 0
+    code, text, _ = _run_outcome(["fit", str(data), *model])
+    assert code == 0 and text.startswith("# fit result\n")
+    assert _sha256(text) == digest

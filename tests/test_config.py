@@ -83,3 +83,31 @@ def test_out_of_range_value_names_field_and_range(cls, name, value, message):
 )
 def test_interval_ends_are_accepted(cls, name, value):
     assert getattr(cls(**{name: value}), name) == value
+
+
+# section -> every numeric field with no range: any finite value is valid
+UNRANGED = {
+    RotorGeometry: ("phi_nv0_deg", "phi_pos0_deg"),
+    FieldConfig: ("theta_b_deg", "phi_b_deg"),
+    ProtocolConfig: ("turn_on_offset_us",),
+}
+UNRANGED_CASES = [(cls, name) for cls, names in UNRANGED.items() for name in names]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+@pytest.mark.parametrize("cls, name", CASES, ids=[f"{cls.__name__}.{name}" for cls, name in CASES])
+def test_infinity_in_a_ranged_field_is_refused(cls, name, value):
+    # StrobeConfig(jitter_frac=inf) once reached a render as "cannot convert
+    # float NaN to integer", and t_phi_us=inf as an OverflowError
+    with pytest.raises(ValidationError, match=rf"^{name} must"):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "cls, name", UNRANGED_CASES, ids=[f"{cls.__name__}.{name}" for cls, name in UNRANGED_CASES]
+)
+def test_non_finite_value_in_an_unranged_field_is_refused(cls, name, value):
+    with pytest.raises(ValidationError, match=rf"^{name} must be finite$"):
+        cls(**{name: value})
+

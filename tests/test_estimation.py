@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rotornv import estimation
+from rotornv import estimation, imaging
 from rotornv.errors import IdentifiabilityError, ValidationError
 from rotornv.estimation import (
     ECHO_PARAM_NAMES,
@@ -166,7 +166,7 @@ class TestFitEcho:
         data = synth_dataset(noise_seed=8)
         x = np.array([0.01, 0.9])
         residual, jacobian = echo_problem(data, x)
-        u, _ = _echo_basis(MODEL, data.tau_us, *x, False)
+        u, _ = _echo_basis(MODEL, data.tau_us, *x)
         assert _solve_linear_pair(u, data.signal, data.sigma**-2)[0] > 1.0  # the bound is active here
         grad = jacobian(x).T @ residual(x)
         cost = lambda z: np.array([0.5 * float(residual(z) @ residual(z))])
@@ -450,12 +450,16 @@ def _rabi_problem(noise_seed):
     return lm_problem(fit_rabi, EchoDataset(t, y, np.full(t.size, 0.02)))
 
 
-def _spot_problem(noise_seed):
+def _spot_image(noise_seed):
     xs, ys = np.arange(37) * 0.15 + 7.0, np.arange(49) * 0.15 - 2.0
     gx, gy = np.meshgrid(xs, ys)
     lam = 4.0 + 300.0 * np.exp(-2.0 * ((gx - 10.05) ** 2 / 0.9**2 + (gy - 0.1) ** 2 / 0.45**2))
     counts = lam if noise_seed is None else np.random.default_rng(noise_seed).poisson(lam)
-    return lm_problem(fit_spot_width, StrobedImage(counts, xs, ys, 0.0067), (10.0, 0.0))
+    return StrobedImage(counts, xs, ys, 0.0067)
+
+
+def _spot_problem(noise_seed):
+    return lm_problem(fit_spot_width, _spot_image(noise_seed), (10.0, 0.0))
 
 
 class TestSeparable:
@@ -483,3 +487,49 @@ class TestSeparable:
         grad = jacobian(x).T @ r
         numeric = numeric_jacobian(residual, x, rel_step=1e-7).T @ r
         assert np.allclose(grad, numeric, rtol=1e-6, atol=1e-6 * np.max(np.abs(grad)))
+
+
+def _basis_passes(monkeypatch, fit, *args):
+    """(basis calls, LM residual evaluations) of each separable fit that ``fit(*args)`` runs."""
+    counts = []
+    real_fit, real_lm = estimation._fit_separable, estimation.levenberg_marquardt
+
+    def counting_fit(basis, *a, **kw):
+        counts.append([0, 0])
+
+        def counted_basis(*b):
+            counts[-1][0] += 1
+            return basis(*b)
+
+        return real_fit(counted_basis, *a, **kw)
+
+    def counting_lm(residual, jacobian, x0, **kw):
+        def counted_residual(x):
+            counts[-1][1] += 1
+            return residual(x)
+
+        return real_lm(counted_residual, jacobian, x0, **kw)
+
+    for module in (estimation, imaging):
+        monkeypatch.setattr(module, "_fit_separable", counting_fit)
+    monkeypatch.setattr(estimation, "levenberg_marquardt", counting_lm)
+    fit(*args)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "fit, args",
+    [
+        (fit_spot_width, (_spot_image(3), (10.0, 0.0))),
+        (fit_rabi, (_rabi_scan(np.random.default_rng(3), np.linspace(0.0, 1.1, 40), 3.6, -0.25, 0.02),)),
+        (fit_echo, (synth_dataset(noise_seed=3), MODEL)),
+    ],
+    ids=["spot", "rabi", "echo"],
+)
+def test_one_basis_pass_per_residual_evaluation(monkeypatch, fit, args):
+    # the Jacobian reuses the basis of the residual at its x; one more pass
+    # may follow LM, when its last trial was rejected
+    counts = _basis_passes(monkeypatch, fit, *args)
+    assert counts and all(residuals > 1 for _, residuals in counts)
+    for basis_calls, residuals in counts:
+        assert basis_calls <= residuals + 1

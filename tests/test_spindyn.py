@@ -229,6 +229,13 @@ class TestC13Envelope:
         with pytest.raises(ValidationError, match="field.b0_gauss or constants.gamma_c13_khz_per_g"):
             c13_envelope(p, PhysicalConstants(**constants_kw), np.array([2.0, 5.0]))
 
+    @pytest.mark.parametrize("tau", [[math.inf], [2.0, math.nan], -1.0])
+    @pytest.mark.parametrize("fn", [c13_envelope, echo_phase])
+    def test_a_tau_that_is_not_finite_and_non_negative_is_refused(self, constants, fn, tau):
+        # an infinite tau once reached int() of the dip count: a raw OverflowError
+        with pytest.raises(ValidationError, match="^tau_us must be finite and non-negative$"):
+            fn(EchoParams(), constants, tau)
+
 
 class TestSimulateSequence:
     def test_echo_matches_closed_form(self, geometry_default, field_tilted, constants):
