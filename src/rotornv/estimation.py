@@ -262,8 +262,7 @@ def _fit_separable(basis, y, sigma, x0, lo=-math.inf, hi=math.inf, max_iter: int
     the columns a du / sigma projected off the free linear columns.  The
     Golub-Pereyra term it drops lies in their span, orthogonal to the
     residual, so J^T r is the exact gradient.  Each residual evaluates the
-    basis once; the Jacobian at that x reuses it.  Returned are the pair
-    and the basis at the x where LM stops.
+    basis once, reused by the Jacobian at that x and returned where LM stops.
     """
     w = 1.0 / sigma**2
     s_1, s_y = w.sum(), y @ w
@@ -287,7 +286,7 @@ def _fit_separable(basis, y, sigma, x0, lo=-math.inf, hi=math.inf, max_iter: int
         if latest[0] != x.tobytes():
             residual(x)
         _, u, du, s_uu, s_u, det, _, _ = latest
-        rows = np.vstack([y, du])  # a is taken from the y row of the same matrix-vector sums
+        rows = np.vstack([y, du])  # a from these matrix-vector sums; the residual's dots differ in last bits
         s_urows, s_rows = (u * rows) @ w, rows @ w
         a = (s_urows * s_1 - s_u * s_rows) / det
         coef = float(a[0])
@@ -301,7 +300,8 @@ def _fit_separable(basis, y, sigma, x0, lo=-math.inf, hi=math.inf, max_iter: int
     lm = levenberg_marquardt(residual, jacobian, x0, max_iter=max_iter)
     if latest[0] != lm.x.tobytes():
         residual(lm.x)
-    return lm, *latest[6:], *latest[1:3]
+    _, u, du, _, _, _, a, c = latest
+    return lm, a, c, u, du
 
 
 def _full_jacobian(u: np.ndarray, du: np.ndarray, a: float, sigma: np.ndarray) -> np.ndarray:
