@@ -33,7 +33,7 @@ MAX_CAL_ANGLES = 1_000_000
 COLLECTION_MODES = ("illumination-only", "confocal-squared")
 
 
-def _check_ranges(section, positive=(), non_negative=(), within=None, finite=()) -> None:
+def check_ranges(section, positive=(), non_negative=(), within=None, finite=()) -> None:
     """Refuse the first field outside its range, naming it; ``within`` maps a field to (lo, hi).
 
     Every test reads ``not (in range)``, so NaN lies outside every range.
@@ -55,6 +55,12 @@ def _check_ranges(section, positive=(), non_negative=(), within=None, finite=())
             raise ValidationError(f"{name} must be finite")
 
 
+def check_f_rot_hz(f_rot_hz: float) -> None:
+    """Refuse a rotation frequency that is not positive with a finite angular frequency."""
+    if not (f_rot_hz > 0 and math.isfinite(TWO_PI * f_rot_hz)):
+        raise ValidationError("f_rot_hz must be positive, with a finite angular frequency 2 pi f_rot_hz")
+
+
 @dataclass(frozen=True)
 class RotorGeometry:
     """Rotation frequency plus NV orbit radius, axis tilt and trigger-time azimuths.
@@ -72,10 +78,9 @@ class RotorGeometry:
     phi_pos0_deg: float = 0.0
 
     def __post_init__(self):
-        if not (self.f_rot_hz > 0 and math.isfinite(TWO_PI * self.f_rot_hz)):
-            raise ValidationError("f_rot_hz must be positive, with a finite angular frequency 2 pi f_rot_hz")
-        _check_ranges(self, non_negative=("r_nv_um",), within={"theta_nv_deg": (0, 180)},
-                      finite=("phi_nv0_deg", "phi_pos0_deg"))
+        check_f_rot_hz(self.f_rot_hz)
+        check_ranges(self, non_negative=("r_nv_um",), within={"theta_nv_deg": (0, 180)},
+                     finite=("phi_nv0_deg", "phi_pos0_deg"))
 
     @property
     def t_rot_s(self) -> float:
@@ -113,7 +118,7 @@ class FieldConfig:
     mw_dir: tuple[float, float, float] = (1.0, 0.0, 0.0)
 
     def __post_init__(self):
-        _check_ranges(self, non_negative=("b0_gauss",), finite=("theta_b_deg", "phi_b_deg"))
+        check_ranges(self, non_negative=("b0_gauss",), finite=("theta_b_deg", "phi_b_deg"))
         vec = np.asarray(self.mw_dir, dtype=float)
         if vec.shape != (3,):
             raise ValidationError(f"mw_dir must be a 3-vector, got shape {vec.shape}")
@@ -144,7 +149,7 @@ class PhysicalConstants:
     gamma_c13_khz_per_g: float = 1.075
 
     def __post_init__(self):
-        _check_ranges(self, positive=("gamma_e_mhz_per_g", "gamma_c13_khz_per_g"))
+        check_ranges(self, positive=("gamma_e_mhz_per_g", "gamma_c13_khz_per_g"))
 
 
 @dataclass(frozen=True)
@@ -157,8 +162,8 @@ class BeamProfile:
     background_cps: float = 0.0
 
     def __post_init__(self):
-        _check_ranges(self, positive=("waist_diameter_1e2_um",),
-                      non_negative=("peak_counts_stationary_cps", "background_cps"))
+        check_ranges(self, positive=("waist_diameter_1e2_um",),
+                     non_negative=("peak_counts_stationary_cps", "background_cps"))
         if self.collection_mode not in COLLECTION_MODES:
             raise ValidationError(
                 f"collection_mode must be one of {COLLECTION_MODES}, got {self.collection_mode!r}"
@@ -181,7 +186,7 @@ class RateModel:
     singlet_branching_to_g0: float = 0.8
 
     def __post_init__(self):
-        _check_ranges(self, non_negative=(
+        check_ranges(self, non_negative=(
             "pump_rate_peak_per_us", "radiative_rate_per_us", "isc_rate_e1_per_us",
             "isc_rate_e0_per_us", "singlet_decay_per_us",
         ), within={"singlet_branching_to_g0": (0, 1)})
@@ -204,7 +209,7 @@ class StrobeConfig:
     wobble_amp_um: float = 0.4243
 
     def __post_init__(self):
-        _check_ranges(self, non_negative=("t_pulse_us", "jitter_frac", "wobble_amp_um", "t_phi_us"))
+        check_ranges(self, non_negative=("t_pulse_us", "jitter_frac", "wobble_amp_um", "t_phi_us"))
 
 
 @dataclass(frozen=True)
@@ -222,7 +227,7 @@ class ProtocolConfig:
     max_image_pixels: int = 250_000
 
     def __post_init__(self):
-        _check_ranges(self, positive=(
+        check_ranges(self, positive=(
             "base_rabi_mhz", "shots_per_point", "readout_window_us", "bin_width_us",
             "t2_us", "envelope_exponent", "max_image_pixels",
         ), within={"n_cal_angles": (1, MAX_CAL_ANGLES)}, finite=("turn_on_offset_us",))

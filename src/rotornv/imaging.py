@@ -20,9 +20,9 @@ rotor angle gets one sin/cos pair, shared by all emitters: since
 frame (by minus its orbit phase p) instead of rotating every orbit sample.
 Widths are quoted in the 1/e^2 convention: a profile exp(-2 d^2 / sigma^2)
 has width sigma.  The spot fit is separable, amplitude x Gaussian basis +
-background, and runs through the variable-projection driver of
-:mod:`estimation`: LM over (x, y, sigma_r, sigma_a) with analytic
-derivatives of the basis, refused at a singular Jacobian like every fit.
+background, and runs through the variable-projection core of :mod:`lsq`:
+LM over (x, y, sigma_r, sigma_a) with analytic derivatives of the basis,
+refused at a singular Jacobian like every fit.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 
+from . import lsq
 from .config import RotorGeometry, StrobeConfig
 from .errors import FitError, ValidationError, check_expected_counts
-from .estimation import _check_identified, _fit_separable, _full_jacobian
 from .geometry import TWO_PI
 
 # Strobe samples (cycles x SUBSTEPS) one pixel may integrate: ~200x the
@@ -622,7 +622,7 @@ def fit_spot_width(image: StrobedImage, initial_center_um: tuple[float, float]) 
         return u, du
 
     x0 = np.array([gx[peak_idx], gy[peak_idx], 0.5, 0.5])
-    lm, amp, bg, u, du = _fit_separable(basis, flat, ones, x0, 0.0, max_iter=300)
+    lm, amp, bg, u, du = lsq.fit_separable(basis, flat, ones, x0, 0.0, max_iter=300)
     # the amplitude's standard error at the fitted shape; Poisson counts
     # vary at least as much as the background
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -633,5 +633,5 @@ def fit_spot_width(image: StrobedImage, initial_center_um: tuple[float, float]) 
             f"{amp:.4g} +- {amp_se:.3g} counts, cost={lm.cost:.4g}, grad={lm.grad_norm:.4g}, "
             f"params={np.round(lm.x, 4).tolist()}"
         )
-    _check_identified(_full_jacobian(u, du, amp, ones))
+    lsq.check_identified(lsq.full_jacobian(u, du, amp, ones))
     return abs(float(lm.x[2])), abs(float(lm.x[3]))

@@ -1,0 +1,204 @@
+"""The model-free least-squares core of every fit: LM and variable projection.
+
+The optimizer is a damped Gauss-Newton (Levenberg-Marquardt) loop with a
+monotone acceptance rule: a step is taken only if it lowers the weighted
+sum of squares.  Every fit is separable, a nonlinear basis u(x) times a
+linear pair: y ~ a u(x) + c, and runs through one driver,
+:func:`fit_separable`, which solves the pair in closed form at each x and
+hands LM the projected residual with Kaufman's Jacobian (BIT 15 (1975)
+49), so LM searches the nonlinear parameters alone (variable
+projection, Golub & Pereyra, Inverse Problems 19 (2003) R1).  Every fit
+stops when the gradient falls below 1e-8 of the cost or when no trial step
+could lower the cost by more than its rounding, and a full Jacobian with
+condition above 1e12 at the optimum raises IdentifiabilityError.
+The models live with their fits: the echo and Rabi bases in
+:mod:`estimation`, the spot basis in :mod:`imaging`.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import IdentifiabilityError
+
+# LM stops at a gradient below _GRAD_TOL of the cost, above the rounding
+# floor (~1e-10 to 1e-9 of the cost) that a smaller tolerance would wait
+# out in ~10 rejected steps, or at an accepted step below _STEP_TOL of |x|.
+_GRAD_TOL = 1e-8
+_STEP_TOL = 1e-13
+# A trial step whose Gauss-Newton predicted reduction of the cost is below
+# this fraction of the cost lies under the cost's rounding floor, where no
+# damping can lower the cost by a resolvable amount: LM stops there instead
+# of rejecting 10-20 ever shorter trials (MINPACK's "no further reduction
+# in the sum of squares is possible", More, Garbow & Hillstrom, ANL-80-74).
+_COST_RESOLUTION = 4.0 * np.finfo(float).eps
+# An optimum whose full Jacobian has a larger condition is not identified.
+_MAX_CONDITION = 1e12
+
+
+# ---------------------------------------------------------------------------
+# Levenberg-Marquardt core
+
+
+@dataclass
+class LMResult:
+    x: np.ndarray
+    cost: float  # 0.5 * sum(residual^2)
+    grad_norm: float
+    iterations: int
+    converged: bool
+
+
+def levenberg_marquardt(residual_fn, jacobian_fn, x0, max_iter: int = 200) -> LMResult:
+    """Damped Gauss-Newton with monotone acceptance.
+
+    The weighted SSE never increases across accepted iterations.  A run
+    converges at a gradient below _GRAD_TOL of the cost, at an accepted
+    step below _STEP_TOL of |x|, or at the cost's rounding floor: a trial
+    step whose Gauss-Newton predicted reduction -(g.s + s^T J^T J s / 2)
+    is below _COST_RESOLUTION of the cost ends the run at x before its
+    residual is evaluated.
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    r = np.asarray(residual_fn(x), dtype=float)
+    cost = 0.5 * float(r @ r)
+    lam = 1e-3
+    iterations = 0
+    converged = False
+    grad_norm = np.inf
+    for iterations in range(1, max_iter + 1):
+        jac = np.asarray(jacobian_fn(x), dtype=float)
+        grad = jac.T @ r
+        grad_norm = float(np.abs(grad).max())
+        if grad_norm < _GRAD_TOL * max(1.0, cost):
+            converged = True
+            break
+        jtj = jac.T @ jac
+        diag = np.maximum(jtj.diagonal(), 1e-30)
+        accepted = False
+        for _ in range(50):
+            damped = jtj.copy()
+            damped.reshape(-1)[:: diag.size + 1] += lam * diag
+            try:
+                step = np.linalg.solve(damped, -grad)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            if -(grad @ step + 0.5 * step @ jtj @ step) < _COST_RESOLUTION * cost:
+                converged = True
+                break
+            x_new = x + step
+            r_new = np.asarray(residual_fn(x_new), dtype=float)
+            cost_new = 0.5 * float(r_new @ r_new)
+            if np.isfinite(cost_new) and cost_new <= cost:
+                rel_step = math.sqrt(step @ step) / max(math.sqrt(x @ x), 1e-12)
+                x, r, cost = x_new, r_new, cost_new
+                lam = max(lam * 0.3, 1e-14)
+                accepted = True
+                if rel_step < _STEP_TOL:
+                    converged = True
+                break
+            lam *= 4.0
+        if converged:
+            break
+        if not accepted:
+            # no descent direction left at any damping: numerical optimum
+            converged = grad_norm < 1e-6 * max(1.0, cost)
+            break
+    return LMResult(x=x, cost=cost, grad_norm=grad_norm, iterations=iterations, converged=converged)
+
+
+# ---------------------------------------------------------------------------
+# separable least squares: y ~ a u(x) + c
+
+
+def solve_linear_pair(u: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """Weighted LS for y ~ a*u + c along the last axis: returns (a, c) and the weighted SSE.
+
+    ``w`` is one weight vector; ``u`` and ``y`` broadcast against each other.
+    """
+    return pair_from_sums((u * u) @ w, u @ w, w.sum(), (u * y) @ w, y @ w, (y * y) @ w)
+
+
+def pair_from_sums(s_uu, s_u, s_1, s_uy, s_y, s_yy):
+    """(a, c, SSE) of the weighted pair y ~ a*u + c from its sums.
+
+    The sums are s_uu = sum w u^2, s_u = sum w u, s_1 = sum w, s_uy =
+    sum w u y, s_y = sum w y and s_yy = sum w y^2.  A determinant below
+    1e-300 in magnitude (a flat u) gives NaN.
+    """
+    det = s_uu * s_1 - s_u**2
+    det = np.where(np.abs(det) < 1e-300, np.nan, det)
+    a = (s_uy * s_1 - s_u * s_y) / det
+    cc = (s_uu * s_y - s_u * s_uy) / det
+    return a, cc, s_yy - a * s_uy - cc * s_y
+
+
+def fit_separable(basis, y, sigma, x0, lo=-math.inf, hi=math.inf, max_iter: int = 200):
+    """LM over the nonlinear parameters x of y ~ a u(x) + c: (LMResult, a, c, u, du).
+
+    ``basis(x)`` returns u at x and its derivatives du (p, n).  At each x
+    the pair is solved in closed form; an ``a`` outside [lo, hi] (or NaN,
+    when u is flat) is clamped and c re-solved alone.  LM runs on the
+    projected residual (a u + c - y) / sigma and Kaufman's Jacobian (n, p):
+    the columns a du / sigma projected off the free linear columns.  The
+    Golub-Pereyra term it drops lies in their span, orthogonal to the
+    residual, so J^T r is the exact gradient.  Each residual evaluates the
+    basis once, reused by the Jacobian at that x and returned where LM stops.
+    """
+    w = 1.0 / sigma**2
+    s_1, s_y = w.sum(), y @ w
+    latest = [b""]  # x, u, du, sum w u^2, sum w u, det, a, c at the last x only
+
+    def residual(x):
+        u, du = basis(x)
+        s_uu, s_u, s_uy = (u * u) @ w, u @ w, (u * y) @ w
+        det = float(s_uu * s_1 - s_u**2)
+        det = math.nan if abs(det) < 1e-300 else det
+        a = float((s_uy * s_1 - s_u * s_y) / det)
+        if lo < a < hi:  # False for NaN
+            c = float((s_uu * s_y - s_u * s_uy) / det)
+        else:
+            a = min(max(0.0 if math.isnan(a) else a, lo), hi)
+            c = float((y - a * u) @ w / s_1)
+        latest[:] = x.tobytes(), u, du, s_uu, s_u, det, a, c
+        return (a * u + c - y) / sigma
+
+    def jacobian(x):
+        if latest[0] != x.tobytes():
+            residual(x)
+        _, u, du, s_uu, s_u, det, _, _ = latest
+        rows = np.vstack([y, du])  # a from these matrix-vector sums; the residual's dots differ in last bits
+        s_urows, s_rows = (u * rows) @ w, rows @ w
+        a = (s_urows * s_1 - s_u * s_rows) / det
+        coef = float(a[0])
+        if lo < coef < hi:
+            fitted = a[1:, None] * u + ((s_uu * s_rows[1:] - s_u * s_urows[1:]) / det)[:, None]
+        else:
+            coef = min(max(0.0 if math.isnan(coef) else coef, lo), hi)
+            fitted = (du @ w / s_1)[:, None]
+        return (coef * (du - fitted) / sigma).T
+
+    lm = levenberg_marquardt(residual, jacobian, x0, max_iter=max_iter)
+    if latest[0] != lm.x.tobytes():
+        residual(lm.x)
+    _, u, du, _, _, _, a, c = latest
+    return lm, a, c, u, du
+
+
+def full_jacobian(u: np.ndarray, du: np.ndarray, a: float, sigma: np.ndarray) -> np.ndarray:
+    """Jacobian of (a u + c - y) / sigma in (nonlinear parameters, a, c)."""
+    return np.column_stack([*(a * du), u, np.ones_like(u)]) / sigma[:, None]
+
+
+def check_identified(jac: np.ndarray) -> None:
+    """Raise IdentifiabilityError if ``jac`` has condition above _MAX_CONDITION."""
+    sv = np.linalg.svd(jac, compute_uv=False)
+    if sv[0] <= 0 or sv[-1] / sv[0] < 1.0 / _MAX_CONDITION:
+        raise IdentifiabilityError(
+            f"singular Jacobian at the optimum (condition {sv[0] / max(sv[-1], 1e-300):.3g}); "
+            "one or more parameters are unconstrained by the data"
+        )

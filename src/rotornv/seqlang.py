@@ -44,6 +44,7 @@ import numpy as np
 from . import geometry
 from .config import FieldConfig, RotorGeometry
 from .errors import CompileError, Diagnostic, ParseError, ValidationError
+from .spindyn import TARGET_FRACTIONS
 
 TIME_UNITS = {"ns": 1e-3, "us": 1.0}  # to microseconds
 ALL_UNITS = ("ns", "us", "MHz", "deg")
@@ -434,10 +435,6 @@ def build_calibration(
 
 # ---------------------------------------------------------------------------
 # timeline
-
-
-# fraction of a full turn that each target pulse rotates the spin by
-TARGET_FRACTIONS = {"pi": 0.5, "pi/2": 0.25}
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,14 +23,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import geometry
-from .config import FieldConfig, PhysicalConstants, RotorGeometry
+from .config import FieldConfig, PhysicalConstants, RotorGeometry, check_f_rot_hz, check_ranges
 from .errors import ValidationError
 from .geometry import TWO_PI
-from .seqlang import TARGET_FRACTIONS, TimelineBatch
+
+if TYPE_CHECKING:
+    from .seqlang import TimelineBatch
+
+# fraction of a full turn that each target pulse rotates the spin by
+TARGET_FRACTIONS = {"pi": 0.5, "pi/2": 0.25}
 
 
 @dataclass(frozen=True)
@@ -50,10 +56,10 @@ class EchoParams:
     b0_gauss: float = 6.2
 
     def __post_init__(self):
-        if not self.b_perp_gauss >= 0:
-            raise ValidationError("b_perp_gauss must be non-negative")
-        if not self.t2_us > 0:
-            raise ValidationError("t2_us must be positive")
+        # refused as the config refuses the settings they come from
+        check_ranges(self, non_negative=("b_perp_gauss", "b0_gauss"), finite=("phi0_rad",),
+                     positive=("t2_us", "envelope_exponent"))
+        check_f_rot_hz(self.f_rot_hz)
 
     @classmethod
     def from_experiment(cls, g, f, t2_us=350.0, **kw) -> "EchoParams":

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from rotornv import estimation
+from rotornv import estimation, lsq
 from rotornv.errors import FitError
-from rotornv.estimation import EchoFitModel, levenberg_marquardt
+from rotornv.estimation import EchoFitModel
+from rotornv.lsq import levenberg_marquardt
 from rotornv.geometry import TWO_PI
 
 
@@ -40,11 +41,11 @@ def numeric_jacobian(residual_fn, x, rel_step: float = 1e-6) -> np.ndarray:
 def lm_problem(fit, *args):
     """The residual and Jacobian that ``fit(*args)`` hands to LM, and the point LM ends at.
 
-    Every fit reaches LM through ``estimation.levenberg_marquardt``; this
+    Every fit reaches LM through ``lsq.levenberg_marquardt``; this
     spies on it there and keeps the first call.
     """
     seen = []
-    real = estimation.levenberg_marquardt
+    real = lsq.levenberg_marquardt
 
     def spy(residual, jacobian, x0, **kwargs):
         lm = real(residual, jacobian, x0, **kwargs)
@@ -52,7 +53,7 @@ def lm_problem(fit, *args):
         return lm
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimation, "levenberg_marquardt", spy)
+        mp.setattr(lsq, "levenberg_marquardt", spy)
         fit(*args)
     return seen[0]
 

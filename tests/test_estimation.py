@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rotornv import estimation, imaging
+from rotornv import estimation, lsq
 from rotornv.errors import IdentifiabilityError, ValidationError
 from rotornv.estimation import (
     ECHO_PARAM_NAMES,
@@ -13,12 +13,12 @@ from rotornv.estimation import (
     echo_jacobian,
     fit_echo,
     fit_rabi,
-    levenberg_marquardt,
     profile_identifiability,
     _echo_basis,
-    _solve_linear_pair,
 )
+from rotornv.lsq import levenberg_marquardt, solve_linear_pair
 from rotornv.cli import main
+from rotornv.config import RotorGeometry
 from rotornv.geometry import TWO_PI
 from rotornv.imaging import StrobedImage, fit_spot_width
 from rotornv.pipeline import read_echo_dataset
@@ -92,9 +92,19 @@ class TestLevenbergMarquardt:
 
         lm = levenberg_marquardt(residual, jacobian, np.zeros(1))
         assert lm.converged
-        assert lm.grad_norm > 5.0 * estimation._GRAD_TOL * lm.cost
+        assert lm.grad_norm > 5.0 * lsq._GRAD_TOL * lm.cost
         assert lm.x.tolist() == [0.0] and lm.cost == 1.0 and lm.iterations == 1
         assert calls == {"residual": 1, "jacobian": 1}
+
+
+@pytest.mark.parametrize("f_rot_hz", [0.0, -3333.33, math.inf, math.nan, 1e308])
+def test_fit_model_refuses_the_rotation_rates_the_geometry_refuses(f_rot_hz):
+    # each once reached phase_factor as a NaN or a numpy RuntimeWarning
+    with pytest.raises(ValidationError) as want:
+        RotorGeometry(f_rot_hz=f_rot_hz)
+    with pytest.raises(ValidationError) as got:
+        EchoFitModel(f_rot_hz=f_rot_hz).phase_factor([1.0, 2.0], 0.0)
+    assert str(got.value) == str(want.value)
 
 
 class TestFitEcho:
@@ -167,7 +177,7 @@ class TestFitEcho:
         x = np.array([0.01, 0.9])
         residual, jacobian = echo_problem(data, x)
         u, _ = _echo_basis(MODEL, data.tau_us, *x)
-        assert _solve_linear_pair(u, data.signal, data.sigma**-2)[0] > 1.0  # the bound is active here
+        assert solve_linear_pair(u, data.signal, data.sigma**-2)[0] > 1.0  # the bound is active here
         grad = jacobian(x).T @ residual(x)
         cost = lambda z: np.array([0.5 * float(residual(z) @ residual(z))])
         numeric = numeric_jacobian(cost, x, rel_step=1e-6)[0]
@@ -367,7 +377,7 @@ class TestRabiStartScan:
         t = data.tau_us
         grid = np.linspace(0.25 / (t[-1] - t[0]), 0.5 * t.size / (t[-1] - t[0]), 256)
         u = np.sin(math.pi * grid[:, None] * t) ** 2
-        sse = _solve_linear_pair(u, data.signal, 1.0 / data.sigma**2)[2]
+        sse = solve_linear_pair(u, data.signal, 1.0 / data.sigma**2)[2]
         start = {"rabi_freq_mhz": float(grid[np.argmin(sse)])}
         assert fit.as_text() == fit_rabi(data, start).as_text()
 
@@ -492,7 +502,7 @@ class TestSeparable:
 def _basis_passes(monkeypatch, fit, *args):
     """(basis calls, LM residual evaluations) of each separable fit that ``fit(*args)`` runs."""
     counts = []
-    real_fit, real_lm = estimation._fit_separable, estimation.levenberg_marquardt
+    real_fit, real_lm = lsq.fit_separable, lsq.levenberg_marquardt
 
     def counting_fit(basis, *a, **kw):
         counts.append([0, 0])
@@ -510,9 +520,8 @@ def _basis_passes(monkeypatch, fit, *args):
 
         return real_lm(counted_residual, jacobian, x0, **kw)
 
-    for module in (estimation, imaging):
-        monkeypatch.setattr(module, "_fit_separable", counting_fit)
-    monkeypatch.setattr(estimation, "levenberg_marquardt", counting_lm)
+    monkeypatch.setattr(lsq, "fit_separable", counting_fit)
+    monkeypatch.setattr(lsq, "levenberg_marquardt", counting_lm)
     fit(*args)
     return counts
 

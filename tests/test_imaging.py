@@ -7,7 +7,7 @@ import pytest
 import render_oracle
 from lsq_oracle import spot_width_oracle
 
-from rotornv import estimation, imaging, pipeline
+from rotornv import imaging, lsq, pipeline
 from rotornv.config import RotorGeometry, StrobeConfig, apply_overrides, config_from_dict
 from rotornv.errors import FitError, IdentifiabilityError, ValidationError
 from rotornv.geometry import TWO_PI
@@ -534,7 +534,7 @@ class TestFitSpotWidth:
         # stationary spot 1 of the demo pair at seed 3 used to end in a run
         # of rejected trial steps: 37 residual evaluations for 11 Jacobians
         calls = {"residual": 0, "jacobian": 0}
-        real = estimation.levenberg_marquardt
+        real = lsq.levenberg_marquardt
 
         def counting(residual, jacobian, x0, **kwargs):
             def counted_residual(x):
@@ -548,7 +548,7 @@ class TestFitSpotWidth:
             return real(counted_residual, counted_jacobian, x0, **kwargs)
 
         img, centers = demo_image(3, True)
-        monkeypatch.setattr(estimation, "levenberg_marquardt", counting)
+        monkeypatch.setattr(lsq, "levenberg_marquardt", counting)
         widths = fit_spot_width(img, centers[1])
         assert calls["residual"] <= calls["jacobian"] + 3
         # the widths of the fit that waited out the rejected steps

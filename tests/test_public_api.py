@@ -1,4 +1,4 @@
-"""The names ``rotornv`` exports: each resolves, no other is listed, and retired ones stay gone."""
+"""The names ``rotornv`` exports and its import graph: each name resolves, no other is listed, retired ones stay gone."""
 
 import ast
 import inspect
@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import rotornv
-from rotornv import config
+from rotornv import config, estimation, imaging, lsq
 
 EXPORTS = (
     # errors
@@ -123,26 +123,107 @@ def test_import_leaves_numpy_fft_unloaded():
     assert res.stdout.strip() == "[]"
 
 
-def _package_imports(tree: ast.Module) -> set[str]:
-    """The package modules a module's import statements name."""
-    found = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level:  # from . import x / from .x import y
-            found.update([node.module] if node.module else [a.name for a in node.names])
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("rotornv"):
-            found.add(node.module)
+def _runtime_nodes(tree: ast.Module):
+    """Every node of a module's tree outside its ``if TYPE_CHECKING:`` blocks."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            stack.extend(node.orelse)
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _package_imports(tree: ast.Module) -> dict[str, set[str]]:
+    """The package modules a module imports at run time, each with the names taken from it."""
+    found: dict[str, set[str]] = {}
+    for node in _runtime_nodes(tree):
+        if isinstance(node, ast.ImportFrom) and node.level and not node.module:  # from . import x
+            for alias in node.names:
+                found.setdefault(alias.name, set())
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("rotornv.")):
+            module = node.module.removeprefix("rotornv.")
+            found.setdefault(module, set()).update(a.name for a in node.names)
         elif isinstance(node, ast.Import):
-            found.update(a.name for a in node.names if a.name.startswith("rotornv"))
+            for alias in node.names:
+                if alias.name.startswith("rotornv."):
+                    found.setdefault(alias.name.removeprefix("rotornv."), set())
     return found
 
 
+PACKAGE = Path(rotornv.__file__).parent
+# module -> the package modules it imports at run time: config and the fit
+# core load no physics, and the fringe model and the raster load no compiler
+IMPORT_GRAPH = {
+    "config": {"errors", "geometry"},
+    "lsq": {"errors"},
+    "imaging": {"config", "errors", "geometry", "lsq"},
+    "spindyn": {"config", "errors", "geometry"},
+    "estimation": {"config", "errors", "lsq", "spindyn"},
+}
+
+
+def _module_tree(name: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{name}.py").read_text())
+
+
 def test_config_owns_its_sections_and_imports_no_physics_module():
-    package = Path(rotornv.__file__).parent
-    assert _package_imports(ast.parse((package / "config.py").read_text())) == {"errors", "geometry"}
+    for name, imported in IMPORT_GRAPH.items():
+        assert set(_package_imports(_module_tree(name))) == imported, name
     sections = {cls.__name__ for _, cls in config._SECTIONS.values()} | {"ExperimentConfig"}
     assert len(sections) == 8
-    for path in package.glob("*.py"):
+    for path in PACKAGE.glob("*.py"):
         if path.name != "config.py":
             tree = ast.parse(path.read_text())
             defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
             assert not defined & sections, path.name
+
+
+def test_no_module_imports_another_modules_private_name():
+    for path in PACKAGE.glob("*.py"):
+        for module, names in _package_imports(ast.parse(path.read_text())).items():
+            assert not [n for n in names if n.startswith("_")], (path.name, module)
+
+
+# the least-squares core the fringe, Rabi and spot fits share
+LSQ_NAMES = (
+    "LMResult",
+    "levenberg_marquardt",
+    "fit_separable",
+    "solve_linear_pair",
+    "pair_from_sums",
+    "full_jacobian",
+    "check_identified",
+    "_GRAD_TOL",
+    "_STEP_TOL",
+    "_COST_RESOLUTION",
+    "_MAX_CONDITION",
+)
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_lsq_alone_defines_the_fit_core():
+    assert set(LSQ_NAMES) <= _top_level_names(_module_tree("lsq"))
+    old_private = {"_" + name for name in LSQ_NAMES if not name.startswith("_")}
+    for name in ("estimation", "imaging"):
+        assert not _top_level_names(_module_tree(name)) & (set(LSQ_NAMES) | old_private), name
+
+
+def test_estimation_keeps_the_one_lm_binding_the_tracer_looks_up():
+    # perfbench's tracer finds levenberg_marquardt on rotornv.estimation and
+    # rebinds that object in every module, lsq included
+    assert estimation.levenberg_marquardt is lsq.levenberg_marquardt
+    moved = [getattr(lsq, name) for name in LSQ_NAMES if callable(getattr(lsq, name))]
+    for module in (rotornv, estimation, imaging):
+        bound = {n for n, v in vars(module).items() if any(v is obj for obj in moved)}
+        assert bound == ({"levenberg_marquardt"} if module is estimation else set()), module.__name__

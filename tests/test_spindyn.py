@@ -108,6 +108,26 @@ class TestPulseRotation:
 
 
 class TestEchoPhase:
+    @pytest.mark.parametrize(
+        "field, name",
+        [
+            ({"f_rot_hz": 0.0}, "f_rot_hz"),
+            ({"f_rot_hz": math.inf}, "f_rot_hz"),
+            ({"f_rot_hz": 1e308}, "f_rot_hz"),
+            ({"b_perp_gauss": math.inf}, "b_perp_gauss"),
+            ({"phi0_rad": math.inf}, "phi0_rad"),
+            ({"phi0_rad": math.nan}, "phi0_rad"),
+            ({"t2_us": math.inf}, "t2_us"),
+            ({"envelope_exponent": -4.0}, "envelope_exponent"),
+            ({"b0_gauss": math.inf}, "b0_gauss"),
+        ],
+    )
+    def test_a_value_the_config_refuses_is_refused(self, constants, field, name):
+        # each was once taken; the first six then reached echo_phase as a NaN
+        # phase or a numpy RuntimeWarning (an invalid value in a divide or a sine)
+        with pytest.raises(ValidationError, match=f"^{name} must be"):
+            echo_phase(EchoParams(**field), constants, [1.0, 2.0])
+
     def test_zero_amplitude(self, constants):
         p = EchoParams(b_perp_gauss=0.0)
         taus = np.linspace(0, 200, 20)
