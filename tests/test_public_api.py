@@ -139,17 +139,40 @@ def _package_imports(tree: ast.Module) -> dict[str, set[str]]:
     """The package modules a module imports at run time, each with the names taken from it."""
     found: dict[str, set[str]] = {}
     for node in _runtime_nodes(tree):
-        if isinstance(node, ast.ImportFrom) and node.level and not node.module:  # from . import x
-            for alias in node.names:
-                found.setdefault(alias.name, set())
-        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("rotornv.")):
-            module = node.module.removeprefix("rotornv.")
-            found.setdefault(module, set()).update(a.name for a in node.names)
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:  # absolute: only the package's own modules count
+                if module != "rotornv" and not module.startswith("rotornv."):
+                    continue
+                module = module.removeprefix("rotornv").removeprefix(".")
+            if module:  # from .x import y / from rotornv.x import y
+                found.setdefault(module, set()).update(a.name for a in node.names)
+            else:  # from . import x / from rotornv import x
+                for alias in node.names:
+                    found.setdefault(alias.name, set())
         elif isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name.startswith("rotornv."):
+                # a bare `import rotornv` is kept as "rotornv", which no table allows
+                if alias.name == "rotornv" or alias.name.startswith("rotornv."):
                     found.setdefault(alias.name.removeprefix("rotornv."), set())
     return found
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("from . import lsq", {"lsq": set()}),
+        ("from .lsq import fit_separable", {"lsq": {"fit_separable"}}),
+        ("from rotornv import lsq, errors", {"lsq": set(), "errors": set()}),
+        ("from rotornv.lsq import _GRAD_TOL", {"lsq": {"_GRAD_TOL"}}),
+        ("import rotornv", {"rotornv": set()}),
+        ("import rotornv.lsq as core", {"lsq": set()}),
+        ("import numpy\nfrom rotornvx import y\nfrom .rotornvx import z", {"rotornvx": {"z"}}),
+        ("from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    from .seqlang import T", {}),
+    ],
+)
+def test_package_imports_reads_every_import_form(source, expected):
+    assert _package_imports(ast.parse(source)) == expected
 
 
 PACKAGE = Path(rotornv.__file__).parent

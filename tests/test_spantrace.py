@@ -23,10 +23,16 @@ SPANTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "spantrace.py"
 
 @functools.cache
 def _load_spantrace():
-    """The tracer module, loaded by path; its dataclasses need it in sys.modules."""
+    """The tracer module, loaded by path; its dataclasses need it in sys.modules.
+
+    `Tracer.install` finds each traced layer in sys.modules, and no module
+    imported above loads `rotornv.cli`, so every layer is imported here.
+    """
     spec = importlib.util.spec_from_file_location("spantrace", SPANTRACE)
     module = sys.modules["spantrace"] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    for layer in module.TRACED:
+        importlib.import_module(f"rotornv.{layer}")
     return module
 
 
