@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any
@@ -56,9 +57,21 @@ def check_ranges(section, positive=(), non_negative=(), within=None, finite=()) 
 
 
 def check_f_rot_hz(f_rot_hz: float) -> None:
-    """Refuse a rotation frequency that is not positive with a finite angular frequency."""
-    if not (f_rot_hz > 0 and math.isfinite(TWO_PI * f_rot_hz)):
-        raise ValidationError("f_rot_hz must be positive, with a finite angular frequency 2 pi f_rot_hz")
+    """Refuse a rotation frequency whose period or angular frequency is not a finite normal float.
+
+    The period 1e6 / f_rot_hz us overflows below ~5.6e-303 Hz, the rad/us
+    frequency 2 pi f_rot_hz 1e-6 is subnormal below ~3.5e-303 Hz, and the
+    rad/s frequency 2 pi f_rot_hz overflows above ~2.9e307 Hz.
+    """
+    if f_rot_hz > 0:
+        derived = (1e6 / f_rot_hz, TWO_PI * f_rot_hz, TWO_PI * f_rot_hz * 1e-6)
+        if all(sys.float_info.min <= x < math.inf for x in derived):
+            return
+    raise ValidationError(
+        "f_rot_hz must be positive, with a period (1e6 / f_rot_hz us) and angular frequencies (2 pi f_rot_hz "
+        "per s and per us) that are finite normal floats: set geometry.f_rot_hz within [5.6e-303, 2.8e307] Hz, "
+        f"got {f_rot_hz!r}"
+    )
 
 
 @dataclass(frozen=True)

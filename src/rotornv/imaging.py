@@ -18,6 +18,12 @@ from one generator seeded by the image seed.  Each quadrature node's
 rotor angle gets one sin/cos pair, shared by all emitters: since
 |R(p) a - b| = |a - R(-p) b|, the pixel is rotated into each emitter's
 frame (by minus its orbit phase p) instead of rotating every orbit sample.
+A (pixel, node) candidate enters only with a strobe sample above e^-40
+of its peak, and both moments sum one block of samples: those of the one
+emitter that reaches the candidate, or all samples where several do.  A
+geometric prefilter finds, per emitter, the candidates its arc can reach,
+so a candidate within one emitter's reach is evaluated on that emitter's
+samples alone.
 Widths are quoted in the 1/e^2 convention: a profile exp(-2 d^2 / sigma^2)
 has width sigma.  The spot fit is separable, amplitude x Gaussian basis +
 background, and runs through the variable-projection core of :mod:`lsq`:
@@ -311,9 +317,7 @@ def _pair_sums(half, a, near, coef, cross) -> np.ndarray:
     ``half``, ``a`` and ``near`` are (samples, candidates); a pair with a
     sample not ``near`` adds an exact zero.  The pair terms are built row
     by row of the triangle i <= j and added one after another in that
-    order, as bincount adds them: numpy sums a C-ordered array over its
-    first axis row by row, but sums a lone column pairwise, so that one is
-    accumulated.
+    order, as bincount adds them (:func:`_column_sums`).
     """
     n = half.shape[0]
     exponent = np.empty((n * (n + 1) // 2, half.shape[1]))
@@ -329,7 +333,16 @@ def _pair_sums(half, a, near, coef, cross) -> np.ndarray:
     terms = np.exp(exponent, out=exponent)
     terms *= both  # an exact 0 off ``both``: the exponent, a sum of negative squares, has a finite exp
     terms *= coef[:, None]
-    return terms.sum(axis=0) if terms.shape[1] > 1 else np.add.accumulate(terms[:, 0])[-1:]
+    return _column_sums(terms)
+
+
+def _column_sums(terms: np.ndarray) -> np.ndarray:
+    """Each column's sum, its rows added one after another in order.
+
+    numpy sums a C-ordered array over its first axis row by row, but sums
+    a lone column pairwise, so that one is accumulated.
+    """
+    return terms.sum(axis=0) if terms.shape[1] != 1 else np.add.accumulate(terms[:, 0])[-1:]
 
 
 def check_arc_lengths(emitters: EmitterSet, strobe: StrobeConfig, stationary: bool) -> tuple[str, str]:
@@ -367,15 +380,21 @@ def _pixel_moments(
     the pair term kept as one exponent, which cannot overflow.  The period
     draws enter through :func:`_period_nodes`.  Only pixel-node pairs with
     a strobe sample above e^-40 of its peak at the pixel enter either
-    moment, and only sample pairs whose samples both are.  Such a
-    candidate reached by one emitter alone evaluates only the pairs of
-    that emitter's block of SUBSTEPS samples; one that several
-    emitters reach evaluates the whole triangle of sample pairs.  Either
-    way the pairs are added in triangle order, a skipped pair as an exact
-    zero, which is the order in which a bincount over the surviving pairs
-    adds them, so the grouping moves no bit of either moment.  Candidates
-    are taken in chunks that bound the temporaries and summed in (pixel,
-    node) order, so the sums do not depend on the chunk size either.
+    moment, and only sample pairs whose samples both are.  The mean sums
+    the same block of samples whose pairs give the variance: a candidate
+    that one emitter alone reaches takes that emitter's block of SUBSTEPS
+    samples, and one that several emitters reach takes all samples and
+    the whole triangle of their pairs.  A candidate that the geometric
+    prefilter admits for one emitter only is evaluated on that emitter's
+    samples alone.  One admitted for several is first evaluated on every
+    sample to find the emitters that reach it; if only one does, it is
+    then evaluated as the others of that emitter.  The pairs are added in
+    triangle order, a skipped pair as an exact zero, which is the order in
+    which a bincount over the surviving pairs adds them, and a block's
+    samples in their order, so the grouping moves no bit of either moment.
+    Candidates are taken in chunks that bound the temporaries and summed
+    in (pixel, node) order, so the sums do not depend on the chunk size
+    either.
     """
     xs, ys = grid.x_coords_um, grid.y_coords_um
     n_cycles = _cycles(grid, g)
@@ -422,17 +441,19 @@ def _pixel_moments(
     gy = np.broadcast_to(lat_y[:, None], (ys.size, xs.size)).ravel()
     px = gx[:, None] * np.cos(phases0) + gy[:, None] * np.sin(phases0)  # (pixels, n_e)
     py = gy[:, None] * np.cos(phases0) - gx[:, None] * np.sin(phases0)
-    q2 = np.repeat(px**2 + py**2, SUBSTEPS, axis=1)
-    n_s = radii.size * SUBSTEPS  # strobe samples (e, k)
-    ci = np.repeat(c / SUBSTEPS, SUBSTEPS)
+    q2 = px**2 + py**2
+    n_e = radii.size
+    n_s = n_e * SUBSTEPS  # strobe samples (e, k)
+    ce = c / SUBSTEPS  # each sample's weight, per emitter
+    ci = np.repeat(ce, SUBSTEPS)
     r_ek = np.repeat(radii, SUBSTEPS)
-    # the samples of each emitter, and last all samples, with the weights
-    # c_i c_j (2 off the diagonal) of their pairs i <= j in triangle order
-    blocks = [slice(e * SUBSTEPS, (e + 1) * SUBSTEPS) for e in range(radii.size)] + [slice(0, n_s)]
+    # the weights c_i c_j (2 off the diagonal) of the sample pairs i <= j of
+    # each emitter, and last of all samples, in triangle order
     coefs = []
-    for b in blocks:
-        i, j = np.triu_indices(ci[b].size)
-        coefs.append(ci[b][i] * ci[b][j] * np.where(i == j, 1.0, 2.0))
+    for weights in [*(np.full(SUBSTEPS, x) for x in ce), ci]:
+        i, j = np.triu_indices(weights.size)
+        coefs.append(weights[i] * weights[j] * np.where(i == j, 1.0, 2.0))
+    cos_k, sin_k = cos_t.T.copy(), sin_t.T.copy()  # (SUBSTEPS, nodes)
 
     # A sample at lab angle alpha is e^-40 below its peak at the pixel
     # (rho, psi) unless rho |sin(alpha - psi)| < sqrt(80 v), and, when every
@@ -440,8 +461,10 @@ def _pixel_moments(
     # rho cos(alpha - psi) > 0.  A node's samples lie on the arc from its
     # first to its last (the angle grows with the delay); along an arc
     # shorter than pi both tests pass somewhere only if they pass at an
-    # end or the arc crosses the pixel's line of sight.  Pixel-node pairs
-    # that fail are dropped before any sample is evaluated.
+    # end or the arc crosses the pixel's line of sight.  A pixel-node pair
+    # that fails for every emitter is dropped before any sample is
+    # evaluated, and one that passes for one emitter only is evaluated on
+    # that emitter's samples alone.
     reach = math.sqrt(80.0 * v)
     one_sided = radii.min() > math.sqrt(80.0 * (v + 2.0 * s2))
     long_arc = float(np.max(theta[:, -1] - theta[:, 0])) >= math.pi
@@ -455,7 +478,8 @@ def _pixel_moments(
     # in (pixel, node) order, so the sums do not depend on the block size.
     cross = 1.0 / (2.0 * v) - 1.0 / (2.0 * (v + 2.0 * s2))
     step = max(1, _BLOCK_ELEMENTS // cos_f.size)
-    pair_step = max(1, _BLOCK_ELEMENTS // max(n_s, SUBSTEPS**2))
+    own_step = max(1, _BLOCK_ELEMENTS // coefs[0].size)
+    pair_step = max(1, _BLOCK_ELEMENTS // coefs[n_e].size)
     m1 = np.zeros(gx.size)
     m2 = np.zeros(gx.size)
     for lo in range(0, gx.size, step):
@@ -464,38 +488,53 @@ def _pixel_moments(
         near = (lat_f * lat_l <= 0.0) | (np.minimum(np.abs(lat_f), np.abs(lat_l)) < reach) | long_arc
         if one_sided:
             near &= (x * cos_f + y * sin_f > 0.0) | (x * cos_l + y * sin_l > 0.0) | long_arc
-        pix, node = np.nonzero(near.any(axis=2))
-        pix += lo
-        kept, one, pair = [np.zeros(0, dtype=int)], [np.zeros(0)], [np.zeros(0)]  # no candidate: zeros
-        for k0 in range(0, pix.size, pair_step):
-            p, n = pix[k0 : k0 + pair_step], node[k0 : k0 + pair_step]
+        admitted = near.sum(axis=2)
+        pix, node = np.nonzero(admitted)
+        # the one emitter the prefilter admits each candidate for, or n_e
+        sole = np.where(admitted[pix, node] == 1, near[pix, node].argmax(axis=1), n_e)
+        hit = np.zeros(pix.size, dtype=bool)
+        one, pair = np.zeros(pix.size), np.zeros(pix.size)
+        # a candidate admitted for several emitters is evaluated on every
+        # sample; one that a single emitter reaches joins that emitter's
+        # candidates, one that several reach takes the whole triangle
+        cands = np.flatnonzero(sole == n_e)
+        for k0 in range(0, cands.size, pair_step):
+            r = cands[k0 : k0 + pair_step]
+            p, n = pix[r] + lo, node[r]
             qu = (px[p, :, None] * cos_t[n, None, :] + py[p, :, None] * sin_t[n, None, :]).reshape(p.size, n_s)
             a = r_ek - qu
-            h2 = q2[p] - qu**2
-            near = -h2 / (2.0 * v) - a**2 / (2.0 * (v + 2.0 * s2)) > -40.0  # (candidates, samples)
-            k = near.any(axis=1)
-            a, h2, near, wn = a[k], h2[k], near[k], w[n[k]]
-            kept.append(p[k] - lo)
-            one.append((np.exp(-h2 / (2.0 * v) - a**2 / (2.0 * (v + s2))) * ci).sum(axis=1) * wn)
+            h2 = np.repeat(q2[p], SUBSTEPS, axis=1) - qu**2
+            ok = -h2 / (2.0 * v) - a**2 / (2.0 * (v + 2.0 * s2)) > -40.0  # (candidates, samples)
+            reached = ok.reshape(r.size, n_e, SUBSTEPS).any(axis=2)  # (candidates, n_e)
+            n_reached = reached.sum(axis=1)
+            sole[r] = np.where(n_reached == 1, reached.argmax(axis=1), n_e)
+            k = n_reached > 1
+            r, a, h2, ok, wn = r[k], a[k], h2[k], ok[k], w[n[k]]
+            hit[r] = True
+            one[r] = (np.exp(-h2 / (2.0 * v) - a**2 / (2.0 * (v + s2))) * ci).sum(axis=1) * wn
             # the pair exponent, expanded: half[i] + half[j] + cross a_i a_j
             half = -h2 / (2.0 * v) - a**2 * (1.0 / (4.0 * (v + 2.0 * s2)) + 1.0 / (4.0 * v))
-            # the one emitter that reaches each candidate, or n_e where
-            # several do: its pairs are summed over that block of samples
-            reached = near.reshape(wn.size, radii.size, SUBSTEPS).any(axis=2)  # (candidates, n_e)
-            owner = np.where(reached.sum(axis=1) == 1, reached.argmax(axis=1), radii.size)
-            half, a, near = half.T.copy(), a.T.copy(), near.T.copy()  # (samples, candidates)
-            sums = np.empty(wn.size)
-            for e in range(len(blocks)):
-                rows = np.flatnonzero(owner == e)
-                chunk = max(1, _BLOCK_ELEMENTS // coefs[e].size)
-                for r0 in range(0, rows.size, chunk):
-                    r = rows[r0 : r0 + chunk]
-                    block = [np.take(z[blocks[e]], r, axis=1) for z in (half, a, near)]
-                    sums[r] = _pair_sums(*block, coefs[e], cross)
-            pair.append(sums * wn)
-        kept = np.concatenate(kept)
-        m1[lo : lo + step] = np.bincount(kept, weights=np.concatenate(one), minlength=x.shape[0])
-        m2[lo : lo + step] = np.bincount(kept, weights=np.concatenate(pair), minlength=x.shape[0])
+            pair[r] = _pair_sums(half.T.copy(), a.T.copy(), ok.T.copy(), coefs[n_e], cross) * wn
+        for e in range(n_e):
+            cands = np.flatnonzero(sole == e)
+            for k0 in range(0, cands.size, own_step):
+                r = cands[k0 : k0 + own_step]
+                p, n = pix[r] + lo, node[r]
+                # (SUBSTEPS, candidates)
+                qu = px[p, e] * np.take(cos_k, n, axis=1) + py[p, e] * np.take(sin_k, n, axis=1)
+                a = radii[e] - qu
+                h2 = q2[p, e] - qu**2
+                ok = -h2 / (2.0 * v) - a**2 / (2.0 * (v + 2.0 * s2)) > -40.0
+                k = np.flatnonzero(ok.any(axis=0))
+                a, h2, ok = np.take(a, k, axis=1), np.take(h2, k, axis=1), np.take(ok, k, axis=1)
+                r, wn = r[k], w[n[k]]
+                hit[r] = True
+                one[r] = _column_sums(np.exp(-h2 / (2.0 * v) - a**2 / (2.0 * (v + s2))) * ce[e]) * wn
+                half = -h2 / (2.0 * v) - a**2 * (1.0 / (4.0 * (v + 2.0 * s2)) + 1.0 / (4.0 * v))
+                pair[r] = _pair_sums(half, a, ok, coefs[e], cross) * wn
+        kept = np.flatnonzero(hit)
+        m1[lo : lo + step] = np.bincount(pix[kept], weights=one[kept], minlength=x.shape[0])
+        m2[lo : lo + step] = np.bincount(pix[kept], weights=pair[kept], minlength=x.shape[0])
     m1 *= math.sqrt(v / (v + s2))
     m2 *= math.sqrt(v / (v + 2.0 * s2))
     dz = np.repeat(np.exp(depth_arg), xs.size)

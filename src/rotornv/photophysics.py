@@ -33,6 +33,7 @@ needs numpy only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -271,13 +272,19 @@ def emission_rate_per_us(p: LevelPopulations, m: RateModel) -> float:
     return m.radiative_rate_per_us * (p.e0 + p.e1)
 
 
+@functools.lru_cache(maxsize=64)
+def _bright_emission_rate(m: RateModel) -> float:
+    """Emission rate (1/us) of the bright steady state at unit intensity, once per rate model."""
+    return emission_rate_per_us(steady_state(m, 1.0), m)
+
+
 def detection_calibration(m: RateModel, b: BeamProfile) -> float:
     """Counts/s detected per unit emission rate, anchored to the stationary peak.
 
     A stationary, beam-centred NV pumped to its bright steady state must
     register ``peak_counts_stationary_cps``.
     """
-    ref = emission_rate_per_us(steady_state(m, 1.0), m)
+    ref = _bright_emission_rate(m)
     if ref <= 0:
         raise ValidationError("steady-state emission vanishes; check rates")
     return b.peak_counts_stationary_cps / ref

@@ -1,15 +1,19 @@
-"""Reference pair sum of ``imaging._pixel_moments``: the whole sample triangle for every candidate.
+"""Reference moments of ``imaging._pixel_moments``: every candidate, the whole sample triangle.
 
 A rotating pixel's count variance needs sum_{i <= j} c_i c_j E_w[psf_i psf_j]
 over the strobe samples (emitter, substep) of every quadrature node.  This
 oracle masks all pairs of the triangle for each (pixel, node) candidate,
 gathers the survivors with ``np.nonzero`` and sums each candidate's terms
 with ``np.bincount``, which adds them one after another in triangle order.
-It keeps no geometric pre-selection of candidates: every (pixel, node) pair
-is evaluated and the ones without a sample above e^-40 of its peak are
-dropped, as the renderer drops them.  ``imaging._pixel_moments`` must
-reproduce its mean and variance bit for bit, so no Gamma or Poisson draw
-of a rendered image depends on how the renderer groups its pairs.
+Each candidate's mean is summed over its pair block: the samples of the
+one emitter that reaches it, added in order, or all samples where several
+emitters do.  It keeps no geometric pre-selection of candidates: every
+(pixel, node) pair is evaluated on every emitter's samples and the ones
+without a sample above e^-40 of its peak are dropped, as the renderer
+drops them, so the renderer's per-emitter prefilter is checked against a
+reference without one.  ``imaging._pixel_moments`` must reproduce its mean
+and variance bit for bit, so no Gamma or Poisson draw of a rendered image
+depends on how the renderer groups its samples and pairs.
 
 ``resolve_two_spots`` reads two peaks and the valley between them off a
 rendered image (criterion 9's two-emitter resolution).
@@ -78,7 +82,17 @@ def pixel_moments(grid, emitters, g, strobe, psf_width_um=0.3, substeps=7, axial
             k = near.any(axis=1)
             a, h2, near, wn = a[k], h2[k], near[k], w[n[k]]
             kept.append(p[k])
-            one.append((np.exp(-h2 / (2.0 * v) - a**2 / (2.0 * (v + s2))) * ci).sum(axis=1) * wn)
+            terms = np.exp(-h2 / (2.0 * v) - a**2 / (2.0 * (v + s2))) * ci
+            # the pair block: the samples of the one emitter that reaches the
+            # candidate, added in order, or all samples where several do
+            reached = near.reshape(wn.size, radii.size, substeps).any(axis=2)
+            owner = np.where(reached.sum(axis=1) == 1, reached.argmax(axis=1), -1)
+            cols = np.maximum(owner, 0)[:, None] * substeps + np.arange(substeps)  # unused where owner < 0
+            block = np.take_along_axis(terms, cols, axis=1)
+            block_sum = block[:, 0].copy()
+            for col in block[:, 1:].T:
+                block_sum += col
+            one.append(np.where(owner >= 0, block_sum, terms.sum(axis=1)) * wn)
             half = -h2 / (2.0 * v) - a**2 * (1.0 / (4.0 * (v + 2.0 * s2)) + 1.0 / (4.0 * v))
             r, q = np.nonzero(near[:, ii] & near[:, jj])
             i, j = ii[q], jj[q]

@@ -745,6 +745,25 @@ def test_out_of_range_bath_or_blur_exit_2(argv, names, capsys):
     assert "radius" not in err or "--emitters" in names
 
 
+@pytest.mark.parametrize("value", ["3e-303", "1e-320"])
+@pytest.mark.parametrize(
+    "argv", [_ECHO_2_5, ["simulate-rabi", "--durations", "0.1,0.2"], _IMAGE_1MS], ids=["echo", "rabi", "image"]
+)
+def test_rotation_rate_without_a_normal_period_exit_2(argv, value, capsys):
+    # the period 1e6 / f_rot_hz us overflowed (3e-303) or the rad/us frequency
+    # was subnormal (1e-320): the scans exited 2 with "event laser [inf, inf]
+    # us has a negative or non-finite time", the image 3 with "cannot convert
+    # float NaN to integer"
+    code, err = _main_exit([*argv, "--set", f"geometry.f_rot_hz={value}", "-o", os.devnull], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "geometry.f_rot_hz" in err, err
+
+
+def test_slow_rotation_with_a_normal_period_is_taken(capsys):
+    code, err = _main_exit([*_ECHO_2_5, "--set", "geometry.f_rot_hz=1e-300", "-o", os.devnull], capsys)
+    assert code == 0, err
+
+
 @pytest.mark.parametrize("extra", [[], ["--stationary"]])
 def test_default_image_window_holds_both_spots(extra, tmp_path, capsys):
     code, err = _main_exit(["simulate-image", *extra, "-o", str(tmp_path / "image.dat")], capsys)

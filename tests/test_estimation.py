@@ -97,7 +97,7 @@ class TestLevenbergMarquardt:
         assert calls == {"residual": 1, "jacobian": 1}
 
 
-@pytest.mark.parametrize("f_rot_hz", [0.0, -3333.33, math.inf, math.nan, 1e308])
+@pytest.mark.parametrize("f_rot_hz", [0.0, -3333.33, math.inf, math.nan, 1e308, 3e-303, 1e-320])
 def test_fit_model_refuses_the_rotation_rates_the_geometry_refuses(f_rot_hz):
     # each once reached phase_factor as a NaN or a numpy RuntimeWarning
     with pytest.raises(ValidationError) as want:

@@ -340,6 +340,28 @@ def test_one_candidate_chunks_keep_the_triangle_order(monkeypatch):
     assert np.array_equal(var, ref_var)
 
 
+def test_an_emitter_that_reaches_no_candidate_moves_no_bit():
+    # B shares A's orbit radius, so both renders take the same period nodes.
+    # It sits 0.45 rad round the orbit, 2.8-4.3 um from every pixel of a
+    # window above A's spot: its samples there lie below e^-40 of their peak
+    # but do not underflow, and the mean sums only the block of the emitter
+    # that reaches the candidate, as the variance's pairs do
+    strobe = StrobeConfig(t_phi_us=0.0)
+    a = Emitter((10.0, 0.0))
+    b = Emitter((10.0 * math.cos(0.45), 10.0 * math.sin(0.45)))
+    grid = ScanGrid(x_range_um=(9.0, 11.0), y_range_um=(0.5, 1.5), step_um=0.1)
+    gy, gx = np.meshgrid(grid.y_coords_um, grid.x_coords_um, indexing="ij")
+    d2 = (gx - b.position_um[0]) ** 2 + (gy - b.position_um[1]) ** 2
+    assert np.all(2.0 * d2 / imaging.PSF_WIDTH_UM**2 < 745.0)  # exp(-745) underflows
+    mean_b, _ = _pixel_moments(grid, EmitterSet((b,)), G_DEFAULT, strobe)
+    assert not mean_b.any()  # B reaches no candidate
+    mean_a, var_a = _pixel_moments(grid, EmitterSet((a,)), G_DEFAULT, strobe)
+    mean, var = _pixel_moments(grid, EmitterSet((a, b)), G_DEFAULT, strobe)
+    assert mean_a.max() > 3
+    assert np.array_equal(mean, mean_a)
+    assert np.array_equal(var, var_a)
+
+
 @pytest.mark.parametrize(
     "seed, stationary, digest",
     [

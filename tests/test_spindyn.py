@@ -114,6 +114,9 @@ class TestEchoPhase:
             ({"f_rot_hz": 0.0}, "f_rot_hz"),
             ({"f_rot_hz": math.inf}, "f_rot_hz"),
             ({"f_rot_hz": 1e308}, "f_rot_hz"),
+            # the period 1e6 / f_rot_hz us overflows, or the rad/us frequency is subnormal
+            ({"f_rot_hz": 3e-303}, "f_rot_hz"),
+            ({"f_rot_hz": 1e-320}, "f_rot_hz"),
             ({"b_perp_gauss": math.inf}, "b_perp_gauss"),
             ({"phi0_rad": math.inf}, "phi0_rad"),
             ({"phi0_rad": math.nan}, "phi0_rad"),
@@ -127,6 +130,10 @@ class TestEchoPhase:
         # phase or a numpy RuntimeWarning (an invalid value in a divide or a sine)
         with pytest.raises(ValidationError, match=f"^{name} must be"):
             echo_phase(EchoParams(**field), constants, [1.0, 2.0])
+
+    def test_a_slow_rotation_with_a_normal_period_is_taken(self, constants):
+        with np.errstate(all="raise"):
+            assert not echo_phase(EchoParams(f_rot_hz=1e-300), constants, [1.0, 2.0]).any()
 
     def test_zero_amplitude(self, constants):
         p = EchoParams(b_perp_gauss=0.0)
