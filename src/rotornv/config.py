@@ -38,9 +38,10 @@ def check_ranges(section, positive=(), non_negative=(), within=None, finite=()) 
     """Refuse the first field outside its range, naming it; ``within`` maps a field to (lo, hi).
 
     Every test reads ``not (in range)``, so NaN lies outside every range.
-    No field may be infinite: no setting gives infinity a meaning, and the
-    config loader refuses it too.  A one-sided range refuses +inf after its
-    range test; ``finite`` names the fields with no range.
+    No field may be infinite, or an integer beyond the float range: no
+    setting gives infinity a meaning, and the config loader refuses both
+    too.  A one-sided range refuses +inf after its range test; ``finite``
+    names the fields with no range.
     """
     for name in positive:
         if not getattr(section, name) > 0:
@@ -52,7 +53,7 @@ def check_ranges(section, positive=(), non_negative=(), within=None, finite=()) 
         if not lo <= getattr(section, name) <= hi:
             raise ValidationError(f"{name} must lie in [{lo}, {hi}]")
     for name in (*positive, *non_negative, *finite):
-        if not abs(getattr(section, name)) < math.inf:  # exact for ints of any size
+        if not abs(getattr(section, name)) <= sys.float_info.max:  # exact for ints of any size
             raise ValidationError(f"{name} must be finite")
 
 
@@ -61,16 +62,18 @@ def check_f_rot_hz(f_rot_hz: float) -> None:
 
     The period 1e6 / f_rot_hz us overflows below ~5.6e-303 Hz, the rad/us
     frequency 2 pi f_rot_hz 1e-6 is subnormal below ~3.5e-303 Hz, and the
-    rad/s frequency 2 pi f_rot_hz overflows above ~2.9e307 Hz.
+    deg/s frequency 360 f_rot_hz, which the pulse angles start from,
+    overflows above ~5.0e305 Hz; the smaller rad/s frequency 2 pi f_rot_hz
+    is finite wherever it is.
     """
-    if f_rot_hz > 0:
-        derived = (1e6 / f_rot_hz, TWO_PI * f_rot_hz, TWO_PI * f_rot_hz * 1e-6)
+    if 0 < f_rot_hz <= sys.float_info.max:  # 1e6 / f_rot_hz of an int beyond it raises
+        derived = (1e6 / f_rot_hz, TWO_PI * f_rot_hz * 1e-6, 360.0 * f_rot_hz)
         if all(sys.float_info.min <= x < math.inf for x in derived):
             return
     raise ValidationError(
         "f_rot_hz must be positive, with a period (1e6 / f_rot_hz us) and angular frequencies (2 pi f_rot_hz "
-        "per s and per us) that are finite normal floats: set geometry.f_rot_hz within [5.6e-303, 2.8e307] Hz, "
-        f"got {f_rot_hz!r}"
+        "per us, 360 f_rot_hz deg per s) that are finite normal floats: set geometry.f_rot_hz within "
+        f"[5.6e-303, 4.9e305] Hz, got {f_rot_hz!r}"
     )
 
 
@@ -264,6 +267,17 @@ class ExperimentConfig:
                 f"strobe.t_pulse_us = {self.strobe.t_pulse_us}: the readout window must fit "
                 "inside the strobe pulse"
             )
+        if not self.strobe_angle_rad < math.inf:
+            raise ValidationError(
+                f"strobe.t_phi_us = {self.strobe.t_phi_us:g} at geometry.f_rot_hz = {self.geometry.f_rot_hz:g} "
+                "turns the rotor by an angle (2 pi f_rot_hz t_phi_us) beyond the float range; lower "
+                "strobe.t_phi_us or geometry.f_rot_hz"
+            )
+
+    @property
+    def strobe_angle_rad(self) -> float:
+        """Rotor angle swept from the trigger edge to the strobe, 2 pi f_rot_hz t_phi_us."""
+        return 2.0 * math.pi * self.geometry.f_rot_hz * self.strobe.t_phi_us * 1e-6
 
     def to_dict(self) -> dict:
         """A fresh dict per call, each section's fields copied (their values are immutable)."""
@@ -327,9 +341,11 @@ def _build_section(cls, data: dict, path: str):
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     for key, val in data.items():
         _check_number_type(f"{path}.{key}", val, defaults[key])
-        items = val if isinstance(val, (list, tuple)) else [val]
-        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
-            raise ValidationError(f"{path}.{key}: {val!r} is not a finite number")
+        for v in val if isinstance(val, (list, tuple)) else [val]:
+            # exact for ints of any size: one beyond the float range cannot enter the physics
+            if isinstance(v, (int, float)) and not abs(v) <= sys.float_info.max:
+                shown = repr(v) if isinstance(v, float) else "an integer beyond the float range"
+                raise ValidationError(f"{path}.{key}: {shown} is not a finite number")
     kwargs = dict(data)
     if cls is FieldConfig and "mw_dir" in kwargs:
         try:
@@ -359,6 +375,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     }
     seed = data.get("seed", ExperimentConfig.seed)
     _check_number_type("seed", seed, ExperimentConfig.seed)
+    if seed < 0:  # numpy's generators take any non-negative integer
+        raise ValidationError(f"seed (--seed) must be a non-negative integer, got {seed}")
     return ExperimentConfig(**sections, seed=seed)
 
 

@@ -19,11 +19,12 @@ rotor angle gets one sin/cos pair, shared by all emitters: since
 |R(p) a - b| = |a - R(-p) b|, the pixel is rotated into each emitter's
 frame (by minus its orbit phase p) instead of rotating every orbit sample.
 A (pixel, node) candidate enters only with a strobe sample above e^-40
-of its peak, and both moments sum one block of samples: those of the one
-emitter that reaches the candidate, or all samples where several do.  A
-geometric prefilter finds, per emitter, the candidates its arc can reach,
-so a candidate within one emitter's reach is evaluated on that emitter's
-samples alone.
+of its peak, and both moments sum one block of samples, added in order:
+those of the one emitter that reaches the candidate, or all samples where
+several do.  A geometric prefilter finds, per emitter, the candidates its
+arc can reach.  One loop body evaluates them all: first those admitted
+for several emitters, on every sample, then each emitter's own, on that
+emitter's samples alone.
 Widths are quoted in the 1/e^2 convention: a profile exp(-2 d^2 / sigma^2)
 has width sigma.  The spot fit is separable, amplitude x Gaussian basis +
 background, and runs through the variable-projection core of :mod:`lsq`:
@@ -339,8 +340,11 @@ def _pair_sums(half, a, near, coef, cross) -> np.ndarray:
 def _column_sums(terms: np.ndarray) -> np.ndarray:
     """Each column's sum, its rows added one after another in order.
 
-    numpy sums a C-ordered array over its first axis row by row, but sums
-    a lone column pairwise, so that one is accumulated.
+    The render's one summation rule: every block's samples (the mean) and
+    pair terms (the variance) are added so.  numpy sums a C-ordered array
+    over its first axis row by row, but sums a lone column, or the columns
+    of an F-ordered array, pairwise: ``terms`` must be C-ordered, and a
+    lone column is accumulated.
     """
     return terms.sum(axis=0) if terms.shape[1] != 1 else np.add.accumulate(terms[:, 0])[-1:]
 
@@ -384,14 +388,15 @@ def _pixel_moments(
     the same block of samples whose pairs give the variance: a candidate
     that one emitter alone reaches takes that emitter's block of SUBSTEPS
     samples, and one that several emitters reach takes all samples and
-    the whole triangle of their pairs.  A candidate that the geometric
-    prefilter admits for one emitter only is evaluated on that emitter's
-    samples alone.  One admitted for several is first evaluated on every
-    sample to find the emitters that reach it; if only one does, it is
-    then evaluated as the others of that emitter.  The pairs are added in
+    the whole triangle of their pairs.  One loop body evaluates the
+    candidates on a slice of the emitters: first those the geometric
+    prefilter admits for several emitters, on every sample, where a
+    candidate that one emitter alone reaches joins that emitter's
+    candidates; then each emitter's candidates, on its samples alone.
+    Every block is summed by one rule (:func:`_column_sums`): the pairs in
     triangle order, a skipped pair as an exact zero, which is the order in
-    which a bincount over the surviving pairs adds them, and a block's
-    samples in their order, so the grouping moves no bit of either moment.
+    which a bincount over the surviving pairs adds them, and the samples
+    in their order, so the grouping moves no bit of either moment.
     Candidates are taken in chunks that bound the temporaries and summed
     in (pixel, node) order, so the sums do not depend on the chunk size
     either.
@@ -439,18 +444,16 @@ def _pixel_moments(
     # |R(p) a - b| = |a - R(-p) b|: the pixel is rotated into each emitter's frame
     gx = np.broadcast_to(xs, (ys.size, xs.size)).ravel()
     gy = np.broadcast_to(lat_y[:, None], (ys.size, xs.size)).ravel()
-    px = gx[:, None] * np.cos(phases0) + gy[:, None] * np.sin(phases0)  # (pixels, n_e)
-    py = gy[:, None] * np.cos(phases0) - gx[:, None] * np.sin(phases0)
+    cos_p, sin_p = np.cos(phases0)[:, None], np.sin(phases0)[:, None]
+    px = cos_p * gx + sin_p * gy  # (n_e, pixels)
+    py = cos_p * gy - sin_p * gx
     q2 = px**2 + py**2
     n_e = radii.size
-    n_s = n_e * SUBSTEPS  # strobe samples (e, k)
     ce = c / SUBSTEPS  # each sample's weight, per emitter
-    ci = np.repeat(ce, SUBSTEPS)
-    r_ek = np.repeat(radii, SUBSTEPS)
     # the weights c_i c_j (2 off the diagonal) of the sample pairs i <= j of
     # each emitter, and last of all samples, in triangle order
     coefs = []
-    for weights in [*(np.full(SUBSTEPS, x) for x in ce), ci]:
+    for weights in [*(np.full(SUBSTEPS, x) for x in ce), np.repeat(ce, SUBSTEPS)]:
         i, j = np.triu_indices(weights.size)
         coefs.append(weights[i] * weights[j] * np.where(i == j, 1.0, 2.0))
     cos_k, sin_k = cos_t.T.copy(), sin_t.T.copy()  # (SUBSTEPS, nodes)
@@ -472,14 +475,13 @@ def _pixel_moments(
     cos_f, sin_f, cos_l, sin_l = np.cos(first), np.sin(first), np.cos(last), np.sin(last)
 
     # Each candidate's samples then enter: a candidate whose samples all
-    # fall e^-40 below the peak is skipped, and so is each sample pair
-    # with a sample that does, since the pair exponent is at most the sum
-    # of the samples' g.  A pixel block's terms are summed by one bincount
-    # in (pixel, node) order, so the sums do not depend on the block size.
+    # fall e^-40 below the peak adds an exact zero, and so does each sample
+    # pair with a sample that does, since the pair exponent is at most the
+    # sum of the samples' g.  A pixel block's terms are summed by one
+    # bincount in (pixel, node) order, so the sums do not depend on the
+    # block size.
     cross = 1.0 / (2.0 * v) - 1.0 / (2.0 * (v + 2.0 * s2))
     step = max(1, _BLOCK_ELEMENTS // cos_f.size)
-    own_step = max(1, _BLOCK_ELEMENTS // coefs[0].size)
-    pair_step = max(1, _BLOCK_ELEMENTS // coefs[n_e].size)
     m1 = np.zeros(gx.size)
     m2 = np.zeros(gx.size)
     for lo in range(0, gx.size, step):
@@ -490,51 +492,41 @@ def _pixel_moments(
             near &= (x * cos_f + y * sin_f > 0.0) | (x * cos_l + y * sin_l > 0.0) | long_arc
         admitted = near.sum(axis=2)
         pix, node = np.nonzero(admitted)
-        # the one emitter the prefilter admits each candidate for, or n_e
-        sole = np.where(admitted[pix, node] == 1, near[pix, node].argmax(axis=1), n_e)
-        hit = np.zeros(pix.size, dtype=bool)
+        # the one emitter each candidate is evaluated for, or n_e for all of them
+        owner = np.where(admitted[pix, node] == 1, near[pix, node].argmax(axis=1), n_e)
         one, pair = np.zeros(pix.size), np.zeros(pix.size)
-        # a candidate admitted for several emitters is evaluated on every
-        # sample; one that a single emitter reaches joins that emitter's
-        # candidates, one that several reach takes the whole triangle
-        cands = np.flatnonzero(sole == n_e)
-        for k0 in range(0, cands.size, pair_step):
-            r = cands[k0 : k0 + pair_step]
-            p, n = pix[r] + lo, node[r]
-            qu = (px[p, :, None] * cos_t[n, None, :] + py[p, :, None] * sin_t[n, None, :]).reshape(p.size, n_s)
-            a = r_ek - qu
-            h2 = np.repeat(q2[p], SUBSTEPS, axis=1) - qu**2
-            ok = -h2 / (2.0 * v) - a**2 / (2.0 * (v + 2.0 * s2)) > -40.0  # (candidates, samples)
-            reached = ok.reshape(r.size, n_e, SUBSTEPS).any(axis=2)  # (candidates, n_e)
-            n_reached = reached.sum(axis=1)
-            sole[r] = np.where(n_reached == 1, reached.argmax(axis=1), n_e)
-            k = n_reached > 1
-            r, a, h2, ok, wn = r[k], a[k], h2[k], ok[k], w[n[k]]
-            hit[r] = True
-            one[r] = (np.exp(-h2 / (2.0 * v) - a**2 / (2.0 * (v + s2))) * ci).sum(axis=1) * wn
-            # the pair exponent, expanded: half[i] + half[j] + cross a_i a_j
-            half = -h2 / (2.0 * v) - a**2 * (1.0 / (4.0 * (v + 2.0 * s2)) + 1.0 / (4.0 * v))
-            pair[r] = _pair_sums(half.T.copy(), a.T.copy(), ok.T.copy(), coefs[n_e], cross) * wn
-        for e in range(n_e):
-            cands = np.flatnonzero(sole == e)
-            for k0 in range(0, cands.size, own_step):
-                r = cands[k0 : k0 + own_step]
+        # those admitted for several emitters first, on every sample: one
+        # that a single emitter reaches joins that emitter's candidates, one
+        # that several reach takes all samples and the whole triangle
+        for e in [n_e, *range(n_e)]:
+            es = slice(0, n_e) if e == n_e else slice(e, e + 1)
+            cands = np.flatnonzero(owner == e)
+            chunk = max(1, _BLOCK_ELEMENTS // coefs[e].size)
+            ci = np.repeat(ce[es], SUBSTEPS)[:, None]  # each sample's weight
+            for k0 in range(0, cands.size, chunk):
+                r = cands[k0 : k0 + chunk]
                 p, n = pix[r] + lo, node[r]
-                # (SUBSTEPS, candidates)
-                qu = px[p, e] * np.take(cos_k, n, axis=1) + py[p, e] * np.take(sin_k, n, axis=1)
-                a = radii[e] - qu
-                h2 = q2[p, e] - qu**2
+                qu = (np.take(px[es], p, axis=1)[:, None] * np.take(cos_k, n, axis=1)
+                      + np.take(py[es], p, axis=1)[:, None] * np.take(sin_k, n, axis=1))
+                a = radii[es, None, None] - qu  # (emitters, SUBSTEPS, candidates)
+                h2 = np.take(q2[es], p, axis=1)[:, None] - qu**2
                 ok = -h2 / (2.0 * v) - a**2 / (2.0 * (v + 2.0 * s2)) > -40.0
-                k = np.flatnonzero(ok.any(axis=0))
-                a, h2, ok = np.take(a, k, axis=1), np.take(h2, k, axis=1), np.take(ok, k, axis=1)
+                reached = ok.any(axis=1)  # (emitters, candidates)
+                n_reached = reached.sum(axis=0)
+                if e == n_e:
+                    owner[r] = np.where(n_reached == 1, reached.argmax(axis=0), n_e)
+                # kept: those several emitters reach in the first pass, and
+                # those the pass's emitter reaches in its own
+                k = np.flatnonzero(n_reached > (e == n_e))
+                # np.take keeps the columns C-ordered, as _column_sums needs
+                a, h2, ok = (np.take(z.reshape(-1, r.size), k, axis=1) for z in (a, h2, ok))
                 r, wn = r[k], w[n[k]]
-                hit[r] = True
-                one[r] = _column_sums(np.exp(-h2 / (2.0 * v) - a**2 / (2.0 * (v + s2))) * ce[e]) * wn
+                one[r] = _column_sums(np.exp(-h2 / (2.0 * v) - a**2 / (2.0 * (v + s2))) * ci) * wn
+                # the pair exponent, expanded: half[i] + half[j] + cross a_i a_j
                 half = -h2 / (2.0 * v) - a**2 * (1.0 / (4.0 * (v + 2.0 * s2)) + 1.0 / (4.0 * v))
                 pair[r] = _pair_sums(half, a, ok, coefs[e], cross) * wn
-        kept = np.flatnonzero(hit)
-        m1[lo : lo + step] = np.bincount(pix[kept], weights=one[kept], minlength=x.shape[0])
-        m2[lo : lo + step] = np.bincount(pix[kept], weights=pair[kept], minlength=x.shape[0])
+        m1[lo : lo + step] = np.bincount(pix, weights=one, minlength=x.shape[0])
+        m2[lo : lo + step] = np.bincount(pix, weights=pair, minlength=x.shape[0])
     m1 *= math.sqrt(v / (v + s2))
     m2 *= math.sqrt(v / (v + 2.0 * s2))
     dz = np.repeat(np.exp(depth_arg), xs.size)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -339,7 +340,8 @@ def _node_count(c: float, log_norm: float) -> float:
     the factors' 1-norms being at least one; inf when none does.
     """
     rho = _ELLIPSE_RHO
-    log_bound = math.log(4.0 / np.finfo(float).eps) + log_norm + 0.5 * c * (rho - 1.0 / rho)
+    with np.errstate(over="ignore"):  # an ellipse whose bound overflows to inf admits no node count
+        log_bound = math.log(4.0 / np.finfo(float).eps) + log_norm + 0.5 * c * (rho - 1.0 / rho)
     degree = float(np.min((log_bound - np.log(rho - 1.0)) / np.log(rho)))
     return 1.0 + math.ceil(max(degree, 0.0)) if degree < math.inf else math.inf
 
@@ -507,8 +509,8 @@ def simulate_readout(
     bin_width_us: float = 0.05,
 ) -> PhotonTrace:
     """Poisson-sampled binned fluorescence trace accumulated over ``shots`` repetitions."""
-    if shots < 1:
-        raise ValidationError("shots must be >= 1")
+    if not 1 <= shots <= sys.float_info.max:  # exact for ints of any size
+        raise ValidationError("shots (--shots) must be >= 1 and within the float range")
     expected, _ = readout_response(
         initial, g, b, m, t_pulse_us, turn_on_offset_us, bin_width_us
     )

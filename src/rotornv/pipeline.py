@@ -234,7 +234,7 @@ def default_emitters(cfg: ExperimentConfig) -> EmitterSet:
 
 def strobed_center_um(cfg: ExperimentConfig, emitter_position_um) -> tuple[float, float]:
     """Where an emitter appears in a strobed image (trigger position rotated by t_phi)."""
-    ang = 2.0 * math.pi * cfg.geometry.f_rot_hz * cfg.strobe.t_phi_us * 1e-6
+    ang = cfg.strobe_angle_rad
     x, y = emitter_position_um
     return (
         x * math.cos(ang) - y * math.sin(ang),

@@ -198,7 +198,8 @@ def c13_envelope(p: EchoParams, c: PhysicalConstants, tau_us):
         dips += np.where(m <= m_max, np.exp(-((tau - m * half) ** 2) / two_var), 0.0)
         m += 2.0
     comb = 1.0 - (1.0 - COLLAPSE_FLOOR) * np.clip(dips, 0.0, 1.0)
-    damp = np.exp(-((tau / p.t2_us) ** p.envelope_exponent))
+    with np.errstate(over="ignore"):  # (tau / T2)^p beyond the float range damps to exactly 0
+        damp = np.exp(-((tau / p.t2_us) ** p.envelope_exponent))
     out = comb * damp
     return float(out) if np.isscalar(tau_us) else out
 

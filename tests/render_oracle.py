@@ -5,9 +5,9 @@ over the strobe samples (emitter, substep) of every quadrature node.  This
 oracle masks all pairs of the triangle for each (pixel, node) candidate,
 gathers the survivors with ``np.nonzero`` and sums each candidate's terms
 with ``np.bincount``, which adds them one after another in triangle order.
-Each candidate's mean is summed over its pair block: the samples of the
-one emitter that reaches it, added in order, or all samples where several
-emitters do.  It keeps no geometric pre-selection of candidates: every
+Each candidate's mean is summed over its pair block, by the same rule:
+its terms are masked to the samples of the one emitter that reaches it,
+or to all samples where several emitters do, and added in order.  It keeps no geometric pre-selection of candidates: every
 (pixel, node) pair is evaluated on every emitter's samples and the ones
 without a sample above e^-40 of its peak are dropped, as the renderer
 drops them, so the renderer's per-emitter prefilter is checked against a
@@ -84,15 +84,11 @@ def pixel_moments(grid, emitters, g, strobe, psf_width_um=0.3, substeps=7, axial
             kept.append(p[k])
             terms = np.exp(-h2 / (2.0 * v) - a**2 / (2.0 * (v + s2))) * ci
             # the pair block: the samples of the one emitter that reaches the
-            # candidate, added in order, or all samples where several do
+            # candidate, or all samples where several do, added in order
             reached = near.reshape(wn.size, radii.size, substeps).any(axis=2)
-            owner = np.where(reached.sum(axis=1) == 1, reached.argmax(axis=1), -1)
-            cols = np.maximum(owner, 0)[:, None] * substeps + np.arange(substeps)  # unused where owner < 0
-            block = np.take_along_axis(terms, cols, axis=1)
-            block_sum = block[:, 0].copy()
-            for col in block[:, 1:].T:
-                block_sum += col
-            one.append(np.where(owner >= 0, block_sum, terms.sum(axis=1)) * wn)
+            owner = np.where(reached.sum(axis=1) == 1, reached.argmax(axis=1), -1)[:, None]
+            terms *= (owner < 0) | (owner == np.arange(n_s) // substeps)
+            one.append(np.add.accumulate(terms, axis=1)[:, -1] * wn)
             half = -h2 / (2.0 * v) - a**2 * (1.0 / (4.0 * (v + 2.0 * s2)) + 1.0 / (4.0 * v))
             r, q = np.nonzero(near[:, ii] & near[:, jj])
             i, j = ii[q], jj[q]

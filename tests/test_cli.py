@@ -467,6 +467,10 @@ class TestCliSubcommands:
         assert '"seed"' in capsys.readouterr().out
 
 
+# an integer beyond the float range, 1 followed by 400 zeros
+_BEYOND_FLOATS = "1" + "0" * 400
+
+
 def _main_exit(argv, capsys) -> tuple[int, str]:
     code = main(argv)
     return code, capsys.readouterr().err
@@ -557,6 +561,16 @@ def test_zero_bin_width_exit_2(capsys):
          "bin_width_us"),
         (["simulate-rabi", "--set", "protocol.readout_window_us=1e-320"], "readout_window_us"),
         (["simulate-echo", "--set", "protocol.readout_window_us=1e-320"], "readout_window_us"),
+        # an integer beyond the float range: written by dump-config, or exit 3
+        # with "int too large to convert to float"
+        (["dump-config", "--set", f"geometry.r_nv_um={_BEYOND_FLOATS}"], "geometry.r_nv_um"),
+        (["dump-config", "--set", f"geometry.f_rot_hz={_BEYOND_FLOATS}"], "geometry.f_rot_hz"),
+        (["simulate-echo", "--tau", "2,5", "--shots", "10", "--set", f"field.b0_gauss={_BEYOND_FLOATS}"],
+         "field.b0_gauss"),
+        (["simulate-echo", "--tau", "2,5", "--set", f"field.mw_dir=[{_BEYOND_FLOATS},0,0]"], "field.mw_dir"),
+        (["simulate-echo", "--tau", "2,5", "--set", f"protocol.shots_per_point={_BEYOND_FLOATS}"],
+         "protocol.shots_per_point"),
+        (["simulate-echo", "--tau", "2,5", "--shots", _BEYOND_FLOATS], "protocol.shots_per_point"),
     ],
 )
 def test_oversized_config_value_exit_2(argv, key, capsys):
@@ -629,6 +643,13 @@ def test_readout_window_longer_than_strobe_exit_2(capsys):
         (["fit", "DATASET", "--max-iter", "-3"], "--max-iter"),
         (["fit", "DATASET", "--model", "rabi", "--max-iter", "0"], "--max-iter"),
         (["fit", "DATASET", "--model", "rabi", "--max-iter", "-3"], "--max-iter"),
+        # numpy refused these: "expected non-negative integer" (exit 3); dump-config wrote them
+        (["simulate-echo", "--tau", "2,5", "--shots", "10", "--seed", "-1"], "--seed"),
+        (["simulate-image", "--dwell-ms", "1", "--seed", "-1"], "--seed"),
+        (["simulate-readout", "--shots", "10", "--seed", "-1"], "--seed"),
+        (["dump-config", "--seed", "-1"], "--seed"),
+        # "int too large to convert to float" (exit 3)
+        (["simulate-readout", "--shots", _BEYOND_FLOATS], "--shots"),
     ],
 )
 def test_bad_cli_flag_exit_2(argv, flag, tmp_path, capsys):
@@ -733,10 +754,13 @@ _FAR_EMITTER = ["--emitters", "1e155,0", "--x-min", "-1", "--x-max", "1", "--y-m
         # dump-config accepted these; every echo command then refused t2_us without naming the section
         (["dump-config", "--set", "protocol.t2_us=-1"], ("protocol", "t2_us")),
         (["dump-config", "--set", "protocol.max_image_pixels=0"], ("protocol", "max_image_pixels")),
+        # the strobe angle 2 pi f_rot_hz t_phi_us overflowed: "math domain error" (exit 3)
+        (_IMAGE_1MS + ["--set", "strobe.t_phi_us=1e304"], ("strobe.t_phi_us",)),
+        (_IMAGE_1MS + ["--set", "geometry.f_rot_hz=2e305"], ("geometry.f_rot_hz", "strobe.t_phi_us")),
     ],
     ids=["gamma-c13", "b0", "far-emitter", "far-emitter-stationary", "far-orbit-default-window",
          "far-orbit-default-window-stationary", "far-emitter-default-window", "huge-wobble", "wide-wobble",
-         "envelope-exponent", "t2", "max-image-pixels"],
+         "envelope-exponent", "t2", "max-image-pixels", "strobe-angle-t-phi", "strobe-angle-f-rot"],
 )
 def test_out_of_range_bath_or_blur_exit_2(argv, names, capsys):
     code, err = _main_exit([*argv, "-o", os.devnull], capsys)
@@ -745,7 +769,7 @@ def test_out_of_range_bath_or_blur_exit_2(argv, names, capsys):
     assert "radius" not in err or "--emitters" in names
 
 
-@pytest.mark.parametrize("value", ["3e-303", "1e-320"])
+@pytest.mark.parametrize("value", ["3e-303", "1e-320", "6e305"])
 @pytest.mark.parametrize(
     "argv", [_ECHO_2_5, ["simulate-rabi", "--durations", "0.1,0.2"], _IMAGE_1MS], ids=["echo", "rabi", "image"]
 )
@@ -753,7 +777,8 @@ def test_rotation_rate_without_a_normal_period_exit_2(argv, value, capsys):
     # the period 1e6 / f_rot_hz us overflowed (3e-303) or the rad/us frequency
     # was subnormal (1e-320): the scans exited 2 with "event laser [inf, inf]
     # us has a negative or non-finite time", the image 3 with "cannot convert
-    # float NaN to integer"
+    # float NaN to integer"; 360 f_rot_hz overflowed (6e305) to a NaN pulse
+    # angle at t = 0, and the image's strobe angle to "math domain error"
     code, err = _main_exit([*argv, "--set", f"geometry.f_rot_hz={value}", "-o", os.devnull], capsys)
     assert code == 2
     assert err.startswith("error:") and "geometry.f_rot_hz" in err, err
@@ -761,6 +786,24 @@ def test_rotation_rate_without_a_normal_period_exit_2(argv, value, capsys):
 
 def test_slow_rotation_with_a_normal_period_is_taken(capsys):
     code, err = _main_exit([*_ECHO_2_5, "--set", "geometry.f_rot_hz=1e-300", "-o", os.devnull], capsys)
+    assert code == 0, err
+
+
+def test_a_seed_beyond_the_float_range_is_taken(capsys):
+    # numpy's generators take any non-negative integer
+    code, err = _main_exit(["simulate-readout", "--shots", "10", "--seed", _BEYOND_FLOATS, "-o", os.devnull], capsys)
+    assert code == 0, err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "damping", [["protocol.t2_us=1e-300"], ["protocol.t2_us=1", "protocol.envelope_exponent=1e30"]]
+)
+def test_damping_beyond_the_float_range_warns_nothing(damping, capsys):
+    # (tau / T2)^p overflowed to an envelope of exactly 0 with "overflow
+    # encountered in power", which exits 3 under warnings as errors
+    sets = [arg for item in damping for arg in ("--set", item)]
+    code, err = _main_exit([*_ECHO_2_5, *sets, "-o", os.devnull], capsys)
     assert code == 0, err
 
 

@@ -94,7 +94,13 @@ UNRANGED = {
 UNRANGED_CASES = [(cls, name) for cls, names in UNRANGED.items() for name in names]
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf])
+# an integer beyond the float range converts to no finite float: it once
+# reached the physics as "int too large to convert to float" (exit 3)
+BEYOND_FLOATS = 10**400
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, BEYOND_FLOATS, -BEYOND_FLOATS],
+                         ids=["inf", "-inf", "int-beyond-floats", "-int-beyond-floats"])
 @pytest.mark.parametrize("cls, name", CASES, ids=[f"{cls.__name__}.{name}" for cls, name in CASES])
 def test_infinity_in_a_ranged_field_is_refused(cls, name, value):
     # StrobeConfig(jitter_frac=inf) once reached a render as "cannot convert
@@ -103,7 +109,8 @@ def test_infinity_in_a_ranged_field_is_refused(cls, name, value):
         cls(**{name: value})
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, BEYOND_FLOATS, -BEYOND_FLOATS],
+                         ids=["inf", "-inf", "nan", "int-beyond-floats", "-int-beyond-floats"])
 @pytest.mark.parametrize(
     "cls, name", UNRANGED_CASES, ids=[f"{cls.__name__}.{name}" for cls, name in UNRANGED_CASES]
 )

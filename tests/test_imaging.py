@@ -315,7 +315,8 @@ def test_moments_match_per_emitter_oracle(plane, stationary, strobe, emitters, x
         (StrobeConfig(t_phi_us=1180.0), _PAIR, (8.5, 11.0), (-1.0, 4.5)),
         (StrobeConfig(t_phi_us=0.0, t_pulse_us=8.0), _TRIO, (8.5, 11.0), (-2.5, 2.5)),
         # half a turn on, the trio 1.2 and 1.5 um apart: pixels between
-        # them reach several emitters and take the whole sample triangle
+        # them reach several emitters and take the whole sample triangle,
+        # its samples added in order like every other block's
         (StrobeConfig(t_phi_us=150.0), _TRIO, (-11.0, -8.5), (-2.5, 2.5)),
     ],
 )

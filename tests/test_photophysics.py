@@ -452,6 +452,13 @@ class TestReadoutOracle:
         readout_response(LevelPopulations.ms0(), g, b, m, 2.0, -0.25)
         assert len(calls) == 2 and all(np.prod(s[:-2]) <= 32 for s in calls)
 
+    def test_a_node_bound_beyond_the_float_range_warns_nothing(self):
+        # at rates.pump_rate_peak_per_us=1e300 the bound of the widest ellipses
+        # overflowed to inf with "overflow encountered in multiply"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 1e299 < photophysics._node_count(1e300, 1.0) < math.inf
+
     def test_too_many_bins_rejected(self):
         with pytest.raises(ValidationError, match="bin_width_us"):
             readout_response(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,8 @@ class TestEchoPhase:
             ({"t2_us": math.inf}, "t2_us"),
             ({"envelope_exponent": -4.0}, "envelope_exponent"),
             ({"b0_gauss": math.inf}, "b0_gauss"),
+            # 360 f_rot_hz, which the pulse angles start from, overflows
+            ({"f_rot_hz": 6e305}, "f_rot_hz"),
         ],
     )
     def test_a_value_the_config_refuses_is_refused(self, constants, field, name):
@@ -255,6 +258,13 @@ class TestC13Envelope:
         p = EchoParams(**field)
         with pytest.raises(ValidationError, match="field.b0_gauss or constants.gamma_c13_khz_per_g"):
             c13_envelope(p, PhysicalConstants(**constants_kw), np.array([2.0, 5.0]))
+
+    @pytest.mark.parametrize("field", [{"t2_us": 1e-300}, {"t2_us": 1.0, "envelope_exponent": 1e30}])
+    def test_damping_beyond_the_float_range_is_exactly_zero(self, constants, field):
+        # (tau / T2)^p overflowed to exp(-inf) = 0 with "overflow encountered in power"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not c13_envelope(EchoParams(**field), constants, np.array([2.0, 5.0])).any()
 
     @pytest.mark.parametrize("tau", [[math.inf], [2.0, math.nan], -1.0])
     @pytest.mark.parametrize("fn", [c13_envelope, echo_phase])
