@@ -116,6 +116,71 @@ class TestParser:
             parse_sequence("mw pi at 0us\nbogus 1us\nlaser 2us at 10us")
 
 
+_UNITS = "(expected one of ns, us, MHz, deg)"
+_EMPTY = ("empty program", 0, 0)
+
+# one malformed program per diagnostic the parser gives, each with its full
+# (message, line, col) list; the last two share lines across ';' segments
+DIAGNOSTICS = [
+    (b"wait 1us", [("input must be UTF-8 text", 0, 0)]),
+    ("", [_EMPTY]),
+    ("wait @5us", [("expected a number in wait, got '@5us'", 1, 6), _EMPTY]),
+    ("wait 150", [(f"missing unit on '150' in wait {_UNITS}", 1, 6), _EMPTY]),
+    ("wait 5s", [("unknown unit 's' in wait", 1, 6), _EMPTY]),
+    ("wait 1e400us", [("number '1e400' in wait is out of range", 1, 6), _EMPTY]),
+    ("wait -3us", [("negative duration -3.0us in wait", 1, 6), _EMPTY]),
+    ("wait tau", [("unknown parameter 'tau' in wait", 1, 6), _EMPTY]),
+    ("param f = 2 MHz\nwait f", [("parameter 'f' has unit MHz, expected a time, in wait", 2, 6)]),
+    ("param p = 90deg\nmw pi at p", [("parameter 'p' has unit deg, expected a time, in 'at' of mw", 2, 10)]),
+    ("wait 5deg", [("expected a time in wait, got unit 'deg'", 1, 6), _EMPTY]),
+    ("wait 5 deg", [("expected a time in wait, got unit 'deg'", 1, 8), _EMPTY]),
+    ("mw pi at", [("'at' requires a time", 1, 7)]),
+    ("mw pi phase", [("'phase' requires an angle", 1, 7)]),
+    ("mw pi phase 90MHz at 0us", [("phase must be in deg, got 'MHz'", 1, 7)]),
+    ("param t = 3us\nmw pi phase t", [("phase parameter 't' must be in deg", 2, 7)]),
+    ("laser 2us 5us", [("unexpected token '5us' after laser", 1, 11)]),
+    ("param x 5us", [("param syntax is: param <name> = <value><unit>", 1, 1), _EMPTY]),
+    ("param 2x = 5us", [("invalid parameter name '2x'", 1, 7), _EMPTY]),
+    ("param x = 5us 7us", [("unexpected token '7us' after param", 1, 15)]),
+    ("param x = 5 7us", [(f"missing unit on '5' in param 'x' {_UNITS}", 1, 11),
+                         ("unexpected token '7us' after param", 1, 13), _EMPTY]),
+    ("param x = 1us\nparam x = 2us", [("duplicate parameter 'x'", 2, 7)]),
+    ("trigger now", [("trigger takes no arguments", 1, 9)]),
+    ("trigger\ntrigger", [("duplicate trigger anchor (exactly one allowed)", 2, 1)]),
+    ("trigger now\ntrigger", [("trigger takes no arguments", 1, 9),
+                              ("duplicate trigger anchor (exactly one allowed)", 2, 1)]),
+    ("wait", [("wait requires a duration", 1, 1), _EMPTY]),
+    ("wait 1us 2us", [("unexpected token '2us' after wait", 1, 10)]),
+    ("laser", [("laser requires a duration", 1, 1), _EMPTY]),
+    ("laser 2us phase 90deg", [("laser does not take a phase", 1, 1)]),
+    ("laser 2us phase 9us", [("phase must be in deg, got 'us'", 1, 11)]),
+    ("mw", [("mw requires a target angle (pi, pi/2) or a duration", 1, 1), _EMPTY]),
+    ("mw 5 at zz", [(f"missing unit on '5' in mw {_UNITS}", 1, 4), _EMPTY]),
+    ("frobnicate 2us", [("unknown keyword 'frobnicate'", 1, 1), _EMPTY]),
+    (
+        "param a = 60 us ; mw pi at a phase 90 deg; wait 5 MHz ; laser 2us at b ; bogus\n"
+        "  trigger ;wait -1 ns;   mw 0.5us phase 10us at 3 ;laser 2us phase 3deg at # tail",
+        [
+            ("expected a time in wait, got unit 'MHz'", 1, 51),
+            ("unknown parameter 'b' in 'at' of laser", 1, 70),
+            ("unknown keyword 'bogus'", 1, 74),
+            ("negative duration -1.0ns in wait", 2, 17),
+            ("phase must be in deg, got 'us'", 2, 35),
+            (f"missing unit on '3' in 'at' of mw {_UNITS}", 2, 49),
+            ("'at' requires a time", 2, 73),
+            ("laser does not take a phase", 2, 52),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("text, expected", DIAGNOSTICS, ids=[repr(t)[:40] for t, _ in DIAGNOSTICS])
+def test_every_parser_diagnostic_is_pinned(text, expected):
+    with pytest.raises(ParseError) as err:
+        parse_sequence(text)
+    assert [(d.message, d.line, d.col) for d in err.value.diagnostics] == expected
+
+
 # random program generation for round-trip checks
 
 _name = st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True)
