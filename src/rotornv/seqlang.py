@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
@@ -152,39 +153,26 @@ def format_program(prog: SequenceProgram) -> str:
 # parser
 
 
-class _Token:
-    __slots__ = ("text", "line", "col")
-
-    def __init__(self, text: str, line: int, col: int):
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def _tokenize_statement(seg: str, line_no: int, col0: int) -> list[_Token]:
-    return [
-        _Token(m.group(0), line_no, col0 + m.start() + 1)
-        for m in re.finditer(r"\S+", seg)
-    ]
+_Token = namedtuple("_Token", "text line col")
+_NAME_RE = re.compile(r"^[A-Za-z_]\w*$")
+# what a bare 'wait', 'laser' or 'mw' lacks; the operand clauses and what each requires
+_OPERAND_OF = {"wait": "a duration", "laser": "a duration",
+               "mw": "a target angle (pi, pi/2) or a duration"}
+_CLAUSES = {"at": "a time", "phase": "an angle"}
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.text = text
+    """The params, statements and diagnostics of one program, read statement by statement."""
+
+    def __init__(self):
         self.diags: list[Diagnostic] = []
-        self.params: list[tuple[str, Quantity]] = []
-        self.param_names: set[str] = set()
+        self.params: dict[str, Quantity] = {}
         self.statements: list[Statement] = []
-        self.trigger_seen = False
 
-    def error(self, msg: str, tok: Optional[_Token] = None, line=0, col=0):
-        if tok is not None:
-            line, col = tok.line, tok.col
-        self.diags.append(Diagnostic(msg, line, col))
+    def error(self, msg: str, tok: _Token) -> None:
+        self.diags.append(Diagnostic(msg, tok.line, tok.col))
 
-    # --- quantity / operand parsing
-
-    def _take_quantity(self, toks: list[_Token], i: int, ctx: str):
+    def _quantity(self, toks: list[_Token], i: int, ctx: str):
         """Parse a literal quantity starting at toks[i]; returns (Quantity|None, next_i)."""
         tok = toks[i]
         m = _NUMBER_RE.match(tok.text)
@@ -192,85 +180,69 @@ class _Parser:
             self.error(f"expected a number in {ctx}, got {tok.text!r}", tok)
             return None, i + 1
         num_text = m.group(0)
-        rest = tok.text[len(num_text):]
-        if rest == "":
-            # unit may be the following token
-            if i + 1 < len(toks) and toks[i + 1].text in ALL_UNITS:
-                rest = toks[i + 1].text
-                i += 1
-            else:
-                self.error(
-                    f"missing unit on {num_text!r} in {ctx} (expected one of {', '.join(ALL_UNITS)})",
-                    tok,
-                )
-                return None, i + 1
-        if rest not in ALL_UNITS:
-            self.error(f"unknown unit {rest!r} in {ctx}", tok)
-            return None, i + 1
-        q = Quantity(float(num_text), rest)
-        if not math.isfinite(q.value):
-            self.error(f"number {num_text!r} in {ctx} is out of range", tok)
-            return None, i + 1
-        if q.is_time and q.value < 0:
-            self.error(f"negative duration {q} in {ctx}", tok)
-            return None, i + 1
-        return q, i + 1
+        unit = tok.text[len(num_text):]
+        if unit == "" and i + 1 < len(toks) and toks[i + 1].text in ALL_UNITS:
+            i += 1  # the unit is the following token
+            unit = toks[i].text
+        q = Quantity(float(num_text), unit) if unit in ALL_UNITS else None
+        if unit == "":
+            why = f"missing unit on {num_text!r} in {ctx} (expected one of {', '.join(ALL_UNITS)})"
+        elif q is None:
+            why = f"unknown unit {unit!r} in {ctx}"
+        elif not math.isfinite(q.value):
+            why = f"number {num_text!r} in {ctx} is out of range"
+        elif q.is_time and q.value < 0:
+            why = f"negative duration {q} in {ctx}"
+        else:
+            return q, i + 1
+        self.error(why, tok)
+        return None, i + 1
 
-    def _take_operand(self, toks: list[_Token], i: int, ctx: str, time_only=True):
-        """Literal quantity or param reference."""
+    def _operand(self, toks: list[_Token], i: int, ctx: str, kw: _Token):
+        """Literal or param name at toks[i] for keyword ``kw``; returns (operand|None, next_i).
+
+        The operand of a 'phase' keyword must be an angle, a wrong unit being
+        reported at the keyword; any other must be a time, a wrong unit being
+        reported at the operand's last token.
+        """
         tok = toks[i]
-        if re.match(r"^[A-Za-z_]\w*$", tok.text) and tok.text not in ALL_UNITS:
-            if tok.text not in self.param_names:
-                self.error(f"unknown parameter {tok.text!r} in {ctx}", tok)
-                return None, i + 1
-            q = dict(self.params)[tok.text]
-            if time_only and not q.is_time:
-                self.error(
-                    f"parameter {tok.text!r} has unit {q.unit}, expected a time, in {ctx}",
-                    tok,
-                )
-                return None, i + 1
-            return tok.text, i + 1
-        q, i = self._take_quantity(toks, i, ctx)
-        if q is not None and time_only and not q.is_time:
-            self.error(f"expected a time in {ctx}, got unit {q.unit!r}", toks[i - 1])
+        named = _NAME_RE.match(tok.text) and tok.text not in ALL_UNITS
+        if named and tok.text not in self.params:
+            self.error(f"unknown parameter {tok.text!r} in {ctx}", tok)
+            return None, i + 1
+        q, i = (self.params[tok.text], i + 1) if named else self._quantity(toks, i, ctx)
+        if q is None:
             return None, i
-        return q, i
+        if kw.text == "phase" and q.unit != "deg":
+            if named:
+                self.error(f"phase parameter {tok.text!r} must be in deg", kw)
+            else:
+                self.error(f"phase must be in deg, got {q.unit!r}", kw)
+        elif kw.text != "phase" and not q.is_time:
+            if named:
+                self.error(f"parameter {tok.text!r} has unit {q.unit}, expected a time, in {ctx}", tok)
+            else:
+                self.error(f"expected a time in {ctx}, got unit {q.unit!r}", toks[i - 1])
+        else:
+            return (tok.text if named else q), i
+        return None, i
 
-    def _take_at(self, toks: list[_Token], i: int, ctx: str):
-        """Optional trailing 'phase <q>' / 'at <operand>' clauses (mw only uses phase)."""
-        at = None
-        phase = None
+    def _clauses(self, toks: list[_Token], i: int, ctx: str):
+        """Trailing 'at <time>' and 'phase <angle>' clauses from toks[i]; returns (at, phase)."""
+        read = dict.fromkeys(_CLAUSES)
         while i < len(toks):
             tok = toks[i]
-            if tok.text == "at":
-                if i + 1 >= len(toks):
-                    self.error("'at' requires a time", tok)
-                    return at, phase, len(toks)
-                at, i = self._take_operand(toks, i + 1, f"'at' of {ctx}")
-            elif tok.text == "phase":
-                if i + 1 >= len(toks):
-                    self.error("'phase' requires an angle", tok)
-                    return at, phase, len(toks)
-                phase, i = self._take_operand(
-                    toks, i + 1, f"'phase' of {ctx}", time_only=False
-                )
-                if isinstance(phase, Quantity) and phase.unit != "deg":
-                    self.error(f"phase must be in deg, got {phase.unit!r}", tok)
-                    phase = None
-                elif isinstance(phase, str):
-                    q = dict(self.params)[phase]
-                    if q.unit != "deg":
-                        self.error(f"phase parameter {phase!r} must be in deg", tok)
-                        phase = None
-            else:
+            if tok.text not in _CLAUSES:
                 self.error(f"unexpected token {tok.text!r} after {ctx}", tok)
                 i += 1
-        return at, phase, i
+            elif i + 1 == len(toks):
+                self.error(f"{tok.text!r} requires {_CLAUSES[tok.text]}", tok)
+                break
+            else:
+                read[tok.text], i = self._operand(toks, i + 1, f"{tok.text!r} of {ctx}", tok)
+        return read["at"], read["phase"]
 
-    # --- statements
-
-    def _parse_statement(self, toks: list[_Token]):
+    def statement(self, toks: list[_Token]) -> None:
         head = toks[0]
         kw = head.text
         if kw == "param":
@@ -278,85 +250,65 @@ class _Parser:
                 self.error("param syntax is: param <name> = <value><unit>", head)
                 return
             name = toks[1].text
-            if not re.match(r"^[A-Za-z_]\w*$", name):
+            if not _NAME_RE.match(name):
                 self.error(f"invalid parameter name {name!r}", toks[1])
                 return
-            q, i = self._take_quantity(toks, 3, f"param {name!r}")
+            q, i = self._quantity(toks, 3, f"param {name!r}")
             if i < len(toks):
                 self.error(f"unexpected token {toks[i].text!r} after param", toks[i])
-            if q is None:
-                return
-            if name in self.param_names:
+            if q is not None and name in self.params:
                 self.error(f"duplicate parameter {name!r}", toks[1])
-                return
-            self.params.append((name, q))
-            self.param_names.add(name)
+            elif q is not None:
+                self.params[name] = q
         elif kw == "trigger":
             if len(toks) > 1:
                 self.error("trigger takes no arguments", toks[1])
-            if self.trigger_seen:
+            if TriggerStmt() in self.statements:
                 self.error("duplicate trigger anchor (exactly one allowed)", head)
-                return
-            self.trigger_seen = True
-            self.statements.append(TriggerStmt())
+            else:
+                self.statements.append(TriggerStmt())
+        elif kw not in _OPERAND_OF:
+            self.error(f"unknown keyword {kw!r}", head)
+        elif len(toks) < 2:
+            self.error(f"{kw} requires {_OPERAND_OF[kw]}", head)
         elif kw == "wait":
-            if len(toks) < 2:
-                self.error("wait requires a duration", head)
-                return
-            dur, i = self._take_operand(toks, 1, "wait")
+            dur, i = self._operand(toks, 1, kw, head)
             if i < len(toks):
                 self.error(f"unexpected token {toks[i].text!r} after wait", toks[i])
             if dur is not None:
                 self.statements.append(WaitStmt(dur))
         elif kw == "laser":
-            if len(toks) < 2:
-                self.error("laser requires a duration", head)
-                return
-            dur, i = self._take_operand(toks, 1, "laser")
-            at, phase, _ = self._take_at(toks, i, "laser")
+            dur, i = self._operand(toks, 1, kw, head)
+            at, phase = self._clauses(toks, i, kw)
             if phase is not None:
                 self.error("laser does not take a phase", head)
             if dur is not None:
                 self.statements.append(LaserStmt(dur, at))
-        elif kw == "mw":
-            if len(toks) < 2:
-                self.error("mw requires a target angle (pi, pi/2) or a duration", head)
-                return
-            target = None
-            dur = None
-            if toks[1].text in ("pi", "pi/2"):
-                target = toks[1].text
-                i = 2
-            else:
-                dur, i = self._take_operand(toks, 1, "mw")
-                if dur is None:
-                    return
-            at, phase, _ = self._take_at(toks, i, "mw")
-            self.statements.append(MwStmt(target, dur, phase, at))
-        else:
-            self.error(f"unknown keyword {kw!r}", head)
-
-    def parse(self) -> SequenceProgram:
-        for line_no, raw in enumerate(self.text.splitlines(), start=1):
-            line = raw.split("#", 1)[0]
-            col = 0
-            for seg in line.split(";"):
-                toks = _tokenize_statement(seg, line_no, col)
-                col += len(seg) + 1
-                if toks:
-                    self._parse_statement(toks)
-        if not self.statements and not self.params:
-            self.error("empty program")
-        if self.diags:
-            raise ParseError(self.diags)
-        return SequenceProgram(tuple(self.params), tuple(self.statements))
+        else:  # mw: a target angle, or a duration; a failed duration reads no clauses
+            target = toks[1].text if toks[1].text in TARGET_FRACTIONS else None
+            dur, i = (None, 2) if target else self._operand(toks, 1, kw, head)
+            if target or dur is not None:
+                at, phase = self._clauses(toks, i, kw)
+                self.statements.append(MwStmt(target, dur, phase, at))
 
 
 def parse_sequence(text: str) -> SequenceProgram:
     """Parse program text; raises :class:`ParseError` with all diagnostics on failure."""
     if not isinstance(text, str):
         raise ParseError([Diagnostic("input must be UTF-8 text")])
-    return _Parser(text).parse()
+    parser = _Parser()
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        col = 0
+        for seg in line.split("#", 1)[0].split(";"):
+            toks = [_Token(m.group(0), line_no, col + m.start() + 1) for m in re.finditer(r"\S+", seg)]
+            col += len(seg) + 1
+            if toks:
+                parser.statement(toks)
+    if not parser.statements and not parser.params:
+        parser.diags.append(Diagnostic("empty program"))
+    if parser.diags:
+        raise ParseError(parser.diags)
+    return SequenceProgram(tuple(parser.params.items()), tuple(parser.statements))
 
 
 # ---------------------------------------------------------------------------
