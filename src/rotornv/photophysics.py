@@ -178,6 +178,10 @@ def expected_count_rate(b: BeamProfile, g: RotorGeometry, t_pulse_us: float) -> 
 # rate equations
 
 
+_RATE_KEYS = ("rates.pump_rate_peak_per_us, rates.radiative_rate_per_us, rates.isc_rate_e1_per_us, "
+              "rates.isc_rate_e0_per_us and rates.singlet_decay_per_us")
+
+
 def rate_matrix(m: RateModel, intensity: float) -> np.ndarray:
     """Generator A of dn/dt = A n for populations (g0, g1, e0, e1, s)."""
     if not intensity >= 0:
@@ -261,7 +265,7 @@ def steady_state(m: RateModel, intensity: float = 1.0) -> LevelPopulations:
     _, sv, vt = np.linalg.svd(a)
     tol = a.shape[0] * np.finfo(float).eps * sv[0]
     if sv[-2] <= tol or sv[-1] > tol:
-        raise ValidationError("rate matrix has a degenerate steady state")
+        raise ValidationError(f"rate matrix has a degenerate steady state; check {_RATE_KEYS}")
     vec = vt[-1]
     vec = vec * math.copysign(1.0, vec.sum())
     vec = np.clip(vec, 0.0, None)
@@ -287,7 +291,7 @@ def detection_calibration(m: RateModel, b: BeamProfile) -> float:
     """
     ref = _bright_emission_rate(m)
     if ref <= 0:
-        raise ValidationError("steady-state emission vanishes; check rates")
+        raise ValidationError(f"steady-state emission vanishes; check {_RATE_KEYS}")
     return b.peak_counts_stationary_cps / ref
 
 
@@ -318,6 +322,13 @@ _CF4_BLEND = 2.0 * np.array([[0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0)
 _STEP_SCALE = 0.05
 # Most exponential steps (and bins) in one transit; bounds time and memory.
 MAX_READOUT_STEPS = 8192
+# A step factor taken with s squarings carries rounding of about eps 2^s,
+# 2^s being about its exponent's 1-norm over _THETA_13, so the factors of a
+# pass of length T carry eps T |A(1)|_1 / _THETA_13 in all.  A pass above
+# this bound is refused: just below it (every default rate times 3.5e10)
+# a 2 us trace is off by 4e-4, at 1e12 times by 1.2 %, and from ~1e17
+# times the factor products overflow.
+_MAX_PASS_ROUNDING = 1e-3
 # Bernstein ellipse parameters rho searched for the interpolation node count,
 # rho - 1 spaced geometrically from 1e-8 to 1e20
 _ELLIPSE_RHO = 1.0 + np.exp(np.linspace(math.log(1e-8), math.log(1e20), 500))
@@ -393,6 +404,8 @@ def _transit_counts(
     count `MAX_READOUT_STEPS` caps), the nodes are the factors' own blends
     and every factor is exponentiated directly.
     """
+    # first: the steady state refuses rates too far apart, before any sum of them overflows
+    counts_per_excited_us = detection_calibration(m, b) * m.radiative_rate_per_us * 1e-6
     gen0 = np.zeros((6, 6))
     gen1 = np.zeros((6, 6))
     gen0[:5, :5] = rate_matrix(m, 0.0)
@@ -407,7 +420,14 @@ def _transit_counts(
     # rate, not a warning
     d = b.waist_diameter_1e2_um
     speed_um_per_us = TWO_PI * g.r_nv_um * g.f_rot_hz * 1e-6
-    rate = math.sqrt(float(np.abs(gen1[:5, :5]).sum(axis=0).max()) * speed_um_per_us * 2.0 / d)
+    with np.errstate(over="ignore"):  # an overflowing rate is refused below
+        fastest = float(np.abs(gen1[:5, :5]).sum(axis=0).max())
+    if not fastest * n_bins * bin_width_us * np.finfo(float).eps <= _MAX_PASS_ROUNDING * _THETA_13:
+        raise ValidationError(
+            f"rates up to {fastest:.3g} /us lose a {n_bins * bin_width_us:g} us readout pass "
+            f"to rounding; lower {_RATE_KEYS}"
+        )
+    rate = math.sqrt(fastest * speed_um_per_us * 2.0 / d)
     wanted = bin_width_us * rate / _STEP_SCALE
     steps = MAX_READOUT_STEPS // n_bins
     if wanted < steps:
@@ -444,7 +464,6 @@ def _transit_counts(
     for i in range(n_bins):
         state = factors[i, 0] @ state
         excited_us[i + 1] = state[5]
-    counts_per_excited_us = detection_calibration(m, b) * m.radiative_rate_per_us * 1e-6
     background = b.background_cps * 1e-6 * bin_width_us * np.arange(n_bins + 1)[:, None]
     return counts_per_excited_us * excited_us + background, state[:5]
 

@@ -90,13 +90,17 @@ def window_response(cfg: ExperimentConfig) -> WindowResponse:
 # echo scan
 
 
-def _check_tau_below_period(tau_us, g) -> None:
-    late = np.asarray(tau_us) >= g.t_rot_us
+def _check_readout_timing(g, ends_us, late, scan: str) -> None:
+    """Refuse a scan whose sequence has not ended when the readout starts, one turn in.
+
+    ``late`` marks the points whose sequence end ``ends_us`` reaches the
+    readout; ``scan`` names the values that set that end.
+    """
     if np.any(late):
-        bad = float(np.atleast_1d(tau_us)[np.atleast_1d(late)][0])
+        bad = float(np.atleast_1d(ends_us)[np.atleast_1d(late)][0])
         raise ValidationError(
-            f"tau_us = {bad} not below the rotation period {g.t_rot_us:.4f} us: "
-            "readout would precede sequence end"
+            f"a scan point's sequence ends at {bad} us, not before the readout at the rotation "
+            f"period {g.t_rot_us:.7g} us; check {scan} and geometry.f_rot_hz"
         )
 
 
@@ -111,7 +115,7 @@ def echo_populations(cfg: ExperimentConfig, tau_us, ideal_pulses: bool = True) -
     """P(m_S = -1) at readout after a tau echo, bath envelope applied, for every tau of a scan."""
     g, f, c = cfg.geometry, cfg.field_cfg, cfg.constants
     tau = np.asarray(tau_us, dtype=float)
-    _check_tau_below_period(tau, g)
+    _check_readout_timing(g, tau, tau >= g.t_rot_us, "tau_us (--tau)")
     if ideal_pulses:
         batch = seqlang.ideal_echo_timeline(tau, g.t_rot_us, cfg.strobe.t_pulse_us)
     else:
@@ -194,6 +198,11 @@ def rabi_populations(cfg: ExperimentConfig, durations_us, pulse_at: str = "start
     """P(m_S = -1) after a single variable pulse at t = 0 or t = T_rot/2, for every duration."""
     g, f, c = cfg.geometry, cfg.field_cfg, cfg.constants
     where = _rabi_pulse_at(cfg, pulse_at)
+    # the simulator's test of a laser boundary inside the pulse, as the scan gives it
+    ends = where["pulse_at_us"] + np.asarray(durations_us, dtype=float)
+    _check_readout_timing(
+        g, ends, ends > g.t_rot_us, "durations_us (--durations), pulse_at (--pulse-at)"
+    )
     batch = seqlang.rabi_batch(durations_us, g, calibration(cfg), cfg.strobe.t_pulse_us, **where)
     return 0.5 * (1.0 - spindyn.simulate_sequence(batch, g, f, c)[:, 2])
 

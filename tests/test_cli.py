@@ -789,6 +789,73 @@ def test_slow_rotation_with_a_normal_period_is_taken(capsys):
     assert code == 0, err
 
 
+_RATE_KEYS = ("rates.pump_rate_peak_per_us", "rates.radiative_rate_per_us", "rates.isc_rate_e1_per_us",
+              "rates.isc_rate_e0_per_us", "rates.singlet_decay_per_us")
+
+
+def _every_rate(value: str) -> list[str]:
+    return [arg for key in _RATE_KEYS for arg in ("--set", f"{key}={value}")]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [["simulate-readout", "--shots", "10"], _ECHO_2_5], ids=["readout", "echo"])
+@pytest.mark.parametrize(
+    "rates",
+    [
+        # "overflow encountered in reduce" in the transit pass's rate bound
+        *([f"{key}=1e308"] for key in _RATE_KEYS),
+        # "rate matrix has a degenerate steady state", naming no key
+        ["rates.pump_rate_peak_per_us=1e16"],
+        ["rates.isc_rate_e0_per_us=1e300"],
+        # every rate at one scale: "overflow encountered in matmul" in the
+        # step factors, or "invalid value encountered in subtract" at 1e308
+        *(_every_rate(value)[1::2] for value in ("1e18", "1e22", "1e150", "1e300", "1e308")),
+    ],
+    ids=[*(f"{key[6:]}-1e308" for key in _RATE_KEYS), "pump-1e16", "isc-e0-1e300",
+         "all-1e18", "all-1e22", "all-1e150", "all-1e300", "all-1e308"],
+)
+def test_rates_beyond_the_readout_pass_exit_2(argv, rates, capsys):
+    sets = [arg for item in rates for arg in ("--set", item)]
+    code, err = _main_exit([*argv, *sets, "-o", os.devnull], capsys)
+    assert code == 2
+    assert err.startswith("error:") and all(key in err for key in _RATE_KEYS), err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        # "laser boundary of laser [300.000300, 302.000300] us falls inside mw [...]"
+        (["simulate-rabi", "--durations", "0:400:5"], ("--durations", "--pulse-at")),
+        (["simulate-rabi", "--pulse-at", "half", "--durations", "0:200:5"], ("--durations", "--pulse-at")),
+        (["simulate-rabi", "--durations", "0:1:10", "--set", "geometry.f_rot_hz=1e305",
+          "--set", "strobe.t_phi_us=0"], ("--durations",)),
+        # named neither --tau nor geometry.f_rot_hz
+        (["simulate-echo", "--tau", "2,400"], ("--tau",)),
+    ],
+    ids=["rabi-start", "rabi-half", "rabi-fast-rotor", "echo"],
+)
+def test_sequence_into_the_readout_exit_2(argv, flags, capsys):
+    code, err = _main_exit([*argv, "--shots", "10", "-o", os.devnull], capsys)
+    assert code == 2
+    assert err.startswith("error:") and all(name in err for name in (*flags, "geometry.f_rot_hz")), err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate-rabi", "--durations", "0:300:5"],
+        ["simulate-rabi", "--pulse-at", "half", "--durations", "0:150:5"],
+        ["simulate-echo", "--tau", "2,300"],
+    ],
+    ids=["rabi-start", "rabi-half", "echo"],
+)
+def test_sequence_ending_before_the_readout_is_taken(argv, capsys):
+    # the default rotation period is 300.0003 us
+    code, err = _main_exit([*argv, "--shots", "10", "-o", os.devnull], capsys)
+    assert code == 0, err
+
+
 def test_a_seed_beyond_the_float_range_is_taken(capsys):
     # numpy's generators take any non-negative integer
     code, err = _main_exit(["simulate-readout", "--shots", "10", "--seed", _BEYOND_FLOATS, "-o", os.devnull], capsys)

@@ -421,6 +421,15 @@ class TestReadoutOracle:
         dark, _ = readout_response(LevelPopulations.ms1(), g, b, m, 2.0, -0.25)
         assert 0.0 < dark.sum() < bright.sum()
 
+    def test_rates_that_lose_the_pass_to_rounding_are_refused(self):
+        # the pass's rounding bound eps T |A(1)|_1 / theta_13 crosses 1e-3
+        # between 3.5e10 and 4e10 times the default rates over a 2 us pulse
+        g, b, ms0 = RotorGeometry(), BeamProfile(), LevelPopulations.ms0()
+        counts, _ = readout_response(ms0, g, b, RateModel(**_scaled_rates(3.5e10)), 2.0, 0.0)
+        assert np.all(np.isfinite(counts)) and counts.sum() > 0.0
+        with pytest.raises(ValidationError, match="lower rates.pump_rate_peak_per_us"):
+            readout_response(ms0, g, b, RateModel(**_scaled_rates(4e10)), 2.0, 0.0)
+
     @pytest.mark.parametrize("t_pulse", [0.5, 2.0, 6.0])
     @pytest.mark.parametrize("offset", [-2.0, -0.25, 0.5])
     @pytest.mark.parametrize("scale", [1.0, 10.0, 1e3, 1e6])
