@@ -1391,6 +1391,19 @@ def test_demo_pair_spot_lines_are_pinned(tmp_path, seed, digest):
 
 
 @pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (1, "88d49cbd88e96ef4f725717b92b9db247c9f90edef2d5e52f2295a58d7eba945"),
+        (7, "a2f43cb5541d998552dacc3e97371e8048e90704ce423bbf7aef3e8657af9f0c"),
+    ],
+)
+def test_readout_trace_is_pinned(seed, digest):
+    code, text, _ = _run_outcome(["simulate-readout", "--seed", str(seed)])
+    assert code == 0 and text.count("\n") > 40
+    assert _sha256(text) == digest
+
+
+@pytest.mark.parametrize(
     "scan, model, seed, digest",
     [
         ("rabi", ("--model", "rabi"), 1, "d48440ab7278ec9f48f36d1fd2aefbb1d7300443236e4c511b0c4a5e2c68ab92"),

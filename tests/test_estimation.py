@@ -446,6 +446,18 @@ class TestExternalJacobian:
         scale = np.max(np.abs(jac))
         assert np.allclose(jac, numeric, atol=1e-6 * scale, rtol=1e-6)
 
+    def test_short_tau_valley_is_flat(self):
+        # same point count and noise, but a range with little accumulated
+        # phase: the Fisher matrix J^T J at the truth gives the curvature of
+        # the SSE in b_perp, the other three refitted, as 1 / cov_bb
+        truth = dict(b_perp_gauss=0.088, phi0_rad=1.2, contrast=0.25, baseline=0.877)
+
+        def curvature(tau):
+            jac = echo_jacobian(synth_dataset(tau=tau, sigma=0.01), MODEL, truth)
+            return 1.0 / np.linalg.inv(jac.T @ jac)[0, 0]
+
+        assert curvature(np.linspace(0.5, 6.0, 16)) / curvature(np.linspace(2.0, 21.0, 16)) < 0.5
+
 
 def _echo_problem(noise_seed):
     x = np.array([0.088, 1.2])

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -515,6 +516,51 @@ class TestOptimalTurnOn:
             dark = expected_window_counts(g, b, m, 2.0, off, window, LevelPopulations.ms1())
             snrs.append((1.0 - dark / bright) * math.sqrt(bright))
         assert optimal_turn_on(g, b, m, 2.0, window_us=window) == offsets[int(np.argmax(snrs))]
+
+
+# ---------------------------------------------------------------------------
+# the transit pass's outputs, pinned bit for bit: regrouping its entry points
+# must move none of them.  Besides the default config, two configs drawn once
+# (numpy seed 26) over the orbit, the beam, the pulse and the window; one adds
+# a background and one collects without the confocal weighting.
+
+_TRANSIT_CONFIGS = {
+    "default": {},
+    "drawn-a": {
+        "geometry": {"r_nv_um": 7.875, "f_rot_hz": 2202.8},
+        "beam": {"waist_diameter_1e2_um": 0.714, "background_cps": 1500.0},
+        "strobe": {"t_pulse_us": 2.475},
+        "protocol": {"readout_window_us": 2.151, "turn_on_offset_us": -0.177, "bin_width_us": 0.071},
+    },
+    "drawn-b": {
+        "geometry": {"r_nv_um": 10.435, "f_rot_hz": 2527.4},
+        "beam": {"waist_diameter_1e2_um": 0.652, "collection_mode": "illumination-only"},
+        "strobe": {"t_pulse_us": 1.508},
+        "protocol": {"readout_window_us": 0.813, "turn_on_offset_us": 0.444, "bin_width_us": 0.062},
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("default", "6b7abac9a4616fd842800ba90f856705a4d6ea6671382885e61042ae3373f5cd"),
+        ("drawn-a", "6c92ba14db88ad4efe6770aa4f56668d641589730bd8683307d4f6578591d6ee"),
+        ("drawn-b", "4ce5b7290beb18e4e5b8572f96c8f72abf90b9640b7428e9bcf93b5989522a34"),
+    ],
+)
+def test_transit_outputs_are_pinned(name, digest):
+    cfg = config_from_dict(_TRANSIT_CONFIGS[name])
+    g, b, m, pro = cfg.geometry, cfg.beam, cfg.rates, cfg.protocol
+    t_pulse, offset, window = cfg.strobe.t_pulse_us, pro.turn_on_offset_us, pro.readout_window_us
+    parts = []
+    for initial in (LevelPopulations.ms0(), LevelPopulations.ms1(), LevelPopulations(0.5, 0.3, 0.1, 0.05, 0.05)):
+        trace, pops = readout_response(initial, g, b, m, t_pulse, offset, pro.bin_width_us)
+        counts = expected_window_counts(g, b, m, t_pulse, offset, window, initial)
+        parts += [trace.tobytes(), pops.as_array().tobytes(), repr(counts).encode()]
+    resp = pipeline.window_response(cfg)
+    parts.append(repr((resp.n_bright, resp.n_dark, optimal_turn_on(g, b, m, t_pulse, window))).encode())
+    assert hashlib.sha256(b"".join(parts)).hexdigest() == digest
 
 
 # each check once compared with "<", which NaN passes; the last two then ended
