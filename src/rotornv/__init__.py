@@ -53,7 +53,6 @@ from .estimation import (
     FitResult,
     fit_echo,
     fit_rabi,
-    profile_identifiability,
 )
 from .imaging import (
     Emitter,

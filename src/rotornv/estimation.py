@@ -15,10 +15,9 @@ with phi(tau) the closed-form echo phase of :func:`spindyn.echo_ac_phase`,
 linear in the AC-field amplitude ``b_perp``.  :func:`fit_echo` searches
 (b_perp, phi0) with the contrast bounded to [0, 1]; :func:`fit_rabi`
 searches the Rabi frequency with its contrast unbounded (a Rabi scan dips).
-The four echo parameters are strongly covariant on short-tau data;
-:func:`profile_identifiability` exposes the valleys.  Covariances of all
-parameters are scaled by the reduced chi-square, so overdispersed data
-inflate the reported uncertainties.
+The four echo parameters are strongly covariant on short-tau data.
+Covariances of all parameters are scaled by the reduced chi-square, so
+overdispersed data inflate the reported uncertainties.
 """
 
 from __future__ import annotations
@@ -404,58 +403,3 @@ def fit_rabi(data: EchoDataset, initial: dict | None = None, max_iter: int = 200
     params = {"rabi_freq_mhz": omega, "contrast": contrast, "baseline": baseline}
     jac = lsq.full_jacobian(*basis([omega]), contrast, data.sigma)
     return _finalize_fit(params, jac, lm, RABI_PARAM_NAMES)
-
-
-# ---------------------------------------------------------------------------
-# identifiability profiles
-
-
-@dataclass(frozen=True)
-class ProfileResult:
-    param_name: str
-    values: np.ndarray
-    sse: np.ndarray
-    fits: tuple
-
-
-def profile_identifiability(
-    data: EchoDataset,
-    model: EchoFitModel | None = None,
-    param_name: str = "b_perp_gauss",
-    values=None,
-    max_iter: int = 120,
-) -> ProfileResult:
-    """SSE profile vs b_perp or phi0, re-fitting the other on the projected cost.
-
-    Contrast and baseline are solved exactly (contrast bounded, as in
-    :func:`fit_echo`) at every point.  Exposes the covariance valleys of the
-    fringe model: on short-tau data the profile around the optimum is nearly
-    flat.
-    """
-    if model is None:
-        model = EchoFitModel()
-    if param_name not in ECHO_PARAM_NAMES[:2]:
-        raise ValidationError(
-            f"param_name must be one of {ECHO_PARAM_NAMES[:2]}, got {param_name!r}"
-        )
-    if values is None:
-        raise ValidationError("values to profile over are required")
-    values = np.asarray(values, dtype=float)
-    idx = ECHO_PARAM_NAMES.index(param_name)
-    base_fit = fit_echo(data, model)
-    x_base = np.array([base_fit.params[name] for name in ECHO_PARAM_NAMES[:2]])
-
-    free = [1 - idx]
-    sse = np.empty(values.size)
-    fits = []
-    for i, v in enumerate(values):
-
-        def basis(xf):
-            u, du = _echo_basis(model, data.tau_us, *np.insert(xf, idx, v))
-            return u, du[free]
-
-        lm, a, c, _, _ = lsq.fit_separable(basis, data.signal, data.sigma, x_base[free], 0.0, 1.0, max_iter)
-        sse[i] = 2.0 * lm.cost
-        x = np.insert(lm.x, idx, v)
-        fits.append(dict(zip(ECHO_PARAM_NAMES, (*map(float, x), a, c))))
-    return ProfileResult(param_name=param_name, values=values, sse=sse, fits=tuple(fits))

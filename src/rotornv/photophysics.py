@@ -322,6 +322,12 @@ _CF4_BLEND = 2.0 * np.array([[0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0)
 _STEP_SCALE = 0.05
 # Most exponential steps (and bins) in one transit; bounds time and memory.
 MAX_READOUT_STEPS = 8192
+# the refusal of a readout window that collects no light, naming what lights it
+DARK_WINDOW = (
+    "readout window collects no light; check the beam (beam.waist_diameter_1e2_um, "
+    "beam.peak_counts_stationary_cps), the orbit (geometry.r_nv_um, geometry.f_rot_hz), "
+    "protocol.turn_on_offset_us and rates.pump_rate_peak_per_us"
+)
 # A step factor taken with s squarings carries rounding of about eps 2^s,
 # 2^s being about its exponent's 1-norm over _THETA_13, so the factors of a
 # pass of length T carry eps T |A(1)|_1 / _THETA_13 in all.  A pass above
@@ -468,15 +474,44 @@ def _transit_counts(
     return counts_per_excited_us * excited_us + background, state[:5]
 
 
-def _bin_count(bins: float, ratio: str) -> int:
-    """round(bins), at least one; refused above ``MAX_READOUT_STEPS`` (``ratio`` says how it arose).
+def _pulse_pass(
+    initial: np.ndarray,
+    g: RotorGeometry,
+    b: BeamProfile,
+    m: RateModel,
+    t_pulse_us: float,
+    turn_on_offset_us: float,
+    width_us: float,
+    window: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_transit_counts` over the pulse cut into uniform bins, for populations as columns of ``initial``.
 
-    The comparison comes first, on the float: an overflowing ratio is inf,
-    which no integer conversion takes.
+    Without ``window`` the pass integrates all round(t_pulse_us / width_us)
+    bins, ``width_us`` being the bin width; with it, ``width_us`` is the
+    early window, and the pass integrates the first eight of
+    round(8 t_pulse_us / width_us) bins.  At least one bin, and at most
+    ``MAX_READOUT_STEPS``: the comparison comes first, on the float, since
+    an overflowing ratio is inf, which no integer conversion takes.
     """
+    name = "window_us" if window else "bin_width_us"
+    if not t_pulse_us > 0:
+        raise ValidationError("t_pulse_us must be positive")
+    if not width_us > 0:
+        raise ValidationError(f"{name} must be positive, got {width_us}")
+    if window and width_us > t_pulse_us:
+        raise ValidationError(
+            f"window_us = {width_us} exceeds t_pulse_us = {t_pulse_us}: the readout window must fit "
+            "inside the strobe pulse"
+        )
+    if not math.isfinite(turn_on_offset_us):
+        raise ValidationError(f"turn_on_offset_us must be finite, got {turn_on_offset_us}")
+    bins = (8.0 if window else 1.0) * t_pulse_us / width_us
     if not bins <= MAX_READOUT_STEPS + 0.5:  # round(bins) > MAX_READOUT_STEPS
+        ratio = (f"t_pulse_us / (readout_window_us / 8) = {t_pulse_us} / ({width_us} / 8)" if window
+                 else f"t_pulse_us / bin_width_us = {t_pulse_us} / {width_us}")
         raise ValidationError(f"{ratio} gives {bins:.3g} bins, more than {MAX_READOUT_STEPS}")
-    return max(1, round(bins))
+    n_bins = max(1, round(bins))
+    return _transit_counts(initial, g, b, m, turn_on_offset_us, 8 if window else n_bins, t_pulse_us / n_bins)
 
 
 def readout_response(
@@ -504,13 +539,8 @@ def readout_response(
     fewest Chebyshev nodes that keep them at rounding level, or taken
     directly where that many nodes would not pay (see `_transit_counts`).
     """
-    if t_pulse_us <= 0:
-        raise ValidationError("t_pulse_us must be positive")
-    n_bins = _bin_count(
-        t_pulse_us / bin_width_us, f"t_pulse_us / bin_width_us = {t_pulse_us} / {bin_width_us}"
-    )
-    cumulative, pops = _transit_counts(
-        initial.as_array()[:, None], g, b, m, turn_on_offset_us, n_bins, t_pulse_us / n_bins
+    cumulative, pops = _pulse_pass(
+        initial.as_array()[:, None], g, b, m, t_pulse_us, turn_on_offset_us, bin_width_us, False
     )
     pops = np.clip(pops[:, 0], 0.0, None)
     return np.diff(cumulative[:, 0]), LevelPopulations.from_array(pops / pops.sum())
@@ -554,9 +584,14 @@ def state_contrast(
     """
     if abs(signal.bin_width_us - reference.bin_width_us) > 1e-12:
         raise ValidationError("traces must share the same bin width")
-    n = int(round(window_us / signal.bin_width_us))
-    if n < 1:
-        raise ValidationError("window shorter than one bin")
+    size = min(signal.counts.size, reference.counts.size)
+    bins = window_us / signal.bin_width_us
+    if not 0.5 < bins < size + 0.5:  # NaN fails too
+        raise ValidationError(
+            f"window_us = {window_us} must span one to {size} bins of {signal.bin_width_us:g} us, "
+            "the traces' length"
+        )
+    n = round(bins)
     s = float(signal.counts[:n].sum())
     r = float(reference.counts[:n].sum())
     if r <= 0 or s <= 0:
@@ -564,32 +599,6 @@ def state_contrast(
     ratio = (s / signal.shots) / (r / reference.shots)
     sigma = ratio * math.sqrt(1.0 / s + 1.0 / r)
     return ratio, sigma
-
-
-def _window_counts(
-    g: RotorGeometry,
-    b: BeamProfile,
-    m: RateModel,
-    t_pulse_us: float,
-    turn_on_offset_us: float,
-    window_us: float,
-    initial: np.ndarray,
-) -> np.ndarray:
-    """Per-shot counts in the first eight bins of width ~window/8, one per column of ``initial``.
-
-    The bins are the first of round(8 t_pulse_us / window_us) uniform bins
-    of the pulse, a count that may not exceed ``MAX_READOUT_STEPS``.
-    """
-    if t_pulse_us <= 0:
-        raise ValidationError("t_pulse_us must be positive")
-    n_bins = _bin_count(
-        8.0 * t_pulse_us / window_us,
-        f"t_pulse_us / (readout_window_us / 8) = {t_pulse_us} / ({window_us} / 8)",
-    )
-    cumulative, _ = _transit_counts(
-        initial, g, b, m, turn_on_offset_us, min(n_bins, 8), t_pulse_us / n_bins
-    )
-    return cumulative[-1]
 
 
 def spin_window_counts(
@@ -602,7 +611,7 @@ def spin_window_counts(
 ) -> tuple[float, float]:
     """Expected per-shot early-window counts (bright m_S = 0, dark m_S = -1), one transit pass."""
     spins = np.column_stack([LevelPopulations.ms0().as_array(), LevelPopulations.ms1().as_array()])
-    bright, dark = _window_counts(g, b, m, t_pulse_us, turn_on_offset_us, window_us, spins)
+    bright, dark = _pulse_pass(spins, g, b, m, t_pulse_us, turn_on_offset_us, window_us, True)[0][-1]
     return float(bright), float(dark)
 
 
@@ -616,11 +625,8 @@ def expected_window_counts(
     initial: LevelPopulations,
 ) -> float:
     """Expected per-shot counts in the early window (deterministic helper)."""
-    return float(
-        _window_counts(
-            g, b, m, t_pulse_us, turn_on_offset_us, window_us, initial.as_array()[:, None]
-        )[0]
-    )
+    spins = initial.as_array()[:, None]
+    return float(_pulse_pass(spins, g, b, m, t_pulse_us, turn_on_offset_us, window_us, True)[0][-1, 0])
 
 
 def optimal_turn_on(
@@ -635,7 +641,8 @@ def optimal_turn_on(
     The figure of merit is contrast * sqrt(early-window counts), evaluated
     on deterministic traces at 37 offsets from -1.5 to 0.75 pulse lengths;
     each offset integrates both spin states in one pass.  For a stationary
-    NV every offset is equivalent and 0 is returned.
+    NV every offset is equivalent and 0 is returned; a window that collects
+    no light at any offset is refused.
     """
     if g.r_nv_um == 0.0:
         return 0.0
@@ -648,4 +655,6 @@ def optimal_turn_on(
         snr = contrast * math.sqrt(bright)
         if snr > best_snr:
             best_offset, best_snr = float(off), snr
+    if best_snr == -np.inf:
+        raise ValidationError(DARK_WINDOW)
     return best_offset

@@ -78,11 +78,7 @@ def window_response(cfg: ExperimentConfig) -> WindowResponse:
         pro.readout_window_us,
     )
     if bright <= 0:
-        raise ValidationError(
-            "readout window collects no light; check the beam (beam.waist_diameter_1e2_um, "
-            "beam.peak_counts_stationary_cps), the orbit (geometry.r_nv_um, geometry.f_rot_hz), "
-            "protocol.turn_on_offset_us and rates.pump_rate_peak_per_us"
-        )
+        raise ValidationError(photophysics.DARK_WINDOW)
     return WindowResponse(n_bright=bright, n_dark=dark)
 
 

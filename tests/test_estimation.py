@@ -13,7 +13,6 @@ from rotornv.estimation import (
     echo_jacobian,
     fit_echo,
     fit_rabi,
-    profile_identifiability,
     _echo_basis,
 )
 from rotornv.lsq import levenberg_marquardt, solve_linear_pair
@@ -387,48 +386,6 @@ class TestRabiStartScan:
         fit = fit_rabi(data, {"rabi_freq_mhz": 3.5})
         assert calls == [("_sine_grid_sse", 1)]
         assert abs(fit.params["rabi_freq_mhz"] - 3.6) < 3.0 * fit.sigmas["rabi_freq_mhz"]
-
-
-class TestProfiles:
-    def test_profile_minimum_at_fit_optimum(self):
-        data = synth_dataset(noise_seed=51)
-        fit = fit_echo(data, MODEL)
-        b_hat = fit.params["b_perp_gauss"]
-        values = np.linspace(max(b_hat - 0.02, 1e-4), b_hat + 0.02, 21)
-        profile = profile_identifiability(data, MODEL, "b_perp_gauss", values)
-        i_min = int(np.argmin(profile.sse))
-        assert abs(values[i_min] - b_hat) <= (values[1] - values[0]) + 1e-12
-
-    def test_short_tau_valley_is_flat(self):
-        # same point count and noise, but a range with little accumulated phase
-        tau_full = np.linspace(2.0, 21.0, 16)
-        tau_short = np.linspace(0.5, 6.0, 16)
-        values = np.linspace(0.05, 0.13, 17)
-
-        def curvature(tau):
-            data = synth_dataset(tau=tau, sigma=0.01)
-            profile = profile_identifiability(data, MODEL, "b_perp_gauss", values)
-            coeffs = np.polyfit(values - 0.088, profile.sse, 2)
-            return coeffs[0]
-
-        assert curvature(tau_short) / curvature(tau_full) < 0.5
-
-    def test_profile_periodic_in_phi0(self):
-        data = synth_dataset(noise_seed=61)
-        values = np.linspace(0.5, 1.9, 8)
-        p1 = profile_identifiability(data, MODEL, "phi0_rad", values)
-        p2 = profile_identifiability(data, MODEL, "phi0_rad", values + TWO_PI)
-        assert np.allclose(p1.sse, p2.sse, rtol=1e-6, atol=1e-9)
-
-    def test_unknown_parameter_rejected(self):
-        with pytest.raises(ValidationError):
-            profile_identifiability(synth_dataset(), MODEL, "bogus", np.array([1.0]))
-
-    @pytest.mark.parametrize("name", ["contrast", "baseline"])
-    def test_linear_parameter_rejected(self, name):
-        # contrast and baseline are solved at every point, never profiled
-        with pytest.raises(ValidationError):
-            profile_identifiability(synth_dataset(), MODEL, name, np.array([1.0]))
 
 
 class TestExternalJacobian:

@@ -16,6 +16,7 @@ from rotornv.imaging import Emitter, angular_smear
 from rotornv.photophysics import (
     MAX_READOUT_STEPS,
     LevelPopulations,
+    PhotonTrace,
     beam_intensity,
     emission_rate_per_us,
     expected_count_rate,
@@ -563,8 +564,27 @@ def test_transit_outputs_are_pinned(name, digest):
     assert hashlib.sha256(b"".join(parts)).hexdigest() == digest
 
 
-# each check once compared with "<", which NaN passes; the last two then ended
-# in "cannot convert float NaN to integer"
+_G, _B, _M = RotorGeometry(), BeamProfile(), RateModel()
+_TRACE = PhotonTrace(bin_width_us=0.05, counts=np.ones(40), shots=10)
+
+
+def _window(window_us=1.0, offset_us=0.0):
+    return expected_window_counts(_G, _B, _M, 2.0, offset_us, window_us, LevelPopulations.ms0())
+
+
+def _trace(bin_width_us=0.05, offset_us=0.0):
+    return readout_response(LevelPopulations.ms0(), _G, _B, _M, 2.0, offset_us, bin_width_us)
+
+
+# each check once compared with "<", which NaN passes; the next two then ended
+# in "cannot convert float NaN to integer".  The rows from readout_response on
+# are arguments the transit pass cannot take: a negative bin width once gave a
+# one-bin trace, a zero bin width or window a ZeroDivisionError, a negative
+# window or one longer than the pulse the counts of the whole pulse, a NaN
+# turn-on offset a population error (readout_response) or NaN counts, an
+# infinite one a RuntimeWarning; a dark beam an optimal offset of 0, and a
+# NaN window in state_contrast a bare ValueError, one longer than the traces
+# the ratio of their whole sums
 @pytest.mark.parametrize(
     "call, name",
     [
@@ -579,9 +599,25 @@ def test_transit_outputs_are_pinned(name, digest):
         (lambda: echo_phase(EchoParams(), PhysicalConstants(), [math.nan]), "tau_us"),
         (lambda: expected_count_rate(BeamProfile(), RotorGeometry(), math.nan), "t_pulse_us"),
         (lambda: c13_envelope(EchoParams(), PhysicalConstants(), [math.nan]), "tau_us"),
+        (lambda: _trace(bin_width_us=-0.05), "bin_width_us"),
+        (lambda: _trace(bin_width_us=0.0), "bin_width_us"),
+        (lambda: _window(window_us=0.0), "window_us"),
+        (lambda: _window(window_us=-1.0), "window_us"),
+        (lambda: _window(window_us=5.0), "window_us"),
+        (lambda: _trace(offset_us=math.nan), "turn_on_offset_us"),
+        (lambda: _window(offset_us=math.nan), "turn_on_offset_us"),
+        (lambda: _trace(offset_us=math.inf), "turn_on_offset_us"),
+        (lambda: optimal_turn_on(_G, BeamProfile(peak_counts_stationary_cps=0.0), _M, 2.0, 1.0),
+         "beam.peak_counts_stationary_cps"),
+        (lambda: state_contrast(_TRACE, _TRACE, math.nan), "window_us"),
+        (lambda: state_contrast(_TRACE, _TRACE, 50.0), "window_us"),
     ],
     ids=["LevelPopulations", "EchoParams", "Emitter", "step_rates", "rate_matrix", "steady_state",
-         "angular_smear", "c13_revival_time_us", "echo_phase", "expected_count_rate", "c13_envelope"],
+         "angular_smear", "c13_revival_time_us", "echo_phase", "expected_count_rate", "c13_envelope",
+         "readout_response-negative-bin", "readout_response-zero-bin", "window-zero", "window-negative",
+         "window-beyond-pulse", "readout_response-nan-offset", "window-nan-offset",
+         "readout_response-inf-offset", "optimal_turn_on-dark", "state_contrast-nan-window",
+         "state_contrast-window-beyond-traces"],
 )
 def test_library_check_refuses_nan(call, name):
     with pytest.raises(ValidationError, match=name):
