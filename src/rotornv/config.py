@@ -39,9 +39,9 @@ def check_ranges(section, positive=(), non_negative=(), within=None, finite=()) 
 
     Every test reads ``not (in range)``, so NaN lies outside every range.
     No field may be infinite, or an integer beyond the float range: no
-    setting gives infinity a meaning, and the config loader refuses both
-    too.  A one-sided range refuses +inf after its range test; ``finite``
-    names the fields with no range.
+    setting gives infinity a meaning, and the config loader relies on this
+    check to refuse both.  A one-sided range refuses +inf after its range
+    test; ``finite`` names the fields with no range.
     """
     for name in positive:
         if not getattr(section, name) > 0:
@@ -66,7 +66,9 @@ def check_f_rot_hz(f_rot_hz: float) -> None:
     overflows above ~5.0e305 Hz; the smaller rad/s frequency 2 pi f_rot_hz
     is finite wherever it is.
     """
-    if 0 < f_rot_hz <= sys.float_info.max:  # 1e6 / f_rot_hz of an int beyond it raises
+    if abs(f_rot_hz) > sys.float_info.max:  # exact for ints of any size
+        raise ValidationError("f_rot_hz must be finite")
+    if f_rot_hz > 0:
         derived = (1e6 / f_rot_hz, TWO_PI * f_rot_hz * 1e-6, 360.0 * f_rot_hz)
         if all(sys.float_info.min <= x < math.inf for x in derived):
             return
@@ -332,34 +334,26 @@ def _check_number_type(name: str, val, default) -> None:
 def _build_section(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected an object")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValidationError(
-            f"{path}: unknown key(s) {sorted(unknown)}; known keys: {sorted(known)}"
-        )
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(defaults)
+    if unknown:
+        raise ValidationError(f"{path}: unknown key(s) {sorted(unknown)}; known keys: {sorted(defaults)}")
     for key, val in data.items():
         _check_number_type(f"{path}.{key}", val, defaults[key])
-        for v in val if isinstance(val, (list, tuple)) else [val]:
-            # exact for ints of any size: one beyond the float range cannot enter the physics
-            if isinstance(v, (int, float)) and not abs(v) <= sys.float_info.max:
-                shown = repr(v) if isinstance(v, float) else "an integer beyond the float range"
-                raise ValidationError(f"{path}.{key}: {shown} is not a finite number")
-    kwargs = dict(data)
+    # tuples arrive as lists from JSON
+    kwargs = {key: tuple(val) if isinstance(val, list) else val for key, val in data.items()}
     if cls is FieldConfig and "mw_dir" in kwargs:
         try:
+            # exact for ints of any size: unit() cannot convert one beyond the float range
+            if not all(abs(v) <= sys.float_info.max for v in kwargs["mw_dir"]):
+                raise ValidationError("an element is not a finite number")
             kwargs["mw_dir"] = unit(kwargs["mw_dir"])
         except ValidationError as exc:
             raise ValidationError(f"{path}.mw_dir: {exc}") from exc
-    # tuples arrive as lists from JSON
-    for key, val in list(kwargs.items()):
-        if isinstance(val, list):
-            kwargs[key] = tuple(val)
     try:
         return cls(**kwargs)
-    except (TypeError, ValidationError) as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    except ValidationError as exc:  # every section refusal starts with its field's name
+        raise ValidationError(f"{path}.{exc}") from exc
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:

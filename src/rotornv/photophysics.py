@@ -29,6 +29,13 @@ the rates are too stiff for interpolation to pay, come from a
 scaling-and-squaring Pade matrix exponential (`expm`, Higham 2005, SIAM
 J. Matrix Anal. Appl. 26:1179) that also serves `step_rates`.  The module
 needs numpy only.
+
+The scans read the spin out through the early window of one transit
+(`WindowResponse`): one pass gives its bright, dark and background counts,
+and a point mixes the first two by its P(m_S = -1).  `sample_window_ratios`
+draws each point's signal and a bright reference one revolution later
+(the NV repumped, as the experiment normalises): their ratio and its
+shot-noise standard error.
 """
 
 from __future__ import annotations
@@ -322,11 +329,11 @@ _CF4_BLEND = 2.0 * np.array([[0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0)
 _STEP_SCALE = 0.05
 # Most exponential steps (and bins) in one transit; bounds time and memory.
 MAX_READOUT_STEPS = 8192
-# the refusal of a readout window that collects no light, naming what lights it
+# the refusal of a dark readout window (`WindowResponse.dark`), naming what lights it
 DARK_WINDOW = (
-    "readout window collects no light; check the beam (beam.waist_diameter_1e2_um, "
-    "beam.peak_counts_stationary_cps), the orbit (geometry.r_nv_um, geometry.f_rot_hz), "
-    "protocol.turn_on_offset_us and rates.pump_rate_peak_per_us"
+    "readout window collects no light from the NV above the background (beam.background_cps); check the "
+    "beam (beam.waist_diameter_1e2_um, beam.peak_counts_stationary_cps), the orbit (geometry.r_nv_um, "
+    "geometry.f_rot_hz), protocol.turn_on_offset_us and rates.pump_rate_peak_per_us"
 )
 # A step factor taken with s squarings carries rounding of about eps 2^s,
 # 2^s being about its exponent's 1-norm over _THETA_13, so the factors of a
@@ -397,8 +404,8 @@ def _transit_counts(
     (g0, g1, e0, e1, s, x), where x integrates the excited population times
     the collection weighting; the detected counts per shot are x times the
     calibrated emission rate plus the background, which integrates in closed
-    form.  Returns the cumulative counts at every bin edge (n_bins + 1, k)
-    and the populations at the last edge (5, k).
+    form (`_background_counts`).  Returns the cumulative counts at every bin
+    edge (n_bins + 1, k) and the populations at the last edge (5, k).
 
     Every step factor exp((h/2) (gen0 + s slope)) is the same analytic
     function of one scalar, the clipped intensity blend s in [0, s_max].
@@ -470,8 +477,13 @@ def _transit_counts(
     for i in range(n_bins):
         state = factors[i, 0] @ state
         excited_us[i + 1] = state[5]
-    background = b.background_cps * 1e-6 * bin_width_us * np.arange(n_bins + 1)[:, None]
+    background = _background_counts(b, bin_width_us, np.arange(n_bins + 1)[:, None])
     return counts_per_excited_us * excited_us + background, state[:5]
+
+
+def _background_counts(b: BeamProfile, bin_width_us: float, edges):
+    """Expected background counts per shot from laser turn-on to the bin edges ``edges``."""
+    return b.background_cps * 1e-6 * bin_width_us * edges
 
 
 def _pulse_pass(
@@ -483,7 +495,7 @@ def _pulse_pass(
     turn_on_offset_us: float,
     width_us: float,
     window: bool,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """`_transit_counts` over the pulse cut into uniform bins, for populations as columns of ``initial``.
 
     Without ``window`` the pass integrates all round(t_pulse_us / width_us)
@@ -491,7 +503,8 @@ def _pulse_pass(
     early window, and the pass integrates the first eight of
     round(8 t_pulse_us / width_us) bins.  At least one bin, and at most
     ``MAX_READOUT_STEPS``: the comparison comes first, on the float, since
-    an overflowing ratio is inf, which no integer conversion takes.
+    an overflowing ratio is inf, which no integer conversion takes.  Returns
+    the pass's counts and populations and the background's counts over it.
     """
     name = "window_us" if window else "bin_width_us"
     if not t_pulse_us > 0:
@@ -511,7 +524,9 @@ def _pulse_pass(
                  else f"t_pulse_us / bin_width_us = {t_pulse_us} / {width_us}")
         raise ValidationError(f"{ratio} gives {bins:.3g} bins, more than {MAX_READOUT_STEPS}")
     n_bins = max(1, round(bins))
-    return _transit_counts(initial, g, b, m, turn_on_offset_us, 8 if window else n_bins, t_pulse_us / n_bins)
+    n_pass, width = (8 if window else n_bins), t_pulse_us / n_bins
+    counts, pops = _transit_counts(initial, g, b, m, turn_on_offset_us, n_pass, width)
+    return counts, pops, _background_counts(b, width, n_pass)
 
 
 def readout_response(
@@ -539,7 +554,7 @@ def readout_response(
     fewest Chebyshev nodes that keep them at rounding level, or taken
     directly where that many nodes would not pay (see `_transit_counts`).
     """
-    cumulative, pops = _pulse_pass(
+    cumulative, pops, _ = _pulse_pass(
         initial.as_array()[:, None], g, b, m, t_pulse_us, turn_on_offset_us, bin_width_us, False
     )
     pops = np.clip(pops[:, 0], 0.0, None)
@@ -596,9 +611,55 @@ def state_contrast(
     r = float(reference.counts[:n].sum())
     if r <= 0 or s <= 0:
         raise ValidationError("window contains no counts")
-    ratio = (s / signal.shots) / (r / reference.shots)
-    sigma = ratio * math.sqrt(1.0 / s + 1.0 / r)
-    return ratio, sigma
+    ratio, sigma = _window_ratio(s, r, signal.shots, reference.shots)
+    return ratio, float(sigma)
+
+
+def _window_ratio(s, r, s_shots, r_shots):
+    """Per-shot ratio (s / s_shots) / (r / r_shots) of two Poisson window sums, and its standard error."""
+    ratio = (s / s_shots) / (r / r_shots)
+    return ratio, ratio * np.sqrt(1.0 / s + 1.0 / r)
+
+
+@dataclass(frozen=True)
+class WindowResponse:
+    """Expected early-window counts per shot: bright (m_S = 0) and dark (m_S = -1) spin, and background."""
+
+    n_bright: float  # the spin counts include the background's
+    n_dark: float
+    n_background: float
+
+    @property
+    def contrast(self) -> float:
+        return 1.0 - self.n_dark / self.n_bright
+
+    @property
+    def dark(self) -> bool:
+        """No light from the NV: the bright counts are no higher than the background's."""
+        return not self.n_bright > self.n_background
+
+    def lit(self) -> WindowResponse:
+        """This response, refused when it is dark."""
+        if self.dark:
+            raise ValidationError(DARK_WINDOW)
+        return self
+
+    def expected(self, p_ms1) -> np.ndarray:
+        p = np.asarray(p_ms1, dtype=float)
+        return (1.0 - p) * self.n_bright + p * self.n_dark
+
+
+def sample_window_ratios(resp: WindowResponse, p_ms1, shots: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's ratio of ``shots`` signal windows, at P(m_S = -1) ``p_ms1``, to as many bright ones.
+
+    One Poisson draw of ``rng`` gives every signal sum, the next every
+    reference sum, each clamped at 1.  Returns the ratios and their errors.
+    """
+    where = "beam.peak_counts_stationary_cps, beam.background_cps or protocol.shots_per_point (--shots)"
+    check_expected_counts(max(resp.n_bright, resp.n_dark) * shots, where)
+    s = np.maximum(rng.poisson(resp.expected(p_ms1) * shots), 1)
+    r = np.maximum(rng.poisson(resp.n_bright * shots, size=np.size(p_ms1)), 1)
+    return _window_ratio(s, r, 1, 1)
 
 
 def spin_window_counts(
@@ -608,11 +669,11 @@ def spin_window_counts(
     t_pulse_us: float,
     turn_on_offset_us: float,
     window_us: float,
-) -> tuple[float, float]:
-    """Expected per-shot early-window counts (bright m_S = 0, dark m_S = -1), one transit pass."""
+) -> WindowResponse:
+    """Expected per-shot early-window counts of both spin states, one transit pass."""
     spins = np.column_stack([LevelPopulations.ms0().as_array(), LevelPopulations.ms1().as_array()])
-    bright, dark = _pulse_pass(spins, g, b, m, t_pulse_us, turn_on_offset_us, window_us, True)[0][-1]
-    return float(bright), float(dark)
+    counts, _, background = _pulse_pass(spins, g, b, m, t_pulse_us, turn_on_offset_us, window_us, True)
+    return WindowResponse(*counts[-1].tolist(), background)
 
 
 def expected_window_counts(
@@ -641,20 +702,14 @@ def optimal_turn_on(
     The figure of merit is contrast * sqrt(early-window counts), evaluated
     on deterministic traces at 37 offsets from -1.5 to 0.75 pulse lengths;
     each offset integrates both spin states in one pass.  For a stationary
-    NV every offset is equivalent and 0 is returned; a window that collects
-    no light at any offset is refused.
+    NV every offset is equivalent and 0 is returned; a window that is dark
+    at every offset is refused.
     """
     if g.r_nv_um == 0.0:
         return 0.0
-    best_offset, best_snr = 0.0, -np.inf
-    for off in np.linspace(-1.5 * t_pulse_us, 0.75 * t_pulse_us, 37):
-        bright, dark = spin_window_counts(g, b, m, t_pulse_us, off, window_us)
-        if bright <= 0:
-            continue
-        contrast = 1.0 - dark / bright
-        snr = contrast * math.sqrt(bright)
-        if snr > best_snr:
-            best_offset, best_snr = float(off), snr
-    if best_snr == -np.inf:
-        raise ValidationError(DARK_WINDOW)
-    return best_offset
+    offsets = np.linspace(-1.5 * t_pulse_us, 0.75 * t_pulse_us, 37)
+    responses = [spin_window_counts(g, b, m, t_pulse_us, off, window_us) for off in offsets]
+    snrs = [-math.inf if r.dark else r.contrast * math.sqrt(r.n_bright) for r in responses]
+    best = int(np.argmax(snrs))  # the first of equal figures
+    responses[best].lit()  # dark at every offset: refused
+    return float(offsets[best])

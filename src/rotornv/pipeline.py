@@ -7,21 +7,9 @@ timelines of all points are compiled as one :class:`seqlang.TimelineBatch`
 P(m_S = -1).  The tests check the scans against an independent oracle that
 integrates the Bloch equation through each point's compiled program.
 
-Each scan point's final spin state is converted into expected
-early-window photon counts through the transit readout model,
-Poisson-sampled in signal and reference windows, and recorded as the
-normalised ratio with its shot-noise standard error.  The reference
-window is collected one revolution later with the NV repumped to the
-bright state, matching the experimental normalisation, so signal and
-reference are statistically independent.  A scan draws from one RNG
-stream, ``default_rng([cfg.seed, stream])``: all signal counts in one Poisson
-call, then all reference counts in another.  So a point's draw depends on
-the scan's length and on the point's position in it.
-
-Expected window counts are linear in the initial populations (the rate
-equations are linear), so the bright/dark responses are integrated once
-per configuration, in one transit pass that carries both spin states, and
-mixed per point.
+Each point is read out through the early-window model of :mod:`photophysics`.
+A scan samples it from one RNG stream, ``default_rng([cfg.seed, stream])``,
+so a point's draw depends on the scan's length and its position in it.
 
 Echo scans apply the nuclear-bath collapse-revival envelope to the
 coherent fringe; by default pulses are the zero-duration calibrated
@@ -32,13 +20,12 @@ with ``ideal_pulses=False`` switching to finite calibrated rectangles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import photophysics, seqlang, spindyn
 from .config import ExperimentConfig
-from .errors import FitError, ValidationError, check_expected_counts
+from .errors import FitError, ValidationError
 from .estimation import EchoDataset
 from .imaging import Emitter, EmitterSet, ScanGrid, StrobedImage, check_arc_lengths
 from .imaging import fit_spot_width, render_image
@@ -50,40 +37,24 @@ MAX_SCAN_POINTS = 1_000_000
 EMITTER_SEPARATION_UM = 3.6
 
 
-@dataclass(frozen=True)
-class WindowResponse:
-    """Expected early-window counts per shot for bright/dark initial spin."""
-
-    n_bright: float
-    n_dark: float
-
-    @property
-    def contrast(self) -> float:
-        return 1.0 - self.n_dark / self.n_bright
-
-    def expected(self, p_ms1) -> np.ndarray:
-        p = np.asarray(p_ms1, dtype=float)
-        return (1.0 - p) * self.n_bright + p * self.n_dark
-
-
-def window_response(cfg: ExperimentConfig) -> WindowResponse:
-    """Integrate the transit readout once, for both spin basis states together."""
-    pro = cfg.protocol
-    bright, dark = photophysics.spin_window_counts(
-        cfg.geometry,
-        cfg.beam,
-        cfg.rates,
-        cfg.strobe.t_pulse_us,
-        pro.turn_on_offset_us,
-        pro.readout_window_us,
-    )
-    if bright <= 0:
-        raise ValidationError(photophysics.DARK_WINDOW)
-    return WindowResponse(n_bright=bright, n_dark=dark)
+def window_response(cfg: ExperimentConfig) -> photophysics.WindowResponse:
+    """The configured early-window response of both spin states, one transit pass; refused if dark."""
+    g, pro = cfg.geometry, cfg.protocol
+    return photophysics.spin_window_counts(
+        g, cfg.beam, cfg.rates, cfg.strobe.t_pulse_us, pro.turn_on_offset_us, pro.readout_window_us
+    ).lit()
 
 
 # ---------------------------------------------------------------------------
 # echo scan
+
+
+def _non_negative(values_us, name: str) -> np.ndarray:
+    """The scan values ``values_us`` as an array, refused (naming ``name``) if one is negative."""
+    values = np.asarray(values_us, dtype=float)
+    if not np.all(values >= 0):
+        raise ValidationError(f"{name} must be non-negative, got {values.min():g} us")
+    return values
 
 
 def _check_readout_timing(g, ends_us, late, scan: str) -> None:
@@ -110,7 +81,7 @@ def calibration(cfg: ExperimentConfig) -> seqlang.CalibrationTable:
 def echo_populations(cfg: ExperimentConfig, tau_us, ideal_pulses: bool = True) -> np.ndarray:
     """P(m_S = -1) at readout after a tau echo, bath envelope applied, for every tau of a scan."""
     g, f, c = cfg.geometry, cfg.field_cfg, cfg.constants
-    tau = np.asarray(tau_us, dtype=float)
+    tau = _non_negative(tau_us, "tau_us (--tau)")
     _check_readout_timing(g, tau, tau >= g.t_rot_us, "tau_us (--tau)")
     if ideal_pulses:
         batch = seqlang.ideal_echo_timeline(tau, g.t_rot_us, cfg.strobe.t_pulse_us)
@@ -132,32 +103,21 @@ def echo_params_from_config(cfg: ExperimentConfig) -> spindyn.EchoParams:
 
 def _sample_scan(
     cfg: ExperimentConfig, values, name: str, populations, stream: int
-) -> tuple[EchoDataset, WindowResponse]:
-    """Sort and check the scan axis ``values`` (``name``), then Poisson-sample its windows.
+) -> tuple[EchoDataset, photophysics.WindowResponse]:
+    """Sort and check the scan axis ``values`` (``name``), then sample its windows from ``stream``.
 
-    ``populations`` maps the sorted axis to P(m_S = -1) at readout.  Each
-    point takes ``protocol.shots_per_point`` repetitions.  Both draws come
-    from one stream, ``default_rng([cfg.seed, stream])``.  The
-    dataset holds the per-point ratio signal/reference, each count clamped
-    at 1, and its shot-noise standard error.
+    ``populations`` maps the sorted axis to P(m_S = -1) at readout.
     """
     if len(values) > MAX_SCAN_POINTS:
         raise ValidationError(f"{name} has {len(values)} points, more than {MAX_SCAN_POINTS}")
     axis = np.asarray(sorted(float(v) for v in values), dtype=float)
     if axis.size == 0:
         raise ValidationError(f"{name} is empty")
-    shots = cfg.protocol.shots_per_point
     p_ms1 = populations(axis)
     resp = window_response(cfg)
-    check_expected_counts(
-        max(resp.n_bright, resp.n_dark) * shots,
-        "beam.peak_counts_stationary_cps or the shots per point (protocol.shots_per_point, --shots)",
-    )
     rng = np.random.default_rng([cfg.seed, stream])
-    s = np.maximum(rng.poisson(resp.expected(p_ms1) * shots), 1)
-    r = np.maximum(rng.poisson(resp.n_bright * shots, size=p_ms1.size), 1)
-    ratio = s / r
-    return EchoDataset(axis, ratio, ratio * np.sqrt(1.0 / s + 1.0 / r)), resp
+    ratio, sigma = photophysics.sample_window_ratios(resp, p_ms1, cfg.protocol.shots_per_point, rng)
+    return EchoDataset(axis, ratio, sigma), resp
 
 
 def simulate_echo_scan(
@@ -194,12 +154,13 @@ def rabi_populations(cfg: ExperimentConfig, durations_us, pulse_at: str = "start
     """P(m_S = -1) after a single variable pulse at t = 0 or t = T_rot/2, for every duration."""
     g, f, c = cfg.geometry, cfg.field_cfg, cfg.constants
     where = _rabi_pulse_at(cfg, pulse_at)
+    durations = _non_negative(durations_us, "durations_us (--durations)")
     # the simulator's test of a laser boundary inside the pulse, as the scan gives it
-    ends = where["pulse_at_us"] + np.asarray(durations_us, dtype=float)
+    ends = where["pulse_at_us"] + durations
     _check_readout_timing(
         g, ends, ends > g.t_rot_us, "durations_us (--durations), pulse_at (--pulse-at)"
     )
-    batch = seqlang.rabi_batch(durations_us, g, calibration(cfg), cfg.strobe.t_pulse_us, **where)
+    batch = seqlang.rabi_batch(durations, g, calibration(cfg), cfg.strobe.t_pulse_us, **where)
     return 0.5 * (1.0 - spindyn.simulate_sequence(batch, g, f, c)[:, 2])
 
 

@@ -605,6 +605,70 @@ def test_dark_readout_window(key, value, tmp_path, capsys):
     assert rows and all(float(r[1]) == 0.0 for r in rows)
 
 
+# a window lit by the background alone, the NV giving it no light: the scans
+# once exited 0 with "window_contrast: 0.0" and a flat signal
+@pytest.mark.parametrize(
+    "argv", [["simulate-rabi", "--durations", "0.1,0.2"], ["simulate-echo", "--tau", "2,5"]],
+    ids=["rabi", "echo"],
+)
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("beam.peak_counts_stationary_cps", "0"),
+        ("protocol.turn_on_offset_us", "-40"),
+        ("beam.background_cps", "1e300"),  # the NV's counts are lost to rounding in the background's
+    ],
+    ids=["no-peak", "on-before-the-transit", "background-beyond-the-nv"],
+)
+def test_background_only_window_exit_2(argv, key, value, capsys):
+    code, err = _main_exit(
+        [*argv, "--shots", "10", "--set", "beam.background_cps=1000", "--set", f"{key}={value}",
+         "-o", os.devnull],
+        capsys,
+    )
+    assert code == 2
+    assert "no light from the NV" in err and key in err, err
+
+
+def test_lit_window_over_a_background_is_sampled(tmp_path, capsys):
+    # the background lowers the contrast but leaves the window lit
+    out = tmp_path / "echo.dat"
+    argv = ["simulate-echo", "--tau", "2,5", "--shots", "10", "--set", "beam.background_cps=1000"]
+    assert main([*argv, "-o", str(out)]) == 0
+    contrast = float(out.read_text().split("# window_contrast: ")[1].split()[0])
+    assert 0.0 < contrast < pipeline.window_response(config_from_dict({})).contrast
+
+
+# a negative scan value once reached the sequence checks, whose message
+# ("event mw (pi) [-0.500000, -0.500000] us has a negative or non-finite
+# time") named no flag
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["simulate-echo", "--tau=-1,5"], "tau_us (--tau)"),
+        (["simulate-echo", "--finite-pulses", "--tau=-1,5"], "tau_us (--tau)"),
+        (["simulate-rabi", "--durations=-0.1,0.5"], "durations_us (--durations)"),
+        (["simulate-rabi", "--pulse-at", "half", "--durations=-0.1,0.5"], "durations_us (--durations)"),
+    ],
+    ids=["echo", "echo-finite-pulses", "rabi-start", "rabi-half"],
+)
+def test_negative_scan_value_exit_2(argv, key, capsys):
+    code, err = _main_exit([*argv, "--shots", "10", "-o", os.devnull], capsys)
+    assert code == 2
+    assert err.startswith("error:") and key in err and "negative" in err, err
+
+
+@pytest.mark.parametrize(
+    "populations, name",
+    [(pipeline.echo_populations, "tau_us"), (pipeline.rabi_populations, "durations_us")],
+)
+def test_negative_scan_value_is_refused_before_any_batch(populations, name, cfg_default, monkeypatch):
+    monkeypatch.setattr(seqlang, "rabi_batch", None)  # a batch built would raise a TypeError
+    monkeypatch.setattr(seqlang, "ideal_echo_timeline", None)
+    with pytest.raises(ValidationError, match=rf"^{name} \(--"):
+        populations(cfg_default, [0.5, -1e-9])
+
+
 def test_readout_window_longer_than_strobe_exit_2(capsys):
     code, err = _main_exit(
         ["simulate-echo", "--tau", "2,5", "--set", "protocol.readout_window_us=2.5"], capsys
@@ -712,8 +776,10 @@ _IMAGE_1E300 = ["simulate-image", "--set", "strobe.t_phi_us=0", "--set",
           "beam.peak_counts_stationary_cps=1e300"], "beam.peak_counts_stationary_cps"),
         (_IMAGE_1E300, "beam.peak_counts_stationary_cps"),
         (_IMAGE_1E300 + ["--stationary"], "beam.peak_counts_stationary_cps"),
+        # the scans' refusal once named the peak rate and the shots alone
+        (["simulate-echo", "--tau", "2,5", "--set", "beam.background_cps=1e20"], "beam.background_cps"),
     ],
-    ids=["readout-cps", "readout-f-rot", "echo-cps", "image-cps", "image-stationary-cps"],
+    ids=["readout-cps", "readout-f-rot", "echo-cps", "image-cps", "image-stationary-cps", "echo-background"],
 )
 def test_expected_counts_beyond_poisson_range_exit_2(argv, key, capsys):
     # numpy's Poisson draw refuses such means ("lam value too large", exit 3)

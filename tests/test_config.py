@@ -7,6 +7,7 @@ import pytest
 from rotornv.config import (
     _SECTIONS,
     BeamProfile,
+    config_from_dict,
     FieldConfig,
     PhysicalConstants,
     ProtocolConfig,
@@ -118,3 +119,38 @@ def test_non_finite_value_in_an_unranged_field_is_refused(cls, name, value):
     with pytest.raises(ValidationError, match=rf"^{name} must be finite$"):
         cls(**{name: value})
 
+
+# JSON section name of each section class
+SECTION_OF = {cls: name for name, (_, cls) in _SECTIONS.items()}
+NUMERIC_CASES = CASES + UNRANGED_CASES
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, BEYOND_FLOATS],
+                         ids=["inf", "-inf", "nan", "int-beyond-floats"])
+@pytest.mark.parametrize(
+    "cls, name", NUMERIC_CASES, ids=[f"{cls.__name__}.{name}" for cls, name in NUMERIC_CASES]
+)
+def test_loader_refuses_a_non_finite_value_naming_the_dotted_key(cls, name, value):
+    # the section's own range check refuses it (an integer field's type check
+    # a float); the loader only prefixes the section
+    section = SECTION_OF[cls]
+    with pytest.raises(ValidationError, match=rf"^{section}\.{name}\b"):
+        config_from_dict({section: {name: value}})
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("strobe", "jitter_frac", -1, "must be non-negative"),  # once "strobe: jitter_frac ..."
+        ("geometry", "theta_nv_deg", 181, r"must lie in \[0, 180\]"),
+        ("geometry", "f_rot_hz", 0, "must be positive"),
+        ("field", "b0_gauss", -1, "must be non-negative"),
+        ("constants", "gamma_e_mhz_per_g", 0, "must be positive"),
+        ("beam", "collection_mode", "widefield", "must be one of"),
+        ("rates", "singlet_branching_to_g0", 2, r"must lie in \[0, 1\]"),
+        ("protocol", "t2_us", 0, "must be positive"),
+    ],
+)
+def test_loader_names_the_dotted_key_of_a_section_refusal(section, key, value, message):
+    with pytest.raises(ValidationError, match=rf"^{section}\.{key} {message}"):
+        config_from_dict({section: {key: value}})

@@ -518,6 +518,58 @@ class TestOptimalTurnOn:
             snrs.append((1.0 - dark / bright) * math.sqrt(bright))
         assert optimal_turn_on(g, b, m, 2.0, window_us=window) == offsets[int(np.argmax(snrs))]
 
+    def test_window_lit_only_by_the_background_is_refused(self):
+        # every offset then had contrast 0, and the first offset, -3.0, came back
+        b = BeamProfile(peak_counts_stationary_cps=0.0, background_cps=1000.0)
+        with pytest.raises(ValidationError, match="no light from the NV") as exc:
+            optimal_turn_on(RotorGeometry(), b, RateModel(), 2.0, window_us=1.0)
+        assert "beam.peak_counts_stationary_cps" in str(exc.value)
+
+
+class TestWindowResponse:
+    @pytest.mark.parametrize(
+        "beam, offset_us, dark",
+        [
+            ({}, -0.25, False),
+            ({"background_cps": 1000.0}, -0.25, False),
+            ({"background_cps": 1000.0, "peak_counts_stationary_cps": 0.0}, -0.25, True),
+            ({"background_cps": 1000.0}, -40.0, True),  # the laser off before the NV arrives
+            ({}, -40.0, True),
+        ],
+    )
+    def test_a_window_is_dark_when_the_nv_adds_no_light(self, beam, offset_us, dark):
+        b = BeamProfile(**beam)
+        resp = photophysics.spin_window_counts(RotorGeometry(), b, RateModel(), 2.0, offset_us, 1.0)
+        assert resp.dark is dark
+        # the background's counts are the pass's own: a dark window holds exactly them
+        assert resp.n_background == b.background_cps * 1e-6 * 1.0
+        assert (resp.n_bright == resp.n_background) is dark
+        if dark:
+            with pytest.raises(ValidationError, match="no light from the NV"):
+                resp.lit()
+        else:
+            assert resp.lit() is resp
+
+    def test_sampled_ratio_is_the_count_ratio_bit_for_bit(self):
+        # the scans' ratio is s / r and its error ratio * sqrt(1/s + 1/r),
+        # drawn signal first, then reference, from the one generator
+        resp = photophysics.WindowResponse(n_bright=0.05, n_dark=0.038, n_background=0.001)
+        p = np.linspace(0.0, 1.0, 9)
+        ratio, sigma = photophysics.sample_window_ratios(resp, p, 400, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        s = np.maximum(rng.poisson(((1.0 - p) * 0.05 + p * 0.038) * 400), 1)
+        r = np.maximum(rng.poisson(0.05 * 400, size=p.size), 1)
+        assert np.array_equal(ratio, s / r)
+        assert np.array_equal(sigma, (s / r) * np.sqrt(1.0 / s + 1.0 / r))
+
+    def test_state_contrast_shares_the_ratio_error(self):
+        sig = PhotonTrace(bin_width_us=0.05, counts=np.full(40, 3), shots=10)
+        ref = PhotonTrace(bin_width_us=0.05, counts=np.full(40, 4), shots=20)
+        ratio, sigma = state_contrast(sig, ref, 1.0)
+        assert type(ratio) is float and type(sigma) is float
+        assert ratio == (60.0 / 10) / (80.0 / 20)
+        assert sigma == ratio * math.sqrt(1.0 / 60.0 + 1.0 / 80.0)
+
 
 # ---------------------------------------------------------------------------
 # the transit pass's outputs, pinned bit for bit: regrouping its entry points
