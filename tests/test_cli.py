@@ -1488,3 +1488,62 @@ def test_fit_text_is_pinned(tmp_path, scan, model, seed, digest):
     code, text, _ = _run_outcome(["fit", str(data), *model])
     assert code == 0 and text.startswith("# fit result\n")
     assert _sha256(text) == digest
+
+
+# every other subcommand's outputs, pinned byte for byte: the exit code, and
+# one digest of stdout, stderr and the -o file (config hash lines aside)
+
+_README_PROGRAM = "mw pi at 0us\nwait 150us\nmw pi at 150us\nlaser 2us at 300us\n"
+
+_PINNED_RUNS = {
+    "rabi-start": ("simulate-rabi", "--pulse-at", "start"),
+    "rabi-half": ("simulate-rabi", "--pulse-at", "half"),
+    "echo-ideal": ("simulate-echo",),
+    "echo-finite": ("simulate-echo", "--finite-pulses"),
+    "image": ("simulate-image",),
+    "image-stationary": ("simulate-image", "--stationary"),
+    "image-csv": ("simulate-image", "--format", "csv"),
+    "compile-seq": ("compile-seq",),
+    "dump-config": ("dump-config", "--set", "field.theta_b_deg=3", "--set", "strobe.t_phi_us=2.5"),
+}
+
+
+def _pinned_outcome(tmp_path, run: str, seed: int) -> tuple[int, str]:
+    argv = list(_PINNED_RUNS[run])
+    if run == "compile-seq":
+        program = tmp_path / "readme.seq"
+        program.write_text(_README_PROGRAM)
+        argv.append(str(program))
+    out = tmp_path / "out.txt"
+    code, stdout, stderr = _run_outcome([*argv, "--seed", str(seed), "-o", str(out)])
+    written = "".join(
+        ln for ln in out.read_text().splitlines(True) if not ln.startswith("# config_sha256:")
+    )
+    return code, _sha256("\0".join((stdout, stderr, written)))
+
+
+@pytest.mark.parametrize(
+    "run, seed, code, digest",
+    [
+        ("rabi-start", 1, 0, "7e5b4c247cecbc10ab2d126182a95f4ff474126856382f327fea15ddeff676f3"),
+        ("rabi-start", 7, 0, "8c40ba9a9697bf9a6ad8caab11c815e7cc72d1fd0229dc22c17d8fa538c90679"),
+        ("rabi-half", 1, 0, "0f40b335e81ac3ec9b2f7de22652f37b1139cff20f7fa90cf2e8ae10a9966963"),
+        ("rabi-half", 7, 0, "753a055ff91f325ed7ba5ed8c9ec41aa6ebe7a33202d25de44b5d4cc29cfe27f"),
+        ("echo-ideal", 1, 0, "950886792eb5b914f6ab08771bd1853e1aeecb5cde48bdd2282b91a23733828e"),
+        ("echo-ideal", 7, 0, "8667f4e9d52b2f0d3fd3392a6702b4f61936d1c49e0827fbd9d23098d54eed37"),
+        ("echo-finite", 1, 0, "07776405c014a5bdd0ee57d5fee3b53ad784d6d55e0928b4cc2fd176cca5f6af"),
+        ("echo-finite", 7, 0, "e221ac6242332ce2b916b40e63b0d585c32cd895869f528ebb7bb0af13007208"),
+        ("image", 1, 0, "fb2872af32bb9e7c4c9f2f474c9c73ba41233a78dc1a99f28dc9af67e358c960"),
+        ("image", 7, 0, "12c0f09cf3611089247b7c636980aba4bdea33cf389d841b2ac03788d12cd913"),
+        ("image-stationary", 1, 0, "059823b4e06cbb040edad25de87c0ba2d224efba3ac7b242a6959fe392e30013"),
+        ("image-stationary", 7, 0, "41c82770ee47cef8cc85cd002b9d2b898524281aa1fa0eacb121316c53e72bfc"),
+        ("image-csv", 1, 0, "4947d13dfe579fa2afae2c8284aec528fb6680ec0a53aba2395e3493afbe7157"),
+        ("image-csv", 7, 0, "eabf55e0f6b1c14ca62afe178490e46572fdc75b5add0f87068c440123cd2ce7"),
+        ("compile-seq", 1, 0, "b5f8f8e287869cc3b5965e4d50081eff012cf0d323eacb228bf5134bf450f1fe"),
+        ("compile-seq", 7, 0, "b5f8f8e287869cc3b5965e4d50081eff012cf0d323eacb228bf5134bf450f1fe"),
+        ("dump-config", 1, 0, "c0c9c67c35a2aaaf6b8f70d09f7e64c2c57dfa1ceffd838e03347545e0c0f0fc"),
+        ("dump-config", 7, 0, "5a199d1f5825523cca0388ac0e95c63a1c58ded3399acf28b96acdeb75bef431"),
+    ],
+)
+def test_subcommand_outputs_are_pinned(tmp_path, run, seed, code, digest):
+    assert _pinned_outcome(tmp_path, run, seed) == (code, digest)
