@@ -18,7 +18,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from rotornv import pipeline
 from rotornv.config import config_from_dict
-from rotornv.estimation import EchoFitModel, fit_echo
 from rotornv.geometry import eac_amplitude
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "out")
@@ -40,17 +39,9 @@ def main():
     data, meta = pipeline.simulate_echo_scan(cfg, taus)
     path = os.path.join(OUT_DIR, "echo_scan.dat")
     with open(path, "w") as fh:
-        fh.write(
-            pipeline.format_dataset(
-                ("tau_us", "signal", "sigma"),
-                (data.tau_us, data.signal, data.sigma),
-                meta,
-                cfg,
-            )
-        )
+        fh.write(pipeline.format_scan(data, meta, cfg))
 
-    model = EchoFitModel(constants=cfg.constants, f_rot_hz=cfg.geometry.f_rot_hz)
-    fit = fit_echo(data, model)
+    fit = pipeline.fit_dataset(cfg, data)
     print(f"wrote {path}")
     print(f"true AC amplitude : {b_true * 1e3:8.2f} mG")
     print(

@@ -32,16 +32,8 @@ def main():
         with open(path, "w") as fh:
             fh.write(pipeline.format_image(image, cfg))
         print(f"{label}: wrote {path} (duty cycle {image.duty_cycle:.4f})")
-        for i, s in enumerate(summaries):
-            if "error" in s:
-                failed += 1
-                print(f"  spot {i}: fit failed ({s['error']})")
-            else:
-                print(
-                    f"  spot {i} at ({s['center_x_um']:.2f}, {s['center_y_um']:.2f}) um: "
-                    f"sigma_radial {s['sigma_radial_um']:.3f} um, "
-                    f"sigma_azimuthal {s['sigma_azimuthal_um']:.3f} um"
-                )
+        print(pipeline.format_spots(summaries), end="")
+        failed += sum("error" in s for s in summaries)
     return 1 if failed else 0
 
 

@@ -15,7 +15,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from rotornv import pipeline
 from rotornv.config import config_from_dict
-from rotornv.estimation import fit_rabi
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "out")
 
@@ -28,15 +27,8 @@ def main():
         data, meta = pipeline.simulate_rabi_scan(cfg, durations, pulse_at=variant)
         path = os.path.join(OUT_DIR, f"rabi_{variant}.dat")
         with open(path, "w") as fh:
-            fh.write(
-                pipeline.format_dataset(
-                    ("duration_us", "signal", "sigma"),
-                    (data.tau_us, data.signal, data.sigma),
-                    meta,
-                    cfg,
-                )
-            )
-        fit = fit_rabi(data)
+            fh.write(pipeline.format_scan(data, meta, cfg))
+        fit = pipeline.fit_dataset(cfg, data, "rabi")
         print(
             f"{variant:5s}: wrote {path};  Rabi frequency "
             f"{fit.params['rabi_freq_mhz']:.3f} +- {fit.sigmas['rabi_freq_mhz']:.3f} MHz, "

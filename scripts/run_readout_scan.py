@@ -16,12 +16,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from rotornv import pipeline
 from rotornv.config import config_from_dict
-from rotornv.photophysics import (
-    LevelPopulations,
-    optimal_turn_on,
-    simulate_readout,
-    state_contrast,
-)
+from rotornv.photophysics import optimal_turn_on, state_contrast
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "out")
 
@@ -32,32 +27,13 @@ def main():
     g, b, m, pro = cfg.geometry, cfg.beam, cfg.rates, cfg.protocol
     traces = {}
     # each trace draws from its own seed, which its file's header records
-    for name, initial, trace_cfg in (
-        ("ms0", LevelPopulations.ms0(), dataclasses.replace(cfg, seed=1)),
-        ("ms1", LevelPopulations.ms1(), dataclasses.replace(cfg, seed=2)),
-    ):
-        trace = simulate_readout(
-            initial,
-            g,
-            b,
-            m,
-            t_pulse_us=cfg.strobe.t_pulse_us,
-            turn_on_offset_us=pro.turn_on_offset_us,
-            shots=300_000,
-            seed=trace_cfg.seed,
-            bin_width_us=pro.bin_width_us,
-        )
+    for seed, name in enumerate(("ms0", "ms1"), start=1):
+        trace_cfg = dataclasses.replace(cfg, seed=seed)
+        trace, meta = pipeline.simulate_readout_trace(trace_cfg, name, 300_000)
         traces[name] = trace
         path = os.path.join(OUT_DIR, f"readout_{name}.dat")
         with open(path, "w") as fh:
-            fh.write(
-                pipeline.format_dataset(
-                    ("bin_start_us", "counts"),
-                    (trace.bin_starts_us, trace.counts.astype(float)),
-                    {"kind": "readout-trace", "initial": name, "shots": trace.shots},
-                    trace_cfg,
-                )
-            )
+            fh.write(pipeline.format_scan(trace, meta, trace_cfg))
         print(f"wrote {path} ({trace.counts.sum()} counts over {trace.shots} shots)")
 
     ratio, sigma = state_contrast(traces["ms1"], traces["ms0"], pro.readout_window_us)

@@ -10,7 +10,9 @@ byte for byte.
 
 Exit codes: 0 success, 2 validation/usage error, 3 runtime failure,
 4 fit did not converge.  With ROTORNV_DEBUG=1 in the environment a runtime
-failure (exit 3) also prints its traceback.
+failure (exit 3) also prints its traceback.  A handler returns its
+:class:`Output`, which :func:`main` writes once; a file that cannot be read
+or written exits 2, naming its flag.
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ import math
 import os
 import sys
 import traceback
+from typing import NamedTuple
 
 import numpy as np
 
-from . import photophysics, pipeline, seqlang
-from .config import ExperimentConfig, apply_overrides, config_from_dict, load_config
+from . import pipeline
+from .config import PATH_ERRORS, ExperimentConfig, apply_overrides, config_from_dict
+from .config import load_config, read_text
 from .errors import FitError, SequenceError, ValidationError
-from .estimation import EchoFitModel, fit_echo, fit_rabi
 from .imaging import Emitter, EmitterSet, ScanGrid
 
 EXIT_OK = 0
@@ -41,9 +44,18 @@ CONFIG_ENV_VAR = "ROTORNV_CONFIG"
 DEBUG_ENV_VAR = "ROTORNV_DEBUG"
 
 
+class Output(NamedTuple):
+    """What a subcommand made: the text for ``-o``, its exit code and a report for stderr."""
+
+    text: str
+    code: int = EXIT_OK
+    report: str = ""
+
+
 def _load_effective_config(args) -> ExperimentConfig:
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    cfg = load_config(path) if path else config_from_dict({})
+    flag = "--config" if args.config else CONFIG_ENV_VAR
+    cfg = load_config(path, flag) if path else config_from_dict({})
     # one pass; --seed and then a scan's --shots come last, so they win over --set
     overrides = list(args.set)
     if args.seed is not None:
@@ -56,12 +68,16 @@ def _load_effective_config(args) -> ExperimentConfig:
     return apply_overrides(cfg, overrides) if overrides else cfg
 
 
-def _write(path: str | None, text: str) -> None:
-    if path is None or path == "-":
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to the file ``path`` ('-' = stdout), refusing a path it cannot write."""
+    if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except PATH_ERRORS as exc:
+        raise ValidationError(f"--output {path}: {exc.strerror}") from exc
 
 
 def _parse_scan(text: str, flag: str) -> np.ndarray:
@@ -112,28 +128,27 @@ def _parse_emitters(text: str, default_cps: float) -> EmitterSet:
 # subcommands
 
 
-def _write_scan(args, cfg: ExperimentConfig, axis: str, data, meta: dict) -> int:
-    """Write a Rabi or echo scan as the dataset (axis, signal, sigma)."""
-    columns = (data.tau_us, data.signal, data.sigma)
-    _write(args.output, pipeline.format_dataset((axis, "signal", "sigma"), columns, meta, cfg))
-    return EXIT_OK
-
-
-def cmd_simulate_rabi(args) -> int:
+def cmd_simulate_rabi(args) -> Output:
     cfg = _load_effective_config(args)
     durations = _parse_scan(args.durations, "--durations")
     data, meta = pipeline.simulate_rabi_scan(cfg, durations, pulse_at=args.pulse_at)
-    return _write_scan(args, cfg, "duration_us", data, meta)
+    return Output(pipeline.format_scan(data, meta, cfg))
 
 
-def cmd_simulate_echo(args) -> int:
+def cmd_simulate_echo(args) -> Output:
     cfg = _load_effective_config(args)
     taus = _parse_scan(args.tau, "--tau")
     data, meta = pipeline.simulate_echo_scan(cfg, taus, ideal_pulses=not args.finite_pulses)
-    return _write_scan(args, cfg, "tau_us", data, meta)
+    return Output(pipeline.format_scan(data, meta, cfg))
 
 
-def cmd_simulate_image(args) -> int:
+def cmd_simulate_readout(args) -> Output:
+    cfg = _load_effective_config(args)
+    trace, meta = pipeline.simulate_readout_trace(cfg, args.initial, args.shots)
+    return Output(pipeline.format_scan(trace, meta, cfg))
+
+
+def cmd_simulate_image(args) -> Output:
     cfg = _load_effective_config(args)
     if args.emitters:
         emitters = _parse_emitters(args.emitters, cfg.beam.peak_counts_stationary_cps)
@@ -156,85 +171,29 @@ def cmd_simulate_image(args) -> int:
     image, summaries = pipeline.simulate_image(
         cfg, grid, emitters=emitters, stationary=args.stationary
     )
-    _write(args.output, pipeline.format_image(image, cfg, csv=args.format == "csv"))
-    for i, s in enumerate(summaries):
-        if "error" in s:
-            print(f"# spot {i}: centre ({s['center_x_um']:.3f}, {s['center_y_um']:.3f}) um, "
-                  f"fit failed: {s['error']}", file=sys.stderr)
-        else:
-            print(
-                f"# spot {i}: centre ({s['center_x_um']:.3f}, {s['center_y_um']:.3f}) um, "
-                f"sigma_radial {s['sigma_radial_um']:.4f} um, "
-                f"sigma_azimuthal {s['sigma_azimuthal_um']:.4f} um",
-                file=sys.stderr,
-            )
-    return EXIT_OK
+    text = pipeline.format_image(image, cfg, csv=args.format == "csv")
+    return Output(text, report=pipeline.format_spots(summaries))
 
 
-def cmd_simulate_readout(args) -> int:
+def cmd_compile_seq(args) -> Output:
     cfg = _load_effective_config(args)
-    initial = (
-        photophysics.LevelPopulations.ms1()
-        if args.initial == "ms1"
-        else photophysics.LevelPopulations.ms0()
+    text = read_text(args.seq, "seq", stdin=True)
+    timeline = pipeline.compile_program(
+        cfg, text, t_phi_us=args.t_phi, allow_multi_period=args.allow_multi_period
     )
-    trace = photophysics.simulate_readout(
-        initial,
-        cfg.geometry,
-        cfg.beam,
-        cfg.rates,
-        t_pulse_us=cfg.strobe.t_pulse_us,
-        turn_on_offset_us=cfg.protocol.turn_on_offset_us,
-        shots=args.shots,
-        seed=cfg.seed,
-        bin_width_us=cfg.protocol.bin_width_us,
-    )
-    meta = {"kind": "readout-trace", "initial": args.initial, "shots": trace.shots}
-    text = pipeline.format_dataset(
-        ("bin_start_us", "counts"),
-        (trace.bin_starts_us, trace.counts.astype(float)),
-        meta,
-        cfg,
-    )
-    _write(args.output, text)
-    return EXIT_OK
+    return Output(timeline.format_records() + "\n")
 
 
-def cmd_compile_seq(args) -> int:
-    cfg = _load_effective_config(args)
-    if args.seq == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.seq, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    prog = seqlang.parse_sequence(text)
-    timeline = seqlang.compile_timeline(
-        prog,
-        cfg.geometry,
-        pipeline.calibration(cfg),
-        t_phi_us=args.t_phi,
-        allow_multi_period=args.allow_multi_period,
-    )
-    _write(args.output, timeline.format_records() + "\n")
-    return EXIT_OK
-
-
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> Output:
     cfg = _load_effective_config(args)
     data, _meta = pipeline.read_echo_dataset(args.dataset)
-    if args.model == "echo":
-        model = EchoFitModel(constants=cfg.constants, f_rot_hz=cfg.geometry.f_rot_hz)
-        result = fit_echo(data, model, b_max=args.b_max, max_iter=args.max_iter)
-    else:
-        result = fit_rabi(data, max_iter=args.max_iter)
-    _write(args.output, result.as_text() + "\n")
-    return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+    result = pipeline.fit_dataset(cfg, data, args.model, b_max=args.b_max, max_iter=args.max_iter)
+    return Output(result.as_text() + "\n", EXIT_OK if result.converged else EXIT_NOT_CONVERGED)
 
 
-def cmd_dump_config(args) -> int:
+def cmd_dump_config(args) -> Output:
     cfg = _load_effective_config(args)
-    _write(args.output, cfg.dump_json() + "\n")
-    return EXIT_OK
+    return Output(cfg.dump_json() + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +314,11 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser(argv).parse_args(argv)
     try:
-        return args.func(args)
-    except (ValidationError, SequenceError, FileNotFoundError) as exc:
+        out = args.func(args)
+        _write(args.output, out.text)
+        sys.stderr.write(out.report)
+        return out.code
+    except (ValidationError, SequenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:

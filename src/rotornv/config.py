@@ -374,12 +374,36 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return ExperimentConfig(**sections, seed=seed)
 
 
-def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
+# The OS errors of a path given wrongly: missing, a directory, a file taken
+# for a directory, or no access.  Any other (EIO, a full disk) is a runtime failure.
+PATH_ERRORS = (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError)
+
+
+def read_text(path: str, flag: str, stdin: bool = False) -> str:
+    """The UTF-8 text of the user file ``path``; with ``stdin``, '-' is standard input.
+
+    Every user file is read here: the config, a dataset and a sequence
+    program.  A path that cannot be read, or bytes that are no UTF-8 text,
+    are refused naming ``flag`` and the path.
+    """
+    try:
+        if stdin and path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except PATH_ERRORS as exc:
+        raise ValidationError(f"{flag} {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+        raise ValidationError(f"{flag} {path}: {reason}") from exc
+
+
+def load_config(path: str, flag: str = "--config") -> ExperimentConfig:
+    """The configuration in the JSON file ``path``, given by ``flag``."""
+    try:
+        data = json.loads(read_text(path, flag))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
     return config_from_dict(data)
 
 

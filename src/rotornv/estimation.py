@@ -179,20 +179,30 @@ def _linear_landscape(data: EchoDataset, model: EchoFitModel, b_grid, phi_grid):
     return a, cc, np.where(np.isfinite(sse), sse, np.inf)
 
 
-def _landscape_starts(data: EchoDataset, model: EchoFitModel, b_max: float):
+# The landscape probe's phi0 grid: phi0 and phi0 + pi are degenerate.
+_PHI_GRID = np.arange(64) * (math.pi / 64.0)
+# The largest fringe phase b_max * |phase factor| a fit may search, rad.  Float
+# spacing there is about 1 rad, so a larger phase has no meaning.
+MAX_FRINGE_PHASE_RAD = 2.0**52
+
+
+def _largest_phase_factor(data: EchoDataset, model: EchoFitModel) -> float:
+    """The largest |phase factor| over the dataset's tau and the probe's phi0 grid, rad/G."""
+    return float(np.max(np.abs(model.phase_factor(data.tau_us, _PHI_GRID[:, None]))))
+
+
+def _landscape_starts(data: EchoDataset, model: EchoFitModel, b_max: float, k_absmax: float):
     """(b_perp, phi0) starts: the 10 best cells of a coarse landscape probe.
 
-    The amplitude step resolves a quarter fringe at the largest phase factor,
-    so every basin of the aliased landscape gets sampled.
+    The amplitude step resolves a quarter fringe at the largest phase factor
+    ``k_absmax``, so every basin of the aliased landscape gets sampled.
     """
-    phi_grid = np.arange(64) * (math.pi / 64.0)  # phi0 and phi0 + pi are degenerate
-    k_absmax = float(np.max(np.abs(model.phase_factor(data.tau_us, phi_grid[:, None]))))
     b_step = (math.pi / 2.0) / max(k_absmax, 1e-9)
     n_b = int(min(400, max(60, round(b_max / b_step))))
     b_grid = np.linspace(b_max / (2.0 * n_b), b_max, n_b)
-    _, _, sse = _linear_landscape(data, model, b_grid, phi_grid)
+    _, _, sse = _linear_landscape(data, model, b_grid, _PHI_GRID)
     i, j = np.unravel_index(np.argsort(sse, axis=None)[:10], sse.shape)
-    return [np.array([b_grid[m], phi_grid[n]]) for m, n in zip(i, j)]
+    return [np.array([b_grid[m], _PHI_GRID[n]]) for m, n in zip(i, j)]
 
 
 def _check_max_iter(max_iter: int) -> None:
@@ -224,6 +234,8 @@ def fit_echo(
     b_max : float
         Amplitude search domain: the probe spans (0, b_max], and solutions
         beyond it are taken only if no start ends inside (aliasing guard).
+        Refused if its fringe phase at the largest phase factor passes
+        ``MAX_FRINGE_PHASE_RAD``.
 
     Raises
     ------
@@ -237,8 +249,15 @@ def fit_echo(
         model = EchoFitModel()
     if len(data) < 8:
         raise ValidationError("fit_echo needs at least 8 data points")
+    k_absmax = _largest_phase_factor(data, model)
+    if b_max * k_absmax > MAX_FRINGE_PHASE_RAD:
+        raise ValidationError(
+            f"--b-max (b_max) {b_max:g} G turns the fringe phase beyond 2**52 rad at the "
+            f"largest phase factor {k_absmax:.4g} rad/G of the dataset's tau, where floats "
+            f"are 1 rad apart; lower it below {MAX_FRINGE_PHASE_RAD / k_absmax:.4g} G"
+        )
     if initial is None:
-        starts = _landscape_starts(data, model, b_max)
+        starts = _landscape_starts(data, model, b_max, k_absmax)
     elif {"b_perp_gauss", "phi0_rad"} <= initial.keys():
         starts = [np.array([initial["b_perp_gauss"], initial["phi0_rad"]], dtype=float)]
     else:

@@ -15,6 +15,11 @@ Echo scans apply the nuclear-bath collapse-revival envelope to the
 coherent fringe; by default pulses are the zero-duration calibrated
 rotations (per-angle pulse calibration is assumed to achieve its target),
 with ``ideal_pulses=False`` switching to finite calibrated rectangles.
+
+Each command-line subcommand, and each demo script, is one run here (a
+scan, a readout trace, an image, a compiled program or a fit) written in
+one of the formats below (:func:`format_scan`, :func:`format_image`,
+:func:`format_spots`).
 """
 
 from __future__ import annotations
@@ -24,9 +29,9 @@ import math
 import numpy as np
 
 from . import photophysics, seqlang, spindyn
-from .config import ExperimentConfig
+from .config import ExperimentConfig, read_text
 from .errors import FitError, ValidationError
-from .estimation import EchoDataset
+from .estimation import EchoDataset, EchoFitModel, FitResult, fit_echo, fit_rabi
 from .imaging import Emitter, EmitterSet, ScanGrid, StrobedImage, check_arc_lengths
 from .imaging import fit_spot_width, render_image
 
@@ -78,6 +83,19 @@ def calibration(cfg: ExperimentConfig) -> seqlang.CalibrationTable:
     )
 
 
+def compile_program(
+    cfg: ExperimentConfig, text: str, t_phi_us: float = 0.0, allow_multi_period: bool = False
+) -> seqlang.TimelineBatch:
+    """The sequence program ``text``, parsed and compiled against the configured calibration."""
+    return seqlang.compile_timeline(
+        seqlang.parse_sequence(text),
+        cfg.geometry,
+        calibration(cfg),
+        t_phi_us=t_phi_us,
+        allow_multi_period=allow_multi_period,
+    )
+
+
 def echo_populations(cfg: ExperimentConfig, tau_us, ideal_pulses: bool = True) -> np.ndarray:
     """P(m_S = -1) at readout after a tau echo, bath envelope applied, for every tau of a scan."""
     g, f, c = cfg.geometry, cfg.field_cfg, cfg.constants
@@ -113,6 +131,9 @@ def _sample_scan(
     axis = np.asarray(sorted(float(v) for v in values), dtype=float)
     if axis.size == 0:
         raise ValidationError(f"{name} is empty")
+    repeated = axis[1:][np.diff(axis) == 0]
+    if repeated.size:
+        raise ValidationError(f"{name} repeats the value {repeated[0]:g}")
     p_ms1 = populations(axis)
     resp = window_response(cfg)
     rng = np.random.default_rng([cfg.seed, stream])
@@ -125,7 +146,7 @@ def simulate_echo_scan(
 ) -> tuple[EchoDataset, dict]:
     """Echo fringe dataset (tau_us, signal, sigma) with Poisson error bars."""
     data, resp = _sample_scan(
-        cfg, tau_list, "tau_list", lambda tau: echo_populations(cfg, tau, ideal_pulses), 17
+        cfg, tau_list, "tau_list (--tau)", lambda tau: echo_populations(cfg, tau, ideal_pulses), 17
     )
     meta = {
         "kind": "echo-scan",
@@ -169,7 +190,7 @@ def simulate_rabi_scan(
 ) -> tuple[EchoDataset, dict]:
     """Rabi dataset (duration_us, signal, sigma) through the full pipeline."""
     data, resp = _sample_scan(
-        cfg, durations_us, "durations_us", lambda d: rabi_populations(cfg, d, pulse_at), 29
+        cfg, durations_us, "durations_us (--durations)", lambda d: rabi_populations(cfg, d, pulse_at), 29
     )
     meta = {
         "kind": "rabi-scan",
@@ -178,6 +199,51 @@ def simulate_rabi_scan(
         "window_contrast": resp.contrast,
     }
     return data, meta
+
+
+# ---------------------------------------------------------------------------
+# readout trace
+
+
+def simulate_readout_trace(
+    cfg: ExperimentConfig, initial: str, shots: int
+) -> tuple[photophysics.PhotonTrace, dict]:
+    """One transit's binned counts from the spin state ``initial`` ('ms0' or 'ms1'), and its header."""
+    if initial not in ("ms0", "ms1"):
+        raise ValidationError("initial must be 'ms0' or 'ms1'")
+    pro = cfg.protocol
+    trace = photophysics.simulate_readout(
+        getattr(photophysics.LevelPopulations, initial)(),
+        cfg.geometry,
+        cfg.beam,
+        cfg.rates,
+        t_pulse_us=cfg.strobe.t_pulse_us,
+        turn_on_offset_us=pro.turn_on_offset_us,
+        shots=shots,
+        seed=cfg.seed,
+        bin_width_us=pro.bin_width_us,
+    )
+    return trace, {"kind": "readout-trace", "initial": initial, "shots": trace.shots}
+
+
+# ---------------------------------------------------------------------------
+# fits
+
+
+def fit_dataset(
+    cfg: ExperimentConfig,
+    data: EchoDataset,
+    model: str = "echo",
+    b_max: float = 0.5,
+    max_iter: int = 200,
+) -> FitResult:
+    """Fit an echo scan's fringe (with the configured constants and rotation) or a Rabi scan."""
+    if model == "echo":
+        fringe = EchoFitModel(constants=cfg.constants, f_rot_hz=cfg.geometry.f_rot_hz)
+        return fit_echo(data, fringe, b_max=b_max, max_iter=max_iter)
+    if model == "rabi":
+        return fit_rabi(data, max_iter=max_iter)
+    raise ValidationError("model must be 'echo' or 'rabi'")
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +319,20 @@ def simulate_image(
 # dataset / image file formats
 
 
+def format_scan(data, meta: dict, cfg: ExperimentConfig) -> str:
+    """The dataset text of a run: a Rabi or echo scan, or a readout trace.
+
+    ``meta["kind"]`` names the axis column.  A scan's columns are (axis,
+    signal, sigma); a trace's are its bin starts and counts.
+    """
+    if meta["kind"] == "readout-trace":
+        names, columns = ("bin_start_us", "counts"), (data.bin_starts_us, data.counts)
+    else:
+        axis = {"rabi-scan": "duration_us", "echo-scan": "tau_us"}[meta["kind"]]
+        names, columns = (axis, "signal", "sigma"), (data.tau_us, data.signal, data.sigma)
+    return format_dataset(names, columns, meta, cfg)
+
+
 def format_dataset(names: tuple[str, ...], columns, meta: dict, cfg: ExperimentConfig) -> str:
     lines = ["# rotornv-dataset v1"]
     for key in sorted(meta):
@@ -316,8 +396,8 @@ def parse_dataset(text: str) -> tuple[list[str], np.ndarray, dict]:
 
 
 def read_echo_dataset(path: str) -> tuple[EchoDataset, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        names, rows, meta = parse_dataset(fh.read())
+    """The (axis, signal, sigma) dataset in the file ``path``, rows sorted by the axis."""
+    names, rows, meta = parse_dataset(read_text(path, "dataset"))
     if rows.shape[1] < 3:
         raise ValidationError(f"{path}: expected 3 columns (tau/duration, signal, sigma)")
     order = np.argsort(rows[:, 0])
@@ -343,3 +423,17 @@ def format_image(image: StrobedImage, cfg: ExperimentConfig, csv: bool = False) 
     lines.append("# rows: y ascending; columns: x ascending; integer counts")
     lines.extend(sep.join(map(str, row)) for row in image.counts.tolist())
     return "\n".join(lines) + "\n"
+
+
+def format_spots(summaries: list[dict]) -> str:
+    """The ``# spot`` lines of an image's spot fits: each centre with its widths or its failure."""
+    lines = []
+    for i, s in enumerate(summaries):
+        line = f"# spot {i}: centre ({s['center_x_um']:.3f}, {s['center_y_um']:.3f}) um, "
+        if "error" in s:
+            line += f"fit failed: {s['error']}"
+        else:
+            line += (f"sigma_radial {s['sigma_radial_um']:.4f} um, "
+                     f"sigma_azimuthal {s['sigma_azimuthal_um']:.4f} um")
+        lines.append(line + "\n")
+    return "".join(lines)

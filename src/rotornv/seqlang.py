@@ -610,7 +610,7 @@ def echo_pulse_starts(tau_us, g: RotorGeometry, cal: CalibrationTable):
     """
     tau = np.asarray(tau_us, dtype=float)
     if np.any(tau <= 0):
-        raise ValidationError("tau_us must be positive")
+        raise ValidationError(f"tau_us (--tau) must be positive, got {tau.min():g} us")
 
     def dur_at(start_us, target):
         return _calibrate(g, cal, start_us, target, None)[2]
@@ -625,7 +625,7 @@ def echo_pulse_starts(tau_us, g: RotorGeometry, cal: CalibrationTable):
     short = start_pi < dur_at(0.0, "pi/2")
     if np.any(short):
         bad = float(np.atleast_1d(tau)[np.atleast_1d(short)][0])
-        raise ValidationError(f"tau_us={bad} too short to fit the echo pulses")
+        raise ValidationError(f"tau_us (--tau) {bad:g} us is too short to fit the echo pulses")
     return start_pi, start_last
 
 

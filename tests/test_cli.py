@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import dataset_oracle
 import numpy as np
@@ -667,6 +668,102 @@ def test_negative_scan_value_is_refused_before_any_batch(populations, name, cfg_
     monkeypatch.setattr(seqlang, "ideal_echo_timeline", None)
     with pytest.raises(ValidationError, match=rf"^{name} \(--"):
         populations(cfg_default, [0.5, -1e-9])
+
+
+# a repeated scan value was refused only after the whole scan was simulated,
+# by the dataset's "tau values must be strictly increasing", which named no flag
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["simulate-rabi", "--durations", "1,1"], "durations_us (--durations)"),
+        (["simulate-rabi", "--durations", "0.5,0.2,0.5"], "durations_us (--durations)"),
+        (["simulate-echo", "--tau", "5,5"], "tau_list (--tau)"),
+        (["simulate-echo", "--finite-pulses", "--tau", "5,2,5"], "tau_list (--tau)"),
+    ],
+)
+def test_repeated_scan_value_exit_2(argv, key, capsys):
+    code, err = _main_exit([*argv, "--shots", "10", "-o", os.devnull], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {key} repeats the value"), err
+
+
+@pytest.mark.parametrize("scan", ["rabi", "echo"])
+def test_repeated_scan_value_is_refused_before_any_population(scan, cfg_default, monkeypatch):
+    monkeypatch.setattr(pipeline, "rabi_populations", None)  # a population computed would raise a TypeError
+    monkeypatch.setattr(pipeline, "echo_populations", None)
+    run = pipeline.simulate_rabi_scan if scan == "rabi" else pipeline.simulate_echo_scan
+    with pytest.raises(ValidationError, match="repeats the value 1$"):
+        run(cfg_default, [1.0, 2.0, 1.0])
+
+
+@pytest.mark.parametrize("tau", ["0,5", "0.05,5"])
+def test_finite_pulse_refusals_name_the_tau_flag(tau, capsys):
+    code, err = _main_exit(["simulate-echo", "--finite-pulses", "--tau", tau, "--shots", "10"], capsys)
+    assert code == 2
+    assert err.startswith("error: tau_us (--tau) "), err
+
+
+# a path that cannot be read or written (a directory, bytes that are no UTF-8
+# text) once exited 3 with "runtime error: [Errno 21] Is a directory" or a
+# codec message that named no file
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["fit", "{dir}"], "dataset"),
+        (["fit", "{binary}"], "dataset"),
+        (["fit", "{missing}"], "dataset"),
+        (["compile-seq", "{dir}"], "seq"),
+        (["compile-seq", "{binary}"], "seq"),
+        (["dump-config", "--config", "{dir}"], "--config"),
+        (["dump-config", "--config", "{binary}"], "--config"),
+        (["dump-config", "-o", "{dir}"], "--output"),
+        (["dump-config", "-o", "{missing}/out.json"], "--output"),
+    ],
+)
+def test_unreadable_or_unwritable_path_exit_2(argv, flag, tmp_path, capsys):
+    binary = tmp_path / "binary.dat"
+    binary.write_bytes(bytes(range(256)))
+    paths = {"dir": tmp_path, "binary": binary, "missing": tmp_path / "missing"}
+    argv = [a.format(**paths) for a in argv]
+    code, err = _main_exit(argv, capsys)
+    assert code == 2
+    assert err.startswith(f"error: {flag} {argv[-1]}: "), err
+
+
+def test_config_from_the_environment_names_its_variable(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ROTORNV_CONFIG", str(tmp_path))
+    code, err = _main_exit(["dump-config"], capsys)
+    assert code == 2
+    assert err == f"error: ROTORNV_CONFIG {tmp_path}: Is a directory\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device whose writes fail")
+def test_a_failing_write_stays_a_runtime_error(capsys):
+    code, err = _main_exit(["dump-config", "-o", "/dev/full"], capsys)
+    assert code == 3
+    assert err.startswith("runtime error: [Errno 28]"), err
+
+
+# a huge --b-max once reached the fit: 1e30 to 1e150 exited 3 with "singular
+# Jacobian", 1e155 with "overflow encountered in matmul" under -W error
+@pytest.mark.parametrize("b_max", ["1.2e14", "1e30", "1e155", "1e308"])
+def test_b_max_beyond_the_float_phase_exit_2(b_max, tmp_path, capsys):
+    data = tmp_path / "echo.dat"
+    assert _main_exit(["simulate-echo", "--set", "field.theta_b_deg=3", "-o", str(data)], capsys)[0] == 0
+    code, err = _main_exit(["fit", str(data), "--b-max", b_max], capsys)
+    assert code == 2
+    assert err.startswith("error: --b-max (b_max) ") and "2**52 rad" in err, err
+
+
+@pytest.mark.parametrize("b_max", ["1e10", "1e12", "1.1e14"])
+def test_b_max_within_the_float_phase_warns_nothing(b_max, tmp_path, capsys):
+    # below the bound a fit converges or is refused as unidentified, never by a warning
+    data = tmp_path / "echo.dat"
+    assert _main_exit(["simulate-echo", "--set", "field.theta_b_deg=3", "-o", str(data)], capsys)[0] == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, err = _main_exit(["fit", str(data), "--b-max", b_max, "-o", os.devnull], capsys)
+    assert (code, err) == (0, "") or (code == 3 and err.startswith("fit error: singular Jacobian")), err
 
 
 def test_readout_window_longer_than_strobe_exit_2(capsys):

@@ -186,7 +186,7 @@ IMPORT_GRAPH = {
     "imaging": {"config", "errors", "geometry", "lsq"},
     "spindyn": {"config", "errors", "geometry"},
     "estimation": {"config", "errors", "lsq", "spindyn"},
-    "cli": {"config", "errors", "estimation", "imaging", "photophysics", "pipeline", "seqlang"},
+    "cli": {"config", "errors", "imaging", "pipeline"},
 }
 
 
