@@ -1600,6 +1600,15 @@ _PINNED_RUNS = {
     "image": ("simulate-image",),
     "image-stationary": ("simulate-image", "--stationary"),
     "image-csv": ("simulate-image", "--format", "csv"),
+    # one bound given, the other three from the window centred on the spots
+    "image-x-min": ("simulate-image", "--x-min", "-9"),
+    "image-emitter-cps": ("simulate-image", "--emitters", "10,0,300"),
+    # the three-emitter render smoke run's 8 us strobe and window
+    "image-three-emitters": ("simulate-image", "--emitters", "10,0;9.9,1.2;9.7,2.7",
+                             "--set", "strobe.t_phi_us=0", "--set", "strobe.t_pulse_us=8",
+                             "--x-min", "8.5", "--x-max", "11", "--y-min", "-2.5", "--y-max", "2.5",
+                             "--step", "0.1"),
+    "image-depth-stationary": ("simulate-image", "--plane", "xz", "--stationary"),
     "compile-seq": ("compile-seq",),
     "dump-config": ("dump-config", "--set", "field.theta_b_deg=3", "--set", "strobe.t_phi_us=2.5"),
 }
@@ -1636,6 +1645,14 @@ def _pinned_outcome(tmp_path, run: str, seed: int) -> tuple[int, str]:
         ("image-stationary", 7, 0, "41c82770ee47cef8cc85cd002b9d2b898524281aa1fa0eacb121316c53e72bfc"),
         ("image-csv", 1, 0, "4947d13dfe579fa2afae2c8284aec528fb6680ec0a53aba2395e3493afbe7157"),
         ("image-csv", 7, 0, "eabf55e0f6b1c14ca62afe178490e46572fdc75b5add0f87068c440123cd2ce7"),
+        ("image-x-min", 1, 0, "732885ea03cafd95accaff955173c4811d1a6c9be987340397dc7ddc59bd353c"),
+        ("image-x-min", 7, 0, "378231ca3a01c40262c4d4728026f1ca1a25aa250550f4db127be9a899de7e55"),
+        ("image-emitter-cps", 1, 0, "ad60454c943314809214deb2cc2b775ad1ae9e099133b77a266c7cd03b8f03d6"),
+        ("image-emitter-cps", 7, 0, "d5b08b1e3641d4dce51c74b94c6975531e6b39182e6c8b8a8869b5b748d785a4"),
+        ("image-three-emitters", 1, 0, "8e803cb9aa0595856dc7bacd4ca70f95747bc6dc0a97db9515c6262343cfb38e"),
+        ("image-three-emitters", 7, 0, "88543f9227275f8c1514251c294fd1f2178806dc191d38994986220cf0552e0c"),
+        ("image-depth-stationary", 1, 0, "319e40fa1114bd68494f128daeb086b67d14b3ff2244bcfc51ef20d1f56b1a91"),
+        ("image-depth-stationary", 7, 0, "f4e99e7e0e49ea6693615793bd39635fd7b404a5bb29ab682fd04d7ad229ad19"),
         ("compile-seq", 1, 0, "b5f8f8e287869cc3b5965e4d50081eff012cf0d323eacb228bf5134bf450f1fe"),
         ("compile-seq", 7, 0, "b5f8f8e287869cc3b5965e4d50081eff012cf0d323eacb228bf5134bf450f1fe"),
         ("dump-config", 1, 0, "c0c9c67c35a2aaaf6b8f70d09f7e64c2c57dfa1ceffd838e03347545e0c0f0fc"),
