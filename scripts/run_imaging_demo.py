@@ -13,7 +13,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from rotornv import pipeline
 from rotornv.config import config_from_dict
-from rotornv.imaging import ScanGrid
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "out")
 
@@ -21,13 +20,12 @@ OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "out")
 def main():
     os.makedirs(OUT_DIR, exist_ok=True)
     cfg = config_from_dict({"strobe": {"t_phi_us": 0.0}, "seed": 5})
-    grid = ScanGrid(
-        x_range_um=(7.0, 12.5), y_range_um=(-2.0, 5.2), step_um=0.15, dwell_ms=200.0
-    )
     failed = 0
     for stationary in (True, False):
         label = "stationary" if stationary else "rotating"
-        image, summaries = pipeline.simulate_image(cfg, grid, stationary=stationary)
+        image, summaries = pipeline.simulate_image(
+            cfg, (7.0, 12.5), (-2.0, 5.2), step_um=0.15, dwell_ms=200.0, stationary=stationary
+        )
         path = os.path.join(OUT_DIR, f"image_{label}.dat")
         with open(path, "w") as fh:
             fh.write(pipeline.format_image(image, cfg))

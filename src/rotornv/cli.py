@@ -10,7 +10,8 @@ byte for byte.
 
 Exit codes: 0 success, 2 validation/usage error, 3 runtime failure,
 4 fit did not converge.  With ROTORNV_DEBUG=1 in the environment a runtime
-failure (exit 3) also prints its traceback.  A handler returns its
+failure (exit 3) also prints its traceback.  :func:`main` loads the
+effective config once, as ``args.cfg``, and a handler returns its
 :class:`Output`, which :func:`main` writes once; a file that cannot be read
 or written exits 2, naming its flag.
 """
@@ -30,15 +31,12 @@ from . import pipeline
 from .config import PATH_ERRORS, ExperimentConfig, apply_overrides, config_from_dict
 from .config import load_config, read_text
 from .errors import FitError, SequenceError, ValidationError
-from .imaging import Emitter, EmitterSet, ScanGrid
+from .imaging import Emitter, EmitterSet
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 EXIT_NOT_CONVERGED = 4
-
-# Half the side of the default simulate-image window, um.
-IMAGE_HALF_WIDTH_UM = 4.0
 
 CONFIG_ENV_VAR = "ROTORNV_CONFIG"
 DEBUG_ENV_VAR = "ROTORNV_DEBUG"
@@ -129,71 +127,49 @@ def _parse_emitters(text: str, default_cps: float) -> EmitterSet:
 
 
 def cmd_simulate_rabi(args) -> Output:
-    cfg = _load_effective_config(args)
     durations = _parse_scan(args.durations, "--durations")
-    data, meta = pipeline.simulate_rabi_scan(cfg, durations, pulse_at=args.pulse_at)
-    return Output(pipeline.format_scan(data, meta, cfg))
+    data, meta = pipeline.simulate_rabi_scan(args.cfg, durations, pulse_at=args.pulse_at)
+    return Output(pipeline.format_scan(data, meta, args.cfg))
 
 
 def cmd_simulate_echo(args) -> Output:
-    cfg = _load_effective_config(args)
     taus = _parse_scan(args.tau, "--tau")
-    data, meta = pipeline.simulate_echo_scan(cfg, taus, ideal_pulses=not args.finite_pulses)
-    return Output(pipeline.format_scan(data, meta, cfg))
+    data, meta = pipeline.simulate_echo_scan(args.cfg, taus, ideal_pulses=not args.finite_pulses)
+    return Output(pipeline.format_scan(data, meta, args.cfg))
 
 
 def cmd_simulate_readout(args) -> Output:
-    cfg = _load_effective_config(args)
-    trace, meta = pipeline.simulate_readout_trace(cfg, args.initial, args.shots)
-    return Output(pipeline.format_scan(trace, meta, cfg))
+    trace, meta = pipeline.simulate_readout_trace(args.cfg, args.initial, args.shots)
+    return Output(pipeline.format_scan(trace, meta, args.cfg))
 
 
 def cmd_simulate_image(args) -> Output:
-    cfg = _load_effective_config(args)
-    if args.emitters:
-        emitters = _parse_emitters(args.emitters, cfg.beam.peak_counts_stationary_cps)
-    else:
-        emitters = pipeline.default_emitters(cfg)
-    # an omitted bound comes from a window centred on the spots
-    cx, cy = np.mean(pipeline.spot_centers_um(cfg, emitters, args.stationary), axis=0).tolist()
-    half = IMAGE_HALF_WIDTH_UM
-
-    def bound(value, default):
-        return default if value is None else value
-
-    grid = ScanGrid(
-        x_range_um=(bound(args.x_min, cx - half), bound(args.x_max, cx + half)),
-        y_range_um=(bound(args.y_min, cy - half), bound(args.y_max, cy + half)),
-        step_um=args.step,
-        dwell_ms=args.dwell_ms,
-        plane=args.plane,
-    )
+    cfg = args.cfg
+    emitters = _parse_emitters(args.emitters, cfg.beam.peak_counts_stationary_cps) if args.emitters else None
     image, summaries = pipeline.simulate_image(
-        cfg, grid, emitters=emitters, stationary=args.stationary
+        cfg, (args.x_min, args.x_max), (args.y_min, args.y_max), args.step, args.dwell_ms, args.plane,
+        emitters=emitters, stationary=args.stationary,
     )
     text = pipeline.format_image(image, cfg, csv=args.format == "csv")
     return Output(text, report=pipeline.format_spots(summaries))
 
 
 def cmd_compile_seq(args) -> Output:
-    cfg = _load_effective_config(args)
     text = read_text(args.seq, "seq", stdin=True)
     timeline = pipeline.compile_program(
-        cfg, text, t_phi_us=args.t_phi, allow_multi_period=args.allow_multi_period
+        args.cfg, text, t_phi_us=args.t_phi, allow_multi_period=args.allow_multi_period
     )
     return Output(timeline.format_records() + "\n")
 
 
 def cmd_fit(args) -> Output:
-    cfg = _load_effective_config(args)
     data, _meta = pipeline.read_echo_dataset(args.dataset)
-    result = pipeline.fit_dataset(cfg, data, args.model, b_max=args.b_max, max_iter=args.max_iter)
+    result = pipeline.fit_dataset(args.cfg, data, args.model, b_max=args.b_max, max_iter=args.max_iter)
     return Output(result.as_text() + "\n", EXIT_OK if result.converged else EXIT_NOT_CONVERGED)
 
 
 def cmd_dump_config(args) -> Output:
-    cfg = _load_effective_config(args)
-    return Output(cfg.dump_json() + "\n")
+    return Output(args.cfg.dump_json() + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +209,7 @@ def _simulate_echo_arguments(p) -> None:
 
 
 def _simulate_image_arguments(p) -> None:
-    window = f"um (default: a {2 * IMAGE_HALF_WIDTH_UM:g} um window centred on the spots)"
+    window = f"um (default: a {2 * pipeline.IMAGE_HALF_WIDTH_UM:g} um window centred on the spots)"
     p.add_argument("--x-min", type=float, default=None, help=window)
     p.add_argument("--x-max", type=float, default=None, help=window)
     p.add_argument("--y-min", type=float, default=None, help=window)
@@ -314,6 +290,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser(argv).parse_args(argv)
     try:
+        args.cfg = _load_effective_config(args)
         out = args.func(args)
         _write(args.output, out.text)
         sys.stderr.write(out.report)

@@ -30,6 +30,9 @@ from .geometry import TWO_PI, UNIT_TOLERANCE, unit
 
 # The Rabi calibration table holds a few arrays of this length.
 MAX_CAL_ANGLES = 1_000_000
+# Largest strobe.jitter_frac: the render's period draws and strobed arc,
+# jitter times the widest orbit it takes (1e150 um), stay within the float range.
+MAX_JITTER_FRAC = 1e150
 # How the detected rate weights the beam profile (BeamProfile.collection_mode).
 COLLECTION_MODES = ("illumination-only", "confocal-squared")
 
@@ -227,7 +230,8 @@ class StrobeConfig:
     wobble_amp_um: float = 0.4243
 
     def __post_init__(self):
-        check_ranges(self, non_negative=("t_pulse_us", "jitter_frac", "wobble_amp_um", "t_phi_us"))
+        check_ranges(self, non_negative=("t_pulse_us", "jitter_frac", "wobble_amp_um", "t_phi_us"),
+                     within={"jitter_frac": (0, MAX_JITTER_FRAC)})
 
 
 @dataclass(frozen=True)
@@ -383,12 +387,12 @@ def read_text(path: str, flag: str, stdin: bool = False) -> str:
     """The UTF-8 text of the user file ``path``; with ``stdin``, '-' is standard input.
 
     Every user file is read here: the config, a dataset and a sequence
-    program.  A path that cannot be read, or bytes that are no UTF-8 text,
-    are refused naming ``flag`` and the path.
+    program.  A path that cannot be read, or bytes that are no UTF-8 text
+    (standard input's too), are refused naming ``flag`` and the path.
     """
     try:
         if stdin and path == "-":
-            return sys.stdin.read()
+            return sys.stdin.buffer.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except PATH_ERRORS as exc:

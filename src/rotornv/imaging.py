@@ -86,6 +86,9 @@ _GL_MIN_NODES = 4
 _RARE = 1e-6
 # Floats in one chunk's largest temporary (256 kB): bounds the peak memory.
 _BLOCK_ELEMENTS = 1 << 15
+# The command-line flags of each ScanGrid field, for its refusals.
+_GRID_FLAGS = {"x_range_um": "--x-min, --x-max", "y_range_um": "--y-min, --y-max",
+               "step_um": "--step", "dwell_ms": "--dwell-ms"}
 
 
 @dataclass(frozen=True)
@@ -104,28 +107,28 @@ class ScanGrid:
     plane: str = "xy"
 
     def __post_init__(self):
-        for name, value in (
-            ("x_range_um", self.x_range_um),
-            ("y_range_um", self.y_range_um),
-            ("step_um", self.step_um),
-            ("dwell_ms", self.dwell_ms),
-        ):
+        for name, flags in _GRID_FLAGS.items():
+            value = getattr(self, name)
             if not np.all(np.isfinite(value)):
-                raise ValidationError(f"{name} must be finite, got {value}")
+                raise ValidationError(f"{name} ({flags}) must be finite, got {value}")
         if not self.step_um > 0:
-            raise ValidationError("step_um must be positive")
+            raise ValidationError(f"step_um (--step) must be positive, got {self.step_um:g}")
         if not self.dwell_ms > 0:
-            raise ValidationError("dwell_ms must be positive")
-        if self.x_range_um[1] <= self.x_range_um[0] or self.y_range_um[1] <= self.y_range_um[0]:
-            raise ValidationError("scan ranges must be increasing (min, max) pairs")
-        for lo, hi in (self.x_range_um, self.y_range_um):
+            raise ValidationError(f"dwell_ms (--dwell-ms) must be positive, got {self.dwell_ms:g}")
+        for name in ("x_range_um", "y_range_um"):
+            lo, hi = getattr(self, name)
+            where = f"{name} ({_GRID_FLAGS[name]}) = ({lo:g}, {hi:g})"
+            if hi <= lo:
+                raise ValidationError(f"{where} must be an increasing (min, max) pair")
+            # the render squares the pixel coordinates
+            if not max(abs(lo), abs(hi)) < MAX_LENGTH_UM:
+                raise ValidationError(f"{where} reaches beyond the render's {MAX_LENGTH_UM:g} um limit")
             if not math.isfinite((hi - lo) / self.step_um):
                 raise ValidationError(
-                    f"scan range ({lo}, {hi}) over step_um {self.step_um} "
-                    "gives no finite pixel count"
+                    f"{where} over step_um (--step) {self.step_um:g} gives no finite pixel count"
                 )
         if self.plane not in ("xy", "xz"):
-            raise ValidationError("plane must be 'xy' or 'xz'")
+            raise ValidationError("plane (--plane) must be 'xy' or 'xz'")
 
     def _axis_size(self, range_um: tuple[float, float]) -> int:
         lo, hi = range_um
@@ -159,7 +162,7 @@ class Emitter:
         if len(self.position_um) != 2:
             raise ValidationError(f"position_um must be an (x, y) pair, got {self.position_um!r}")
         if not self.brightness_cps >= 0:
-            raise ValidationError("brightness_cps must be non-negative")
+            raise ValidationError(f"brightness_cps (--emitters) must be >= 0, got {self.brightness_cps:g}")
 
 
 @dataclass(frozen=True)
@@ -234,7 +237,9 @@ def _normal_rule(
     lo = max(-_Z_TAIL, z_clip)
     inside = sorted(b for b in breaks if lo < b < _Z_TAIL)
     ratio = max(scale / (1.0 + jitter * lo) ** 2, floor if lo < z_floor else 0.0)
-    n_gh = 3.0 + 7.0 * ratio + 8.0 * ratio * ratio
+    # beyond _GH_MAX_NODES the ratio, squared or not, asks more than Gauss-Hermite takes
+    r = min(ratio, _GH_MAX_NODES)
+    n_gh = 3.0 + 7.0 * r + 8.0 * r * r
     if lo == -_Z_TAIL and not inside and n_gh <= _GH_MAX_NODES:
         return _gauss_hermite(math.ceil(n_gh))
     zs, ws = [], []
@@ -563,16 +568,17 @@ def render_image(
     response AXIAL_PSF_FACTOR times wider than the lateral one.
     """
     if grid.n_pixels > max_pixels:
+        nx, ny = grid._axis_size(grid.x_range_um), grid._axis_size(grid.y_range_um)
         raise ValidationError(
-            f"scan grid has {grid.n_pixels} pixels, exceeding the configured budget of "
-            f"{max_pixels}; shrink the range or increase step_um"
+            f"scan grid has {nx:.3g} x {ny:.3g} pixels, exceeding the configured budget of "
+            f"{max_pixels}; shrink the range or increase step_um (--step)"
         )
     if strobe.t_pulse_us > g.t_rot_us:
         raise ValidationError("strobe t_pulse_us exceeds the rotation period")
     n_cycles = _cycles(grid, g)
     if n_cycles * SUBSTEPS > MAX_STROBE_SAMPLES:
         raise ValidationError(
-            f"dwell_ms = {grid.dwell_ms:g} gives {n_cycles} strobe cycles x {SUBSTEPS} samples "
+            f"dwell_ms = {grid.dwell_ms:g} gives {n_cycles:.3g} strobe cycles x {SUBSTEPS} samples "
             f"per pixel, more than {MAX_STROBE_SAMPLES}; shorten the dwell (--dwell-ms)"
         )
     with np.errstate(under="ignore"):

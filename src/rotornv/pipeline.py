@@ -40,6 +40,8 @@ from .imaging import fit_spot_width, render_image
 MAX_SCAN_POINTS = 1_000_000
 # Chord between the two default emitters, um: a pair the strobed image resolves.
 EMITTER_SEPARATION_UM = 3.6
+# Half the side of the default image window, um.
+IMAGE_HALF_WIDTH_UM = 4.0
 
 
 def window_response(cfg: ExperimentConfig) -> photophysics.WindowResponse:
@@ -264,36 +266,44 @@ def default_emitters(cfg: ExperimentConfig) -> EmitterSet:
     return EmitterSet(tuple(Emitter((r * math.cos(phi), r * math.sin(phi)), b) for phi in phis))
 
 
-def strobed_center_um(cfg: ExperimentConfig, emitter_position_um) -> tuple[float, float]:
-    """Where an emitter appears in a strobed image (trigger position rotated by t_phi)."""
-    ang = cfg.strobe_angle_rad
-    x, y = emitter_position_um
-    return (
-        x * math.cos(ang) - y * math.sin(ang),
-        x * math.sin(ang) + y * math.cos(ang),
-    )
-
-
 def spot_centers_um(
     cfg: ExperimentConfig, emitters: EmitterSet, stationary: bool = False
 ) -> list[tuple[float, float]]:
-    """Where each emitter's spot appears: its trigger position, or strobed by t_phi.
+    """Where each emitter's spot appears: its trigger position, or that rotated by the strobe angle.
 
     An emitter radius or wobble the render refuses is refused here already,
     before a window is built around the spots.
     """
     check_arc_lengths(emitters, cfg.strobe, stationary)
-    return [
-        e.position_um if stationary else strobed_center_um(cfg, e.position_um)
-        for e in emitters.emitters
-    ]
+    positions = [e.position_um for e in emitters.emitters]
+    if stationary:
+        return positions
+    cos_a, sin_a = math.cos(cfg.strobe_angle_rad), math.sin(cfg.strobe_angle_rad)
+    return [(x * cos_a - y * sin_a, x * sin_a + y * cos_a) for x, y in positions]
+
+
+def _window(bounds, center: float) -> tuple[float, float]:
+    """The (min, max) ``bounds``, one that is None IMAGE_HALF_WIDTH_UM below or above ``center``."""
+    lo, hi = bounds
+    half = IMAGE_HALF_WIDTH_UM
+    return (center - half if lo is None else lo, center + half if hi is None else hi)
 
 
 def simulate_image(
-    cfg: ExperimentConfig, grid: ScanGrid, emitters: EmitterSet | None = None, stationary: bool = False
+    cfg: ExperimentConfig, x_range_um=(None, None), y_range_um=(None, None),
+    step_um: float = 0.15, dwell_ms: float = 200.0, plane: str = "xy",
+    emitters: EmitterSet | None = None, stationary: bool = False,
 ) -> tuple[StrobedImage, list[dict]]:
-    """Render a strobed image and fit the width of every emitter's spot."""
+    """Render a strobed raster and fit the width of every emitter's spot.
+
+    The emitters default to :func:`default_emitters`.  A bound of the
+    (min, max) ranges left None comes from a window 2 IMAGE_HALF_WIDTH_UM
+    wide centred on the spots; each spot's fit starts at its centre.
+    """
     emitters = emitters if emitters is not None else default_emitters(cfg)
+    centers = spot_centers_um(cfg, emitters, stationary)
+    cx, cy = np.mean(centers, axis=0).tolist()
+    grid = ScanGrid(_window(x_range_um, cx), _window(y_range_um, cy), step_um, dwell_ms, plane)
     image = render_image(
         grid,
         emitters,
@@ -304,7 +314,7 @@ def simulate_image(
         max_pixels=cfg.protocol.max_image_pixels,
     )
     summaries = []
-    for center in spot_centers_um(cfg, emitters, stationary):
+    for center in centers:
         entry = {"center_x_um": center[0], "center_y_um": center[1]}
         try:
             sr, sa = fit_spot_width(image, center)

@@ -375,7 +375,9 @@ def build_calibration(
     coupling = np.atleast_1d(geometry.mw_coupling(g, f, times_s))
     cmax = float(np.max(coupling))
     if cmax <= 0.0:
-        raise ValidationError("microwave coupling vanishes at every sampled angle")
+        raise ValidationError(
+            "microwave coupling vanishes at every sampled angle; tilt field.mw_dir or geometry.theta_nv_deg"
+        )
     bad = np.nonzero(coupling <= 0.0)[0]
     if bad.size:
         raise ValidationError(

@@ -151,7 +151,7 @@ _BATH_KEYS = "field.b0_gauss or constants.gamma_c13_khz_per_g"
 def c13_revival_time_us(b0_gauss: float, c: PhysicalConstants) -> float:
     """First nuclear-bath contrast revival, 2 / (gamma_13C * B0), in us; refused unless finite."""
     if not b0_gauss > 0:
-        raise ValidationError("b0_gauss must be positive")
+        raise ValidationError(f"field.b0_gauss (b0_gauss) must be positive for the 13C bath, got {b0_gauss:g}")
     rate = c.gamma_c13_khz_per_g * b0_gauss
     tau_r = 2e3 / rate if rate > 0.0 else math.inf
     if not math.isfinite(tau_r):

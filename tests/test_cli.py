@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotornv import cli, pipeline, seqlang
+from rotornv import cli, imaging, pipeline, seqlang
 from rotornv.cli import main
 from rotornv.config import apply_overrides, config_from_dict
 from rotornv.errors import ValidationError
@@ -930,6 +930,84 @@ def test_out_of_range_bath_or_blur_exit_2(argv, names, capsys):
     assert code == 2
     assert err.startswith("error:") and all(name in err for name in names), err
     assert "radius" not in err or "--emitters" in names
+
+
+_RASTER_1E300 = ["simulate-image", "--x-min", "0", "--x-max", "1e300", "--step", "1e299"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        # the bath envelope refused it as "b0_gauss must be positive", naming no key
+        (_ECHO_2_5 + ["--set", "field.b0_gauss=0"], ("field.b0_gauss",)),
+        # "microwave coupling vanishes at every sampled angle", naming no key
+        (["simulate-rabi", "--durations", "0:1:10", "--shots", "10", "--set", "field.mw_dir=[0,0,1]",
+          "--set", "geometry.theta_nv_deg=0"], ("field.mw_dir", "geometry.theta_nv_deg")),
+        # "overflow encountered in square" in the render (exit 3)
+        (_RASTER_1E300, ("x_range_um", "--x-min", "--x-max")),
+        (_RASTER_1E300 + ["--stationary"], ("x_range_um", "--x-min", "--x-max")),
+        # "overflow encountered in scalar power" in the period quadrature (exit 3)
+        (_IMAGE_1MS + ["--set", "strobe.jitter_frac=1e175"], ("strobe.jitter_frac",)),
+        # "overflow encountered in scalar multiply" there (exit 3); now the node-count refusal
+        (_IMAGE_1MS + ["--set", "strobe.jitter_frac=1e150"], ("strobe.jitter_frac", "quadrature nodes")),
+        # these named the field but not its flag
+        (["simulate-image", "--step", "0"], ("step_um", "--step")),
+        (["simulate-image", "--dwell-ms", "0"], ("dwell_ms", "--dwell-ms")),
+        (["simulate-image", "--emitters", "10,0,-5"], ("brightness_cps", "--emitters")),
+        # the x max came from the default window, as "scan ranges must be increasing (min, max) pairs"
+        (["simulate-image", "--x-min", "20"], ("x_range_um", "--x-min", "--x-max", "(20, -5.67601)")),
+        # these printed a 300-digit integer
+        (["simulate-image", "--dwell-ms", "1e300"], ("3.33e+300 strobe cycles", "--dwell-ms")),
+        (["simulate-image", "--step", "1e-300", "--x-min", "0", "--x-max", "1"], ("1e+300 x 8e+300 pixels", "--step")),
+    ],
+    ids=["b0-zero", "mw-coupling", "raster-1e300", "raster-1e300-stationary", "jitter-1e175", "jitter-1e150",
+         "step-zero", "dwell-zero", "negative-cps", "x-min-past-window", "dwell-1e300", "step-1e-300"],
+)
+def test_refusal_names_its_key_or_flag(argv, names, capsys):
+    code, err = _main_exit([*argv, "-o", os.devnull], capsys)
+    assert code == 2
+    assert err.startswith("error:") and all(name in err for name in names), err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_jitter_renders_where_no_window_spills(capsys):
+    # a strobe at the trigger edge never spills past the next one: the period
+    # quadrature stays short at any jitter the config takes
+    argv = [*_IMAGE_1MS, "--set", "strobe.t_phi_us=0", "--set", "strobe.jitter_frac=1e150"]
+    code, err = _main_exit([*argv, "-o", os.devnull], capsys)
+    assert code == 0, err
+
+
+def test_non_utf8_standard_input_is_refused_like_a_file(monkeypatch, tmp_path, capsys):
+    # a C-locale stdin decodes with surrogateescape: the parser saw '\udcff\udcfe'
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, err = _main_exit(["compile-seq", "-"], capsys)
+    program = tmp_path / "program.seq"
+    program.write_bytes(b"\xff\xfe")
+    assert (code, err) == (2, "error: seq -: not UTF-8 text (invalid start byte at byte 0)\n")
+    assert _main_exit(["compile-seq", str(program)], capsys) == (2, err.replace("seq -", f"seq {program}"))
+
+
+def test_image_run_loads_config_once_and_places_its_spots_once(monkeypatch, capsys):
+    calls = {"config": 0, "centres": 0, "arcs": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "_load_effective_config", counted("config", cli._load_effective_config))
+    monkeypatch.setattr(pipeline, "spot_centers_um", counted("centres", pipeline.spot_centers_um))
+    arcs = counted("arcs", imaging.check_arc_lengths)
+    monkeypatch.setattr(pipeline, "check_arc_lengths", arcs)
+    monkeypatch.setattr(imaging, "check_arc_lengths", arcs)
+    code, err = _main_exit([*_IMAGE, "-o", os.devnull], capsys)
+    assert code == 0, err
+    # the window and the spot fits share the centres; the render checks the arcs again
+    assert calls == {"config": 1, "centres": 1, "arcs": 2}
 
 
 @pytest.mark.parametrize("value", ["3e-303", "1e-320", "6e305"])
