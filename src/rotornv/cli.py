@@ -144,13 +144,12 @@ def cmd_simulate_readout(args) -> Output:
 
 
 def cmd_simulate_image(args) -> Output:
-    cfg = args.cfg
-    emitters = _parse_emitters(args.emitters, cfg.beam.peak_counts_stationary_cps) if args.emitters else None
+    cps = args.cfg.beam.peak_counts_stationary_cps
     image, summaries = pipeline.simulate_image(
-        cfg, (args.x_min, args.x_max), (args.y_min, args.y_max), args.step, args.dwell_ms, args.plane,
-        emitters=emitters, stationary=args.stationary,
+        args.cfg, (args.x_min, args.x_max), (args.y_min, args.y_max), args.step, args.dwell_ms, args.plane,
+        emitters=_parse_emitters(args.emitters, cps) if args.emitters else None, stationary=args.stationary,
     )
-    text = pipeline.format_image(image, cfg, csv=args.format == "csv")
+    text = pipeline.format_image(image, args.cfg, csv=args.format == "csv")
     return Output(text, report=pipeline.format_spots(summaries))
 
 

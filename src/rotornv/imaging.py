@@ -86,9 +86,6 @@ _GL_MIN_NODES = 4
 _RARE = 1e-6
 # Floats in one chunk's largest temporary (256 kB): bounds the peak memory.
 _BLOCK_ELEMENTS = 1 << 15
-# The command-line flags of each ScanGrid field, for its refusals.
-_GRID_FLAGS = {"x_range_um": "--x-min, --x-max", "y_range_um": "--y-min, --y-max",
-               "step_um": "--step", "dwell_ms": "--dwell-ms"}
 
 
 @dataclass(frozen=True)
@@ -107,22 +104,18 @@ class ScanGrid:
     plane: str = "xy"
 
     def __post_init__(self):
-        for name, flags in _GRID_FLAGS.items():
-            value = getattr(self, name)
-            if not np.all(np.isfinite(value)):
-                raise ValidationError(f"{name} ({flags}) must be finite, got {value}")
-        if not self.step_um > 0:
-            raise ValidationError(f"step_um (--step) must be positive, got {self.step_um:g}")
-        if not self.dwell_ms > 0:
-            raise ValidationError(f"dwell_ms (--dwell-ms) must be positive, got {self.dwell_ms:g}")
-        for name in ("x_range_um", "y_range_um"):
+        if not 0 < self.step_um < math.inf:
+            raise ValidationError(f"step_um (--step) must be positive and finite, got {self.step_um:g}")
+        if not 0 < self.dwell_ms < math.inf:
+            raise ValidationError(f"dwell_ms (--dwell-ms) must be positive and finite, got {self.dwell_ms:g}")
+        for name, flags in (("x_range_um", "--x-min, --x-max"), ("y_range_um", "--y-min, --y-max")):
             lo, hi = getattr(self, name)
-            where = f"{name} ({_GRID_FLAGS[name]}) = ({lo:g}, {hi:g})"
+            where = f"{name} ({flags}) = ({lo:g}, {hi:g})"
+            # the render squares the pixel coordinates; NaN fails too
+            if not (abs(lo) < MAX_LENGTH_UM and abs(hi) < MAX_LENGTH_UM):
+                raise ValidationError(f"{where} must lie within +-{MAX_LENGTH_UM:g} um, the render's limit")
             if hi <= lo:
                 raise ValidationError(f"{where} must be an increasing (min, max) pair")
-            # the render squares the pixel coordinates
-            if not max(abs(lo), abs(hi)) < MAX_LENGTH_UM:
-                raise ValidationError(f"{where} reaches beyond the render's {MAX_LENGTH_UM:g} um limit")
             if not math.isfinite((hi - lo) / self.step_um):
                 raise ValidationError(
                     f"{where} over step_um (--step) {self.step_um:g} gives no finite pixel count"

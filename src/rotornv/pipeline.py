@@ -283,7 +283,7 @@ def spot_centers_um(
 
 
 def _window(bounds, center: float) -> tuple[float, float]:
-    """The (min, max) ``bounds``, one that is None IMAGE_HALF_WIDTH_UM below or above ``center``."""
+    """The (min, max) ``bounds``, a None bound taken IMAGE_HALF_WIDTH_UM below or above ``center``."""
     lo, hi = bounds
     half = IMAGE_HALF_WIDTH_UM
     return (center - half if lo is None else lo, center + half if hi is None else hi)

@@ -22,13 +22,15 @@ durations may reference a previously defined ``param``.  Parsing either
 returns a complete program or raises with the full diagnostic list (line and
 column positions); partial programs are never produced.
 
-One compiler builds every :class:`TimelineBatch`, the one compiled form: a
-program compiles to a batch of one, a Rabi or echo scan to N timelines of
-one shape.  It resolves ``pi``/``pi/2`` targets to durations 1/(2 Omega)
-and 1/(4 Omega) using a per-angle Rabi calibration table, shifts every
-event by the trigger-to-strobe delay ``t_phi`` and validates channel-wise
-non-overlap.  Event times are plain floats in microseconds; compilation is a
-fixed arithmetic path, so identical inputs produce identical timelines.
+:class:`TimelineBatch` is the one compiled form.  One compiler builds it
+for a program (a batch of one) and for a Rabi or finite-pulse echo scan (N
+timelines of one shape); the ideal echo (:func:`ideal_echo_timeline`),
+whose rotations take no time, builds its batch directly.  The compiler
+resolves ``pi``/``pi/2`` targets to durations 1/(2 Omega) and 1/(4 Omega)
+using a per-angle Rabi calibration table, shifts every event by the
+trigger-to-strobe delay ``t_phi`` and validates channel-wise non-overlap.
+Event times are plain floats in microseconds; compilation is a fixed
+arithmetic path, so identical inputs produce identical timelines.
 """
 
 from __future__ import annotations
