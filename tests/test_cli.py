@@ -1323,6 +1323,28 @@ def test_top_level_usage_lists_every_subcommand():
     assert "{" + ",".join(cli.SUBCOMMANDS) + "}" in usage
 
 
+_HELP_DIGESTS = {
+    "rotornv": "5a8d91f9c822ce2041b23873a3e24781f62f9acac804402c4286bc7260d8d382",
+    "simulate-rabi": "7d23bee448367816772a1363dbe746ace7ce1149e3b205e6bd937b872b6541b8",
+    "simulate-echo": "6ac704a2474e185552de49caf6f86b642b539c6a7198b6f31374c3e11a3e45b2",
+    "simulate-image": "f72f539639e6d78594043e03b670c4efa7208939c8c7f9e360710a7aeaa018b8",
+    "simulate-readout": "4b18261642b3a9657a4102e41865600fd19c0d86099050f9728fc585b1c1d46b",
+    "compile-seq": "a5e2fe90e7fce6104c0fea2ea56c059d53d337dbf6bc442fbe9d467dcd7af1bf",
+    "fit": "be15faa8b865028716299303ae79625d12ed99fd6dc44a4bee7de7d6366b346f",
+    "dump-config": "70bd1742beff45ebd36be6a3c4215d523a801c5d8edcc28bd7e5498b43971a5a",
+}
+
+
+@pytest.mark.parametrize("command", list(_HELP_DIGESTS))
+def test_help_texts_are_pinned(monkeypatch, command):
+    # argparse wraps the help at the terminal width, which COLUMNS sets
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--help"] if command == "rotornv" else [command, "--help"]
+    code, out, err = _parse_outcome(cli.build_parser(argv), argv)
+    assert (code, err) == (0, "")
+    assert _sha256(out) == _HELP_DIGESTS[command]
+
+
 def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["rotornv", "dump-config", "--seed", "5"])
     assert main() == 0
@@ -1685,6 +1707,10 @@ _PINNED_RUNS = {
     "image-depth-stationary": ("simulate-image", "--plane", "xz", "--stationary"),
     "compile-seq": ("compile-seq",),
     "dump-config": ("dump-config", "--set", "field.theta_b_deg=3", "--set", "strobe.t_phi_us=2.5"),
+    # the three 400-point scans of the dense-scan benchmark workload
+    "dense-rabi-start": ("simulate-rabi", "--durations", "0:1.1:400", "--pulse-at", "start"),
+    "dense-rabi-half": ("simulate-rabi", "--durations", "0:1.1:400", "--pulse-at", "half"),
+    "dense-echo-finite": ("simulate-echo", "--finite-pulses", "--tau", "2:150:400"),
 }
 
 
@@ -1731,6 +1757,12 @@ def _pinned_outcome(tmp_path, run: str, seed: int) -> tuple[int, str]:
         ("compile-seq", 7, 0, "b5f8f8e287869cc3b5965e4d50081eff012cf0d323eacb228bf5134bf450f1fe"),
         ("dump-config", 1, 0, "c0c9c67c35a2aaaf6b8f70d09f7e64c2c57dfa1ceffd838e03347545e0c0f0fc"),
         ("dump-config", 7, 0, "5a199d1f5825523cca0388ac0e95c63a1c58ded3399acf28b96acdeb75bef431"),
+        ("dense-rabi-start", 1, 0, "7fef3d7692281afb33b5f575c24a086076bb6b6f0c8e32c3702ebcea3722c3cb"),
+        ("dense-rabi-start", 7, 0, "f6ec1d9eafce2d48270606ba2d31c797e15f91f4e5097b522e2543833551b50a"),
+        ("dense-rabi-half", 1, 0, "4314bc3f89ad8a34a27b233977faa2a1607dee3409567438a9dde38a5e4595b9"),
+        ("dense-rabi-half", 7, 0, "7270b75426e742eca40ef7d473bf541bfc673e51aaa3f3aa9771f0abe1a5a7f5"),
+        ("dense-echo-finite", 1, 0, "e8fd5ce6e2ab52990cbec318be188dfc41eadae0d931b6b99d973d04e43cb4e4"),
+        ("dense-echo-finite", 7, 0, "125061d77689aa1320bd33c601ddde5db8d8d0f5ce8d6de2e339b068fc3ef0ed"),
     ],
 )
 def test_subcommand_outputs_are_pinned(tmp_path, run, seed, code, digest):
