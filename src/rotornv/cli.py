@@ -19,8 +19,10 @@ or written exits 2, naming its flag.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
+import shutil
 import sys
 import traceback
 from typing import NamedTuple
@@ -266,11 +268,15 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     Building a subcommand's arguments is most of the parser's cost, and a
     call runs one subcommand.  With no ``argv``, an empty one, or a first
     word that is no subcommand (an option, ``--help``, a typo), all of them
-    are built, so the help and the errors list every choice.
+    are built, so the help and the errors list every choice.  The terminal
+    width is looked up once, not by argparse for every argument it adds.
     """
+    # argparse's own default: the terminal width less 2
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="rotornv",
         description="Simulate and fit quantum measurements of an NV qubit in a rotating diamond.",
+        formatter_class=formatter,
     )
     names, metavar = list(SUBCOMMANDS), None
     if argv and argv[0] in SUBCOMMANDS:
@@ -279,7 +285,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
         help_text, add_arguments = SUBCOMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, formatter_class=formatter)
         _common_arguments(p)
         add_arguments(p)
     return parser

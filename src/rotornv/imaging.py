@@ -190,8 +190,20 @@ def angular_smear(g: RotorGeometry, t_pulse_us: float) -> float:
 
 
 def _cycles(grid: ScanGrid, g: RotorGeometry) -> int:
-    """Strobe cycles (one per revolution) a pixel integrates over its dwell."""
-    return max(1, int(round(grid.dwell_ms * 1e-3 * g.f_rot_hz)))
+    """Strobe cycles (one per revolution) a pixel integrates over its dwell.
+
+    More than MAX_STROBE_SAMPLES strobe samples per pixel are refused, a
+    count beyond the float range among them.
+    """
+    cycles = float(grid.dwell_ms) * 1e-3 * float(g.f_rot_hz)  # in Python floats an overflow is inf
+    n_cycles = max(1, int(round(cycles))) if cycles < math.inf else cycles
+    if n_cycles * SUBSTEPS > MAX_STROBE_SAMPLES:
+        raise ValidationError(
+            f"dwell_ms (--dwell-ms) = {grid.dwell_ms:g} at geometry.f_rot_hz = {g.f_rot_hz:g} gives "
+            f"{n_cycles:.3g} strobe cycles x {SUBSTEPS} samples per pixel, more than "
+            f"{MAX_STROBE_SAMPLES}; shorten the dwell"
+        )
+    return n_cycles
 
 
 class _TooManyNodes(Exception):
@@ -569,11 +581,6 @@ def render_image(
     if strobe.t_pulse_us > g.t_rot_us:
         raise ValidationError("strobe t_pulse_us exceeds the rotation period")
     n_cycles = _cycles(grid, g)
-    if n_cycles * SUBSTEPS > MAX_STROBE_SAMPLES:
-        raise ValidationError(
-            f"dwell_ms = {grid.dwell_ms:g} gives {n_cycles:.3g} strobe cycles x {SUBSTEPS} samples "
-            f"per pixel, more than {MAX_STROBE_SAMPLES}; shorten the dwell (--dwell-ms)"
-        )
     with np.errstate(under="ignore"):
         mean, var = _pixel_moments(grid, emitters, g, strobe, stationary)
         rng = np.random.default_rng(seed)

@@ -387,6 +387,19 @@ def _barycentric(x: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.nd
     return terms
 
 
+def _bin_products(factors: np.ndarray) -> np.ndarray:
+    """Time-ordered product of each bin's (n_bins, n, 6, 6) factors, earliest first, as (n_bins, 1, 6, 6).
+
+    By halving: factors (2j, 2j+1) pair up and an odd last one is carried.
+    That groups every product as identities padding the count to a power
+    of two would, and a product with an identity is exact.
+    """
+    while (n := factors.shape[1]) > 1:
+        paired = factors[:, 1::2] @ factors[:, 0 : n - 1 : 2]
+        factors = np.concatenate([paired, factors[:, n - 1 :]], axis=1) if n % 2 else paired
+    return factors
+
+
 def _transit_counts(
     initial: np.ndarray,
     g: RotorGeometry,
@@ -464,13 +477,7 @@ def _transit_counts(
     factors = expm(half * (gen0 + nodes[:, None, None] * slope))
     if lagrange is not None:
         factors = lagrange @ factors.reshape(nodes.size, 36)
-    factors = factors.reshape(n_bins, 2 * steps, 6, 6)
-    # time-ordered product within each bin, by halving; identities pad the
-    # factor count to a power of two
-    padding = (1 << (2 * steps - 1).bit_length()) - 2 * steps
-    factors = np.concatenate([factors, np.broadcast_to(np.eye(6), (n_bins, padding, 6, 6))], axis=1)
-    while factors.shape[1] > 1:
-        factors = factors[:, 1::2] @ factors[:, 0::2]
+    factors = _bin_products(factors.reshape(n_bins, 2 * steps, 6, 6))
 
     state = np.vstack([initial, np.zeros(initial.shape[1])])
     excited_us = np.zeros((n_bins + 1, initial.shape[1]))

@@ -87,12 +87,19 @@ def rotate_bloch(vec: np.ndarray, axis: np.ndarray, angle_rad) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
     # a matmul of single rows rounds like np.dot on two 3-vectors
     dot = (axis[..., None, :] @ vec[..., :, None])[..., 0]
-    return c * vec + s * np.cross(axis, vec) + (1.0 - c) * dot * axis
+    return c * vec + s * _cross(axis, vec) + (1.0 - c) * dot * axis
 
 
-# math.hypot, not np.hypot: the two differ in the last bit for ~0.5 % of
-# inputs, and datasets stay byte-identical only with the rounding they had.
-_hypot = np.frompyfunc(math.hypot, 2, 1)
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross(a, b)`` of (..., 3) arrays: its component products and differences, in its
+    order, without its axis and dtype set-up."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = a1 * b2 - a2 * b1
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
 
 
 def pulse_rotation(vec, rabi_freq_mhz, detuning_mhz, duration_us, phase_rad=0.0) -> np.ndarray:
@@ -101,11 +108,16 @@ def pulse_rotation(vec, rabi_freq_mhz, detuning_mhz, duration_us, phase_rad=0.0)
     The generalised Rabi frequency must be non-zero.
     """
     rabi = np.asarray(rabi_freq_mhz, dtype=float)
-    delta = np.asarray(detuning_mhz, dtype=float)
-    gen = np.asarray(_hypot(rabi, delta), dtype=float)
-    axis = np.stack(
-        np.broadcast_arrays(rabi * np.cos(phase_rad), rabi * np.sin(phase_rad), delta), axis=-1
-    ) / gen[..., None]
+    rabi, delta = np.broadcast_arrays(rabi, np.asarray(detuning_mhz, dtype=float))
+    # math.hypot, not np.hypot: the two differ in the last bit for ~0.5 % of
+    # inputs, and datasets stay byte-identical only with the rounding they had
+    gen = np.fromiter(map(math.hypot, rabi.ravel().tolist(), delta.ravel().tolist()), float, rabi.size)
+    gen = gen.reshape(rabi.shape)
+    axis = np.empty(np.broadcast_shapes(rabi.shape, np.shape(phase_rad)) + (3,))
+    axis[..., 0] = rabi * np.cos(phase_rad)
+    axis[..., 1] = rabi * np.sin(phase_rad)
+    axis[..., 2] = delta
+    axis /= gen[..., None]
     return rotate_bloch(vec, axis, TWO_PI * gen * duration_us)
 
 
@@ -246,12 +258,16 @@ def simulate_sequence(
     Each timeline takes its events in order: free precession to the event
     start by the closed-form AC phase, then for a microwave event the
     constant-(Omega, Delta) rotation about the axis at its phase, with Delta
-    held at its value at the pulse centre (the exact target rotation when the
-    event has zero duration; a zero-length explicit pulse is the identity),
-    and for a laser event free precession through its window.  Optical
-    dynamics belong to the photophysics layer.  A laser boundary inside a
-    pulse, or an event that starts before the previous one ended, is refused
-    naming the events.
+    held at its value at the pulse centre, and for a laser event free
+    precession through its window.  A microwave row of zero duration takes
+    the exact target rotation when its event has a target and stays as it
+    is when it has none; every other row takes the driven rotation.  An
+    event computes only the rotations its rows keep: the target rotation
+    alone when every row has zero duration, the driven one alone when none
+    has (both only in a hand-made batch that mixes the two under a target).
+    Optical dynamics belong to the photophysics layer.  A laser boundary
+    inside a pulse, or an event that starts before the previous one ended,
+    is refused naming the events.
     """
     start, dur = batch.start_us, batch.duration_us
     end = start + dur
@@ -280,13 +296,17 @@ def simulate_sequence(
         bloch = _free_evolve(bloch, g, f, c, t, start[k])
         if channel == "mw":
             phase = batch.phase_rad[k]
+            zero = dur[k] == 0.0
             fraction = TARGET_FRACTIONS.get(batch.targets[k])
-            instant = bloch
-            if fraction is not None:
-                instant = pulse_rotation(bloch, 1.0, 0.0, fraction, phase)
-            detuning = _pulse_detuning(g, f, c, start[k], dur[k])
-            driven = pulse_rotation(bloch, batch.rabi_mhz[k], detuning, dur[k], phase)
-            bloch = np.where((dur[k] == 0.0)[:, None], instant, driven)
+            if fraction is not None and zero.all():
+                bloch = pulse_rotation(bloch, 1.0, 0.0, fraction, phase)
+            else:
+                detuning = _pulse_detuning(g, f, c, start[k], dur[k])
+                driven = pulse_rotation(bloch, batch.rabi_mhz[k], detuning, dur[k], phase)
+                if zero.any():  # the target rotation, or none without a target
+                    kept = bloch if fraction is None else pulse_rotation(bloch, 1.0, 0.0, fraction, phase)
+                    driven = np.where(zero[:, None], kept, driven)
+                bloch = driven
         else:
             bloch = _free_evolve(bloch, g, f, c, start[k], end[k])
         t = end[k]

@@ -8,6 +8,9 @@ exponentiates each of the 2 * steps * n_bins factors on its own with the
 Pade ``photophysics.expm``.  So it differs from the kernel only in how the
 factors are obtained, and the two must agree to rounding; the step
 discretisation itself is checked against DOP853 in ``test_photophysics``.
+Its halving pads each bin's factors with identities to a power of two
+(:func:`padded_halving`); the kernel carries an odd last factor instead,
+which must give the same products bit for bit.
 """
 
 from __future__ import annotations
@@ -54,11 +57,7 @@ def transit_counts(initial, g, b, m, turn_on_offset_us, n_bins, bin_width_us):
     gauss_intensity = np.exp(-8.0 * (np.minimum(off, 10.0 * d) / d) ** 2)
     blend = np.clip(gauss_intensity @ _CF4_BLEND, 0.0, None)
     exponents = (0.5 * h) * (gen0 + blend[..., None, None] * slope)
-    factors = photophysics.expm(exponents.reshape(n_bins, 2 * steps, 6, 6))
-    padding = (1 << (2 * steps - 1).bit_length()) - 2 * steps
-    factors = np.concatenate([factors, np.broadcast_to(np.eye(6), (n_bins, padding, 6, 6))], axis=1)
-    while factors.shape[1] > 1:
-        factors = factors[:, 1::2] @ factors[:, 0::2]
+    factors = padded_halving(photophysics.expm(exponents.reshape(n_bins, 2 * steps, 6, 6)))
 
     state = np.vstack([initial, np.zeros(initial.shape[1])])
     excited_us = np.zeros((n_bins + 1, initial.shape[1]))
@@ -68,3 +67,17 @@ def transit_counts(initial, g, b, m, turn_on_offset_us, n_bins, bin_width_us):
     counts_per_excited_us = detection_calibration(m, b) * m.radiative_rate_per_us * 1e-6
     background = b.background_cps * 1e-6 * bin_width_us * np.arange(n_bins + 1)[:, None]
     return counts_per_excited_us * excited_us + background, state[:5]
+
+
+def padded_halving(factors):
+    """Time-ordered product of each bin's (n_bins, n, 6, 6) factors, earliest first, as (n_bins, 1, 6, 6).
+
+    Identities pad the factor count to a power of two, and each round
+    multiplies factor 2j+1 onto factor 2j.
+    """
+    n_bins, n = factors.shape[:2]
+    padding = (1 << (n - 1).bit_length()) - n
+    factors = np.concatenate([factors, np.broadcast_to(np.eye(6), (n_bins, padding, 6, 6))], axis=1)
+    while factors.shape[1] > 1:
+        factors = factors[:, 1::2] @ factors[:, 0::2]
+    return factors

@@ -4,7 +4,11 @@
 Bloch equation numerically.  ``rabi_population`` is the generalised Rabi
 formula a constant drive must reproduce.  ``c13_envelope_full_loop`` is the
 bath envelope summing every dip of its window in turn, which
-``spindyn.c13_envelope`` must reproduce bit for bit.
+``spindyn.c13_envelope`` must reproduce bit for bit.  ``rotate_bloch_np_cross``
+and ``pulse_rotation_frompyfunc`` are the former forms of the two rotations,
+with ``np.cross``, an ``np.frompyfunc`` hypot and an ``np.stack`` axis, which
+``spindyn.rotate_bloch`` and ``spindyn.pulse_rotation`` must reproduce bit
+for bit.
 
 The Bloch oracle shares no closed form with the simulator.  The free detuning is the full
 Zeeman projection (``geometry.zeeman_projection``, the lab-frame NV axis
@@ -137,3 +141,26 @@ def c13_envelope_full_loop(p, c, tau_us):
     damp = np.exp(-((tau / p.t2_us) ** p.envelope_exponent))
     out = comb * damp
     return float(out) if np.isscalar(tau_us) else out
+
+
+def rotate_bloch_np_cross(vec, axis, angle_rad):
+    """The Rodrigues rotation of ``spindyn.rotate_bloch`` with ``np.cross`` itself."""
+    angle = np.asarray(angle_rad, dtype=float)[..., None]
+    c, s = np.cos(angle), np.sin(angle)
+    # a matmul of single rows rounds like np.dot on two 3-vectors
+    dot = (axis[..., None, :] @ vec[..., :, None])[..., 0]
+    return c * vec + s * np.cross(axis, vec) + (1.0 - c) * dot * axis
+
+
+_hypot = np.frompyfunc(math.hypot, 2, 1)
+
+
+def pulse_rotation_frompyfunc(vec, rabi_freq_mhz, detuning_mhz, duration_us, phase_rad=0.0):
+    """``spindyn.pulse_rotation`` with an object-array hypot and a stacked axis."""
+    rabi = np.asarray(rabi_freq_mhz, dtype=float)
+    delta = np.asarray(detuning_mhz, dtype=float)
+    gen = np.asarray(_hypot(rabi, delta), dtype=float)
+    axis = np.stack(
+        np.broadcast_arrays(rabi * np.cos(phase_rad), rabi * np.sin(phase_rad), delta), axis=-1
+    ) / gen[..., None]
+    return rotate_bloch_np_cross(vec, axis, 2.0 * math.pi * gen * duration_us)

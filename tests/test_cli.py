@@ -849,6 +849,12 @@ _RASTER_1E300 = ["--x-min", "0", "--x-max", "1e300", "--step", "1e299"]
         # these printed a 300-digit integer
         (["--dwell-ms", "1e300"], "3.33e+300 strobe cycles"),
         (["--step", "1e-300", "--x-min", "0", "--x-max", "1"], "1e+300 x 8e+300 pixels"),
+        # these exited 3: "cannot convert float infinity to integer"
+        (["--dwell-ms", "1e308"],
+         "dwell_ms (--dwell-ms) = 1e+308 at geometry.f_rot_hz = 3333.33 gives inf strobe cycles"),
+        (["--dwell-ms", "1e308", "--set", "geometry.f_rot_hz=1e10", "--set", "strobe.t_pulse_us=1e-5",
+          "--set", "protocol.readout_window_us=1e-6", "--set", "strobe.t_phi_us=0"],
+         "dwell_ms (--dwell-ms) = 1e+308 at geometry.f_rot_hz = 1e+10 gives inf strobe cycles"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -463,6 +463,22 @@ class TestReadoutOracle:
         readout_response(LevelPopulations.ms0(), g, b, m, 2.0, -0.25)
         assert len(calls) == 2 and all(np.prod(s[:-2]) <= 32 for s in calls)
 
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 76, 100, 127, 128, 129, 255, 256, 257, 300]
+    )
+    def test_bin_products_equal_the_padded_halving_bit_for_bit(self, n):
+        # n step factors per bin, from the default rates at random intensity
+        # blends over a 0.05 us bin of 38 steps (a default pass has 76)
+        m, rng = RateModel(), np.random.default_rng(n)
+        gen0, gen1 = np.zeros((6, 6)), np.zeros((6, 6))
+        gen0[:5, :5], gen1[:5, :5] = rate_matrix(m, 0.0), rate_matrix(m, 1.0)
+        gen0[5, 2:4] = gen1[5, 2:4] = 1.0
+        blend = rng.uniform(0.0, 1.0, (3, n))
+        factors = photophysics.expm((0.025 / 38) * (gen0 + blend[..., None, None] * (gen1 - gen0)))
+        got = photophysics._bin_products(factors)
+        assert got.shape == (3, 1, 6, 6)
+        assert got.tobytes() == readout_oracle.padded_halving(factors).tobytes()
+
     def test_a_node_bound_beyond_the_float_range_warns_nothing(self):
         # at rates.pump_rate_peak_per_us=1e300 the bound of the widest ellipses
         # overflowed to inf with "overflow encountered in multiply"

@@ -7,9 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from rotornv import pipeline, spindyn
 from rotornv.errors import ValidationError
 from rotornv.estimation import EchoFitModel
-from rotornv.config import FieldConfig, PhysicalConstants, RotorGeometry
+from rotornv.config import FieldConfig, PhysicalConstants, RotorGeometry, config_from_dict
 from rotornv.geometry import TWO_PI
 from rotornv import TimelineBatch
 from rotornv.seqlang import (
@@ -26,9 +27,17 @@ from rotornv.spindyn import (
     c13_revival_time_us,
     echo_phase,
     pulse_rotation,
+    rotate_bloch,
     simulate_sequence,
 )
-from spin_oracle import BlochOracle, batch_of_one, c13_envelope_full_loop, rabi_population
+from spin_oracle import (
+    BlochOracle,
+    batch_of_one,
+    c13_envelope_full_loop,
+    pulse_rotation_frompyfunc,
+    rabi_population,
+    rotate_bloch_np_cross,
+)
 
 
 def quadrature_echo_phase(p: EchoParams, c: PhysicalConstants, tau_us: float) -> float:
@@ -106,6 +115,31 @@ class TestPulseRotation:
         for t in np.linspace(0.0, 1.0, 23):
             out = pulse_rotation(MS0, 3.6, 1.1, t)
             assert 0.5 * (1.0 - out[2]) == pytest.approx(rabi_population(t, 3.6, 1.1), abs=1e-9)
+
+
+    @pytest.mark.parametrize("n", [1, 7, 400])
+    def test_rotate_bloch_equals_the_np_cross_form_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        vec = rng.normal(size=(n, 3))
+        axis = rng.normal(size=(n, 3))
+        axis /= np.linalg.norm(axis, axis=1)[:, None]
+        angle = rng.uniform(-20.0, 20.0, n)
+        # a batch of axes, one (3,) axis broadcast over the batch, and one vector
+        for args in ((vec, axis, angle), (vec, axis[0], angle), (vec[0], axis[0], angle[0])):
+            assert rotate_bloch(*args).tobytes() == rotate_bloch_np_cross(*args).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 400])
+    def test_pulse_rotation_equals_the_frompyfunc_form_bit_for_bit(self, n):
+        rng = np.random.default_rng(100 + n)
+        vec = rng.normal(size=(n, 3))
+        rabi, delta = rng.uniform(0.5, 20.0, n), rng.normal(0.0, 5.0, n)
+        duration, phase = rng.uniform(0.0, 2.0, n), rng.uniform(-math.pi, math.pi, n)
+        for args in (
+            (vec, rabi, delta, duration, phase),  # a driven scan row
+            (vec, 1.0, 0.0, 0.25, phase),  # a target rotation
+            (vec[0], rabi[0], delta[0], duration[0]),  # one vector at the default phase
+        ):
+            assert pulse_rotation(*args).tobytes() == pulse_rotation_frompyfunc(*args).tobytes()
 
 
 class TestEchoPhase:
@@ -289,6 +323,43 @@ class TestSimulateSequence:
         for batch, z in ((one, -1.0), (two, 1.0)):
             final = simulate_sequence(batch, geometry_default, field_tilted, constants)
             assert final[0, 2] == pytest.approx(z, abs=1e-9)
+
+    def test_each_microwave_row_takes_one_rotation(self, monkeypatch):
+        # a finite-pulse echo used to take both the target and the driven
+        # rotation of its three pulses, and a Rabi scan's prepended pi both
+        cfg = config_from_dict({})
+        calls = []
+        real = spindyn.pulse_rotation
+        monkeypatch.setattr(spindyn, "pulse_rotation", lambda *a: calls.append(a) or real(*a))
+        durations, tau = np.linspace(0.0, 1.1, 400), np.linspace(2.0, 150.0, 400)
+        counts = []
+        for scan in (
+            lambda: pipeline.rabi_populations(cfg, durations, "start"),
+            lambda: pipeline.rabi_populations(cfg, durations, "half"),
+            lambda: pipeline.echo_populations(cfg, tau, ideal_pulses=False),
+            lambda: pipeline.echo_populations(cfg, tau, ideal_pulses=True),
+        ):
+            calls.clear()
+            scan()
+            counts.append(len(calls))
+        assert counts == [1, 2, 3, 3]
+
+    def test_rows_of_mixed_events_run_as_alone(self, geometry_default, field_tilted, constants):
+        # zero-duration and finite rows in one event: each row rotates as in a batch of its own
+        dur = np.array([[0.0, 0.04, 0.0, 0.11], [0.0, 0.0, 0.07, 0.09]])
+        start = np.array([[0.0] * 4, [30.0] * 4])
+        rabi, phase = np.full_like(dur, 3.6), np.array([[0.3] * 4, [1.1] * 4])
+        batch = TimelineBatch(("mw", "mw"), ("pi/2", None), start, dur, rabi, phase, np.zeros_like(dur))
+        final = simulate_sequence(batch, geometry_default, field_tilted, constants)
+        for i in range(4):
+            row = slice(i, i + 1)
+            alone = TimelineBatch(
+                ("mw", "mw"), ("pi/2", None), start[:, row], dur[:, row], rabi[:, row], phase[:, row],
+                np.zeros((2, 1)),
+            )
+            got = simulate_sequence(alone, geometry_default, field_tilted, constants)
+            assert got.tobytes() == final[row].tobytes()
+        assert final[0, 2] == pytest.approx(0.0, abs=1e-12)  # a pi/2 and no second pulse
 
     def test_constant_drive_reproduces_rabi_formula(self, constants):
         g = RotorGeometry()
