@@ -328,8 +328,15 @@ def _pair_sums(half, a, near, coef, cross) -> np.ndarray:
     ``half``, ``a`` and ``near`` are (samples, candidates); a pair with a
     sample not ``near`` adds an exact zero.  The pair terms are built row
     by row of the triangle i <= j and added one after another in that
-    order, as bincount adds them (:func:`_column_sums`).
+    order, as bincount adds them (:func:`_column_sums`).  A sample that no
+    candidate reaches is dropped with its pairs before any is evaluated:
+    adding their exact zeros moves no bit of a sum.
     """
+    reached = near.any(axis=1)
+    if not reached.all():
+        i, j = np.triu_indices(half.shape[0])
+        coef = coef[reached[i] & reached[j]]
+        half, a, near = half[reached], a[reached], near[reached]
     n = half.shape[0]
     exponent = np.empty((n * (n + 1) // 2, half.shape[1]))
     both = np.empty(exponent.shape, dtype=bool)
