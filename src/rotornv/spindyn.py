@@ -236,8 +236,11 @@ _Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 def _free_evolve(bloch, g, f, c, t0_us, t1_us):
     """Free precession of (N, 3) Bloch vectors from t0 to t1; rows with t1 == t0 stay untouched."""
+    still = t1_us == t0_us
+    if still.all():  # a batch's first event at t = 0: nothing turns
+        return bloch
     moved = rotate_bloch(bloch, _Z_AXIS, free_phase(g, f, c, t0_us, t1_us))
-    return np.where((t1_us == t0_us)[:, None], bloch, moved)
+    return np.where(still[:, None], bloch, moved)
 
 
 def _pulse_detuning(g, f, c, start_us, duration_us):
