@@ -51,9 +51,9 @@ from .geometry import TWO_PI
 # default 200 ms dwell at 3.33 kHz.
 MAX_STROBE_SAMPLES = 1_000_000
 # Quadrature nodes over one cycle's period draws.  The strobed arc over the
-# PSF width sets the count: 4 for a strobe at the trigger edge, 20 at the
-# default 150 us, ~1200 at 150 us with jitter_frac 0.1 and ~2300 for an
-# emitter 1 mm off the axis.
+# PSF width sets the count: 2 for a strobe at the trigger edge (4 with no
+# wobble), 19 at the default 150 us, ~1200 at 150 us with jitter_frac 0.1
+# and ~2300 for an emitter 1 mm off the axis.
 MAX_PERIOD_NODES = 20_000
 # Emitter radii and wobble amplitudes the render takes: their squares and
 # sums stay finite.
@@ -69,11 +69,16 @@ SPOT_FIT_RADIUS_UM = 2.5
 
 # P(|Z| > 6.5) ~ 8e-11 for a standard normal Z: the quadrature's range.
 _Z_TAIL = 6.5
-# Gauss-Hermite is used up to this many nodes; beyond, composite
-# Gauss-Legendre is cheaper: 12 nodes over a panel that sweeps at most
-# _GL_PANEL PSF standard deviations of arc (and is never wider than
-# _GL_PANEL_MAX in z), fewer, down to 4, over a panel cut short by a kink.
-# Both rules put the error of a Gaussian arc profile below 1e-8 of its peak.
+# Gauss-Hermite is used while the arc formula 3 + 7 r + 8 r^2 (r the arc
+# per unit z over the PSF standard deviation), which puts the error of a
+# Gaussian arc profile below 1e-8 of its peak, asks at most this many
+# nodes; the rule then takes the fewest nodes, up to that count, that keep
+# a cycle's mean and variance within _MOMENT_TOL of their peaks
+# (:func:`_hermite_count`).  Beyond, composite Gauss-Legendre is cheaper:
+# 12 nodes over a panel that sweeps at most _GL_PANEL PSF standard
+# deviations of arc (and is never wider than _GL_PANEL_MAX in z), fewer,
+# down to 4, over a panel cut short by a kink, which also puts a Gaussian
+# arc profile's error below 1e-8 of its peak.
 _GH_MAX_NODES = 64
 _GL_PANEL = 6.0
 _GL_PANEL_MAX = 4.25
@@ -86,6 +91,14 @@ _GL_MIN_NODES = 4
 _RARE = 1e-6
 # Floats in one chunk's largest temporary (256 kB): bounds the peak memory.
 _BLOCK_ELEMENTS = 1 << 15
+# The Gauss-Hermite count's target, and the pixel offsets it is checked at:
+# a lattice of this step (PSF standard deviations) reaching this far past
+# each strobe sample's path, and radial offsets out to 4 sqrt(1 + 2q), q the
+# wobble variance over the PSF's.
+_MOMENT_TOL = 1e-8
+_SIZE_STEP = 0.25
+_SIZE_REACH = 6.0
+_RADIAL_OFFSETS = np.linspace(0.0, 4.0, 33)
 
 
 @dataclass(frozen=True)
@@ -210,7 +223,7 @@ class _TooManyNodes(Exception):
     """The period quadrature would exceed MAX_PERIOD_NODES."""
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=None)  # n <= _GH_MAX_NODES + 8
 def _gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
     z, w = hermegauss(n)
     return z, w / math.sqrt(TWO_PI)
@@ -219,8 +232,67 @@ def _gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
 _gauss_legendre = functools.lru_cache(maxsize=64)(leggauss)
 
 
+def _hermite_profiles(base, move, jitter, n, x) -> tuple[np.ndarray, np.ndarray]:
+    """E[S] and E[S^2] at pixel offsets ``x`` by the n-node Gauss-Hermite rule.
+
+    S(z) = mean_k exp(-(x - base_k - move_k / max(1 + jitter z, 0.1))^2 / 2):
+    one emitter's strobe samples, in PSF standard deviations along the arc.
+    """
+    z, w = _gauss_hermite(n)
+    pos = base + move / np.maximum(1.0 + jitter * z, 0.1)[:, None]  # (n, samples)
+    g = x - pos[:, :, None]  # (n, samples, x), worked on in place
+    g *= g
+    g *= -0.5
+    np.maximum(g, -700.0, out=g)  # exp(-700) is far below the target, and exp's underflow path is slow
+    s = np.exp(g, out=g).sum(axis=1) / base.size  # (n, x)
+    return w @ s, w @ (s * s)
+
+
+@functools.lru_cache(maxsize=256)
+def _hermite_count(base: tuple, move: tuple, wobble: float, jitter: float, cap: int) -> int:
+    """The fewest Gauss-Hermite nodes, at most ``cap``, that keep a cycle's moments within _MOMENT_TOL of their peaks.
+
+    Strobe sample k sits base_k + move_k / (1 + jitter z) PSF standard
+    deviations along the arc (the strobe angle goes as T / period).  A pixel
+    at lateral offset x and radial offset a, in the same units, sees the
+    cycle term's mean A1(a) E[S] and second moment A2(a) E[S^2]
+    (:func:`_hermite_profiles`), with the wobble factors of
+    :func:`_pixel_moments` at q = ``wobble`` = s^2 / v:
+    A1 = exp(-a^2 / 2(1 + q)) / sqrt(1 + q) and
+    A2 = exp(-a^2 / (1 + 2q)) / sqrt(1 + 2q).  The errors of the mean and
+    of the variance A2 E[S^2] - (A1 E[S])^2, worst over a lattice of (x, a),
+    are taken against a rule of cap + 8 nodes: the map 1 / (1 + jitter z)
+    puts S beyond a closed form, and at the trigger edge the error is 2.5
+    times that of a linearised arc.  Bisection from cap - 1 finds the count; a
+    large arc misses the target at cap - 1 and stops there.
+    """
+    base, move = np.array(base), np.array(move)
+    ends = base + move / (1.0 + jitter * np.array([[-_Z_TAIL], [_Z_TAIL]]))  # (2, samples)
+    first = np.floor((ends.min(axis=0) - _SIZE_REACH) / _SIZE_STEP)
+    last = np.ceil((ends.max(axis=0) + _SIZE_REACH) / _SIZE_STEP)
+    x = _SIZE_STEP * np.unique(np.concatenate([np.arange(f, e + 1.0) for f, e in zip(first, last)]))
+    m1, m2 = _hermite_profiles(base, move, jitter, cap + 8, x)
+    a_sq = _RADIAL_OFFSETS**2 * (1.0 + 2.0 * wobble)
+    f1 = (np.exp(-a_sq / (1.0 + wobble)) / (1.0 + wobble))[:, None]  # A1^2
+    f2 = (np.exp(-a_sq / (1.0 + 2.0 * wobble)) / math.sqrt(1.0 + 2.0 * wobble))[:, None]  # A2
+    var_peak = (f2 * m2 - f1 * m1**2).max()
+
+    def meets(n):
+        q1, q2 = _hermite_profiles(base, move, jitter, n, x)
+        var_err = f2 * (q2 - m2) - f1 * (q1**2 - m1**2)
+        return (np.abs(q1 - m1).max() <= _MOMENT_TOL * m1.max()
+                and np.abs(var_err).max() <= _MOMENT_TOL * var_peak)
+
+    lo, hi = 0, cap  # lo nodes miss the target, hi are taken
+    n = cap - 1
+    while n > lo:
+        lo, hi = (lo, n) if meets(n) else (n, hi)
+        n = (lo + hi) // 2
+    return hi
+
+
 def _normal_rule(
-    scale: float, floor: float, z_floor: float, jitter: float, breaks, limit: int
+    scale: float, floor: float, z_floor: float, jitter: float, breaks, limit: int, samples: tuple
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for E[f(Z)], Z ~ N(0, 1), with weights summing to ~1.
 
@@ -230,7 +302,10 @@ def _normal_rule(
     unit z (the strobe angle goes as T / period), at least ``floor`` below
     ``z_floor``, and it may have kinks at ``breaks``.  Without a kink and
     with a short arc, probabilists' Gauss-Hermite integrates the normal
-    weight exactly and needs the fewest nodes.  Otherwise composite
+    weight exactly and needs the fewest nodes: no more than the arc formula
+    asks, and where no sample sweeps at the ``floor`` rate, only as many as
+    keep the moments on target (:func:`_hermite_count` of ``samples``, the
+    strobe samples' (base, move) and the wobble).  Otherwise composite
     Gauss-Legendre panels, split at every kink, each sweep at most
     _GL_PANEL standard deviations at their steep left end, so their count
     follows the arc the strobe actually sweeps (Gauss-Hermite's grows as
@@ -246,7 +321,10 @@ def _normal_rule(
     r = min(ratio, _GH_MAX_NODES)
     n_gh = 3.0 + 7.0 * r + 8.0 * r * r
     if lo == -_Z_TAIL and not inside and n_gh <= _GH_MAX_NODES:
-        return _gauss_hermite(math.ceil(n_gh))
+        n = math.ceil(n_gh)
+        if lo >= z_floor:
+            n = _hermite_count(*samples, jitter, n)
+        return _gauss_hermite(n)
     zs, ws = [], []
     used = 0
     x = lo
@@ -274,7 +352,7 @@ def _normal_rule(
 
 
 def _period_nodes(
-    t_in: np.ndarray, t_rot: float, jitter: float, arc_ratio: float
+    t_in: np.ndarray, t_rot: float, jitter: float, arc_ratio: float, wobble: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quadrature over one cycle's two period draws: (z1, z2, weight) per node.
 
@@ -284,12 +362,14 @@ def _period_nodes(
     spill edge of each sample is a kink in z1, so it splits the panels.
     Only z1 nodes where some sample spills carry a second node set over
     z2; elsewhere p2 does not enter.  ``arc_ratio`` is the orbit radius
-    over the PSF's standard deviation.  More than MAX_PERIOD_NODES nodes
-    in all raise _TooManyNodes before they are built.
+    over the PSF's standard deviation and ``wobble`` the wobble variance
+    over the PSF's.  More than MAX_PERIOD_NODES nodes in all raise
+    _TooManyNodes before they are built.
     """
     if jitter == 0.0:
         return np.zeros(1), np.zeros(1), np.ones(1)
-    arc = arc_ratio * TWO_PI * jitter  # arc per unit z of a whole turn, at the mean period
+    turn = arc_ratio * TWO_PI  # arc of a whole turn, in PSF standard deviations
+    arc = turn * jitter  # arc per unit z of a whole turn, at the mean period
     p_min = t_rot * max(1.0 - jitter * _Z_TAIL, 0.1)
     t_max = float(t_in.max())
     spills = t_max >= p_min
@@ -297,7 +377,8 @@ def _period_nodes(
     # z1, fastest at the shortest p2
     spill_edges = (t_in / t_rot - 1.0) / jitter
     z1, w1 = _normal_rule(
-        arc * t_max / t_rot, arc * t_rot / p_min, spill_edges.max(), jitter, spill_edges, MAX_PERIOD_NODES
+        arc * t_max / t_rot, arc * t_rot / p_min, spill_edges.max(), jitter, spill_edges, MAX_PERIOD_NODES,
+        ((0.0,) * t_in.size, tuple(turn * t_in / t_rot), wobble),
     )
     if not spills:
         return z1, np.zeros_like(z1), w1
@@ -312,7 +393,14 @@ def _period_nodes(
         if p > t_max or r:
             z2, w2 = np.zeros(1), np.ones(1)
         else:
-            z2, w2 = _normal_rule(arc * (t_max - p) / t_rot, 0.0, 0.0, jitter, (), MAX_PERIOD_NODES - used)
+            # a spilled sample moves on from the full turn as (t - p1) / p2;
+            # the others stay where p1 put them
+            spilled = t_in >= p
+            base = tuple(turn * np.where(spilled, 1.0, t_in / p))
+            move = tuple(turn * np.where(spilled, t_in - p, 0.0) / t_rot)
+            z2, w2 = _normal_rule(
+                arc * (t_max - p) / t_rot, 0.0, -math.inf, jitter, (), MAX_PERIOD_NODES - used, (base, move, wobble)
+            )
         used += z2.size
         if used > MAX_PERIOD_NODES:
             raise _TooManyNodes
@@ -446,7 +534,7 @@ def _pixel_moments(
     t_in = strobe.t_phi_us - full_turns * t_rot + u  # time since the arming edge
     arc_ratio = (float(radii.max()) + 3.0 * math.sqrt(v + s2)) / math.sqrt(v)
     try:
-        z1, z2, w = _period_nodes(t_in, t_rot, strobe.jitter_frac, arc_ratio)
+        z1, z2, w = _period_nodes(t_in, t_rot, strobe.jitter_frac, arc_ratio, s2 / v)
     except _TooManyNodes:
         raise ValidationError(
             f"strobe.jitter_frac = {strobe.jitter_frac:g} with {arc_input} spreads the strobed "

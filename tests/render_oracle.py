@@ -51,7 +51,7 @@ def pixel_moments(grid, emitters, g, strobe, psf_width_um=0.3, substeps=7, axial
     u = (np.arange(substeps) + 0.5) * (strobe.t_pulse_us / substeps)
     t_in = strobe.t_phi_us - full_turns * t_rot + u
     arc_ratio = (float(radii.max()) + 3.0 * math.sqrt(v + s2)) / math.sqrt(v)
-    z1, z2, w = _period_nodes(t_in, t_rot, strobe.jitter_frac, arc_ratio)
+    z1, z2, w = _period_nodes(t_in, t_rot, strobe.jitter_frac, arc_ratio, s2 / v)
     p1 = t_rot * np.maximum(1.0 + strobe.jitter_frac * z1, 0.1)[:, None]
     p2 = t_rot * np.maximum(1.0 + strobe.jitter_frac * z2, 0.1)[:, None]
     theta = TWO_PI * np.where(t_in < p1, t_in / p1, 1.0 + (t_in - p1) / p2)

@@ -1641,8 +1641,8 @@ def _sha256(text: str) -> str:
 @pytest.mark.parametrize(
     "seed, digest",
     [
-        (1, "5ac6737e81fe66c435e223f170ec61e4f6e16b5cb52498a03955a6b93f4e9da6"),
-        (401, "1c25004593b5cc584a6fe9afa2f0a5072418c337e79cb81fd5e352050c998920"),
+        (1, "ce635d89255016b7b2ad150dbd43f9642be5024ff0d8aa83a10fa179a4d5c7d7"),
+        (401, "5344bf879aa9f002b103b72e9ddb8770bac689801487083423b743d55276a28a"),
     ],
 )
 def test_demo_pair_spot_lines_are_pinned(tmp_path, seed, digest):
@@ -1755,8 +1755,8 @@ def _pinned_outcome(tmp_path, run: str, seed: int) -> tuple[int, str]:
         ("image-x-min", 7, 0, "378231ca3a01c40262c4d4728026f1ca1a25aa250550f4db127be9a899de7e55"),
         ("image-emitter-cps", 1, 0, "ad60454c943314809214deb2cc2b775ad1ae9e099133b77a266c7cd03b8f03d6"),
         ("image-emitter-cps", 7, 0, "d5b08b1e3641d4dce51c74b94c6975531e6b39182e6c8b8a8869b5b748d785a4"),
-        ("image-three-emitters", 1, 0, "8e803cb9aa0595856dc7bacd4ca70f95747bc6dc0a97db9515c6262343cfb38e"),
-        ("image-three-emitters", 7, 0, "88543f9227275f8c1514251c294fd1f2178806dc191d38994986220cf0552e0c"),
+        ("image-three-emitters", 1, 0, "3dd525867459a51c36a14c1d0bb9ed9851dfc7e28fea979744870b253bf981ef"),
+        ("image-three-emitters", 7, 0, "1039a2628548d441a4f41f10032edc49211bbeefb82ac7772249e937b8f98999"),
         ("image-depth-stationary", 1, 0, "319e40fa1114bd68494f128daeb086b67d14b3ff2244bcfc51ef20d1f56b1a91"),
         ("image-depth-stationary", 7, 0, "f4e99e7e0e49ea6693615793bd39635fd7b404a5bb29ab682fd04d7ad229ad19"),
         ("compile-seq", 1, 0, "b5f8f8e287869cc3b5965e4d50081eff012cf0d323eacb228bf5134bf450f1fe"),

@@ -366,9 +366,9 @@ def test_an_emitter_that_reaches_no_candidate_moves_no_bit():
 @pytest.mark.parametrize(
     "seed, stationary, digest",
     [
-        (1, False, "ae7790efa5b76dc24e6dd7e0770f3651016796b58127686987b95dfe80bee2e3"),
+        (1, False, "d6872a397a7b0e494373d245a3da1899baf4db5fe6dca3e764fb92130cd402d0"),
         (1, True, "dc8e1f8336faa3520d21269d12dff0c377a91a6172797af54c290121253dd3d5"),
-        (401, False, "0854f466afd9076f2701696b4e88488ca56080541af4c6c3d065a60deeec691d"),
+        (401, False, "2a125f942d5a051d7a445945e9851a0335e8616c2429fbbd739544f77e9d2cea"),
         (401, True, "119f4c7178772ccf70c687b7d8aeb88c3f57c5c7ef978bbb9f3f57832c229810"),
     ],
 )
@@ -396,6 +396,7 @@ def test_clipped_periods_match_oracle():
 @pytest.mark.parametrize(
     "t_phi_us, jitter_frac, wobble_amp_um",
     [
+        (0.0, 0.004, 0.4243),  # the trigger edge: the fewest Gauss-Hermite nodes
         (150.0, 0.004, 0.4243),  # the default strobe: Gauss-Hermite
         (270.0, 0.004, 0.0),  # no wobble: the sharpest azimuthal profile
         (250.0, 0.02, 0.4243),  # a long jitter arc: composite Gauss-Legendre
@@ -417,6 +418,42 @@ def test_period_node_rule_matches_four_times_the_nodes(monkeypatch, t_phi_us, ji
     mean4, var4 = _pixel_moments(grid, SINGLE, G_DEFAULT, strobe)
     assert np.abs(mean - mean4).max() <= 1e-6 * mean4.max()
     assert np.abs(var - var4).max() <= 1e-6 * var4.max()
+
+
+def test_trigger_edge_moments_match_24_hermite_nodes(monkeypatch):
+    # the demo window on a 0.02 um grid: the fewest nodes keep both moments
+    # within the rule's own 1e-8 of their peaks
+    cfg = config_from_dict({"strobe": {"t_phi_us": 0.0}})
+    grid = ScanGrid(x_range_um=(7.0, 12.5), y_range_um=(-2.0, 5.2), step_um=0.02)
+    emitters = pipeline.default_emitters(cfg)
+    mean, var = _pixel_moments(grid, emitters, cfg.geometry, cfg.strobe)
+    monkeypatch.setattr(imaging, "_hermite_count", lambda *args: 24)
+    mean24, var24 = _pixel_moments(grid, emitters, cfg.geometry, cfg.strobe)
+    assert np.abs(mean - mean24).max() <= 1e-8 * mean24.max()
+    assert np.abs(var - var24).max() <= 1e-8 * var24.max()
+
+
+@pytest.mark.parametrize(
+    "t_phi_us, wobble_amp_um, nodes",
+    [
+        (0.0, 0.4243, 2),  # the trigger edge
+        (0.0, 0.0, 4),  # no wobble: the jitter alone spreads each pixel, so no node is dropped
+        (150.0, 0.4243, 19),  # the default strobe: the arc formula's count
+    ],
+)
+def test_period_node_counts_are_the_ones_max_period_nodes_quotes(monkeypatch, t_phi_us, wobble_amp_um, nodes):
+    sizes = []
+    real = imaging._period_nodes
+
+    def recorded(*args):
+        z1, z2, w = real(*args)
+        sizes.append(w.size)
+        return z1, z2, w
+
+    monkeypatch.setattr(imaging, "_period_nodes", recorded)
+    cfg = config_from_dict({"strobe": {"t_phi_us": t_phi_us, "wobble_amp_um": wobble_amp_um}})
+    _pixel_moments(small_grid(10.0, 0.0, half=0.5), pipeline.default_emitters(cfg), cfg.geometry, cfg.strobe)
+    assert sizes == [nodes]
 
 
 @pytest.mark.parametrize("plane", ["xy", "xz"])
