@@ -473,6 +473,15 @@ def test_pixels_far_off_the_orbit_raise_nothing(plane, stationary, strobe):
             assert not img.counts.any()
 
 
+def test_a_far_off_orbit_under_a_tiny_jitter_renders():
+    # a 1e140 um orbit under a 1e-200 jitter takes the Gauss-Hermite rule:
+    # its sizing lattice follows each sample's short path, wherever it sits
+    strobe = StrobeConfig(t_phi_us=0.0, jitter_frac=1e-200)
+    with np.errstate(all="raise"):
+        img = render_image(small_grid(0.0, 0.0, half=0.5, step=0.25), EmitterSet.single(1e140, 0.0), G_DEFAULT, strobe)
+    assert not img.counts.any()
+
+
 def test_counts_do_not_depend_on_block_size(monkeypatch):
     strobe = StrobeConfig(t_phi_us=150.0)
     grid = small_grid(-10.0, 0.0, half=1.0)
