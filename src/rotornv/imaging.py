@@ -230,6 +230,8 @@ def _gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _gauss_legendre = functools.lru_cache(maxsize=64)(leggauss)
+# the sample pairs i <= j of a block, in triangle order
+_triangle = functools.lru_cache(maxsize=16)(np.triu_indices)
 
 
 def _hermite_profiles(base, move, jitter, n, x) -> tuple[np.ndarray, np.ndarray]:
@@ -426,7 +428,7 @@ def _pair_sums(half, a, near, coef, cross) -> np.ndarray:
     """
     reached = near.any(axis=1)
     if not reached.all():
-        i, j = np.triu_indices(half.shape[0])
+        i, j = _triangle(half.shape[0])
         coef = coef[reached[i] & reached[j]]
         half, a, near = half[reached], a[reached], near[reached]
     n = half.shape[0]
@@ -563,7 +565,7 @@ def _pixel_moments(
     # each emitter, and last of all samples, in triangle order
     coefs = []
     for weights in [*(np.full(SUBSTEPS, x) for x in ce), np.repeat(ce, SUBSTEPS)]:
-        i, j = np.triu_indices(weights.size)
+        i, j = _triangle(weights.size)
         coefs.append(weights[i] * weights[j] * np.where(i == j, 1.0, 2.0))
     cos_k, sin_k = cos_t.T.copy(), sin_t.T.copy()  # (SUBSTEPS, nodes)
 
@@ -580,7 +582,9 @@ def _pixel_moments(
     reach = math.sqrt(80.0 * v)
     one_sided = radii.min() > math.sqrt(80.0 * (v + 2.0 * s2))
     long_arc = float(np.max(theta[:, -1] - theta[:, 0])) >= math.pi
-    first, last = theta[:, :1] + phases0, theta[:, -1:] + phases0  # (nodes, n_e)
+    # (nodes, n_e, 1): the pixels run along the last axis, so numpy's inner
+    # loops run over them and not over the few emitters
+    first, last = ((theta[:, k, None] + phases0)[:, :, None] for k in (0, -1))
     cos_f, sin_f, cos_l, sin_l = np.cos(first), np.sin(first), np.cos(last), np.sin(last)
 
     # Each candidate's samples then enter: a candidate whose samples all
@@ -594,15 +598,15 @@ def _pixel_moments(
     m1 = np.zeros(gx.size)
     m2 = np.zeros(gx.size)
     for lo in range(0, gx.size, step):
-        x, y = gx[lo : lo + step, None, None], gy[lo : lo + step, None, None]
-        lat_f, lat_l = x * sin_f - y * cos_f, x * sin_l - y * cos_l  # (pixels, nodes, n_e)
+        x, y = gx[lo : lo + step], gy[lo : lo + step]
+        lat_f, lat_l = x * sin_f - y * cos_f, x * sin_l - y * cos_l  # (nodes, n_e, pixels)
         near = (lat_f * lat_l <= 0.0) | (np.minimum(np.abs(lat_f), np.abs(lat_l)) < reach) | long_arc
         if one_sided:
             near &= (x * cos_f + y * sin_f > 0.0) | (x * cos_l + y * sin_l > 0.0) | long_arc
-        admitted = near.sum(axis=2)
+        admitted = near.sum(axis=1).T  # (pixels, nodes): nonzero takes the candidates in that order
         pix, node = np.nonzero(admitted)
         # the one emitter each candidate is evaluated for, or n_e for all of them
-        owner = np.where(admitted[pix, node] == 1, near[pix, node].argmax(axis=1), n_e)
+        owner = np.where(admitted[pix, node] == 1, near[node, :, pix].argmax(axis=1), n_e)
         one, pair = np.zeros(pix.size), np.zeros(pix.size)
         # those admitted for several emitters first, on every sample: one
         # that a single emitter reaches joins that emitter's candidates, one
@@ -627,6 +631,8 @@ def _pixel_moments(
                 # kept: those several emitters reach in the first pass, and
                 # those the pass's emitter reaches in its own
                 k = np.flatnonzero(n_reached > (e == n_e))
+                if not k.size:
+                    continue
                 # np.take keeps the columns C-ordered, as _column_sums needs
                 a, h2, ok = (np.take(z.reshape(-1, r.size), k, axis=1) for z in (a, h2, ok))
                 r, wn = r[k], w[n[k]]
@@ -634,8 +640,8 @@ def _pixel_moments(
                 # the pair exponent, expanded: half[i] + half[j] + cross a_i a_j
                 half = -h2 / (2.0 * v) - a**2 * (1.0 / (4.0 * (v + 2.0 * s2)) + 1.0 / (4.0 * v))
                 pair[r] = _pair_sums(half, a, ok, coefs[e], cross) * wn
-        m1[lo : lo + step] = np.bincount(pix, weights=one, minlength=x.shape[0])
-        m2[lo : lo + step] = np.bincount(pix, weights=pair, minlength=x.shape[0])
+        m1[lo : lo + step] = np.bincount(pix, weights=one, minlength=x.size)
+        m2[lo : lo + step] = np.bincount(pix, weights=pair, minlength=x.size)
     m1 *= math.sqrt(v / (v + s2))
     m2 *= math.sqrt(v / (v + 2.0 * s2))
     dz = np.repeat(np.exp(depth_arg), xs.size)
