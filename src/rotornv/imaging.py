@@ -276,7 +276,8 @@ def _hermite_count(base: tuple, move: tuple, wobble: float, jitter: float, cap: 
     ahead = move / (1.0 - jitter * _Z_TAIL) - move
     first = np.floor((base + move + back - _SIZE_REACH) / _SIZE_STEP)
     count = math.ceil(float(np.max(ahead - back) + 2.0 * _SIZE_REACH) / _SIZE_STEP) + 1
-    x = _SIZE_STEP * np.unique(first[:, None] + np.arange(count))
+    # a set, not np.unique: numpy's first sort maps in ~1 MB of kernels
+    x = _SIZE_STEP * np.array(sorted(set((first[:, None] + np.arange(count)).ravel().tolist())))
     m1, m2 = _hermite_profiles(base, move, jitter, cap + 8, x)
     a_sq = _RADIAL_OFFSETS**2 * (1.0 + 2.0 * wobble)
     f1 = (np.exp(-a_sq / (1.0 + wobble)) / (1.0 + wobble))[:, None]  # A1^2
