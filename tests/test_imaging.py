@@ -437,6 +437,7 @@ def test_trigger_edge_moments_match_24_hermite_nodes(monkeypatch):
     "t_phi_us, wobble_amp_um, nodes",
     [
         (0.0, 0.4243, 2),  # the trigger edge
+        (0.0, 0.1, 3),  # less wobble: 2 nodes would leave the variance 1.2e-8 of its peak off
         (0.0, 0.0, 4),  # no wobble: the jitter alone spreads each pixel, so no node is dropped
         (150.0, 0.4243, 19),  # the default strobe: the arc formula's count
     ],
