@@ -423,12 +423,14 @@ def _pair_sums(half, a, near, coef, cross) -> np.ndarray:
     ``half``, ``a`` and ``near`` are (samples, candidates); a pair with a
     sample not ``near`` adds an exact zero.  The pair terms are built row
     by row of the triangle i <= j and added one after another in that
-    order, as bincount adds them (:func:`_column_sums`).  A sample that no
-    candidate reaches is dropped with its pairs before any is evaluated:
-    adding their exact zeros moves no bit of a sum.
+    order, as bincount adds them (:func:`_column_sums`).  In a block of
+    several emitters' samples, a sample that no candidate reaches is
+    dropped with its pairs before any is evaluated: adding their exact
+    zeros moves no bit of a sum.  One emitter's block is kept whole, as
+    the check costs it more than it saves.
     """
-    reached = near.any(axis=1)
-    if not reached.all():
+    reached = near.any(axis=1) if half.shape[0] > SUBSTEPS else True
+    if not np.all(reached):
         i, j = _triangle(half.shape[0])
         coef = coef[reached[i] & reached[j]]
         half, a, near = half[reached], a[reached], near[reached]
@@ -583,9 +585,7 @@ def _pixel_moments(
     reach = math.sqrt(80.0 * v)
     one_sided = radii.min() > math.sqrt(80.0 * (v + 2.0 * s2))
     long_arc = float(np.max(theta[:, -1] - theta[:, 0])) >= math.pi
-    # (nodes, n_e, 1): the pixels run along the last axis, so numpy's inner
-    # loops run over them and not over the few emitters
-    first, last = ((theta[:, k, None] + phases0)[:, :, None] for k in (0, -1))
+    first, last = theta[:, :1] + phases0, theta[:, -1:] + phases0  # (nodes, n_e)
     cos_f, sin_f, cos_l, sin_l = np.cos(first), np.sin(first), np.cos(last), np.sin(last)
 
     # Each candidate's samples then enter: a candidate whose samples all
@@ -599,15 +599,15 @@ def _pixel_moments(
     m1 = np.zeros(gx.size)
     m2 = np.zeros(gx.size)
     for lo in range(0, gx.size, step):
-        x, y = gx[lo : lo + step], gy[lo : lo + step]
-        lat_f, lat_l = x * sin_f - y * cos_f, x * sin_l - y * cos_l  # (nodes, n_e, pixels)
+        x, y = gx[lo : lo + step, None, None], gy[lo : lo + step, None, None]
+        lat_f, lat_l = x * sin_f - y * cos_f, x * sin_l - y * cos_l  # (pixels, nodes, n_e)
         near = (lat_f * lat_l <= 0.0) | (np.minimum(np.abs(lat_f), np.abs(lat_l)) < reach) | long_arc
         if one_sided:
             near &= (x * cos_f + y * sin_f > 0.0) | (x * cos_l + y * sin_l > 0.0) | long_arc
-        admitted = near.sum(axis=1).T  # (pixels, nodes): nonzero takes the candidates in that order
+        admitted = near.sum(axis=2)
         pix, node = np.nonzero(admitted)
         # the one emitter each candidate is evaluated for, or n_e for all of them
-        owner = np.where(admitted[pix, node] == 1, near[node, :, pix].argmax(axis=1), n_e)
+        owner = np.where(admitted[pix, node] == 1, near[pix, node].argmax(axis=1), n_e)
         one, pair = np.zeros(pix.size), np.zeros(pix.size)
         # those admitted for several emitters first, on every sample: one
         # that a single emitter reaches joins that emitter's candidates, one
@@ -641,8 +641,8 @@ def _pixel_moments(
                 # the pair exponent, expanded: half[i] + half[j] + cross a_i a_j
                 half = -h2 / (2.0 * v) - a**2 * (1.0 / (4.0 * (v + 2.0 * s2)) + 1.0 / (4.0 * v))
                 pair[r] = _pair_sums(half, a, ok, coefs[e], cross) * wn
-        m1[lo : lo + step] = np.bincount(pix, weights=one, minlength=x.size)
-        m2[lo : lo + step] = np.bincount(pix, weights=pair, minlength=x.size)
+        m1[lo : lo + step] = np.bincount(pix, weights=one, minlength=x.shape[0])
+        m2[lo : lo + step] = np.bincount(pix, weights=pair, minlength=x.shape[0])
     m1 *= math.sqrt(v / (v + s2))
     m2 *= math.sqrt(v / (v + 2.0 * s2))
     dz = np.repeat(np.exp(depth_arg), xs.size)
