@@ -429,11 +429,12 @@ def _pair_sums(half, a, near, coef, cross) -> np.ndarray:
     zeros moves no bit of a sum.  One emitter's block is kept whole, as
     the check costs it more than it saves.
     """
-    reached = near.any(axis=1) if half.shape[0] > SUBSTEPS else True
-    if not np.all(reached):
-        i, j = _triangle(half.shape[0])
-        coef = coef[reached[i] & reached[j]]
-        half, a, near = half[reached], a[reached], near[reached]
+    if half.shape[0] > SUBSTEPS:
+        reached = near.any(axis=1)
+        if not reached.all():
+            i, j = _triangle(half.shape[0])
+            coef = coef[reached[i] & reached[j]]
+            half, a, near = half[reached], a[reached], near[reached]
     n = half.shape[0]
     exponent = np.empty((n * (n + 1) // 2, half.shape[1]))
     both = np.empty(exponent.shape, dtype=bool)
