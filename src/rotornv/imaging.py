@@ -12,7 +12,9 @@ A pixel's expected count lambda is a sum of i.i.d. per-cycle terms, so
 the render needs only their mean and variance, which every pixel shares
 the form of: the wobble integral is closed-form (Gaussian radius, Gaussian
 PSF), and the period draws are integrated by quadrature whose node count
-follows from the jitter arc over the PSF width.  Counts are Poisson in a
+follows from the jitter arc over the PSF width; a short arc takes the
+fewest Gauss-Hermite nodes that keep both moments within 1e-8 of their
+peaks.  Counts are Poisson in a
 Gamma-distributed lambda with those moments, drawn over the whole image
 from one generator seeded by the image seed.  Each quadrature node's
 rotor angle gets one sin/cos pair, shared by all emitters: since
@@ -269,9 +271,10 @@ def _hermite_count(base: tuple, move: tuple, wobble: float, jitter: float, cap: 
     large arc misses the target at cap - 1 and stops there.
     """
     base, move = np.array(base), np.array(move)
-    # each sample's path over |z| <= _Z_TAIL, about where it sits at z = 0:
-    # its length, under 13 r <= 31 on this rule's arcs, sets the lattice
-    # points per sample, so no far-off position can ask for more
+    # each sample's path over |z| <= _Z_TAIL, about where it sits at z = 0;
+    # the longest path sets the lattice points per sample (it is at most
+    # 13 r <= 31 long, as r <= 2.35 at 64 nodes), so a sample however far
+    # off asks for no more
     back = move / (1.0 + jitter * _Z_TAIL) - move
     ahead = move / (1.0 - jitter * _Z_TAIL) - move
     first = np.floor((base + move + back - _SIZE_REACH) / _SIZE_STEP)
