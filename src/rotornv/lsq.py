@@ -195,10 +195,19 @@ def full_jacobian(u: np.ndarray, du: np.ndarray, a: float, sigma: np.ndarray) ->
 
 
 def check_identified(jac: np.ndarray) -> None:
-    """Raise IdentifiabilityError if ``jac`` has condition above _MAX_CONDITION."""
+    """Raise IdentifiabilityError if ``jac`` has condition above _MAX_CONDITION.
+
+    The message quotes the condition only where it is resolved: at or below
+    numpy's rank tolerance (sv_max max(m, n) eps), the smallest singular
+    value is rounding noise and the Jacobian is called rank-deficient.
+    """
     sv = np.linalg.svd(jac, compute_uv=False)
     if sv[0] <= 0 or sv[-1] / sv[0] < 1.0 / _MAX_CONDITION:
+        if sv[-1] <= sv[0] * max(jac.shape) * np.finfo(float).eps:  # True where sv[0] is 0
+            condition = "numerically rank-deficient"
+        else:
+            condition = f"condition {sv[0] / sv[-1]:.3g}"
         raise IdentifiabilityError(
-            f"singular Jacobian at the optimum (condition {sv[0] / max(sv[-1], 1e-300):.3g}); "
+            f"singular Jacobian at the optimum ({condition}); "
             "one or more parameters are unconstrained by the data"
         )

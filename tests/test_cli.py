@@ -1702,8 +1702,10 @@ _PINNED_RUNS = {
     "image": ("simulate-image",),
     "image-stationary": ("simulate-image", "--stationary"),
     "image-csv": ("simulate-image", "--format", "csv"),
-    # one bound given, the other three from the window centred on the spots
+    # one bound given, the other three from the window centred on the spots;
+    # at seed 7 the fit of spot 0 is refused as numerically rank-deficient
     "image-x-min": ("simulate-image", "--x-min", "-9"),
+    # its spot fit is refused: the Jacobian is numerically rank-deficient
     "image-emitter-cps": ("simulate-image", "--emitters", "10,0,300"),
     # the three-emitter render smoke run's 8 us strobe and window
     "image-three-emitters": ("simulate-image", "--emitters", "10,0;9.9,1.2;9.7,2.7",
@@ -1752,9 +1754,9 @@ def _pinned_outcome(tmp_path, run: str, seed: int) -> tuple[int, str]:
         ("image-csv", 1, 0, "4947d13dfe579fa2afae2c8284aec528fb6680ec0a53aba2395e3493afbe7157"),
         ("image-csv", 7, 0, "eabf55e0f6b1c14ca62afe178490e46572fdc75b5add0f87068c440123cd2ce7"),
         ("image-x-min", 1, 0, "732885ea03cafd95accaff955173c4811d1a6c9be987340397dc7ddc59bd353c"),
-        ("image-x-min", 7, 0, "378231ca3a01c40262c4d4728026f1ca1a25aa250550f4db127be9a899de7e55"),
-        ("image-emitter-cps", 1, 0, "ad60454c943314809214deb2cc2b775ad1ae9e099133b77a266c7cd03b8f03d6"),
-        ("image-emitter-cps", 7, 0, "d5b08b1e3641d4dce51c74b94c6975531e6b39182e6c8b8a8869b5b748d785a4"),
+        ("image-x-min", 7, 0, "bbb6ef98f8c6cc12303b9f131e688e055e687b5cc1fd1d5d376e219a1c37eb12"),
+        ("image-emitter-cps", 1, 0, "58909d34b20723e544816db667dc9c199a4db7be753a13363d8cf93391eca16f"),
+        ("image-emitter-cps", 7, 0, "439f88b01e528e9021ee9d4872dfe90a14bda5fadc9df41ec4bf3d7bea39075e"),
         ("image-three-emitters", 1, 0, "3dd525867459a51c36a14c1d0bb9ed9851dfc7e28fea979744870b253bf981ef"),
         ("image-three-emitters", 7, 0, "1039a2628548d441a4f41f10032edc49211bbeefb82ac7772249e937b8f98999"),
         ("image-depth-stationary", 1, 0, "319e40fa1114bd68494f128daeb086b67d14b3ff2244bcfc51ef20d1f56b1a91"),

@@ -96,7 +96,33 @@ class TestLevenbergMarquardt:
         assert calls == {"residual": 1, "jacobian": 1}
 
 
-@pytest.mark.parametrize("f_rot_hz", [0.0, -3333.33, math.inf, math.nan, 1e308, 3e-303, 1e-320, 6e305])
+class TestCheckIdentified:
+    COLUMN = np.linspace(1.0, 2.0, 30)
+
+    @pytest.mark.parametrize(
+        "jac",
+        [np.column_stack([COLUMN, COLUMN, COLUMN**2]), np.zeros((30, 3))],
+        ids=["duplicated-column", "zero"],
+    )
+    def test_rank_deficient_text_quotes_no_rounding_noise(self, jac):
+        # the condition of a duplicated column is the ratio of sv_max to a
+        # rounding-level sv_min (3.47e+21 or 1e+21 after a last-bit change),
+        # and a zero Jacobian printed "condition 0"
+        with pytest.raises(IdentifiabilityError) as info:
+            lsq.check_identified(jac)
+        assert "(numerically rank-deficient)" in str(info.value)
+        assert "condition" not in str(info.value)
+
+    def test_resolved_condition_is_quoted(self):
+        jac = np.column_stack([self.COLUMN, 1e-13 * self.COLUMN**2])
+        with pytest.raises(IdentifiabilityError, match=r"singular Jacobian at the optimum \(condition [0-9.]+e\+1[3-5]\)"):
+            lsq.check_identified(jac)
+
+    def test_identified_jacobian_passes(self):
+        lsq.check_identified(np.column_stack([self.COLUMN, self.COLUMN**2]))
+
+
+@pytest.mark.parametrize("f_rot_hz",[0.0, -3333.33, math.inf, math.nan, 1e308, 3e-303, 1e-320, 6e305])
 def test_fit_model_refuses_the_rotation_rates_the_geometry_refuses(f_rot_hz):
     # each once reached phase_factor as a NaN or a numpy RuntimeWarning
     with pytest.raises(ValidationError) as want:
