@@ -344,8 +344,15 @@ def _build_section(cls, data: dict, path: str):
         raise ValidationError(f"{path}: unknown key(s) {sorted(unknown)}; known keys: {sorted(defaults)}")
     for key, val in data.items():
         _check_number_type(f"{path}.{key}", val, defaults[key])
-    # tuples arrive as lists from JSON
-    kwargs = {key: tuple(val) if isinstance(val, list) else val for key, val in data.items()}
+    # tuples arrive as lists from JSON; an int in a float field becomes the
+    # float it spells, so 150 and 150.0 give one config (and one hash), while
+    # an int beyond the float range stays an int for the range check to refuse
+    kwargs = {
+        key: tuple(val) if isinstance(val, list)
+        else float(val) if type(defaults[key]) is float and abs(val) <= sys.float_info.max
+        else val
+        for key, val in data.items()
+    }
     if cls is FieldConfig and "mw_dir" in kwargs:
         try:
             # exact for ints of any size: unit() cannot convert one beyond the float range

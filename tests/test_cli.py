@@ -1714,6 +1714,7 @@ _PINNED_RUNS = {
                              "--step", "0.1"),
     "image-depth-stationary": ("simulate-image", "--plane", "xz", "--stationary"),
     "compile-seq": ("compile-seq",),
+    # an int given for a float field is written as a float: theta_b_deg 3.0
     "dump-config": ("dump-config", "--set", "field.theta_b_deg=3", "--set", "strobe.t_phi_us=2.5"),
     # the three 400-point scans of the dense-scan benchmark workload
     "dense-rabi-start": ("simulate-rabi", "--durations", "0:1.1:400", "--pulse-at", "start"),
@@ -1763,8 +1764,8 @@ def _pinned_outcome(tmp_path, run: str, seed: int) -> tuple[int, str]:
         ("image-depth-stationary", 7, 0, "f4e99e7e0e49ea6693615793bd39635fd7b404a5bb29ab682fd04d7ad229ad19"),
         ("compile-seq", 1, 0, "b5f8f8e287869cc3b5965e4d50081eff012cf0d323eacb228bf5134bf450f1fe"),
         ("compile-seq", 7, 0, "b5f8f8e287869cc3b5965e4d50081eff012cf0d323eacb228bf5134bf450f1fe"),
-        ("dump-config", 1, 0, "c0c9c67c35a2aaaf6b8f70d09f7e64c2c57dfa1ceffd838e03347545e0c0f0fc"),
-        ("dump-config", 7, 0, "5a199d1f5825523cca0388ac0e95c63a1c58ded3399acf28b96acdeb75bef431"),
+        ("dump-config", 1, 0, "1c710525720bffe20447c1dbd17e4f8a4dd9d547fa12d8d84194abb87ac5b5e0"),
+        ("dump-config", 7, 0, "cf9d13e44f1b774498c28d2a0be3fc8b1fa0881d559bb36cc6cebd2cd50eead4"),
         ("dense-rabi-start", 1, 0, "7fef3d7692281afb33b5f575c24a086076bb6b6f0c8e32c3702ebcea3722c3cb"),
         ("dense-rabi-start", 7, 0, "f6ec1d9eafce2d48270606ba2d31c797e15f91f4e5097b522e2543833551b50a"),
         ("dense-rabi-half", 1, 0, "4314bc3f89ad8a34a27b233977faa2a1607dee3409567438a9dde38a5e4595b9"),

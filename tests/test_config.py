@@ -6,6 +6,7 @@ import pytest
 
 from rotornv.config import (
     _SECTIONS,
+    apply_overrides,
     BeamProfile,
     config_from_dict,
     FieldConfig,
@@ -154,3 +155,15 @@ def test_loader_refuses_a_non_finite_value_naming_the_dotted_key(cls, name, valu
 def test_loader_names_the_dotted_key_of_a_section_refusal(section, key, value, message):
     with pytest.raises(ValidationError, match=rf"^{section}\.{key} {message}"):
         config_from_dict({section: {key: value}})
+
+
+@pytest.mark.parametrize("override", ["strobe.t_phi_us=150", "field.theta_b_deg=3", "geometry.r_nv_um=10"])
+def test_an_int_in_a_float_field_is_the_float_it_spells(override):
+    # "--set strobe.t_phi_us=150" stored the int 150, whose config hash differed
+    # from that of the default 150.0 and of "=150.0"
+    key, _, value = override.partition("=")
+    as_int = apply_overrides(config_from_dict({}), [override])
+    as_float = apply_overrides(config_from_dict({}), [f"{key}={value}.0"])
+    section, name = key.split(".")
+    assert type(as_int.to_dict()[section][name]) is float
+    assert as_int.sha256() == as_float.sha256()
