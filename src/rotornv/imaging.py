@@ -717,6 +717,37 @@ def render_image(
     )
 
 
+def _spot_gram(rows: np.ndarray, offsets: np.ndarray, axes: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Fill rows[:5] with the spot basis and its derivative rows at p; return rows @ rows[4:].T.
+
+    The basis is u = exp(-2 (dr^2/sr^2 + da^2/sa^2)) at p = (mx, my, sr,
+    sa), with dr, da the pixel offsets (``offsets``, (2, n), on the radial
+    and azimuthal rows of ``axes``) from the centre (mx, my).  rows[4]
+    takes u and rows[:4] take u hr, u ha, u hr dr, u ha da, with hr =
+    -2 dr/sr^2 and ha = -2 da/sa^2: u's derivatives in p are
+    _spot_derivatives(axes, p) @ rows[:4].  rows[5:] hold 1 and the
+    counts, so the product holds every sum the fit takes (a (7, 3)
+    product: OpenBLAS's syrk for rows @ rows.T took 3x as long).
+    """
+    d, h, u = rows[2:4], rows[:2], rows[4]
+    np.subtract(offsets, (axes @ p[:2])[:, None], out=d)
+    np.multiply(d, [[-2.0 / p[2] ** 2], [-2.0 / p[3] ** 2]], out=h)
+    d *= h
+    np.exp(np.add(d[0], d[1], out=u), out=u)
+    rows[:4] *= u
+    return rows @ rows[4:].T
+
+
+def _spot_derivatives(out: np.ndarray, axes: np.ndarray, p: np.ndarray, scale: float) -> np.ndarray:
+    """``out`` with out[:4, :4] set to ``scale`` x the map from _spot_gram's rows[:4] to u's derivatives in p.
+
+    The rest of out[:4, :4] must be zero.
+    """
+    out[:2, :2] = (-2.0 * scale) * axes.T
+    out[2, 2], out[3, 3] = -2.0 * scale / p[2], -2.0 * scale / p[3]
+    return out
+
+
 def fit_spot_width(image: StrobedImage, initial_center_um: tuple[float, float]) -> tuple[float, float]:
     """1/e^2 widths (radial, azimuthal) of a spot from a 2-D Gaussian fit.
 
@@ -732,53 +763,76 @@ def fit_spot_width(image: StrobedImage, initial_center_um: tuple[float, float]) 
     """
     cx, cy = initial_center_um
     xs, ys = image.x_um, image.y_um
-    sel_x = np.abs(xs - cx) <= SPOT_FIT_RADIUS_UM
-    sel_y = np.abs(ys - cy) <= SPOT_FIT_RADIUS_UM
-    if sel_x.sum() < 4 or sel_y.sum() < 4:
+    # the pixels within the radius are one range of each (sorted) axis
+    sel_x = np.flatnonzero(np.abs(xs - cx) <= SPOT_FIT_RADIUS_UM)
+    sel_y = np.flatnonzero(np.abs(ys - cy) <= SPOT_FIT_RADIUS_UM)
+    if sel_x.size < 4 or sel_y.size < 4:
         raise ValidationError("fit window contains too few pixels")
-    sub = image.counts[np.ix_(sel_y, sel_x)].astype(float)
-    gx, gy = np.meshgrid(xs[sel_x], ys[sel_y])
+    win_x, win_y = slice(sel_x[0], sel_x[-1] + 1), slice(sel_y[0], sel_y[-1] + 1)
+    sub = image.counts[win_y, win_x].astype(float)
 
-    peak_idx = np.unravel_index(np.argmax(sub), sub.shape)
-    if sub[peak_idx] <= 0:
+    peak_y, peak_x = np.unravel_index(np.argmax(sub), sub.shape)
+    if sub[peak_y, peak_x] <= 0:
         raise ValidationError("no counts near the requested centre")
 
     r_norm = math.hypot(cx, cy)
     u_r = np.array([cx, cy]) / r_norm if r_norm > 1e-9 else np.array([1.0, 0.0])
-    u_a = np.array([-u_r[1], u_r[0]])
+    axes = np.array([u_r, [-u_r[1], u_r[0]]])  # radial and azimuthal unit vectors
 
-    flat = sub.ravel()
     # pixel coordinates along the radial and azimuthal axes
-    pr = gx.ravel() * u_r[0] + gy.ravel() * u_r[1]
-    pa = gx.ravel() * u_a[0] + gy.ravel() * u_a[1]
+    offsets = (xs[win_x] * axes[:, :1, None] + ys[win_y, None] * axes[:, 1:, None]).reshape(2, -1)
     # unweighted (sigma 1 on every pixel): sqrt-count weights bias the widths
     # low at the count levels strobed images reach, because empty wing
     # pixels dominate; weights from the render's model variance would move
     # the widths, which needs a bias study against the known widths first
-    ones = np.ones_like(flat)
+    rows = np.empty((7, sub.size))
+    rows[5], rows[6] = 1.0, sub.ravel()
+    latest = [b""]  # x, sums, amplitude, background at the last x only
 
-    def basis(p):
-        """exp(-2 (dr^2/sr^2 + da^2/sa^2)) and its derivatives in p = (mx, my, sr, sa)."""
-        mx, my, sr, sa = p
-        dr = pr - (mx * u_r[0] + my * u_r[1])
-        da = pa - (mx * u_a[0] + my * u_a[1])
-        u = np.exp(dr * dr * (-2.0 / sr**2) + da * da * (-2.0 / sa**2))
-        gr, ga = u * dr * (4.0 / sr**2), u * da * (4.0 / sa**2)
-        du = np.empty((4, u.size))
-        du[:2], du[2], du[3] = u_r[:, None] * gr + u_a[:, None] * ga, gr * dr / sr, ga * da / sa
-        return u, du
+    # variable projection (as lsq.fit_separable, with every sum from one
+    # product): the pair (amplitude clamped at 0, background) solved from the
+    # sums of u, 1 and the counts, and Kaufman's Jacobian a (du - P du), P
+    # the projection onto the free linear columns, from the sums of du with them
+    def residual(x):
+        sums = _spot_gram(rows, offsets, axes, x)
+        (s_uu, s_u, s_uy), (s_1, s_y) = sums[4].tolist(), sums[5, 1:].tolist()
+        det = s_uu * s_1 - s_u * s_u
+        amp = (s_uy * s_1 - s_u * s_y) / det if abs(det) >= 1e-300 else math.nan
+        if amp > 0.0:  # False for NaN
+            bg = (s_uu * s_y - s_u * s_uy) / det
+        else:
+            amp, bg = 0.0, s_y / s_1
+        latest[:] = x.tobytes(), sums, amp, bg
+        return np.array([amp, bg, -1.0]) @ rows[4:]
 
-    x0 = np.array([gx[peak_idx], gy[peak_idx], 0.5, 0.5])
-    lm, amp, bg, u, du = lsq.fit_separable(basis, flat, ones, x0, 0.0, max_iter=300)
+    def jacobian(x):
+        if latest[0] != x.tobytes():
+            residual(x)
+        _, sums, amp, _ = latest
+        (s_uu, s_u, _), s_1 = sums[4].tolist(), sums[5, 1]
+        coef = _spot_derivatives(np.zeros((4, 6)), axes, x, amp)
+        if amp > 0.0:  # minus the rows' least-squares coefficients on (u, 1)
+            coef[:, 4:] = coef[:, :4] @ (sums[:4, :2] @ [[-s_1, s_u], [s_u, -s_uu]]) / (s_uu * s_1 - s_u * s_u)
+        else:
+            coef[:, 5] = coef[:, :4] @ sums[:4, 1] / -s_1
+        return (coef @ rows[:6]).T
+
+    x0 = np.array([xs[win_x][peak_x], ys[win_y][peak_y], 0.5, 0.5])
+    lm = lsq.levenberg_marquardt(residual, jacobian, x0, max_iter=300)
+    if latest[0] != lm.x.tobytes():
+        residual(lm.x)
+    _, _, amp, bg = latest
+    u = rows[4]
     # the amplitude's standard error at the fitted shape; Poisson counts
     # vary at least as much as the background
     with np.errstate(divide="ignore", invalid="ignore"):
-        amp_se = math.sqrt(max(2.0 * lm.cost / (flat.size - 6), bg) / np.sum((u - u.mean()) ** 2))
+        amp_se = math.sqrt(max(2.0 * lm.cost / (u.size - 6), bg) / np.sum((u - u.mean()) ** 2))
     if not (lm.converged and amp > 10.0 * amp_se):
         raise FitError(
             f"spot fit {'found no spot' if lm.converged else 'did not converge'}: amplitude "
             f"{amp:.4g} +- {amp_se:.3g} counts, cost={lm.cost:.4g}, grad={lm.grad_norm:.4g}, "
             f"params={np.round(lm.x, 4).tolist()}"
         )
-    lsq.check_identified(lsq.full_jacobian(u, du, amp, ones))
+    # the full Jacobian, in (mx, my, sr, sa, amplitude, background)
+    lsq.check_identified((_spot_derivatives(np.eye(6), axes, lm.x, amp) @ rows[:6]).T)
     return abs(float(lm.x[2])), abs(float(lm.x[3]))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rotornv import estimation, lsq
+from rotornv import estimation, imaging, lsq
 from rotornv.errors import IdentifiabilityError, ValidationError
 from rotornv.estimation import (
     ECHO_PARAM_NAMES,
@@ -122,7 +122,7 @@ class TestCheckIdentified:
         lsq.check_identified(np.column_stack([self.COLUMN, self.COLUMN**2]))
 
 
-@pytest.mark.parametrize("f_rot_hz",[0.0, -3333.33, math.inf, math.nan, 1e308, 3e-303, 1e-320, 6e305])
+@pytest.mark.parametrize("f_rot_hz", [0.0, -3333.33, math.inf, math.nan, 1e308, 3e-303, 1e-320, 6e305])
 def test_fit_model_refuses_the_rotation_rates_the_geometry_refuses(f_rot_hz):
     # each once reached phase_factor as a NaN or a numpy RuntimeWarning
     with pytest.raises(ValidationError) as want:
@@ -524,11 +524,10 @@ def _basis_passes(monkeypatch, fit, *args):
 @pytest.mark.parametrize(
     "fit, args",
     [
-        (fit_spot_width, (_spot_image(3), (10.0, 0.0))),
         (fit_rabi, (_rabi_scan(np.random.default_rng(3), np.linspace(0.0, 1.1, 40), 3.6, -0.25, 0.02),)),
         (fit_echo, (synth_dataset(noise_seed=3), MODEL)),
     ],
-    ids=["spot", "rabi", "echo"],
+    ids=["rabi", "echo"],
 )
 def test_one_basis_pass_per_residual_evaluation(monkeypatch, fit, args):
     # the Jacobian reuses the basis of the residual at its x; one more pass
@@ -537,3 +536,33 @@ def test_one_basis_pass_per_residual_evaluation(monkeypatch, fit, args):
     assert counts and all(residuals > 1 for _, residuals in counts)
     for basis_calls, residuals in counts:
         assert basis_calls <= residuals + 1
+
+
+def test_spot_jacobian_reuses_the_residuals_sums(monkeypatch):
+    # the spot fit evaluates its basis and sums in imaging._spot_gram; the
+    # Jacobian takes those of the residual at its x, so a Jacobian that built
+    # them again would add one pass per Jacobian; one more pass may follow
+    # LM, when its last trial was rejected
+    calls = {"gram": 0, "residual": 0, "jacobian": 0}
+    real_gram, real_lm = imaging._spot_gram, lsq.levenberg_marquardt
+
+    def counting_gram(*args):
+        calls["gram"] += 1
+        return real_gram(*args)
+
+    def counting_lm(residual, jacobian, x0, **kw):
+        def counted_residual(x):
+            calls["residual"] += 1
+            return residual(x)
+
+        def counted_jacobian(x):
+            calls["jacobian"] += 1
+            return jacobian(x)
+
+        return real_lm(counted_residual, counted_jacobian, x0, **kw)
+
+    monkeypatch.setattr(imaging, "_spot_gram", counting_gram)
+    monkeypatch.setattr(lsq, "levenberg_marquardt", counting_lm)
+    fit_spot_width(_spot_image(3), (10.0, 0.0))
+    assert calls["jacobian"] > 1
+    assert calls["gram"] <= calls["residual"] + 1

@@ -624,6 +624,31 @@ class TestFitSpotWidth:
         # the widths of the fit that waited out the rejected steps
         np.testing.assert_allclose(widths, (0.2691223361812633, 0.2880290088969206), rtol=0, atol=1e-8)
 
+    # the demo pair's widths (rotating spots 0 and 1, then stationary) as the
+    # fit through lsq.fit_separable gave them, to full precision
+    DEMO_WIDTHS = {
+        1: [
+            (0.8985553191117347, 0.4124841194242473),
+            (0.8754777763091335, 0.38180345924190845),
+            (0.2981322723388782, 0.30050649695762066),
+            (0.2700222739121237, 0.3406667438837047),
+        ],
+        401: [
+            (0.8755858480073968, 0.38306302369870204),
+            (0.8100855796950261, 0.39809759786543186),
+            (0.29826187197715076, 0.3073440725615662),
+            (0.29898028587437364, 0.29293855852763395),
+        ],
+    }
+
+    @pytest.mark.parametrize("seed", sorted(DEMO_WIDTHS))
+    def test_demo_pair_widths_are_pinned(self, seed):
+        widths = []
+        for stationary in (False, True):
+            img, centers = demo_image(seed, stationary)
+            widths += [fit_spot_width(img, center) for center in centers]
+        np.testing.assert_allclose(widths, self.DEMO_WIDTHS[seed], rtol=0, atol=1e-8)
+
     def test_widths_match_the_six_parameter_oracle(self):
         # the demo pair (rotating and stationary, strobed at the trigger
         # edge) over 20 seeds: 80 spots, none refused by either fit
