@@ -31,7 +31,8 @@ from . import lsq
 from .config import PhysicalConstants, check_f_rot_hz
 from .errors import IdentifiabilityError, ValidationError
 # perfbench/spantrace.py finds levenberg_marquardt on this module and rebinds
-# that object in lsq too, where fit_separable looks it up at call time
+# that object in lsq too, where fit_separable and imaging.fit_spot_width
+# look it up at call time
 from .lsq import levenberg_marquardt  # noqa: F401
 from .spindyn import EchoParams, c13_envelope, echo_ac_phase
 

@@ -29,9 +29,10 @@ for several emitters, on every sample, then each emitter's own, on that
 emitter's samples alone.
 Widths are quoted in the 1/e^2 convention: a profile exp(-2 d^2 / sigma^2)
 has width sigma.  The spot fit is separable, amplitude x Gaussian basis +
-background, and runs through the variable-projection core of :mod:`lsq`:
-LM over (x, y, sigma_r, sigma_a) with analytic derivatives of the basis,
-refused at a singular Jacobian like every fit.
+background: LM (:func:`lsq.levenberg_marquardt`) over (x, y, sigma_r,
+sigma_a) with analytic derivatives of the basis, by variable projection
+evaluated from one product of the basis rows per step, and refused at a
+singular Jacobian like every fit.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ class StrobedImage:
     """Rendered count map with its pixel coordinates and render metadata."""
 
     counts: np.ndarray  # shape (ny, nx), row-major in y
-    x_um: np.ndarray
+    x_um: np.ndarray  # ascending, as y_um: a spot fit's window is one range of each
     y_um: np.ndarray
     duty_cycle: float
     meta: dict = field(default_factory=dict)
@@ -724,10 +725,10 @@ def _spot_gram(rows: np.ndarray, offsets: np.ndarray, axes: np.ndarray, p: np.nd
     sa), with dr, da the pixel offsets (``offsets``, (2, n), on the radial
     and azimuthal rows of ``axes``) from the centre (mx, my).  rows[4]
     takes u and rows[:4] take u hr, u ha, u hr dr, u ha da, with hr =
-    -2 dr/sr^2 and ha = -2 da/sa^2: u's derivatives in p are
-    _spot_derivatives(axes, p) @ rows[:4].  rows[5:] hold 1 and the
-    counts, so the product holds every sum the fit takes (a (7, 3)
-    product: OpenBLAS's syrk for rows @ rows.T took 3x as long).
+    -2 dr/sr^2 and ha = -2 da/sa^2; _spot_derivatives maps them to u's
+    derivatives in p.  rows[5:] hold 1 and the counts, so the (7, 3)
+    product holds every sum the fit takes.  (numpy hands the whole
+    rows @ rows.T to BLAS syrk, which measured 3x slower at this size.)
     """
     d, h, u = rows[2:4], rows[:2], rows[4]
     np.subtract(offsets, (axes @ p[:2])[:, None], out=d)
@@ -741,7 +742,8 @@ def _spot_gram(rows: np.ndarray, offsets: np.ndarray, axes: np.ndarray, p: np.nd
 def _spot_derivatives(out: np.ndarray, axes: np.ndarray, p: np.ndarray, scale: float) -> np.ndarray:
     """``out`` with out[:4, :4] set to ``scale`` x the map from _spot_gram's rows[:4] to u's derivatives in p.
 
-    The rest of out[:4, :4] must be zero.
+    The map is -2 x (the axes' transpose, 1/sr, 1/sa) on the diagonal;
+    the rest of out[:4, :4] must be zero.
     """
     out[:2, :2] = (-2.0 * scale) * axes.T
     out[2, 2], out[3, 3] = -2.0 * scale / p[2], -2.0 * scale / p[3]
@@ -763,7 +765,7 @@ def fit_spot_width(image: StrobedImage, initial_center_um: tuple[float, float]) 
     """
     cx, cy = initial_center_um
     xs, ys = image.x_um, image.y_um
-    # the pixels within the radius are one range of each (sorted) axis
+    # the pixels within the radius are one range of each (ascending) axis
     sel_x = np.flatnonzero(np.abs(xs - cx) <= SPOT_FIT_RADIUS_UM)
     sel_y = np.flatnonzero(np.abs(ys - cy) <= SPOT_FIT_RADIUS_UM)
     if sel_x.size < 4 or sel_y.size < 4:
@@ -812,7 +814,8 @@ def fit_spot_width(image: StrobedImage, initial_center_um: tuple[float, float]) 
         (s_uu, s_u, _), s_1 = sums[4].tolist(), sums[5, 1]
         coef = _spot_derivatives(np.zeros((4, 6)), axes, x, amp)
         if amp > 0.0:  # minus the rows' least-squares coefficients on (u, 1)
-            coef[:, 4:] = coef[:, :4] @ (sums[:4, :2] @ [[-s_1, s_u], [s_u, -s_uu]]) / (s_uu * s_1 - s_u * s_u)
+            det = s_uu * s_1 - s_u * s_u
+            coef[:, 4:] = coef[:, :4] @ (sums[:4, :2] @ [[-s_1, s_u], [s_u, -s_uu]]) / det
         else:
             coef[:, 5] = coef[:, :4] @ sums[:4, 1] / -s_1
         return (coef @ rows[:6]).T

@@ -3,14 +3,18 @@
 The optimizer is a damped Gauss-Newton (Levenberg-Marquardt) loop with a
 monotone acceptance rule: a step is taken only if it lowers the weighted
 sum of squares.  Every fit is separable, a nonlinear basis u(x) times a
-linear pair: y ~ a u(x) + c, and runs through one driver,
-:func:`fit_separable`, which solves the pair in closed form at each x and
-hands LM the projected residual with Kaufman's Jacobian (BIT 15 (1975)
-49), so LM searches the nonlinear parameters alone (variable
-projection, Golub & Pereyra, Inverse Problems 19 (2003) R1).  Every fit
-stops when the gradient falls below 1e-8 of the cost or when no trial step
-could lower the cost by more than its rounding, and a full Jacobian with
-condition above 1e12 at the optimum raises IdentifiabilityError.
+linear pair: y ~ a u(x) + c.  LM searches the nonlinear parameters alone
+(variable projection, Golub & Pereyra, Inverse Problems 19 (2003) R1):
+the pair is solved in closed form at each x, and LM gets the projected
+residual with Kaufman's Jacobian (BIT 15 (1975) 49).  The weighted echo
+and Rabi fits run through :func:`fit_separable`, whose arithmetic their
+pinned outputs fix bit for bit.  The unweighted spot fit
+(:func:`imaging.fit_spot_width`) evaluates the same projection itself,
+from one product of its basis rows per step, and calls
+:func:`levenberg_marquardt` directly.  Every fit stops when the gradient
+falls below 1e-8 of the cost or when no trial step could lower the cost by
+more than its rounding, and a full Jacobian with condition above 1e12 at
+the optimum raises IdentifiabilityError (:func:`check_identified`).
 The models live with their fits: the echo and Rabi bases in
 :mod:`estimation`, the spot basis in :mod:`imaging`.
 """
