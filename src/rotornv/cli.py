@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import shutil
 import sys
@@ -30,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import pipeline
-from .config import PATH_ERRORS, ExperimentConfig, apply_overrides, config_from_dict
+from .config import DOMAINS, PATH_ERRORS, ExperimentConfig, apply_overrides, check_value, config_from_dict
 from .config import load_config, read_text
 from .errors import FitError, SequenceError, ValidationError
 from .imaging import Emitter, EmitterSet
@@ -62,8 +61,6 @@ def _load_effective_config(args) -> ExperimentConfig:
         overrides.append(f"seed={args.seed}")
     shots = getattr(args, "shots_per_point", None)
     if shots is not None:
-        if shots < 1:
-            raise ValidationError(f"--shots (shots_per_point) must be >= 1, got {shots}")
         overrides.append(f"protocol.shots_per_point={shots}")
     return apply_overrides(cfg, overrides) if overrides else cfg
 
@@ -80,12 +77,12 @@ def _write(path: str, text: str) -> None:
         raise ValidationError(f"--output {path}: {exc.strerror}") from exc
 
 
-def _parse_scan(text: str, flag: str) -> np.ndarray:
-    """Scan values of ``flag``: either 'start:stop:n' (inclusive linspace) or a comma list.
+def _parse_scan(text: str, key: str) -> np.ndarray:
+    """Scan values of the DOMAINS row ``key``: either 'start:stop:n' (inclusive linspace) or a comma list.
 
-    Every refusal names ``flag``.
+    Every refusal names the row's flag; each value given must lie in its domain.
     """
-    where = f"{flag} {text!r}"
+    where = f"{DOMAINS[key].flag} {text!r}"
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise ValidationError(f"{where} must be start:stop:n or a comma list")
@@ -97,9 +94,8 @@ def _parse_scan(text: str, flag: str) -> np.ndarray:
             values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
-    bad = [v for v in values if not math.isfinite(v)]
-    if bad:
-        raise ValidationError(f"{where}: value {bad[0]} is not finite")
+    for v in values:
+        check_value(key, v)
     if len(parts) == 1:
         return np.array(values)
     if n < 1:
@@ -110,15 +106,15 @@ def _parse_scan(text: str, flag: str) -> np.ndarray:
 
 
 def _parse_emitters(text: str, default_cps: float) -> EmitterSet:
-    """--emitters 'x,y[,cps];x,y[,cps]' with finite values; cps defaults to ``default_cps``."""
+    """--emitters 'x,y[,cps];x,y[,cps]'; cps defaults to ``default_cps``."""
     ems = []
     for part in text.split(";"):
         try:
             vals = [float(v) for v in part.split(",")]
         except ValueError as exc:
             raise ValidationError(f"--emitters {part!r}: {exc}") from exc
-        if len(vals) not in (2, 3) or not all(math.isfinite(v) for v in vals):
-            raise ValidationError(f"--emitters {part!r} must be x,y or x,y,cps with finite values")
+        if len(vals) not in (2, 3):
+            raise ValidationError(f"--emitters {part!r} must be x,y or x,y,cps")
         cps = vals[2] if len(vals) == 3 else default_cps
         ems.append(Emitter((vals[0], vals[1]), cps))
     return EmitterSet(tuple(ems))
@@ -129,13 +125,13 @@ def _parse_emitters(text: str, default_cps: float) -> EmitterSet:
 
 
 def cmd_simulate_rabi(args) -> Output:
-    durations = _parse_scan(args.durations, "--durations")
+    durations = _parse_scan(args.durations, "durations_us")
     data, meta = pipeline.simulate_rabi_scan(args.cfg, durations, pulse_at=args.pulse_at)
     return Output(pipeline.format_scan(data, meta, args.cfg))
 
 
 def cmd_simulate_echo(args) -> Output:
-    taus = _parse_scan(args.tau, "--tau")
+    taus = _parse_scan(args.tau, "tau_us")
     data, meta = pipeline.simulate_echo_scan(args.cfg, taus, ideal_pulses=not args.finite_pulses)
     return Output(pipeline.format_scan(data, meta, args.cfg))
 

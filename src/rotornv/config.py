@@ -7,8 +7,9 @@ typos cannot silently disable themselves.  The default parameter set mirrors
 the experimental operating point: 3.33 kHz rotation, 6.2 G bias along z,
 NV axis at 54.7 deg and 10 um off-axis, 2 us strobes, 1e5 counts/s peak.
 
-The seven sections are defined here, each a frozen dataclass whose ranges
-are checked by one helper; the physics modules take them as arguments.
+The seven sections are defined here, each a frozen dataclass; the physics
+modules take them as arguments.  Every numeric input has one closed range,
+with its reason, in one table: ``DOMAINS``.
 """
 
 from __future__ import annotations
@@ -20,66 +21,122 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import TWO_PI, UNIT_TOLERANCE, unit
+from .geometry import UNIT_TOLERANCE, unit
 
 
-# The Rabi calibration table holds a few arrays of this length.
-MAX_CAL_ANGLES = 1_000_000
-# Largest strobe.jitter_frac: the render's period draws and strobed arc,
-# jitter times the widest orbit it takes (1e150 um), stay within the float range.
-MAX_JITTER_FRAC = 1e150
 # How the detected rate weights the beam profile (BeamProfile.collection_mode).
 COLLECTION_MODES = ("illumination-only", "confocal-squared")
 
 
-def check_ranges(section, positive=(), non_negative=(), within=None, finite=()) -> None:
-    """Refuse the first field outside its range, naming it; ``within`` maps a field to (lo, hi).
+class Domain(NamedTuple):
+    """One input's closed range [lo, hi] in ``unit``, why, and the command-line flag that sets it too."""
 
-    Every test reads ``not (in range)``, so NaN lies outside every range.
-    No field may be infinite, or an integer beyond the float range: no
-    setting gives infinity a meaning, and the config loader relies on this
-    check to refuse both.  A one-sided range refuses +inf after its range
-    test; ``finite`` names the fields with no range.
-    """
-    for name in positive:
-        if not getattr(section, name) > 0:
-            raise ValidationError(f"{name} must be positive")
-    for name in non_negative:
-        if not getattr(section, name) >= 0:
-            raise ValidationError(f"{name} must be non-negative")
-    for name, (lo, hi) in (within or {}).items():
-        if not lo <= getattr(section, name) <= hi:
-            raise ValidationError(f"{name} must lie in [{lo}, {hi}]")
-    for name in (*positive, *non_negative, *finite):
-        if not abs(getattr(section, name)) <= sys.float_info.max:  # exact for ints of any size
-            raise ValidationError(f"{name} must be finite")
+    lo: float
+    hi: float
+    unit: str
+    why: str
+    flag: str = ""
 
 
-def check_f_rot_hz(f_rot_hz: float) -> None:
-    """Refuse a rotation frequency whose period or angular frequency is not a finite normal float.
+# Times span at most the rotation period at the slowest rotation (1 mHz), us;
+# orbits, emitters and wobbles reach 10 cm, wider than any rotor, um; a raster
+# ten times as far, so that the default window around any spot fits.
+_LONGEST_US, _LONGEST_UM, _RASTER_UM = 1e9, 1e5, 1e6
+_AZIMUTH = Domain(-360.0, 360.0, "deg", "an azimuth, up to a turn either way")
+_POLAR = Domain(0.0, 180.0, "deg", "a polar angle")
+_RATE = Domain(0.0, 1e9, "1/us", "up to one per femtosecond, beyond any optical rate")
+_LIFETIME = Domain(1e-3, 1e9, "1/us", "a lifetime of 1 fs to 1 ms; the counts follow its steady state's emission")
+_PERIOD = Domain(0.0, _LONGEST_US, "us", "up to the longest rotation period")
+_SPAN = Domain(1e-9, _LONGEST_US, "us", "a femtosecond up to the longest rotation period")
+_COUNT_RATE = Domain(0.0, 1e9, "counts/s", "ten times the most an NV emits (83 per us)")
+_DAMPING = Domain(1e-300, 1e300, "", "float range: the damping exp(-(tau / T2)^p) is taken overflow-safe")
+_RASTER = Domain(-_RASTER_UM, _RASTER_UM, "um", "ten times the farthest emitter, either way")
+# Every numeric input's one range: each numeric field of the seven config
+# sections, the echo fringe model's own two (spindyn.EchoParams), and the
+# command-line quantities that have no config key.  A refusal names the key
+# (and its flag), the value and the range.  Since every bound is finite, no
+# input is infinite or NaN, or an integer beyond the float range.
+DOMAINS = {
+    "geometry.f_rot_hz": Domain(1e-3, 1e6, "Hz", "one turn in 17 min up to 300 times the paper's 3.33 kHz"),
+    "geometry.r_nv_um": Domain(0.0, _LONGEST_UM, "um", "from the rotation axis out to 10 cm"),
+    "geometry.theta_nv_deg": _POLAR,
+    "geometry.phi_nv0_deg": _AZIMUTH,
+    "geometry.phi_pos0_deg": _AZIMUTH,
+    "field.b0_gauss": Domain(1e-3, 1e5, "G", "a bias splitting m_S = +-1, with a finite 13C revival, up to 10 T"),
+    "field.theta_b_deg": _POLAR,
+    "field.phi_b_deg": _AZIMUTH,
+    "field.mw_dir": Domain(-1e100, 1e100, "", "a direction, normalised on load, whose squares overflow beyond"),
+    "constants.gamma_e_mhz_per_g": Domain(1e-3, 1e3, "MHz/G", "three decades either side of the electron's 2.80"),
+    "constants.gamma_c13_khz_per_g": Domain(1e-3, 1e3, "kHz/G", "three decades either side of 13C's 1.07"),
+    "beam.waist_diameter_1e2_um": Domain(1e-3, 1e3, "um", "a nanometre to a millimetre focus"),
+    "beam.peak_counts_stationary_cps": _COUNT_RATE,
+    "beam.background_cps": _COUNT_RATE,
+    "rates.pump_rate_peak_per_us": _RATE,
+    "rates.radiative_rate_per_us": _LIFETIME,
+    "rates.isc_rate_e1_per_us": _RATE,
+    "rates.isc_rate_e0_per_us": _RATE,
+    "rates.singlet_decay_per_us": _LIFETIME,
+    "rates.singlet_branching_to_g0": Domain(0.0, 1.0, "", "a branching ratio"),
+    "strobe.t_phi_us": _PERIOD,
+    "strobe.t_pulse_us": _PERIOD,
+    "strobe.jitter_frac": Domain(0.0, 1.0, "", "a relative spread of the period, at most the period itself"),
+    "strobe.wobble_amp_um": Domain(0.0, _LONGEST_UM, "um", "up to 10 cm, as the orbit"),
+    "protocol.base_rabi_mhz": Domain(1e-6, 1e3, "MHz", "a 1 Hz to 1 GHz drive, below the 2.87 GHz splitting"),
+    "protocol.n_cal_angles": Domain(1, 1_000_000, "", "memory: the calibration holds a few arrays this long"),
+    "protocol.turn_on_offset_us": Domain(-_LONGEST_US, _LONGEST_US, "us", "up to the longest period either way"),
+    "protocol.readout_window_us": _SPAN,
+    "protocol.bin_width_us": _SPAN,
+    "protocol.shots_per_point": Domain(1, 1e12, "", "up to ten years of shots at 3.33 kHz", "--shots"),
+    "protocol.t2_us": _DAMPING._replace(unit="us"),
+    "protocol.envelope_exponent": _DAMPING,
+    "protocol.max_image_pixels": Domain(1, 100_000_000, "", "memory: a render holds a few arrays this long"),
+    # the echo fringe model's own fields
+    "echo.b_perp_gauss": Domain(0.0, 1e5, "G", "the AC amplitude, at most field.b0_gauss"),
+    "echo.phi0_rad": Domain(-4.0 * math.pi, 4.0 * math.pi, "rad", "phi_nv0 - phi_b, each a turn either way"),
+    # command-line quantities with no config key
+    "tau_us": _PERIOD._replace(flag="--tau"),
+    "durations_us": _PERIOD._replace(flag="--durations"),
+    "dwell_ms": Domain(1e-9, 1e9, "ms", "a picosecond (one strobe at least) to 11 days", "--dwell-ms"),
+    "step_um": Domain(1e-9, _LONGEST_UM, "um", "a femtometre up to 10 cm", "--step"),
+    "x_range_um": _RASTER._replace(flag="--x-min, --x-max"),
+    "y_range_um": _RASTER._replace(flag="--y-min, --y-max"),
+    "position_um": Domain(-_LONGEST_UM, _LONGEST_UM, "um", "10 cm either way, as the orbit", "--emitters"),
+}
 
-    The period 1e6 / f_rot_hz us overflows below ~5.6e-303 Hz, the rad/us
-    frequency 2 pi f_rot_hz 1e-6 is subnormal below ~3.5e-303 Hz, and the
-    deg/s frequency 360 f_rot_hz, which the pulse angles start from,
-    overflows above ~5.0e305 Hz; the smaller rad/s frequency 2 pi f_rot_hz
-    is finite wherever it is.
-    """
-    if abs(f_rot_hz) > sys.float_info.max:  # exact for ints of any size
-        raise ValidationError("f_rot_hz must be finite")
-    if f_rot_hz > 0:
-        derived = (1e6 / f_rot_hz, TWO_PI * f_rot_hz * 1e-6, 360.0 * f_rot_hz)
-        if all(sys.float_info.min <= x < math.inf for x in derived):
-            return
-    raise ValidationError(
-        "f_rot_hz must be positive, with a period (1e6 / f_rot_hz us) and angular frequencies (2 pi f_rot_hz "
-        "per us, 360 f_rot_hz deg per s) that are finite normal floats: set geometry.f_rot_hz within "
-        f"[5.6e-303, 4.9e305] Hz, got {f_rot_hz!r}"
-    )
+
+def _shown(value) -> str:
+    """``value`` as a refusal prints it: an integer beyond 20 digits by its length."""
+    text = str(value) if isinstance(value, int) else repr(float(value))
+    return text if len(text) <= 20 else f"{text[:6]}...({len(text)} digits)"
+
+
+def check_value(key: str, value, label: str | None = None) -> None:
+    """Refuse ``value`` unless it lies in the DOMAINS row ``key``, named ``label`` (by default its key and flag)."""
+    lo, hi, unit, _, flag = DOMAINS[key]
+    if not lo <= value <= hi:  # NaN lies in no range; an int of any size compares exactly
+        label = label or (f"{key} ({flag})" if flag else key)
+        unit = f" {unit}" if unit else ""
+        raise ValidationError(f"{label} must lie in [{lo:g}, {hi:g}]{unit}, got {_shown(value)}")
+
+
+def check_values(key: str, values) -> np.ndarray:
+    """The array of ``values``, refused at the first one outside the DOMAINS row ``key``."""
+    values = np.asarray(values, dtype=float)
+    outside = ~((values >= DOMAINS[key].lo) & (values <= DOMAINS[key].hi))
+    if outside.any():
+        check_value(key, values[outside].flat[0])
+    return values
+
+
+def check_ranges(obj, keys) -> None:
+    """Refuse the first field of ``obj`` outside its domain; ``keys`` pairs each field with its DOMAINS row."""
+    for name, key in keys:
+        check_value(key, getattr(obj, name))
 
 
 @dataclass(frozen=True)
@@ -99,9 +156,7 @@ class RotorGeometry:
     phi_pos0_deg: float = 0.0
 
     def __post_init__(self):
-        check_f_rot_hz(self.f_rot_hz)
-        check_ranges(self, non_negative=("r_nv_um",), within={"theta_nv_deg": (0, 180)},
-                     finite=("phi_nv0_deg", "phi_pos0_deg"))
+        check_ranges(self, _RANGED[RotorGeometry])
 
     @property
     def t_rot_s(self) -> float:
@@ -128,7 +183,8 @@ class RotorGeometry:
 class FieldConfig:
     """Static bias field (magnitude and orientation) and microwave drive direction.
 
-    ``mw_dir`` must be a unit vector (checked to UNIT_TOLERANCE).  The drive
+    ``mw_dir`` must be a unit vector (checked to UNIT_TOLERANCE); the loader
+    normalises the direction it is given.  The drive
     strength is ``protocol.base_rabi_mhz``: the calibration scales the
     coupling of :func:`geometry.mw_coupling` to it.
     """
@@ -139,14 +195,15 @@ class FieldConfig:
     mw_dir: tuple[float, float, float] = (1.0, 0.0, 0.0)
 
     def __post_init__(self):
-        check_ranges(self, non_negative=("b0_gauss",), finite=("theta_b_deg", "phi_b_deg"))
-        vec = np.asarray(self.mw_dir, dtype=float)
-        if vec.shape != (3,):
-            raise ValidationError(f"mw_dir must be a 3-vector, got shape {vec.shape}")
-        norm = float(np.linalg.norm(vec))
-        if not abs(norm - 1.0) <= UNIT_TOLERANCE:  # a NaN norm fails too
+        check_ranges(self, _RANGED[FieldConfig])
+        if len(self.mw_dir) != 3:
+            raise ValidationError(f"field.mw_dir must be a 3-vector, got {len(self.mw_dir)} elements")
+        for v in self.mw_dir:
+            check_value("field.mw_dir", v)
+        norm = float(np.linalg.norm(np.asarray(self.mw_dir, dtype=float)))
+        if not abs(norm - 1.0) <= UNIT_TOLERANCE:
             raise ValidationError(
-                f"mw_dir must be a unit vector (|mw_dir| = {norm!r}); use geometry.unit()"
+                f"field.mw_dir must be a unit vector (|mw_dir| = {norm!r}); use geometry.unit()"
             )
 
     @cached_property
@@ -170,7 +227,7 @@ class PhysicalConstants:
     gamma_c13_khz_per_g: float = 1.075
 
     def __post_init__(self):
-        check_ranges(self, positive=("gamma_e_mhz_per_g", "gamma_c13_khz_per_g"))
+        check_ranges(self, _RANGED[PhysicalConstants])
 
 
 @dataclass(frozen=True)
@@ -183,11 +240,10 @@ class BeamProfile:
     background_cps: float = 0.0
 
     def __post_init__(self):
-        check_ranges(self, positive=("waist_diameter_1e2_um",),
-                     non_negative=("peak_counts_stationary_cps", "background_cps"))
+        check_ranges(self, _RANGED[BeamProfile])
         if self.collection_mode not in COLLECTION_MODES:
             raise ValidationError(
-                f"collection_mode must be one of {COLLECTION_MODES}, got {self.collection_mode!r}"
+                f"beam.collection_mode must be one of {COLLECTION_MODES}, got {self.collection_mode!r}"
             )
 
     @property
@@ -207,10 +263,7 @@ class RateModel:
     singlet_branching_to_g0: float = 0.8
 
     def __post_init__(self):
-        check_ranges(self, non_negative=(
-            "pump_rate_peak_per_us", "radiative_rate_per_us", "isc_rate_e1_per_us",
-            "isc_rate_e0_per_us", "singlet_decay_per_us",
-        ), within={"singlet_branching_to_g0": (0, 1)})
+        check_ranges(self, _RANGED[RateModel])
 
 
 @dataclass(frozen=True)
@@ -230,8 +283,7 @@ class StrobeConfig:
     wobble_amp_um: float = 0.4243
 
     def __post_init__(self):
-        check_ranges(self, non_negative=("t_pulse_us", "jitter_frac", "wobble_amp_um", "t_phi_us"),
-                     within={"jitter_frac": (0, MAX_JITTER_FRAC)})
+        check_ranges(self, _RANGED[StrobeConfig])
 
 
 @dataclass(frozen=True)
@@ -249,10 +301,7 @@ class ProtocolConfig:
     max_image_pixels: int = 250_000
 
     def __post_init__(self):
-        check_ranges(self, positive=(
-            "base_rabi_mhz", "shots_per_point", "readout_window_us", "bin_width_us",
-            "t2_us", "envelope_exponent", "max_image_pixels",
-        ), within={"n_cal_angles": (1, MAX_CAL_ANGLES)}, finite=("turn_on_offset_us",))
+        check_ranges(self, _RANGED[ProtocolConfig])
 
 
 @dataclass(frozen=True)
@@ -272,12 +321,6 @@ class ExperimentConfig:
                 f"protocol.readout_window_us = {self.protocol.readout_window_us} exceeds "
                 f"strobe.t_pulse_us = {self.strobe.t_pulse_us}: the readout window must fit "
                 "inside the strobe pulse"
-            )
-        if not self.strobe_angle_rad < math.inf:
-            raise ValidationError(
-                f"strobe.t_phi_us = {self.strobe.t_phi_us:g} at geometry.f_rot_hz = {self.geometry.f_rot_hz:g} "
-                "turns the rotor by an angle (2 pi f_rot_hz t_phi_us) beyond the float range; lower "
-                "strobe.t_phi_us or geometry.f_rot_hz"
             )
 
     @property
@@ -311,6 +354,11 @@ _SECTIONS = {
     "rates": ("rates", RateModel),
     "strobe": ("strobe", StrobeConfig),
     "protocol": ("protocol", ProtocolConfig),
+}
+# section class -> (field, DOMAINS row) of each numeric scalar field
+_RANGED = {
+    cls: tuple((f.name, f"{name}.{f.name}") for f in dataclasses.fields(cls) if type(f.default) in (int, float))
+    for name, (_, cls) in _SECTIONS.items()
 }
 
 
@@ -354,17 +402,13 @@ def _build_section(cls, data: dict, path: str):
         for key, val in data.items()
     }
     if cls is FieldConfig and "mw_dir" in kwargs:
+        for v in kwargs["mw_dir"]:  # before unit() squares them
+            check_value("field.mw_dir", v)
         try:
-            # exact for ints of any size: unit() cannot convert one beyond the float range
-            if not all(abs(v) <= sys.float_info.max for v in kwargs["mw_dir"]):
-                raise ValidationError("an element is not a finite number")
             kwargs["mw_dir"] = unit(kwargs["mw_dir"])
         except ValidationError as exc:
             raise ValidationError(f"{path}.mw_dir: {exc}") from exc
-    try:
-        return cls(**kwargs)
-    except ValidationError as exc:  # every section refusal starts with its field's name
-        raise ValidationError(f"{path}.{exc}") from exc
+    return cls(**kwargs)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lsq
-from .config import PhysicalConstants, check_f_rot_hz
+from .config import PhysicalConstants, check_value
 from .errors import IdentifiabilityError, ValidationError
 # perfbench/spantrace.py finds levenberg_marquardt on this module and rebinds
 # that object in lsq too, where fit_separable and imaging.fit_spot_width
@@ -90,7 +90,7 @@ class EchoFitModel:
     envelope: EchoParams | None = None
 
     def __post_init__(self):
-        check_f_rot_hz(self.f_rot_hz)
+        check_value("geometry.f_rot_hz", self.f_rot_hz)
 
     def envelope_values(self, tau_us: np.ndarray) -> np.ndarray:
         if self.envelope is None:

@@ -46,7 +46,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 
 from . import lsq
-from .config import RotorGeometry, StrobeConfig
+from .config import DOMAINS, RotorGeometry, StrobeConfig, check_value
 from .errors import FitError, ValidationError, check_expected_counts
 from .geometry import TWO_PI
 
@@ -58,9 +58,6 @@ MAX_STROBE_SAMPLES = 1_000_000
 # wobble), 19 at the default 150 us, ~1200 at 150 us with jitter_frac 0.1
 # and ~2300 for an emitter 1 mm off the axis.
 MAX_PERIOD_NODES = 20_000
-# Emitter radii and wobble amplitudes the render takes: their squares and
-# sums stay finite.
-MAX_LENGTH_UM = 1e150
 # 1/e^2 width of the lateral point response, um; a depth ("xz") scan's axial
 # response is AXIAL_PSF_FACTOR times wider.
 PSF_WIDTH_UM = 0.3
@@ -120,22 +117,15 @@ class ScanGrid:
     plane: str = "xy"
 
     def __post_init__(self):
-        if not 0 < self.step_um < math.inf:
-            raise ValidationError(f"step_um (--step) must be positive and finite, got {self.step_um:g}")
-        if not 0 < self.dwell_ms < math.inf:
-            raise ValidationError(f"dwell_ms (--dwell-ms) must be positive and finite, got {self.dwell_ms:g}")
-        for name, flags in (("x_range_um", "--x-min, --x-max"), ("y_range_um", "--y-min, --y-max")):
+        for name in ("x_range_um", "y_range_um"):
             lo, hi = getattr(self, name)
-            where = f"{name} ({flags}) = ({lo:g}, {hi:g})"
-            # the render squares the pixel coordinates; NaN fails too
-            if not (abs(lo) < MAX_LENGTH_UM and abs(hi) < MAX_LENGTH_UM):
-                raise ValidationError(f"{where} must lie within +-{MAX_LENGTH_UM:g} um, the render's limit")
+            check_value(name, lo)
+            check_value(name, hi)
             if hi <= lo:
-                raise ValidationError(f"{where} must be an increasing (min, max) pair")
-            if not math.isfinite((hi - lo) / self.step_um):
-                raise ValidationError(
-                    f"{where} over step_um (--step) {self.step_um:g} gives no finite pixel count"
-                )
+                flags = DOMAINS[name].flag
+                raise ValidationError(f"{name} ({flags}) = ({lo:g}, {hi:g}) must be an increasing (min, max) pair")
+        check_value("step_um", self.step_um)
+        check_value("dwell_ms", self.dwell_ms)
         if self.plane not in ("xy", "xz"):
             raise ValidationError("plane (--plane) must be 'xy' or 'xz'")
 
@@ -170,8 +160,9 @@ class Emitter:
     def __post_init__(self):
         if len(self.position_um) != 2:
             raise ValidationError(f"position_um must be an (x, y) pair, got {self.position_um!r}")
-        if not self.brightness_cps >= 0:
-            raise ValidationError(f"brightness_cps (--emitters) must be >= 0, got {self.brightness_cps:g}")
+        for v in self.position_um:
+            check_value("position_um", v)
+        check_value("beam.peak_counts_stationary_cps", self.brightness_cps, "brightness_cps (--emitters)")
 
 
 @dataclass(frozen=True)
@@ -208,11 +199,9 @@ def angular_smear(g: RotorGeometry, t_pulse_us: float) -> float:
 def _cycles(grid: ScanGrid, g: RotorGeometry) -> int:
     """Strobe cycles (one per revolution) a pixel integrates over its dwell.
 
-    More than MAX_STROBE_SAMPLES strobe samples per pixel are refused, a
-    count beyond the float range among them.
+    More than MAX_STROBE_SAMPLES strobe samples per pixel are refused.
     """
-    cycles = float(grid.dwell_ms) * 1e-3 * float(g.f_rot_hz)  # in Python floats an overflow is inf
-    n_cycles = max(1, int(round(cycles))) if cycles < math.inf else cycles
+    n_cycles = max(1, round(float(grid.dwell_ms) * 1e-3 * float(g.f_rot_hz)))
     if n_cycles * SUBSTEPS > MAX_STROBE_SAMPLES:
         raise ValidationError(
             f"dwell_ms (--dwell-ms) = {grid.dwell_ms:g} at geometry.f_rot_hz = {g.f_rot_hz:g} gives "
@@ -386,7 +375,8 @@ def _period_nodes(
     spills = t_max >= p_min
     # below the last spill edge a spilled sample sweeps 2 pi T / p2 per unit
     # z1, fastest at the shortest p2
-    spill_edges = (t_in / t_rot - 1.0) / jitter
+    with np.errstate(over="ignore"):  # a subnormal jitter puts an edge at +-inf, past every node
+        spill_edges = (t_in / t_rot - 1.0) / jitter
     z1, w1 = _normal_rule(
         arc * t_max / t_rot, arc * t_rot / p_min, spill_edges.max(), jitter, spill_edges, MAX_PERIOD_NODES,
         ((0.0,) * t_in.size, tuple(turn * t_in / t_rot), wobble),
@@ -468,21 +458,15 @@ def _column_sums(terms: np.ndarray) -> np.ndarray:
     return terms.sum(axis=0) if terms.shape[1] != 1 else np.add.accumulate(terms[:, 0])[-1:]
 
 
-def check_arc_lengths(emitters: EmitterSet, strobe: StrobeConfig, stationary: bool) -> tuple[str, str]:
-    """Refuse an emitter radius or a wobble beyond MAX_LENGTH_UM.
+def _arc_names(radius_um: float, wobble_um: float) -> tuple[str, str]:
+    """What sets the strobed arc, the orbit or the wobble, and the knob that lowers it.
 
-    The orbit or the wobble, whichever is wider, sets the strobed arc and so
-    the render's node count.  Returns what sets it and the knob that lowers
-    it, for the refusals to name.
+    Whichever is wider sets the arc and so the render's node count; the
+    node-count refusal names both.
     """
-    r_max = max(math.hypot(*e.position_um) for e in emitters.emitters)
-    wobble = 0.0 if stationary else strobe.wobble_amp_um
-    orbit_wider = r_max >= 3.0 * wobble
-    arc_input = f"an emitter at radius {r_max:g} um" if orbit_wider else f"strobe.wobble_amp_um = {wobble:g}"
-    knob = "the emitter radius (--emitters, geometry.r_nv_um)" if orbit_wider else "strobe.wobble_amp_um"
-    if not max(r_max, wobble) < MAX_LENGTH_UM:
-        raise ValidationError(f"{arc_input} is beyond the render's {MAX_LENGTH_UM:g} um limit; lower {knob}")
-    return arc_input, knob
+    if radius_um >= 3.0 * wobble_um:
+        return f"an emitter at radius {radius_um:g} um", "the emitter radius (--emitters, geometry.r_nv_um)"
+    return f"strobe.wobble_amp_um = {wobble_um:g}", "strobe.wobble_amp_um"
 
 
 def _pixel_moments(
@@ -528,7 +512,6 @@ def _pixel_moments(
     check_expected_counts(
         c.sum() * n_cycles, "the emitter brightness (beam.peak_counts_stationary_cps) or dwell_ms"
     )
-    arc_input, knob = check_arc_lengths(emitters, strobe, stationary)
     # an "xz" slice lies in the plane y = 0, and the pixel y is the focus depth
     lat_y = np.zeros_like(ys) if depth_scan else ys
     depth_arg = -2.0 * ys**2 / (AXIAL_PSF_FACTOR * PSF_WIDTH_UM) ** 2 if depth_scan else np.zeros_like(ys)
@@ -550,6 +533,7 @@ def _pixel_moments(
     try:
         z1, z2, w = _period_nodes(t_in, t_rot, strobe.jitter_frac, arc_ratio, s2 / v)
     except _TooManyNodes:
+        arc_input, knob = _arc_names(max(math.hypot(*e.position_um) for e in emitters.emitters), strobe.wobble_amp_um)
         raise ValidationError(
             f"strobe.jitter_frac = {strobe.jitter_frac:g} with {arc_input} spreads the strobed "
             f"arc over too many PSF widths: the period draws need more than {MAX_PERIOD_NODES} "
@@ -687,10 +671,14 @@ def render_image(
         nx, ny = grid._axis_size(grid.x_range_um), grid._axis_size(grid.y_range_um)
         raise ValidationError(
             f"scan grid has {nx:.3g} x {ny:.3g} pixels, exceeding the configured budget of "
-            f"{max_pixels}; shrink the range or increase step_um (--step)"
+            f"{max_pixels} (protocol.max_image_pixels); shrink the range (--x-min, --x-max, "
+            "--y-min, --y-max) or increase step_um (--step)"
         )
     if strobe.t_pulse_us > g.t_rot_us:
-        raise ValidationError("strobe t_pulse_us exceeds the rotation period")
+        raise ValidationError(
+            f"strobe.t_pulse_us = {strobe.t_pulse_us:g} exceeds the rotation period {g.t_rot_us:.7g} us "
+            "(1e6 / geometry.f_rot_hz)"
+        )
     n_cycles = _cycles(grid, g)
     with np.errstate(under="ignore"):
         mean, var = _pixel_moments(grid, emitters, g, strobe, stationary)
@@ -833,8 +821,7 @@ def fit_spot_width(image: StrobedImage, initial_center_um: tuple[float, float]) 
     if not (lm.converged and amp > 10.0 * amp_se):
         raise FitError(
             f"spot fit {'found no spot' if lm.converged else 'did not converge'}: amplitude "
-            f"{amp:.4g} +- {amp_se:.3g} counts, cost={lm.cost:.4g}, grad={lm.grad_norm:.4g}, "
-            f"params={np.round(lm.x, 4).tolist()}"
+            f"{amp:.4g} +- {amp_se:.3g} counts, cost={lm.cost:.4g}, params={np.round(lm.x, 4).tolist()}"
         )
     # the full Jacobian, in (mx, my, sr, sa, amplitude, background)
     lsq.check_identified((_spot_derivatives(np.eye(6), axes, lm.x, amp) @ rows[:6]).T)

@@ -42,12 +42,11 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import BeamProfile, RateModel, RotorGeometry
+from .config import BeamProfile, RateModel, RotorGeometry, check_value
 from .errors import ValidationError, check_expected_counts
 from .geometry import TWO_PI
 
@@ -296,10 +295,7 @@ def detection_calibration(m: RateModel, b: BeamProfile) -> float:
     A stationary, beam-centred NV pumped to its bright steady state must
     register ``peak_counts_stationary_cps``.
     """
-    ref = _bright_emission_rate(m)
-    if ref <= 0:
-        raise ValidationError(f"steady-state emission vanishes; check {_RATE_KEYS}")
-    return b.peak_counts_stationary_cps / ref
+    return b.peak_counts_stationary_cps / _bright_emission_rate(m)
 
 
 def fluorescence_rate(p: LevelPopulations, m: RateModel, b: BeamProfile) -> float:
@@ -430,7 +426,7 @@ def _transit_counts(
     count `MAX_READOUT_STEPS` caps), the nodes are the factors' own blends
     and every factor is exponentiated directly.
     """
-    # first: the steady state refuses rates too far apart, before any sum of them overflows
+    # first: the steady state refuses a degenerate rate model
     counts_per_excited_us = detection_calibration(m, b) * m.radiative_rate_per_us * 1e-6
     gen0 = np.zeros((6, 6))
     gen1 = np.zeros((6, 6))
@@ -441,13 +437,9 @@ def _transit_counts(
         gen0[5, 2:4] = 1.0
     slope = gen1 - gen0  # the generator is gen0 + intensity * slope
 
-    # in Python floats, and by the diameter (the radius of the smallest
-    # positive diameter rounds to 0): a vanishing waist gives an infinite
-    # rate, not a warning
     d = b.waist_diameter_1e2_um
     speed_um_per_us = TWO_PI * g.r_nv_um * g.f_rot_hz * 1e-6
-    with np.errstate(over="ignore"):  # an overflowing rate is refused below
-        fastest = float(np.abs(gen1[:5, :5]).sum(axis=0).max())
+    fastest = float(np.abs(gen1[:5, :5]).sum(axis=0).max())
     if not fastest * n_bins * bin_width_us * np.finfo(float).eps <= _MAX_PASS_ROUNDING * _THETA_13:
         raise ValidationError(
             f"rates up to {fastest:.3g} /us lose a {n_bins * bin_width_us:g} us readout pass "
@@ -527,8 +519,8 @@ def _pulse_pass(
         raise ValidationError(f"turn_on_offset_us must be finite, got {turn_on_offset_us}")
     bins = (8.0 if window else 1.0) * t_pulse_us / width_us
     if not bins <= MAX_READOUT_STEPS + 0.5:  # round(bins) > MAX_READOUT_STEPS
-        ratio = (f"t_pulse_us / (readout_window_us / 8) = {t_pulse_us} / ({width_us} / 8)" if window
-                 else f"t_pulse_us / bin_width_us = {t_pulse_us} / {width_us}")
+        ratio = (f"strobe.t_pulse_us / (protocol.readout_window_us / 8) = {t_pulse_us} / ({width_us} / 8)" if window
+                 else f"strobe.t_pulse_us / protocol.bin_width_us = {t_pulse_us} / {width_us}")
         raise ValidationError(f"{ratio} gives {bins:.3g} bins, more than {MAX_READOUT_STEPS}")
     n_bins = max(1, round(bins))
     n_pass, width = (8 if window else n_bins), t_pulse_us / n_bins
@@ -580,8 +572,7 @@ def simulate_readout(
     bin_width_us: float = 0.05,
 ) -> PhotonTrace:
     """Poisson-sampled binned fluorescence trace accumulated over ``shots`` repetitions."""
-    if not 1 <= shots <= sys.float_info.max:  # exact for ints of any size
-        raise ValidationError("shots (--shots) must be >= 1 and within the float range")
+    check_value("protocol.shots_per_point", shots, "shots (--shots)")
     expected, _ = readout_response(
         initial, g, b, m, t_pulse_us, turn_on_offset_us, bin_width_us
     )

@@ -29,10 +29,10 @@ import math
 import numpy as np
 
 from . import photophysics, seqlang, spindyn
-from .config import ExperimentConfig, read_text
+from .config import ExperimentConfig, check_values, read_text
 from .errors import FitError, ValidationError
 from .estimation import EchoDataset, EchoFitModel, FitResult, fit_echo, fit_rabi
-from .imaging import Emitter, EmitterSet, ScanGrid, StrobedImage, check_arc_lengths
+from .imaging import Emitter, EmitterSet, ScanGrid, StrobedImage
 from .imaging import fit_spot_width, render_image
 
 # Most points in one Rabi or echo scan; bounds the batched arrays (a scan
@@ -54,14 +54,6 @@ def window_response(cfg: ExperimentConfig) -> photophysics.WindowResponse:
 
 # ---------------------------------------------------------------------------
 # echo scan
-
-
-def _non_negative(values_us, name: str) -> np.ndarray:
-    """The scan values ``values_us`` as an array, refused (naming ``name``) if one is negative."""
-    values = np.asarray(values_us, dtype=float)
-    if not np.all(values >= 0):
-        raise ValidationError(f"{name} must be non-negative, got {values.min():g} us")
-    return values
 
 
 def _check_readout_timing(g, ends_us, late, scan: str) -> None:
@@ -101,7 +93,7 @@ def compile_program(
 def echo_populations(cfg: ExperimentConfig, tau_us, ideal_pulses: bool = True) -> np.ndarray:
     """P(m_S = -1) at readout after a tau echo, bath envelope applied, for every tau of a scan."""
     g, f, c = cfg.geometry, cfg.field_cfg, cfg.constants
-    tau = _non_negative(tau_us, "tau_us (--tau)")
+    tau = check_values("tau_us", tau_us)
     _check_readout_timing(g, tau, tau >= g.t_rot_us, "tau_us (--tau)")
     if ideal_pulses:
         batch = seqlang.ideal_echo_timeline(tau, g.t_rot_us, cfg.strobe.t_pulse_us)
@@ -177,7 +169,7 @@ def rabi_populations(cfg: ExperimentConfig, durations_us, pulse_at: str = "start
     """P(m_S = -1) after a single variable pulse at t = 0 or t = T_rot/2, for every duration."""
     g, f, c = cfg.geometry, cfg.field_cfg, cfg.constants
     where = _rabi_pulse_at(cfg, pulse_at)
-    durations = _non_negative(durations_us, "durations_us (--durations)")
+    durations = check_values("durations_us", durations_us)
     # the simulator's test of a laser boundary inside the pulse, as the scan gives it
     ends = where["pulse_at_us"] + durations
     _check_readout_timing(
@@ -269,12 +261,7 @@ def default_emitters(cfg: ExperimentConfig) -> EmitterSet:
 def spot_centers_um(
     cfg: ExperimentConfig, emitters: EmitterSet, stationary: bool = False
 ) -> list[tuple[float, float]]:
-    """Where each emitter's spot appears: its trigger position, or that rotated by the strobe angle.
-
-    An emitter radius or wobble the render refuses is refused here already,
-    before a window is built around the spots.
-    """
-    check_arc_lengths(emitters, cfg.strobe, stationary)
+    """Where each emitter's spot appears: its trigger position, or that rotated by the strobe angle."""
     positions = [e.position_um for e in emitters.emitters]
     if stationary:
         return positions

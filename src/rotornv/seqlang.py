@@ -429,9 +429,9 @@ class TimelineBatch:
                 hit = start[b] < start[a] + dur[a] - 1e-12
                 if hit.any():
                     i = int(np.argmax(hit))
+                    lengths = "; calibrated pulse lengths follow protocol.base_rabi_mhz" if channel == "mw" else ""
                     raise ValidationError(
-                        f"overlapping {channel} events: {self.describe(a, i)} "
-                        f"and {self.describe(b, i)}"
+                        f"overlapping {channel} events: {self.describe(a, i)} and {self.describe(b, i)}{lengths}"
                     )
 
     def _refuse(self, bad: np.ndarray, why: str) -> None:
@@ -535,7 +535,7 @@ def _compile_batch(
         if period_hint is not None:
             batch._refuse(
                 moved > g.t_rot_us + t_phi_us + 1e-9,
-                f"starts after one rotation period ({g.t_rot_us:.3f} us){period_hint}",
+                f"starts after one rotation period ({g.t_rot_us:.3f} us at geometry.f_rot_hz){period_hint}",
             )
     except ValidationError as exc:
         raise CompileError([Diagnostic(str(exc))]) from exc
@@ -629,7 +629,8 @@ def echo_pulse_starts(tau_us, g: RotorGeometry, cal: CalibrationTable):
     short = start_pi < dur_at(0.0, "pi/2")
     if np.any(short):
         bad = float(np.atleast_1d(tau)[np.atleast_1d(short)][0])
-        raise ValidationError(f"tau_us (--tau) {bad:g} us is too short to fit the echo pulses")
+        why = "is too short for echo pulses as long as protocol.base_rabi_mhz makes them"
+        raise ValidationError(f"tau_us (--tau) {bad:g} us {why}")
     return start_pi, start_last
 
 

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from rotornv.config import FieldConfig, PhysicalConstants, RotorGeometry, config_from_dict
+
+
+# The exit-code contract's larger budget (tests/test_contract.py), for that
+# file alone: python -m pytest --hypothesis-profile contract tests/test_contract.py
+settings.register_profile("contract", max_examples=600, deadline=None, derandomize=True, database=None)
 
 
 @pytest.fixture

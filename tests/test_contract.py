@@ -1,0 +1,226 @@
+"""The exit-code contract over the whole input space, and the domain table that keeps it.
+
+Every subcommand, given any value of one config key or of one command-line
+flag that mirrors a config quantity, exits 0 or 2 and warns nothing; an
+exit 2 names the key or flag that was drawn.  ``fit`` may also report a fit
+it could not make (exit 4, or a ``fit error:`` exit 3).  No command exits
+with a ``runtime error:``.  The values are drawn log-uniformly over the float
+range with both signs, and from each domain's edges, the floats just beyond
+them, 0, +-inf and NaN.
+
+Tier-1 runs a small derandomized budget; ``--hypothesis-profile contract``
+(tests/conftest.py) runs the same tests with a larger one.
+"""
+
+import contextlib
+import dataclasses
+import io
+import json
+import math
+import os
+import sys
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rotornv import cli, imaging
+from rotornv.config import _SECTIONS, DOMAINS, config_from_dict
+from rotornv.geometry import TWO_PI
+
+# examples per subcommand: tier-1's, or the contract profile's larger budget
+_BUDGET = settings.default.max_examples if settings.get_current_profile_name() == "contract" else 40
+_CONTRACT = settings(max_examples=_BUDGET, deadline=None, derandomize=True, database=None)
+
+# every config key; an integer key takes the integer part of a finite value
+_KEYS = [key for key in DOMAINS if key.partition(".")[0] in _SECTIONS]
+_INT_KEYS = {f"{name}.{f.name}" for name, (_, cls) in _SECTIONS.items()
+             for f in dataclasses.fields(cls) if type(f.default) is int}
+
+
+def _set_value(key: str, v: float) -> list[str]:
+    if key == "field.mw_dir":
+        text = json.dumps([v, 0.0, 0.0])
+    elif key in _INT_KEYS and math.isfinite(v):
+        text = str(int(v))
+    else:
+        text = json.dumps(v)  # NaN and Infinity as JSON spells them
+    return ["--set", f"{key}={text}"]
+
+
+def _shots(v: float) -> str:
+    return str(int(v)) if math.isfinite(v) else repr(v)
+
+
+# flag -> (the DOMAINS row its values are drawn from, the ways to pass a value v)
+_FLAGS = {
+    "--shots": ("protocol.shots_per_point", [lambda v: ["--shots", _shots(v)]]),
+    "--dwell-ms": ("dwell_ms", [lambda v: ["--dwell-ms", repr(v)]]),
+    "--step": ("step_um", [lambda v: ["--step", repr(v)]]),
+    "--x-min": ("x_range_um", [lambda v: ["--x-min", repr(v)]]),
+    "--x-max": ("x_range_um", [lambda v: ["--x-max", repr(v)]]),
+    "--y-min": ("y_range_um", [lambda v: ["--y-min", repr(v)]]),
+    "--y-max": ("y_range_um", [lambda v: ["--y-max", repr(v)]]),
+    "--tau": ("tau_us", [lambda v: ["--tau", f"2,{v!r}"], lambda v: ["--tau", f"2:{v!r}:4"]]),
+    "--durations": ("durations_us", [lambda v: ["--durations", f"0,{v!r}"], lambda v: ["--durations", f"0:{v!r}:4"]]),
+    "--emitters": ("position_um", [lambda v: ["--emitters", f"{v!r},0"], lambda v: ["--emitters", f"10,{v!r}"],
+                                   lambda v: ["--emitters", f"10,0,{v!r}"]]),
+}
+
+_SHOTS = ["--shots", "100"]
+# subcommand -> (its argv, the flags drawn for it)
+COMMANDS = {
+    "rabi": (["simulate-rabi", "--durations", "0,0.3,0.6", *_SHOTS], ("--shots", "--durations")),
+    "echo": (["simulate-echo", "--tau", "2,5", *_SHOTS], ("--shots", "--tau")),
+    "echo-finite-pulses": (["simulate-echo", "--finite-pulses", "--tau", "2,5", *_SHOTS], ("--shots", "--tau")),
+    "readout": (["simulate-readout", *_SHOTS], ("--shots",)),
+    "image": (["simulate-image", "--dwell-ms", "1", "--step", "0.5"],
+              ("--dwell-ms", "--step", "--x-min", "--x-max", "--y-min", "--y-max", "--emitters")),
+    "fit": (["fit", "{dataset}"], ()),
+    "compile-seq": (["compile-seq", "{program}"], ()),
+    "dump-config": (["dump-config"], ()),
+}
+PROGRAM = "mw pi at 0us\nwait 150us\nmw pi at 150us\nlaser 2us at 300us\n"
+
+
+def _values(key: str):
+    """Values for the DOMAINS row ``key``: its edges and the floats beyond them, 0, +-inf, NaN,
+    log-uniform over the float range, or any float in the domain."""
+    row = DOMAINS[key]
+    edges = [float(row.lo), float(row.hi), float(np.nextafter(row.lo, -math.inf)),
+             float(np.nextafter(row.hi, math.inf)), 0.0, math.inf, -math.inf, math.nan]
+    log_uniform = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(-323.0, 308.25))
+    return st.one_of(st.sampled_from(edges), log_uniform, st.floats(float(row.lo), float(row.hi)))
+
+
+def _draws(flags):
+    """(the key or flag drawn, its argv) for one run: any config key, or one of ``flags``."""
+    def argv(name):
+        if name in _FLAGS:
+            row, forms = _FLAGS[name]
+            return st.tuples(st.just(name), st.sampled_from(forms), _values(row)).map(lambda t: (t[0], t[1](t[2])))
+        return _values(name).map(lambda v: (name, _set_value(name, v)))
+    return st.sampled_from([*_KEYS, *flags]).flatmap(argv)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """The fit's dataset (an echo at theta_B = 1 deg) and compile-seq's program."""
+    root = tmp_path_factory.mktemp("contract")
+    dataset, program = root / "echo.dat", root / "program.seq"
+    assert cli.main(["simulate-echo", "--set", "field.theta_b_deg=1", "-o", str(dataset)]) == 0
+    program.write_text(PROGRAM)
+    return {"dataset": str(dataset), "program": str(program)}
+
+
+def run(argv) -> tuple[int, str]:
+    """``rotornv ARGV`` in-process with RuntimeWarnings as errors: (exit code, standard error)."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, err.getvalue()
+
+
+def check_contract(command: str, name: str, code: int, err: str) -> None:
+    """The exit code and message a run that drew ``name`` may give."""
+    if command == "fit" and (code == 4 or (code == 3 and err.startswith("fit error:"))):
+        return
+    assert code in (0, 2), err
+    assert code == 0 or name in err, err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@_CONTRACT
+@given(drawn=st.data())
+def test_every_input_exits_0_or_2_naming_what_was_drawn(command, drawn, inputs):
+    base, flags = COMMANDS[command]
+    name, extra = drawn.draw(_draws(flags))
+    code, err = run([*(a.format(**inputs) for a in base), *extra, "-o", os.devnull])
+    check_contract(command, name, code, err)
+
+
+# A scratch fuzz of every numeric config key at 1e-300, 1e-30, 1e30, 1e300,
+# -1e300 and 1.7e308 found these inputs exiting 3 (an overflow in numpy, or
+# "lam value too large"), or exiting 2 only after a NaN, under a message that
+# named the wrong thing ("populations must lie in [0, 1]")
+_FUZZ_COMMANDS = ["readout", "echo", "echo-finite-pulses", "rabi", "image", "fit"]
+_FUZZ_INPUTS = [
+    *(("field.mw_dir", v) for v in (1e300, -1e300, 1.7e308)),
+    *((key, 1.7e308) for key in ("protocol.base_rabi_mhz", "protocol.turn_on_offset_us",
+                                 "beam.peak_counts_stationary_cps", "constants.gamma_e_mhz_per_g")),
+]
+
+
+@pytest.mark.parametrize("key, value", _FUZZ_INPUTS, ids=[f"{k}={v:g}" for k, v in _FUZZ_INPUTS])
+@pytest.mark.parametrize("command", _FUZZ_COMMANDS)
+def test_re_anchor_fuzz_inputs_exit_2_naming_their_key(command, key, value, inputs):
+    base, _ = COMMANDS[command]
+    code, err = run([*(a.format(**inputs) for a in base), *_set_value(key, value), "-o", os.devnull])
+    assert code == 2 and err.startswith(f"error: {key} must lie in ["), err
+
+
+# Each guard the domains replaced: the inputs that reached it are refused by
+# their domain first, and at the domain's edges the quantity it guarded is a
+# finite float.
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        # config.check_f_rot_hz: a period or angular frequency beyond the float range
+        (["simulate-echo", "--tau", "2,5", "--set", "geometry.f_rot_hz=3e-303"], "geometry.f_rot_hz"),
+        (["simulate-rabi", "--durations", "0.1,0.2", "--set", "geometry.f_rot_hz=6e305"], "geometry.f_rot_hz"),
+        # config.MAX_JITTER_FRAC
+        (["simulate-image", "--dwell-ms", "1", "--set", "strobe.jitter_frac=1e175"], "strobe.jitter_frac"),
+        # ExperimentConfig's strobe angle 2 pi f_rot_hz t_phi_us beyond the float range
+        (["simulate-image", "--dwell-ms", "1", "--set", "strobe.t_phi_us=1e304"], "strobe.t_phi_us"),
+        # imaging.MAX_LENGTH_UM: a raster, an orbit, an emitter or a wobble beyond 1e150 um
+        (["simulate-image", "--x-min", "0", "--x-max", "1e300", "--step", "1e299"], "x_range_um (--x-min, --x-max)"),
+        (["simulate-image", "--dwell-ms", "1", "--set", "geometry.r_nv_um=1e155"], "geometry.r_nv_um"),
+        (["simulate-image", "--dwell-ms", "1", "--emitters", "1e155,0"], "position_um (--emitters)"),
+        (["simulate-image", "--dwell-ms", "1", "--set", "strobe.wobble_amp_um=1e160"], "strobe.wobble_amp_um"),
+        # ScanGrid's "no finite pixel count" of a raster over a subnormal step
+        (["simulate-image", "--step", "5e-324"], "step_um (--step)"),
+        # photophysics.detection_calibration's "steady-state emission vanishes"
+        (["simulate-readout", "--set", "rates.radiative_rate_per_us=0"], "rates.radiative_rate_per_us"),
+        # imaging._cycles' overflow to an infinite strobe-cycle count
+        (["simulate-image", "--dwell-ms", "1e308"], "dwell_ms (--dwell-ms)"),
+        # spindyn's square of the collapse dip width
+        (["simulate-echo", "--tau", "2,5", "--set", "constants.gamma_c13_khz_per_g=1e-300"],
+         "constants.gamma_c13_khz_per_g"),
+        # the --shots checks of cli and photophysics.simulate_readout: one row
+        (["simulate-echo", "--tau", "2,5", "--shots", "0"], "protocol.shots_per_point (--shots)"),
+        (["simulate-readout", "--shots", "0"], "shots (--shots)"),
+    ],
+)
+def test_the_domain_refuses_what_reached_a_deleted_guard(argv, key):
+    code, err = run([*argv, "-o", os.devnull])
+    assert code == 2 and err.startswith(f"error: {key} must lie in ["), err
+
+
+def test_the_shots_flags_share_one_range():
+    scan, readout = (run([*argv, "--shots", "0", "-o", os.devnull])[1] for argv in
+                     (["simulate-echo", "--tau", "2,5"], ["simulate-readout"]))
+    assert scan.partition(" must lie in ")[2] == readout.partition(" must lie in ")[2] == "[1, 1e+12], got 0\n"
+
+
+@pytest.mark.parametrize("end", ["lo", "hi"])
+def test_at_the_domain_edges_the_guarded_quantities_are_finite(end):
+    edge = {key: getattr(row, end) for key, row in DOMAINS.items()}
+    f_rot, t_phi = edge["geometry.f_rot_hz"], edge["strobe.t_phi_us"]
+    # the period and the two angular frequencies check_f_rot_hz required normal
+    for x in (1e6 / f_rot, TWO_PI * f_rot * 1e-6, 360.0 * f_rot):
+        assert sys.float_info.min <= x < math.inf
+    cfg = config_from_dict({"geometry": {"f_rot_hz": f_rot}, "strobe": {"t_phi_us": t_phi}})
+    assert math.isfinite(math.cos(cfg.strobe_angle_rad))
+    # the render squares the farthest coordinates, orbit and wobble
+    far = max(abs(edge[k]) for k in ("x_range_um", "position_um", "geometry.r_nv_um", "strobe.wobble_amp_um"))
+    assert (2.0 * far) ** 2 < 1e300
+    # the strobe-cycle count of the longest dwell at the fastest rotation
+    grid = imaging.ScanGrid((0.0, 1.0), (0.0, 1.0), dwell_ms=DOMAINS["dwell_ms"].hi)
+    with pytest.raises(imaging.ValidationError, match="strobe cycles"):
+        imaging._cycles(grid, config_from_dict({"geometry": {"f_rot_hz": DOMAINS["geometry.f_rot_hz"].hi}}).geometry)

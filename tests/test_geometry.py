@@ -104,8 +104,9 @@ class TestZeemanProjection:
             assert zeeman_projection(g, f, constants, t) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_field(self, geometry_default, constants):
-        f = FieldConfig(b0_gauss=0.0, theta_b_deg=20.0)
-        assert zeeman_projection(geometry_default, f, constants, 1e-4) == 0.0
+        # no bias splits m_S = +-1: the field's domain refuses it
+        with pytest.raises(ValidationError, match=r"^field\.b0_gauss must lie in \[0\.001, "):
+            FieldConfig(b0_gauss=0.0, theta_b_deg=20.0)
 
     def test_ac_part_is_effective_field(self, geometry_default, constants):
         # Zeeman projection minus its one-period mean equals gamma_e * B_eff

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -475,12 +476,15 @@ def test_pixels_far_off_the_orbit_raise_nothing(plane, stationary, strobe):
 
 
 def test_a_far_off_orbit_under_a_tiny_jitter_renders():
-    # a 1e140 um orbit under a 1e-200 jitter takes the Gauss-Hermite rule:
-    # its sizing lattice follows each sample's short path, wherever it sits
+    # the farthest orbit the domain takes (10 cm) under a 1e-200 jitter takes
+    # the Gauss-Hermite rule: its sizing lattice follows each sample's short
+    # path, wherever it sits; the 1e140 um orbit once rendered lies beyond it
     strobe = StrobeConfig(t_phi_us=0.0, jitter_frac=1e-200)
     with np.errstate(all="raise"):
-        img = render_image(small_grid(0.0, 0.0, half=0.5, step=0.25), EmitterSet.single(1e140, 0.0), G_DEFAULT, strobe)
+        img = render_image(small_grid(0.0, 0.0, half=0.5, step=0.25), EmitterSet.single(1e5, 0.0), G_DEFAULT, strobe)
     assert not img.counts.any()
+    with pytest.raises(ValidationError, match=r"^position_um \(--emitters\) must lie in \[-100000, 100000\] um"):
+        EmitterSet.single(1e140, 0.0)
 
 
 def test_counts_do_not_depend_on_block_size(monkeypatch):
@@ -590,6 +594,18 @@ class TestFitSpotWidth:
         counts = np.random.default_rng(seed).poisson(5.0, (self.DEMO_Y.size, self.DEMO_X.size))
         with pytest.raises(FitError, match="no spot"):
             fit_spot_width(StrobedImage(counts, self.DEMO_X, self.DEMO_Y, 0.0067), (10.0, 0.0))
+
+    def test_no_spot_refusal_reports_the_fit_but_no_gradient(self):
+        # the gradient of a converged fit sits at the cost's rounding floor, so
+        # its last bits moved from run to run ("grad=2.709e-07", then "3.031e-07")
+        counts = np.random.default_rng(1).poisson(5.0, (self.DEMO_Y.size, self.DEMO_X.size))
+        with pytest.raises(FitError) as err:
+            fit_spot_width(StrobedImage(counts, self.DEMO_X, self.DEMO_Y, 0.0067), (10.0, 0.0))
+        msg = str(err.value)
+        assert re.fullmatch(
+            r"spot fit found no spot: amplitude \S+ \+- \S+ counts, cost=\S+, params=\[[^]]+\]", msg
+        ), msg
+        assert "grad" not in msg
 
     def test_few_counts_are_refused(self):
         # three counts in the window fitted a spot far narrower than a pixel

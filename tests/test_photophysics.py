@@ -56,11 +56,15 @@ class TestBeamIntensity:
 
     def test_vanishing_waist_and_huge_offset_warn_nothing(self):
         # from the diameter, with offsets past ten diameters clipped: neither
-        # the quotient by a squared radius nor the squared offset overflows
+        # the quotient by a squared radius nor the squared offset overflows;
+        # the 1e-300 and 5e-324 um waists once taken lie beyond the domain
+        for waist in (1e-300, 5e-324):
+            with pytest.raises(ValidationError, match=r"^beam\.waist_diameter_1e2_um must lie in \[0\.001, "):
+                BeamProfile(waist_diameter_1e2_um=waist)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rate = expected_count_rate(BeamProfile(waist_diameter_1e2_um=1e-300), RotorGeometry(), 2.0)
-            tiny = expected_count_rate(BeamProfile(waist_diameter_1e2_um=5e-324), RotorGeometry(), 2.0)
+            rate = expected_count_rate(BeamProfile(waist_diameter_1e2_um=1e-3), RotorGeometry(), 2.0)
+            tiny = expected_count_rate(BeamProfile(waist_diameter_1e2_um=1e-3), RotorGeometry(r_nv_um=1e5), 2.0)
             far = beam_intensity(BeamProfile(), 1e300)
             profile = beam_intensity(ILLUM, np.array([-1e300, -0.3, 0.0, 0.3, 1e300]))
         assert math.isfinite(rate) and math.isfinite(tiny) and far == 0.0
@@ -425,12 +429,18 @@ class TestReadoutOracle:
 
     def test_rates_that_lose_the_pass_to_rounding_are_refused(self):
         # the pass's rounding bound eps T |A(1)|_1 / theta_13 crosses 1e-3
-        # between 3.5e10 and 4e10 times the default rates over a 2 us pulse
+        # between 8000 and 9000 us of pulse at the rates' domain top (a pump
+        # of 1e9 /us); the 3.5e10 and 4e10 times the default rates that once
+        # crossed it over a 2 us pulse lie beyond that domain
         g, b, ms0 = RotorGeometry(), BeamProfile(), LevelPopulations.ms0()
-        counts, _ = readout_response(ms0, g, b, RateModel(**_scaled_rates(3.5e10)), 2.0, 0.0)
+        fastest = RateModel(**_scaled_rates(1e9 / RateModel().pump_rate_peak_per_us))
+        counts, _ = readout_response(ms0, g, b, fastest, 8000.0, 0.0, 125.0)
         assert np.all(np.isfinite(counts)) and counts.sum() > 0.0
         with pytest.raises(ValidationError, match="lower rates.pump_rate_peak_per_us"):
-            readout_response(ms0, g, b, RateModel(**_scaled_rates(4e10)), 2.0, 0.0)
+            readout_response(ms0, g, b, fastest, 9000.0, 0.0, 125.0)
+        for scale in (3.5e10, 4e10):
+            with pytest.raises(ValidationError, match=r"^rates\.pump_rate_peak_per_us must lie in \[0, 1e\+09\]"):
+                RateModel(**_scaled_rates(scale))
 
     @pytest.mark.parametrize("t_pulse", [0.5, 2.0, 6.0])
     @pytest.mark.parametrize("offset", [-2.0, -0.25, 0.5])

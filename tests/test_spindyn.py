@@ -10,7 +10,7 @@ from scipy import integrate
 from rotornv import pipeline, spindyn
 from rotornv.errors import ValidationError
 from rotornv.estimation import EchoFitModel
-from rotornv.config import FieldConfig, PhysicalConstants, RotorGeometry, config_from_dict
+from rotornv.config import DOMAINS, FieldConfig, PhysicalConstants, RotorGeometry, config_from_dict
 from rotornv.geometry import TWO_PI
 from rotornv import TimelineBatch
 from rotornv.seqlang import (
@@ -22,6 +22,7 @@ from rotornv.seqlang import (
 )
 from rotornv.spindyn import (
     COLLAPSE_FLOOR,
+    COLLAPSE_WIDTH_FRAC,
     EchoParams,
     c13_envelope,
     c13_revival_time_us,
@@ -165,12 +166,15 @@ class TestEchoPhase:
     def test_a_value_the_config_refuses_is_refused(self, constants, field, name):
         # each was once taken; the first six then reached echo_phase as a NaN
         # phase or a numpy RuntimeWarning (an invalid value in a divide or a sine)
-        with pytest.raises(ValidationError, match=f"^{name} must be"):
+        with pytest.raises(ValidationError, match=rf"^[a-z]+\.{name} must lie in \["):
             echo_phase(EchoParams(**field), constants, [1.0, 2.0])
 
     def test_a_slow_rotation_with_a_normal_period_is_taken(self, constants):
+        # the slowest rotation the domain takes; 1e-300 Hz was taken once, and is refused now
         with np.errstate(all="raise"):
-            assert not echo_phase(EchoParams(f_rot_hz=1e-300), constants, [1.0, 2.0]).any()
+            assert not echo_phase(EchoParams(f_rot_hz=1e-3), constants, [1.0, 2.0]).any()
+        with pytest.raises(ValidationError, match=r"^geometry\.f_rot_hz must lie in \[0\.001, "):
+            EchoParams(f_rot_hz=1e-300)
 
     def test_zero_amplitude(self, constants):
         p = EchoParams(b_perp_gauss=0.0)
@@ -273,8 +277,9 @@ class TestC13Envelope:
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_revivals_at_a_strong_field(self, constants):
-        # a million revivals in, at 1e9 G: the full loop would visit ~2e6 dips per call
-        p = EchoParams(b0_gauss=1e9)
+        # a million revivals in, at the domain's strongest field (10 T) and a
+        # T2 that leaves them undamped: the full loop would visit ~2e6 dips per call
+        p = EchoParams(b0_gauss=1e5, t2_us=1e9)
         tau_r = c13_revival_time_us(p.b0_gauss, constants)
         revival, collapse = c13_envelope(p, constants, np.array([1e6, 1e6 + 0.5]) * tau_r)
         assert revival > 0.9999 and collapse == pytest.approx(COLLAPSE_FLOOR, rel=1e-3)
@@ -289,9 +294,21 @@ class TestC13Envelope:
         ],
     )
     def test_out_of_range_bath_refused(self, field, constants_kw):
-        p = EchoParams(**field)
-        with pytest.raises(ValidationError, match="field.b0_gauss or constants.gamma_c13_khz_per_g"):
-            c13_envelope(p, PhysicalConstants(**constants_kw), np.array([2.0, 5.0]))
+        # the domains of B0 and gamma_13C refuse each before the envelope is reached
+        with pytest.raises(ValidationError, match=r"^(field\.b0_gauss|constants\.gamma_c13_khz_per_g) must lie in"):
+            c13_envelope(EchoParams(**field), PhysicalConstants(**constants_kw), np.array([2.0, 5.0]))
+
+    @pytest.mark.parametrize("end", ["lo", "hi"])
+    def test_the_bath_domains_keep_the_dip_variance_finite_and_positive(self, end):
+        # the envelope squares the dip width 0.2e3 / (gamma_13C B0) with no guard:
+        # at either end of both domains its square is a positive finite float
+        b0, gamma = (getattr(DOMAINS[key], end) for key in ("field.b0_gauss", "constants.gamma_c13_khz_per_g"))
+        width = COLLAPSE_WIDTH_FRAC * c13_revival_time_us(b0, PhysicalConstants(gamma_c13_khz_per_g=gamma))
+        assert 0.0 < 2.0 * width**2 < 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            env = c13_envelope(EchoParams(b0_gauss=b0), PhysicalConstants(gamma_c13_khz_per_g=gamma), [2.0, 5.0])
+        assert np.all(np.isfinite(env))
 
     @pytest.mark.parametrize("field", [{"t2_us": 1e-300}, {"t2_us": 1.0, "envelope_exponent": 1e30}])
     def test_damping_beyond_the_float_range_is_exactly_zero(self, constants, field):
