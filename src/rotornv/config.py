@@ -58,7 +58,9 @@ _DAMPING = Domain(1e-300, 1e300, "", "float range: the damping exp(-(tau / T2)^p
 _RASTER = Domain(-_RASTER_UM, _RASTER_UM, "um", "ten times the farthest emitter, either way")
 # Every numeric input's one range: each numeric field of the seven config
 # sections, the echo fringe model's own two (spindyn.EchoParams), and the
-# command-line quantities that have no config key.  A refusal names the key
+# command-line quantities that have no config key.  A flag that sets a config
+# quantity takes that key's row: --shots, an emitter's brightness and
+# compile-seq's --t-phi (the strobe delay).  A refusal names the key
 # (and its flag), the value and the range.  Since every bound is finite, no
 # input is infinite or NaN, or an integer beyond the float range.
 DOMAINS = {
@@ -106,6 +108,9 @@ DOMAINS = {
     "x_range_um": _RASTER._replace(flag="--x-min, --x-max"),
     "y_range_um": _RASTER._replace(flag="--y-min, --y-max"),
     "position_um": Domain(-_LONGEST_UM, _LONGEST_UM, "um", "10 cm either way, as the orbit", "--emitters"),
+    "b_max": Domain(1e-9, 1e5, "G", "the fringe search's bound: a nanogauss up to echo.b_perp_gauss's top", "--b-max"),
+    "max_iter": Domain(1, 10_000, "", "LM steps per start, 50 times the default: an echo fit converges in tens, "
+                       "and its 10 starts of 10 000 steps take about 20 s on a 2-core host", "--max-iter"),
 }
 
 
@@ -137,6 +142,26 @@ def check_ranges(obj, keys) -> None:
     """Refuse the first field of ``obj`` outside its domain; ``keys`` pairs each field with its DOMAINS row."""
     for name, key in keys:
         check_value(key, getattr(obj, name))
+
+
+# The two rules that tie one key's range to another's, each decided here for
+# every module that relies on it.
+def check_window_in_pulse(window_us: float, t_pulse_us: float) -> None:
+    """Refuse a readout window longer than the strobe pulse it is read from."""
+    if window_us > t_pulse_us:
+        raise ValidationError(
+            f"protocol.readout_window_us = {window_us} exceeds strobe.t_pulse_us = {t_pulse_us}: "
+            "the readout window must fit inside the strobe pulse"
+        )
+
+
+def check_pulse_in_rotation(t_pulse_us: float, g: RotorGeometry) -> None:
+    """Refuse a strobe pulse longer than one rotation period of ``g``."""
+    if t_pulse_us > g.t_rot_us:
+        raise ValidationError(
+            f"strobe.t_pulse_us = {t_pulse_us:g} exceeds the rotation period {g.t_rot_us:.7g} us "
+            "(1e6 / geometry.f_rot_hz)"
+        )
 
 
 @dataclass(frozen=True)
@@ -316,12 +341,7 @@ class ExperimentConfig:
     seed: int = 1
 
     def __post_init__(self):
-        if self.protocol.readout_window_us > self.strobe.t_pulse_us:
-            raise ValidationError(
-                f"protocol.readout_window_us = {self.protocol.readout_window_us} exceeds "
-                f"strobe.t_pulse_us = {self.strobe.t_pulse_us}: the readout window must fit "
-                "inside the strobe pulse"
-            )
+        check_window_in_pulse(self.protocol.readout_window_us, self.strobe.t_pulse_us)
 
     @property
     def strobe_angle_rad(self) -> float:

@@ -1,11 +1,11 @@
 """Weighted nonlinear least squares for echo fringes and Rabi scans.
 
 Each fit is a separable model, a nonlinear basis times a linear pair, run
-through the variable-projection core of :mod:`lsq`, as is the spot fit of
-:mod:`imaging`.  Analytic derivatives of each basis are cross-checked
-against finite differences in the test suite, and the echo fit against the
-suite's independent oracle, a brute-force grid minimiser over the two
-nonlinear echo parameters.
+through the variable-projection core of :mod:`lsq`; the spot fit of
+:mod:`imaging` evaluates its own projection.  Analytic derivatives of each
+basis are cross-checked against finite differences in the test suite, and
+the echo fit against the suite's independent oracle, a brute-force grid
+minimiser over the two nonlinear echo parameters.
 
 Fringe model
 ------------
@@ -206,11 +206,6 @@ def _landscape_starts(data: EchoDataset, model: EchoFitModel, b_max: float, k_ab
     return [np.array([b_grid[m], _PHI_GRID[n]]) for m, n in zip(i, j)]
 
 
-def _check_max_iter(max_iter: int) -> None:
-    if max_iter < 1:
-        raise ValidationError(f"--max-iter (max_iter) must be >= 1, got {max_iter}")
-
-
 def fit_echo(
     data: EchoDataset,
     model: EchoFitModel | None = None,
@@ -235,7 +230,8 @@ def fit_echo(
     b_max : float
         Amplitude search domain: the probe spans (0, b_max], and solutions
         beyond it are taken only if no start ends inside (aliasing guard).
-        Refused if its fringe phase at the largest phase factor passes
+        Refused outside its ``config.DOMAINS`` row, as ``max_iter`` is, or
+        if its fringe phase at the dataset's largest phase factor passes
         ``MAX_FRINGE_PHASE_RAD``.
 
     Raises
@@ -243,9 +239,8 @@ def fit_echo(
     IdentifiabilityError
         If the Jacobian at the optimum is numerically rank-deficient.
     """
-    if not (math.isfinite(b_max) and b_max > 0):
-        raise ValidationError(f"--b-max (b_max) must be finite and positive, got {b_max}")
-    _check_max_iter(max_iter)
+    check_value("b_max", b_max)
+    check_value("max_iter", max_iter)
     if model is None:
         model = EchoFitModel()
     if len(data) < 8:
@@ -389,7 +384,7 @@ def fit_rabi(data: EchoDataset, initial: dict | None = None, max_iter: int = 200
     Data that do not constrain the frequency (zero contrast) raise
     IdentifiabilityError.
     """
-    _check_max_iter(max_iter)
+    check_value("max_iter", max_iter)
     if len(data) < 6:
         raise ValidationError("fit_rabi needs at least 6 data points")
     t = data.tau_us

@@ -46,7 +46,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 
 from . import lsq
-from .config import DOMAINS, RotorGeometry, StrobeConfig, check_value
+from .config import DOMAINS, RotorGeometry, StrobeConfig, check_pulse_in_rotation, check_value
 from .errors import FitError, ValidationError, check_expected_counts
 from .geometry import TWO_PI
 
@@ -191,8 +191,7 @@ class StrobedImage:
 
 def angular_smear(g: RotorGeometry, t_pulse_us: float) -> float:
     """Angle in degrees swept by the rotor during one strobe window."""
-    if not t_pulse_us >= 0:
-        raise ValidationError("t_pulse_us must be non-negative")
+    check_value("strobe.t_pulse_us", t_pulse_us)
     return 360.0 * t_pulse_us * 1e-6 * g.f_rot_hz
 
 
@@ -674,11 +673,7 @@ def render_image(
             f"{max_pixels} (protocol.max_image_pixels); shrink the range (--x-min, --x-max, "
             "--y-min, --y-max) or increase step_um (--step)"
         )
-    if strobe.t_pulse_us > g.t_rot_us:
-        raise ValidationError(
-            f"strobe.t_pulse_us = {strobe.t_pulse_us:g} exceeds the rotation period {g.t_rot_us:.7g} us "
-            "(1e6 / geometry.f_rot_hz)"
-        )
+    check_pulse_in_rotation(strobe.t_pulse_us, g)
     n_cycles = _cycles(grid, g)
     with np.errstate(under="ignore"):
         mean, var = _pixel_moments(grid, emitters, g, strobe, stationary)

@@ -46,7 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import BeamProfile, RateModel, RotorGeometry, check_value
+from .config import BeamProfile, RateModel, RotorGeometry, check_pulse_in_rotation, check_value
+from .config import check_window_in_pulse
 from .errors import ValidationError, check_expected_counts
 from .geometry import TWO_PI
 
@@ -97,8 +98,7 @@ class PhotonTrace:
         counts = np.asarray(self.counts)
         if counts.ndim != 1 or np.any(counts < 0):
             raise ValidationError("counts must be a 1-D non-negative array")
-        if self.shots < 1:
-            raise ValidationError("shots must be >= 1")
+        check_value("protocol.shots_per_point", self.shots, "shots (--shots)")
         if not self.bin_width_us > 0:
             raise ValidationError("bin_width_us must be positive")
         object.__setattr__(self, "counts", counts.astype(np.int64))
@@ -154,12 +154,8 @@ def expected_count_rate(b: BeamProfile, g: RotorGeometry, t_pulse_us: float) -> 
     (composite Gauss-Legendre quadrature, no Monte Carlo); a stationary NV
     or an empty pulse gets the bound.
     """
-    if not t_pulse_us >= 0:
-        raise ValidationError("t_pulse_us must be non-negative")
-    if t_pulse_us > g.t_rot_us:
-        raise ValidationError(
-            f"t_pulse_us = {t_pulse_us} exceeds the rotation period {g.t_rot_us:.6g} us"
-        )
+    check_value("strobe.t_pulse_us", t_pulse_us)
+    check_pulse_in_rotation(t_pulse_us, g)
     bound = b.peak_counts_stationary_cps * t_pulse_us / g.t_rot_us
     if g.r_nv_um == 0.0 or t_pulse_us == 0.0:
         return bound
@@ -505,18 +501,12 @@ def _pulse_pass(
     an overflowing ratio is inf, which no integer conversion takes.  Returns
     the pass's counts and populations and the background's counts over it.
     """
-    name = "window_us" if window else "bin_width_us"
     if not t_pulse_us > 0:
         raise ValidationError("t_pulse_us must be positive")
-    if not width_us > 0:
-        raise ValidationError(f"{name} must be positive, got {width_us}")
-    if window and width_us > t_pulse_us:
-        raise ValidationError(
-            f"window_us = {width_us} exceeds t_pulse_us = {t_pulse_us}: the readout window must fit "
-            "inside the strobe pulse"
-        )
-    if not math.isfinite(turn_on_offset_us):
-        raise ValidationError(f"turn_on_offset_us must be finite, got {turn_on_offset_us}")
+    check_value("protocol.readout_window_us" if window else "protocol.bin_width_us", width_us)
+    if window:
+        check_window_in_pulse(width_us, t_pulse_us)
+    check_value("protocol.turn_on_offset_us", turn_on_offset_us)
     bins = (8.0 if window else 1.0) * t_pulse_us / width_us
     if not bins <= MAX_READOUT_STEPS + 0.5:  # round(bins) > MAX_READOUT_STEPS
         ratio = (f"strobe.t_pulse_us / (protocol.readout_window_us / 8) = {t_pulse_us} / ({width_us} / 8)" if window

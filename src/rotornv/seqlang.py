@@ -45,7 +45,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import geometry
-from .config import FieldConfig, RotorGeometry
+from .config import FieldConfig, RotorGeometry, check_value
 from .errors import CompileError, Diagnostic, ParseError, ValidationError
 from .spindyn import TARGET_FRACTIONS
 
@@ -370,8 +370,8 @@ def build_calibration(
     coupling anywhere means the pulse cannot be tuned at that angle and is
     reported as an error.
     """
-    if n_angles < 1:
-        raise ValidationError("n_angles must be >= 1")
+    check_value("protocol.n_cal_angles", n_angles)
+    check_value("protocol.base_rabi_mhz", base_rabi_mhz)
     angles = np.arange(n_angles) * (360.0 / n_angles)
     times_s = angles / (360.0 * g.f_rot_hz)
     coupling = np.atleast_1d(geometry.mw_coupling(g, f, times_s))
@@ -524,9 +524,10 @@ def _compile_batch(
         if channel == "mw":
             angle[k], rabi[k], duration = _calibrate(g, cal, at, target, duration)
         dur[k] = duration
+    check_value("strobe.t_phi_us", t_phi_us, "--t-phi (t_phi_us)")
     moved = start + t_phi_us
-    if not 0.0 <= t_phi_us < math.inf or (t_phi_us > 0.0 and _loses_duration(moved, dur)):
-        why = "must be finite, non-negative and small enough that every event keeps its duration"
+    if t_phi_us > 0.0 and _loses_duration(moved, dur):
+        why = "is too large for every event to keep its duration"
         raise CompileError([Diagnostic(f"--t-phi (t_phi_us) = {t_phi_us:g} us {why} to 1e-9 us")])
     try:
         batch = TimelineBatch(

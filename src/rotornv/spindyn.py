@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import geometry
-from .config import FieldConfig, PhysicalConstants, RotorGeometry, check_ranges
+from .config import FieldConfig, PhysicalConstants, RotorGeometry, check_ranges, check_value, check_values
 from .errors import ValidationError
 from .geometry import TWO_PI
 
@@ -146,33 +146,21 @@ def echo_ac_phase(c: PhysicalConstants, f_rot_hz: float, b_gauss, phi0_rad, tau_
     return first - ac_phase(c, f_rot_hz, b_gauss, phi0_rad, half, tau_us)
 
 
-def _checked_tau(tau_us) -> np.ndarray:
-    tau = np.asarray(tau_us, dtype=float)
-    if not np.all((tau >= 0) & (tau < math.inf)):
-        raise ValidationError("tau_us must be finite and non-negative")
-    return tau
-
-
 def echo_phase(p: EchoParams, c: PhysicalConstants, tau_us):
     """Phase difference between the two free halves of a tau spin echo, in rad:
     (2 pi gamma_e b_perp / w) [2 sin(w tau/2 + phi0) - sin(phi0) - sin(w tau + phi0)]."""
-    tau = _checked_tau(tau_us)
+    tau = check_values("tau_us", tau_us)
     out = echo_ac_phase(c, p.f_rot_hz, p.b_perp_gauss, p.phi0_rad, tau)
     return float(out) if np.isscalar(tau_us) else out
 
 
-_BATH_KEYS = "field.b0_gauss or constants.gamma_c13_khz_per_g"
-
-
 def c13_revival_time_us(b0_gauss: float, c: PhysicalConstants) -> float:
-    """First nuclear-bath contrast revival, 2 / (gamma_13C * B0), in us; refused unless finite."""
-    if not b0_gauss > 0:
-        raise ValidationError(f"field.b0_gauss (b0_gauss) must be positive for the 13C bath, got {b0_gauss:g}")
-    rate = c.gamma_c13_khz_per_g * b0_gauss
-    tau_r = 2e3 / rate if rate > 0.0 else math.inf
-    if not math.isfinite(tau_r):
-        raise ValidationError(f"the 13C revival time 2 / (gamma_13C B0) is not finite; raise {_BATH_KEYS}")
-    return tau_r
+    """First nuclear-bath contrast revival, 2 / (gamma_13C * B0), in us.
+
+    The rows of B0 and gamma_13C keep it a positive finite float.
+    """
+    check_value("field.b0_gauss", b0_gauss)
+    return 2e3 / (c.gamma_c13_khz_per_g * b0_gauss)
 
 
 # The phenomenological collapse between revivals: the dip width as a fraction
@@ -196,7 +184,7 @@ def c13_envelope(p: EchoParams, c: PhysicalConstants, tau_us):
     an exact zero, so the cost does not grow with B0.  The domains of B0
     and gamma_13C keep the dip width's variance a positive finite float.
     """
-    tau = _checked_tau(tau_us)
+    tau = check_values("tau_us", tau_us)
     tau_r = c13_revival_time_us(p.b0_gauss, c)
     width = COLLAPSE_WIDTH_FRAC * tau_r
     two_var = 2.0 * width**2

@@ -739,18 +739,34 @@ def test_a_failing_write_stays_a_runtime_error(capsys):
     assert err.startswith("runtime error: [Errno 28]"), err
 
 
-# a huge --b-max once reached the fit: 1e30 to 1e150 exited 3 with "singular
-# Jacobian", 1e155 with "overflow encountered in matmul" under -W error
-@pytest.mark.parametrize("b_max", ["1.2e14", "1e30", "1e155", "1e308"])
-def test_b_max_beyond_the_float_phase_exit_2(b_max, tmp_path, capsys):
+# a huge --b-max once reached the fit: 1e12 to 1e150 exited 3 with "singular
+# Jacobian", 1e155 with "overflow encountered in matmul" under -W error; its
+# row tops it at echo.b_perp_gauss's 1e5 G
+@pytest.mark.parametrize("b_max", ["1e10", "1e12", "1.1e14", "1.2e14", "1e30", "1e155", "1e308"])
+def test_b_max_beyond_its_row_exit_2(b_max, tmp_path, capsys):
     data = tmp_path / "echo.dat"
     assert _main_exit(["simulate-echo", "--set", "field.theta_b_deg=3", "-o", str(data)], capsys)[0] == 0
     code, err = _main_exit(["fit", str(data), "--b-max", b_max], capsys)
     assert code == 2
+    assert err.startswith("error: b_max (--b-max) must lie in [1e-09, 100000] G, got "), err
+
+
+# a slow rotor with a large gamma_e over taus near half a turn: the largest
+# phase factor is 2e12 rad/G, so an in-row --b-max passes 2**52 rad
+_SLOW_ROTOR = ["--set", "geometry.f_rot_hz=0.001", "--set", "constants.gamma_e_mhz_per_g=1000"]
+
+
+@pytest.mark.parametrize("b_max", ["1e4", "1e5"])
+def test_b_max_beyond_the_float_phase_exit_2(b_max, tmp_path, capsys):
+    data = tmp_path / "echo.dat"
+    argv = ["simulate-echo", "--tau", "2e8:5e8:8", "--shots", "10", *_SLOW_ROTOR, "-o", str(data)]
+    assert _main_exit(argv, capsys)[0] == 0
+    code, err = _main_exit(["fit", str(data), "--b-max", b_max, *_SLOW_ROTOR], capsys)
+    assert code == 2
     assert err.startswith("error: --b-max (b_max) ") and "2**52 rad" in err, err
 
 
-@pytest.mark.parametrize("b_max", ["1e10", "1e12", "1.1e14"])
+@pytest.mark.parametrize("b_max", ["1", "15", "1e3", "1e5"])
 def test_b_max_within_the_float_phase_warns_nothing(b_max, tmp_path, capsys):
     # below the bound a fit converges or is refused as unidentified, never by a warning
     data = tmp_path / "echo.dat"

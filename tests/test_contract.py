@@ -6,7 +6,8 @@ exit 2 names the key or flag that was drawn.  ``fit`` may also report a fit
 it could not make (exit 4, or a ``fit error:`` exit 3).  No command exits
 with a ``runtime error:``.  The values are drawn log-uniformly over the float
 range with both signs, and from each domain's edges, the floats just beyond
-them, 0, +-inf and NaN.
+them, 0, +-inf and NaN.  A second draw sets two config keys per run, each
+anywhere in its domain, to meet the rules that tie one key to another.
 
 Tier-1 runs a small derandomized budget; ``--hypothesis-profile contract``
 (tests/conftest.py) runs the same tests with a larger one.
@@ -18,6 +19,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import warnings
 
@@ -26,8 +28,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotornv import cli, imaging
-from rotornv.config import _SECTIONS, DOMAINS, config_from_dict
+from rotornv import cli, estimation, imaging, photophysics, seqlang, spindyn
+from rotornv.config import _SECTIONS, DOMAINS, BeamProfile, FieldConfig, PhysicalConstants, RateModel
+from rotornv.config import RotorGeometry, StrobeConfig, config_from_dict
+from rotornv.errors import ValidationError
 from rotornv.geometry import TWO_PI
 
 # examples per subcommand: tier-1's, or the contract profile's larger budget
@@ -67,6 +71,9 @@ _FLAGS = {
     "--durations": ("durations_us", [lambda v: ["--durations", f"0,{v!r}"], lambda v: ["--durations", f"0:{v!r}:4"]]),
     "--emitters": ("position_um", [lambda v: ["--emitters", f"{v!r},0"], lambda v: ["--emitters", f"10,{v!r}"],
                                    lambda v: ["--emitters", f"10,0,{v!r}"]]),
+    "--b-max": ("b_max", [lambda v: ["--b-max", repr(v)]]),
+    "--max-iter": ("max_iter", [lambda v: ["--max-iter", _shots(v)]]),
+    "--t-phi": ("strobe.t_phi_us", [lambda v: ["--t-phi", repr(v)]]),
 }
 
 _SHOTS = ["--shots", "100"]
@@ -78,8 +85,8 @@ COMMANDS = {
     "readout": (["simulate-readout", *_SHOTS], ("--shots",)),
     "image": (["simulate-image", "--dwell-ms", "1", "--step", "0.5"],
               ("--dwell-ms", "--step", "--x-min", "--x-max", "--y-min", "--y-max", "--emitters")),
-    "fit": (["fit", "{dataset}"], ()),
-    "compile-seq": (["compile-seq", "{program}"], ()),
+    "fit": (["fit", "{dataset}"], ("--b-max", "--max-iter")),
+    "compile-seq": (["compile-seq", "{program}"], ("--t-phi",)),
     "dump-config": (["dump-config"], ()),
 }
 PROGRAM = "mw pi at 0us\nwait 150us\nmw pi at 150us\nlaser 2us at 300us\n"
@@ -127,12 +134,12 @@ def run(argv) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-def check_contract(command: str, name: str, code: int, err: str) -> None:
-    """The exit code and message a run that drew ``name`` may give."""
+def check_contract(command: str, names, code: int, err: str) -> None:
+    """The exit code and message a run that drew ``names`` may give: an exit 2 names one of them."""
     if command == "fit" and (code == 4 or (code == 3 and err.startswith("fit error:"))):
         return
     assert code in (0, 2), err
-    assert code == 0 or name in err, err
+    assert code == 0 or any(name in err for name in names), (names, err)
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -142,7 +149,28 @@ def test_every_input_exits_0_or_2_naming_what_was_drawn(command, drawn, inputs):
     base, flags = COMMANDS[command]
     name, extra = drawn.draw(_draws(flags))
     code, err = run([*(a.format(**inputs) for a in base), *extra, "-o", os.devnull])
-    check_contract(command, name, code, err)
+    check_contract(command, (name,), code, err)
+
+
+def _pairs():
+    """(two distinct config keys, their argv) for one run, each value anywhere in its key's domain."""
+    def argv(keys):
+        values = st.tuples(*(st.floats(float(DOMAINS[k].lo), float(DOMAINS[k].hi)) for k in keys))
+        return values.map(lambda vs: (keys, [a for k, v in zip(keys, vs) for a in _set_value(k, v)]))
+    return st.lists(st.sampled_from(_KEYS), min_size=2, max_size=2, unique=True).flatmap(argv)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@_CONTRACT
+@given(drawn=st.data())
+def test_every_pair_of_in_domain_values_exits_0_or_2_naming_one(command, drawn, inputs):
+    # two values, each in its row, meet the rules that tie one key to another
+    # (a window longer than the pulse, a pulse longer than a turn): those
+    # refusals name their keys, so an exit 2 names one of the two drawn
+    base, _ = COMMANDS[command]
+    keys, extra = drawn.draw(_pairs())
+    code, err = run([*(a.format(**inputs) for a in base), *extra, "-o", os.devnull])
+    check_contract(command, keys, code, err)
 
 
 # A scratch fuzz of every numeric config key at 1e-300, 1e-30, 1e30, 1e300,
@@ -224,3 +252,72 @@ def test_at_the_domain_edges_the_guarded_quantities_are_finite(end):
     grid = imaging.ScanGrid((0.0, 1.0), (0.0, 1.0), dwell_ms=DOMAINS["dwell_ms"].hi)
     with pytest.raises(imaging.ValidationError, match="strobe cycles"):
         imaging._cycles(grid, config_from_dict({"geometry": {"f_rot_hz": DOMAINS["geometry.f_rot_hz"].hi}}).geometry)
+
+
+# Each library check of an argument that is a config quantity itself, which
+# its row replaced: the inputs that reached it are refused by the row, under
+# the quantity's key (the rows keep 2 / (gamma_13C B0) finite, so the revival
+# time's own "not finite" refusal could no longer fire).
+_G, _F, _B, _M = RotorGeometry(), FieldConfig(), BeamProfile(), RateModel()
+_SCAN = estimation.EchoDataset(np.arange(1.0, 17.0), np.ones(16), np.full(16, 0.01))
+
+
+def _ms0_trace(**kw):
+    return photophysics.readout_response(photophysics.LevelPopulations.ms0(), _G, _B, _M, **kw)
+
+
+@pytest.mark.parametrize(
+    "call, label",
+    [
+        # spindyn.c13_revival_time_us: "not finite" at a subnormal B0, "must be positive" at 0
+        (lambda: spindyn.c13_revival_time_us(1e-320, PhysicalConstants()), "field.b0_gauss"),
+        (lambda: spindyn.c13_revival_time_us(0.0, PhysicalConstants()), "field.b0_gauss"),
+        # spindyn._checked_tau
+        (lambda: spindyn.echo_phase(spindyn.EchoParams(), PhysicalConstants(), [math.inf]), "tau_us (--tau)"),
+        # imaging.angular_smear and photophysics.expected_count_rate: "t_pulse_us must be non-negative"
+        (lambda: imaging.angular_smear(_G, -1.0), "strobe.t_pulse_us"),
+        (lambda: photophysics.expected_count_rate(_B, _G, math.nan), "strobe.t_pulse_us"),
+        # seqlang.build_calibration: "n_angles must be >= 1", and a drive it did not check
+        (lambda: seqlang.build_calibration(_G, _F, 3.6, 0), "protocol.n_cal_angles"),
+        (lambda: seqlang.build_calibration(_G, _F, 1e308, 8), "protocol.base_rabi_mhz"),
+        # the readout pass: a bin width or window that is not positive, a turn-on that is not finite
+        (lambda: _ms0_trace(bin_width_us=0.0), "protocol.bin_width_us"),
+        (lambda: photophysics.spin_window_counts(_G, _B, _M, 2.0, 0.0, -1.0), "protocol.readout_window_us"),
+        (lambda: _ms0_trace(turn_on_offset_us=math.inf), "protocol.turn_on_offset_us"),
+        # PhotonTrace: "shots must be >= 1"
+        (lambda: photophysics.PhotonTrace(0.05, np.zeros(3), 0), "shots (--shots)"),
+        # estimation: "--b-max (b_max) must be finite and positive" and _check_max_iter
+        (lambda: estimation.fit_echo(_SCAN, b_max=math.nan), "b_max (--b-max)"),
+        (lambda: estimation.fit_echo(_SCAN, max_iter=0), "max_iter (--max-iter)"),
+        (lambda: estimation.fit_rabi(_SCAN, max_iter=0), "max_iter (--max-iter)"),
+        # seqlang._compile_batch: "--t-phi must be finite, non-negative and ..."
+        (lambda: seqlang.compile_timeline(seqlang.parse_sequence(PROGRAM), _G,
+                                          seqlang.build_calibration(_G, _F, 3.6, 8), t_phi_us=-5.0),
+         "--t-phi (t_phi_us)"),
+    ],
+)
+def test_a_row_refuses_what_reached_a_deleted_library_check(call, label):
+    with pytest.raises(ValidationError, match=f"^{re.escape(label)} must lie in \\["):
+        call()
+
+
+def test_each_cross_key_rule_is_decided_once():
+    # a readout window longer than the pulse: the config and the readout pass
+    with pytest.raises(ValidationError) as by_config:
+        config_from_dict({"protocol": {"readout_window_us": 2.5}})
+    with pytest.raises(ValidationError) as by_pass:
+        photophysics.spin_window_counts(_G, _B, _M, 2.0, 0.0, 2.5)
+    assert str(by_config.value) == str(by_pass.value) == (
+        "protocol.readout_window_us = 2.5 exceeds strobe.t_pulse_us = 2.0: "
+        "the readout window must fit inside the strobe pulse"
+    )
+    # a pulse longer than a turn: the render and the strobed count rate
+    fast = RotorGeometry(f_rot_hz=1e6)
+    grid = imaging.ScanGrid((0.0, 1.0), (0.0, 1.0), dwell_ms=1.0)
+    with pytest.raises(ValidationError) as by_render:
+        imaging.render_image(grid, imaging.EmitterSet.single(0.5, 0.5), fast, StrobeConfig(t_phi_us=0.0))
+    with pytest.raises(ValidationError) as by_rate:
+        photophysics.expected_count_rate(_B, fast, 2.0)
+    assert str(by_render.value) == str(by_rate.value) == (
+        "strobe.t_pulse_us = 2 exceeds the rotation period 1 us (1e6 / geometry.f_rot_hz)"
+    )

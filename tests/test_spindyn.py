@@ -320,8 +320,9 @@ class TestC13Envelope:
     @pytest.mark.parametrize("tau", [[math.inf], [2.0, math.nan], -1.0])
     @pytest.mark.parametrize("fn", [c13_envelope, echo_phase])
     def test_a_tau_that_is_not_finite_and_non_negative_is_refused(self, constants, fn, tau):
-        # an infinite tau once reached int() of the dip count: a raw OverflowError
-        with pytest.raises(ValidationError, match="^tau_us must be finite and non-negative$"):
+        # an infinite tau once reached int() of the dip count: a raw OverflowError;
+        # the tau_us row refuses it, as it refuses --tau
+        with pytest.raises(ValidationError, match=r"^tau_us \(--tau\) must lie in \[0, 1e\+09\] us, got "):
             fn(EchoParams(), constants, tau)
 
 
