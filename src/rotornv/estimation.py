@@ -1,8 +1,9 @@
 """Weighted nonlinear least squares for echo fringes and Rabi scans.
 
 Each fit is a separable model, a nonlinear basis times a linear pair, run
-through the variable-projection core of :mod:`lsq`; the spot fit of
-:mod:`imaging` evaluates its own projection.  Analytic derivatives of each
+through the variable-projection core of :mod:`lsq`, as the spot fit of
+:mod:`imaging` is: each fit writes its basis and derivative rows, over
+sigma, into the core's buffer.  Analytic derivatives of each
 basis are cross-checked against finite differences in the test suite, and
 the echo fit against the suite's independent oracle, a brute-force grid
 minimiser over the two nonlinear echo parameters.
@@ -31,8 +32,7 @@ from . import lsq
 from .config import PhysicalConstants, check_value
 from .errors import IdentifiabilityError, ValidationError
 # perfbench/spantrace.py finds levenberg_marquardt on this module and rebinds
-# that object in lsq too, where fit_separable and imaging.fit_spot_width
-# look it up at call time
+# that object in lsq too, where fit_separable looks it up at call time
 from .lsq import levenberg_marquardt  # noqa: F401
 from .spindyn import EchoParams, c13_envelope, echo_ac_phase
 
@@ -143,18 +143,42 @@ class FitResult:
 # echo fringe fit
 
 
-def _echo_basis(model: EchoFitModel, tau: np.ndarray, b: float, phi0: float):
-    """Fringe basis u = env cos(b k) / 2 and its (b, phi0) derivatives (2, n)."""
-    env = model.envelope_values(tau)
-    k = model.phase_factor(tau, np.array([[phi0], [phi0 + 0.5 * math.pi]]))  # d k / d phi0: k at phi0 + pi/2
-    half_sin = -0.5 * env * np.sin(b * k[0])
-    return 0.5 * env * np.cos(b * k[0]), np.stack([half_sin * k[0], half_sin * b * k[1]])
+def _data_rows(data: EchoDataset, q: int) -> np.ndarray:
+    """A (q + 3, n) rows buffer of :func:`lsq.fit_separable`, its 1/sigma and y/sigma rows set."""
+    rows = np.empty((q + 3, len(data)))
+    rows[q + 1], rows[q + 2] = 1.0 / data.sigma, data.signal / data.sigma
+    return rows
+
+
+def _scaled_identity(out: np.ndarray, x, a: float) -> None:
+    """The echo and Rabi rows are du/dx / sigma themselves: a times the identity maps them."""
+    np.fill_diagonal(out, a)
+
+
+def _echo_rows(data: EchoDataset, model: EchoFitModel):
+    """The fringe fit's rows and their fill at x = (b_perp, phi0).
+
+    The fill writes the basis u = env cos(b k) / 2 and its (b, phi0)
+    derivatives, each over sigma; d k / d phi0 is k at phi0 + pi/2.
+    """
+    rows = _data_rows(data, 2)
+    half_env = 0.5 * model.envelope_values(data.tau_us) * rows[3]
+
+    def fill(rows, x):
+        k = model.phase_factor(data.tau_us, np.array([[x[1]], [x[1] + 0.5 * math.pi]]))
+        phase = x[0] * k[0]
+        half_sin = -half_env * np.sin(phase)
+        rows[0], rows[1], rows[2] = half_sin * k[0], half_sin * x[0] * k[1], half_env * np.cos(phase)
+
+    return rows, fill
 
 
 def echo_jacobian(data: EchoDataset, model: EchoFitModel, params: dict) -> np.ndarray:
     """Weighted Jacobian of the fringe residual in the reported parameters."""
-    u, du = _echo_basis(model, data.tau_us, params["b_perp_gauss"], params["phi0_rad"])
-    return lsq.full_jacobian(u, du, params["contrast"], data.sigma)
+    rows, fill = _echo_rows(data, model)
+    x = np.array([params["b_perp_gauss"], params["phi0_rad"]])
+    fill(rows, x)
+    return lsq.full_jacobian(rows, _scaled_identity, x, params["contrast"])
 
 
 def _linear_landscape(data: EchoDataset, model: EchoFitModel, b_grid, phi_grid):
@@ -182,6 +206,9 @@ def _linear_landscape(data: EchoDataset, model: EchoFitModel, b_grid, phi_grid):
 
 # The landscape probe's phi0 grid: phi0 and phi0 + pi are degenerate.
 _PHI_GRID = np.arange(64) * (math.pi / 64.0)
+# LM ends within this fraction of the lowest cost tie with it: the starts
+# that reach one optimum end within about 3e-13 of its cost, by rounding.
+_TIE_RTOL = 1e-10
 # The largest fringe phase b_max * |phase factor| a fit may search, rad.  Float
 # spacing there is about 1 rad, so a larger phase has no meaning.
 MAX_FRINGE_PHASE_RAD = 2.0**52
@@ -226,7 +253,9 @@ def fit_echo(
         Fixed constants, rotation frequency and (optional) envelope.
     initial : dict, optional
         Start from its b_perp_gauss and phi0_rad (any other key is ignored)
-        instead of the 10 best cells of a landscape probe.
+        instead of the 10 best cells of a landscape probe.  Of the starts
+        that end within ``_TIE_RTOL`` of the lowest cost, the earliest is
+        reported, unless only a later one converged.
     b_max : float
         Amplitude search domain: the probe spans (0, b_max], and solutions
         beyond it are taken only if no start ends inside (aliasing guard).
@@ -259,23 +288,16 @@ def fit_echo(
     else:
         raise ValidationError("initial needs both b_perp_gauss and phi0_rad")
 
-    def basis(x):
-        return _echo_basis(model, data.tau_us, x[0], x[1])
-
+    rows, fill = _echo_rows(data, model)
+    fits = [lsq.fit_separable(rows, fill, _scaled_identity, x0, 0.0, 1.0, max_iter) for x0 in starts]
     # prefer solutions inside the physical amplitude domain: beyond b_max the
     # fringe aliases between sample points and can overfit pure noise
-    best = best_any = None
-    for x0 in starts:
-        fit = lsq.fit_separable(basis, data.signal, data.sigma, x0, 0.0, 1.0, max_iter)
-        lm = fit[0]
-        if best_any is None or lm.cost < best_any[0].cost:
-            best_any = fit
-        if abs(lm.x[0]) <= b_max * (1.0 + 1e-9):
-            if best is None or lm.cost < best[0].cost - 1e-15 or (
-                abs(lm.cost - best[0].cost) <= 1e-15 and lm.converged and not best[0].converged
-            ):
-                best = fit
-    lm, a, c = (best or best_any)[:3]
+    fits = [fit for fit in fits if abs(fit[0].x[0]) <= b_max * (1.0 + 1e-9)] or fits
+    # of the ends tied with the lowest cost, the earliest start in landscape
+    # order, unless only a later one converged
+    low = min(fit[0].cost for fit in fits)
+    tied = [fit for fit in fits if fit[0].cost <= low * (1.0 + _TIE_RTOL)] or fits
+    lm, a, c = next((fit for fit in tied if fit[0].converged), tied[0])
 
     params = canonical_fringe_params(
         dict(zip(ECHO_PARAM_NAMES, (abs(float(lm.x[0])), float(lm.x[1]), a, c)))
@@ -392,9 +414,11 @@ def fit_rabi(data: EchoDataset, initial: dict | None = None, max_iter: int = 200
     if span <= 0:
         raise ValidationError("duration scan has zero span")
 
-    def basis(x):
+    rows = _data_rows(data, 1)
+
+    def fill(rows, x):
         s = np.sin(math.pi * x[0] * t)
-        return s * s, (math.pi * t * np.sin(2.0 * math.pi * x[0] * t))[None]
+        rows[0], rows[1] = math.pi * t * np.sin(2.0 * math.pi * x[0] * t) * rows[2], s * s * rows[2]
 
     w = 1.0 / data.sigma**2
     if initial is not None and "rabi_freq_mhz" in initial:
@@ -413,8 +437,9 @@ def fit_rabi(data: EchoDataset, initial: dict | None = None, max_iter: int = 200
     i = finite[np.argmin(sse[finite])]  # the first minimum among finite SSE
 
     start = omega_candidates[i : i + 1]
-    lm, contrast, baseline, _, _ = lsq.fit_separable(basis, data.signal, data.sigma, start, max_iter=max_iter)
+    lm, contrast, baseline = lsq.fit_separable(rows, fill, _scaled_identity, start, max_iter=max_iter)
     omega = abs(float(lm.x[0]))
     params = {"rabi_freq_mhz": omega, "contrast": contrast, "baseline": baseline}
-    jac = lsq.full_jacobian(*basis([omega]), contrast, data.sigma)
+    fill(rows, [omega])
+    jac = lsq.full_jacobian(rows, _scaled_identity, [omega], contrast)
     return _finalize_fit(params, jac, lm, RABI_PARAM_NAMES)

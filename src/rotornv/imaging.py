@@ -29,9 +29,9 @@ for several emitters, on every sample, then each emitter's own, on that
 emitter's samples alone.
 Widths are quoted in the 1/e^2 convention: a profile exp(-2 d^2 / sigma^2)
 has width sigma.  The spot fit is separable, amplitude x Gaussian basis +
-background: LM (:func:`lsq.levenberg_marquardt`) over (x, y, sigma_r,
-sigma_a) with analytic derivatives of the basis, by variable projection
-evaluated from one product of the basis rows per step, and refused at a
+background: the variable-projection core of every fit
+(:func:`lsq.fit_separable`) searches (x, y, sigma_r, sigma_a) from the
+basis and its analytic derivative rows, and the fit is refused at a
 singular Jacobian like every fit.
 """
 
@@ -701,17 +701,15 @@ def render_image(
     )
 
 
-def _spot_gram(rows: np.ndarray, offsets: np.ndarray, axes: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Fill rows[:5] with the spot basis and its derivative rows at p; return rows @ rows[4:].T.
+def _spot_rows(offsets: np.ndarray, axes: np.ndarray, rows: np.ndarray, p: np.ndarray) -> None:
+    """Fill rows[:5] with the spot basis and its derivative rows at p.
 
     The basis is u = exp(-2 (dr^2/sr^2 + da^2/sa^2)) at p = (mx, my, sr,
     sa), with dr, da the pixel offsets (``offsets``, (2, n), on the radial
     and azimuthal rows of ``axes``) from the centre (mx, my).  rows[4]
     takes u and rows[:4] take u hr, u ha, u hr dr, u ha da, with hr =
     -2 dr/sr^2 and ha = -2 da/sa^2; _spot_derivatives maps them to u's
-    derivatives in p.  rows[5:] hold 1 and the counts, so the (7, 3)
-    product holds every sum the fit takes.  (numpy hands the whole
-    rows @ rows.T to BLAS syrk, which measured 3x slower at this size.)
+    derivatives in p.
     """
     d, h, u = rows[2:4], rows[:2], rows[4]
     np.subtract(offsets, (axes @ p[:2])[:, None], out=d)
@@ -719,18 +717,16 @@ def _spot_gram(rows: np.ndarray, offsets: np.ndarray, axes: np.ndarray, p: np.nd
     d *= h
     np.exp(np.add(d[0], d[1], out=u), out=u)
     rows[:4] *= u
-    return rows @ rows[4:].T
 
 
-def _spot_derivatives(out: np.ndarray, axes: np.ndarray, p: np.ndarray, scale: float) -> np.ndarray:
-    """``out`` with out[:4, :4] set to ``scale`` x the map from _spot_gram's rows[:4] to u's derivatives in p.
+def _spot_derivatives(axes: np.ndarray, out: np.ndarray, p: np.ndarray, scale: float) -> None:
+    """Set out[:4, :4] to ``scale`` x the map from _spot_rows' rows[:4] to u's derivatives in p.
 
     The map is -2 x (the axes' transpose, 1/sr, 1/sa) on the diagonal;
     the rest of out[:4, :4] must be zero.
     """
     out[:2, :2] = (-2.0 * scale) * axes.T
     out[2, 2], out[3, 3] = -2.0 * scale / p[2], -2.0 * scale / p[3]
-    return out
 
 
 def fit_spot_width(image: StrobedImage, initial_center_um: tuple[float, float]) -> tuple[float, float]:
@@ -766,48 +762,16 @@ def fit_spot_width(image: StrobedImage, initial_center_um: tuple[float, float]) 
 
     # pixel coordinates along the radial and azimuthal axes
     offsets = (xs[win_x] * axes[:, :1, None] + ys[win_y, None] * axes[:, 1:, None]).reshape(2, -1)
-    # unweighted (sigma 1 on every pixel): sqrt-count weights bias the widths
-    # low at the count levels strobed images reach, because empty wing
-    # pixels dominate; weights from the render's model variance would move
-    # the widths, which needs a bias study against the known widths first
+    # unweighted (sigma 1 on every pixel, so the rows stay raw): sqrt-count
+    # weights bias the widths low at the count levels strobed images reach,
+    # because empty wing pixels dominate; weights from the render's model
+    # variance would move the widths, which needs a bias study against the
+    # known widths first
     rows = np.empty((7, sub.size))
     rows[5], rows[6] = 1.0, sub.ravel()
-    latest = [b""]  # x, sums, amplitude, background at the last x only
-
-    # variable projection (as lsq.fit_separable, with every sum from one
-    # product): the pair (amplitude clamped at 0, background) solved from the
-    # sums of u, 1 and the counts, and Kaufman's Jacobian a (du - P du), P
-    # the projection onto the free linear columns, from the sums of du with them
-    def residual(x):
-        sums = _spot_gram(rows, offsets, axes, x)
-        (s_uu, s_u, s_uy), (s_1, s_y) = sums[4].tolist(), sums[5, 1:].tolist()
-        det = s_uu * s_1 - s_u * s_u
-        amp = (s_uy * s_1 - s_u * s_y) / det if abs(det) >= 1e-300 else math.nan
-        if amp > 0.0:  # False for NaN
-            bg = (s_uu * s_y - s_u * s_uy) / det
-        else:
-            amp, bg = 0.0, s_y / s_1
-        latest[:] = x.tobytes(), sums, amp, bg
-        return np.array([amp, bg, -1.0]) @ rows[4:]
-
-    def jacobian(x):
-        if latest[0] != x.tobytes():
-            residual(x)
-        _, sums, amp, _ = latest
-        (s_uu, s_u, _), s_1 = sums[4].tolist(), sums[5, 1]
-        coef = _spot_derivatives(np.zeros((4, 6)), axes, x, amp)
-        if amp > 0.0:  # minus the rows' least-squares coefficients on (u, 1)
-            det = s_uu * s_1 - s_u * s_u
-            coef[:, 4:] = coef[:, :4] @ (sums[:4, :2] @ [[-s_1, s_u], [s_u, -s_uu]]) / det
-        else:
-            coef[:, 5] = coef[:, :4] @ sums[:4, 1] / -s_1
-        return (coef @ rows[:6]).T
-
+    fill, derivatives = functools.partial(_spot_rows, offsets, axes), functools.partial(_spot_derivatives, axes)
     x0 = np.array([xs[win_x][peak_x], ys[win_y][peak_y], 0.5, 0.5])
-    lm = lsq.levenberg_marquardt(residual, jacobian, x0, max_iter=300)
-    if latest[0] != lm.x.tobytes():
-        residual(lm.x)
-    _, _, amp, bg = latest
+    lm, amp, bg = lsq.fit_separable(rows, fill, derivatives, x0, lo=0.0, max_iter=300)
     u = rows[4]
     # the amplitude's standard error at the fitted shape; Poisson counts
     # vary at least as much as the background
@@ -819,5 +783,5 @@ def fit_spot_width(image: StrobedImage, initial_center_um: tuple[float, float]) 
             f"{amp:.4g} +- {amp_se:.3g} counts, cost={lm.cost:.4g}, params={np.round(lm.x, 4).tolist()}"
         )
     # the full Jacobian, in (mx, my, sr, sa, amplitude, background)
-    lsq.check_identified((_spot_derivatives(np.eye(6), axes, lm.x, amp) @ rows[:6]).T)
+    lsq.check_identified(lsq.full_jacobian(rows, derivatives, lm.x, amp))
     return abs(float(lm.x[2])), abs(float(lm.x[3]))

@@ -6,17 +6,16 @@ sum of squares.  Every fit is separable, a nonlinear basis u(x) times a
 linear pair: y ~ a u(x) + c.  LM searches the nonlinear parameters alone
 (variable projection, Golub & Pereyra, Inverse Problems 19 (2003) R1):
 the pair is solved in closed form at each x, and LM gets the projected
-residual with Kaufman's Jacobian (BIT 15 (1975) 49).  The weighted echo
-and Rabi fits run through :func:`fit_separable`, whose arithmetic their
-pinned outputs fix bit for bit.  The unweighted spot fit
-(:func:`imaging.fit_spot_width`) evaluates the same projection itself,
-from one product of its basis rows per step, and calls
-:func:`levenberg_marquardt` directly.  Every fit stops when the gradient
-falls below 1e-8 of the cost or when no trial step could lower the cost by
-more than its rounding, and a full Jacobian with condition above 1e12 at
-the optimum raises IdentifiabilityError (:func:`check_identified`).
-The models live with their fits: the echo and Rabi bases in
-:mod:`estimation`, the spot basis in :mod:`imaging`.
+residual with Kaufman's Jacobian (BIT 15 (1975) 49).  The echo, Rabi and
+spot fits all run through one driver, :func:`fit_separable`: each writes
+its basis and derivative rows into one buffer that also holds its weights
+and data, and one product of that buffer gives every sum a step takes.
+Every fit stops when the gradient falls below 1e-8 of the cost or when no
+trial step could lower the cost by more than its rounding, and a full
+Jacobian with condition above 1e12 at the optimum raises
+IdentifiabilityError (:func:`check_identified`).  The models live with
+their fits: the echo and Rabi bases in :mod:`estimation`, the spot basis
+in :mod:`imaging`.
 """
 
 from __future__ import annotations
@@ -141,61 +140,71 @@ def pair_from_sums(s_uu, s_u, s_1, s_uy, s_y, s_yy):
     return a, cc, s_yy - a * s_uy - cc * s_y
 
 
-def fit_separable(basis, y, sigma, x0, lo=-math.inf, hi=math.inf, max_iter: int = 200):
-    """LM over the nonlinear parameters x of y ~ a u(x) + c: (LMResult, a, c, u, du).
+def fit_separable(rows, fill, derivatives, x0, lo=-math.inf, hi=math.inf, max_iter: int = 200):
+    """LM over the nonlinear parameters x of y ~ a u(x) + c: (LMResult, a, c).
 
-    ``basis(x)`` returns u at x and its derivatives du (p, n).  At each x
-    the pair is solved in closed form; an ``a`` outside [lo, hi] (or NaN,
-    when u is flat) is clamped and c re-solved alone.  LM runs on the
-    projected residual (a u + c - y) / sigma and Kaufman's Jacobian (n, p):
-    the columns a du / sigma projected off the free linear columns.  The
-    Golub-Pereyra term it drops lies in their span, orthogonal to the
-    residual, so J^T r is the exact gradient.  Each residual evaluates the
-    basis once, reused by the Jacobian at that x and returned where LM stops.
+    ``rows`` is a (q + 3, n) buffer whose last two rows hold 1/sigma and
+    y/sigma.  ``fill(rows, x)`` writes q derivative rows and then u, each
+    over sigma, into rows[:q + 1]; ``derivatives(out, x, a)`` writes the
+    map from those q rows to a du/dx / sigma into the leading (p, q) block
+    of ``out``, whose other entries it leaves zero (a times the identity
+    where the rows are du/dx / sigma themselves).  One product
+    rows @ rows[q:].T gives every weighted sum a step takes.  At each x the
+    pair is solved in closed form; an ``a`` outside [lo, hi] (or NaN, when
+    u is flat) is clamped and c re-solved alone.  LM runs on the projected
+    residual (a u + c - y) / sigma and Kaufman's Jacobian (n, p): a du /
+    sigma projected off the free linear columns.  The Golub-Pereyra term it
+    drops lies in their span, orthogonal to the residual, so J^T r is the
+    exact gradient.  The Jacobian reuses the rows and sums of the residual
+    at its x, and ``rows`` is left filled where LM stops.
     """
-    w = 1.0 / sigma**2
-    s_1, s_y = w.sum(), y @ w
-    latest = [b""]  # x, u, du, sum w u^2, sum w u, det, a, c at the last x only
+    q = rows.shape[0] - 3
+    coef = np.zeros((len(x0), q + 2))  # the derivative map, then the projection's coefficients
+    latest = [b""]  # x, sums, a, c at the last x only
 
     def residual(x):
-        u, du = basis(x)
-        s_uu, s_u, s_uy = (u * u) @ w, u @ w, (u * y) @ w
-        det = float(s_uu * s_1 - s_u**2)
-        det = math.nan if abs(det) < 1e-300 else det
-        a = float((s_uy * s_1 - s_u * s_y) / det)
+        fill(rows, x)
+        # the (q + 3, 3) block alone: numpy hands the whole rows @ rows.T to
+        # BLAS syrk, which measured 3x slower at the spot fit's size
+        sums = rows @ rows[q:].T
+        (s_uu, s_u, s_uy), (s_1, s_y) = sums[q].tolist(), sums[q + 1, 1:].tolist()
+        det = s_uu * s_1 - s_u * s_u
+        a = (s_uy * s_1 - s_u * s_y) / det if abs(det) >= 1e-300 else math.nan
         if lo < a < hi:  # False for NaN
-            c = float((s_uu * s_y - s_u * s_uy) / det)
+            c = (s_uu * s_y - s_u * s_uy) / det
         else:
             a = min(max(0.0 if math.isnan(a) else a, lo), hi)
-            c = float((y - a * u) @ w / s_1)
-        latest[:] = x.tobytes(), u, du, s_uu, s_u, det, a, c
-        return (a * u + c - y) / sigma
+            c = (s_y - a * s_u) / s_1
+        latest[:] = x.tobytes(), sums, a, c
+        return np.array([a, c, -1.0]) @ rows[q:]
 
     def jacobian(x):
         if latest[0] != x.tobytes():
             residual(x)
-        _, u, du, s_uu, s_u, det, _, _ = latest
-        rows = np.vstack([y, du])  # a from these matrix-vector sums; the residual's dots differ in last bits
-        s_urows, s_rows = (u * rows) @ w, rows @ w
-        a = (s_urows * s_1 - s_u * s_rows) / det
-        coef = float(a[0])
-        if lo < coef < hi:
-            fitted = a[1:, None] * u + ((s_uu * s_rows[1:] - s_u * s_urows[1:]) / det)[:, None]
-        else:
-            coef = min(max(0.0 if math.isnan(coef) else coef, lo), hi)
-            fitted = (du @ w / s_1)[:, None]
-        return (coef * (du - fitted) / sigma).T
+        _, sums, a, _ = latest
+        derivatives(coef, x, a)
+        (s_uu, s_u, _), s_1 = sums[q].tolist(), sums[q + 1, 1]
+        if lo < a < hi:  # minus the rows' least-squares coefficients on (u, 1)
+            det = s_uu * s_1 - s_u * s_u
+            coef[:, q:] = coef[:, :q] @ (sums[:q, :2] @ [[-s_1, s_u], [s_u, -s_uu]]) / det
+        else:  # on 1 alone: a is fixed at its bound
+            coef[:, q] = 0.0
+            coef[:, q + 1] = coef[:, :q] @ sums[:q, 1] / -s_1
+        return (coef @ rows[: q + 2]).T
 
     lm = levenberg_marquardt(residual, jacobian, x0, max_iter=max_iter)
     if latest[0] != lm.x.tobytes():
         residual(lm.x)
-    _, u, du, _, _, _, a, c = latest
-    return lm, a, c, u, du
+    return lm, latest[2], latest[3]
 
 
-def full_jacobian(u: np.ndarray, du: np.ndarray, a: float, sigma: np.ndarray) -> np.ndarray:
-    """Jacobian of (a u + c - y) / sigma in (nonlinear parameters, a, c)."""
-    return np.column_stack([*(a * du), u, np.ones_like(u)]) / sigma[:, None]
+def full_jacobian(rows: np.ndarray, derivatives, x, a: float) -> np.ndarray:
+    """Jacobian of (a u + c - y) / sigma in (x, a, c), from :func:`fit_separable`'s ``rows`` filled at x."""
+    p, q = len(x), rows.shape[0] - 3
+    coef = np.zeros((p + 2, q + 2))
+    derivatives(coef[:p], x, a)
+    coef[p, q] = coef[p + 1, q + 1] = 1.0
+    return (coef @ rows[: q + 2]).T
 
 
 def check_identified(jac: np.ndarray) -> None:

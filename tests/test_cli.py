@@ -1688,7 +1688,7 @@ def test_readout_trace_is_pinned(seed, digest):
         ("rabi", ("--model", "rabi"), 1, "d48440ab7278ec9f48f36d1fd2aefbb1d7300443236e4c511b0c4a5e2c68ab92"),
         ("rabi", ("--model", "rabi"), 7, "65faecc104ad19c2719b1dfb151e2c2bf94c478f21057f07472c937d60afec5f"),
         ("echo", (), 1, "2fc760403ae4ef41ed5168c84b640d9fff784fd918467f89633be5b7f1e098ce"),
-        ("echo", (), 7, "4cb3a4412bc9d2b69d8c7a14f97c03aa84dff79a3c2b0e1613588c31add02fe1"),
+        ("echo", (), 7, "7cb9014c6f4522989d6ee7449cc6ff0049adcd49cb72575d9349137616736415"),
     ],
 )
 def test_fit_text_is_pinned(tmp_path, scan, model, seed, digest):
