@@ -4,9 +4,10 @@ Subcommands: simulate-rabi, simulate-echo, simulate-image, simulate-readout,
 compile-seq, fit, dump-config.  The experiment configuration comes from
 ``--config`` (or the ROTORNV_CONFIG environment variable) with
 ``--set section.key=value`` overrides (a scan's ``--shots`` sets
-``protocol.shots_per_point``); every output file carries the config
-hash and seed in its header, and identical config + seed reproduce files
-byte for byte.
+``protocol.shots_per_point``).  A ``simulate-*`` file's header carries the
+config hash and seed (``fit`` and ``compile-seq`` output carry neither;
+``dump-config`` prints the config), and identical config + seed reproduce
+files byte for byte.
 
 Exit codes: 0 success, 2 validation/usage error, 3 runtime failure,
 4 fit did not converge.  With ROTORNV_DEBUG=1 in the environment a runtime

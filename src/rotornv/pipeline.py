@@ -113,6 +113,13 @@ def echo_params_from_config(cfg: ExperimentConfig) -> spindyn.EchoParams:
     )
 
 
+def _refuse_repeats(axis: np.ndarray, name: str) -> None:
+    """Refuse the sorted scan axis ``axis``, named ``name``, if it repeats a value, naming the value."""
+    repeated = axis[1:][np.diff(axis) == 0]
+    if repeated.size:
+        raise ValidationError(f"{name} repeats the value {repeated[0]:g}")
+
+
 def _sample_scan(
     cfg: ExperimentConfig, values, name: str, populations, stream: int
 ) -> tuple[EchoDataset, photophysics.WindowResponse]:
@@ -125,9 +132,7 @@ def _sample_scan(
     axis = np.asarray(sorted(float(v) for v in values), dtype=float)
     if axis.size == 0:
         raise ValidationError(f"{name} is empty")
-    repeated = axis[1:][np.diff(axis) == 0]
-    if repeated.size:
-        raise ValidationError(f"{name} repeats the value {repeated[0]:g}")
+    _refuse_repeats(axis, name)
     p_ms1 = populations(axis)
     resp = window_response(cfg)
     rng = np.random.default_rng([cfg.seed, stream])
@@ -170,7 +175,7 @@ def rabi_populations(cfg: ExperimentConfig, durations_us, pulse_at: str = "start
     g, f, c = cfg.geometry, cfg.field_cfg, cfg.constants
     where = _rabi_pulse_at(cfg, pulse_at)
     durations = check_values("durations_us", durations_us)
-    # the simulator's test of a laser boundary inside the pulse, as the scan gives it
+    # the simulator's order rule (the pulse ends before the readout laser starts), naming the scan's flags
     ends = where["pulse_at_us"] + durations
     _check_readout_timing(
         g, ends, ends > g.t_rot_us, "durations_us (--durations), pulse_at (--pulse-at)"
@@ -397,8 +402,8 @@ def read_echo_dataset(path: str) -> tuple[EchoDataset, dict]:
     names, rows, meta = parse_dataset(read_text(path, "dataset"))
     if rows.shape[1] < 3:
         raise ValidationError(f"{path}: expected 3 columns (tau/duration, signal, sigma)")
-    order = np.argsort(rows[:, 0])
-    rows = rows[order]
+    rows = rows[np.argsort(rows[:, 0])]
+    _refuse_repeats(rows[:, 0], f"{path}: {names[0] if names else 'the first column'}")
     return EchoDataset(rows[:, 0], rows[:, 1], rows[:, 2]), meta
 
 

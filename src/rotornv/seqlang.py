@@ -47,7 +47,11 @@ import numpy as np
 from . import geometry
 from .config import FieldConfig, RotorGeometry, check_value
 from .errors import CompileError, Diagnostic, ParseError, ValidationError
-from .spindyn import TARGET_FRACTIONS
+from .spindyn import ORDER_TOL_US, TARGET_FRACTIONS
+
+# the keys that set a calibrated pulse's length, for the refusals a weak coupling meets
+PULSE_LENGTH_KEYS = ("calibrated pulse lengths follow protocol.base_rabi_mhz and the coupling that "
+                     "geometry.theta_nv_deg, geometry.phi_nv0_deg and field.mw_dir set")
 
 TIME_UNITS = {"ns": 1e-3, "us": 1.0}  # to microseconds
 ALL_UNITS = ("ns", "us", "MHz", "deg")
@@ -400,10 +404,12 @@ class TimelineBatch:
     Row k of ``start_us``, ``duration_us``, ``rabi_mhz``, ``phase_rad`` and
     ``angle_deg`` (the rotation angle a pulse was calibrated at) is event k
     of every timeline; ``channels`` and ``targets`` label the K events, which
-    are listed in time order.  Construction is the one check of a timeline:
-    it refuses a negative or non-finite time, a microwave event without a
-    finite positive Rabi frequency and finite phase, and an overlap on a
-    channel, naming the events.
+    are listed in time order.  Construction refuses a negative or
+    non-finite time, a microwave event without a finite positive Rabi
+    frequency and finite phase, and an overlap on a channel, naming the
+    events.  Events on different channels may overlap here: a program with a
+    laser across a pulse still compiles, and
+    :func:`spindyn.simulate_sequence` refuses it.
     """
 
     channels: tuple[str, ...]
@@ -426,10 +432,11 @@ class TimelineBatch:
         for channel in dict.fromkeys(self.channels):
             rows = [k for k, ch in enumerate(self.channels) if ch == channel]
             for a, b in zip(rows, rows[1:]):
-                hit = start[b] < start[a] + dur[a] - 1e-12
+                hit = start[b] < start[a] + dur[a] - ORDER_TOL_US
                 if hit.any():
                     i = int(np.argmax(hit))
-                    lengths = "; calibrated pulse lengths follow protocol.base_rabi_mhz" if channel == "mw" else ""
+                    calibrated = self.targets[a] or self.targets[b]
+                    lengths = f"; {PULSE_LENGTH_KEYS}" if calibrated else ""
                     raise ValidationError(
                         f"overlapping {channel} events: {self.describe(a, i)} and {self.describe(b, i)}{lengths}"
                     )
@@ -630,8 +637,7 @@ def echo_pulse_starts(tau_us, g: RotorGeometry, cal: CalibrationTable):
     short = start_pi < dur_at(0.0, "pi/2")
     if np.any(short):
         bad = float(np.atleast_1d(tau)[np.atleast_1d(short)][0])
-        why = "is too short for echo pulses as long as protocol.base_rabi_mhz makes them"
-        raise ValidationError(f"tau_us (--tau) {bad:g} us {why}")
+        raise ValidationError(f"tau_us (--tau) {bad:g} us is too short for its echo pulses; {PULSE_LENGTH_KEYS}")
     return start_pi, start_last
 
 

@@ -682,6 +682,17 @@ def test_repeated_scan_value_exit_2(argv, key, capsys):
     assert err.startswith(f"error: {key} repeats the value"), err
 
 
+def test_fit_of_a_repeated_row_names_the_file_axis_and_value(tmp_path, capsys):
+    # once "tau values must be strictly increasing", naming neither the file nor the value
+    path = tmp_path / "rabi.dat"
+    assert main(["simulate-rabi", "--durations", "0:1.1:12", "--shots", "100", "-o", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([*lines, lines[-3]]) + "\n")
+    code, err = _main_exit(["fit", str(path), "--model", "rabi"], capsys)
+    assert code == 2
+    assert err == f"error: {path}: duration_us repeats the value 0.9\n"
+
+
 @pytest.mark.parametrize("scan", ["rabi", "echo"])
 def test_repeated_scan_value_is_refused_before_any_population(scan, cfg_default, monkeypatch):
     monkeypatch.setattr(pipeline, "rabi_populations", None)  # a population computed would raise a TypeError

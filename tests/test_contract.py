@@ -173,6 +173,24 @@ def test_every_pair_of_in_domain_values_exits_0_or_2_naming_one(command, drawn, 
     check_contract(command, keys, code, err)
 
 
+# Two in-domain pairs that uniform draws almost never reach: a coupling so
+# weak that the calibrated pulses outgrow the echo's tau, or overlap in the
+# program; both refusals once named only protocol.base_rabi_mhz
+@pytest.mark.parametrize(
+    "command, keys",
+    [
+        ("echo-finite-pulses", {"geometry.theta_nv_deg": 89.99, "geometry.phi_nv0_deg": 0.0}),
+        ("compile-seq", {"geometry.theta_nv_deg": 90.0, "geometry.phi_nv0_deg": 0.0}),
+    ],
+)
+def test_a_weak_coupling_pair_exits_2_naming_its_keys(command, keys, inputs):
+    base, _ = COMMANDS[command]
+    extra = [a for k, v in keys.items() for a in _set_value(k, v)]
+    code, err = run([*(a.format(**inputs) for a in base), *extra, "-o", os.devnull])
+    assert code == 2, err
+    check_contract(command, tuple(keys), code, err)
+
+
 # A scratch fuzz of every numeric config key at 1e-300, 1e-30, 1e30, 1e300,
 # -1e300 and 1.7e308 found these inputs exiting 3 (an overflow in numpy, or
 # "lam value too large"), or exiting 2 only after a NaN, under a message that

@@ -149,7 +149,7 @@ class TestFitEcho:
 
     def test_needs_eight_points(self):
         tau = np.linspace(1.0, 10.0, 7)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^fit_echo needs at least 8 data points$"):
             fit_echo(EchoDataset(tau, np.ones(7) * 0.8, np.ones(7) * 0.01), MODEL)
 
     def test_covariance_matrix_properties(self):
@@ -308,7 +308,7 @@ class TestFitRabi:
 
     def test_needs_six_points(self):
         t = np.linspace(0.0, 1.0, 5)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^fit_rabi needs at least 6 data points$"):
             fit_rabi(EchoDataset(t, np.zeros(5), np.ones(5)))
 
 

@@ -362,6 +362,17 @@ class TestCompile:
         msg = str(err.value)
         assert msg.count("mw") >= 2
 
+    @pytest.mark.parametrize(
+        "text, calibrated",
+        [("mw 5us at 0us; mw 1us at 2us", False), ("mw 5us at 0us; mw pi at 2us", True),
+         ("mw pi at 0us; mw 1us at 0.1us", True)],
+    )
+    def test_overlap_names_the_pulse_length_keys_for_a_calibrated_pulse(self, text, calibrated):
+        with pytest.raises(CompileError) as err:
+            compile_timeline(parse_sequence(text), RotorGeometry(phi_nv0_deg=90.0), default_calibration())
+        keys = ("protocol.base_rabi_mhz", "geometry.theta_nv_deg", "geometry.phi_nv0_deg", "field.mw_dir")
+        assert [key in str(err.value) for key in keys] == [calibrated] * 4, err.value
+
     def test_batch_of_one_carries_the_compiled_program(self):
         g = RotorGeometry(phi_nv0_deg=90.0)
         cal = default_calibration()
