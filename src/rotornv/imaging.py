@@ -697,6 +697,7 @@ def render_image(
             "t_phi_us": strobe.t_phi_us,
             "t_pulse_us": strobe.t_pulse_us,
             "plane": grid.plane,
+            "step_um": grid.step_um,
         },
     )
 

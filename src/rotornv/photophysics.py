@@ -321,6 +321,8 @@ _CF4_BLEND = 2.0 * np.array([[0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0)
 _STEP_SCALE = 0.05
 # Most exponential steps (and bins) in one transit; bounds time and memory.
 MAX_READOUT_STEPS = 8192
+# Uniform bins of the early window's pass, from laser turn-on
+WINDOW_BINS = 8
 # the refusal of a dark readout window (`WindowResponse.dark`), naming what lights it
 DARK_WINDOW = (
     "readout window collects no light from the NV above the background (beam.background_cps); check the "
@@ -405,7 +407,9 @@ def _transit_counts(
 
     ``initial`` holds populations as columns (5, k).  The pass covers
     ``n_bins`` uniform bins of ``bin_width_us`` from laser turn-on, so every
-    exponential step has the same length h.  The augmented state is
+    exponential step has the same length h: the trace's bins tile the pulse
+    (`_trace_bins`), the early window's split the window (`_window_counts`).
+    The augmented state is
     (g0, g1, e0, e1, s, x), where x integrates the excited population times
     the collection weighting; the detected counts per shot are x times the
     calibrated emission rate plus the background, which integrates in closed
@@ -422,7 +426,8 @@ def _transit_counts(
     count `MAX_READOUT_STEPS` caps), the nodes are the factors' own blends
     and every factor is exponentiated directly.
     """
-    # first: the steady state refuses a degenerate rate model
+    check_value("protocol.turn_on_offset_us", turn_on_offset_us)
+    # then the steady state refuses a degenerate rate model
     counts_per_excited_us = detection_calibration(m, b) * m.radiative_rate_per_us * 1e-6
     gen0 = np.zeros((6, 6))
     gen1 = np.zeros((6, 6))
@@ -481,41 +486,24 @@ def _background_counts(b: BeamProfile, bin_width_us: float, edges):
     return b.background_cps * 1e-6 * bin_width_us * edges
 
 
-def _pulse_pass(
-    initial: np.ndarray,
-    g: RotorGeometry,
-    b: BeamProfile,
-    m: RateModel,
-    t_pulse_us: float,
-    turn_on_offset_us: float,
-    width_us: float,
-    window: bool,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """`_transit_counts` over the pulse cut into uniform bins, for populations as columns of ``initial``.
+def _trace_bins(t_pulse_us: float, bin_width_us: float) -> tuple[int, float]:
+    """The trace's bins: round(t_pulse_us / bin_width_us) uniform bins tiling the pulse, and their width.
 
-    Without ``window`` the pass integrates all round(t_pulse_us / width_us)
-    bins, ``width_us`` being the bin width; with it, ``width_us`` is the
-    early window, and the pass integrates the first eight of
-    round(8 t_pulse_us / width_us) bins.  At least one bin, and at most
-    ``MAX_READOUT_STEPS``: the comparison comes first, on the float, since
-    an overflowing ratio is inf, which no integer conversion takes.  Returns
-    the pass's counts and populations and the background's counts over it.
+    At least one bin, and at most ``MAX_READOUT_STEPS``: the comparison
+    comes first, on the float, since an overflowing ratio is inf, which no
+    integer conversion takes.
     """
     if not t_pulse_us > 0:
         raise ValidationError("t_pulse_us must be positive")
-    check_value("protocol.readout_window_us" if window else "protocol.bin_width_us", width_us)
-    if window:
-        check_window_in_pulse(width_us, t_pulse_us)
-    check_value("protocol.turn_on_offset_us", turn_on_offset_us)
-    bins = (8.0 if window else 1.0) * t_pulse_us / width_us
+    check_value("protocol.bin_width_us", bin_width_us)
+    bins = t_pulse_us / bin_width_us
     if not bins <= MAX_READOUT_STEPS + 0.5:  # round(bins) > MAX_READOUT_STEPS
-        ratio = (f"strobe.t_pulse_us / (protocol.readout_window_us / 8) = {t_pulse_us} / ({width_us} / 8)" if window
-                 else f"strobe.t_pulse_us / protocol.bin_width_us = {t_pulse_us} / {width_us}")
-        raise ValidationError(f"{ratio} gives {bins:.3g} bins, more than {MAX_READOUT_STEPS}")
+        raise ValidationError(
+            f"strobe.t_pulse_us / protocol.bin_width_us = {t_pulse_us} / {bin_width_us} "
+            f"gives {bins:.3g} bins, more than {MAX_READOUT_STEPS}"
+        )
     n_bins = max(1, round(bins))
-    n_pass, width = (8 if window else n_bins), t_pulse_us / n_bins
-    counts, pops = _transit_counts(initial, g, b, m, turn_on_offset_us, n_pass, width)
-    return counts, pops, _background_counts(b, width, n_pass)
+    return n_bins, t_pulse_us / n_bins
 
 
 def readout_response(
@@ -538,14 +526,14 @@ def readout_response(
     weighting at the instantaneous offset.
 
     The pulse is cut into round(t_pulse_us / bin_width_us) uniform bins
-    (at most ``MAX_READOUT_STEPS``), so all steps share one length and
-    the step exponentials are interpolated in the beam intensity from the
-    fewest Chebyshev nodes that keep them at rounding level, or taken
-    directly where that many nodes would not pay (see `_transit_counts`).
+    (`_trace_bins`, at most ``MAX_READOUT_STEPS``), so all steps share one
+    length and the step exponentials are interpolated in the beam intensity
+    from the fewest Chebyshev nodes that keep them at rounding level, or
+    taken directly where that many nodes would not pay (see
+    `_transit_counts`).
     """
-    cumulative, pops, _ = _pulse_pass(
-        initial.as_array()[:, None], g, b, m, t_pulse_us, turn_on_offset_us, bin_width_us, False
-    )
+    n_bins, width = _trace_bins(t_pulse_us, bin_width_us)
+    cumulative, pops = _transit_counts(initial.as_array()[:, None], g, b, m, turn_on_offset_us, n_bins, width)
     pops = np.clip(pops[:, 0], 0.0, None)
     return np.diff(cumulative[:, 0]), LevelPopulations.from_array(pops / pops.sum())
 
@@ -563,6 +551,7 @@ def simulate_readout(
 ) -> PhotonTrace:
     """Poisson-sampled binned fluorescence trace accumulated over ``shots`` repetitions."""
     check_value("protocol.shots_per_point", shots, "shots (--shots)")
+    _, width = _trace_bins(t_pulse_us, bin_width_us)
     expected, _ = readout_response(
         initial, g, b, m, t_pulse_us, turn_on_offset_us, bin_width_us
     )
@@ -572,8 +561,7 @@ def simulate_readout(
     )
     rng = np.random.default_rng(seed)
     counts = rng.poisson(np.clip(expected, 0.0, None) * shots)
-    n_bins = expected.size
-    return PhotonTrace(bin_width_us=t_pulse_us / n_bins, counts=counts, shots=shots)
+    return PhotonTrace(bin_width_us=width, counts=counts, shots=shots)
 
 
 def state_contrast(
@@ -650,6 +638,20 @@ def sample_window_ratios(resp: WindowResponse, p_ms1, shots: int, rng) -> tuple[
     return _window_ratio(s, r, 1, 1)
 
 
+def _window_counts(initial: np.ndarray, g: RotorGeometry, b: BeamProfile, m: RateModel,
+                   t_pulse_us: float, turn_on_offset_us: float, window_us: float) -> np.ndarray:
+    """Expected per-shot counts over [0, window_us] from turn-on, for populations as columns of ``initial``.
+
+    The pass integrates the window alone, in ``WINDOW_BINS`` bins of
+    ``window_us / WINDOW_BINS``; the pulse only has to hold the window.
+    """
+    check_value("strobe.t_pulse_us", t_pulse_us)
+    check_value("protocol.readout_window_us", window_us)
+    check_window_in_pulse(window_us, t_pulse_us)
+    counts, _ = _transit_counts(initial, g, b, m, turn_on_offset_us, WINDOW_BINS, window_us / WINDOW_BINS)
+    return counts[-1]
+
+
 def spin_window_counts(
     g: RotorGeometry,
     b: BeamProfile,
@@ -660,8 +662,8 @@ def spin_window_counts(
 ) -> WindowResponse:
     """Expected per-shot early-window counts of both spin states, one transit pass."""
     spins = np.column_stack([LevelPopulations.ms0().as_array(), LevelPopulations.ms1().as_array()])
-    counts, _, background = _pulse_pass(spins, g, b, m, t_pulse_us, turn_on_offset_us, window_us, True)
-    return WindowResponse(*counts[-1].tolist(), background)
+    bright, dark = _window_counts(spins, g, b, m, t_pulse_us, turn_on_offset_us, window_us).tolist()
+    return WindowResponse(bright, dark, _background_counts(b, window_us, 1))
 
 
 def expected_window_counts(
@@ -674,8 +676,7 @@ def expected_window_counts(
     initial: LevelPopulations,
 ) -> float:
     """Expected per-shot counts in the early window (deterministic helper)."""
-    spins = initial.as_array()[:, None]
-    return float(_pulse_pass(spins, g, b, m, t_pulse_us, turn_on_offset_us, window_us, True)[0][-1, 0])
+    return float(_window_counts(initial.as_array()[:, None], g, b, m, t_pulse_us, turn_on_offset_us, window_us)[0])
 
 
 def optimal_turn_on(

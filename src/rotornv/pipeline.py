@@ -145,7 +145,7 @@ def simulate_echo_scan(
 ) -> tuple[EchoDataset, dict]:
     """Echo fringe dataset (tau_us, signal, sigma) with Poisson error bars."""
     data, resp = _sample_scan(
-        cfg, tau_list, "tau_list (--tau)", lambda tau: echo_populations(cfg, tau, ideal_pulses), 17
+        cfg, tau_list, "tau_us (--tau)", lambda tau: echo_populations(cfg, tau, ideal_pulses), 17
     )
     meta = {
         "kind": "echo-scan",
@@ -414,7 +414,7 @@ def format_image(image: StrobedImage, cfg: ExperimentConfig, csv: bool = False) 
     lines.append(f"# x_max_um: {image.x_um[-1]:.9g}")
     lines.append(f"# y_min_um: {image.y_um[0]:.9g}")
     lines.append(f"# y_max_um: {image.y_um[-1]:.9g}")
-    lines.append(f"# step_um: {image.x_um[1] - image.x_um[0]:.9g}" if image.x_um.size > 1 else "# step_um: 0")
+    lines.append(f"# step_um: {image.meta['step_um']:.9g}")
     lines.append(f"# plane: {image.meta.get('plane', 'xy')}")
     lines.append(f"# t_phi_us: {image.meta.get('t_phi_us', 0.0):.9g}")
     lines.append(f"# t_pulse_us: {image.meta.get('t_pulse_us', 0.0):.9g}")

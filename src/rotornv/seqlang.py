@@ -407,8 +407,8 @@ class TimelineBatch:
     are listed in time order.  Construction refuses a negative or
     non-finite time, a microwave event without a finite positive Rabi
     frequency and finite phase, and an overlap on a channel, naming the
-    events.  Events on different channels may overlap here: a program with a
-    laser across a pulse still compiles, and
+    events and the overlap.  Events on different channels may overlap
+    here: a program with a laser across a pulse still compiles, and
     :func:`spindyn.simulate_sequence` refuses it.
     """
 
@@ -438,7 +438,7 @@ class TimelineBatch:
                     calibrated = self.targets[a] or self.targets[b]
                     lengths = f"; {PULSE_LENGTH_KEYS}" if calibrated else ""
                     raise ValidationError(
-                        f"overlapping {channel} events: {self.describe(a, i)} and {self.describe(b, i)}{lengths}"
+                        f"overlapping {channel} events: {self.describe_overlap(a, b, i)}{lengths}"
                     )
 
     def _refuse(self, bad: np.ndarray, why: str) -> None:
@@ -453,6 +453,11 @@ class TimelineBatch:
         start = float(self.start_us[k, i])
         end = start + float(self.duration_us[k, i])
         return f"{self.channels[k]}{target} [{start:.6f}, {end:.6f}] us"
+
+    def describe_overlap(self, a: int, b: int, i: int) -> str:
+        """Event ``b`` of timeline ``i`` starting before ``a`` ends, by how much: their times can print equal."""
+        overlap = float(self.start_us[a, i] + self.duration_us[a, i] - self.start_us[b, i])
+        return f"{self.describe(b, i)} starts {overlap:.3g} us before {self.describe(a, i)} ends"
 
     def format_records(self) -> str:
         """The first timeline, a compiled program's only one, as text: one line per event."""

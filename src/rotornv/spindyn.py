@@ -260,14 +260,15 @@ def simulate_sequence(
     has (both only in a hand-made batch that mixes the two under a target).
     Optical dynamics belong to the photophysics layer.  Before any
     rotation, an event that starts more than :data:`ORDER_TOL_US` before the
-    previous one ends, on any channel, is refused naming both events.
+    previous one ends, on any channel, is refused naming both events and
+    the overlap.
     """
     start, dur = batch.start_us, batch.duration_us
     end = start + dur
     early = start[1:] < end[:-1] - ORDER_TOL_US
     if early.any():
         k, i = np.argwhere(early)[0]
-        raise ValidationError(f"event {batch.describe(k + 1, i)} starts before {batch.describe(k, i)} ends")
+        raise ValidationError(f"event {batch.describe_overlap(k, k + 1, i)}")
 
     bloch = np.tile(_Z_AXIS, (start.shape[1], 1))
     t = np.zeros(start.shape[1])

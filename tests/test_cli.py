@@ -259,7 +259,7 @@ class TestPipeline:
         # the std of the sample std is ~0.5 % at n = 20 000; allow 5 %
         assert signal.std(ddof=1) == pytest.approx(sigma.mean(), rel=0.05)
 
-    @pytest.mark.parametrize("scan, name", [("rabi", "durations_us"), ("echo", "tau_list")])
+    @pytest.mark.parametrize("scan, name", [("rabi", "durations_us"), ("echo", "tau_us")])
     def test_oversized_scan_refused_before_any_array(self, cfg_default, scan, name):
         axis = range(pipeline.MAX_SCAN_POINTS + 1)
         run = pipeline.simulate_rabi_scan if scan == "rabi" else pipeline.simulate_echo_scan
@@ -672,8 +672,8 @@ def test_negative_scan_value_is_refused_before_any_batch(populations, name, cfg_
     [
         (["simulate-rabi", "--durations", "1,1"], "durations_us (--durations)"),
         (["simulate-rabi", "--durations", "0.5,0.2,0.5"], "durations_us (--durations)"),
-        (["simulate-echo", "--tau", "5,5"], "tau_list (--tau)"),
-        (["simulate-echo", "--finite-pulses", "--tau", "5,2,5"], "tau_list (--tau)"),
+        (["simulate-echo", "--tau", "5,5"], "tau_us (--tau)"),
+        (["simulate-echo", "--finite-pulses", "--tau", "5,2,5"], "tau_us (--tau)"),
     ],
 )
 def test_repeated_scan_value_exit_2(argv, key, capsys):
@@ -1142,12 +1142,32 @@ def test_damping_beyond_the_float_range_warns_nothing(damping, capsys):
     assert code == 0, err
 
 
+def test_a_short_window_of_a_long_strobe_is_read(capsys):
+    # the window pass once cut the whole 300 us pulse into 8 T / W = 9600
+    # bins and exited 2 for more than 8192
+    sets = ["--set", "strobe.t_pulse_us=300", "--set", "protocol.readout_window_us=0.25"]
+    code, err = _main_exit([*_ECHO_2_5, *sets, "-o", os.devnull], capsys)
+    assert code == 0, err
+
+
 @pytest.mark.parametrize("extra", [[], ["--stationary"]])
 def test_default_image_window_holds_both_spots(extra, tmp_path, capsys):
     code, err = _main_exit(["simulate-image", *extra, "-o", str(tmp_path / "image.dat")], capsys)
     assert code == 0
     spots = [line for line in err.splitlines() if line.startswith("# spot")]
     assert len(spots) == 2 and all("sigma_radial" in line for line in spots), err
+
+
+def test_one_column_image_writes_its_step(tmp_path, capsys):
+    # the step was read off the first two columns, and one column wrote 0
+    out = tmp_path / "image.dat"
+    argv = ["simulate-image", "--x-min", "10", "--x-max", "10.1", "--step", "0.15", "--y-min", "-1", "--y-max", "1"]
+    code, err = _main_exit([*argv, "-o", str(out)], capsys)
+    assert code == 0, err
+    header = out.read_text().splitlines()
+    assert header[1:6] == ["# x_min_um: 10", "# x_max_um: 10", "# y_min_um: -1", "# y_max_um: 0.95", "# step_um: 0.15"]
+    rows = [line.split() for line in header if not line.startswith("#")]
+    assert len(rows) == 14 and all(len(row) == 1 for row in rows)
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from rotornv.errors import ValidationError
 from rotornv.imaging import Emitter, angular_smear
 from rotornv.photophysics import (
     MAX_READOUT_STEPS,
+    WINDOW_BINS,
     LevelPopulations,
     PhotonTrace,
     beam_intensity,
@@ -413,6 +414,22 @@ class TestReadoutOracle:
             )
             assert window == pytest.approx(cumulative[j, window_edge], rel=1e-6)
 
+    @pytest.mark.parametrize("background_cps", [0.0, 1500.0])
+    def test_window_is_the_trace_up_to_its_end_in_a_longer_pulse(self, background_cps):
+        # a 2.0 us window in a 2.125 us pulse: the window pass once cut the
+        # pulse into round(8 T / W) = 8 bins and counted all 2.125 us of it
+        g, b, m = RotorGeometry(), BeamProfile(background_cps=background_cps), RateModel()
+        for initial in (LevelPopulations.ms0(), LevelPopulations.ms1()):
+            trace, _ = readout_response(initial, g, b, m, 2.125, -0.25, 0.125)
+            window = expected_window_counts(g, b, m, 2.125, -0.25, 2.0, initial)
+            assert window == pytest.approx(trace[:16].sum(), rel=1e-6)
+
+    def test_window_counts_do_not_depend_on_the_pulse_length(self):
+        g, b, m, ms0 = RotorGeometry(), BeamProfile(background_cps=1500.0), RateModel(), LevelPopulations.ms0()
+        short = expected_window_counts(g, b, m, 0.25, -0.25, 0.25, ms0)
+        for t_pulse in (0.3, 2.0, 300.0):
+            assert expected_window_counts(g, b, m, t_pulse, -0.25, 0.25, ms0) == short
+
     @pytest.mark.parametrize("scale", [1e3, 1e6])
     def test_stiff_rates_stay_finite_and_bounded(self, scale, monkeypatch):
         cfg = config_from_dict({"rates": _scaled_rates(scale)})
@@ -449,10 +466,11 @@ class TestReadoutOracle:
         m = config_from_dict({"rates": _scaled_rates(scale)}).rates
         g, b = RotorGeometry(), BeamProfile()
         spins = ORACLE_STATES[:, :2]
-        # per-bin traces at readout_response's 0.05 us bins, and the window
-        # counts of a 0.5 us early window (its pass's last edge, 8 bins)
-        for n_bins, width in ((round(t_pulse / 0.05), 0.05), (8, 0.5 / 8)):
-            width = t_pulse / round(t_pulse / width)
+        # per-bin traces at readout_response's 0.05 us bins, tiling the
+        # pulse, and the window counts of a 0.5 us early window (its pass's
+        # last edge)
+        n_trace = round(t_pulse / 0.05)
+        for n_bins, width in ((n_trace, t_pulse / n_trace), (WINDOW_BINS, 0.5 / WINDOW_BINS)):
             got, got_pops = photophysics._transit_counts(spins, g, b, m, offset, n_bins, width)
             want, want_pops = readout_oracle.transit_counts(spins, g, b, m, offset, n_bins, width)
             peak = np.diff(want, axis=0).max(axis=0)
@@ -624,8 +642,10 @@ _TRANSIT_CONFIGS = {
     "name, digest",
     [
         ("default", "6b7abac9a4616fd842800ba90f856705a4d6ea6671382885e61042ae3373f5cd"),
-        ("drawn-a", "6c92ba14db88ad4efe6770aa4f56668d641589730bd8683307d4f6578591d6ee"),
-        ("drawn-b", "4ce5b7290beb18e4e5b8572f96c8f72abf90b9640b7428e9bcf93b5989522a34"),
+        # the window pass integrates the configured window: 2.151 and 0.813 us
+        # (it read 2.2 and 0.8043 us, 8 of round(8 T / W) bins tiling the pulse)
+        ("drawn-a", "064fd02cc0403965e80d2af4d7cc727a6c90db9a9c89ae7c10a6cf33685f3e53"),
+        ("drawn-b", "e2888b8c3111184f97b87e0abf6899a9e826765e37e2fed69c7a49583d565593"),
     ],
 )
 def test_transit_outputs_are_pinned(name, digest):

@@ -401,6 +401,14 @@ class TestCompile:
         with pytest.raises(ValidationError, match=match):
             batch_of_one(event)
 
+    def test_overlap_shorter_than_the_shown_digits_is_stated(self):
+        # the six-decimal times of a 1e-7 us overlap print equal
+        with pytest.raises(ValidationError) as err:
+            batch_of_one(("mw", None, 0.5, 0.5000002, 3.6, 0.0), ("mw", None, 1.0000001, 1.0, 3.6, 0.0))
+        assert str(err.value) == (
+            "overlapping mw events: mw [1.000000, 2.000000] us starts 1e-07 us before mw [0.500000, 1.000000] us ends"
+        )
+
     def test_multi_period_guard(self):
         g = RotorGeometry()
         cal = default_calibration()

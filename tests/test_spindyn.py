@@ -418,15 +418,19 @@ class TestSimulateSequence:
         [
             # a laser across the pulse's end
             ([("mw", None, 1.0, 2.0, 3.6, 0.0), ("laser", None, 2.0, 1.0, 0.0, 0.0)],
-             "event laser [2.000000, 3.000000] us starts before mw [1.000000, 3.000000] us ends"),
+             "event laser [2.000000, 3.000000] us starts 1 us before mw [1.000000, 3.000000] us ends"),
             # a pulse inside a laser window
             ([("laser", None, 0.5, 10.0, 0.0, 0.0), ("mw", None, 1.0, 2.0, 3.6, 0.0)],
-             "event mw [1.000000, 3.000000] us starts before laser [0.500000, 10.500000] us ends"),
+             "event mw [1.000000, 3.000000] us starts 9.5 us before laser [0.500000, 10.500000] us ends"),
             # a zero-length target pulse inside a laser window
             ([("laser", None, 0.5, 10.0, 0.0, 0.0), ("mw", "pi", 1.0, 0.0, 3.6, 0.0)],
-             "event mw (pi) [1.000000, 1.000000] us starts before laser [0.500000, 10.500000] us ends"),
+             "event mw (pi) [1.000000, 1.000000] us starts 9.5 us before laser [0.500000, 10.500000] us ends"),
+            # a laser 1e-7 us into the pulse: the six-decimal times print
+            # equal, and the overlap tells them apart
+            ([("mw", None, 0.5, 0.5000002, 3.6, 0.0), ("laser", None, 1.0000001, 2.0, 0.0, 0.0)],
+             "event laser [1.000000, 3.000000] us starts 1e-07 us before mw [0.500000, 1.000000] us ends"),
         ],
-        ids=["laser-across-pulse-end", "pulse-in-laser", "zero-target-in-laser"],
+        ids=["laser-across-pulse-end", "pulse-in-laser", "zero-target-in-laser", "laser-1e-7us-into-pulse"],
     )
     def test_laser_across_a_pulse_rejected(
         self, geometry_default, field_tilted, constants, events, match, monkeypatch
