@@ -570,19 +570,22 @@ def state_contrast(
     """Early-window count ratio signal/reference with its Poisson standard error.
 
     Both traces must share the bin width; shot counts may differ and are
-    normalised out.  The standard error follows from independent Poisson
+    normalised out.  The window is read in whole bins only: ``window_us``
+    must be n bins, to 1e-9 relative, with n from one to the traces'
+    length.  The standard error follows from independent Poisson
     statistics of the two window sums.
     """
     if abs(signal.bin_width_us - reference.bin_width_us) > 1e-12:
         raise ValidationError("traces must share the same bin width")
     size = min(signal.counts.size, reference.counts.size)
     bins = window_us / signal.bin_width_us
-    if not 0.5 < bins < size + 0.5:  # NaN fails too
+    n = np.rint(bins)
+    if not (1 <= n <= size and abs(bins - n) <= 1e-9 * n):  # NaN fails too
         raise ValidationError(
-            f"window_us = {window_us} must span one to {size} bins of {signal.bin_width_us:g} us, "
-            "the traces' length"
+            f"window_us (protocol.readout_window_us) = {window_us:g} us must be a whole number, one to {size}, "
+            f"of the traces' {signal.bin_width_us:g} us bins (t_pulse_us / round(t_pulse_us / bin_width_us))"
         )
-    n = round(bins)
+    n = int(n)
     s = float(signal.counts[:n].sum())
     r = float(reference.counts[:n].sum())
     if r <= 0 or s <= 0:

@@ -371,25 +371,21 @@ def build_calibration(
     """Per-angle Rabi table: base_rabi * coupling(angle) / max coupling.
 
     The best-coupled sampled angle gets exactly ``base_rabi_mhz``.  A zero
-    coupling anywhere means the pulse cannot be tuned at that angle and is
-    reported as an error.
+    coupling leaves a pulse untunable: the first such angle is refused,
+    counting the angles without coupling and naming the keys that set it.
     """
     check_value("protocol.n_cal_angles", n_angles)
     check_value("protocol.base_rabi_mhz", base_rabi_mhz)
     angles = np.arange(n_angles) * (360.0 / n_angles)
     times_s = angles / (360.0 * g.f_rot_hz)
     coupling = np.atleast_1d(geometry.mw_coupling(g, f, times_s))
-    cmax = float(np.max(coupling))
-    if cmax <= 0.0:
+    dead = coupling <= 0.0
+    if dead.any():
         raise ValidationError(
-            "microwave coupling vanishes at every sampled angle; tilt field.mw_dir or geometry.theta_nv_deg"
+            f"zero microwave coupling at rotation angle {angles[np.argmax(dead)]:.3f} deg ({int(dead.sum())} of "
+            f"{n_angles} sampled angles): untunable pulse; tilt field.mw_dir or geometry.theta_nv_deg"
         )
-    bad = np.nonzero(coupling <= 0.0)[0]
-    if bad.size:
-        raise ValidationError(
-            f"zero microwave coupling at rotation angle {angles[bad[0]]:.3f} deg: untunable pulse"
-        )
-    rabi = base_rabi_mhz * coupling / cmax
+    rabi = base_rabi_mhz * coupling / np.max(coupling)
     return CalibrationTable(tuple(angles.tolist()), tuple(rabi.tolist()))
 
 
@@ -491,15 +487,11 @@ def _calibrate(g: RotorGeometry, cal: CalibrationTable, start_us, target, durati
     """Rotation angle and Rabi frequency at a pulse start, and the pulse duration.
 
     A target pulse lasts its turn fraction over Omega; an explicit pulse keeps
-    ``duration_us``.  Broadcasts over ``start_us``; a zero Omega is a compile
-    error.
+    ``duration_us``.  Broadcasts over ``start_us``.  A :class:`CalibrationTable`'s
+    Omega is positive; :class:`TimelineBatch` refuses any other calibration's zero.
     """
     angle = pulse_angle_deg(g, start_us)
     omega = cal.rabi_at(angle)
-    dead = np.atleast_1d(omega <= 0.0)
-    if dead.any():
-        bad = np.atleast_1d(angle)[np.argmax(dead)]
-        raise CompileError([Diagnostic(f"zero Rabi frequency at rotation angle {bad:.3f} deg")])
     if target is not None:
         duration_us = TARGET_FRACTIONS[target] / omega
     return angle, omega, duration_us
@@ -623,11 +615,10 @@ def echo_pulse_starts(tau_us, g: RotorGeometry, cal: CalibrationTable):
     """Starts of a finite-pulse echo's pi pulse and last pi/2 pulse; broadcasts over tau.
 
     The pi pulse is centred at tau/2 and the last pi/2 pulse ends at tau;
-    each duration comes from the calibration at its start angle.
+    each duration comes from the calibration at its start angle.  A tau too
+    short for the pulses (tau <= 0 among them) is refused.
     """
     tau = np.asarray(tau_us, dtype=float)
-    if np.any(tau <= 0):
-        raise ValidationError(f"tau_us (--tau) must be positive, got {tau.min():g} us")
 
     def dur_at(start_us, target):
         return _calibrate(g, cal, start_us, target, None)[2]

@@ -21,7 +21,6 @@ of duration 1/(2 Omega) is a pi rotation.  All functions are pure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -93,33 +92,17 @@ def rotate_bloch(vec: np.ndarray, axis: np.ndarray, angle_rad) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
     # a matmul of single rows rounds like np.dot on two 3-vectors
     dot = (axis[..., None, :] @ vec[..., :, None])[..., 0]
-    return c * vec + s * _cross(axis, vec) + (1.0 - c) * dot * axis
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.cross(a, b)`` of (..., 3) arrays: its component products and differences, in its
-    order, without its axis and dtype set-up."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    out[..., 0] = a1 * b2 - a2 * b1
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
-    return out
+    return c * vec + s * np.cross(axis, vec) + (1.0 - c) * dot * axis
 
 
 def pulse_rotation(vec, rabi_freq_mhz, detuning_mhz, duration_us, phase_rad=0.0) -> np.ndarray:
     """Exact constant-(Omega, Delta) rotation of Bloch vectors; broadcasts like :func:`rotate_bloch`.
 
-    The generalised Rabi frequency must be non-zero.
+    The generalised Rabi frequency must be non-zero; a zero duration turns by 0 and returns ``vec``.
     """
-    rabi = np.asarray(rabi_freq_mhz, dtype=float)
-    rabi, delta = np.broadcast_arrays(rabi, np.asarray(detuning_mhz, dtype=float))
-    # math.hypot, not np.hypot: the two differ in the last bit for ~0.5 % of
-    # inputs, and datasets stay byte-identical only with the rounding they had
-    gen = np.fromiter(map(math.hypot, rabi.ravel().tolist(), delta.ravel().tolist()), float, rabi.size)
-    gen = gen.reshape(rabi.shape)
-    axis = np.empty(np.broadcast_shapes(rabi.shape, np.shape(phase_rad)) + (3,))
+    rabi, delta = np.asarray(rabi_freq_mhz, dtype=float), np.asarray(detuning_mhz, dtype=float)
+    gen = np.hypot(rabi, delta)
+    axis = np.empty(np.broadcast_shapes(gen.shape, np.shape(phase_rad)) + (3,))
     axis[..., 0] = rabi * np.cos(phase_rad)
     axis[..., 1] = rabi * np.sin(phase_rad)
     axis[..., 2] = delta
@@ -225,12 +208,10 @@ _Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 def _free_evolve(bloch, g, f, c, t0_us, t1_us):
-    """Free precession of (N, 3) Bloch vectors from t0 to t1; rows with t1 == t0 stay untouched."""
-    still = t1_us == t0_us
-    if still.all():  # a batch's first event at t = 0: nothing turns
+    """Free precession of (N, 3) Bloch vectors from t0 to t1; a row with t1 == t0 turns by 0, the identity."""
+    if (t1_us == t0_us).all():  # a batch's first event at t = 0: nothing turns
         return bloch
-    moved = rotate_bloch(bloch, _Z_AXIS, free_phase(g, f, c, t0_us, t1_us))
-    return np.where(still[:, None], bloch, moved)
+    return rotate_bloch(bloch, _Z_AXIS, free_phase(g, f, c, t0_us, t1_us))
 
 
 def _pulse_detuning(g, f, c, start_us, duration_us):
@@ -253,11 +234,12 @@ def simulate_sequence(
     constant-(Omega, Delta) rotation about the axis at its phase, with Delta
     held at its value at the pulse centre, and for a laser event free
     precession through its window.  A microwave row of zero duration takes
-    the exact target rotation when its event has a target and stays as it
-    is when it has none; every other row takes the driven rotation.  An
-    event computes only the rotations its rows keep: the target rotation
-    alone when every row has zero duration, the driven one alone when none
-    has (both only in a hand-made batch that mixes the two under a target).
+    the exact target rotation when its event has a target; every other row
+    takes the driven rotation, which at zero duration turns by 0 and is the
+    identity, as a free precession of zero length is.  A target event
+    computes only the rotations its rows keep: the target rotation alone when
+    every row has zero duration, the driven one alone when none has (both
+    only in a hand-made batch).
     Optical dynamics belong to the photophysics layer.  Before any
     rotation, an event that starts more than :data:`ORDER_TOL_US` before the
     previous one ends, on any channel, is refused naming both events and
@@ -283,9 +265,8 @@ def simulate_sequence(
             else:
                 detuning = _pulse_detuning(g, f, c, start[k], dur[k])
                 driven = pulse_rotation(bloch, batch.rabi_mhz[k], detuning, dur[k], phase)
-                if zero.any():  # the target rotation, or none without a target
-                    kept = bloch if fraction is None else pulse_rotation(bloch, 1.0, 0.0, fraction, phase)
-                    driven = np.where(zero[:, None], kept, driven)
+                if fraction is not None and zero.any():  # a hand-made batch: its zero rows take the target
+                    driven = np.where(zero[:, None], pulse_rotation(bloch, 1.0, 0.0, fraction, phase), driven)
                 bloch = driven
         else:
             bloch = _free_evolve(bloch, g, f, c, start[k], end[k])

@@ -5,10 +5,10 @@ Bloch equation numerically.  ``rabi_population`` is the generalised Rabi
 formula a constant drive must reproduce.  ``c13_envelope_full_loop`` is the
 bath envelope summing every dip of its window in turn, which
 ``spindyn.c13_envelope`` must reproduce bit for bit.  ``rotate_bloch_np_cross``
-and ``pulse_rotation_frompyfunc`` are the former forms of the two rotations,
-with ``np.cross``, an ``np.frompyfunc`` hypot and an ``np.stack`` axis, which
-``spindyn.rotate_bloch`` and ``spindyn.pulse_rotation`` must reproduce bit
-for bit.
+and ``pulse_rotation_stacked`` are the two rotations written plainly, with
+``np.cross``, ``np.hypot`` and an ``np.stack`` axis, which
+``spindyn.rotate_bloch`` and ``spindyn.pulse_rotation`` (an axis filled in
+place) must reproduce bit for bit.
 
 The Bloch oracle shares no closed form with the simulator.  The free detuning is the full
 Zeeman projection (``geometry.zeeman_projection``, the lab-frame NV axis
@@ -152,14 +152,11 @@ def rotate_bloch_np_cross(vec, axis, angle_rad):
     return c * vec + s * np.cross(axis, vec) + (1.0 - c) * dot * axis
 
 
-_hypot = np.frompyfunc(math.hypot, 2, 1)
-
-
-def pulse_rotation_frompyfunc(vec, rabi_freq_mhz, detuning_mhz, duration_us, phase_rad=0.0):
-    """``spindyn.pulse_rotation`` with an object-array hypot and a stacked axis."""
+def pulse_rotation_stacked(vec, rabi_freq_mhz, detuning_mhz, duration_us, phase_rad=0.0):
+    """``spindyn.pulse_rotation`` with a stacked axis."""
     rabi = np.asarray(rabi_freq_mhz, dtype=float)
     delta = np.asarray(detuning_mhz, dtype=float)
-    gen = np.asarray(_hypot(rabi, delta), dtype=float)
+    gen = np.hypot(rabi, delta)
     axis = np.stack(
         np.broadcast_arrays(rabi * np.cos(phase_rad), rabi * np.sin(phase_rad), delta), axis=-1
     ) / gen[..., None]

@@ -682,6 +682,29 @@ def test_repeated_scan_value_exit_2(argv, key, capsys):
     assert err.startswith(f"error: {key} repeats the value"), err
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["simulate-echo", "--tau", ","], "tau_us (--tau)"),
+        (["simulate-rabi", "--durations", ","], "durations_us (--durations)"),
+    ],
+)
+def test_empty_scan_list_exit_2(argv, key, capsys):
+    code, err = _main_exit([*argv, "--shots", "10", "-o", os.devnull], capsys)
+    assert code == 2
+    assert err == f"error: {key} is empty\n"
+
+
+@pytest.mark.parametrize("model", ["rabi", "echo"])
+def test_fit_of_a_readout_trace_names_the_columns_it_needs(model, tmp_path, capsys):
+    # a simulate-readout file holds (t_us, counts): no scan for any fit model
+    path = tmp_path / "trace.dat"
+    assert main(["simulate-readout", "--shots", "10", "-o", str(path)]) == 0
+    code, err = _main_exit(["fit", str(path), "--model", model], capsys)
+    assert code == 2
+    assert err == f"error: {path}: expected 3 columns (tau/duration, signal, sigma)\n"
+
+
 def test_fit_of_a_repeated_row_names_the_file_axis_and_value(tmp_path, capsys):
     # once "tau values must be strictly increasing", naming neither the file nor the value
     path = tmp_path / "rabi.dat"

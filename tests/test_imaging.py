@@ -523,18 +523,21 @@ def test_wide_jitter_renders(jitter_frac):
 
 
 @pytest.mark.parametrize(
-    "strobe, emitters",
+    "strobe, emitters, arc",
     [
-        (StrobeConfig(t_phi_us=150.0, jitter_frac=0.5), SINGLE),
-        (StrobeConfig(t_phi_us=150.0), EmitterSet.single(20_000.0, 0.0)),
+        (StrobeConfig(t_phi_us=150.0, jitter_frac=0.5), SINGLE, "radius 10 um"),
+        (StrobeConfig(t_phi_us=150.0), EmitterSet.single(20_000.0, 0.0), "radius 20000 um"),
+        # a wobble wider than the orbit sets the arc, and the refusal names it
+        (StrobeConfig(jitter_frac=0.1, wobble_amp_um=1000), SINGLE, "strobe.wobble_amp_um = 1000"),
     ],
+    ids=["jitter", "radius", "wobble"],
 )
-def test_period_quadrature_refuses_an_unbounded_arc(strobe, emitters):
+def test_period_quadrature_refuses_an_unbounded_arc(strobe, emitters, arc):
     x, y = emitters.emitters[0].position_um
     with pytest.raises(ValidationError) as err:
         render_image(small_grid(x, y, half=0.5), emitters, G_DEFAULT, strobe)
     assert "strobe.jitter_frac" in str(err.value)
-    assert f"radius {math.hypot(x, y):g} um" in str(err.value)
+    assert arc in str(err.value), str(err.value)
 
 
 @pytest.mark.parametrize("position", [(10.0, 0.0, 0.0), (10.0,)])

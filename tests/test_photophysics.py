@@ -614,6 +614,12 @@ class TestWindowResponse:
         assert ratio == (60.0 / 10) / (80.0 / 20)
         assert sigma == ratio * math.sqrt(1.0 / 60.0 + 1.0 / 80.0)
 
+    def test_state_contrast_takes_a_window_of_whole_bins_that_do_not_tile_a_microsecond(self):
+        # 4 bins of 2/7 us, 8/7 us as the division rounds it; a 1 us window of them is refused
+        sig = PhotonTrace(bin_width_us=2.0 / 7.0, counts=np.arange(1, 8), shots=10)
+        ref = PhotonTrace(bin_width_us=2.0 / 7.0, counts=np.full(7, 2), shots=10)
+        assert state_contrast(sig, ref, 8.0 / 7.0)[0] == 10.0 / 8.0
+
 
 # ---------------------------------------------------------------------------
 # the transit pass's outputs, pinned bit for bit: regrouping its entry points
@@ -664,6 +670,8 @@ def test_transit_outputs_are_pinned(name, digest):
 
 _G, _B, _M = RotorGeometry(), BeamProfile(), RateModel()
 _TRACE = PhotonTrace(bin_width_us=0.05, counts=np.ones(40), shots=10)
+# the bins simulate_readout tiles a 2 us pulse with at bin_width_us=0.3: a 1 us window is 3.5 of them
+_SEVENTHS = PhotonTrace(bin_width_us=2.0 / 7.0, counts=np.ones(7), shots=10)
 
 
 def _window(window_us=1.0, offset_us=0.0):
@@ -682,7 +690,7 @@ def _trace(bin_width_us=0.05, offset_us=0.0):
 # turn-on offset a population error (readout_response) or NaN counts, an
 # infinite one a RuntimeWarning; a dark beam an optimal offset of 0, and a
 # NaN window in state_contrast a bare ValueError, one longer than the traces
-# the ratio of their whole sums
+# the ratio of their whole sums, and one of 3.5 bins the sum of 4
 @pytest.mark.parametrize(
     "call, name",
     [
@@ -709,13 +717,14 @@ def _trace(bin_width_us=0.05, offset_us=0.0):
          "beam.peak_counts_stationary_cps"),
         (lambda: state_contrast(_TRACE, _TRACE, math.nan), "window_us"),
         (lambda: state_contrast(_TRACE, _TRACE, 50.0), "window_us"),
+        (lambda: state_contrast(_SEVENTHS, _SEVENTHS, 1.0), "window_us"),
     ],
     ids=["LevelPopulations", "EchoParams", "Emitter", "step_rates", "rate_matrix", "steady_state",
          "angular_smear", "c13_revival_time_us", "echo_phase", "expected_count_rate", "c13_envelope",
          "readout_response-negative-bin", "readout_response-zero-bin", "window-zero", "window-negative",
          "window-beyond-pulse", "readout_response-nan-offset", "window-nan-offset",
          "readout_response-inf-offset", "optimal_turn_on-dark", "state_contrast-nan-window",
-         "state_contrast-window-beyond-traces"],
+         "state_contrast-window-beyond-traces", "state_contrast-window-between-bins"],
 )
 def test_library_check_refuses_nan(call, name):
     with pytest.raises(ValidationError, match=name):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rotornv import geometry
 from rotornv.errors import CompileError, ParseError, ValidationError
 from rotornv.config import FieldConfig, RotorGeometry
 from rotornv.seqlang import (
@@ -305,7 +306,21 @@ class TestCalibration:
         f = FieldConfig(mw_dir=(0.0, 0.0, 1.0))
         with pytest.raises(ValidationError) as err:
             build_calibration(g, f, 3.6, 8)
-        assert "angle" in str(err.value)
+        text = str(err.value)
+        assert "angle 0.000 deg (8 of 8 sampled angles)" in text, text
+        assert "field.mw_dir" in text and "geometry.theta_nv_deg" in text, text
+
+    def test_zero_coupling_at_one_angle_names_it_and_the_keys(self, monkeypatch):
+        # the coupling of a real config rounds to a tiny positive value where the
+        # NV axis passes the drive; an exact zero at one sampled angle is put in here
+        coupling = np.linspace(1.0, 0.5, 8)
+        coupling[3] = 0.0
+        monkeypatch.setattr(geometry, "mw_coupling", lambda g, f, t_s: coupling)
+        with pytest.raises(ValidationError) as err:
+            build_calibration(RotorGeometry(), FieldConfig(), 3.6, 8)
+        text = str(err.value)
+        assert "angle 135.000 deg (1 of 8 sampled angles)" in text, text
+        assert "field.mw_dir" in text and "geometry.theta_nv_deg" in text, text
 
     def test_interpolation_wraparound(self):
         cal = CalibrationTable((0.0, 90.0, 180.0, 270.0), (1.0, 2.0, 1.0, 2.0))
@@ -512,7 +527,7 @@ class TestBatchedSequences:
                 return np.zeros_like(np.asarray(angle_deg, dtype=float))
 
         g = RotorGeometry(phi_nv0_deg=90.0)
-        with pytest.raises(CompileError, match="zero Rabi frequency"):
+        with pytest.raises(CompileError, match="needs a finite positive Rabi frequency"):
             compile_timeline(parse_sequence(rabi_program(0.3, g)), g, DeadCalibration())
-        with pytest.raises(CompileError, match="zero Rabi frequency"):
+        with pytest.raises(CompileError, match="needs a finite positive Rabi frequency"):
             rabi_batch([0.3], g, DeadCalibration())

@@ -36,7 +36,7 @@ from spin_oracle import (
     BlochOracle,
     batch_of_one,
     c13_envelope_full_loop,
-    pulse_rotation_frompyfunc,
+    pulse_rotation_stacked,
     rabi_population,
     rotate_bloch_np_cross,
 )
@@ -131,7 +131,7 @@ class TestPulseRotation:
             assert rotate_bloch(*args).tobytes() == rotate_bloch_np_cross(*args).tobytes()
 
     @pytest.mark.parametrize("n", [1, 7, 400])
-    def test_pulse_rotation_equals_the_frompyfunc_form_bit_for_bit(self, n):
+    def test_pulse_rotation_equals_the_stacked_axis_form_bit_for_bit(self, n):
         rng = np.random.default_rng(100 + n)
         vec = rng.normal(size=(n, 3))
         rabi, delta = rng.uniform(0.5, 20.0, n), rng.normal(0.0, 5.0, n)
@@ -141,7 +141,59 @@ class TestPulseRotation:
             (vec, 1.0, 0.0, 0.25, phase),  # a target rotation
             (vec[0], rabi[0], delta[0], duration[0]),  # one vector at the default phase
         ):
-            assert pulse_rotation(*args).tobytes() == pulse_rotation_frompyfunc(*args).tobytes()
+            assert pulse_rotation(*args).tobytes() == pulse_rotation_stacked(*args).tobytes()
+
+
+class TestZeroLengthRotations:
+    """A rotation by angle 0 returns its input bit for bit: cos 0 = 1 and sin 0 = 0.
+
+    The simulator keeps no copy of a row whose pulse or precession has zero length;
+    its rotation is this identity.  Random draws have no zero component, whose sign
+    the identity may not keep (-0.0 + 0.0 is +0.0).
+    """
+
+    @pytest.mark.parametrize("n", [1, 7, 400])
+    def test_a_zero_duration_pulse_returns_its_input(self, n):
+        rng = np.random.default_rng(200 + n)
+        vec = rng.normal(size=(n, 3))
+        rabi, delta = rng.uniform(0.01, 20.0, n), rng.normal(0.0, 5.0, n)
+        phase = rng.uniform(-math.pi, math.pi, n)
+        assert pulse_rotation(vec, rabi, delta, 0.0, phase).tobytes() == vec.tobytes()
+        assert pulse_rotation(vec[0], rabi[0], delta[0], 0.0).tobytes() == vec[0].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 400])
+    def test_a_z_rotation_by_zero_returns_its_input(self, n, geometry_default, field_tilted, constants):
+        rng = np.random.default_rng(300 + n)
+        vec = rng.normal(size=(n, 3))
+        t = rng.uniform(0.0, 300.0, n)
+        # the free precession of a row that does not move: its phase is zero
+        still = spindyn.free_phase(geometry_default, field_tilted, constants, t, t)
+        for angle in (np.zeros(n), still):
+            assert rotate_bloch(vec, MS0, angle).tobytes() == vec.tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_an_untargeted_event_leaves_its_zero_rows_as_they_went_in(
+        self, seed, geometry_default, field_tilted, constants, monkeypatch
+    ):
+        rng = np.random.default_rng(seed)
+        n = 64
+        first = rng.uniform(0.01, 0.3, n)
+        gap = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 20.0, n))
+        second = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.01, 0.3, n))
+        zero_rows = second == 0.0
+        assert zero_rows.any() and not zero_rows.all()
+        start = np.array([np.zeros(n), first + gap])
+        dur = np.array([first, second])
+        rabi = rng.uniform(0.5, 10.0, (2, n))
+        phase = rng.uniform(-math.pi, math.pi, (2, n))
+        batch = TimelineBatch(("mw", "mw"), (None, None), start, dur, rabi, phase, np.zeros((2, n)))
+        calls = []
+        real = spindyn.pulse_rotation
+        monkeypatch.setattr(spindyn, "pulse_rotation", lambda vec, *a: calls.append(vec) or real(vec, *a))
+        final = simulate_sequence(batch, geometry_default, field_tilted, constants)
+        went_in = calls[-1]
+        assert went_in[zero_rows].tobytes() == final[zero_rows].tobytes()
+        assert np.all(went_in[~zero_rows] != final[~zero_rows])
 
 
 class TestEchoPhase:
