@@ -23,13 +23,14 @@ OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "out")
 
 def main():
     os.makedirs(OUT_DIR, exist_ok=True)
-    cfg = config_from_dict({})
+    # the shots are a config key, so the header's config_sha256 covers them
+    cfg = config_from_dict({"protocol": {"shots_per_point": 300_000}})
     g, b, m, pro = cfg.geometry, cfg.beam, cfg.rates, cfg.protocol
     traces = {}
     # each trace draws from its own seed, which its file's header records
     for seed, name in enumerate(("ms0", "ms1"), start=1):
         trace_cfg = dataclasses.replace(cfg, seed=seed)
-        trace, meta = pipeline.simulate_readout_trace(trace_cfg, name, 300_000)
+        trace, meta = pipeline.simulate_readout_trace(trace_cfg, name)
         traces[name] = trace
         path = os.path.join(OUT_DIR, f"readout_{name}.dat")
         with open(path, "w") as fh:

@@ -3,11 +3,11 @@
 Subcommands: simulate-rabi, simulate-echo, simulate-image, simulate-readout,
 compile-seq, fit, dump-config.  The experiment configuration comes from
 ``--config`` (or the ROTORNV_CONFIG environment variable) with
-``--set section.key=value`` overrides (a scan's ``--shots`` sets
-``protocol.shots_per_point``).  A ``simulate-*`` file's header carries the
-config hash and seed (``fit`` and ``compile-seq`` output carry neither;
-``dump-config`` prints the config), and identical config + seed reproduce
-files byte for byte.
+``--set section.key=value`` overrides (the ``--shots`` of a scan or a
+readout trace sets ``protocol.shots_per_point``).  A ``simulate-*`` file's
+header carries the config hash and seed (``fit`` and ``compile-seq`` output
+carry neither; ``dump-config`` prints the config), and identical config +
+seed reproduce files byte for byte.
 
 Exit codes: 0 success, 2 validation/usage error, 3 runtime failure,
 4 fit did not converge.  With ROTORNV_DEBUG=1 in the environment a runtime
@@ -56,7 +56,7 @@ def _load_effective_config(args) -> ExperimentConfig:
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     flag = "--config" if args.config else CONFIG_ENV_VAR
     cfg = load_config(path, flag) if path else config_from_dict({})
-    # one pass; --seed and then a scan's --shots come last, so they win over --set
+    # one pass; --seed and then --shots come last, so they win over --set
     overrides = list(args.set)
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
@@ -138,7 +138,7 @@ def cmd_simulate_echo(args) -> Output:
 
 
 def cmd_simulate_readout(args) -> Output:
-    trace, meta = pipeline.simulate_readout_trace(args.cfg, args.initial, args.shots)
+    trace, meta = pipeline.simulate_readout_trace(args.cfg, args.initial)
     return Output(pipeline.format_scan(trace, meta, args.cfg))
 
 
@@ -187,7 +187,7 @@ def _common_arguments(p) -> None:
     p.add_argument("-o", "--output", default="-", help="output path ('-' = stdout)")
 
 
-def _scan_shots_argument(p) -> None:
+def _shots_argument(p) -> None:
     p.add_argument("--shots", type=int, default=None, dest="shots_per_point",
                    help="repetitions per point (sets protocol.shots_per_point)")
 
@@ -195,14 +195,14 @@ def _scan_shots_argument(p) -> None:
 def _simulate_rabi_arguments(p) -> None:
     p.add_argument("--durations", default="0.0:1.1:40", help="us scan: start:stop:n or list")
     p.add_argument("--pulse-at", choices=("start", "half"), default="start")
-    _scan_shots_argument(p)
+    _shots_argument(p)
     p.set_defaults(func=cmd_simulate_rabi)
 
 
 def _simulate_echo_arguments(p) -> None:
     p.add_argument("--tau", default="2.0:21.0:16", help="us scan: start:stop:n or list")
     p.add_argument("--finite-pulses", action="store_true", help="use finite calibrated pulses")
-    _scan_shots_argument(p)
+    _shots_argument(p)
     p.set_defaults(func=cmd_simulate_echo)
 
 
@@ -224,7 +224,7 @@ def _simulate_image_arguments(p) -> None:
 
 def _simulate_readout_arguments(p) -> None:
     p.add_argument("--initial", choices=("ms0", "ms1"), default="ms0")
-    p.add_argument("--shots", type=int, default=200_000)
+    _shots_argument(p)
     p.set_defaults(func=cmd_simulate_readout)
 
 

@@ -306,19 +306,19 @@ def fit_echo(
 
 
 def _finalize_fit(params: dict, jac_ext: np.ndarray, lm: lsq.LMResult, names) -> FitResult:
+    """The report of a fit at ``params``, whose full weighted Jacobian in ``names`` is ``jac_ext``.
+
+    The covariance is :func:`lsq.check_identified`'s, scaled by max(chi2_reduced, 1e-300).
+    """
     n, p = jac_ext.shape
-    sse = 2.0 * lm.cost
-    chi2_red = sse / (n - p)
-    lsq.check_identified(jac_ext)
-    cov = np.linalg.pinv(jac_ext.T @ jac_ext) * max(chi2_red, 1e-300)
-    cov = 0.5 * (cov + cov.T)
-    sigmas = {name: float(np.sqrt(max(cov[i, i], 0.0))) for i, name in enumerate(names)}
+    chi2_red = 2.0 * lm.cost / (n - p)
+    cov = lsq.check_identified(jac_ext) * max(chi2_red, 1e-300)
     return FitResult(
         params=params,
-        sigmas=sigmas,
+        sigmas={name: math.sqrt(cov[i, i]) for i, name in enumerate(names)},
         covariance=cov,
-        residual_norm=float(np.sqrt(sse)),
-        chi2_reduced=float(chi2_red),
+        residual_norm=math.sqrt(2.0 * lm.cost),
+        chi2_reduced=chi2_red,
         converged=lm.converged,
         iterations=lm.iterations,
         n_points=n,

@@ -11,11 +11,11 @@ spot fits all run through one driver, :func:`fit_separable`: each writes
 its basis and derivative rows into one buffer that also holds its weights
 and data, and one product of that buffer gives every sum a step takes.
 Every fit stops when the gradient falls below 1e-8 of the cost or when no
-trial step could lower the cost by more than its rounding, and a full
-Jacobian with condition above 1e12 at the optimum raises
-IdentifiabilityError (:func:`check_identified`).  The models live with
-their fits: the echo and Rabi bases in :mod:`estimation`, the spot basis
-in :mod:`imaging`.
+trial step could lower the cost by more than its rounding.  One SVD of the
+full Jacobian at the optimum gives the fit's covariance, or above condition
+1e12 IdentifiabilityError (:func:`check_identified`).  The models live with
+their fits: the echo and Rabi bases in :mod:`estimation`, the spot basis in
+:mod:`imaging`.
 """
 
 from __future__ import annotations
@@ -155,12 +155,12 @@ def fit_separable(rows, fill, derivatives, x0, lo=-math.inf, hi=math.inf, max_it
     residual (a u + c - y) / sigma and Kaufman's Jacobian (n, p): a du /
     sigma projected off the free linear columns.  The Golub-Pereyra term it
     drops lies in their span, orthogonal to the residual, so J^T r is the
-    exact gradient.  The Jacobian reuses the rows and sums of the residual
-    at its x, and ``rows`` is left filled where LM stops.
+    exact gradient.  The Jacobian reuses the rows, sums and pair determinant
+    of the residual at its x, and ``rows`` is left filled where LM stops.
     """
     q = rows.shape[0] - 3
     coef = np.zeros((len(x0), q + 2))  # the derivative map, then the projection's coefficients
-    latest = [b""]  # x, sums, a, c at the last x only
+    latest = [b""]  # x, sums, a, c and the pair's determinant at the last x only
 
     def residual(x):
         fill(rows, x)
@@ -175,17 +175,16 @@ def fit_separable(rows, fill, derivatives, x0, lo=-math.inf, hi=math.inf, max_it
         else:
             a = min(max(0.0 if math.isnan(a) else a, lo), hi)
             c = (s_y - a * s_u) / s_1
-        latest[:] = x.tobytes(), sums, a, c
+        latest[:] = x.tobytes(), sums, a, c, det
         return np.array([a, c, -1.0]) @ rows[q:]
 
     def jacobian(x):
         if latest[0] != x.tobytes():
             residual(x)
-        _, sums, a, _ = latest
+        _, sums, a, _, det = latest
         derivatives(coef, x, a)
         (s_uu, s_u, _), s_1 = sums[q].tolist(), sums[q + 1, 1]
         if lo < a < hi:  # minus the rows' least-squares coefficients on (u, 1)
-            det = s_uu * s_1 - s_u * s_u
             coef[:, q:] = coef[:, :q] @ (sums[:q, :2] @ [[-s_1, s_u], [s_u, -s_uu]]) / det
         else:  # on 1 alone: a is fixed at its bound
             coef[:, q] = 0.0
@@ -207,20 +206,22 @@ def full_jacobian(rows: np.ndarray, derivatives, x, a: float) -> np.ndarray:
     return (coef @ rows[: q + 2]).T
 
 
-def check_identified(jac: np.ndarray) -> None:
-    """Raise IdentifiabilityError if ``jac`` has condition above _MAX_CONDITION.
+def check_identified(jac: np.ndarray) -> np.ndarray:
+    """The unscaled covariance (J^T J)^-1 of ``jac`` from one thin SVD J = U S V^T, or IdentifiabilityError.
 
-    The message quotes the condition only where it is resolved: at or below
-    numpy's rank tolerance (sv_max max(m, n) eps), the smallest singular
-    value is rounding noise and the Jacobian is called rank-deficient.
+    A condition above _MAX_CONDITION is refused, and quoted only where it is
+    resolved: at or below numpy's rank tolerance (sv_max max(m, n) eps), the
+    smallest singular value is rounding noise (rank-deficient).  W^T W, with
+    W = S^-1 V^T, is exactly symmetric and never formed from J^T J, whose
+    condition is J's squared (Golub & Van Loan, Matrix Computations, 5.3).
     """
-    sv = np.linalg.svd(jac, compute_uv=False)
+    _, sv, vt = np.linalg.svd(jac, full_matrices=False)
     if sv[0] <= 0 or sv[-1] / sv[0] < 1.0 / _MAX_CONDITION:
-        if sv[-1] <= sv[0] * max(jac.shape) * np.finfo(float).eps:  # True where sv[0] is 0
-            condition = "numerically rank-deficient"
-        else:
-            condition = f"condition {sv[0] / sv[-1]:.3g}"
+        resolved = sv[-1] > sv[0] * max(jac.shape) * np.finfo(float).eps  # False where sv[0] is 0
+        condition = f"condition {sv[0] / sv[-1]:.3g}" if resolved else "numerically rank-deficient"
         raise IdentifiabilityError(
             f"singular Jacobian at the optimum ({condition}); "
             "one or more parameters are unconstrained by the data"
         )
+    scaled = vt / sv[:, None]
+    return scaled.T @ scaled

@@ -557,7 +557,7 @@ def simulate_readout(
     )
     check_expected_counts(
         float(np.max(expected)) * shots,
-        "beam.peak_counts_stationary_cps, beam.background_cps or the shot count (--shots)",
+        "beam.peak_counts_stationary_cps, beam.background_cps or protocol.shots_per_point (--shots)",
     )
     rng = np.random.default_rng(seed)
     counts = rng.poisson(np.clip(expected, 0.0, None) * shots)

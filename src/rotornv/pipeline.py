@@ -204,21 +204,19 @@ def simulate_rabi_scan(
 # readout trace
 
 
-def simulate_readout_trace(
-    cfg: ExperimentConfig, initial: str, shots: int
-) -> tuple[photophysics.PhotonTrace, dict]:
-    """One transit's binned counts from the spin state ``initial`` ('ms0' or 'ms1'), and its header."""
+def simulate_readout_trace(cfg: ExperimentConfig, initial: str) -> tuple[photophysics.PhotonTrace, dict]:
+    """One transit's binned counts from the spin state ``initial`` ('ms0' or 'ms1'), and its header.
+
+    It sums ``protocol.shots_per_point`` transits from ``cfg.seed``: the config, which the header hashes, sets it.
+    """
     if initial not in ("ms0", "ms1"):
         raise ValidationError("initial must be 'ms0' or 'ms1'")
     pro = cfg.protocol
     trace = photophysics.simulate_readout(
-        getattr(photophysics.LevelPopulations, initial)(),
-        cfg.geometry,
-        cfg.beam,
-        cfg.rates,
+        getattr(photophysics.LevelPopulations, initial)(), cfg.geometry, cfg.beam, cfg.rates,
         t_pulse_us=cfg.strobe.t_pulse_us,
         turn_on_offset_us=pro.turn_on_offset_us,
-        shots=shots,
+        shots=pro.shots_per_point,
         seed=cfg.seed,
         bin_width_us=pro.bin_width_us,
     )

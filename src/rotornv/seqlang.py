@@ -53,6 +53,14 @@ from .spindyn import ORDER_TOL_US, TARGET_FRACTIONS
 PULSE_LENGTH_KEYS = ("calibrated pulse lengths follow protocol.base_rabi_mhz and the coupling that "
                      "geometry.theta_nv_deg, geometry.phi_nv0_deg and field.mw_dir set")
 
+# A coupling |n x m| at or below this counts as zero.  n and m are unit
+# vectors, so where the NV axis passes the drive direction |n x m| rounds to
+# ~1e-16 to 1e-15 instead of 0, and the table would scale that rounding up to
+# a Rabi frequency.  1e-12 lies far above the rounding, and it is about the
+# weakest coupling that turns a pi pulse within the longest rotation: at the
+# bounds of protocol.base_rabi_mhz and geometry.f_rot_hz (1e3 MHz, 1e-3 Hz),
+# 1 / (2 * 1e3 MHz * 5e-13) = 1e9 us is one turn.
+MIN_COUPLING = 1e-12
 TIME_UNITS = {"ns": 1e-3, "us": 1.0}  # to microseconds
 ALL_UNITS = ("ns", "us", "MHz", "deg")
 
@@ -370,16 +378,16 @@ def build_calibration(
 ) -> CalibrationTable:
     """Per-angle Rabi table: base_rabi * coupling(angle) / max coupling.
 
-    The best-coupled sampled angle gets exactly ``base_rabi_mhz``.  A zero
-    coupling leaves a pulse untunable: the first such angle is refused,
-    counting the angles without coupling and naming the keys that set it.
+    The best-coupled sampled angle gets exactly ``base_rabi_mhz``.  A pulse
+    is untunable at a coupling at or below ``MIN_COUPLING``: the first such
+    angle is refused, counting those angles and naming the keys that set them.
     """
     check_value("protocol.n_cal_angles", n_angles)
     check_value("protocol.base_rabi_mhz", base_rabi_mhz)
     angles = np.arange(n_angles) * (360.0 / n_angles)
     times_s = angles / (360.0 * g.f_rot_hz)
     coupling = np.atleast_1d(geometry.mw_coupling(g, f, times_s))
-    dead = coupling <= 0.0
+    dead = coupling <= MIN_COUPLING
     if dead.any():
         raise ValidationError(
             f"zero microwave coupling at rotation angle {angles[np.argmax(dead)]:.3f} deg ({int(dead.sum())} of "

@@ -9,10 +9,12 @@ were fitted before the separable fit replaced it.
 ``grid_oracle`` is the echo fit without a search: the weighted SSE
 minimised over a (b_perp, phi0) grid, contrast and baseline solved exactly
 at every node.
+``exact_covariance`` is (J^T J)^-1 in rational arithmetic, free of rounding.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +38,27 @@ def numeric_jacobian(residual_fn, x, rel_step: float = 1e-6) -> np.ndarray:
         xm[j] -= h
         jac[:, j] = (np.asarray(residual_fn(xp)) - np.asarray(residual_fn(xm))) / (2 * h)
     return jac
+
+
+def exact_covariance(jac: np.ndarray) -> np.ndarray:
+    """(J^T J)^-1 of the float Jacobian ``jac`` (n, p), exact before its final rounding to floats.
+
+    J^T J is summed and inverted by Gauss-Jordan elimination in fractions.
+    """
+    cols = [[Fraction(v) for v in col] for col in np.asarray(jac, dtype=float).T.tolist()]
+    p = len(cols)
+    rows = [
+        [sum(a * b for a, b in zip(ci, cj)) for cj in cols] + [Fraction(int(i == j)) for j in range(p)]
+        for i, ci in enumerate(cols)
+    ]
+    for k in range(p):
+        pivot = next(i for i in range(k, p) if rows[i][k] != 0)
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        rows[k] = [v / rows[k][k] for v in rows[k]]
+        for i in range(p):
+            if i != k and rows[i][k] != 0:
+                rows[i] = [v - rows[i][k] * w for v, w in zip(rows[i], rows[k])]
+    return np.array([[float(v) for v in row[p:]] for row in rows])
 
 
 def lm_problem(fit, *args):

@@ -369,6 +369,21 @@ class TestCliSubcommands:
         else:
             assert len(res.stdout.splitlines()) == 4 and "inf" not in res.stdout
 
+    def test_compile_seq_t_phi_that_moves_a_pulse_off_its_duration(self):
+        # past one rotation, 1e9 us + 0.138888889 us keeps the pi pulse's length only to ~1e-7 us
+        res = run_cli(
+            ["compile-seq", "--t-phi", "1e9", "--allow-multi-period", "-"],
+            input="mw pi at 0us; laser 2us at 300us\n",
+        )
+        assert res.returncode == 2, res.stdout
+        assert "--t-phi (t_phi_us) = 1e+09 us is too large for every event to keep its duration" in res.stderr
+
+    def test_compile_seq_trigger_anchor_changes_no_record(self):
+        program = "mw pi at 0us\nwait 150us\nmw pi at 150us\nlaser 2us at 300us\n"
+        plain, anchored = (run_cli(["compile-seq", "-"], input=text) for text in (program, "trigger\n" + program))
+        assert plain.returncode == anchored.returncode == 0, anchored.stderr
+        assert anchored.stdout == plain.stdout and plain.stdout.count("\n") == 4
+
     def test_compile_seq_parse_error_exit_code(self):
         res = run_cli(["compile-seq", "-"], input="bogus 2us\n")
         assert res.returncode == 2
@@ -941,8 +956,16 @@ _IMAGE_1E300 = ["simulate-image", "--set", "strobe.t_phi_us=0", "--set",
         (_IMAGE_1E300 + ["--stationary"], "beam.peak_counts_stationary_cps"),
         # the scans' refusal once named the peak rate and the shots alone
         (["simulate-echo", "--tau", "2,5", "--set", "beam.background_cps=1e20"], "beam.background_cps"),
+        # every value in its domain, the count bound itself: 1e9 cps over a
+        # 0.1 s window for 1e12 shots
+        (["simulate-echo", "--tau", "2,5", "--shots", "1000000000000", "--set", "beam.background_cps=1e9",
+          "--set", "geometry.f_rot_hz=1", "--set", "strobe.t_pulse_us=100000",
+          "--set", "protocol.readout_window_us=100000"],
+         "more than 1e+18; lower beam.peak_counts_stationary_cps, beam.background_cps or "
+         "protocol.shots_per_point (--shots)"),
     ],
-    ids=["readout-cps", "readout-f-rot", "echo-cps", "image-cps", "image-stationary-cps", "echo-background"],
+    ids=["readout-cps", "readout-f-rot", "echo-cps", "image-cps", "image-stationary-cps", "echo-background",
+         "echo-count-bound"],
 )
 def test_expected_counts_beyond_poisson_range_exit_2(argv, key, capsys):
     # numpy's Poisson draw refuses such means ("lam value too large", exit 3)
@@ -1012,6 +1035,15 @@ def test_vanishing_microwave_coupling_names_its_keys(capsys):
     code, err = _main_exit(["simulate-rabi", "--durations", "0:1:10", "--shots", "10", *sets], capsys)
     assert code == 2
     assert err.startswith("error:") and "field.mw_dir" in err and "geometry.theta_nv_deg" in err, err
+
+
+def test_rounding_level_coupling_is_refused_as_zero(capsys):
+    # couplings of 6.1e-17 at 0 deg and 1.0e-15 at 180 deg once gave a flat
+    # scan, which `fit --model rabi` fitted as converged with exit 0
+    sets = ["--set", "geometry.theta_nv_deg=90", "--set", "geometry.phi_nv0_deg=0", "--set", "field.mw_dir=[1,0,0]"]
+    code, err = _main_exit(["simulate-rabi", "--durations", "0:1:30", "--shots", "100000", *sets], capsys)
+    assert code == 2
+    assert "field.mw_dir" in err and "geometry.theta_nv_deg" in err and "2 of 64 sampled angles" in err, err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1402,7 +1434,7 @@ _HELP_DIGESTS = {
     "simulate-rabi": "7d23bee448367816772a1363dbe746ace7ce1149e3b205e6bd937b872b6541b8",
     "simulate-echo": "6ac704a2474e185552de49caf6f86b642b539c6a7198b6f31374c3e11a3e45b2",
     "simulate-image": "f72f539639e6d78594043e03b670c4efa7208939c8c7f9e360710a7aeaa018b8",
-    "simulate-readout": "4b18261642b3a9657a4102e41865600fd19c0d86099050f9728fc585b1c1d46b",
+    "simulate-readout": "01c5b6f99f1172281f3493409e9c81704fd34e1eaea1658a73fcf82977e540dd",
     "compile-seq": "a5e2fe90e7fce6104c0fea2ea56c059d53d337dbf6bc442fbe9d467dcd7af1bf",
     "fit": "be15faa8b865028716299303ae79625d12ed99fd6dc44a4bee7de7d6366b346f",
     "dump-config": "70bd1742beff45ebd36be6a3c4215d523a801c5d8edcc28bd7e5498b43971a5a",
@@ -1440,6 +1472,11 @@ def test_seed_flag_wins_over_set(overrides, seed, capsys):
     assert json.loads(capsys.readouterr().out)["seed"] == seed
 
 
+def test_set_takes_a_value_that_is_no_json_as_a_string(capsys):
+    assert main(["dump-config", "--set", "beam.collection_mode=illumination-only"]) == 0
+    assert json.loads(capsys.readouterr().out)["beam"]["collection_mode"] == "illumination-only"
+
+
 def test_set_and_seed_apply_together(capsys):
     argv = ["simulate-echo", "--tau", "2,5", "--shots", "100"]
     texts = []
@@ -1465,6 +1502,8 @@ def test_set_and_seed_apply_together(capsys):
         (["--set", "field.nope=1", "--seed", "5"], "nope"),
         (["--set", "protocol.shots_per_point=0", "--seed", "5"], "shots_per_point"),
         (["--set", "seed=1.5"], "seed"),
+        (["--set", "foo"], "override 'foo' must look like section.key=value"),
+        (["--set", "nosection.key=1"], "unknown section 'nosection'"),
     ],
 )
 def test_set_still_refused_beside_seed(overrides, key, capsys):
@@ -1549,7 +1588,12 @@ def test_every_config_key_changes_an_output(key):
 
 
 @pytest.mark.parametrize(
-    "argv", [["simulate-echo", "--tau", "2,5"], ["simulate-rabi", "--durations", "0:0.2:3", "--pulse-at", "half"]]
+    "argv",
+    [
+        ["simulate-echo", "--tau", "2,5"],
+        ["simulate-rabi", "--durations", "0:0.2:3", "--pulse-at", "half"],
+        ["simulate-readout", "--initial", "ms1"],
+    ],
 )
 def test_shots_flag_is_the_config_key(argv, tmp_path):
     flag, key = tmp_path / "flag.dat", tmp_path / "key.dat"
@@ -1576,13 +1620,6 @@ def test_shots_flag_wins_over_set(overrides, capsys):
     assert got == capsys.readouterr().out
 
 
-def test_readout_shots_leave_the_config_alone(capsys):
-    assert main(["simulate-readout", "--shots", "10"]) == 0
-    out = capsys.readouterr().out
-    assert "# shots: 10\n" in out
-    assert f"# config_sha256: {config_from_dict({}).sha256()}\n" in out
-
-
 def test_phi_pos0_rotates_the_default_spots():
     cfg = config_from_dict({})
     turned = apply_overrides(cfg, ["geometry.phi_pos0_deg=40"])
@@ -1603,6 +1640,23 @@ def test_removed_keys_exit_2(key, tmp_path, capsys):
         code, err = _main_exit(argv, capsys)
         assert code == 2
         assert err.startswith("error:") and name in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"geometry": 3}', "error: geometry: expected an object"),
+        ("[1,2]", "error: configuration root must be an object"),
+        ("{bad json", "cfg.json: invalid JSON (Expecting property name"),
+    ],
+    ids=["section-not-object", "root-not-object", "bad-json"],
+)
+def test_malformed_config_file_exit_2(text, message, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    code, err = _main_exit(["dump-config", "--config", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and message in err, err
 
 
 # ---------------------------------------------------------------------------
@@ -1726,11 +1780,12 @@ def test_demo_pair_spot_lines_are_pinned(tmp_path, seed, digest):
 @pytest.mark.parametrize(
     "seed, digest",
     [
-        (1, "88d49cbd88e96ef4f725717b92b9db247c9f90edef2d5e52f2295a58d7eba945"),
-        (7, "a2f43cb5541d998552dacc3e97371e8048e90704ce423bbf7aef3e8657af9f0c"),
+        (1, "6eb73e80b8474f2018b3d6a6be20de5753cbad003f149c9e2616b122b736e1b6"),
+        (7, "a4c042f6aec4a4dc7cb1868f2caa71b54e3eb4151a70ef793f424c2cec93329d"),
     ],
 )
 def test_readout_trace_is_pinned(seed, digest):
+    # the default trace sums protocol.shots_per_point's 187 500 transits
     code, text, _ = _run_outcome(["simulate-readout", "--seed", str(seed)])
     assert code == 0 and text.count("\n") > 40
     assert _sha256(text) == digest

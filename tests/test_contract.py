@@ -238,9 +238,9 @@ def test_re_anchor_fuzz_inputs_exit_2_naming_their_key(command, key, value, inpu
         # spindyn's square of the collapse dip width
         (["simulate-echo", "--tau", "2,5", "--set", "constants.gamma_c13_khz_per_g=1e-300"],
          "constants.gamma_c13_khz_per_g"),
-        # the --shots checks of cli and photophysics.simulate_readout: one row
+        # the --shots of a scan and of a readout trace: one config key
         (["simulate-echo", "--tau", "2,5", "--shots", "0"], "protocol.shots_per_point (--shots)"),
-        (["simulate-readout", "--shots", "0"], "shots (--shots)"),
+        (["simulate-readout", "--shots", "0"], "protocol.shots_per_point (--shots)"),
     ],
 )
 def test_the_domain_refuses_what_reached_a_deleted_guard(argv, key):

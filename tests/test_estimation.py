@@ -20,7 +20,7 @@ from rotornv.config import RotorGeometry
 from rotornv.geometry import TWO_PI
 from rotornv.imaging import StrobedImage, fit_spot_width
 from rotornv.pipeline import read_echo_dataset
-from lsq_oracle import grid_oracle, lm_problem, numeric_jacobian
+from lsq_oracle import exact_covariance, grid_oracle, lm_problem, numeric_jacobian
 
 
 MODEL = EchoFitModel()
@@ -119,6 +119,23 @@ class TestCheckIdentified:
 
     def test_identified_jacobian_passes(self):
         lsq.check_identified(np.column_stack([self.COLUMN, self.COLUMN**2]))
+
+    @pytest.mark.parametrize("condition", [1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11])
+    def test_covariance_is_the_exact_inverse_up_to_the_refused_condition(self, condition):
+        # pinv(J^T J) missed sigma by 1.2e-5 at condition 1e6 and dropped the
+        # weakest direction from 1e8 on, since J^T J squares the condition
+        rng = np.random.default_rng(round(math.log10(condition)))
+        u, _ = np.linalg.qr(rng.standard_normal((16, 4)))
+        v, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        jac = (u * np.geomspace(1.0, 1.0 / condition, 4)) @ v.T
+        names = ECHO_PARAM_NAMES
+        lm = lsq.LMResult(x=np.zeros(2), cost=6.0, grad_norm=0.0, iterations=1, converged=True)  # chi2_red 1
+        fit = estimation._finalize_fit(dict.fromkeys(names, 0.0), jac, lm, names)
+        exact = exact_covariance(jac)
+        sigma = np.sqrt(exact.diagonal())
+        assert np.allclose([fit.sigmas[name] for name in names], sigma, rtol=1e-5, atol=0.0)
+        assert np.all(np.abs(fit.covariance - exact) <= 1e-5 * np.outer(sigma, sigma))
+        assert np.array_equal(fit.covariance, fit.covariance.T)
 
 
 @pytest.mark.parametrize("f_rot_hz", [0.0, -3333.33, math.inf, math.nan, 1e308, 3e-303, 1e-320, 6e305])

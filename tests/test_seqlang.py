@@ -322,6 +322,20 @@ class TestCalibration:
         assert "angle 135.000 deg (1 of 8 sampled angles)" in text, text
         assert "field.mw_dir" in text and "geometry.theta_nv_deg" in text, text
 
+    def test_rounding_level_coupling_counts_as_zero(self):
+        # an NV axis swept through an in-plane drive: |n x m| rounds to 6.1e-17
+        # at 0 deg and 1.0e-15 at 180 deg, which once scaled to Rabi
+        # frequencies 1e16 times below the others and a flat scan
+        g = RotorGeometry(theta_nv_deg=90.0, phi_nv0_deg=0.0)
+        f = FieldConfig(mw_dir=(1.0, 0.0, 0.0))
+        coupling = geometry.mw_coupling(g, f, np.arange(64) / (64 * g.f_rot_hz))
+        assert 0.0 < coupling.min() <= 1e-15 and np.sort(coupling)[2] > 0.09
+        with pytest.raises(ValidationError) as err:
+            build_calibration(g, f, 3.6, 64)
+        text = str(err.value)
+        assert "angle 0.000 deg (2 of 64 sampled angles)" in text, text
+        assert "field.mw_dir" in text and "geometry.theta_nv_deg" in text, text
+
     def test_interpolation_wraparound(self):
         cal = CalibrationTable((0.0, 90.0, 180.0, 270.0), (1.0, 2.0, 1.0, 2.0))
         assert cal.rabi_at(315.0) == pytest.approx(1.5)
