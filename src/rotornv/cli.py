@@ -162,6 +162,10 @@ def cmd_compile_seq(args) -> Output:
 
 def cmd_fit(args) -> Output:
     data, _meta = pipeline.read_echo_dataset(args.dataset)
+    try:
+        pipeline.check_fit_axis(args.cfg, data, args.model)
+    except ValidationError as exc:
+        raise ValidationError(f"{args.dataset}: {exc}") from None
     result = pipeline.fit_dataset(args.cfg, data, args.model, b_max=args.b_max, max_iter=args.max_iter)
     return Output(result.as_text() + "\n", EXIT_OK if result.converged else EXIT_NOT_CONVERGED)
 

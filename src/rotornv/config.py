@@ -111,6 +111,11 @@ DOMAINS = {
     "b_max": Domain(1e-9, 1e5, "G", "the fringe search's bound: a nanogauss up to echo.b_perp_gauss's top", "--b-max"),
     "max_iter": Domain(1, 10_000, "", "LM steps per start, 50 times the default: an echo fit converges in tens, "
                        "and its 10 starts of 10 000 steps take about 20 s on a 2-core host", "--max-iter"),
+    # a fitted dataset's signal and sigma columns (its axis takes tau_us or durations_us)
+    "signal": Domain(-1e50, 1e50, "", "a ratio or a count; with sigma's row, |signal| / sigma stays below 1e150 "
+                     "and the weight 1/sigma above 1e-50 of it"),
+    "sigma": Domain(1e-100, 1e100, "", "an error bar; with signal's row, a fit's chi-square, at most "
+                    "2 (signal / sigma)^2, stays below 1e300"),
 }
 
 

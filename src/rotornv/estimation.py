@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lsq
-from .config import PhysicalConstants, check_value
+from .config import PhysicalConstants, check_value, check_values
 from .errors import IdentifiabilityError, ValidationError
 # perfbench/spantrace.py finds levenberg_marquardt on this module and rebinds
 # that object in lsq too, where fit_separable looks it up at call time
@@ -45,7 +45,7 @@ ECHO_PARAM_NAMES = ("b_perp_gauss", "phi0_rad", "contrast", "baseline")
 
 @dataclass(frozen=True, eq=False)
 class EchoDataset:
-    """(tau, signal, sigma) records; tau strictly increasing, sigma positive.
+    """(tau, signal, sigma) records; tau strictly increasing, signal and sigma in their DOMAINS rows.
 
     For Rabi scans the same container is used with tau_us holding the pulse
     duration.
@@ -61,13 +61,12 @@ class EchoDataset:
         err = np.asarray(self.sigma, dtype=float)
         if not (tau.shape == sig.shape == err.shape) or tau.ndim != 1:
             raise ValidationError("tau, signal and sigma must be equal-length 1-D arrays")
-        for name, column in (("tau_us", tau), ("signal", sig), ("sigma", err)):
-            if not np.all(np.isfinite(column)):
-                raise ValidationError(f"{name} values must be finite")
+        if not np.all(np.isfinite(tau)):
+            raise ValidationError("tau_us values must be finite")
+        check_values("signal", sig)
+        check_values("sigma", err)
         if np.any(np.diff(tau) <= 0):
             raise ValidationError("tau values must be strictly increasing")
-        if np.any(err <= 0):
-            raise ValidationError("sigma values must be positive")
         object.__setattr__(self, "tau_us", tau)
         object.__setattr__(self, "signal", sig)
         object.__setattr__(self, "sigma", err)
@@ -143,25 +142,18 @@ class FitResult:
 # echo fringe fit
 
 
-def _data_rows(data: EchoDataset, q: int) -> np.ndarray:
-    """A (q + 3, n) rows buffer of :func:`lsq.fit_separable`, its 1/sigma and y/sigma rows set."""
-    rows = np.empty((q + 3, len(data)))
-    rows[q + 1], rows[q + 2] = 1.0 / data.sigma, data.signal / data.sigma
-    return rows
-
-
 def _scaled_identity(out: np.ndarray, x, a: float) -> None:
-    """The echo and Rabi rows are du/dx / sigma themselves: a times the identity maps them."""
+    """The echo and Rabi rows are du/dx times the weight row themselves: a times the identity maps them."""
     np.fill_diagonal(out, a)
 
 
 def _echo_rows(data: EchoDataset, model: EchoFitModel):
-    """The fringe fit's rows and their fill at x = (b_perp, phi0).
+    """The fringe fit's rows, their scale's exponent and their fill at x = (b_perp, phi0).
 
     The fill writes the basis u = env cos(b k) / 2 and its (b, phi0)
-    derivatives, each over sigma; d k / d phi0 is k at phi0 + pi/2.
+    derivatives, each times the weight row; d k / d phi0 is k at phi0 + pi/2.
     """
-    rows = _data_rows(data, 2)
+    rows, e = lsq.data_rows(2, data.signal, data.sigma)
     half_env = 0.5 * model.envelope_values(data.tau_us) * rows[3]
 
     def fill(rows, x):
@@ -170,38 +162,15 @@ def _echo_rows(data: EchoDataset, model: EchoFitModel):
         half_sin = -half_env * np.sin(phase)
         rows[0], rows[1], rows[2] = half_sin * k[0], half_sin * x[0] * k[1], half_env * np.cos(phase)
 
-    return rows, fill
+    return rows, e, fill
 
 
 def echo_jacobian(data: EchoDataset, model: EchoFitModel, params: dict) -> np.ndarray:
-    """Weighted Jacobian of the fringe residual in the reported parameters."""
-    rows, fill = _echo_rows(data, model)
+    """Jacobian of the weighted fringe residual (model - signal) / sigma in the reported parameters."""
+    rows, e, fill = _echo_rows(data, model)
     x = np.array([params["b_perp_gauss"], params["phi0_rad"]])
     fill(rows, x)
-    return lsq.full_jacobian(rows, _scaled_identity, x, params["contrast"])
-
-
-def _linear_landscape(data: EchoDataset, model: EchoFitModel, b_grid, phi_grid):
-    """(contrast, baseline, weighted SSE) solved exactly on a (b, phi0) grid.
-
-    Evaluated in blocks along the amplitude axis so dense grids stay within
-    a modest memory footprint.
-    """
-    env = model.envelope_values(data.tau_us)
-    w = 1.0 / data.sigma**2
-    k = model.phase_factor(data.tau_us, np.asarray(phi_grid)[:, None])
-    b_grid = np.asarray(b_grid)
-    n_b, n_phi = b_grid.size, len(phi_grid)
-    a = np.empty((n_b, n_phi))
-    cc = np.empty((n_b, n_phi))
-    sse = np.empty((n_b, n_phi))
-    block = max(1, int(2_000_000 // max(k.size, 1)))
-    for lo in range(0, n_b, block):
-        hi = min(lo + block, n_b)
-        phase = b_grid[lo:hi, None, None] * k[None, :, :]
-        u = 0.5 * env * np.cos(phase)
-        a[lo:hi], cc[lo:hi], sse[lo:hi] = lsq.solve_linear_pair(u, data.signal, w)
-    return a, cc, np.where(np.isfinite(sse), sse, np.inf)
+    return np.ldexp(lsq.full_jacobian(rows, _scaled_identity, x, params["contrast"]), e)
 
 
 # The landscape probe's phi0 grid: phi0 and phi0 + pi are degenerate.
@@ -214,22 +183,24 @@ _TIE_RTOL = 1e-10
 MAX_FRINGE_PHASE_RAD = 2.0**52
 
 
-def _largest_phase_factor(data: EchoDataset, model: EchoFitModel) -> float:
-    """The largest |phase factor| over the dataset's tau and the probe's phi0 grid, rad/G."""
-    return float(np.max(np.abs(model.phase_factor(data.tau_us, _PHI_GRID[:, None]))))
-
-
-def _landscape_starts(data: EchoDataset, model: EchoFitModel, b_max: float, k_absmax: float):
+def _landscape_starts(data: EchoDataset, model: EchoFitModel, rows, b_max: float, k, k_absmax: float):
     """(b_perp, phi0) starts: the 10 best cells of a coarse landscape probe.
 
-    The amplitude step resolves a quarter fringe at the largest phase factor
-    ``k_absmax``, so every basin of the aliased landscape gets sampled.
+    ``k`` holds the phase factors at the probe's phi0 grid; the amplitude step
+    resolves a quarter fringe at the largest, ``k_absmax``, so every basin of
+    the aliased landscape gets sampled.  The pair is solved in every cell, by
+    the fit's ``rows``, in amplitude blocks that keep the memory modest.
     """
     b_step = (math.pi / 2.0) / max(k_absmax, 1e-9)
     n_b = int(min(400, max(60, round(b_max / b_step))))
     b_grid = np.linspace(b_max / (2.0 * n_b), b_max, n_b)
-    _, _, sse = _linear_landscape(data, model, b_grid, _PHI_GRID)
-    i, j = np.unravel_index(np.argsort(sse, axis=None)[:10], sse.shape)
+    half_env = 0.5 * model.envelope_values(data.tau_us)
+    sse = np.empty((n_b, _PHI_GRID.size))
+    block = max(1, 2_000_000 // k.size)
+    for lo in range(0, n_b, block):
+        u = half_env * np.cos(b_grid[lo : lo + block, None, None] * k)
+        sse[lo : lo + block] = lsq.solve_linear_pair(u, rows[-2:])[2]
+    i, j = np.unravel_index(np.argsort(sse, axis=None)[:10], sse.shape)  # NaN (a flat u) sorts last
     return [np.array([b_grid[m], _PHI_GRID[n]]) for m, n in zip(i, j)]
 
 
@@ -274,21 +245,22 @@ def fit_echo(
         model = EchoFitModel()
     if len(data) < 8:
         raise ValidationError("fit_echo needs at least 8 data points")
-    k_absmax = _largest_phase_factor(data, model)
+    k = model.phase_factor(data.tau_us, _PHI_GRID[:, None])  # rad/G
+    k_absmax = float(np.max(np.abs(k)))
     if b_max * k_absmax > MAX_FRINGE_PHASE_RAD:
         raise ValidationError(
             f"--b-max (b_max) {b_max:g} G turns the fringe phase beyond 2**52 rad at the "
             f"largest phase factor {k_absmax:.4g} rad/G of the dataset's tau, where floats "
             f"are 1 rad apart; lower it below {MAX_FRINGE_PHASE_RAD / k_absmax:.4g} G"
         )
+    rows, e, fill = _echo_rows(data, model)
     if initial is None:
-        starts = _landscape_starts(data, model, b_max, k_absmax)
+        starts = _landscape_starts(data, model, rows, b_max, k, k_absmax)
     elif {"b_perp_gauss", "phi0_rad"} <= initial.keys():
         starts = [np.array([initial["b_perp_gauss"], initial["phi0_rad"]], dtype=float)]
     else:
         raise ValidationError("initial needs both b_perp_gauss and phi0_rad")
 
-    rows, fill = _echo_rows(data, model)
     fits = [lsq.fit_separable(rows, fill, _scaled_identity, x0, 0.0, 1.0, max_iter) for x0 in starts]
     # prefer solutions inside the physical amplitude domain: beyond b_max the
     # fringe aliases between sample points and can overfit pure noise
@@ -302,23 +274,23 @@ def fit_echo(
     params = canonical_fringe_params(
         dict(zip(ECHO_PARAM_NAMES, (abs(float(lm.x[0])), float(lm.x[1]), a, c)))
     )
-    return _finalize_fit(params, echo_jacobian(data, model, params), lm, ECHO_PARAM_NAMES)
+    return _finalize_fit(params, np.ldexp(echo_jacobian(data, model, params), -e), e, lm, ECHO_PARAM_NAMES)
 
 
-def _finalize_fit(params: dict, jac_ext: np.ndarray, lm: lsq.LMResult, names) -> FitResult:
-    """The report of a fit at ``params``, whose full weighted Jacobian in ``names`` is ``jac_ext``.
+def _finalize_fit(params: dict, jac: np.ndarray, e: int, lm: lsq.LMResult, names) -> FitResult:
+    """The report of a fit at ``params``, whose full Jacobian in ``names`` is ``jac``, from rows over 2^e.
 
-    The covariance is :func:`lsq.check_identified`'s, scaled by max(chi2_reduced, 1e-300).
+    The covariance is :func:`lsq.check_identified`'s times max(chi2_reduced, 1e-300), both over 4^e.
     """
-    n, p = jac_ext.shape
+    n, p = jac.shape
     chi2_red = 2.0 * lm.cost / (n - p)
-    cov = lsq.check_identified(jac_ext) * max(chi2_red, 1e-300)
+    cov = lsq.check_identified(jac) * max(chi2_red, 1e-300)
     return FitResult(
         params=params,
         sigmas={name: math.sqrt(cov[i, i]) for i, name in enumerate(names)},
         covariance=cov,
-        residual_norm=math.sqrt(2.0 * lm.cost),
-        chi2_reduced=chi2_red,
+        residual_norm=math.ldexp(math.sqrt(2.0 * lm.cost), e),
+        chi2_reduced=math.ldexp(chi2_red, 2 * e),
         converged=lm.converged,
         iterations=lm.iterations,
         n_points=n,
@@ -346,19 +318,19 @@ RABI_PARAM_NAMES = ("rabi_freq_mhz", "contrast", "baseline")
 _UNIFORM_STEP_TOLERANCE = 1e-5
 
 
-def _sine_grid_sse(t, y, w, omega):
-    """Weighted SSE of y ~ a sin^2(pi Omega t) + c at each Omega, from the sines themselves."""
+def _sine_grid_sse(t, data, omega):
+    """Weighted SSE of y ~ a sin^2(pi Omega t) + c at each Omega, from the sines and the fit's ``data`` rows."""
     u = np.sin(math.pi * omega[:, None] * t) ** 2
-    return lsq.solve_linear_pair(u, y, w)[2]
+    return lsq.solve_linear_pair(u, data)[2]
 
 
-def _chirp_z_sse(t0, dt, y, w, omega):
+def _chirp_z_sse(t0, dt, data, omega):
     """:func:`_sine_grid_sse` for durations t0 + j dt on a uniform ``omega`` grid, by chirp-z.
 
     With u = sin^2(pi Omega t) = (1 - cos)/2 and u^2 = (3 - 4 cos + cos2)/8,
     where cos = cos(2 pi Omega t) and cos2 = cos(4 pi Omega t), the pair needs
-    only C = sum w cos, C_y = sum w y cos and C_2 = sum w cos2: the
-    floating-mean Lomb-Scargle sums (Zechmeister & Kuerster, A&A 496 (2009)
+    only C = sum w cos, C_y = sum w y cos and C_2 = sum w cos2 (w the square
+    of ``data``'s weight row): the floating-mean Lomb-Scargle sums (Zechmeister & Kuerster, A&A 496 (2009)
     577).  Each is the real part of S_k = sum_j x_j exp(2 pi i f_k t_j) on a
     grid f_k = f0 + k df, and with W = exp(2 pi i df dt) and
     jk = (j^2 + k^2 - (k - j)^2) / 2,
@@ -370,7 +342,7 @@ def _chirp_z_sse(t0, dt, y, w, omega):
     grid 2 Omega, whose every factor is the square of the one on Omega.
     Phases are reduced to one turn before the exponential.
     """
-    n, m = y.size, omega.size
+    n, m = data.shape[1], omega.size
     f0, df = float(omega[0]), float(omega[-1] - omega[0]) / (m - 1)
     size = 1 << (n + m - 2).bit_length()  # a power of two >= n + m - 1
     k = np.arange(max(n, m))
@@ -380,13 +352,14 @@ def _chirp_z_sse(t0, dt, y, w, omega):
     kernel = np.zeros(size, dtype=complex)  # W^(-l^2/2) at l mod size, for -n < l < m
     kernel[:m] = chirp[:m].conj()
     kernel[size - n + 1 :] = chirp[n - 1 : 0 : -1].conj()
-    x = w * head
-    spec = np.fft.fft(np.stack([x, x * y, x * head]), size)
+    inv, wy = data
+    x = inv * inv * head
+    spec = np.fft.fft(np.stack([x, inv * wy * head, x * head]), size)
     spec *= np.fft.fft(np.stack([kernel, kernel * kernel]))[[0, 0, 1]]
     c, c_y, c_2 = (np.fft.ifft(spec)[:, :m] * np.stack([tail, tail, tail * tail])).real
-    s_1, s_y = w.sum(), y @ w
+    s_1, s_y = inv @ inv, inv @ wy
     s_uu = 0.125 * (3.0 * s_1 - 4.0 * c + c_2)
-    return lsq.pair_from_sums(s_uu, 0.5 * (s_1 - c), s_1, 0.5 * (s_y - c_y), s_y, (y * y) @ w)[2]
+    return lsq.pair_from_sums(s_uu, 0.5 * (s_1 - c), s_1, 0.5 * (s_y - c_y), s_y, wy @ wy)[2]
 
 
 def fit_rabi(data: EchoDataset, initial: dict | None = None, max_iter: int = 200) -> FitResult:
@@ -410,23 +383,22 @@ def fit_rabi(data: EchoDataset, initial: dict | None = None, max_iter: int = 200
     t = data.tau_us
     span = float(t[-1] - t[0])
 
-    rows = _data_rows(data, 1)
+    rows, e = lsq.data_rows(1, data.signal, data.sigma)
 
     def fill(rows, x):
         s = np.sin(math.pi * x[0] * t)
         rows[0], rows[1] = math.pi * t * np.sin(2.0 * math.pi * x[0] * t) * rows[2], s * s * rows[2]
 
-    w = 1.0 / data.sigma**2
     if initial is not None and "rabi_freq_mhz" in initial:
         omega_candidates = np.array([initial["rabi_freq_mhz"]], dtype=float)
-        sse = _sine_grid_sse(t, data.signal, w, omega_candidates)
+        sse = _sine_grid_sse(t, rows[2:], omega_candidates)
     else:
         omega_candidates = np.linspace(0.25 / span, 0.5 * len(data) / span, 256)
         dt = span / (len(data) - 1)
         if np.max(np.abs((t - t[0]) / dt - np.arange(len(data)))) <= _UNIFORM_STEP_TOLERANCE:
-            sse = _chirp_z_sse(t[0], dt, data.signal, w, omega_candidates)
+            sse = _chirp_z_sse(t[0], dt, rows[2:], omega_candidates)
         else:
-            sse = _sine_grid_sse(t, data.signal, w, omega_candidates)
+            sse = _sine_grid_sse(t, rows[2:], omega_candidates)
     finite = np.flatnonzero(np.isfinite(sse))
     if finite.size == 0:
         raise IdentifiabilityError("could not bracket a Rabi frequency")
@@ -438,4 +410,4 @@ def fit_rabi(data: EchoDataset, initial: dict | None = None, max_iter: int = 200
     params = {"rabi_freq_mhz": omega, "contrast": contrast, "baseline": baseline}
     fill(rows, [omega])
     jac = lsq.full_jacobian(rows, _scaled_identity, [omega], contrast)
-    return _finalize_fit(params, jac, lm, RABI_PARAM_NAMES)
+    return _finalize_fit(params, jac, e, lm, RABI_PARAM_NAMES)

@@ -763,13 +763,12 @@ def fit_spot_width(image: StrobedImage, initial_center_um: tuple[float, float]) 
 
     # pixel coordinates along the radial and azimuthal axes
     offsets = (xs[win_x] * axes[:, :1, None] + ys[win_y, None] * axes[:, 1:, None]).reshape(2, -1)
-    # unweighted (sigma 1 on every pixel, so the rows stay raw): sqrt-count
-    # weights bias the widths low at the count levels strobed images reach,
-    # because empty wing pixels dominate; weights from the render's model
-    # variance would move the widths, which needs a bias study against the
-    # known widths first
-    rows = np.empty((7, sub.size))
-    rows[5], rows[6] = 1.0, sub.ravel()
+    # unweighted (sigma 1 on every pixel, so the rows stay raw, in counts):
+    # sqrt-count weights bias the widths low at the count levels strobed
+    # images reach, because empty wing pixels dominate; weights from the
+    # render's model variance would move the widths, which needs a bias
+    # study against the known widths first
+    rows, _ = lsq.data_rows(4, sub.ravel())
     fill, derivatives = functools.partial(_spot_rows, offsets, axes), functools.partial(_spot_derivatives, axes)
     x0 = np.array([xs[win_x][peak_x], ys[win_y][peak_y], 0.5, 0.5])
     lm, amp, bg = lsq.fit_separable(rows, fill, derivatives, x0, lo=0.0, max_iter=300)

@@ -10,12 +10,14 @@ residual with Kaufman's Jacobian (BIT 15 (1975) 49).  The echo, Rabi and
 spot fits all run through one driver, :func:`fit_separable`: each writes
 its basis and derivative rows into one buffer that also holds its weights
 and data, and one product of that buffer gives every sum a step takes.
-Every fit stops when the gradient falls below 1e-8 of the cost or when no
-trial step could lower the cost by more than its rounding.  One SVD of the
-full Jacobian at the optimum gives the fit's covariance, or above condition
-1e12 IdentifiabilityError (:func:`check_identified`).  The models live with
-their fits: the echo and Rabi bases in :mod:`estimation`, the spot basis in
-:mod:`imaging`.
+Sigma enters there once, as :func:`data_rows` scales 1/sigma and y/sigma.
+Every fit stops when the gradient falls below 1e-8 of the cost (of 1 below a
+cost of 1: in that scale, a residual below 1.7e-7 of the largest weighted
+datum, in any unit of sigma) or when no trial step could lower the cost by
+more than its rounding.  One SVD of the full Jacobian at the optimum gives
+the fit's covariance, or above condition 1e12 IdentifiabilityError
+(:func:`check_identified`).  The models live with their fits: the echo and
+Rabi bases in :mod:`estimation`, the spot basis in :mod:`imaging`.
 """
 
 from __future__ import annotations
@@ -40,6 +42,13 @@ _STEP_TOL = 1e-13
 _COST_RESOLUTION = 4.0 * np.finfo(float).eps
 # An optimum whose full Jacobian has a larger condition is not identified.
 _MAX_CONDITION = 1e12
+# data_rows puts the weighted data's largest entry in [2^23, 2^24) by a power
+# of two, which keeps every product exact: a power-of-two unit of sigma, or of
+# signal and sigma, moves only chi-square and the residual norm.  LM's max(1,
+# cost) floors then bind only at a residual below 1.7e-7 of that entry, a
+# zero-residual stop at any shots (at 1e12, a scan's residual is still 1.6e-5
+# of it).
+_DATA_EXPONENT = 24
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +127,27 @@ def levenberg_marquardt(residual_fn, jacobian_fn, x0, max_iter: int = 200) -> LM
 # separable least squares: y ~ a u(x) + c
 
 
-def solve_linear_pair(u: np.ndarray, y: np.ndarray, w: np.ndarray):
+def data_rows(q: int, y, sigma=None) -> tuple[np.ndarray, int]:
+    """The (q + 3, n) rows of :func:`fit_separable` for data ``y`` +- ``sigma`` (1 if None), and e.
+
+    The last two rows hold 1/sigma and y/sigma over 2^e, which puts their largest entry in
+    [2^23, 2^24); without sigma they hold 1 and y themselves (e = 0), in y's unit.
+    """
+    rows = np.empty((q + 3, len(y)))
+    rows[q + 1], rows[q + 2] = (1.0, y) if sigma is None else (1.0 / sigma, y / sigma)
+    e = 0 if sigma is None else math.frexp(float(np.abs(rows[q + 1 :]).max()))[1] - _DATA_EXPONENT
+    np.ldexp(rows[q + 1 :], -e, out=rows[q + 1 :])
+    return rows, e
+
+
+def solve_linear_pair(u: np.ndarray, data: np.ndarray):
     """Weighted LS for y ~ a*u + c along the last axis: returns (a, c) and the weighted SSE.
 
-    ``w`` is one weight vector; ``u`` and ``y`` broadcast against each other.
+    ``data`` is :func:`data_rows`' last two rows, in whose scale the SSE is.
     """
-    return pair_from_sums((u * u) @ w, u @ w, w.sum(), (u * y) @ w, y @ w, (y * y) @ w)
+    inv, wy = data
+    uw = u * inv
+    return pair_from_sums((uw * uw).sum(-1), uw @ inv, inv @ inv, uw @ wy, inv @ wy, wy @ wy)
 
 
 def pair_from_sums(s_uu, s_u, s_1, s_uy, s_y, s_yy):
@@ -143,24 +167,24 @@ def pair_from_sums(s_uu, s_u, s_1, s_uy, s_y, s_yy):
 def fit_separable(rows, fill, derivatives, x0, lo=-math.inf, hi=math.inf, max_iter: int = 200):
     """LM over the nonlinear parameters x of y ~ a u(x) + c: (LMResult, a, c).
 
-    ``rows`` is a (q + 3, n) buffer whose last two rows hold 1/sigma and
-    y/sigma.  ``fill(rows, x)`` writes q derivative rows and then u, each
-    over sigma, into rows[:q + 1]; ``derivatives(out, x, a)`` writes the
-    map from those q rows to a du/dx / sigma into the leading (p, q) block
-    of ``out``, whose other entries it leaves zero (a times the identity
-    where the rows are du/dx / sigma themselves).  One product
-    rows @ rows[q:].T gives every weighted sum a step takes.  At each x the
-    pair is solved in closed form; an ``a`` outside [lo, hi] (or NaN, when
-    u is flat) is clamped and c re-solved alone.  LM runs on the projected
-    residual (a u + c - y) / sigma and Kaufman's Jacobian (n, p): a du /
-    sigma projected off the free linear columns.  The Golub-Pereyra term it
-    drops lies in their span, orthogonal to the residual, so J^T r is the
-    exact gradient.  The Jacobian reuses the rows, sums and pair determinant
-    of the residual at its x, and ``rows`` is left filled where LM stops.
+    ``rows`` is a :func:`data_rows` buffer, whose last two rows hold the
+    weight w (1/sigma over its scale) and y w.  ``fill(rows, x)`` writes q
+    derivative rows and then u, each times w, into rows[:q + 1];
+    ``derivatives(out, x, a)`` writes the map from those q rows to a du/dx w
+    into the leading (p, q) block of ``out``, whose other entries it leaves
+    zero (a times the identity where the rows are du/dx w themselves).  One
+    product rows @ rows[q:].T gives every weighted sum a step takes.  At each x the pair is solved in closed form;
+    an ``a`` outside [lo, hi] (or NaN, when u is flat) is clamped and c
+    re-solved alone.  LM runs on the projected residual (a u + c - y) w and
+    Kaufman's Jacobian (n, p): a du w projected off the free linear columns.
+    The Golub-Pereyra term it drops lies in their span, orthogonal to the
+    residual, so J^T r is the exact gradient.  The Jacobian reuses the rows,
+    sums and pair determinant of the residual at its x, and ``rows`` is left
+    filled where LM stops.
     """
     q = rows.shape[0] - 3
     coef = np.zeros((len(x0), q + 2))  # the derivative map, then the projection's coefficients
-    latest = [b""]  # x, sums, a, c and the pair's determinant at the last x only
+    latest = [b""]  # x, sums, a, c and the free pair's determinant (else None) at the last x only
 
     def residual(x):
         fill(rows, x)
@@ -170,12 +194,12 @@ def fit_separable(rows, fill, derivatives, x0, lo=-math.inf, hi=math.inf, max_it
         (s_uu, s_u, s_uy), (s_1, s_y) = sums[q].tolist(), sums[q + 1, 1:].tolist()
         det = s_uu * s_1 - s_u * s_u
         a = (s_uy * s_1 - s_u * s_y) / det if abs(det) >= 1e-300 else math.nan
-        if lo < a < hi:  # False for NaN
+        if free := lo < a < hi:  # False for NaN
             c = (s_uu * s_y - s_u * s_uy) / det
         else:
             a = min(max(0.0 if math.isnan(a) else a, lo), hi)
             c = (s_y - a * s_u) / s_1
-        latest[:] = x.tobytes(), sums, a, c, det
+        latest[:] = x.tobytes(), sums, a, c, det if free else None
         return np.array([a, c, -1.0]) @ rows[q:]
 
     def jacobian(x):
@@ -184,9 +208,9 @@ def fit_separable(rows, fill, derivatives, x0, lo=-math.inf, hi=math.inf, max_it
         _, sums, a, _, det = latest
         derivatives(coef, x, a)
         (s_uu, s_u, _), s_1 = sums[q].tolist(), sums[q + 1, 1]
-        if lo < a < hi:  # minus the rows' least-squares coefficients on (u, 1)
+        if det is not None:  # minus the rows' least-squares coefficients on (u, 1)
             coef[:, q:] = coef[:, :q] @ (sums[:q, :2] @ [[-s_1, s_u], [s_u, -s_uu]]) / det
-        else:  # on 1 alone: a is fixed at its bound
+        else:  # on 1 alone: a is fixed at its bound, or at 0 where u is flat
             coef[:, q] = 0.0
             coef[:, q + 1] = coef[:, :q] @ sums[:q, 1] / -s_1
         return (coef @ rows[: q + 2]).T
@@ -198,7 +222,7 @@ def fit_separable(rows, fill, derivatives, x0, lo=-math.inf, hi=math.inf, max_it
 
 
 def full_jacobian(rows: np.ndarray, derivatives, x, a: float) -> np.ndarray:
-    """Jacobian of (a u + c - y) / sigma in (x, a, c), from :func:`fit_separable`'s ``rows`` filled at x."""
+    """Jacobian of (a u + c - y) / sigma in (x, a, c), over :func:`data_rows`' scale, from ``rows`` filled at x."""
     p, q = len(x), rows.shape[0] - 3
     coef = np.zeros((p + 2, q + 2))
     derivatives(coef[:p], x, a)

@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from . import photophysics, seqlang, spindyn
-from .config import ExperimentConfig, check_values, read_text
+from .config import ExperimentConfig, check_value, check_values, read_text
 from .errors import FitError, ValidationError
 from .estimation import EchoDataset, EchoFitModel, FitResult, fit_echo, fit_rabi
 from .imaging import Emitter, EmitterSet, ScanGrid, StrobedImage
@@ -115,7 +115,7 @@ def echo_params_from_config(cfg: ExperimentConfig) -> spindyn.EchoParams:
 
 def _refuse_repeats(axis: np.ndarray, name: str) -> None:
     """Refuse the sorted scan axis ``axis``, named ``name``, if it repeats a value, naming the value."""
-    repeated = axis[1:][np.diff(axis) == 0]
+    repeated = axis[1:][axis[1:] == axis[:-1]]
     if repeated.size:
         raise ValidationError(f"{name} repeats the value {repeated[0]:g}")
 
@@ -241,6 +241,20 @@ def fit_dataset(
     if model == "rabi":
         return fit_rabi(data, max_iter=max_iter)
     raise ValidationError("model must be 'echo' or 'rabi'")
+
+
+def check_fit_axis(cfg: ExperimentConfig, data: EchoDataset, model: str) -> None:
+    """Refuse a dataset to fit as ``model`` whose axis the simulators would refuse.
+
+    The axis must lie in its scan's row, tau_us (echo) or durations_us
+    (Rabi), and an echo's tau before the rotation period.
+    """
+    axis = "tau_us" if model == "echo" else "durations_us"
+    for end in data.tau_us[:: max(len(data) - 1, 1)]:  # the sorted axis's ends
+        check_value(axis, end, axis)
+    if model == "echo":
+        g = cfg.geometry
+        _check_readout_timing(g, data.tau_us, data.tau_us >= g.t_rot_us, axis)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +416,10 @@ def read_echo_dataset(path: str) -> tuple[EchoDataset, dict]:
         raise ValidationError(f"{path}: expected 3 columns (tau/duration, signal, sigma)")
     rows = rows[np.argsort(rows[:, 0])]
     _refuse_repeats(rows[:, 0], f"{path}: {names[0] if names else 'the first column'}")
-    return EchoDataset(rows[:, 0], rows[:, 1], rows[:, 2]), meta
+    try:
+        return EchoDataset(rows[:, 0], rows[:, 1], rows[:, 2]), meta
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def format_image(image: StrobedImage, cfg: ExperimentConfig, csv: bool = False) -> str:

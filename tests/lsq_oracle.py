@@ -8,7 +8,8 @@ widths, background) with a central-difference Jacobian, the way the widths
 were fitted before the separable fit replaced it.
 ``grid_oracle`` is the echo fit without a search: the weighted SSE
 minimised over a (b_perp, phi0) grid, contrast and baseline solved exactly
-at every node.
+at every node by a QR factorisation of that node's weighted design, free of
+the fit's own rows, sums and pair solve.
 ``exact_covariance`` is (J^T J)^-1 in rational arithmetic, free of rounding.
 """
 
@@ -19,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rotornv import estimation, lsq
+from rotornv import lsq
 from rotornv.errors import FitError
 from rotornv.estimation import EchoFitModel
 from rotornv.lsq import levenberg_marquardt
@@ -124,16 +125,29 @@ def grid_oracle(
     """Exhaustive weighted-SSE minimisation over (b_perp, phi0) in [0, 2 pi).
 
     Contrast and baseline are solved exactly (linear in the model) at every
-    grid node, so the oracle is limited only by the grid resolution.
+    grid node, so the oracle is limited only by the grid resolution.  Each
+    node's design [u, 1] / sigma is factored Q R, and its SSE is that of the
+    residual off Q's span; where the fringe u is flat (b = 0), the two
+    columns are one and the node's SSE is that of the baseline alone.
     """
     b_grid = np.linspace(b_bounds[0], b_bounds[1], n_b)
     phi_grid = np.linspace(0.0, TWO_PI, n_phi, endpoint=False)
-    a, cc, sse = estimation._linear_landscape(data, model, b_grid, phi_grid)
+    k = model.phase_factor(data.tau_us, phi_grid[:, None])
+    u = 0.5 * model.envelope_values(data.tau_us) * np.cos(b_grid[:, None, None] * k)
+    design = np.stack([u, np.ones_like(u)], axis=-1) / data.sigma[:, None]
+    target = data.signal / data.sigma
+    q, r = np.linalg.qr(design)
+    residual = target - np.einsum("...ji,...i->...j", q, np.einsum("...ji,j->...i", q, target))
+    sse = np.sum(residual**2, axis=-1)
+    mean = (target / data.sigma).sum() / (1.0 / data.sigma**2).sum()
+    flat = np.abs(r[..., 1, 1]) <= 1e-9 * np.abs(r[..., 0, 0])
+    sse[flat] = np.sum(((data.signal - mean) / data.sigma) ** 2)
     i, j = np.unravel_index(int(np.argmin(sse)), sse.shape)
+    (contrast, baseline), *_ = np.linalg.lstsq(design[i, j], target, rcond=None)
     params = {
         "b_perp_gauss": float(b_grid[i]),
         "phi0_rad": float(phi_grid[j] % TWO_PI),
-        "contrast": float(a[i, j]),
-        "baseline": float(cc[i, j]),
+        "contrast": float(contrast),
+        "baseline": float(baseline),
     }
     return GridFitResult(params=params, sse=float(sse[i, j]))

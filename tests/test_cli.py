@@ -506,6 +506,71 @@ def test_fit_non_finite_dataset_exit_2(column, value, tmp_path, capsys):
         assert name in err
 
 
+@pytest.fixture(scope="module")
+def default_scan_files(tmp_path_factory):
+    """The files of the default 400-point Rabi scan and of the theta_B = 3 deg echo."""
+    root = tmp_path_factory.mktemp("scans")
+    paths = {"rabi": str(root / "rabi.dat"), "echo": str(root / "echo.dat")}
+    assert main(["simulate-rabi", "--durations", "0:1.1:400", "-o", paths["rabi"]]) == 0
+    assert main(["simulate-echo", "--set", "field.theta_b_deg=3", "-o", paths["echo"]]) == 0
+    return paths
+
+
+def _rewrite_column(src: str, dst, column: int, change) -> str:
+    """The dataset ``src`` written to ``dst`` with each value v of ``column`` (0 axis, 1 signal, 2 sigma) as change(v)."""
+    lines = []
+    for line in open(src).read().splitlines():
+        if line and not line.startswith("#"):
+            parts = line.split()
+            parts[column] = repr(change(float(parts[column])))
+            line = " ".join(parts)
+        lines.append(line)
+    with open(dst, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return str(dst)
+
+
+@pytest.mark.parametrize(
+    "model, column, change, refusal",
+    [
+        # fitted b = 0.0761 G, "converged: yes"
+        ("echo", 0, lambda v: v * 1e200, "{path}: tau_us must lie in [0, 1e+09] us, got 2e+200"),
+        # a singular Jacobian, exit 3: every tau lies beyond the 300 us rotation period
+        ("echo", 0, lambda v: v * 1e5, "{path}: a scan point's sequence ends at 200000.0 us, not before the readout "
+         "at the rotation period 300.0003 us; check tau_us and geometry.f_rot_hz"),
+        # a singular Jacobian, exit 3
+        ("rabi", 0, lambda v: v * 1e12, "{path}: durations_us must lie in [0, 1e+09] us, got"),
+        # exit 3, after RuntimeWarnings from 1 / sigma^2
+        ("rabi", 2, lambda v: 1e300, "{path}: sigma must lie in [1e-100, 1e+100], got 1e+300"),
+        ("rabi", 2, lambda v: 1e-300, "{path}: sigma must lie in [1e-100, 1e+100], got 1e-300"),
+        ("echo", 2, lambda v: 1e300, "{path}: sigma must lie in [1e-100, 1e+100], got 1e+300"),
+        ("echo", 2, lambda v: 1e-300, "{path}: sigma must lie in [1e-100, 1e+100], got 1e-300"),
+        ("rabi", 1, lambda v: v * 1e60, "{path}: signal must lie in [-1e+50, 1e+50], got"),
+    ],
+    ids=["tau-x1e200", "tau-x1e5", "durations-x1e12", "rabi-sigma-1e300", "rabi-sigma-1e-300",
+         "echo-sigma-1e300", "echo-sigma-1e-300", "signal-x1e60"],
+)
+def test_fit_refuses_a_column_beyond_its_row_naming_the_file_and_column(
+    default_scan_files, tmp_path, capsys, model, column, change, refusal
+):
+    path = _rewrite_column(default_scan_files[model], tmp_path / "scan.dat", column, change)
+    code, err = _main_exit(["fit", path, "--model", model], capsys)
+    assert code == 2 and err.startswith("error: ") and refusal.format(path=path) in err, err
+
+
+@pytest.mark.parametrize("factor", [1e8, 2.0**60, 2.0**-60, 1e-8])
+def test_rabi_fit_text_is_the_same_in_another_unit_of_sigma(default_scan_files, tmp_path, factor):
+    # sigma x 1e8 or x 2^60 stopped after 1 iteration at 3.78787879 MHz, "converged: yes"
+    fits = []
+    for f in (1.0, factor):
+        path = _rewrite_column(default_scan_files["rabi"], tmp_path / "rabi.dat", 2, lambda v: v * f)
+        assert main(["fit", path, "--model", "rabi", "-o", str(tmp_path / "fit.txt")]) == 0
+        text = (tmp_path / "fit.txt").read_text().splitlines()
+        fits.append([line for line in text if not line.startswith(("chi2_reduced:", "residual_norm:"))])
+    assert fits[1] == fits[0]
+    assert "rabi_freq_mhz: 3.60110757 +- 0.00134149658" in fits[0]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

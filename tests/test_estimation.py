@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from rotornv import estimation, lsq
+from rotornv import estimation, lsq, pipeline
 from rotornv.errors import IdentifiabilityError, ValidationError
 from rotornv.estimation import (
     ECHO_PARAM_NAMES,
@@ -16,7 +17,7 @@ from rotornv.estimation import (
 )
 from rotornv.lsq import levenberg_marquardt, solve_linear_pair
 from rotornv.cli import main
-from rotornv.config import RotorGeometry
+from rotornv.config import RotorGeometry, config_from_dict
 from rotornv.geometry import TWO_PI
 from rotornv.imaging import StrobedImage, fit_spot_width
 from rotornv.pipeline import read_echo_dataset
@@ -130,7 +131,7 @@ class TestCheckIdentified:
         jac = (u * np.geomspace(1.0, 1.0 / condition, 4)) @ v.T
         names = ECHO_PARAM_NAMES
         lm = lsq.LMResult(x=np.zeros(2), cost=6.0, grad_norm=0.0, iterations=1, converged=True)  # chi2_red 1
-        fit = estimation._finalize_fit(dict.fromkeys(names, 0.0), jac, lm, names)
+        fit = estimation._finalize_fit(dict.fromkeys(names, 0.0), jac, 0, lm, names)
         exact = exact_covariance(jac)
         sigma = np.sqrt(exact.diagonal())
         assert np.allclose([fit.sigmas[name] for name in names], sigma, rtol=1e-5, atol=0.0)
@@ -218,7 +219,8 @@ class TestFitEcho:
         x = np.array([0.01, 0.9])
         residual, jacobian = echo_problem(data, x)
         u = MODEL.predict(data.tau_us, *x, 1.0, 0.0)  # the fringe basis
-        assert solve_linear_pair(u, data.signal, data.sigma**-2)[0] > 1.0  # the bound is active here
+        rows, _ = lsq.data_rows(0, data.signal, data.sigma)
+        assert solve_linear_pair(u, rows[1:])[0] > 1.0  # the bound is active here
         grad = jacobian(x).T @ residual(x)
         cost = lambda z: np.array([0.5 * float(residual(z) @ residual(z))])
         numeric = numeric_jacobian(cost, x, rel_step=1e-6)[0]
@@ -346,9 +348,9 @@ def _assert_same_start(data):
     t, n = data.tau_us, len(data)
     span = t[-1] - t[0]
     grid = np.linspace(0.25 / span, 0.5 * n / span, 256)
-    w = 1.0 / data.sigma**2
-    fast = estimation._chirp_z_sse(t[0], span / (n - 1), data.signal, w, grid)
-    oracle = estimation._sine_grid_sse(t, data.signal, w, grid)
+    rows, _ = lsq.data_rows(1, data.signal, data.sigma)
+    fast = estimation._chirp_z_sse(t[0], span / (n - 1), rows[2:], grid)
+    oracle = estimation._sine_grid_sse(t, rows[2:], grid)
     assert np.max(np.abs(fast - oracle) / oracle) <= SCAN_RTOL
     i, j = int(np.argmin(fast)), int(np.argmin(oracle))
     if i != j:  # a near-tie flipped the cell: both starts must reach one optimum
@@ -418,7 +420,8 @@ class TestRabiStartScan:
         t = data.tau_us
         grid = np.linspace(0.25 / (t[-1] - t[0]), 0.5 * t.size / (t[-1] - t[0]), 256)
         u = np.sin(math.pi * grid[:, None] * t) ** 2
-        sse = solve_linear_pair(u, data.signal, 1.0 / data.sigma**2)[2]
+        rows, _ = lsq.data_rows(1, data.signal, data.sigma)
+        sse = solve_linear_pair(u, rows[2:])[2]
         start = {"rabi_freq_mhz": float(grid[np.argmin(sse)])}
         assert fit.as_text() == fit_rabi(data, start).as_text()
 
@@ -577,3 +580,71 @@ def test_tied_starts_keep_the_earliest(monkeypatch, tmp_path, seed):
     assert len(tied) == len(ends) == 10 and all(lm.converged for lm in tied)
     assert len({lm.iterations for lm in tied}) > 1  # the choice shows in the fit text
     assert fit.iterations == tied[0].iterations
+
+
+# ---------------------------------------------------------------------------
+# the unit of sigma
+
+
+@pytest.fixture(scope="module")
+def default_scans():
+    """(config, dataset) of the default 400-point Rabi scan and of the theta_B = 3 deg echo."""
+    rabi_cfg, echo_cfg = config_from_dict({}), config_from_dict({"field": {"theta_b_deg": 3.0}})
+    rabi, _ = pipeline.simulate_rabi_scan(rabi_cfg, np.linspace(0.0, 1.1, 400))
+    echo, _ = pipeline.simulate_echo_scan(echo_cfg, np.linspace(2.0, 21.0, 16))
+    return {"rabi": (rabi_cfg, rabi), "echo": (echo_cfg, echo)}
+
+
+def _fit_in_unit(scans, model, factor):
+    """The fit of ``model``'s default scan with its sigma column times ``factor``, RuntimeWarnings raised."""
+    cfg, data = scans[model]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return pipeline.fit_dataset(cfg, EchoDataset(data.tau_us, data.signal, data.sigma * factor), model)
+
+
+@pytest.mark.parametrize("model", ["rabi", "echo"])
+def test_a_power_of_two_unit_of_sigma_moves_only_chi2_and_the_residual_norm(default_scans, model):
+    # the fit's rows are the same bits in every such unit; LM's absolute
+    # floors once stopped the Rabi fit after 1 iteration from sigma x 2^27 on
+    base = _fit_in_unit(default_scans, model, 1.0)
+    for k in range(-200, 201):
+        fit = _fit_in_unit(default_scans, model, math.ldexp(1.0, k))
+        assert fit.converged and fit.iterations == base.iterations, k
+        assert fit.params == base.params and fit.sigmas == base.sigmas, k
+        assert np.array_equal(fit.covariance, base.covariance), k
+        assert fit.chi2_reduced == math.ldexp(base.chi2_reduced, -2 * k), k
+        assert fit.residual_norm == math.ldexp(base.residual_norm, -k), k
+
+
+def test_a_pair_flat_to_rounding_leaves_the_rabi_jacobian_finite():
+    # one point outweighs the rest by 1e200: the pair's determinant rounds to
+    # 0 at some frequency, where the Jacobian of the free pair divided by it
+    # (a RuntimeWarning and a NaN Jacobian; before the rows were scaled, the
+    # weights 1 / sigma^2 overflowed first)
+    t = np.array([0.1, 1.0, 3.1622776601683795, 10.0, 100.0, 1000.0])
+    data = EchoDataset(t, np.array([1.0, 1e-50, 1e-50, 1e-50, 10.0, 1.0]), np.array([1, 1, 1, 1, 1e-100, 1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(IdentifiabilityError):
+            fit_rabi(data)
+
+
+@pytest.mark.parametrize("factor", [1e8, 1e-8])
+@pytest.mark.parametrize("model", ["rabi", "echo"])
+def test_a_decimal_unit_of_sigma_moves_the_fit_by_rounding_alone(default_scans, model, factor):
+    # sigma x 1e8 printed a Rabi frequency of 3.78787879 MHz, 16 sigma off.
+    # The rows now differ from the unscaled ones in their last bits only, but
+    # LM's gradient test may then stop one step apart: the echo at 1e-8 stops
+    # at step 5 of 6, its b 5e-9 off (2e-7 sigma), along the weak b-phi0
+    # direction (correlation 0.993) where the 1e-8 gradient tolerance leaves
+    # that much; the Rabi fit, with no such direction, keeps 1e-9
+    base, fit = _fit_in_unit(default_scans, model, 1.0), _fit_in_unit(default_scans, model, factor)
+    assert fit.converged
+    for name in base.param_names:
+        assert abs(fit.params[name] - base.params[name]) <= 1e-6 * base.sigmas[name], name
+        assert fit.sigmas[name] == pytest.approx(base.sigmas[name], rel=1e-6, abs=0.0), name
+        if model == "rabi":
+            assert fit.params[name] == pytest.approx(base.params[name], rel=1e-9, abs=0.0), name
+            assert fit.sigmas[name] == pytest.approx(base.sigmas[name], rel=1e-9, abs=0.0), name
+    assert fit.chi2_reduced == pytest.approx(base.chi2_reduced / factor**2, rel=1e-9, abs=0.0)

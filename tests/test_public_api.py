@@ -217,6 +217,7 @@ LSQ_NAMES = (
     "LMResult",
     "levenberg_marquardt",
     "fit_separable",
+    "data_rows",
     "solve_linear_pair",
     "pair_from_sums",
     "full_jacobian",
@@ -225,6 +226,7 @@ LSQ_NAMES = (
     "_STEP_TOL",
     "_COST_RESOLUTION",
     "_MAX_CONDITION",
+    "_DATA_EXPONENT",
 )
 
 
