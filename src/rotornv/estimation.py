@@ -30,7 +30,7 @@ import numpy as np
 
 from . import lsq
 from .config import PhysicalConstants, check_value, check_values
-from .errors import IdentifiabilityError, ValidationError
+from .errors import ValidationError
 # perfbench/spantrace.py finds levenberg_marquardt on this module and rebinds
 # that object in lsq too, where fit_separable looks it up at call time
 from .lsq import levenberg_marquardt  # noqa: F401
@@ -165,12 +165,17 @@ def _echo_rows(data: EchoDataset, model: EchoFitModel):
     return rows, e, fill
 
 
+def _echo_full_jacobian(rows, fill, params: dict) -> np.ndarray:
+    """:func:`lsq.full_jacobian` of the fringe fit's ``rows``, refilled at the reported parameters."""
+    x = np.array([params["b_perp_gauss"], params["phi0_rad"]])
+    fill(rows, x)
+    return lsq.full_jacobian(rows, _scaled_identity, x, params["contrast"])
+
+
 def echo_jacobian(data: EchoDataset, model: EchoFitModel, params: dict) -> np.ndarray:
     """Jacobian of the weighted fringe residual (model - signal) / sigma in the reported parameters."""
     rows, e, fill = _echo_rows(data, model)
-    x = np.array([params["b_perp_gauss"], params["phi0_rad"]])
-    fill(rows, x)
-    return np.ldexp(lsq.full_jacobian(rows, _scaled_identity, x, params["contrast"]), e)
+    return np.ldexp(_echo_full_jacobian(rows, fill, params), e)
 
 
 # The landscape probe's phi0 grid: phi0 and phi0 + pi are degenerate.
@@ -188,19 +193,15 @@ def _landscape_starts(data: EchoDataset, model: EchoFitModel, rows, b_max: float
 
     ``k`` holds the phase factors at the probe's phi0 grid; the amplitude step
     resolves a quarter fringe at the largest, ``k_absmax``, so every basin of
-    the aliased landscape gets sampled.  The pair is solved in every cell, by
-    the fit's ``rows``, in amplitude blocks that keep the memory modest.
+    the aliased landscape gets sampled.  The pair's SSE in every cell, by the
+    fit's ``rows``, comes from :func:`lsq.scan_sse`, in blocks of amplitudes.
     """
     b_step = (math.pi / 2.0) / max(k_absmax, 1e-9)
     n_b = int(min(400, max(60, round(b_max / b_step))))
     b_grid = np.linspace(b_max / (2.0 * n_b), b_max, n_b)
     half_env = 0.5 * model.envelope_values(data.tau_us)
-    sse = np.empty((n_b, _PHI_GRID.size))
-    block = max(1, 2_000_000 // k.size)
-    for lo in range(0, n_b, block):
-        u = half_env * np.cos(b_grid[lo : lo + block, None, None] * k)
-        sse[lo : lo + block] = lsq.solve_linear_pair(u, rows[-2:])[2]
-    i, j = np.unravel_index(np.argsort(sse, axis=None)[:10], sse.shape)  # NaN (a flat u) sorts last
+    sse = lsq.scan_sse(lambda lo, hi: half_env * np.cos(b_grid[lo:hi, None, None] * k), (n_b, len(k)), rows[-2:])
+    i, j = np.unravel_index(np.argsort(sse, axis=None)[:10], sse.shape)
     return [np.array([b_grid[m], _PHI_GRID[n]]) for m, n in zip(i, j)]
 
 
@@ -271,10 +272,8 @@ def fit_echo(
     tied = [fit for fit in fits if fit[0].cost <= low * (1.0 + _TIE_RTOL)] or fits
     lm, a, c = next((fit for fit in tied if fit[0].converged), tied[0])
 
-    params = canonical_fringe_params(
-        dict(zip(ECHO_PARAM_NAMES, (abs(float(lm.x[0])), float(lm.x[1]), a, c)))
-    )
-    return _finalize_fit(params, np.ldexp(echo_jacobian(data, model, params), -e), e, lm, ECHO_PARAM_NAMES)
+    params = canonical_fringe_params(dict(zip(ECHO_PARAM_NAMES, (abs(float(lm.x[0])), float(lm.x[1]), a, c))))
+    return _finalize_fit(params, _echo_full_jacobian(rows, fill, params), e, lm, ECHO_PARAM_NAMES)
 
 
 def _finalize_fit(params: dict, jac: np.ndarray, e: int, lm: lsq.LMResult, names) -> FitResult:
@@ -319,9 +318,8 @@ _UNIFORM_STEP_TOLERANCE = 1e-5
 
 
 def _sine_grid_sse(t, data, omega):
-    """Weighted SSE of y ~ a sin^2(pi Omega t) + c at each Omega, from the sines and the fit's ``data`` rows."""
-    u = np.sin(math.pi * omega[:, None] * t) ** 2
-    return lsq.solve_linear_pair(u, data)[2]
+    """Weighted SSE of y ~ a sin^2(pi Omega t) + c at each Omega: :func:`lsq.scan_sse` by the fit's ``data`` rows."""
+    return lsq.scan_sse(lambda lo, hi: np.sin(math.pi * omega[lo:hi, None] * t) ** 2, omega.shape, data)
 
 
 def _chirp_z_sse(t0, dt, data, omega):
@@ -373,7 +371,7 @@ def fit_rabi(data: EchoDataset, initial: dict | None = None, max_iter: int = 200
     ``_UNIFORM_STEP_TOLERANCE`` steps of a uniform grid (a start:stop:n scan,
     also read back from its dataset text) take that scan's sums from
     chirp-z transforms, :func:`_chirp_z_sse`; others, such as a comma list,
-    evaluate the sines, :func:`_sine_grid_sse`.  The two agree to rounding.
+    evaluate the sines in blocks, :func:`_sine_grid_sse`.  The two agree to rounding.
     Data that do not constrain the frequency (zero contrast) raise
     IdentifiabilityError.
     """
@@ -390,24 +388,15 @@ def fit_rabi(data: EchoDataset, initial: dict | None = None, max_iter: int = 200
         rows[0], rows[1] = math.pi * t * np.sin(2.0 * math.pi * x[0] * t) * rows[2], s * s * rows[2]
 
     if initial is not None and "rabi_freq_mhz" in initial:
-        omega_candidates = np.array([initial["rabi_freq_mhz"]], dtype=float)
-        sse = _sine_grid_sse(t, rows[2:], omega_candidates)
+        start = np.array([initial["rabi_freq_mhz"]], dtype=float)
     else:
-        omega_candidates = np.linspace(0.25 / span, 0.5 * len(data) / span, 256)
+        grid = np.linspace(0.25 / span, 0.5 * len(data) / span, 256)
         dt = span / (len(data) - 1)
-        if np.max(np.abs((t - t[0]) / dt - np.arange(len(data)))) <= _UNIFORM_STEP_TOLERANCE:
-            sse = _chirp_z_sse(t[0], dt, rows[2:], omega_candidates)
-        else:
-            sse = _sine_grid_sse(t, rows[2:], omega_candidates)
-    finite = np.flatnonzero(np.isfinite(sse))
-    if finite.size == 0:
-        raise IdentifiabilityError("could not bracket a Rabi frequency")
-    i = finite[np.argmin(sse[finite])]  # the first minimum among finite SSE
-
-    start = omega_candidates[i : i + 1]
+        uniform = np.max(np.abs((t - t[0]) / dt - np.arange(len(data)))) <= _UNIFORM_STEP_TOLERANCE
+        sse = _chirp_z_sse(t[0], dt, rows[2:], grid) if uniform else _sine_grid_sse(t, rows[2:], grid)
+        start = grid[[np.argmin(sse)]]  # the first minimum
     lm, contrast, baseline = lsq.fit_separable(rows, fill, _scaled_identity, start, max_iter=max_iter)
     omega = abs(float(lm.x[0]))
     params = {"rabi_freq_mhz": omega, "contrast": contrast, "baseline": baseline}
     fill(rows, [omega])
-    jac = lsq.full_jacobian(rows, _scaled_identity, [omega], contrast)
-    return _finalize_fit(params, jac, e, lm, RABI_PARAM_NAMES)
+    return _finalize_fit(params, lsq.full_jacobian(rows, _scaled_identity, [omega], contrast), e, lm, RABI_PARAM_NAMES)

@@ -11,6 +11,9 @@ spot fits all run through one driver, :func:`fit_separable`: each writes
 its basis and derivative rows into one buffer that also holds its weights
 and data, and one product of that buffer gives every sum a step takes.
 Sigma enters there once, as :func:`data_rows` scales 1/sigma and y/sigma.
+The echo and Rabi fits rank their starts by the pair's SSE over a grid, in
+blocks of bounded size (:func:`scan_sse`); one rule, :func:`free_pair`, gives
+a flat pair a = 0 and c alone, in the scans and in LM alike.
 Every fit stops when the gradient falls below 1e-8 of the cost (of 1 below a
 cost of 1: in that scale, a residual below 1.7e-7 of the largest weighted
 datum, in any unit of sigma) or when no trial step could lower the cost by
@@ -49,6 +52,12 @@ _MAX_CONDITION = 1e12
 # zero-residual stop at any shots (at 1e12, a scan's residual is still 1.6e-5
 # of it).
 _DATA_EXPONENT = 24
+# A pair whose determinant s_uu s_1 - s_u^2 lies within this fraction of
+# s_uu s_1, or below 1e-300 (where a subnormal s_uu s_1 leaves the fraction
+# no meaning), is flat: u is a constant to rounding.
+_FLAT_RTOL = 4.0 * np.finfo(float).eps
+# A start scan evaluates its basis over at most this many floats at a time.
+_SCAN_FLOATS = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -140,28 +149,37 @@ def data_rows(q: int, y, sigma=None) -> tuple[np.ndarray, int]:
     return rows, e
 
 
-def solve_linear_pair(u: np.ndarray, data: np.ndarray):
-    """Weighted LS for y ~ a*u + c along the last axis: returns (a, c) and the weighted SSE.
-
-    ``data`` is :func:`data_rows`' last two rows, in whose scale the SSE is.
-    """
-    inv, wy = data
-    uw = u * inv
-    return pair_from_sums((uw * uw).sum(-1), uw @ inv, inv @ inv, uw @ wy, inv @ wy, wy @ wy)
+def free_pair(det, s_uu, s_1):
+    """Whether the pair y ~ a u + c of determinant ``det`` = s_uu s_1 - s_u^2 is free (not flat): floats or arrays."""
+    return (det > _FLAT_RTOL * s_uu * s_1) & (det > 1e-300)
 
 
 def pair_from_sums(s_uu, s_u, s_1, s_uy, s_y, s_yy):
     """(a, c, SSE) of the weighted pair y ~ a*u + c from its sums.
 
     The sums are s_uu = sum w u^2, s_u = sum w u, s_1 = sum w, s_uy =
-    sum w u y, s_y = sum w y and s_yy = sum w y^2.  A determinant below
-    1e-300 in magnitude (a flat u) gives NaN.
+    sum w u y, s_y = sum w y, s_yy = sum w y^2.  A flat pair (:func:`free_pair`)
+    takes a = 0 and c = s_y / s_1.  The SSE is S_yy - a (2 S_uy - a S_uu) from the
+    centred sums S_xz = s_xz - s_x s_z / s_1: a nearly flat u cancels no s_yy.
     """
     det = s_uu * s_1 - s_u**2
-    det = np.where(np.abs(det) < 1e-300, np.nan, det)
-    a = (s_uy * s_1 - s_u * s_y) / det
-    cc = (s_uu * s_y - s_u * s_uy) / det
-    return a, cc, s_yy - a * s_uy - cc * s_y
+    free = free_pair(det, s_uu, s_1)
+    a = np.where(free, s_uy * s_1 - s_u * s_y, 0.0) / np.where(free, det, 1.0)
+    return a, (s_y - a * s_u) / s_1, s_yy - s_y * s_y / s_1 - a * (2.0 * (s_uy - s_u * s_y / s_1) - a * det / s_1)
+
+
+def scan_sse(basis, shape: tuple, data) -> np.ndarray:
+    """The pair's SSE (:func:`pair_from_sums`) at each cell of a grid of ``shape``, by ``data`` = data_rows[-2:].
+
+    ``basis(lo, hi)``, (hi - lo, *shape[1:], n), is u at cells [lo:hi] of axis 0: _SCAN_FLOATS floats or one index.
+    """
+    inv, wy = data
+    sse = np.empty(shape)
+    step = max(1, _SCAN_FLOATS // (sse[0].size * inv.size))
+    for lo in range(0, shape[0], step):
+        uw = basis(lo, lo + step) * inv
+        sse[lo : lo + step] = pair_from_sums((uw * uw).sum(-1), uw @ inv, inv @ inv, uw @ wy, inv @ wy, wy @ wy)[2]
+    return sse
 
 
 def fit_separable(rows, fill, derivatives, x0, lo=-math.inf, hi=math.inf, max_iter: int = 200):
@@ -174,8 +192,8 @@ def fit_separable(rows, fill, derivatives, x0, lo=-math.inf, hi=math.inf, max_it
     into the leading (p, q) block of ``out``, whose other entries it leaves
     zero (a times the identity where the rows are du/dx w themselves).  One
     product rows @ rows[q:].T gives every weighted sum a step takes.  At each x the pair is solved in closed form;
-    an ``a`` outside [lo, hi] (or NaN, when u is flat) is clamped and c
-    re-solved alone.  LM runs on the projected residual (a u + c - y) w and
+    an ``a`` outside [lo, hi], or 0 for a flat pair (:func:`free_pair`), is
+    clamped and c re-solved alone.  LM runs on the projected residual (a u + c - y) w and
     Kaufman's Jacobian (n, p): a du w projected off the free linear columns.
     The Golub-Pereyra term it drops lies in their span, orthogonal to the
     residual, so J^T r is the exact gradient.  The Jacobian reuses the rows,
@@ -193,8 +211,8 @@ def fit_separable(rows, fill, derivatives, x0, lo=-math.inf, hi=math.inf, max_it
         sums = rows @ rows[q:].T
         (s_uu, s_u, s_uy), (s_1, s_y) = sums[q].tolist(), sums[q + 1, 1:].tolist()
         det = s_uu * s_1 - s_u * s_u
-        a = (s_uy * s_1 - s_u * s_y) / det if abs(det) >= 1e-300 else math.nan
-        if free := lo < a < hi:  # False for NaN
+        a = (s_uy * s_1 - s_u * s_y) / det if free_pair(det, s_uu, s_1) else math.nan
+        if free := lo < a < hi:  # False for NaN (a flat pair)
             c = (s_uu * s_y - s_u * s_uy) / det
         else:
             a = min(max(0.0 if math.isnan(a) else a, lo), hi)

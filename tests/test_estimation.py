@@ -15,7 +15,7 @@ from rotornv.estimation import (
     fit_echo,
     fit_rabi,
 )
-from rotornv.lsq import levenberg_marquardt, solve_linear_pair
+from rotornv.lsq import levenberg_marquardt
 from rotornv.cli import main
 from rotornv.config import RotorGeometry, config_from_dict
 from rotornv.geometry import TWO_PI
@@ -220,7 +220,7 @@ class TestFitEcho:
         residual, jacobian = echo_problem(data, x)
         u = MODEL.predict(data.tau_us, *x, 1.0, 0.0)  # the fringe basis
         rows, _ = lsq.data_rows(0, data.signal, data.sigma)
-        assert solve_linear_pair(u, rows[1:])[0] > 1.0  # the bound is active here
+        assert _pair(u, rows[1:])[0] > 1.0  # the bound is active here
         grad = jacobian(x).T @ residual(x)
         cost = lambda z: np.array([0.5 * float(residual(z) @ residual(z))])
         numeric = numeric_jacobian(cost, x, rel_step=1e-6)[0]
@@ -338,6 +338,13 @@ class TestFitRabi:
 SCAN_RTOL = 1e-7
 
 
+def _pair(u, data):
+    """(a, c, SSE) of y ~ a u + c along u's last axis over data_rows' last two rows, all cells at once."""
+    inv, wy = data
+    uw = u * inv
+    return lsq.pair_from_sums((uw * uw).sum(-1), uw @ inv, inv @ inv, uw @ wy, inv @ wy, wy @ wy)
+
+
 def _rabi_scan(rng, t, omega, contrast, sigma):
     y = 0.9 + contrast * np.sin(math.pi * omega * t) ** 2 + sigma * rng.standard_normal(t.size)
     return EchoDataset(t, y, np.full(t.size, sigma))
@@ -421,16 +428,56 @@ class TestRabiStartScan:
         grid = np.linspace(0.25 / (t[-1] - t[0]), 0.5 * t.size / (t[-1] - t[0]), 256)
         u = np.sin(math.pi * grid[:, None] * t) ** 2
         rows, _ = lsq.data_rows(1, data.signal, data.sigma)
-        sse = solve_linear_pair(u, rows[2:])[2]
+        sse = _pair(u, rows[2:])[2]
         start = {"rabi_freq_mhz": float(grid[np.argmin(sse)])}
         assert fit.as_text() == fit_rabi(data, start).as_text()
 
-    def test_initial_start_takes_the_sine_grid(self, monkeypatch):
+    def test_initial_start_takes_no_start_scan(self, monkeypatch):
+        # a scan of its one cell once refused a flat (NaN) start; a flat pair
+        # now takes a = 0, and LM starts from the caller's frequency as is
         data = _rabi_scan(np.random.default_rng(4), np.linspace(0.0, 1.1, 40), 3.6, -0.25, 0.02)
         calls = _spy_start_scans(monkeypatch)
         fit = fit_rabi(data, {"rabi_freq_mhz": 3.5})
-        assert calls == [("_sine_grid_sse", 1)]
+        assert calls == []
         assert abs(fit.params["rabi_freq_mhz"] - 3.6) < 3.0 * fit.sigmas["rabi_freq_mhz"]
+
+    def test_sine_grid_evaluates_bounded_blocks(self, monkeypatch):
+        # a 20 000-point scan off the uniform grid takes the sine grid, whose
+        # 256 cells were once one array of 5.1e6 floats
+        rng = np.random.default_rng(5)
+        t = np.linspace(0.0, 1.1, 20000) + rng.uniform(0.0, 1e-5, 20000)  # 0.2 steps off
+        data = _rabi_scan(rng, t, 3.6, -0.25, 0.02)
+        calls, blocks = _spy_start_scans(monkeypatch), []
+        real = lsq.pair_from_sums
+        monkeypatch.setattr(lsq, "pair_from_sums", lambda *sums: blocks.append(np.size(sums[0])) or real(*sums))
+        fit_rabi(data)
+        assert calls == [("_sine_grid_sse", 256)]
+        assert sum(blocks) == 256 and max(blocks) * t.size <= lsq._SCAN_FLOATS
+        assert len(blocks) == 3  # 100 cells a block
+
+    def test_start_scans_keep_their_bits_in_small_blocks(self, monkeypatch):
+        # each scan below is one block at the default budget.  Blocks of four
+        # Rabi cells and of one echo amplitude (its 64 phi0 cells): numpy hands
+        # a block's u @ w to BLAS, whose rounding of a row can follow its place
+        # among the block's rows in groups of four
+        rng = np.random.default_rng(6)
+        t = np.sort(rng.uniform(0.0, 1.1, 400))
+        rabi, echo = _rabi_scan(rng, t, 3.6, -0.25, 0.02), synth_dataset(noise_seed=6)
+        rows, _ = lsq.data_rows(1, rabi.signal, rabi.sigma)
+        grid = np.linspace(0.25 / (t[-1] - t[0]), 200.0 / (t[-1] - t[0]), 256)
+        k = MODEL.phase_factor(echo.tau_us, estimation._PHI_GRID[:, None])
+        echo_rows = lsq.data_rows(2, echo.signal, echo.sigma)[0]
+
+        def scans():
+            starts = estimation._landscape_starts(echo, MODEL, echo_rows, 0.5, k, float(np.max(np.abs(k))))
+            sse = estimation._sine_grid_sse(t, rows[2:], grid)
+            return sse, starts, fit_rabi(rabi).as_text(), fit_echo(echo, MODEL).as_text()
+
+        sse, starts, rabi_text, echo_text = scans()
+        monkeypatch.setattr(lsq, "_SCAN_FLOATS", 4 * t.size)  # and 1600 // k.size = 1 amplitude
+        blocked = scans()
+        assert np.array_equal(blocked[0], sse) and blocked[2:] == (rabi_text, echo_text)
+        assert all(np.array_equal(a, b) for a, b in zip(blocked[1], starts, strict=True))
 
 
 class TestExternalJacobian:
@@ -617,17 +664,53 @@ def test_a_power_of_two_unit_of_sigma_moves_only_chi2_and_the_residual_norm(defa
         assert fit.residual_norm == math.ldexp(base.residual_norm, -k), k
 
 
-def test_a_pair_flat_to_rounding_leaves_the_rabi_jacobian_finite():
-    # one point outweighs the rest by 1e200: the pair's determinant rounds to
-    # 0 at some frequency, where the Jacobian of the free pair divided by it
-    # (a RuntimeWarning and a NaN Jacobian; before the rows were scaled, the
-    # weights 1 / sigma^2 overflowed first)
+def _outweighed_scan():
+    """A 6-row Rabi scan whose one point outweighs the rest by 1e200."""
     t = np.array([0.1, 1.0, 3.1622776601683795, 10.0, 100.0, 1000.0])
-    data = EchoDataset(t, np.array([1.0, 1e-50, 1e-50, 1e-50, 10.0, 1.0]), np.array([1, 1, 1, 1, 1e-100, 1]))
+    return EchoDataset(t, np.array([1.0, 1e-50, 1e-50, 1e-50, 10.0, 1.0]), np.array([1, 1, 1, 1, 1e-100, 1]))
+
+
+def test_a_pair_flat_to_rounding_leaves_the_rabi_jacobian_finite():
+    # the pair's determinant rounds to 0 at some frequency, where the
+    # Jacobian of the free pair divided by it (a RuntimeWarning and a NaN
+    # Jacobian; before the rows were scaled, the weights 1 / sigma^2
+    # overflowed first)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(IdentifiabilityError):
-            fit_rabi(data)
+            fit_rabi(_outweighed_scan())
+
+
+def test_a_pair_flat_to_rounding_takes_a_zero():
+    # the sums are the one point's alone, so the determinant is rounding
+    # noise: at 0.00258 MHz -6.7e7 against s_uu s_1 = 5.7e23, where the free
+    # pair took a = 32 (in the start scan and in LM) and LM stepped on it
+    data = _outweighed_scan()
+    rows, _ = lsq.data_rows(1, data.signal, data.sigma)
+    x0 = [0.0025796697316790504]
+
+    def fill(rows, x):
+        s = np.sin(math.pi * x[0] * data.tau_us)
+        rows[0], rows[1] = math.pi * data.tau_us * np.sin(2.0 * math.pi * x[0] * data.tau_us) * rows[2], s * s * rows[2]
+
+    fill(rows, x0)
+    uw, (inv, wy) = rows[1], rows[2:]
+    sums = uw @ uw, uw @ inv, inv @ inv, uw @ wy, inv @ wy, wy @ wy
+    det = sums[0] * sums[2] - sums[1] ** 2
+    assert abs(det) <= lsq._FLAT_RTOL * sums[0] * sums[2] and not lsq.free_pair(det, sums[0], sums[2])
+    a, c, sse = lsq.pair_from_sums(*sums)
+    assert a == 0.0 and c == sums[4] / sums[2] and np.isfinite(sse)
+    lm, a, c = lsq.fit_separable(rows, fill, estimation._scaled_identity, x0, max_iter=1)
+    assert a == 0.0 and lm.x.tolist() == x0  # a flat pair has no gradient
+
+
+def test_a_subnormal_determinant_is_flat():
+    # det = s_uu s_1 = 1e-320 is subnormal, where the relative test passes
+    # by underflow alone (4 eps s_uu s_1 rounds to 0); the 1e-300 floor holds
+    s_uu = s_1 = 1e-160
+    assert not lsq.free_pair(s_uu * s_1, s_uu, s_1)
+    a, c, sse = lsq.pair_from_sums(s_uu, 0.0, s_1, 1e-160, 2.0 * s_1, 5e-160)
+    assert a == 0.0 and c == 2.0 and np.isfinite(sse)
 
 
 @pytest.mark.parametrize("factor", [1e8, 1e-8])

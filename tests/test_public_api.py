@@ -218,8 +218,9 @@ LSQ_NAMES = (
     "levenberg_marquardt",
     "fit_separable",
     "data_rows",
-    "solve_linear_pair",
+    "free_pair",
     "pair_from_sums",
+    "scan_sse",
     "full_jacobian",
     "check_identified",
     "_GRAD_TOL",
@@ -227,6 +228,8 @@ LSQ_NAMES = (
     "_COST_RESOLUTION",
     "_MAX_CONDITION",
     "_DATA_EXPONENT",
+    "_FLAT_RTOL",
+    "_SCAN_FLOATS",
 )
 
 
