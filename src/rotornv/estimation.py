@@ -2,8 +2,8 @@
 
 Each fit is a separable model, a nonlinear basis times a linear pair, run
 through the variable-projection core of :mod:`lsq`, as the spot fit of
-:mod:`imaging` is: each fit writes its basis and derivative rows, over
-sigma, into the core's buffer.  Analytic derivatives of each
+:mod:`imaging` is: each fit writes its basis and its exact derivative
+rows du/dx, over sigma, into the core's buffer.  Analytic derivatives of each
 basis are cross-checked against finite differences in the test suite, and
 the echo fit against the suite's independent oracle, a brute-force grid
 minimiser over the two nonlinear echo parameters.
@@ -142,11 +142,6 @@ class FitResult:
 # echo fringe fit
 
 
-def _scaled_identity(out: np.ndarray, x, a: float) -> None:
-    """The echo and Rabi rows are du/dx times the weight row themselves: a times the identity maps them."""
-    np.fill_diagonal(out, a)
-
-
 def _echo_rows(data: EchoDataset, model: EchoFitModel):
     """The fringe fit's rows, their scale's exponent and their fill at x = (b_perp, phi0).
 
@@ -167,9 +162,8 @@ def _echo_rows(data: EchoDataset, model: EchoFitModel):
 
 def _echo_full_jacobian(rows, fill, params: dict) -> np.ndarray:
     """:func:`lsq.full_jacobian` of the fringe fit's ``rows``, refilled at the reported parameters."""
-    x = np.array([params["b_perp_gauss"], params["phi0_rad"]])
-    fill(rows, x)
-    return lsq.full_jacobian(rows, _scaled_identity, x, params["contrast"])
+    fill(rows, np.array([params["b_perp_gauss"], params["phi0_rad"]]))
+    return lsq.full_jacobian(rows, params["contrast"])
 
 
 def echo_jacobian(data: EchoDataset, model: EchoFitModel, params: dict) -> np.ndarray:
@@ -262,7 +256,7 @@ def fit_echo(
     else:
         raise ValidationError("initial needs both b_perp_gauss and phi0_rad")
 
-    fits = [lsq.fit_separable(rows, fill, _scaled_identity, x0, 0.0, 1.0, max_iter) for x0 in starts]
+    fits = [lsq.fit_separable(rows, fill, x0, 0.0, 1.0, max_iter) for x0 in starts]
     # prefer solutions inside the physical amplitude domain: beyond b_max the
     # fringe aliases between sample points and can overfit pure noise
     fits = [fit for fit in fits if abs(fit[0].x[0]) <= b_max * (1.0 + 1e-9)] or fits
@@ -395,8 +389,8 @@ def fit_rabi(data: EchoDataset, initial: dict | None = None, max_iter: int = 200
         uniform = np.max(np.abs((t - t[0]) / dt - np.arange(len(data)))) <= _UNIFORM_STEP_TOLERANCE
         sse = _chirp_z_sse(t[0], dt, rows[2:], grid) if uniform else _sine_grid_sse(t, rows[2:], grid)
         start = grid[[np.argmin(sse)]]  # the first minimum
-    lm, contrast, baseline = lsq.fit_separable(rows, fill, _scaled_identity, start, max_iter=max_iter)
+    lm, contrast, baseline = lsq.fit_separable(rows, fill, start, max_iter=max_iter)
     omega = abs(float(lm.x[0]))
     params = {"rabi_freq_mhz": omega, "contrast": contrast, "baseline": baseline}
     fill(rows, [omega])
-    return _finalize_fit(params, lsq.full_jacobian(rows, _scaled_identity, [omega], contrast), e, lm, RABI_PARAM_NAMES)
+    return _finalize_fit(params, lsq.full_jacobian(rows, contrast), e, lm, RABI_PARAM_NAMES)

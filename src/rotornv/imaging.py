@@ -30,9 +30,10 @@ emitter's samples alone.
 Widths are quoted in the 1/e^2 convention: a profile exp(-2 d^2 / sigma^2)
 has width sigma.  The spot fit is separable, amplitude x Gaussian basis +
 background: the variable-projection core of every fit
-(:func:`lsq.fit_separable`) searches (x, y, sigma_r, sigma_a) from the
-basis and its analytic derivative rows, and the fit is refused at a
-singular Jacobian like every fit.
+(:func:`lsq.fit_separable`) searches (m_r, m_a, sigma_r, sigma_a), the
+centre on the spot's own radial and azimuthal axes, from the basis and its
+exact derivative rows, and the fit is refused at a singular Jacobian like
+every fit.
 """
 
 from __future__ import annotations
@@ -702,32 +703,22 @@ def render_image(
     )
 
 
-def _spot_rows(offsets: np.ndarray, axes: np.ndarray, rows: np.ndarray, p: np.ndarray) -> None:
+def _spot_rows(offsets: np.ndarray, rows: np.ndarray, p: np.ndarray) -> None:
     """Fill rows[:5] with the spot basis and its derivative rows at p.
 
-    The basis is u = exp(-2 (dr^2/sr^2 + da^2/sa^2)) at p = (mx, my, sr,
-    sa), with dr, da the pixel offsets (``offsets``, (2, n), on the radial
-    and azimuthal rows of ``axes``) from the centre (mx, my).  rows[4]
-    takes u and rows[:4] take u hr, u ha, u hr dr, u ha da, with hr =
-    -2 dr/sr^2 and ha = -2 da/sa^2; _spot_derivatives maps them to u's
-    derivatives in p.
+    The basis is u = exp(-2 (dr^2/sr^2 + da^2/sa^2)) at p = (mr, ma, sr,
+    sa), with dr, da the pixel offsets (``offsets``, (2, n), the pixels on
+    the spot's radial and azimuthal axes) from the centre (mr, ma) on those
+    axes.  rows[4] takes u and rows[:4] its derivatives in p: u hr, u ha,
+    u hr dr/sr and u ha da/sa, with hr = 4 dr/sr^2 and ha = 4 da/sa^2.
     """
     d, h, u = rows[2:4], rows[:2], rows[4]
-    np.subtract(offsets, (axes @ p[:2])[:, None], out=d)
-    np.multiply(d, [[-2.0 / p[2] ** 2], [-2.0 / p[3] ** 2]], out=h)
+    np.subtract(offsets, p[:2, None], out=d)
+    np.multiply(d, [[4.0 / p[2] ** 2], [4.0 / p[3] ** 2]], out=h)
     d *= h
-    np.exp(np.add(d[0], d[1], out=u), out=u)
+    np.exp(-0.5 * (d[0] + d[1]), out=u)
+    d /= p[2:4, None]
     rows[:4] *= u
-
-
-def _spot_derivatives(axes: np.ndarray, out: np.ndarray, p: np.ndarray, scale: float) -> None:
-    """Set out[:4, :4] to ``scale`` x the map from _spot_rows' rows[:4] to u's derivatives in p.
-
-    The map is -2 x (the axes' transpose, 1/sr, 1/sa) on the diagonal;
-    the rest of out[:4, :4] must be zero.
-    """
-    out[:2, :2] = (-2.0 * scale) * axes.T
-    out[2, 2], out[3, 3] = -2.0 * scale / p[2], -2.0 * scale / p[3]
 
 
 def fit_spot_width(image: StrobedImage, initial_center_um: tuple[float, float]) -> tuple[float, float]:
@@ -735,11 +726,12 @@ def fit_spot_width(image: StrobedImage, initial_center_um: tuple[float, float]) 
 
     The principal axes are taken from the trajectory geometry: radial is
     the direction from the rotation axis (origin) to the spot, azimuthal is
-    perpendicular to it.  LM searches the centre and the two widths; the
-    amplitude (bounded at 0) and the background are solved exactly at each
-    step by variable projection.  Raises FitError with residual diagnostics
-    if the fit does not converge, or if the amplitude is not 10 standard
-    errors above 0: the window then holds no spot.  Raises
+    perpendicular to it.  LM searches the centre, on those axes, and the two
+    widths; the amplitude (bounded at 0) and the background are solved
+    exactly at each step by variable projection.  Raises FitError with
+    residual diagnostics (the centre in x, y) if the fit does not converge,
+    or if the amplitude is not 10 standard errors above 0: the window then
+    holds no spot.  Raises
     IdentifiabilityError (a FitError) if the Jacobian at the optimum is
     singular, as when a few counts fit a spot narrower than a pixel.
     """
@@ -769,9 +761,8 @@ def fit_spot_width(image: StrobedImage, initial_center_um: tuple[float, float]) 
     # render's model variance would move the widths, which needs a bias
     # study against the known widths first
     rows, _ = lsq.data_rows(4, sub.ravel())
-    fill, derivatives = functools.partial(_spot_rows, offsets, axes), functools.partial(_spot_derivatives, axes)
-    x0 = np.array([xs[win_x][peak_x], ys[win_y][peak_y], 0.5, 0.5])
-    lm, amp, bg = lsq.fit_separable(rows, fill, derivatives, x0, lo=0.0, max_iter=300)
+    x0 = np.array([*axes @ (xs[win_x][peak_x], ys[win_y][peak_y]), 0.5, 0.5])
+    lm, amp, bg = lsq.fit_separable(rows, functools.partial(_spot_rows, offsets), x0, lo=0.0, max_iter=300)
     u = rows[4]
     # the amplitude's standard error at the fitted shape; Poisson counts
     # vary at least as much as the background
@@ -780,8 +771,9 @@ def fit_spot_width(image: StrobedImage, initial_center_um: tuple[float, float]) 
     if not (lm.converged and amp > 10.0 * amp_se):
         raise FitError(
             f"spot fit {'found no spot' if lm.converged else 'did not converge'}: amplitude "
-            f"{amp:.4g} +- {amp_se:.3g} counts, cost={lm.cost:.4g}, params={np.round(lm.x, 4).tolist()}"
+            f"{amp:.4g} +- {amp_se:.3g} counts, cost={lm.cost:.4g}, params={np.round([*axes.T @ lm.x[:2], *lm.x[2:]], 4).tolist()}"
         )
-    # the full Jacobian, in (mx, my, sr, sa, amplitude, background)
-    lsq.check_identified(lsq.full_jacobian(rows, derivatives, lm.x, amp))
+    # the full Jacobian, in (mr, ma, sr, sa, amplitude, background): an
+    # orthogonal map of the centre's (x, y), with the same singular values
+    lsq.check_identified(lsq.full_jacobian(rows, amp))
     return abs(float(lm.x[2])), abs(float(lm.x[3]))

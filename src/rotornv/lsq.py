@@ -8,12 +8,14 @@ linear pair: y ~ a u(x) + c.  LM searches the nonlinear parameters alone
 the pair is solved in closed form at each x, and LM gets the projected
 residual with Kaufman's Jacobian (BIT 15 (1975) 49).  The echo, Rabi and
 spot fits all run through one driver, :func:`fit_separable`: each writes
-its basis and derivative rows into one buffer that also holds its weights
-and data, and one product of that buffer gives every sum a step takes.
+its basis and its exact derivative rows du/dx into one buffer that also
+holds its weights and data, and one product of that buffer gives every sum
+a step takes.
 Sigma enters there once, as :func:`data_rows` scales 1/sigma and y/sigma.
 The echo and Rabi fits rank their starts by the pair's SSE over a grid, in
-blocks of bounded size (:func:`scan_sse`); one rule, :func:`free_pair`, gives
-a flat pair a = 0 and c alone, in the scans and in LM alike.
+blocks of bounded size (:func:`scan_sse`) whose cells keep their bits at any
+block size and BLAS thread count; one rule, :func:`free_pair`, gives a flat
+pair a = 0 and c alone, in the scans and in LM alike.
 Every fit stops when the gradient falls below 1e-8 of the cost (of 1 below a
 cost of 1: in that scale, a residual below 1.7e-7 of the largest weighted
 datum, in any unit of sigma) or when no trial step could lower the cost by
@@ -174,23 +176,24 @@ def scan_sse(basis, shape: tuple, data) -> np.ndarray:
     ``basis(lo, hi)``, (hi - lo, *shape[1:], n), is u at cells [lo:hi] of axis 0: _SCAN_FLOATS floats or one index.
     """
     inv, wy = data
+    # numpy's pairwise sums, not BLAS products, whose rounding of a cell can
+    # follow the block's size and the thread count
+    s_1, s_y, s_yy = (inv * inv).sum(), (inv * wy).sum(), (wy * wy).sum()
     sse = np.empty(shape)
     step = max(1, _SCAN_FLOATS // (sse[0].size * inv.size))
     for lo in range(0, shape[0], step):
         uw = basis(lo, lo + step) * inv
-        sse[lo : lo + step] = pair_from_sums((uw * uw).sum(-1), uw @ inv, inv @ inv, uw @ wy, inv @ wy, wy @ wy)[2]
+        s_uu, s_u, s_uy = (uw * uw).sum(-1), (uw * inv).sum(-1), (uw * wy).sum(-1)
+        sse[lo : lo + step] = pair_from_sums(s_uu, s_u, s_1, s_uy, s_y, s_yy)[2]
     return sse
 
 
-def fit_separable(rows, fill, derivatives, x0, lo=-math.inf, hi=math.inf, max_iter: int = 200):
-    """LM over the nonlinear parameters x of y ~ a u(x) + c: (LMResult, a, c).
+def fit_separable(rows, fill, x0, lo=-math.inf, hi=math.inf, max_iter: int = 200):
+    """LM over the q nonlinear parameters x of y ~ a u(x) + c: (LMResult, a, c).
 
     ``rows`` is a :func:`data_rows` buffer, whose last two rows hold the
-    weight w (1/sigma over its scale) and y w.  ``fill(rows, x)`` writes q
-    derivative rows and then u, each times w, into rows[:q + 1];
-    ``derivatives(out, x, a)`` writes the map from those q rows to a du/dx w
-    into the leading (p, q) block of ``out``, whose other entries it leaves
-    zero (a times the identity where the rows are du/dx w themselves).  One
+    weight w (1/sigma over its scale) and y w.  ``fill(rows, x)`` writes the
+    q derivative rows du/dx_i w and then u w into rows[:q + 1].  One
     product rows @ rows[q:].T gives every weighted sum a step takes.  At each x the pair is solved in closed form;
     an ``a`` outside [lo, hi], or 0 for a flat pair (:func:`free_pair`), is
     clamped and c re-solved alone.  LM runs on the projected residual (a u + c - y) w and
@@ -201,7 +204,7 @@ def fit_separable(rows, fill, derivatives, x0, lo=-math.inf, hi=math.inf, max_it
     filled where LM stops.
     """
     q = rows.shape[0] - 3
-    coef = np.zeros((len(x0), q + 2))  # the derivative map, then the projection's coefficients
+    coef = np.zeros((q, q + 2))  # a on the diagonal, then the projection's coefficients
     latest = [b""]  # x, sums, a, c and the free pair's determinant (else None) at the last x only
 
     def residual(x):
@@ -224,13 +227,13 @@ def fit_separable(rows, fill, derivatives, x0, lo=-math.inf, hi=math.inf, max_it
         if latest[0] != x.tobytes():
             residual(x)
         _, sums, a, _, det = latest
-        derivatives(coef, x, a)
+        np.fill_diagonal(coef, a)
         (s_uu, s_u, _), s_1 = sums[q].tolist(), sums[q + 1, 1]
         if det is not None:  # minus the rows' least-squares coefficients on (u, 1)
-            coef[:, q:] = coef[:, :q] @ (sums[:q, :2] @ [[-s_1, s_u], [s_u, -s_uu]]) / det
+            coef[:, q:] = a * (sums[:q, :2] @ [[-s_1, s_u], [s_u, -s_uu]]) / det
         else:  # on 1 alone: a is fixed at its bound, or at 0 where u is flat
             coef[:, q] = 0.0
-            coef[:, q + 1] = coef[:, :q] @ sums[:q, 1] / -s_1
+            coef[:, q + 1] = a * sums[:q, 1] / -s_1
         return (coef @ rows[: q + 2]).T
 
     lm = levenberg_marquardt(residual, jacobian, x0, max_iter=max_iter)
@@ -239,13 +242,10 @@ def fit_separable(rows, fill, derivatives, x0, lo=-math.inf, hi=math.inf, max_it
     return lm, latest[2], latest[3]
 
 
-def full_jacobian(rows: np.ndarray, derivatives, x, a: float) -> np.ndarray:
-    """Jacobian of (a u + c - y) / sigma in (x, a, c), over :func:`data_rows`' scale, from ``rows`` filled at x."""
-    p, q = len(x), rows.shape[0] - 3
-    coef = np.zeros((p + 2, q + 2))
-    derivatives(coef[:p], x, a)
-    coef[p, q] = coef[p + 1, q + 1] = 1.0
-    return (coef @ rows[: q + 2]).T
+def full_jacobian(rows: np.ndarray, a: float) -> np.ndarray:
+    """The Jacobian (a du/dx w, u w, w) of (a u + c - y) w in (x, a, c), from ``rows`` filled at x."""
+    q = rows.shape[0] - 3
+    return (np.diag([a] * q + [1.0, 1.0]) @ rows[: q + 2]).T
 
 
 def check_identified(jac: np.ndarray) -> np.ndarray:

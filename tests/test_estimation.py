@@ -456,10 +456,11 @@ class TestRabiStartScan:
         assert len(blocks) == 3  # 100 cells a block
 
     def test_start_scans_keep_their_bits_in_small_blocks(self, monkeypatch):
-        # each scan below is one block at the default budget.  Blocks of four
-        # Rabi cells and of one echo amplitude (its 64 phi0 cells): numpy hands
-        # a block's u @ w to BLAS, whose rounding of a row can follow its place
-        # among the block's rows in groups of four
+        # each scan below is one block at the default budget.  Blocks of one
+        # and of three Rabi cells, and of one echo amplitude (its 64 phi0
+        # cells): the scans once took a block's u @ w from BLAS, whose rounding
+        # of a row followed its place among the block's rows and the thread
+        # count; blocks of 1 and 3 cells moved 160 and 149 of these 256 cells
         rng = np.random.default_rng(6)
         t = np.sort(rng.uniform(0.0, 1.1, 400))
         rabi, echo = _rabi_scan(rng, t, 3.6, -0.25, 0.02), synth_dataset(noise_seed=6)
@@ -474,10 +475,11 @@ class TestRabiStartScan:
             return sse, starts, fit_rabi(rabi).as_text(), fit_echo(echo, MODEL).as_text()
 
         sse, starts, rabi_text, echo_text = scans()
-        monkeypatch.setattr(lsq, "_SCAN_FLOATS", 4 * t.size)  # and 1600 // k.size = 1 amplitude
-        blocked = scans()
-        assert np.array_equal(blocked[0], sse) and blocked[2:] == (rabi_text, echo_text)
-        assert all(np.array_equal(a, b) for a, b in zip(blocked[1], starts, strict=True))
+        for cells in (1, 3):
+            monkeypatch.setattr(lsq, "_SCAN_FLOATS", cells * t.size)  # and 1200 // k.size = 1 amplitude
+            blocked = scans()
+            assert np.array_equal(blocked[0], sse) and blocked[2:] == (rabi_text, echo_text), cells
+            assert all(np.array_equal(a, b) for a, b in zip(blocked[1], starts, strict=True)), cells
 
 
 class TestExternalJacobian:
@@ -560,7 +562,7 @@ class TestSeparable:
         assert np.allclose(grad, numeric, rtol=1e-6, atol=1e-6 * np.max(np.abs(grad)))
 
 
-@pytest.mark.parametrize(
+_EVERY_FIT = pytest.mark.parametrize(
     "fit, args",
     [
         (fit_rabi, (_rabi_scan(np.random.default_rng(3), np.linspace(0.0, 1.1, 40), 3.6, -0.25, 0.02),)),
@@ -569,6 +571,38 @@ class TestSeparable:
     ],
     ids=["rabi", "echo", "spot"],
 )
+
+
+@_EVERY_FIT
+def test_every_fill_writes_exact_derivative_rows(monkeypatch, fit, args):
+    # lsq maps a fill's q leading rows to the Jacobian by the amplitude
+    # alone, so each must be du/dx_i w itself: a central difference of the
+    # basis row u w.  The spot fill once wrote rows that a second callback
+    # mapped to its lab (x, y) centre
+    seen = []
+    real = lsq.fit_separable
+
+    def spy(rows, fill, x0, *a, **kw):
+        seen.append((rows.copy(), fill, np.array(x0, dtype=float)))
+        return real(rows, fill, x0, *a, **kw)
+
+    monkeypatch.setattr(lsq, "fit_separable", spy)
+    fit(*args)
+    rows, fill, x0 = seen[0]
+    q = rows.shape[0] - 3
+
+    def basis(x):
+        fill(rows, x)
+        return rows[q].copy()
+
+    for x in (x0, 1.03 * x0 + 0.01, 0.95 * x0 - 0.02):
+        numeric = numeric_jacobian(basis, x, rel_step=1e-6)
+        fill(rows, x)
+        for i in range(q):
+            np.testing.assert_allclose(rows[i], numeric[:, i], rtol=1e-6, atol=1e-6 * np.max(np.abs(rows[i])))
+
+
+@_EVERY_FIT
 def test_one_fill_per_residual_evaluation(monkeypatch, fit, args):
     # every fit runs through lsq.fit_separable, whose Jacobian reuses the
     # rows and sums of the residual at its x: a Jacobian that filled them
@@ -700,7 +734,7 @@ def test_a_pair_flat_to_rounding_takes_a_zero():
     assert abs(det) <= lsq._FLAT_RTOL * sums[0] * sums[2] and not lsq.free_pair(det, sums[0], sums[2])
     a, c, sse = lsq.pair_from_sums(*sums)
     assert a == 0.0 and c == sums[4] / sums[2] and np.isfinite(sse)
-    lm, a, c = lsq.fit_separable(rows, fill, estimation._scaled_identity, x0, max_iter=1)
+    lm, a, c = lsq.fit_separable(rows, fill, x0, max_iter=1)
     assert a == 0.0 and lm.x.tolist() == x0  # a flat pair has no gradient
 
 

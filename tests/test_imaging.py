@@ -609,6 +609,16 @@ class TestFitSpotWidth:
             r"spot fit found no spot: amplitude \S+ \+- \S+ counts, cost=\S+, params=\[[^]]+\]", msg
         ), msg
         assert "grad" not in msg
+        # off the axes, LM searches the centre on the spot's radial and
+        # azimuthal axes; the refusal quotes it in x, y: a bump of 4 counts
+        # on 5 at (7, 7), too faint to pass, at (9.90, 0) on those axes
+        xs, ys = self.DEMO_X - 2.7, self.DEMO_Y + 5.4
+        gx, gy = np.meshgrid(xs, ys)
+        counts = np.round(5.0 + 4.0 * np.exp(-2.0 * ((gx - 7.0) ** 2 + (gy - 7.0) ** 2) / 0.5**2))
+        with pytest.raises(FitError, match="no spot") as err:
+            fit_spot_width(StrobedImage(counts, xs, ys, 0.0067), (7.0, 7.0))
+        params = [float(v) for v in re.search(r"params=\[([^]]+)\]", str(err.value))[1].split(",")]
+        assert math.dist(params[:2], (7.0, 7.0)) < 0.15, params
 
     def test_few_counts_are_refused(self):
         # three counts in the window fitted a spot far narrower than a pixel
