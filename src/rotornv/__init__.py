@@ -1,4 +1,14 @@
-"""rotornv: simulation and estimation toolkit for an NV spin qubit in a rotating diamond."""
+"""rotornv: simulation and estimation toolkit for an NV spin qubit in a rotating diamond.
+
+A cold call loads only the layers it runs.  ``import rotornv`` loads no
+module that some subcommand skips: ``config``, ``errors`` and ``geometry``,
+and the layers that ``cli`` reaches through ``pipeline`` in every call
+(``estimation``, ``imaging``, ``lsq`` and ``spindyn``).  The readout layer
+(``photophysics``) and the sequence layer (``seqlang``) load on first use:
+the scans, the readout trace and ``compile-seq`` need them, while
+``dump-config``, ``fit`` and ``simulate-image`` run without.  Their exports,
+and the two submodule names, resolve on first access (PEP 562 ``__getattr__``).
+"""
 
 from .errors import (
     CompileError,
@@ -17,28 +27,6 @@ from .geometry import (
     nv_axis,
     nv_position,
     zeeman_projection,
-)
-from .photophysics import (
-    LevelPopulations,
-    PhotonTrace,
-    beam_intensity,
-    expected_count_rate,
-    fluorescence_rate,
-    optimal_turn_on,
-    readout_response,
-    simulate_readout,
-    state_contrast,
-    steady_state,
-    step_rates,
-)
-from .seqlang import (
-    CalibrationTable,
-    SequenceProgram,
-    TimelineBatch,
-    build_calibration,
-    compile_timeline,
-    format_program,
-    parse_sequence,
 )
 from .spindyn import (
     EchoParams,
@@ -76,3 +64,53 @@ from .config import (
 )
 
 __version__ = "0.1.0"
+
+# the layers that load on first use, and the name -> layer of their exports
+_LAZY_MODULES = ("photophysics", "seqlang")
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "LevelPopulations",
+            "PhotonTrace",
+            "beam_intensity",
+            "expected_count_rate",
+            "fluorescence_rate",
+            "optimal_turn_on",
+            "readout_response",
+            "simulate_readout",
+            "state_contrast",
+            "steady_state",
+            "step_rates",
+        ),
+        "photophysics",
+    ),
+    **dict.fromkeys(
+        (
+            "CalibrationTable",
+            "SequenceProgram",
+            "TimelineBatch",
+            "build_calibration",
+            "compile_timeline",
+            "format_program",
+            "parse_sequence",
+        ),
+        "seqlang",
+    ),
+}
+
+
+def __getattr__(name: str):
+    """A lazy layer, or one of its exports, imported on first access and then kept as a global."""
+    layer = name if name in _LAZY_MODULES else _LAZY.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, unlike importlib.import_module, shows the load under -X importtime;
+    # it binds the submodule here
+    __import__(f"{__name__}.{layer}")
+    value = globals()[layer] if layer == name else getattr(globals()[layer], name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys())

@@ -15,7 +15,6 @@ with its reason, in one table: ``DOMAINS``.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import sys
@@ -366,6 +365,8 @@ class ExperimentConfig:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def sha256(self) -> str:
+        import hashlib  # loaded only by the calls that write a header
+
         payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 

@@ -43,8 +43,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
-from numpy.polynomial.legendre import leggauss
 
 from . import lsq
 from .config import DOMAINS, RotorGeometry, StrobeConfig, check_pulse_in_rotation, check_value
@@ -217,11 +215,19 @@ class _TooManyNodes(Exception):
 
 @functools.lru_cache(maxsize=None)  # n <= _GH_MAX_NODES + 8
 def _gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
+    from numpy.polynomial.hermite_e import hermegauss  # loads numpy.polynomial on first use
+
     z, w = hermegauss(n)
     return z, w / math.sqrt(TWO_PI)
 
 
-_gauss_legendre = functools.lru_cache(maxsize=64)(leggauss)
+@functools.lru_cache(maxsize=64)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(n)
+
+
 # the sample pairs i <= j of a block, in triangle order
 _triangle = functools.lru_cache(maxsize=16)(np.triu_indices)
 

@@ -142,8 +142,12 @@ def transit_offset_um(g: RotorGeometry, dt_us):
     return float(out) if np.isscalar(dt_us) else out
 
 
-# Gauss-Legendre rule on [-1, 1] for the transit average
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+@functools.cache
+def _transit_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 16-point Gauss-Legendre rule on [-1, 1] for the transit average, made on first use."""
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(16)
 
 
 def expected_count_rate(b: BeamProfile, g: RotorGeometry, t_pulse_us: float) -> float:
@@ -171,8 +175,9 @@ def expected_count_rate(b: BeamProfile, g: RotorGeometry, t_pulse_us: float) -> 
     n_panels = max(1, math.ceil(span_us / transit_us))
     half_width = span_us / (2 * n_panels)
     centres = (2 * np.arange(n_panels) + 1) * half_width
-    t = centres[:, None] + half_width * _GL_NODES
-    val = 2.0 * half_width * float((beam_intensity(b, transit_offset_um(g, t)) @ _GL_WEIGHTS).sum())
+    nodes, weights = _transit_rule()
+    t = centres[:, None] + half_width * nodes
+    val = 2.0 * half_width * float((beam_intensity(b, transit_offset_um(g, t)) @ weights).sum())
     return bound * val / t_pulse_us
 
 

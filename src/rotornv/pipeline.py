@@ -20,20 +20,35 @@ Each command-line subcommand, and each demo script, is one run here (a
 scan, a readout trace, an image, a compiled program or a fit) written in
 one of the formats below (:func:`format_scan`, :func:`format_image`,
 :func:`format_spots`).
+
+A cold call loads only the layers it runs.  :mod:`photophysics` and
+:mod:`seqlang` are imported by the entry points that use them
+(:func:`window_response`, :func:`_sample_scan` and
+:func:`simulate_readout_trace`; :func:`calibration`, :func:`compile_program`,
+:func:`echo_populations` and :func:`rabi_populations`), so ``dump-config``,
+``fit`` and ``simulate-image`` load neither.  :mod:`estimation`,
+:mod:`imaging` and :mod:`spindyn` stay module-level imports: every scan
+returns an :class:`estimation.EchoDataset`, and the benchmark's tracer
+(``perfbench/spantrace.py``) looks up every layer it wraps in ``sys.modules``,
+where its readout workload reaches them only through ``cli``.
 """
 
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import photophysics, seqlang, spindyn
+from . import spindyn
 from .config import ExperimentConfig, check_value, check_values, read_text
 from .errors import FitError, ValidationError
 from .estimation import EchoDataset, EchoFitModel, FitResult, fit_echo, fit_rabi
 from .imaging import Emitter, EmitterSet, ScanGrid, StrobedImage
 from .imaging import fit_spot_width, render_image
+
+if TYPE_CHECKING:
+    from . import photophysics, seqlang
 
 # Most points in one Rabi or echo scan; bounds the batched arrays (a scan
 # of this size peaks at about 0.3 GB for Rabi, 0.45 GB for a finite-pulse echo).
@@ -46,6 +61,8 @@ IMAGE_HALF_WIDTH_UM = 4.0
 
 def window_response(cfg: ExperimentConfig) -> photophysics.WindowResponse:
     """The configured early-window response of both spin states, one transit pass; refused if dark."""
+    from . import photophysics
+
     g, pro = cfg.geometry, cfg.protocol
     return photophysics.spin_window_counts(
         g, cfg.beam, cfg.rates, cfg.strobe.t_pulse_us, pro.turn_on_offset_us, pro.readout_window_us
@@ -72,6 +89,8 @@ def _check_readout_timing(g, ends_us, late, scan: str) -> None:
 
 def calibration(cfg: ExperimentConfig) -> seqlang.CalibrationTable:
     """The configured per-angle Rabi calibration, as scans and ``compile-seq`` use it."""
+    from . import seqlang
+
     return seqlang.build_calibration(
         cfg.geometry, cfg.field_cfg, cfg.protocol.base_rabi_mhz, cfg.protocol.n_cal_angles
     )
@@ -81,6 +100,8 @@ def compile_program(
     cfg: ExperimentConfig, text: str, t_phi_us: float = 0.0, allow_multi_period: bool = False
 ) -> seqlang.TimelineBatch:
     """The sequence program ``text``, parsed and compiled against the configured calibration."""
+    from . import seqlang
+
     return seqlang.compile_timeline(
         seqlang.parse_sequence(text),
         cfg.geometry,
@@ -92,6 +113,8 @@ def compile_program(
 
 def echo_populations(cfg: ExperimentConfig, tau_us, ideal_pulses: bool = True) -> np.ndarray:
     """P(m_S = -1) at readout after a tau echo, bath envelope applied, for every tau of a scan."""
+    from . import seqlang
+
     g, f, c = cfg.geometry, cfg.field_cfg, cfg.constants
     tau = check_values("tau_us", tau_us)
     _check_readout_timing(g, tau, tau >= g.t_rot_us, "tau_us (--tau)")
@@ -127,6 +150,8 @@ def _sample_scan(
 
     ``populations`` maps the sorted axis to P(m_S = -1) at readout.
     """
+    from . import photophysics
+
     if len(values) > MAX_SCAN_POINTS:
         raise ValidationError(f"{name} has {len(values)} points, more than {MAX_SCAN_POINTS}")
     axis = np.asarray(sorted(float(v) for v in values), dtype=float)
@@ -172,6 +197,8 @@ def _rabi_pulse_at(cfg: ExperimentConfig, pulse_at: str) -> dict:
 
 def rabi_populations(cfg: ExperimentConfig, durations_us, pulse_at: str = "start") -> np.ndarray:
     """P(m_S = -1) after a single variable pulse at t = 0 or t = T_rot/2, for every duration."""
+    from . import seqlang
+
     g, f, c = cfg.geometry, cfg.field_cfg, cfg.constants
     where = _rabi_pulse_at(cfg, pulse_at)
     durations = check_values("durations_us", durations_us)
@@ -209,6 +236,8 @@ def simulate_readout_trace(cfg: ExperimentConfig, initial: str) -> tuple[photoph
 
     It sums ``protocol.shots_per_point`` transits from ``cfg.seed``: the config, which the header hashes, sets it.
     """
+    from . import photophysics
+
     if initial not in ("ms0", "ms1"):
         raise ValidationError("initial must be 'ms0' or 'ms1'")
     pro = cfg.protocol

@@ -1374,6 +1374,36 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     assert res.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0] []"
 
 
+def _cold_main(argv) -> tuple[int, set[str]]:
+    """``main(argv)``'s exit code in a fresh interpreter, and which of the lazily loaded modules it loaded."""
+    script = f"""
+import json, sys
+from rotornv.cli import main
+code = main({argv!r})
+lazy = ("rotornv.photophysics", "rotornv.seqlang", "numpy.polynomial")
+print(code, json.dumps([m for m in lazy if m in sys.modules]))
+"""
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    code, loaded = res.stdout.strip().splitlines()[-1].split(" ", 1)
+    return int(code), set(json.loads(loaded))
+
+
+def test_cold_calls_load_only_the_layers_they_run(tmp_path):
+    # dump-config and a Rabi fit run without the readout and sequence layers
+    # and without numpy.polynomial; a Rabi scan loads both layers on first use
+    # and writes the file an in-process call writes
+    rabi = str(tmp_path / "rabi.dat")
+    assert main(["simulate-rabi", "--durations", "0:1.1:40", "-o", rabi]) == 0
+    assert _cold_main(["dump-config", "-o", str(tmp_path / "cfg.json")]) == (0, set())
+    assert _cold_main(["fit", rabi, "--model", "rabi", "-o", str(tmp_path / "fit.txt")]) == (0, set())
+    cold = str(tmp_path / "rabi_cold.dat")
+    layers = {"rotornv.photophysics", "rotornv.seqlang"}
+    assert _cold_main(["simulate-rabi", "--durations", "0:1.1:40", "-o", cold]) == (0, layers)
+    with open(rabi, "rb") as warm, open(cold, "rb") as fresh:
+        assert fresh.read() == warm.read()
+
+
 def _fuzz_values(default):
     """0, -1 and the default times 10^k for k in -6..6 (element-wise for a vector)."""
     if isinstance(default, str):

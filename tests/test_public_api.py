@@ -125,6 +125,29 @@ def test_import_leaves_numpy_fft_unloaded():
     assert res.stdout.strip() == "[]"
 
 
+def test_import_and_default_config_leave_the_lazy_layers_unloaded():
+    # a cold call loads only the layers it runs: neither the import nor the
+    # default config (the benchmark's set-up) adds the readout or sequence
+    # layer, or the quadrature and hash modules, to a bare numpy's; their
+    # exports and the two submodule names still resolve, each to its own object
+    script = (
+        "import sys, numpy\n"
+        "lazy = lambda: sorted(m for m in sys.modules if m in\n"
+        "    ('rotornv.photophysics', 'rotornv.seqlang', 'numpy.polynomial', 'hashlib'))\n"
+        "before = lazy()\n"
+        "import rotornv\n"
+        "imported = lazy()\n"
+        "rotornv.config_from_dict({})\n"
+        "print(before, imported, lazy())\n"
+        "parse = rotornv.parse_sequence\n"
+        "print(parse is rotornv.seqlang.parse_sequence is vars(rotornv)['parse_sequence'],\n"
+        "      rotornv.LevelPopulations is sys.modules['rotornv.photophysics'].LevelPopulations)"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip().splitlines() == ["[] [] []", "True True"]
+
+
 def _runtime_nodes(tree: ast.Module):
     """Every node of a module's tree outside its ``if TYPE_CHECKING:`` blocks."""
     stack = [tree]
