@@ -65,8 +65,7 @@ from .config import (
 
 __version__ = "0.1.0"
 
-# the layers that load on first use, and the name -> layer of their exports
-_LAZY_MODULES = ("photophysics", "seqlang")
+# name -> the layer that defines it, for the exports of the layers that load on first use
 _LAZY = {
     **dict.fromkeys(
         (
@@ -101,7 +100,7 @@ _LAZY = {
 
 def __getattr__(name: str):
     """A lazy layer, or one of its exports, imported on first access and then kept as a global."""
-    layer = name if name in _LAZY_MODULES else _LAZY.get(name)
+    layer = name if name in _LAZY.values() else _LAZY.get(name)
     if layer is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # __import__, unlike importlib.import_module, shows the load under -X importtime;
