@@ -6,7 +6,6 @@ dark (m_S = -1), prints the early-window contrast, and scans the laser turn-on
 offset for the contrast signal-to-noise optimum.
 """
 
-import dataclasses
 import os
 import sys
 
@@ -29,7 +28,7 @@ def main():
     traces = {}
     # each trace draws from its own seed, which its file's header records
     for seed, name in enumerate(("ms0", "ms1"), start=1):
-        trace_cfg = dataclasses.replace(cfg, seed=seed)
+        trace_cfg = cfg.replace(seed=seed)
         trace, meta = pipeline.simulate_readout_trace(trace_cfg, name)
         traces[name] = trace
         path = os.path.join(OUT_DIR, f"readout_{name}.dat")

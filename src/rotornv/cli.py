@@ -161,12 +161,15 @@ def cmd_compile_seq(args) -> Output:
 
 
 def cmd_fit(args) -> Output:
-    data, _meta = pipeline.read_echo_dataset(args.dataset)
+    data, meta = pipeline.read_echo_dataset(args.dataset)
+    model = {"echo-scan": "echo", "rabi-scan": "rabi"}.get(meta.get("kind"), args.model or "echo")
+    if args.model not in (None, model):
+        raise ValidationError(f"{args.dataset}: --model {args.model} disagrees with the dataset's kind: {meta['kind']}")
     try:
-        pipeline.check_fit_axis(args.cfg, data, args.model)
+        pipeline.check_fit_axis(args.cfg, data, model)
     except ValidationError as exc:
         raise ValidationError(f"{args.dataset}: {exc}") from None
-    result = pipeline.fit_dataset(args.cfg, data, args.model, b_max=args.b_max, max_iter=args.max_iter)
+    result = pipeline.fit_dataset(args.cfg, data, model, b_max=args.b_max, max_iter=args.max_iter)
     return Output(result.as_text() + "\n", EXIT_OK if result.converged else EXIT_NOT_CONVERGED)
 
 
@@ -241,7 +244,7 @@ def _compile_seq_arguments(p) -> None:
 
 def _fit_arguments(p) -> None:
     p.add_argument("dataset", help="columnar dataset path")
-    p.add_argument("--model", choices=("echo", "rabi"), default="echo")
+    p.add_argument("--model", choices=("echo", "rabi"), help="default: the model of the dataset's kind, else echo")
     p.add_argument("--b-max", type=float, default=0.5, help="fringe amplitude search bound, G")
     p.add_argument("--max-iter", type=int, default=200)
     p.set_defaults(func=cmd_fit)

@@ -7,24 +7,24 @@ typos cannot silently disable themselves.  The default parameter set mirrors
 the experimental operating point: 3.33 kHz rotation, 6.2 G bias along z,
 NV axis at 54.7 deg and 10 um off-axis, 2 us strobes, 1e5 counts/s peak.
 
-The seven sections are defined here, each a frozen dataclass; the physics
-modules take them as arguments.  Every numeric input has one closed range,
-with its reason, in one table: ``DOMAINS``.
+The seven sections are defined here, each a frozen record
+(:func:`errors.record`) that refuses a numeric field outside its range; the
+physics modules take them as arguments.  Every numeric input has one closed
+range, with its reason, in one table: ``DOMAINS``.  A config key is written
+once, as its section's field with its default and its range.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Any, NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, record
 from .geometry import UNIT_TOLERANCE, unit
 
 
@@ -56,46 +56,14 @@ _COUNT_RATE = Domain(0.0, 1e9, "counts/s", "ten times the most an NV emits (83 p
 _DAMPING = Domain(1e-300, 1e300, "", "float range: the damping exp(-(tau / T2)^p) is taken overflow-safe")
 _RASTER = Domain(-_RASTER_UM, _RASTER_UM, "um", "ten times the farthest emitter, either way")
 # Every numeric input's one range: each numeric field of the seven config
-# sections, the echo fringe model's own two (spindyn.EchoParams), and the
-# command-line quantities that have no config key.  A flag that sets a config
-# quantity takes that key's row: --shots, an emitter's brightness and
-# compile-seq's --t-phi (the strobe delay).  A refusal names the key
-# (and its flag), the value and the range.  Since every bound is finite, no
-# input is infinite or NaN, or an integer beyond the float range.
+# sections (written beside the field, and added here by _section), the echo
+# fringe model's own two (spindyn.EchoParams), and the command-line
+# quantities that have no config key.  A flag that sets a config quantity
+# takes that key's row: --shots, an emitter's brightness and compile-seq's
+# --t-phi (the strobe delay).  A refusal names the key (and its flag), the
+# value and the range.  Since every bound is finite, no input is infinite or
+# NaN, or an integer beyond the float range.
 DOMAINS = {
-    "geometry.f_rot_hz": Domain(1e-3, 1e6, "Hz", "one turn in 17 min up to 300 times the paper's 3.33 kHz"),
-    "geometry.r_nv_um": Domain(0.0, _LONGEST_UM, "um", "from the rotation axis out to 10 cm"),
-    "geometry.theta_nv_deg": _POLAR,
-    "geometry.phi_nv0_deg": _AZIMUTH,
-    "geometry.phi_pos0_deg": _AZIMUTH,
-    "field.b0_gauss": Domain(1e-3, 1e5, "G", "a bias splitting m_S = +-1, with a finite 13C revival, up to 10 T"),
-    "field.theta_b_deg": _POLAR,
-    "field.phi_b_deg": _AZIMUTH,
-    "field.mw_dir": Domain(-1e100, 1e100, "", "a direction, normalised on load, whose squares overflow beyond"),
-    "constants.gamma_e_mhz_per_g": Domain(1e-3, 1e3, "MHz/G", "three decades either side of the electron's 2.80"),
-    "constants.gamma_c13_khz_per_g": Domain(1e-3, 1e3, "kHz/G", "three decades either side of 13C's 1.07"),
-    "beam.waist_diameter_1e2_um": Domain(1e-3, 1e3, "um", "a nanometre to a millimetre focus"),
-    "beam.peak_counts_stationary_cps": _COUNT_RATE,
-    "beam.background_cps": _COUNT_RATE,
-    "rates.pump_rate_peak_per_us": _RATE,
-    "rates.radiative_rate_per_us": _LIFETIME,
-    "rates.isc_rate_e1_per_us": _RATE,
-    "rates.isc_rate_e0_per_us": _RATE,
-    "rates.singlet_decay_per_us": _LIFETIME,
-    "rates.singlet_branching_to_g0": Domain(0.0, 1.0, "", "a branching ratio"),
-    "strobe.t_phi_us": _PERIOD,
-    "strobe.t_pulse_us": _PERIOD,
-    "strobe.jitter_frac": Domain(0.0, 1.0, "", "a relative spread of the period, at most the period itself"),
-    "strobe.wobble_amp_um": Domain(0.0, _LONGEST_UM, "um", "up to 10 cm, as the orbit"),
-    "protocol.base_rabi_mhz": Domain(1e-6, 1e3, "MHz", "a 1 Hz to 1 GHz drive, below the 2.87 GHz splitting"),
-    "protocol.n_cal_angles": Domain(1, 1_000_000, "", "memory: the calibration holds a few arrays this long"),
-    "protocol.turn_on_offset_us": Domain(-_LONGEST_US, _LONGEST_US, "us", "up to the longest period either way"),
-    "protocol.readout_window_us": _SPAN,
-    "protocol.bin_width_us": _SPAN,
-    "protocol.shots_per_point": Domain(1, 1e12, "", "up to ten years of shots at 3.33 kHz", "--shots"),
-    "protocol.t2_us": _DAMPING._replace(unit="us"),
-    "protocol.envelope_exponent": _DAMPING,
-    "protocol.max_image_pixels": Domain(1, 100_000_000, "", "memory: a render holds a few arrays this long"),
     # the echo fringe model's own fields
     "echo.b_perp_gauss": Domain(0.0, 1e5, "G", "the AC amplitude, at most field.b0_gauss"),
     "echo.phi0_rad": Domain(-4.0 * math.pi, 4.0 * math.pi, "rad", "phi_nv0 - phi_b, each a turn either way"),
@@ -168,7 +136,30 @@ def check_pulse_in_rotation(t_pulse_us: float, g: RotorGeometry) -> None:
         )
 
 
-@dataclass(frozen=True)
+# JSON section name -> (ExperimentConfig attribute, section class), filled by _section
+_SECTIONS: dict[str, tuple[str, type]] = {}
+
+
+def _section(name: str, attr: str | None = None):
+    """Make a class the config section ``name``, ExperimentConfig's ``attr`` (by default ``name``).
+
+    A field written ``key: type = default, row`` takes that default, and ``row``
+    becomes the DOMAINS row ``name.key``.  The section is a frozen record that
+    refuses, in field order and before its ``__post_init__``, a numeric field
+    (an int or float default) outside its DOMAINS row.
+    """
+    def build(cls):
+        for key in cls.__annotations__:
+            if isinstance(spec := getattr(cls, key), tuple) and isinstance(spec[-1], Domain):
+                setattr(cls, key, spec[0])
+                DOMAINS[f"{name}.{key}"] = spec[1]
+        keys = tuple((key, f"{name}.{key}") for key in cls.__annotations__ if type(getattr(cls, key)) in (int, float))
+        _SECTIONS[name] = (attr or name, cls)
+        return record(cls, check=lambda obj: check_ranges(obj, keys))
+    return build
+
+
+@_section("geometry")
 class RotorGeometry:
     """Rotation frequency plus NV orbit radius, axis tilt and trigger-time azimuths.
 
@@ -178,14 +169,11 @@ class RotorGeometry:
     spin-projection phases can be set separately.
     """
 
-    f_rot_hz: float = 3333.33
-    r_nv_um: float = 10.0
-    theta_nv_deg: float = 54.7
-    phi_nv0_deg: float = 0.0
-    phi_pos0_deg: float = 0.0
-
-    def __post_init__(self):
-        check_ranges(self, _RANGED[RotorGeometry])
+    f_rot_hz: float = 3333.33, Domain(1e-3, 1e6, "Hz", "one turn in 17 min up to 300 times the paper's 3.33 kHz")
+    r_nv_um: float = 10.0, Domain(0.0, _LONGEST_UM, "um", "from the rotation axis out to 10 cm")
+    theta_nv_deg: float = 54.7, _POLAR
+    phi_nv0_deg: float = 0.0, _AZIMUTH
+    phi_pos0_deg: float = 0.0, _AZIMUTH
 
     @property
     def t_rot_s(self) -> float:
@@ -208,7 +196,7 @@ class RotorGeometry:
         return math.radians(self.phi_pos0_deg)
 
 
-@dataclass(frozen=True)
+@_section("field", "field_cfg")
 class FieldConfig:
     """Static bias field (magnitude and orientation) and microwave drive direction.
 
@@ -218,13 +206,13 @@ class FieldConfig:
     coupling of :func:`geometry.mw_coupling` to it.
     """
 
-    b0_gauss: float = 6.2
-    theta_b_deg: float = 0.0
-    phi_b_deg: float = 0.0
-    mw_dir: tuple[float, float, float] = (1.0, 0.0, 0.0)
+    b0_gauss: float = 6.2, Domain(1e-3, 1e5, "G", "a bias splitting m_S = +-1, with a finite 13C revival, up to 10 T")
+    theta_b_deg: float = 0.0, _POLAR
+    phi_b_deg: float = 0.0, _AZIMUTH
+    mw_dir: tuple[float, float, float] = (1.0, 0.0, 0.0), Domain(
+        -1e100, 1e100, "", "a direction, normalised on load, whose squares overflow beyond")
 
     def __post_init__(self):
-        check_ranges(self, _RANGED[FieldConfig])
         if len(self.mw_dir) != 3:
             raise ValidationError(f"field.mw_dir must be a 3-vector, got {len(self.mw_dir)} elements")
         for v in self.mw_dir:
@@ -248,28 +236,24 @@ class FieldConfig:
         return np.array(self.mw_dir, dtype=float)
 
 
-@dataclass(frozen=True)
+@_section("constants")
 class PhysicalConstants:
     """Spin constants: the electron and carbon-13 gyromagnetic ratios."""
 
-    gamma_e_mhz_per_g: float = 2.802
-    gamma_c13_khz_per_g: float = 1.075
-
-    def __post_init__(self):
-        check_ranges(self, _RANGED[PhysicalConstants])
+    gamma_e_mhz_per_g: float = 2.802, Domain(1e-3, 1e3, "MHz/G", "three decades either side of the electron's 2.80")
+    gamma_c13_khz_per_g: float = 1.075, Domain(1e-3, 1e3, "kHz/G", "three decades either side of 13C's 1.07")
 
 
-@dataclass(frozen=True)
+@_section("beam")
 class BeamProfile:
     """Gaussian focus: 1/e^2 diameter, stationary peak count rate, collection weighting."""
 
-    waist_diameter_1e2_um: float = 0.6
-    peak_counts_stationary_cps: float = 1e5
+    waist_diameter_1e2_um: float = 0.6, Domain(1e-3, 1e3, "um", "a nanometre to a millimetre focus")
+    peak_counts_stationary_cps: float = 1e5, _COUNT_RATE
     collection_mode: str = "confocal-squared"
-    background_cps: float = 0.0
+    background_cps: float = 0.0, _COUNT_RATE
 
     def __post_init__(self):
-        check_ranges(self, _RANGED[BeamProfile])
         if self.collection_mode not in COLLECTION_MODES:
             raise ValidationError(
                 f"beam.collection_mode must be one of {COLLECTION_MODES}, got {self.collection_mode!r}"
@@ -280,22 +264,19 @@ class BeamProfile:
         return self.waist_diameter_1e2_um / 2.0
 
 
-@dataclass(frozen=True)
+@_section("rates")
 class RateModel:
     """Optical rates (1/us) of the five-level scheme and the peak pump rate."""
 
-    pump_rate_peak_per_us: float = 120.0
-    radiative_rate_per_us: float = 1000.0 / 12.0
-    isc_rate_e1_per_us: float = 80.0
-    isc_rate_e0_per_us: float = 8.0
-    singlet_decay_per_us: float = 1000.0 / 220.0
-    singlet_branching_to_g0: float = 0.8
-
-    def __post_init__(self):
-        check_ranges(self, _RANGED[RateModel])
+    pump_rate_peak_per_us: float = 120.0, _RATE
+    radiative_rate_per_us: float = 1000.0 / 12.0, _LIFETIME
+    isc_rate_e1_per_us: float = 80.0, _RATE
+    isc_rate_e0_per_us: float = 8.0, _RATE
+    singlet_decay_per_us: float = 1000.0 / 220.0, _LIFETIME
+    singlet_branching_to_g0: float = 0.8, Domain(0.0, 1.0, "", "a branching ratio")
 
 
-@dataclass(frozen=True)
+@_section("strobe")
 class StrobeConfig:
     """Trigger-to-laser delay, strobe length and the two blur magnitudes.
 
@@ -306,42 +287,36 @@ class StrobeConfig:
     response.
     """
 
-    t_phi_us: float = 150.0
-    t_pulse_us: float = 2.0
-    jitter_frac: float = 0.004
-    wobble_amp_um: float = 0.4243
-
-    def __post_init__(self):
-        check_ranges(self, _RANGED[StrobeConfig])
+    t_phi_us: float = 150.0, _PERIOD
+    t_pulse_us: float = 2.0, _PERIOD
+    jitter_frac: float = 0.004, Domain(0.0, 1.0, "", "a relative spread of the period, at most the period itself")
+    wobble_amp_um: float = 0.4243, Domain(0.0, _LONGEST_UM, "um", "up to 10 cm, as the orbit")
 
 
-@dataclass(frozen=True)
+@_section("protocol")
 class ProtocolConfig:
     """Measurement-protocol knobs shared by the simulation subcommands."""
 
-    base_rabi_mhz: float = 3.6
-    n_cal_angles: int = 64
-    turn_on_offset_us: float = -0.25
-    readout_window_us: float = 1.0
-    bin_width_us: float = 0.05
-    shots_per_point: int = 187_500
-    t2_us: float = 350.0
-    envelope_exponent: float = 4.0
-    max_image_pixels: int = 250_000
-
-    def __post_init__(self):
-        check_ranges(self, _RANGED[ProtocolConfig])
+    base_rabi_mhz: float = 3.6, Domain(1e-6, 1e3, "MHz", "a 1 Hz to 1 GHz drive, below the 2.87 GHz splitting")
+    n_cal_angles: int = 64, Domain(1, 1_000_000, "", "memory: the calibration holds a few arrays this long")
+    turn_on_offset_us: float = -0.25, Domain(-_LONGEST_US, _LONGEST_US, "us", "up to the longest period either way")
+    readout_window_us: float = 1.0, _SPAN
+    bin_width_us: float = 0.05, _SPAN
+    shots_per_point: int = 187_500, Domain(1, 1e12, "", "up to ten years of shots at 3.33 kHz", "--shots")
+    t2_us: float = 350.0, _DAMPING._replace(unit="us")
+    envelope_exponent: float = 4.0, _DAMPING
+    max_image_pixels: int = 250_000, Domain(1, 100_000_000, "", "memory: a render holds a few arrays this long")
 
 
-@dataclass(frozen=True)
+@record
 class ExperimentConfig:
-    geometry: RotorGeometry = field(default_factory=lambda: RotorGeometry(phi_nv0_deg=90.0))
-    field_cfg: FieldConfig = field(default_factory=FieldConfig)
-    constants: PhysicalConstants = field(default_factory=PhysicalConstants)
-    beam: BeamProfile = field(default_factory=BeamProfile)
-    rates: RateModel = field(default_factory=RateModel)
-    strobe: StrobeConfig = field(default_factory=StrobeConfig)
-    protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
+    geometry: RotorGeometry = partial(RotorGeometry, phi_nv0_deg=90.0)
+    field_cfg: FieldConfig = partial(FieldConfig)
+    constants: PhysicalConstants = partial(PhysicalConstants)
+    beam: BeamProfile = partial(BeamProfile)
+    rates: RateModel = partial(RateModel)
+    strobe: StrobeConfig = partial(StrobeConfig)
+    protocol: ProtocolConfig = partial(ProtocolConfig)
     seed: int = 1
 
     def __post_init__(self):
@@ -357,7 +332,7 @@ class ExperimentConfig:
         out: dict[str, Any] = {}
         for name, (attr, cls) in _SECTIONS.items():
             section = getattr(self, attr)
-            out[name] = {f.name: getattr(section, f.name) for f in dataclasses.fields(cls)}
+            out[name] = {key: getattr(section, key) for key in cls.fields}
         out["seed"] = self.seed
         return out
 
@@ -369,23 +344,6 @@ class ExperimentConfig:
 
         payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
-
-
-# JSON section name -> (ExperimentConfig attribute, section class)
-_SECTIONS = {
-    "geometry": ("geometry", RotorGeometry),
-    "field": ("field_cfg", FieldConfig),
-    "constants": ("constants", PhysicalConstants),
-    "beam": ("beam", BeamProfile),
-    "rates": ("rates", RateModel),
-    "strobe": ("strobe", StrobeConfig),
-    "protocol": ("protocol", ProtocolConfig),
-}
-# section class -> (field, DOMAINS row) of each numeric scalar field
-_RANGED = {
-    cls: tuple((f.name, f"{name}.{f.name}") for f in dataclasses.fields(cls) if type(f.default) in (int, float))
-    for name, (_, cls) in _SECTIONS.items()
-}
 
 
 def _check_number_type(name: str, val, default) -> None:
@@ -412,18 +370,17 @@ def _check_number_type(name: str, val, default) -> None:
 def _build_section(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected an object")
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(defaults)
+    unknown = set(data) - set(cls.defaults)
     if unknown:
-        raise ValidationError(f"{path}: unknown key(s) {sorted(unknown)}; known keys: {sorted(defaults)}")
+        raise ValidationError(f"{path}: unknown key(s) {sorted(unknown)}; known keys: {sorted(cls.defaults)}")
     for key, val in data.items():
-        _check_number_type(f"{path}.{key}", val, defaults[key])
+        _check_number_type(f"{path}.{key}", val, cls.defaults[key])
     # tuples arrive as lists from JSON; an int in a float field becomes the
     # float it spells, so 150 and 150.0 give one config (and one hash), while
     # an int beyond the float range stays an int for the range check to refuse
     kwargs = {
         key: tuple(val) if isinstance(val, list)
-        else float(val) if type(defaults[key]) is float and abs(val) <= sys.float_info.max
+        else float(val) if type(cls.defaults[key]) is float and abs(val) <= sys.float_info.max
         else val
         for key, val in data.items()
     }

@@ -1,6 +1,66 @@
-"""Shared exception types, and the bound on the mean of every Poisson draw."""
+"""Shared exception types, the record helper, and the bound on the mean of every Poisson draw."""
+
+from __future__ import annotations
+
+from functools import partial
+from operator import attrgetter
 
 import numpy as np
+
+
+def record(cls=None, *, frozen: bool = True, eq: bool = True, check=None):
+    """Make ``cls`` a record of its annotated fields, with methods that are closures over them, not generated source.
+
+    A class body value is a field's default; a ``functools.partial`` one is
+    called per instance.  ``__init__`` sets the fields, then runs
+    ``check(self)`` and ``__post_init__``.  With ``eq`` the fields decide
+    equality and a frozen record's hash; a frozen record refuses assignment.
+    ``cls.fields``, ``cls.defaults`` and ``replace(**changes)`` complete it.
+    """
+    if cls is None:
+        return partial(record, frozen=frozen, eq=eq, check=check)
+    names = tuple(cls.__annotations__)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    n, template, required = len(names), {name: defaults.get(name) for name in names}, set(names) - defaults.keys()
+    factories = [name for name, value in defaults.items() if type(value) is partial]
+    hooks = [hook for hook in (check, getattr(cls, "__post_init__", None)) if hook]
+    values = attrgetter(*names) if n > 1 else lambda obj: tuple(getattr(obj, name) for name in names)
+    store = object.__setattr__ if frozen else setattr  # past a frozen record's refusal, as dataclasses do
+
+    def __init__(self, *args, **kw):
+        pairs = zip(names, args)
+        if kw or len(args) != n:  # not every field by position: the rest by keyword, else by default
+            given = len(args) + len(kw)
+            kw.update(pairs)  # kw is this call's own dict
+            fields = template | kw  # in field order, then any unknown name
+            if len(kw) != given or len(fields) != n or not required.issubset(kw):  # a field twice, unknown or missing
+                raise TypeError(f"{cls.__name__}() takes {names} once or by default, got {given} for {sorted(kw)}")
+            for name in factories:
+                if name not in kw:
+                    fields[name] = fields[name]()
+            pairs = fields.items()
+        for name, value in pairs:
+            store(self, name, value)
+        for hook in hooks:
+            hook(self)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in names)})"
+
+    def __eq__(self, other):
+        return values(self) == values(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def refuse(self, name, value=None):
+        raise AttributeError(f"{cls.__name__} is frozen: cannot set or delete the field {name!r}")
+
+    cls.__init__, cls.__repr__, cls.fields, cls.defaults = __init__, __repr__, names, defaults
+    cls.replace = lambda self, **changes: cls(**dict(zip(names, values(self))) | changes)
+    if eq:
+        cls.__eq__, cls.__hash__ = __eq__, (lambda self: hash(values(self))) if frozen else None
+    if frozen:
+        cls.__setattr__ = cls.__delattr__ = refuse
+    return cls
+
 
 # Largest expected count one Poisson draw is given; numpy refuses means
 # above ~9.2e18 ("lam value too large").
@@ -25,21 +85,18 @@ def check_expected_counts(lam, keys: str) -> None:
         )
 
 
+@record(frozen=False, eq=False)
 class Diagnostic:
-    """One parser/compiler message with a source position."""
+    """One parser/compiler message with a source position (line 0: none)."""
 
-    def __init__(self, message: str, line: int = 0, col: int = 0):
-        self.message = message
-        self.line = line
-        self.col = col
+    message: str
+    line: int = 0
+    col: int = 0
 
     def __str__(self) -> str:
         if self.line:
             return f"line {self.line}, col {self.col}: {self.message}"
         return self.message
-
-    def __repr__(self) -> str:
-        return f"Diagnostic({self.message!r}, line={self.line}, col={self.col})"
 
 
 class SequenceError(ValidationError):

@@ -24,13 +24,13 @@ overdispersed data inflate the reported uncertainties.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import lsq
-from .config import PhysicalConstants, check_value, check_values
-from .errors import ValidationError
+from .config import PhysicalConstants, check_ranges, check_value, check_values
+from .errors import ValidationError, record
 # perfbench/spantrace.py finds levenberg_marquardt on this module and rebinds
 # that object in lsq too, where fit_separable looks it up at call time
 from .lsq import levenberg_marquardt  # noqa: F401
@@ -43,7 +43,7 @@ ECHO_PARAM_NAMES = ("b_perp_gauss", "phi0_rad", "contrast", "baseline")
 # datasets
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class EchoDataset:
     """(tau, signal, sigma) records; tau strictly increasing, signal and sigma in their DOMAINS rows.
 
@@ -75,7 +75,7 @@ class EchoDataset:
         return self.tau_us.size
 
 
-@dataclass(frozen=True)
+@record(check=lambda model: check_ranges(model, [("f_rot_hz", "geometry.f_rot_hz")]))
 class EchoFitModel:
     """Fixed quantities of the fringe model: constants, rotation rate, envelope.
 
@@ -84,12 +84,9 @@ class EchoFitModel:
     factor.  Set ``envelope`` to None to pin it at exactly 1.
     """
 
-    constants: PhysicalConstants = field(default_factory=PhysicalConstants)
+    constants: PhysicalConstants = partial(PhysicalConstants)
     f_rot_hz: float = 3333.33
     envelope: EchoParams | None = None
-
-    def __post_init__(self):
-        check_value("geometry.f_rot_hz", self.f_rot_hz)
 
     def envelope_values(self, tau_us: np.ndarray) -> np.ndarray:
         if self.envelope is None:
@@ -109,7 +106,7 @@ class EchoFitModel:
         return baseline + 0.5 * contrast * env * np.cos(b_perp * self.phase_factor(tau_us, phi0))
 
 
-@dataclass(frozen=True)
+@record
 class FitResult:
     """Best-fit parameters with covariance and convergence metadata."""
 

@@ -40,13 +40,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lsq
 from .config import DOMAINS, RotorGeometry, StrobeConfig, check_pulse_in_rotation, check_value
-from .errors import FitError, ValidationError, check_expected_counts
+from .errors import FitError, ValidationError, check_expected_counts, record
 from .geometry import TWO_PI
 
 # Strobe samples (cycles x SUBSTEPS) one pixel may integrate: ~200x the
@@ -100,7 +99,7 @@ _SIZE_REACH = 6.0
 _RADIAL_OFFSETS = np.linspace(0.0, 4.0, 33)
 
 
-@dataclass(frozen=True)
+@record
 class ScanGrid:
     """Raster extents (um), pixel step and per-pixel dwell time.
 
@@ -149,7 +148,7 @@ class ScanGrid:
         return self._axis_size(self.x_range_um) * self._axis_size(self.y_range_um)
 
 
-@dataclass(frozen=True)
+@record
 class Emitter:
     """Point emitter: (x, y) position at the trigger edge and stationary peak brightness."""
 
@@ -164,7 +163,7 @@ class Emitter:
         check_value("beam.peak_counts_stationary_cps", self.brightness_cps, "brightness_cps (--emitters)")
 
 
-@dataclass(frozen=True)
+@record
 class EmitterSet:
     emitters: tuple[Emitter, ...]
 
@@ -177,7 +176,7 @@ class EmitterSet:
         return cls((Emitter((x_um, y_um), brightness_cps),))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class StrobedImage:
     """Rendered count map with its pixel coordinates and render metadata."""
 
@@ -185,7 +184,7 @@ class StrobedImage:
     x_um: np.ndarray  # ascending, as y_um: a spot fit's window is one range of each
     y_um: np.ndarray
     duty_cycle: float
-    meta: dict = field(default_factory=dict)
+    meta: dict = functools.partial(dict)
 
 
 def angular_smear(g: RotorGeometry, t_pulse_us: float) -> float:

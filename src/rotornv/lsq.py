@@ -28,11 +28,10 @@ Rabi bases in :mod:`estimation`, the spot basis in :mod:`imaging`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IdentifiabilityError
+from .errors import IdentifiabilityError, record
 
 # LM stops at a gradient below _GRAD_TOL of the cost, above the rounding
 # floor (~1e-10 to 1e-9 of the cost) that a smaller tolerance would wait
@@ -66,7 +65,7 @@ _SCAN_FLOATS = 2_000_000
 # Levenberg-Marquardt core
 
 
-@dataclass
+@record(frozen=False)
 class LMResult:
     x: np.ndarray
     cost: float  # 0.5 * sum(residual^2)

@@ -42,17 +42,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import BeamProfile, RateModel, RotorGeometry, check_pulse_in_rotation, check_value
 from .config import check_window_in_pulse
-from .errors import ValidationError, check_expected_counts
+from .errors import ValidationError, check_expected_counts, record
 from .geometry import TWO_PI
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class LevelPopulations:
     """Populations of (g0, g1, e0, e1, singlet); must sum to one."""
 
@@ -86,7 +85,7 @@ class LevelPopulations:
         return cls(g0=0.0, g1=1.0)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class PhotonTrace:
     """Binned photon counts accumulated over ``shots`` repetitions."""
 
@@ -605,7 +604,7 @@ def _window_ratio(s, r, s_shots, r_shots):
     return ratio, ratio * np.sqrt(1.0 / s + 1.0 / r)
 
 
-@dataclass(frozen=True)
+@record
 class WindowResponse:
     """Expected early-window counts per shot: bright (m_S = 0) and dark (m_S = -1) spin, and background."""
 

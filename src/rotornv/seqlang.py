@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
 
@@ -46,7 +45,7 @@ import numpy as np
 
 from . import geometry
 from .config import FieldConfig, RotorGeometry, check_value
-from .errors import CompileError, Diagnostic, ParseError, ValidationError
+from .errors import CompileError, Diagnostic, ParseError, ValidationError, record
 from .spindyn import ORDER_TOL_US, TARGET_FRACTIONS
 
 # the keys that set a calibrated pulse's length, for the refusals a weak coupling meets
@@ -71,7 +70,7 @@ _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 # program representation
 
 
-@dataclass(frozen=True)
+@record
 class Quantity:
     value: float
     unit: str
@@ -98,13 +97,13 @@ class Quantity:
 Operand = Union[Quantity, str]
 
 
-@dataclass(frozen=True)
+@record
 class TriggerStmt:
     def __str__(self) -> str:
         return "trigger"
 
 
-@dataclass(frozen=True)
+@record
 class WaitStmt:
     duration: Operand
 
@@ -112,7 +111,7 @@ class WaitStmt:
         return f"wait {self.duration}"
 
 
-@dataclass(frozen=True)
+@record
 class LaserStmt:
     duration: Operand
     at: Optional[Operand] = None
@@ -124,7 +123,7 @@ class LaserStmt:
         return s
 
 
-@dataclass(frozen=True)
+@record
 class MwStmt:
     target: Optional[str] = None  # "pi" | "pi/2"
     duration: Optional[Operand] = None
@@ -143,7 +142,7 @@ class MwStmt:
 Statement = Union[TriggerStmt, WaitStmt, LaserStmt, MwStmt]
 
 
-@dataclass(frozen=True)
+@record
 class SequenceProgram:
     params: tuple[tuple[str, Quantity], ...]
     statements: tuple[Statement, ...]
@@ -329,7 +328,7 @@ def parse_sequence(text: str) -> SequenceProgram:
 # calibration
 
 
-@dataclass(frozen=True)
+@record
 class CalibrationTable:
     """Effective Rabi frequency (MHz) vs rotation angle (deg, in [0, 360)).
 
@@ -401,7 +400,7 @@ def build_calibration(
 # timeline
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class TimelineBatch:
     """N compiled timelines of one shape, one per scan point, held as (K, N) arrays.
 

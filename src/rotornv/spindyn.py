@@ -21,14 +21,13 @@ of duration 1/(2 Omega) is a pi rotation.  All functions are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import geometry
 from .config import FieldConfig, PhysicalConstants, RotorGeometry, check_ranges, check_value, check_values
-from .errors import ValidationError
+from .errors import ValidationError, record
 from .geometry import TWO_PI
 
 if TYPE_CHECKING:
@@ -38,9 +37,14 @@ if TYPE_CHECKING:
 TARGET_FRACTIONS = {"pi": 0.5, "pi/2": 0.25}
 # how far, in us, an event may start before the previous one ends: rounding, not an overlap
 ORDER_TOL_US = 1e-12
+# EchoParams field -> its DOMAINS row: the config key it comes from, or the model's own
+_ECHO_KEYS = (("b_perp_gauss", "echo.b_perp_gauss"), ("phi0_rad", "echo.phi0_rad"), ("f_rot_hz", "geometry.f_rot_hz"),
+              ("t2_us", "protocol.t2_us"), ("envelope_exponent", "protocol.envelope_exponent"),
+              ("b0_gauss", "field.b0_gauss"))
 
 
-@dataclass(frozen=True)
+# refused as the config refuses the settings they come from
+@record(check=lambda params: check_ranges(params, _ECHO_KEYS))
 class EchoParams:
     """Everything the closed-form echo fringe model needs.
 
@@ -56,10 +60,6 @@ class EchoParams:
     envelope_exponent: float = 4.0
     b0_gauss: float = 6.2
 
-    def __post_init__(self):
-        # refused as the config refuses the settings they come from
-        check_ranges(self, _ECHO_KEYS)
-
     @classmethod
     def from_experiment(cls, g, f, t2_us=350.0, **kw) -> "EchoParams":
         return cls(
@@ -70,12 +70,6 @@ class EchoParams:
             b0_gauss=f.b0_gauss,
             **kw,
         )
-
-
-# EchoParams field -> its DOMAINS row: the config key it comes from, or the model's own
-_ECHO_KEYS = (("b_perp_gauss", "echo.b_perp_gauss"), ("phi0_rad", "echo.phi0_rad"), ("f_rot_hz", "geometry.f_rot_hz"),
-              ("t2_us", "protocol.t2_us"), ("envelope_exponent", "protocol.envelope_exponent"),
-              ("b0_gauss", "field.b0_gauss"))
 
 
 # ---------------------------------------------------------------------------

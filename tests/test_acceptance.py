@@ -4,7 +4,6 @@ Run with ``pytest -s tests/test_acceptance.py`` to see every line.  All
 tolerances are fixed here; nothing is calibrated at test time.
 """
 
-import dataclasses
 import math
 import subprocess
 import sys
@@ -161,12 +160,12 @@ def test_criterion_7_closed_loop_sensing():
     assert abs(b_true - 0.088) < 1e-12
     taus = np.linspace(2.0, 21.0, 16)
     shots = int(3e6 / taus.size)
-    cfg = dataclasses.replace(cfg, protocol=dataclasses.replace(cfg.protocol, shots_per_point=shots))
+    cfg = cfg.replace(protocol=cfg.protocol.replace(shots_per_point=shots))
     model = EchoFitModel(constants=cfg.constants, f_rot_hz=cfg.geometry.f_rot_hz)
     hits = 0
     sigmas = []
     for trial in range(100):
-        trial_cfg = dataclasses.replace(cfg, seed=9000 + trial)
+        trial_cfg = cfg.replace(seed=9000 + trial)
         data, _ = pipeline.simulate_echo_scan(trial_cfg, taus)
         fit = fit_echo(data, model)
         b_hat = fit.params["b_perp_gauss"]

@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -38,7 +37,7 @@ def run_cli(args, **kw):
 
 def _with_shots(cfg, shots):
     """``cfg`` with ``protocol.shots_per_point`` set to ``shots``."""
-    return dataclasses.replace(cfg, protocol=dataclasses.replace(cfg.protocol, shots_per_point=shots))
+    return cfg.replace(protocol=cfg.protocol.replace(shots_per_point=shots))
 
 
 def _ideal_echo_batch(tau_us, t_rot_us, t_pulse_us):
@@ -233,7 +232,7 @@ class TestPipeline:
             assert abs(got - want) <= 1e-15 * abs(want)
 
     def test_sample_scan_repeats_per_stream(self, cfg_default):
-        cfg = dataclasses.replace(_with_shots(cfg_default, 1000), seed=7)
+        cfg = _with_shots(cfg_default, 1000).replace(seed=7)
         p1 = np.linspace(0.0, 1.0, 50)
 
         def sample(stream):
@@ -247,7 +246,7 @@ class TestPipeline:
     def test_sample_scan_statistics(self, cfg_default):
         # ~1e6 counts per window, so E[s/r] and E[s]/E[r] differ by ~1e-6,
         # far below the standard error of the mean over 20 000 points
-        cfg = dataclasses.replace(cfg_default, seed=3)
+        cfg = cfg_default.replace(seed=3)
         resp = pipeline.window_response(cfg)
         p, shots, n = 0.3, round(1e6 / resp.n_bright), 20_000
         data, resp = pipeline._sample_scan(
@@ -783,6 +782,36 @@ def test_fit_of_a_readout_trace_names_the_columns_it_needs(model, tmp_path, caps
     code, err = _main_exit(["fit", str(path), "--model", model], capsys)
     assert code == 2
     assert err == f"error: {path}: expected 3 columns (tau/duration, signal, sigma)\n"
+
+
+@pytest.fixture(scope="module")
+def kind_scans(tmp_path_factory):
+    """The seed-1 default echo and 40-point Rabi scan files, by fit model, and the Rabi rows with no kind line."""
+    root = tmp_path_factory.mktemp("kinds")
+    paths = {"echo": str(root / "echo.dat"), "rabi": str(root / "rabi.dat"), "no-kind": str(root / "no-kind.dat")}
+    assert main(["simulate-echo", "-o", paths["echo"]]) == 0
+    assert main(["simulate-rabi", "-o", paths["rabi"]]) == 0
+    with open(paths["rabi"]) as src, open(paths["no-kind"], "w") as dst:
+        dst.write("".join(line for line in src if not line.startswith("# kind:")))
+    return paths
+
+
+@pytest.mark.parametrize("kind, model", [("echo", "rabi"), ("rabi", "echo")])
+def test_fit_refuses_a_model_that_disagrees_with_the_dataset_kind(kind_scans, capsys, kind, model):
+    # the seed-1 echo fitted as a Rabi scan printed 0.0969 +- 0.0050 MHz, "converged: yes", exit 0
+    path = kind_scans[kind]
+    code, err = _main_exit(["fit", path, "--model", model, "-o", os.devnull], capsys)
+    assert code == 2
+    assert err == f"error: {path}: --model {model} disagrees with the dataset's kind: {kind}-scan\n"
+
+
+@pytest.mark.parametrize("scan, model", [("rabi", "rabi"), ("no-kind", "echo")])
+def test_fit_takes_its_model_from_the_dataset_kind(kind_scans, scan, model):
+    # the 40-point Rabi scan fitted without --model ran the echo model and
+    # exited 3 ("singular Jacobian at the optimum"); a file with no kind line
+    # keeps the echo default, though its rows are the same Rabi scan
+    path = kind_scans[scan]
+    assert _run_outcome(["fit", path]) == _run_outcome(["fit", path, "--model", model])
 
 
 def test_fit_of_a_repeated_row_names_the_file_axis_and_value(tmp_path, capsys):
@@ -1531,7 +1560,7 @@ _HELP_DIGESTS = {
     "simulate-image": "f72f539639e6d78594043e03b670c4efa7208939c8c7f9e360710a7aeaa018b8",
     "simulate-readout": "01c5b6f99f1172281f3493409e9c81704fd34e1eaea1658a73fcf82977e540dd",
     "compile-seq": "a5e2fe90e7fce6104c0fea2ea56c059d53d337dbf6bc442fbe9d467dcd7af1bf",
-    "fit": "be15faa8b865028716299303ae79625d12ed99fd6dc44a4bee7de7d6366b346f",
+    "fit": "8a523be5ce732bc1fec6c8f7908c2bceed30891b2ec5e7251507ca2b37d27755",  # --model names its default
     "dump-config": "70bd1742beff45ebd36be6a3c4215d523a801c5d8edcc28bd7e5498b43971a5a",
 }
 

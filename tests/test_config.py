@@ -5,7 +5,6 @@ import math
 import pytest
 
 from rotornv.config import (
-    _RANGED,
     _SECTIONS,
     DOMAINS,
     apply_overrides,
@@ -20,15 +19,17 @@ from rotornv.errors import ValidationError
 
 # JSON section name of each section class
 SECTION_OF = {cls: name for name, (_, cls) in _SECTIONS.items()}
-# every numeric field of every section (a NaN there once reached a render's
-# node count or the rate-equation SVD)
-CASES = [(cls, name) for cls, fields in _RANGED.items() for name, _ in fields]
+# every numeric field of every section, one whose default is an int or a
+# float (a NaN there once reached a render's node count or the rate-equation SVD)
+CASES = [(cls, name) for _, cls in _SECTIONS.values() for name, default in cls.defaults.items()
+         if type(default) in (int, float)]
 IDS = [f"{cls.__name__}.{name}" for cls, name in CASES]
 
 
 def test_table_holds_every_section():
-    assert set(_RANGED) == {cls for _, cls in _SECTIONS.values()}
+    assert {cls for cls, _ in CASES} == {cls for _, cls in _SECTIONS.values()}
     assert len(CASES) == 32
+    assert {f"{SECTION_OF[cls]}.{name}" for cls, name in CASES} <= set(DOMAINS)
 
 
 def test_every_row_is_a_finite_closed_range_with_a_reason():

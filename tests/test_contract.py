@@ -15,7 +15,6 @@ Tier-1 runs a small derandomized budget; ``--hypothesis-profile contract``
 """
 
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -41,8 +40,8 @@ _CONTRACT = settings(max_examples=_BUDGET, deadline=None, derandomize=True, data
 
 # every config key; an integer key takes the integer part of a finite value
 _KEYS = [key for key in DOMAINS if key.partition(".")[0] in _SECTIONS]
-_INT_KEYS = {f"{name}.{f.name}" for name, (_, cls) in _SECTIONS.items()
-             for f in dataclasses.fields(cls) if type(f.default) is int}
+_INT_KEYS = {f"{name}.{key}" for name, (_, cls) in _SECTIONS.items()
+             for key, default in cls.defaults.items() if type(default) is int}
 
 
 def _set_value(key: str, v: float) -> list[str]:

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import warnings
@@ -78,7 +77,7 @@ class TestBeamIntensity:
     )
     def test_default_rate_unchanged(self, mode, value):
         cfg = config_from_dict({})
-        beam = dataclasses.replace(cfg.beam, collection_mode=mode)
+        beam = cfg.beam.replace(collection_mode=mode)
         rate = expected_count_rate(beam, cfg.geometry, cfg.strobe.t_pulse_us)
         assert rate == pytest.approx(value, rel=1e-15, abs=0.0)
 
@@ -344,7 +343,7 @@ class TestReadout:
 
 def _scaled_rates(scale: float) -> dict:
     """Every rate of the default model times ``scale``, as a config section."""
-    rates = dataclasses.asdict(RateModel())
+    rates = RateModel.defaults
     return {k: v * scale for k, v in rates.items() if k != "singlet_branching_to_g0"}
 
 

@@ -128,12 +128,13 @@ def test_import_leaves_numpy_fft_unloaded():
 def test_import_and_default_config_leave_the_lazy_layers_unloaded():
     # a cold call loads only the layers it runs: neither the import nor the
     # default config (the benchmark's set-up) adds the readout or sequence
-    # layer, or the quadrature and hash modules, to a bare numpy's; their
-    # exports and the two submodule names still resolve, each to its own object
+    # layer, the quadrature and hash modules, or dataclasses (the records
+    # build no code), to a bare numpy's; their exports and the two submodule
+    # names still resolve, each to its own object
     script = (
         "import sys, numpy\n"
         "lazy = lambda: sorted(m for m in sys.modules if m in\n"
-        "    ('rotornv.photophysics', 'rotornv.seqlang', 'numpy.polynomial', 'hashlib'))\n"
+        "    ('rotornv.photophysics', 'rotornv.seqlang', 'numpy.polynomial', 'hashlib', 'dataclasses'))\n"
         "before = lazy()\n"
         "import rotornv\n"
         "imported = lazy()\n"
