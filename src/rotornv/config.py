@@ -8,10 +8,13 @@ the experimental operating point: 3.33 kHz rotation, 6.2 G bias along z,
 NV axis at 54.7 deg and 10 um off-axis, 2 us strobes, 1e5 counts/s peak.
 
 The seven sections are defined here, each a frozen record
-(:func:`errors.record`) that refuses a numeric field outside its range; the
-physics modules take them as arguments.  Every numeric input has one closed
+(:func:`errors.record`) that decides its own values, so a constructor,
+``replace`` and a config file refuse alike: each checks its numeric fields'
+types and ranges, ``FieldConfig`` normalises ``mw_dir`` itself and
+``ExperimentConfig`` checks the seed.  Every numeric input has one closed
 range, with its reason, in one table: ``DOMAINS``.  A config key is written
-once, as its section's field with its default and its range.
+once, as its section's field with its default and its range; the JSON loader
+keeps only JSON's shape.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .errors import ValidationError, record
-from .geometry import UNIT_TOLERANCE, unit
+from .geometry import unit
 
 
 # How the detected rate weights the beam profile (BeamProfile.collection_mode).
@@ -110,10 +113,18 @@ def check_values(key: str, values) -> np.ndarray:
     return values
 
 
+def _check_number(key: str, value, kind: type) -> None:
+    """Refuse a bool (an int to Python), a non-number, or a non-integer where ``kind`` is int."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise ValidationError(f"{key}: {value!r} is not {'an integer' if kind is int else 'a number'}")
+
+
 def check_ranges(obj, keys) -> None:
-    """Refuse the first field of ``obj`` outside its domain; ``keys`` pairs each field with its DOMAINS row."""
+    """Refuse the first field of ``obj`` not of its default's type or outside its DOMAINS row (paired in ``keys``)."""
     for name, key in keys:
-        check_value(key, getattr(obj, name))
+        value = getattr(obj, name)
+        _check_number(key, value, type(obj.defaults[name]))
+        check_value(key, value)
 
 
 # The two rules that tie one key's range to another's, each decided here for
@@ -146,7 +157,7 @@ def _section(name: str, attr: str | None = None):
     A field written ``key: type = default, row`` takes that default, and ``row``
     becomes the DOMAINS row ``name.key``.  The section is a frozen record that
     refuses, in field order and before its ``__post_init__``, a numeric field
-    (an int or float default) outside its DOMAINS row.
+    (an int or float default) not of its default's type or outside its DOMAINS row.
     """
     def build(cls):
         for key in cls.__annotations__:
@@ -166,13 +177,14 @@ class RotorGeometry:
     ``phi_nv0_deg`` is the azimuth of the NV symmetry axis at the trigger
     edge; ``phi_pos0_deg`` is the azimuth of the NV *position* on its orbit
     at the same instant.  The two are independent so that imaging and
-    spin-projection phases can be set separately.
+    spin-projection phases can be set separately.  The defaults are the
+    operating point, with the NV axis at 90 deg at the trigger.
     """
 
     f_rot_hz: float = 3333.33, Domain(1e-3, 1e6, "Hz", "one turn in 17 min up to 300 times the paper's 3.33 kHz")
     r_nv_um: float = 10.0, Domain(0.0, _LONGEST_UM, "um", "from the rotation axis out to 10 cm")
     theta_nv_deg: float = 54.7, _POLAR
-    phi_nv0_deg: float = 0.0, _AZIMUTH
+    phi_nv0_deg: float = 90.0, _AZIMUTH
     phi_pos0_deg: float = 0.0, _AZIMUTH
 
     @property
@@ -200,28 +212,29 @@ class RotorGeometry:
 class FieldConfig:
     """Static bias field (magnitude and orientation) and microwave drive direction.
 
-    ``mw_dir`` must be a unit vector (checked to UNIT_TOLERANCE); the loader
-    normalises the direction it is given.  The drive
-    strength is ``protocol.base_rabi_mhz``: the calibration scales the
-    coupling of :func:`geometry.mw_coupling` to it.
+    ``mw_dir`` is any nonzero 3-vector (a list or a tuple), which the record
+    normalises itself with :func:`geometry.unit`, so every ``FieldConfig``
+    holds a unit tuple.  The drive strength is ``protocol.base_rabi_mhz``: the
+    calibration scales the coupling of :func:`geometry.mw_coupling` to it.
     """
 
     b0_gauss: float = 6.2, Domain(1e-3, 1e5, "G", "a bias splitting m_S = +-1, with a finite 13C revival, up to 10 T")
     theta_b_deg: float = 0.0, _POLAR
     phi_b_deg: float = 0.0, _AZIMUTH
     mw_dir: tuple[float, float, float] = (1.0, 0.0, 0.0), Domain(
-        -1e100, 1e100, "", "a direction, normalised on load, whose squares overflow beyond")
+        -1e100, 1e100, "", "a direction, normalised by FieldConfig, whose squares overflow beyond")
 
     def __post_init__(self):
-        if len(self.mw_dir) != 3:
-            raise ValidationError(f"field.mw_dir must be a 3-vector, got {len(self.mw_dir)} elements")
+        if not isinstance(self.mw_dir, (list, tuple)):
+            raise ValidationError(f"field.mw_dir: {self.mw_dir!r} is not a list of numbers")
         for v in self.mw_dir:
+            _check_number("field.mw_dir", v, float)
+        for v in self.mw_dir:  # before unit() squares them
             check_value("field.mw_dir", v)
-        norm = float(np.linalg.norm(np.asarray(self.mw_dir, dtype=float)))
-        if not abs(norm - 1.0) <= UNIT_TOLERANCE:
-            raise ValidationError(
-                f"field.mw_dir must be a unit vector (|mw_dir| = {norm!r}); use geometry.unit()"
-            )
+        try:
+            object.__setattr__(self, "mw_dir", unit(self.mw_dir))
+        except ValidationError as exc:
+            raise ValidationError(f"field.mw_dir: {exc}") from exc
 
     @cached_property
     def theta_b_rad(self) -> float:
@@ -302,7 +315,7 @@ class ProtocolConfig:
     turn_on_offset_us: float = -0.25, Domain(-_LONGEST_US, _LONGEST_US, "us", "up to the longest period either way")
     readout_window_us: float = 1.0, _SPAN
     bin_width_us: float = 0.05, _SPAN
-    shots_per_point: int = 187_500, Domain(1, 1e12, "", "up to ten years of shots at 3.33 kHz", "--shots")
+    shots_per_point: int = 187_500, Domain(1, 10**12, "", "up to ten years of shots at 3.33 kHz", "--shots")
     t2_us: float = 350.0, _DAMPING._replace(unit="us")
     envelope_exponent: float = 4.0, _DAMPING
     max_image_pixels: int = 250_000, Domain(1, 100_000_000, "", "memory: a render holds a few arrays this long")
@@ -310,7 +323,7 @@ class ProtocolConfig:
 
 @record
 class ExperimentConfig:
-    geometry: RotorGeometry = partial(RotorGeometry, phi_nv0_deg=90.0)
+    geometry: RotorGeometry = partial(RotorGeometry)
     field_cfg: FieldConfig = partial(FieldConfig)
     constants: PhysicalConstants = partial(PhysicalConstants)
     beam: BeamProfile = partial(BeamProfile)
@@ -320,6 +333,9 @@ class ExperimentConfig:
     seed: int = 1
 
     def __post_init__(self):
+        _check_number("seed", self.seed, int)
+        if self.seed < 0:  # numpy's generators take any non-negative integer
+            raise ValidationError(f"seed (--seed) must be a non-negative integer, got {self.seed}")
         check_window_in_pulse(self.protocol.readout_window_us, self.strobe.t_pulse_us)
 
     @property
@@ -346,52 +362,24 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def _check_number_type(name: str, val, default) -> None:
-    """Refuse a bool, or a non-integer where the default is an int.
-
-    A bool is an int to Python, and a float in an int field would reach
-    range() or a shot count as a fraction.  A vector field (a tuple
-    default) must be a list whose elements pass the same check.
-    """
-    if isinstance(default, tuple):
-        if not isinstance(val, (list, tuple)):
-            raise ValidationError(f"{name}: {val!r} is not a list of numbers")
-        for v in val:
-            _check_number_type(name, v, default[0])
-        return
-    kind = type(default)
-    if kind not in (int, float):
-        return
-    if isinstance(val, bool) or not isinstance(val, int if kind is int else (int, float)):
-        expected = "an integer" if kind is int else "a number"
-        raise ValidationError(f"{name}: {val!r} is not {expected}")
-
-
 def _build_section(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected an object")
     unknown = set(data) - set(cls.defaults)
     if unknown:
         raise ValidationError(f"{path}: unknown key(s) {sorted(unknown)}; known keys: {sorted(cls.defaults)}")
-    for key, val in data.items():
-        _check_number_type(f"{path}.{key}", val, cls.defaults[key])
-    # tuples arrive as lists from JSON; an int in a float field becomes the
-    # float it spells, so 150 and 150.0 give one config (and one hash), while
-    # an int beyond the float range stays an int for the range check to refuse
-    kwargs = {
-        key: tuple(val) if isinstance(val, list)
-        else float(val) if type(cls.defaults[key]) is float and abs(val) <= sys.float_info.max
+    # JSON's shape only, the section checks each value: an array becomes a
+    # tuple (a numeric field refuses the list as given), and an int in a float
+    # field the float it spells, so 150 and 150.0 give one config (and one
+    # hash), while an int beyond the float range stays an int for the range
+    # check to refuse
+    kinds = {key: type(cls.defaults[key]) for key in data}
+    return cls(**{
+        key: tuple(val) if type(val) is list and kinds[key] not in (int, float)
+        else float(val) if type(val) is int and kinds[key] is float and abs(val) <= sys.float_info.max
         else val
         for key, val in data.items()
-    }
-    if cls is FieldConfig and "mw_dir" in kwargs:
-        for v in kwargs["mw_dir"]:  # before unit() squares them
-            check_value("field.mw_dir", v)
-        try:
-            kwargs["mw_dir"] = unit(kwargs["mw_dir"])
-        except ValidationError as exc:
-            raise ValidationError(f"{path}.mw_dir: {exc}") from exc
-    return cls(**kwargs)
+    })
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -405,11 +393,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         for name, (attr, cls) in _SECTIONS.items()
         if name in data
     }
-    seed = data.get("seed", ExperimentConfig.seed)
-    _check_number_type("seed", seed, ExperimentConfig.seed)
-    if seed < 0:  # numpy's generators take any non-negative integer
-        raise ValidationError(f"seed (--seed) must be a non-negative integer, got {seed}")
-    return ExperimentConfig(**sections, seed=seed)
+    return ExperimentConfig(**sections, **({"seed": data["seed"]} if "seed" in data else {}))
 
 
 # The OS errors of a path given wrongly: missing, a directory, a file taken

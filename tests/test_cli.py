@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -2023,3 +2024,27 @@ def _pinned_outcome(tmp_path, run: str, seed: int) -> tuple[int, str]:
 )
 def test_subcommand_outputs_are_pinned(tmp_path, run, seed, code, digest):
     assert _pinned_outcome(tmp_path, run, seed) == (code, digest)
+
+
+# each demo script and the files it writes into out/ beside scripts/
+DEMO_FILES = {
+    "run_rabi_experiment.py": {"rabi_start.dat", "rabi_half.dat"},
+    "run_readout_scan.py": {"readout_ms0.dat", "readout_ms1.dat"},
+    "run_echo_experiment.py": {"echo_scan.dat", "echo_fit.txt"},
+    "run_imaging_demo.py": {"image_rotating.dat", "image_stationary.dat"},
+}
+
+
+@pytest.mark.parametrize("script", sorted(DEMO_FILES))
+def test_demo_script_runs_and_writes_its_files(script, tmp_path):
+    # a copy of scripts/ beside a link to src/, so the script writes the
+    # temporary out/ and never the repository's
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    assert sorted(os.listdir(os.path.join(root, "scripts"))) == sorted(DEMO_FILES)
+    shutil.copytree(os.path.join(root, "scripts"), tmp_path / "scripts")
+    os.symlink(os.path.join(root, "src"), tmp_path / "src")
+    env = {k: v for k, v in os.environ.items() if k != "ROTORNV_CONFIG"}
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(tmp_path / "scripts" / script)],
+                         capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert run.returncode == 0, run.stderr
+    assert set(os.listdir(tmp_path / "out")) == DEMO_FILES[script]

@@ -1,14 +1,17 @@
-"""Range checks of the seven config sections: every numeric field has one domain, and NaN lies outside it."""
+"""Type and range checks of the seven config sections: every numeric field has one domain, and NaN lies outside it."""
 
+import json
 import math
 
 import pytest
 
+from rotornv.cli import main
 from rotornv.config import (
     _SECTIONS,
     DOMAINS,
     apply_overrides,
     config_from_dict,
+    ExperimentConfig,
     PhysicalConstants,
     ProtocolConfig,
     RateModel,
@@ -38,9 +41,19 @@ def test_every_row_is_a_finite_closed_range_with_a_reason():
         assert row.why and "\n" not in row.why, key
 
 
+def refusal(cls, name, value, tail="") -> str:
+    """The pattern of the text refusing ``value`` in a numeric field: its range's, ending in ``tail``.
+
+    An int field refuses a float by its type first, with the text a config file gets.
+    """
+    if type(cls.defaults[name]) is int and isinstance(value, float):
+        return rf"^{SECTION_OF[cls]}\.{name}: {value!r} is not an integer$"
+    return rf"^{SECTION_OF[cls]}\.{name}( \(--\S+\))? must lie in \[{tail}"
+
+
 @pytest.mark.parametrize("cls, name", CASES, ids=IDS)
 def test_nan_in_a_ranged_field_is_refused(cls, name):
-    with pytest.raises(ValidationError, match=rf"^{SECTION_OF[cls]}\.{name}( \(--\S+\))? must lie in \[.*, got nan$"):
+    with pytest.raises(ValidationError, match=refusal(cls, name, math.nan, ".*, got nan$")):
         cls(**{name: math.nan})
 
 
@@ -92,7 +105,7 @@ def test_infinity_in_a_ranged_field_is_refused(cls, name, value):
     # StrobeConfig(jitter_frac=inf) once reached a render as "cannot convert
     # float NaN to integer", and t_phi_us=inf as an OverflowError; the angles
     # and the turn-on offset once took any finite value
-    with pytest.raises(ValidationError, match=rf"^{SECTION_OF[cls]}\.{name}( \(--\S+\))? must lie in \["):
+    with pytest.raises(ValidationError, match=refusal(cls, name, value)):
         cls(**{name: value})
 
 
@@ -134,3 +147,60 @@ def test_an_int_in_a_float_field_is_the_float_it_spells(override):
     section, name = key.split(".")
     assert type(as_int.to_dict()[section][name]) is float
     assert as_int.sha256() == as_float.sha256()
+
+
+# every key of a config file, with the value dump-config prints for it: the
+# 32 numeric fields, beam.collection_mode, field.mw_dir and the seed
+DEFAULTS = json.loads(config_from_dict({}).dump_json())
+KEYS = [(section, key) for section, table in DEFAULTS.items() if section != "seed" for key in table] + [("seed", None)]
+
+
+@pytest.mark.parametrize("section, key", KEYS, ids=[f"{s}.{k}" if k else s for s, k in KEYS])
+def test_a_key_given_alone_at_its_default_gives_the_default_config(section, key):
+    # {"geometry": {"r_nv_um": 10.0}} once built the section from the class
+    # defaults, whose phi_nv0_deg (0) was not the config's (90): the NV axis
+    # turned a quarter, and a theta_B = 3 deg echo fitted 0.363 G, not 0.271 G
+    data = {section: DEFAULTS[section]} if key is None else {section: {key: DEFAULTS[section][key]}}
+    cfg = config_from_dict(data)
+    assert cfg == config_from_dict({})
+    assert cfg.sha256() == config_from_dict({}).sha256()
+
+
+# (dotted key, its --set text, the value a constructor or replace is given)
+FAULTS = [
+    ("geometry.f_rot_hz", "true", True),
+    ("geometry.f_rot_hz", "abc", "abc"),
+    ("beam.background_cps", "false", False),
+    ("protocol.shots_per_point", "2.5", 2.5),
+    ("protocol.n_cal_angles", "NaN", math.nan),
+    ("protocol.max_image_pixels", "Infinity", math.inf),
+    ("protocol.shots_per_point", "-Infinity", -math.inf),
+    ("seed", "-1", -1),
+    ("seed", "true", True),
+    ("seed", "1.5", 1.5),
+    ("field.mw_dir", "5", 5),
+    ("field.mw_dir", '[1,"a",0]', [1, "a", 0]),
+    ("field.mw_dir", "[1,0]", [1, 0]),
+    ("field.mw_dir", "[0,0,0]", [0, 0, 0]),
+]
+
+
+@pytest.mark.parametrize("key, text, value", FAULTS, ids=[f"{key}={text}" for key, text, _ in FAULTS])
+def test_a_constructor_and_replace_refuse_what_a_file_refuses(key, text, value, capsys):
+    # cfg.replace(seed=-1), shots_per_point=2.5 and RotorGeometry(f_rot_hz=True)
+    # were once accepted, and a string raised a TypeError
+    assert main(["dump-config", "--set", f"{key}={text}", "-o", "-"]) == 2
+    printed = capsys.readouterr().err.removeprefix("error: ").rstrip("\n")
+    section, _, name = key.rpartition(".")
+    cfg = config_from_dict({})
+    if not section:
+        builds = [lambda: ExperimentConfig(seed=value), lambda: cfg.replace(seed=value),
+                  lambda: config_from_dict({"seed": value})]
+    else:
+        attr, cls = _SECTIONS[section]
+        builds = [lambda: cls(**{name: value}), lambda: getattr(cfg, attr).replace(**{name: value}),
+                  lambda: config_from_dict({section: {name: value}})]
+    for build in builds:
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert str(err.value) == printed

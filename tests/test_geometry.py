@@ -62,11 +62,13 @@ class TestNvAxis:
 
 
 class TestEffectiveField:
-    def test_operating_point_amplitude(self, geometry_default, field_tilted):
-        # 6.2 G at 1 deg tilt through the 54.7 deg cone
-        val = effective_field(geometry_default, field_tilted, 0.0)
+    def test_operating_point_amplitude(self, field_tilted):
+        # 6.2 G at 1 deg tilt through the 54.7 deg cone; at phi_nv0 = 0 the
+        # AC field peaks at the trigger (the default 90 deg puts its zero there)
+        g = RotorGeometry(phi_nv0_deg=0.0)
+        val = effective_field(g, field_tilted, 0.0)
         assert 0.0880 <= abs(val) <= 0.0888
-        assert eac_amplitude(geometry_default, field_tilted) == pytest.approx(val)
+        assert eac_amplitude(g, field_tilted) == pytest.approx(val)
 
     def test_aligned_field_gives_zero(self, geometry_default):
         f = FieldConfig(theta_b_deg=0.0)
@@ -144,8 +146,11 @@ class TestValidation:
             RotorGeometry(f_rot_hz=0.0)
 
     def test_mw_dir_must_be_unit(self):
-        with pytest.raises(ValidationError):
-            FieldConfig(mw_dir=(1.0, 1.0, 0.0))
+        # the record normalises any nonzero direction, as a config file's was
+        assert FieldConfig(mw_dir=(1.0, 1.0, 0.0)).mw_dir == unit((1.0, 1.0, 0.0))
+        assert FieldConfig(mw_dir=[0, 3, 4]).mw_dir == (0.0, 0.6, 0.8)
+        with pytest.raises(ValidationError, match="^field.mw_dir: cannot normalise a zero"):
+            FieldConfig(mw_dir=(0.0, 0.0, 0.0))
 
     def test_mw_dir_with_a_nan_is_refused(self):
         # abs(nan - 1) > tolerance is False, so a bare comparison let it through
